@@ -46,7 +46,7 @@ func run() int {
 		nodes       = flag.String("nodes", "", "comma-separated rmccd node addresses (host:port or http://host:port); required")
 		vnodes      = flag.Int("vnodes", 0, "virtual nodes per physical node on the hash ring (default 160)")
 		healthEvery = flag.Duration("health-every", 2*time.Second, "node health-check poll interval")
-		spanRing    = flag.Int("span-ring", 0, "retained-span ring size behind /debug/tracez (default 4096)")
+		flightCap   = flag.Int("flight-cap", 1<<20, "flight-recorder ring capacity in bytes: the router's span store behind /debug/tracez")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight proxied requests")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 		logFormat   = flag.String("log-format", "text", "log line encoding: text|json")
@@ -86,7 +86,7 @@ func run() int {
 		Nodes:       nodeList,
 		VNodes:      *vnodes,
 		HealthEvery: *healthEvery,
-		SpanRing:    *spanRing,
+		FlightCap:   *flightCap,
 		Logger:      log,
 	})
 	if err != nil {

@@ -56,10 +56,9 @@ func run() int {
 		snapDir     = flag.String("snapshot-dir", "", "durable session checkpoints live here; enables crash recovery (off when empty)")
 		snapEvery   = flag.Duration("snapshot-every", 30*time.Second, "periodic checkpoint interval (with -snapshot-dir)")
 		nodeID      = flag.String("node-id", "", "node name stamped on spans and flight dumps (default: resolved listen address)")
-		spanRing    = flag.Int("span-ring", 0, "retained-span ring size behind /debug/tracez (default 4096)")
 		flightFile  = flag.String("flight-file", "", "crash-durable flight-recorder dump path (default <snapshot-dir>/flight.rec; off when both empty)")
 		flightEvery = flag.Duration("flight-every", 2*time.Second, "periodic flight-recorder flush interval (with -flight-file)")
-		flightCap   = flag.Int("flight-cap", 1<<20, "flight-recorder ring capacity in bytes")
+		flightCap   = flag.Int("flight-cap", 1<<20, "flight-recorder ring capacity in bytes: the one store behind /debug/tracez, /debug/flightz and flight dumps")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 		logFormat   = flag.String("log-format", "text", "log line encoding: text|json")
 		debugAddr   = flag.String("debug-addr", "", "serve /statusz, /debug/tracez and /debug/pprof on this extra listener (off when empty)")
@@ -94,7 +93,6 @@ func run() int {
 		QueueDepth:    *queue,
 		IdleTTL:       *idleTTL,
 		ChunkAccesses: *chunk,
-		SpanRing:      *spanRing,
 		Logger:        log,
 		SnapshotDir:   *snapDir,
 		SnapshotEvery: *snapEvery,
@@ -118,24 +116,18 @@ func run() int {
 		cfg.NodeID = resolved
 	}
 
-	// The flight recorder runs whenever it has capacity: finished spans,
-	// sampled events, and warn+ log lines land in its ring at zero
-	// steady-state allocations, and /debug/flightz?dump=1 serves it live.
-	// With a dump path (explicit, or implied by -snapshot-dir) a flusher
-	// goroutine persists the ring durably every -flight-every, so even a
-	// SIGKILL'd process leaves a recent postmortem file behind.
-	var flight *obs.FlightRecorder
-	if *flightCap > 0 {
-		flight = obs.NewFlightRecorder(*flightCap, cfg.NodeID)
-		cfg.Flight = flight
-		log.AttachFlight(flight)
-	}
+	// The flight recorder is the daemon's one record store: finished spans
+	// and warn+ log lines land in its ring at zero steady-state
+	// allocations, /debug/tracez reads it, and /debug/flightz?dump=1 serves
+	// it live. With a dump path (explicit, or implied by -snapshot-dir) a
+	// flusher goroutine persists the ring durably every -flight-every, so
+	// even a SIGKILL'd process leaves a recent postmortem file behind.
+	flight := obs.NewFlightRecorder(*flightCap, cfg.NodeID)
+	cfg.Flight = flight
+	log.AttachFlight(flight)
 	ffile := *flightFile
 	if ffile == "" && *snapDir != "" {
 		ffile = filepath.Join(*snapDir, "flight.rec")
-	}
-	if flight == nil {
-		ffile = ""
 	}
 
 	srv := server.New(cfg)
@@ -192,7 +184,7 @@ func run() int {
 				}
 			}
 		}()
-		log.Info("flight recorder on", "path", ffile, "cap_bytes", *flightCap, "every", *flightEvery)
+		log.Info("flight recorder on", "path", ffile, "cap_bytes", flight.Cap(), "every", *flightEvery)
 	}
 
 	errCh := make(chan error, 1)

@@ -21,7 +21,7 @@ import (
 //	rmcc_router_migration_duration_us             — per-session move time
 //	rmcc_router_migration_bytes                   — snapshot blob sizes
 //	rmcc_router_spans_total                       — router spans completed
-//	rmcc_router_spans_dropped_total               — span-ring overwrites
+//	rmcc_router_spans_dropped_total               — span-store evictions
 //
 // The request series are registered lazily by instrument(); everything
 // else lives here. rmcc-top's cluster view renders the node gauges.
@@ -40,7 +40,7 @@ func (rt *Router) initMetrics() {
 	rt.reg.CounterFunc("rmcc_router_spans_total", "router spans completed",
 		func() uint64 { return rt.spans.Total() })
 	rt.reg.CounterFunc("rmcc_router_spans_dropped_total",
-		"router spans overwritten in the ring before any export read them",
+		"router spans evicted from the span store before any export read them",
 		func() uint64 { return rt.spans.Dropped() })
 
 	rt.mHealthOK = make(map[string]*obs.Counter, len(rt.nodeList))

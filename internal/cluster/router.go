@@ -53,9 +53,10 @@ type Config struct {
 	// caps a restore blob (default 256 MiB).
 	MaxBodyBytes     int64
 	MaxSnapshotBytes int64
-	// SpanRing caps the router's retained-span ring behind /debug/tracez
-	// (default 4096).
-	SpanRing int
+	// FlightCap sizes, in bytes, the flight-recorder ring that is the
+	// router's one span store behind /debug/tracez
+	// (default obs.DefaultFlightCap).
+	FlightCap int
 
 	// Logger receives structured operational logs (nil disables).
 	Logger *obs.Logger
@@ -90,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSnapshotBytes <= 0 {
 		c.MaxSnapshotBytes = 256 << 20
-	}
-	if c.SpanRing <= 0 {
-		c.SpanRing = 4096
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -193,7 +191,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:        cfg,
 		log:        cfg.Logger,
 		reg:        obs.NewRegistry(),
-		spans:      obs.NewSpanTracer(cfg.SpanRing),
+		spans:      obs.NewSpanTracerOn(obs.NewFlightRecorder(cfg.FlightCap, routerNode)),
 		started:    cfg.Now(),
 		nodes:      make(map[string]*node),
 		healthStop: make(chan struct{}),

@@ -3,10 +3,8 @@ package cluster
 import (
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 
-	"rmcc/internal/obs"
 	"rmcc/internal/server"
 )
 
@@ -22,40 +20,14 @@ const routerNode = "router"
 // each stamped with the process that recorded it. An unreachable node
 // degrades the view (its slice is missing), never the request.
 func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
-	trace := r.URL.Query().Get("trace")
-	if trace == "" {
-		n := 25
-		if raw := r.URL.Query().Get("n"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil || v <= 0 || v > 10_000 {
-				writeError(w, http.StatusBadRequest, "n must be in [1, 10000]")
-				return
-			}
-			n = v
-		}
-		slow := rt.spans.Slowest(n)
-		resp := server.TracezResponse{
-			Node:         routerNode,
-			TotalSpans:   rt.spans.Total(),
-			Retained:     rt.spans.Len(),
-			SpansDropped: rt.spans.Dropped(),
-			Slowest:      make([]server.TracezSpan, 0, len(slow)),
-		}
-		for _, sp := range slow {
-			resp.Slowest = append(resp.Slowest, server.TracezSpanOf(sp, routerNode))
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	hi, lo, err := obs.ParseTraceID(trace)
+	resp, err := server.Tracez(rt.spans, routerNode, r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	local := rt.spans.SpansForTrace(hi, lo)
-	spans := make([]server.TracezSpan, 0, len(local)+16)
-	for _, sp := range local {
-		spans = append(spans, server.TracezSpanOf(sp, routerNode))
+	if resp.Trace == "" {
+		writeJSON(w, http.StatusOK, resp)
+		return
 	}
 
 	type result struct {
@@ -69,22 +41,21 @@ func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, n *node) {
 			defer wg.Done()
-			resp, err := n.api.Tracez(r.Context(), trace, 0)
-			results[i] = result{node: n, resp: resp, err: err}
+			nresp, err := n.api.Tracez(r.Context(), resp.Trace, 0)
+			results[i] = result{node: n, resp: nresp, err: err}
 		}(i, n)
 	}
 	wg.Wait()
-	dropped := rt.spans.Dropped()
 	for _, res := range results {
 		if res.err != nil {
 			rt.log.Warn("tracez: node unreachable", "node", res.node.id, "error", res.err)
 			continue
 		}
-		dropped += res.resp.SpansDropped
-		spans = append(spans, res.resp.Spans...)
+		resp.SpansDropped += res.resp.SpansDropped
+		resp.Spans = append(resp.Spans, res.resp.Spans...)
 	}
-	sort.Slice(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
+	sort.Slice(resp.Spans, func(i, j int) bool {
+		a, b := resp.Spans[i], resp.Spans[j]
 		if a.StartNS != b.StartNS {
 			return a.StartNS < b.StartNS
 		}
@@ -93,12 +64,5 @@ func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
 		}
 		return a.ID < b.ID
 	})
-	writeJSON(w, http.StatusOK, server.TracezResponse{
-		Node:         routerNode,
-		TotalSpans:   rt.spans.Total(),
-		Retained:     rt.spans.Len(),
-		SpansDropped: dropped,
-		Trace:        trace,
-		Spans:        spans,
-	})
+	writeJSON(w, http.StatusOK, resp)
 }

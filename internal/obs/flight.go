@@ -11,13 +11,15 @@ import (
 	"rmcc/internal/snapshot"
 )
 
-// This file is the crash half of the observability layer: a flight
+// This file is the record store of the observability layer: a flight
 // recorder. It continuously captures the last window of finished spans,
 // sampled tracer events, and warn+ log lines into one fixed-size binary
-// ring — zero steady-state allocations, bounded memory — and serializes
-// that ring on demand (Dump) or on a timer to a durable file
-// (tmp+fsync+rename via internal/snapshot), so a SIGKILL'd, panicking, or
-// fault-wedged node leaves a postmortem the recovery path can read.
+// ring — zero steady-state allocations, bounded memory. It is the only
+// place a process keeps finished spans: SpanTracer writes into it and
+// reads /debug/tracez back out of it, and the ring serializes on demand
+// (Dump) or on a timer to a durable file (tmp+fsync+rename via
+// internal/snapshot), so a SIGKILL'd, panicking, or fault-wedged node
+// leaves a postmortem the recovery path can read.
 //
 // Records are framed [kind u8][len u16][payload] and written oldest-first;
 // appending evicts whole records from the head until the new one fits, so
@@ -66,7 +68,7 @@ var ErrFlightVersion = errors.New("flight dump version unsupported")
 
 // FlightRecorder is the in-memory ring. Safe for concurrent recording
 // from handler goroutines, the span tracer, and the log sink. Nil-safe:
-// every method on a nil recorder is a no-op, which is the disabled state.
+// every method on a nil recorder is a no-op.
 type FlightRecorder struct {
 	node string
 
@@ -76,7 +78,7 @@ type FlightRecorder struct {
 	size    int // valid bytes
 	seq     uint64
 	dropped uint64
-	counts  [4]uint64 // lifetime records by kind (index = kind)
+	spans   uint64 // lifetime span records
 	scratch [flightSpanFixed + 8]byte
 }
 
@@ -108,8 +110,19 @@ func (f *FlightRecorder) Records() uint64 {
 	return f.seq
 }
 
+// SpanTotal returns the lifetime span record count (0 on nil).
+func (f *FlightRecorder) SpanTotal() uint64 {
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.spans
+}
+
 // Dropped returns how many records have been evicted from the ring to
-// make room for newer ones (0 on nil).
+// make room for newer ones, or refused because they could never fit
+// (0 on nil). This is the process's one dropped-records count.
 func (f *FlightRecorder) Dropped() uint64 {
 	if f == nil {
 		return 0
@@ -137,8 +150,8 @@ func (f *FlightRecorder) Cap() int {
 	return len(f.buf)
 }
 
-// RecordSpan captures a finished span. Allocation-free; called from the
-// span tracer under its mutex and from tests directly.
+// RecordSpan captures a finished span. Allocation-free; SpanTracer calls
+// it once per completed span.
 func (f *FlightRecorder) RecordSpan(r SpanRecord) {
 	if f == nil {
 		return
@@ -249,8 +262,8 @@ func (f *FlightRecorder) reserve(kind byte, plen int) (int, bool) {
 	w = f.put(w, f.scratch[:3])
 	f.size += total
 	f.seq++
-	if int(kind) < len(f.counts) {
-		f.counts[kind]++
+	if kind == flightKindSpan {
+		f.spans++
 	}
 	return w, true
 }
@@ -305,17 +318,40 @@ func (f *FlightRecorder) Dump(w io.Writer) error {
 	hdr = binary.LittleEndian.AppendUint64(hdr, f.seq)
 	hdr = binary.LittleEndian.AppendUint64(hdr, f.dropped)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(f.size))
-	body := make([]byte, f.size)
-	n := copy(body, f.buf[f.start:])
-	if n < f.size {
-		copy(body[n:], f.buf[:f.size-n])
-	}
+	body := f.body()
 	f.mu.Unlock()
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
 	return err
+}
+
+// body returns a linearized copy of the retained records, oldest first.
+// Caller holds f.mu.
+func (f *FlightRecorder) body() []byte {
+	body := make([]byte, f.size)
+	n := copy(body, f.buf[f.start:])
+	if n < f.size {
+		copy(body[n:], f.buf[:f.size-n])
+	}
+	return body
+}
+
+// Spans returns the retained spans, oldest first (nil on nil). The ring
+// is locked only for the copy; decoding runs outside it.
+func (f *FlightRecorder) Spans() []SpanRecord {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	body := f.body()
+	f.mu.Unlock()
+	var d FlightDump
+	// The ring only ever holds whole, well-framed records, so decoding its
+	// own bytes cannot fail.
+	_ = d.decodeBody(body)
+	return d.Spans
 }
 
 // DumpToFile writes the dump durably (tmp+fsync+rename) at path.
@@ -342,18 +378,6 @@ type FlightDump struct {
 	Spans   []SpanRecord
 	Events  []Event
 	Logs    []FlightLog
-}
-
-// SpansForTrace returns the dump's spans for trace (hi, lo), in recorded
-// order.
-func (d *FlightDump) SpansForTrace(hi, lo uint64) []SpanRecord {
-	var out []SpanRecord
-	for _, r := range d.Spans {
-		if r.TraceHi == hi && r.TraceLo == lo {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // ReadFlightDump decodes a dump produced by Dump. It never panics:
@@ -392,15 +416,23 @@ func ReadFlightDump(r io.Reader) (*FlightDump, error) {
 	if len(body) != int(bodyLen) {
 		return nil, fmt.Errorf("%w: body truncated at %d of %d bytes", ErrFlightCorrupt, len(body), bodyLen)
 	}
+	if err := d.decodeBody(body); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// decodeBody appends the records framed in body to d.
+func (d *FlightDump) decodeBody(body []byte) error {
 	for off := 0; off < len(body); {
 		if len(body)-off < 3 {
-			return nil, fmt.Errorf("%w: frame header truncated at offset %d", ErrFlightCorrupt, off)
+			return fmt.Errorf("%w: frame header truncated at offset %d", ErrFlightCorrupt, off)
 		}
 		kind := body[off]
 		plen := int(binary.LittleEndian.Uint16(body[off+1 : off+3]))
 		off += 3
 		if len(body)-off < plen {
-			return nil, fmt.Errorf("%w: record truncated at offset %d", ErrFlightCorrupt, off)
+			return fmt.Errorf("%w: record truncated at offset %d", ErrFlightCorrupt, off)
 		}
 		p := body[off : off+plen]
 		off += plen
@@ -408,12 +440,12 @@ func ReadFlightDump(r io.Reader) (*FlightDump, error) {
 		case flightKindSpan:
 			rec, err := decodeFlightSpan(p)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			d.Spans = append(d.Spans, rec)
 		case flightKindEvent:
 			if plen != 8+1+3*8 {
-				return nil, fmt.Errorf("%w: event record length %d", ErrFlightCorrupt, plen)
+				return fmt.Errorf("%w: event record length %d", ErrFlightCorrupt, plen)
 			}
 			d.Events = append(d.Events, Event{
 				Seq:  binary.LittleEndian.Uint64(p[0:]),
@@ -424,7 +456,7 @@ func ReadFlightDump(r io.Reader) (*FlightDump, error) {
 			})
 		case flightKindLog:
 			if plen < 9 {
-				return nil, fmt.Errorf("%w: log record length %d", ErrFlightCorrupt, plen)
+				return fmt.Errorf("%w: log record length %d", ErrFlightCorrupt, plen)
 			}
 			d.Logs = append(d.Logs, FlightLog{
 				TimeNS: int64(binary.LittleEndian.Uint64(p[0:])),
@@ -432,10 +464,10 @@ func ReadFlightDump(r io.Reader) (*FlightDump, error) {
 				Line:   string(p[9:]),
 			})
 		default:
-			return nil, fmt.Errorf("%w: unknown record kind %d", ErrFlightCorrupt, kind)
+			return fmt.Errorf("%w: unknown record kind %d", ErrFlightCorrupt, kind)
 		}
 	}
-	return d, nil
+	return nil
 }
 
 func decodeFlightSpan(p []byte) (SpanRecord, error) {

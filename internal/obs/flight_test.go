@@ -10,6 +10,20 @@ import (
 	"time"
 )
 
+// dumpAndRead round-trips fr through Dump and ReadFlightDump.
+func dumpAndRead(t *testing.T, fr *FlightRecorder) *FlightDump {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fr.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadFlightDump(&buf)
+	if err != nil {
+		t.Fatalf("dump does not decode: %v", err)
+	}
+	return d
+}
+
 func TestFlightRoundTrip(t *testing.T) {
 	fr := NewFlightRecorder(1<<16, "node-a")
 	span := SpanRecord{
@@ -21,14 +35,7 @@ func TestFlightRoundTrip(t *testing.T) {
 	fr.RecordEvent(ev)
 	fr.RecordLog(777, LogWarn, []byte("ts=x level=warn msg=boom\n"))
 
-	var buf bytes.Buffer
-	if err := fr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadFlightDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dumpAndRead(t, fr)
 	if d.Node != "node-a" || d.Records != 3 || d.Dropped != 0 {
 		t.Fatalf("header = %q/%d/%d, want node-a/3/0", d.Node, d.Records, d.Dropped)
 	}
@@ -42,9 +49,6 @@ func TestFlightRoundTrip(t *testing.T) {
 	if len(d.Logs) != 1 || d.Logs[0] != want {
 		t.Fatalf("logs = %+v, want [%+v]", d.Logs, want)
 	}
-	if got := d.SpansForTrace(0xaa, 0xbb); len(got) != 1 || got[0].ID != 3 {
-		t.Fatalf("SpansForTrace = %+v", got)
-	}
 }
 
 func TestFlightEviction(t *testing.T) {
@@ -55,14 +59,7 @@ func TestFlightEviction(t *testing.T) {
 	if fr.Dropped() == 0 {
 		t.Fatal("a 256-byte ring must evict under 100 spans")
 	}
-	var buf bytes.Buffer
-	if err := fr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadFlightDump(&buf)
-	if err != nil {
-		t.Fatalf("post-eviction dump must stay decodable: %v", err)
-	}
+	d := dumpAndRead(t, fr)
 	if len(d.Spans) == 0 {
 		t.Fatal("dump retained no spans")
 	}
@@ -85,14 +82,7 @@ func TestFlightTruncatesOversize(t *testing.T) {
 	fr := NewFlightRecorder(1<<16, "n")
 	fr.RecordSpan(SpanRecord{ID: 1, Name: strings.Repeat("n", 400), Detail: strings.Repeat("d", 5000)})
 	fr.RecordLog(1, LogError, []byte(strings.Repeat("x", 10000)))
-	var buf bytes.Buffer
-	if err := fr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadFlightDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dumpAndRead(t, fr)
 	if len(d.Spans[0].Name) != flightMaxName || len(d.Spans[0].Detail) != flightMaxDetail {
 		t.Fatalf("span strings not truncated: %d/%d", len(d.Spans[0].Name), len(d.Spans[0].Detail))
 	}
@@ -137,25 +127,6 @@ func TestFlightRecordAllocFree(t *testing.T) {
 	}
 }
 
-func TestSpanTracerFlightAttachment(t *testing.T) {
-	fr := NewFlightRecorder(1<<16, "n")
-	tr := NewSpanTracer(8)
-	tr.AttachFlight(fr)
-	sp := tr.Start("replay", "s-1", 0)
-	sp.End()
-	var buf bytes.Buffer
-	if err := fr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadFlightDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Spans) != 1 || d.Spans[0].Name != "replay" {
-		t.Fatalf("flight spans = %+v, want the completed replay span", d.Spans)
-	}
-}
-
 func TestLoggerFlightAttachment(t *testing.T) {
 	fr := NewFlightRecorder(1<<16, "n")
 	var out bytes.Buffer
@@ -165,14 +136,7 @@ func TestLoggerFlightAttachment(t *testing.T) {
 	lg.Info("fine", "k", "v")                 // below warn: not captured
 	lg.Warn("trouble", "err", "x")            // captured
 	lg.With("session", "s-1").Error("broken") // children share the sink
-	var buf bytes.Buffer
-	if err := fr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadFlightDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dumpAndRead(t, fr)
 	if len(d.Logs) != 2 {
 		t.Fatalf("flight captured %d lines, want 2 (warn+error): %+v", len(d.Logs), d.Logs)
 	}

@@ -2,22 +2,22 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // This file is the request-scoped span component of the service
 // observability layer: lightweight start/end spans with a parent link and
-// a free-form detail string, retained in a fixed ring for /debug/tracez,
-// summarized into per-stage latency histograms, and optionally forwarded
-// into the per-access ring Tracer as EvSpanEnd events.
+// a free-form detail string, summarized into per-stage latency histograms
+// and stored once, in the process's FlightRecorder ring. /debug/tracez,
+// /debug/flightz?dump=1 and rmcc-top -flight all read that one store.
 //
 // Unlike the single-run Tracer, a SpanTracer IS safe for concurrent use:
 // rmccd records spans from every HTTP handler goroutine and around every
-// shard-worker chunk. Completing a span is allocation-free (a mutex-guarded
-// index store into preallocated storage plus atomic histogram adds), so the
-// daemon's zero-alloc replay chunk path holds with spans enabled.
+// shard-worker chunk. Completing a span is allocation-free (atomic
+// histogram adds plus one framed copy into the recorder's preallocated
+// ring), so the daemon's zero-alloc replay chunk path holds with spans
+// enabled.
 
 // SpanRecord is one completed span.
 type SpanRecord struct {
@@ -50,44 +50,35 @@ func (r SpanRecord) TraceID() string {
 	return TraceContext{TraceHi: r.TraceHi, TraceLo: r.TraceLo}.TraceID()
 }
 
-// spanStage is the per-stage summary hookup set by RegisterStage.
-type spanStage struct {
-	hist *Histogram
-	idx  uint64
-}
+// spanFrameBytes is the ring space NewSpanTracer budgets per span: the
+// frame of a span whose name and detail total 10 bytes.
+const spanFrameBytes = 3 + flightSpanFixed + 1 + 2 + 10
 
-// DefaultSpanCap is the default span ring capacity.
-const DefaultSpanCap = 4096
-
-// SpanTracer records completed spans into a fixed ring. Safe for
-// concurrent Start/End/Record/snapshot calls. Nil-safe: Start on a nil
-// tracer returns an inert Span, Record is a no-op — the disabled state.
+// SpanTracer hands out span IDs, times spans, feeds their stage
+// histograms, and writes each completed span into its FlightRecorder.
+// Safe for concurrent Start/End/RecordT/read calls. Nil-safe: Start on a
+// nil tracer returns an inert Span, RecordT is a no-op — the disabled
+// state.
 //
-// RegisterStage, AttachTracer, and SetClock configure the tracer and must
-// complete before concurrent use begins.
+// RegisterStage and SetClock configure the tracer and must complete
+// before concurrent use begins.
 type SpanTracer struct {
 	now    func() time.Time
 	ids    atomic.Uint64
-	stages map[string]spanStage
-
-	mu     sync.Mutex
-	ring   []SpanRecord
-	next   uint64
-	fwd    *Tracer
-	flight *FlightRecorder
+	stages map[string]*Histogram
+	store  *FlightRecorder
 }
 
-// NewSpanTracer builds a tracer retaining the newest capacity completed
-// spans (DefaultSpanCap when capacity <= 0).
+// NewSpanTracer builds a tracer on a private recorder with room for about
+// capacity spans (DefaultFlightCap bytes when capacity <= 0).
 func NewSpanTracer(capacity int) *SpanTracer {
-	if capacity <= 0 {
-		capacity = DefaultSpanCap
-	}
-	return &SpanTracer{
-		now:    time.Now,
-		stages: make(map[string]spanStage),
-		ring:   make([]SpanRecord, capacity),
-	}
+	return NewSpanTracerOn(NewFlightRecorder(capacity*spanFrameBytes, ""))
+}
+
+// NewSpanTracerOn builds a tracer that stores its spans in fr, which may
+// also hold the process's events and log lines.
+func NewSpanTracerOn(fr *FlightRecorder) *SpanTracer {
+	return &SpanTracer{now: time.Now, stages: make(map[string]*Histogram), store: fr}
 }
 
 // SetClock replaces the time source (tests). Configuration-time only.
@@ -98,33 +89,11 @@ func (t *SpanTracer) SetClock(now func() time.Time) {
 }
 
 // RegisterStage attaches a latency histogram (microsecond observations)
-// to spans named name and assigns the stage's event index (RegisterStage
-// call order) used in forwarded EvSpanEnd events. Configuration-time
-// only. Spans with unregistered names are still retained in the ring;
-// they just feed no histogram and carry index 0.
+// to spans named name. Configuration-time only. Spans with unregistered
+// names are still stored; they just feed no histogram.
 func (t *SpanTracer) RegisterStage(name string, hist *Histogram) {
-	if t == nil {
-		return
-	}
-	t.stages[name] = spanStage{hist: hist, idx: uint64(len(t.stages))}
-}
-
-// AttachTracer forwards one EvSpanEnd event per completed span into tr.
-// The emit happens under the span tracer's mutex, so the single-run
-// Tracer's no-concurrent-emitters rule is upheld as long as tr has no
-// other emitters. Configuration-time only.
-func (t *SpanTracer) AttachTracer(tr *Tracer) {
 	if t != nil {
-		t.fwd = tr
-	}
-}
-
-// AttachFlight mirrors every completed span into the flight recorder's
-// crash ring. The record happens under the span tracer's mutex after the
-// ring store. Configuration-time only.
-func (t *SpanTracer) AttachFlight(fr *FlightRecorder) {
-	if t != nil {
-		t.flight = fr
+		t.stages[name] = hist
 	}
 }
 
@@ -188,16 +157,12 @@ func (t *SpanTracer) StartRemote(name, detail string, tc TraceContext) Span {
 	}
 }
 
-// Record logs an externally measured span (start in Unix nanoseconds) and
+// RecordT logs an externally measured span (start in Unix nanoseconds)
+// inside trace tc (trace ID only; parent stays the local link) and
 // returns its ID — the path for stages whose boundaries were captured
 // elsewhere, like the shard pool's queue-wait/run timestamps. No-op
-// returning 0 on a nil tracer.
-func (t *SpanTracer) Record(name, detail string, parent uint64, startNS int64, d time.Duration) uint64 {
-	return t.RecordT(name, detail, parent, TraceContext{}, startNS, d)
-}
-
-// RecordT is Record inside trace tc (trace ID only; parent stays the
-// local link). Allocation-free — it runs on the replay chunk path.
+// returning 0 on a nil tracer. Allocation-free — it runs on the replay
+// chunk path.
 func (t *SpanTracer) RecordT(name, detail string, parent uint64, tc TraceContext, startNS int64, d time.Duration) uint64 {
 	if t == nil {
 		return 0
@@ -212,85 +177,30 @@ func (t *SpanTracer) RecordT(name, detail string, parent uint64, tc TraceContext
 }
 
 func (t *SpanTracer) record(r SpanRecord) {
-	st := t.stages[r.Name]
-	us := uint64(r.Duration) / 1e3
-	st.hist.Observe(us) // nil-safe
-	t.mu.Lock()
-	t.ring[t.next%uint64(len(t.ring))] = r
-	t.next++
-	if t.fwd != nil {
-		t.fwd.Emit(EvSpanEnd, st.idx, us, r.ID)
-	}
-	t.flight.RecordSpan(r) // nil-safe
-	t.mu.Unlock()
+	t.stages[r.Name].Observe(uint64(r.Duration) / 1e3) // nil-safe
+	t.store.RecordSpan(r)
 }
 
-// Dropped returns how many completed spans have been overwritten in the
-// ring before any export could read them (0 on nil). This is the feed for
-// rmccd_spans_dropped_total: a wrapped ring means /debug/tracez is showing
-// a truncated window.
-func (t *SpanTracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.next > uint64(len(t.ring)) {
-		return t.next - uint64(len(t.ring))
-	}
-	return 0
-}
-
-// Total returns the number of spans completed over the tracer's lifetime
-// (0 on nil).
-func (t *SpanTracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
-}
-
-// Len returns the number of spans currently retained (0 on nil).
-func (t *SpanTracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.next < uint64(len(t.ring)) {
-		return int(t.next)
-	}
-	return len(t.ring)
-}
-
-// Cap returns the ring capacity (0 on nil).
-func (t *SpanTracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ring)
-}
-
-// Spans returns the retained spans oldest-first (a copy; nil on nil).
-func (t *SpanTracer) Spans() []SpanRecord {
+// recorder returns the tracer's store (nil on a nil tracer; every
+// FlightRecorder read is nil-safe).
+func (t *SpanTracer) recorder() *FlightRecorder {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.next
-	retained := uint64(len(t.ring))
-	if n < retained {
-		retained = n
-	}
-	out := make([]SpanRecord, 0, retained)
-	for s := n - retained; s < n; s++ {
-		out = append(out, t.ring[s%uint64(len(t.ring))])
-	}
-	return out
+	return t.store
 }
+
+// Dropped returns how many records the store has evicted (0 on nil): the
+// process's one dropped-records count, so a wrapped ring means
+// /debug/tracez is showing a truncated window.
+func (t *SpanTracer) Dropped() uint64 { return t.recorder().Dropped() }
+
+// Total returns the number of spans stored over the tracer's lifetime
+// (0 on nil).
+func (t *SpanTracer) Total() uint64 { return t.recorder().SpanTotal() }
+
+// Spans returns the retained spans oldest-first (a copy; nil on nil).
+func (t *SpanTracer) Spans() []SpanRecord { return t.recorder().Spans() }
 
 // SpansForTrace returns the retained spans belonging to trace (hi, lo),
 // sorted by (start, span ID) so single-node output and cluster fan-out
@@ -346,8 +256,8 @@ type Span struct {
 // ID returns the span's ID for parent links (0 for an inert span).
 func (s Span) ID() uint64 { return s.id }
 
-// End completes the span, recording it into the ring, its stage
-// histogram, and the forwarded tracer. No-op on an inert span.
+// End completes the span, recording it into its stage histogram and the
+// store. No-op on an inert span.
 func (s Span) End() {
 	if s.t == nil {
 		return

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -32,10 +33,10 @@ func TestSpanTracerBasic(t *testing.T) {
 	child.End() // clock ticks: start@0, start@5ms, end@10ms → 5ms span
 	root.End()  // end@15ms → 15ms span
 
-	if st.Total() != 2 || st.Len() != 2 {
-		t.Fatalf("Total/Len = %d/%d, want 2/2", st.Total(), st.Len())
-	}
 	spans := st.Spans()
+	if st.Total() != 2 || len(spans) != 2 {
+		t.Fatalf("Total/retained = %d/%d, want 2/2", st.Total(), len(spans))
+	}
 	if spans[0].Name != "engine-step" || spans[0].Parent != root.ID() {
 		t.Errorf("child span wrong: %+v", spans[0])
 	}
@@ -57,9 +58,9 @@ func TestSpanTracerRecord(t *testing.T) {
 	st := NewSpanTracer(4)
 	hist := NewHistogram(Pow2Buckets(1, 24))
 	st.RegisterStage("queue-wait", hist)
-	id := st.Record("queue-wait", "s-02", 7, 1234, 250*time.Microsecond)
+	id := st.RecordT("queue-wait", "s-02", 7, TraceContext{}, 1234, 250*time.Microsecond)
 	if id == 0 {
-		t.Fatal("Record returned 0 id")
+		t.Fatal("RecordT returned 0 id")
 	}
 	sp := st.Spans()
 	if len(sp) != 1 || sp[0].ID != id || sp[0].Parent != 7 ||
@@ -70,28 +71,38 @@ func TestSpanTracerRecord(t *testing.T) {
 		t.Errorf("stage hist = %d/%d, want 1/250", hist.Count(), hist.Sum())
 	}
 	// Negative durations clamp to zero rather than corrupting histograms.
-	st.Record("queue-wait", "s-02", 0, 0, -time.Second)
+	st.RecordT("queue-wait", "s-02", 0, TraceContext{}, 0, -time.Second)
 	if hist.Sum() != 250 {
 		t.Errorf("negative duration leaked into hist sum: %d", hist.Sum())
 	}
 }
 
-// TestSpanTracerRingWraparound fills past capacity and checks the
-// retained oldest-first window and Slowest ordering.
+// TestSpanTracerRingWraparound fills the tracer's recorder past capacity
+// and checks that the tracer reads its answers back out of that one store:
+// the retained oldest-first window, Slowest ordering, and a drop count
+// equal to the recorder's own and to the dump header's.
 func TestSpanTracerRingWraparound(t *testing.T) {
-	st := NewSpanTracer(4)
+	// A "stage" span with no detail is a 67-byte frame: the ring holds
+	// exactly four.
+	const frame = 3 + flightSpanFixed + 1 + len("stage") + 2
+	fr := NewFlightRecorder(4*frame, "n")
+	st := NewSpanTracerOn(fr)
 	for i := 1; i <= 10; i++ {
-		st.Record("stage", "", 0, 0, time.Duration(i)*time.Millisecond)
-	}
-	if st.Total() != 10 || st.Len() != 4 || st.Cap() != 4 {
-		t.Fatalf("Total/Len/Cap = %d/%d/%d, want 10/4/4", st.Total(), st.Len(), st.Cap())
+		st.RecordT("stage", "", 0, TraceContext{}, 0, time.Duration(i)*time.Millisecond)
 	}
 	sp := st.Spans()
+	if st.Total() != 10 || len(sp) != 4 || st.Dropped() != 6 || fr.Dropped() != 6 {
+		t.Fatalf("Total/retained/Dropped/recorder Dropped = %d/%d/%d/%d, want 10/4/6/6",
+			st.Total(), len(sp), st.Dropped(), fr.Dropped())
+	}
 	for i, r := range sp {
 		want := int64(7+i) * int64(time.Millisecond)
 		if r.Duration != want {
 			t.Errorf("span %d duration = %d, want %d", i, r.Duration, want)
 		}
+	}
+	if d := dumpAndRead(t, fr); !reflect.DeepEqual(d.Spans, sp) || d.Dropped != st.Dropped() {
+		t.Errorf("dump holds %+v dropped %d, tracer reads %+v dropped %d", d.Spans, d.Dropped, sp, st.Dropped())
 	}
 	slow := st.Slowest(2)
 	if len(slow) != 2 ||
@@ -101,35 +112,11 @@ func TestSpanTracerRingWraparound(t *testing.T) {
 	}
 	// Ties break on ascending ID.
 	st2 := NewSpanTracer(8)
-	a := st2.Record("s", "", 0, 0, time.Millisecond)
-	b := st2.Record("s", "", 0, 0, time.Millisecond)
+	a := st2.RecordT("s", "", 0, TraceContext{}, 0, time.Millisecond)
+	b := st2.RecordT("s", "", 0, TraceContext{}, 0, time.Millisecond)
 	got := st2.Slowest(8)
 	if got[0].ID != a || got[1].ID != b {
 		t.Errorf("tie order = %d,%d, want %d,%d", got[0].ID, got[1].ID, a, b)
-	}
-}
-
-// TestSpanTracerForwarding checks EvSpanEnd forwarding into a ring
-// Tracer: stage index by RegisterStage order, duration in µs, span id.
-func TestSpanTracerForwarding(t *testing.T) {
-	st := NewSpanTracer(8)
-	st.RegisterStage("queue-wait", nil)
-	st.RegisterStage("engine-step", nil)
-	tr := NewTracer(8)
-	st.AttachTracer(tr)
-
-	id := st.Record("engine-step", "s-03", 0, 0, 3*time.Millisecond)
-	st.Record("unregistered", "", 0, 0, time.Millisecond)
-
-	if tr.CountByKind(EvSpanEnd) != 2 {
-		t.Fatalf("EvSpanEnd count = %d, want 2", tr.CountByKind(EvSpanEnd))
-	}
-	ev := tr.Events()
-	if ev[0].Addr != 1 || ev[0].V1 != 3000 || ev[0].V2 != id {
-		t.Errorf("forwarded event wrong: %+v", ev[0])
-	}
-	if ev[1].Addr != 0 { // unregistered names carry index 0
-		t.Errorf("unregistered stage index = %d, want 0", ev[1].Addr)
 	}
 }
 
@@ -141,13 +128,12 @@ func TestSpanTracerNilSafe(t *testing.T) {
 		t.Error("nil tracer span has non-zero id")
 	}
 	sp.End()
-	if st.Record("x", "", 0, 0, time.Second) != 0 {
-		t.Error("nil Record returned id")
+	if st.RecordT("x", "", 0, TraceContext{}, 0, time.Second) != 0 {
+		t.Error("nil RecordT returned id")
 	}
 	st.RegisterStage("x", nil)
-	st.AttachTracer(nil)
 	st.SetClock(time.Now)
-	if st.Total() != 0 || st.Len() != 0 || st.Cap() != 0 {
+	if st.Total() != 0 || st.Dropped() != 0 {
 		t.Error("nil tracer reports contents")
 	}
 	if st.Spans() != nil || len(st.Slowest(3)) != 0 {
@@ -157,9 +143,9 @@ func TestSpanTracerNilSafe(t *testing.T) {
 
 // TestSpanTracerConcurrent is the shard-worker concurrency model under
 // the race detector: many goroutines completing spans (with a stage
-// histogram and a forwarded ring Tracer attached) while exporters
-// concurrently snapshot the ring and serialize the registry. Afterwards
-// every counter must agree on the emission count.
+// histogram attached) while exporters concurrently snapshot the store and
+// serialize the registry. Afterwards every counter must agree on the
+// emission count, and every span is either retained or counted dropped.
 func TestSpanTracerConcurrent(t *testing.T) {
 	const (
 		workers = 8
@@ -169,12 +155,10 @@ func TestSpanTracerConcurrent(t *testing.T) {
 	hist := reg.Histogram("test_span_us", "span latency", Pow2Buckets(1, 24))
 	st := NewSpanTracer(256)
 	st.RegisterStage("engine-step", hist)
-	tr := NewTracer(256)
-	st.AttachTracer(tr)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Exporters: snapshot the span ring and write the registry while
+	// Exporters: snapshot the span store and write the registry while
 	// emitters run.
 	for e := 0; e < 2; e++ {
 		wg.Add(1)
@@ -203,7 +187,7 @@ func TestSpanTracerConcurrent(t *testing.T) {
 					sp := st.Start("engine-step", "s-cc", 0)
 					sp.End()
 				} else {
-					st.Record("engine-step", "s-cc", uint64(g), 0, time.Duration(i)*time.Microsecond)
+					st.RecordT("engine-step", "s-cc", uint64(g), TraceContext{}, 0, time.Duration(i)*time.Microsecond)
 				}
 			}
 		}(g)
@@ -216,13 +200,10 @@ func TestSpanTracerConcurrent(t *testing.T) {
 	if st.Total() != total {
 		t.Errorf("span Total = %d, want %d", st.Total(), total)
 	}
-	if tr.CountByKind(EvSpanEnd) != total {
-		t.Errorf("forwarded EvSpanEnd = %d, want %d", tr.CountByKind(EvSpanEnd), total)
-	}
 	if hist.Count() != total {
 		t.Errorf("stage hist Count = %d, want %d", hist.Count(), total)
 	}
-	if st.Len() != st.Cap() {
-		t.Errorf("ring not full: Len=%d Cap=%d", st.Len(), st.Cap())
+	if kept := uint64(len(st.Spans())); st.Dropped() == 0 || kept+st.Dropped() != total {
+		t.Errorf("retained %d + dropped %d, want a wrapped ring accounting for %d", kept, st.Dropped(), total)
 	}
 }

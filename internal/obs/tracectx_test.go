@@ -102,7 +102,7 @@ func TestSpanTracerTraceFields(t *testing.T) {
 	tr.RecordT("engine-step", "s-1", child.ID(), tc, 100, 5)
 	child.End()
 	root.End()
-	tr.Record("background", "", 0, 0, 1) // different trace: none
+	tr.RecordT("background", "", 0, TraceContext{}, 0, 1) // different trace: none
 
 	got := tr.SpansForTrace(7, 9)
 	if len(got) != 3 {
@@ -130,7 +130,7 @@ func TestSpanTracerTraceFields(t *testing.T) {
 func TestSpanTracerDropped(t *testing.T) {
 	tr := NewSpanTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Record("x", "", 0, int64(i), 1)
+		tr.RecordT("x", "", 0, TraceContext{}, int64(i), 1)
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("Dropped = %d, want 6", got)

@@ -57,10 +57,6 @@ const (
 	EvFaultRecovered
 	// EvRekey: the whole-memory re-key/reboot ran. V1 = new key epoch.
 	EvRekey
-	// EvSpanEnd: a service-layer span completed (see SpanTracer). Addr =
-	// stage index (RegisterStage call order), V1 = duration in
-	// microseconds, V2 = span id.
-	EvSpanEnd
 
 	numEventKinds
 )
@@ -97,8 +93,6 @@ func (k EventKind) String() string {
 		return "fault-recovered"
 	case EvRekey:
 		return "rekey"
-	case EvSpanEnd:
-		return "span-end"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}

@@ -85,7 +85,6 @@ func TestEventKindStringsStable(t *testing.T) {
 		EvFaultDetected:  "fault-detected",
 		EvFaultRecovered: "fault-recovered",
 		EvRekey:          "rekey",
-		EvSpanEnd:        "span-end",
 	}
 	if len(want) != NumEventKinds {
 		t.Fatalf("test covers %d kinds, tracer has %d", len(want), NumEventKinds)

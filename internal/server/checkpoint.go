@@ -229,13 +229,17 @@ func decodeSessionMeta(data []byte) (sessionMeta, uint64, error) {
 	return meta, sr.ConfigHash(), nil
 }
 
+// configError marks a session config that does not resolve: a client
+// error, like one wrapping engine.ErrInvalidConfig.
+type configError struct{ error }
+
 // buildSession constructs a session object from a create-request config —
 // the shared tail of handleCreate, restore, and the fresh-session
 // fallback. It does not register the session.
 func (s *Server) buildSession(id string, sc SessionConfig, created time.Time) (*session, error) {
 	res, err := sc.resolve()
 	if err != nil {
-		return nil, err
+		return nil, configError{err}
 	}
 	lt, err := sim.NewLifetimeChecked(res.name, res.footprint, res.ltCfg)
 	if err != nil {

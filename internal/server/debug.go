@@ -1,10 +1,11 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
-	"sort"
 	"time"
 
 	"rmcc/internal/buildinfo"
@@ -50,17 +51,16 @@ type StatuszInfo struct {
 	// ShardOccupancy counts live sessions per shard.
 	ShardOccupancy []int `json:"shard_occupancy"`
 
-	SpansTotal uint64 `json:"spans_total"`
-	// SpansDropped counts spans overwritten in the ring before any export
-	// read them: nonzero means /debug/tracez windows are truncated.
-	SpansDropped  uint64 `json:"spans_dropped"`
+	SpansTotal    uint64 `json:"spans_total"`
 	LogLines      uint64 `json:"log_lines"`
 	NumGoroutines int    `json:"num_goroutines"`
 
-	// Flight-recorder state (zero without a recorder attached).
-	FlightRecords uint64 `json:"flight_records,omitempty"`
-	FlightDropped uint64 `json:"flight_dropped,omitempty"`
-	FlightBytes   int    `json:"flight_bytes,omitempty"`
+	// Record-store (flight recorder) state. FlightDropped counts records
+	// evicted before any export read them: nonzero means /debug/tracez
+	// windows are truncated.
+	FlightRecords uint64 `json:"flight_records"`
+	FlightDropped uint64 `json:"flight_dropped"`
+	FlightBytes   int    `json:"flight_bytes"`
 
 	// Durable-checkpoint state (zero/empty without -snapshot-dir).
 	SnapshotDir       string `json:"snapshot_dir,omitempty"`
@@ -83,7 +83,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		ChunkAccesses: s.cfg.ChunkAccesses,
 		MaxSessions:   s.cfg.MaxSessions,
 		SpansTotal:    s.spans.Total(),
-		SpansDropped:  s.spans.Dropped(),
 		LogLines:      s.log.Lines(),
 		NumGoroutines: runtime.NumGoroutine(),
 
@@ -144,11 +143,6 @@ type TracezResponse struct {
 	Slowest      []TracezSpan `json:"slowest,omitempty"`
 }
 
-// TracezSpanOf renders one span record with a node stamp. Exported for
-// the router, which merges node rows with its own into one cluster-wide
-// tracez tree.
-func TracezSpanOf(sp obs.SpanRecord, node string) TracezSpan { return tracezSpan(sp, node) }
-
 // tracezSpan renders one span record with the node stamp.
 func tracezSpan(sp obs.SpanRecord, node string) TracezSpan {
 	return TracezSpan{
@@ -165,52 +159,53 @@ func tracezSpan(sp obs.SpanRecord, node string) TracezSpan {
 	}
 }
 
-// handleTracez reports the slowest retained spans (?n=, default 25) —
-// the live "where did the time go" view over recent requests and chunks —
-// or, with ?trace=<32-hex id>, every retained span of one distributed
-// trace sorted by (start, span ID): the single-node slice of the
-// cluster-wide tree the router assembles.
-func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	if trace := r.URL.Query().Get("trace"); trace != "" {
-		hi, lo, err := obs.ParseTraceID(trace)
+// Tracez builds the GET /debug/tracez body from tr's store, stamping each
+// row with node: the slowest retained spans (?n=, default 25) — the live
+// "where did the time go" view over recent requests and chunks — or, with
+// ?trace=<32-hex id>, every retained span of one distributed trace sorted
+// by (start, span ID). rmccd serves it as is; rmcc-router merges the
+// nodes' trace slices into its own. Errors are bad query parameters.
+func Tracez(tr *obs.SpanTracer, node string, q url.Values) (TracezResponse, error) {
+	resp := TracezResponse{
+		Node:         node,
+		TotalSpans:   tr.Total(),
+		Retained:     len(tr.Spans()),
+		SpansDropped: tr.Dropped(),
+		Trace:        q.Get("trace"),
+	}
+	if resp.Trace != "" {
+		hi, lo, err := obs.ParseTraceID(resp.Trace)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
+			return TracezResponse{}, err
 		}
-		spans := s.spans.SpansForTrace(hi, lo)
-		resp := TracezResponse{
-			Node:         s.cfg.NodeID,
-			TotalSpans:   s.spans.Total(),
-			Retained:     s.spans.Len(),
-			SpansDropped: s.spans.Dropped(),
-			Trace:        trace,
-			Spans:        make([]TracezSpan, 0, len(spans)),
-		}
+		spans := tr.SpansForTrace(hi, lo)
+		resp.Spans = make([]TracezSpan, 0, len(spans))
 		for _, sp := range spans {
-			resp.Spans = append(resp.Spans, tracezSpan(sp, s.cfg.NodeID))
+			resp.Spans = append(resp.Spans, tracezSpan(sp, node))
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
+		return resp, nil
 	}
 	n := 25
-	if raw := r.URL.Query().Get("n"); raw != "" {
+	if raw := q.Get("n"); raw != "" {
 		v, err := parseUint(raw)
 		if err != nil || v == 0 || v > 10_000 {
-			writeError(w, http.StatusBadRequest, "n must be in [1, 10000]")
-			return
+			return TracezResponse{}, errors.New("n must be in [1, 10000]")
 		}
 		n = int(v)
 	}
-	slow := s.spans.Slowest(n)
-	resp := TracezResponse{
-		Node:         s.cfg.NodeID,
-		TotalSpans:   s.spans.Total(),
-		Retained:     s.spans.Len(),
-		SpansDropped: s.spans.Dropped(),
-		Slowest:      make([]TracezSpan, 0, len(slow)),
-	}
+	slow := tr.Slowest(n)
+	resp.Slowest = make([]TracezSpan, 0, len(slow))
 	for _, sp := range slow {
-		resp.Slowest = append(resp.Slowest, tracezSpan(sp, s.cfg.NodeID))
+		resp.Slowest = append(resp.Slowest, tracezSpan(sp, node))
+	}
+	return resp, nil
+}
+
+func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
+	resp, err := Tracez(s.spans, s.cfg.NodeID, r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -218,30 +213,24 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 // FlightzInfo is the GET /debug/flightz summary body.
 type FlightzInfo struct {
 	Node     string `json:"node"`
-	Enabled  bool   `json:"enabled"`
 	Records  uint64 `json:"records"`
 	Dropped  uint64 `json:"dropped"`
 	Bytes    int    `json:"bytes"`
 	CapBytes int    `json:"cap_bytes"`
 }
 
-// handleFlightz summarizes the flight recorder; ?dump=1 streams the full
-// binary dump (obs.ReadFlightDump decodes it, `rmcc-top -flight -` renders
-// it). 404 when the daemon runs without a recorder.
+// handleFlightz summarizes the record store; ?dump=1 streams the full
+// binary dump (obs.ReadFlightDump decodes it, `rmcc-top -flight -`
+// renders it).
 func (s *Server) handleFlightz(w http.ResponseWriter, r *http.Request) {
 	fr := s.cfg.Flight
 	if r.URL.Query().Get("dump") == "1" {
-		if fr == nil {
-			writeError(w, http.StatusNotFound, "no flight recorder attached")
-			return
-		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		_ = fr.Dump(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, FlightzInfo{
 		Node:     s.cfg.NodeID,
-		Enabled:  fr != nil,
 		Records:  fr.Records(),
 		Dropped:  fr.Dropped(),
 		Bytes:    fr.Bytes(),
@@ -251,18 +240,3 @@ func (s *Server) handleFlightz(w http.ResponseWriter, r *http.Request) {
 
 // Spans exposes the daemon's span tracer (tests, embedding).
 func (s *Server) Spans() *obs.SpanTracer { return s.spans }
-
-// SlowestSpanNames is a test helper: the distinct names among the n
-// slowest spans, sorted.
-func (s *Server) SlowestSpanNames(n int) []string {
-	seen := map[string]bool{}
-	for _, sp := range s.spans.Slowest(n) {
-		seen[sp.Name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

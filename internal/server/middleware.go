@@ -15,12 +15,6 @@ import (
 // inherit the trace.
 type spanCtxKey struct{}
 
-// parentSpan returns the enclosing request span ID (0 when uninstrumented,
-// e.g. direct handler calls in tests).
-func parentSpan(ctx context.Context) uint64 {
-	return traceCtx(ctx).SpanID
-}
-
 // traceCtx returns the request's local trace context (zero when
 // uninstrumented or untraced).
 func traceCtx(ctx context.Context) obs.TraceContext {
@@ -29,9 +23,9 @@ func traceCtx(ctx context.Context) obs.TraceContext {
 }
 
 // instrument wraps a handler with per-endpoint SLO accounting: a request
-// span (ring + /debug/tracez), a latency histogram, and outcome-class
-// counters. healthz and metrics are counted but not span-traced — poller
-// traffic would drown the span ring in no-ops.
+// span (record store + /debug/tracez), a latency histogram, and
+// outcome-class counters. healthz and metrics are counted but not
+// span-traced — poller traffic would drown the store in no-ops.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	const durHelp = "request latency in microseconds, by endpoint"
 	const cntHelp = "requests served, by endpoint and status class"

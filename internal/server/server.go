@@ -70,10 +70,6 @@ type Config struct {
 	// Logger receives structured operational logs. Nil disables logging
 	// entirely (the default): every call site pays one branch.
 	Logger *obs.Logger
-	// SpanRing caps the retained-span ring behind /debug/tracez
-	// (default obs.DefaultSpanCap). Spans are always recorded — completing
-	// one is allocation-free — so the ring is never disabled, only sized.
-	SpanRing int
 	// LogSampleEvery admits one per-chunk debug log line in every N
 	// (default 64); chunk lines only exist at -log-level debug.
 	LogSampleEvery uint64
@@ -81,9 +77,12 @@ type Config struct {
 	// cluster-wide fan-out merges attribute every row (default
 	// "rmccd"; rmccd sets it to -node-id or the resolved listen address).
 	NodeID string
-	// Flight, when set, mirrors every completed span (and, via the
-	// logger attachment done by the caller, warn+ log lines) into a
-	// crash-durable flight-recorder ring served at /debug/flightz.
+	// Flight is the daemon's one record store: every completed span (and,
+	// via the logger attachment done by the caller, warn+ log lines) lands
+	// in this ring, which /debug/tracez reads and /debug/flightz dumps.
+	// Spans are always recorded — completing one is allocation-free — so
+	// the store is never disabled, only sized (default: an
+	// obs.DefaultFlightCap ring tagged NodeID).
 	Flight *obs.FlightRecorder
 }
 
@@ -127,6 +126,9 @@ func (c Config) withDefaults() Config {
 	if c.NodeID == "" {
 		c.NodeID = "rmccd"
 	}
+	if c.Flight == nil {
+		c.Flight = obs.NewFlightRecorder(0, c.NodeID)
+	}
 	return c
 }
 
@@ -140,7 +142,6 @@ type Server struct {
 	reg     *obs.Registry
 	log     *obs.Logger
 	spans   *obs.SpanTracer
-	trace   *obs.Tracer
 	started time.Time
 
 	mu       sync.Mutex
@@ -197,8 +198,7 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		pool:        newShardPool(cfg.Shards, cfg.QueueDepth),
 		log:         cfg.Logger,
-		spans:       obs.NewSpanTracer(cfg.SpanRing),
-		trace:       obs.NewTracer(cfg.SpanRing),
+		spans:       obs.NewSpanTracerOn(cfg.Flight),
 		started:     cfg.Now(),
 		sessions:    make(map[string]*session),
 		janitorStop: make(chan struct{}),
@@ -206,14 +206,9 @@ func New(cfg Config) *Server {
 	}
 	s.forceCtx, s.forceCancel = context.WithCancel(context.Background())
 	s.initMetrics()
-	// Spans feed their stage histograms and mirror into the ring tracer
-	// as EvSpanEnd events (the tracer is only emitted into under the span
-	// tracer's lock, upholding its single-emitter rule).
 	s.spans.RegisterStage(stageQueueWait, s.mStageQueueWait)
 	s.spans.RegisterStage(stageEngine, s.mStageEngine)
 	s.spans.RegisterStage(stageEncode, s.mStageEncode)
-	s.spans.AttachTracer(s.trace)
-	s.spans.AttachFlight(cfg.Flight)
 	s.initRoutes()
 	if cfg.SnapshotDir != "" {
 		// Rehydrate crashed sessions before any request can race a create,
@@ -320,14 +315,11 @@ func (s *Server) initMetrics() {
 		func() float64 { return s.cfg.Now().Sub(s.started).Seconds() })
 	s.reg.CounterFunc("rmccd_spans_total", "service-layer spans completed",
 		func() uint64 { return s.spans.Total() })
-	s.reg.CounterFunc("rmccd_spans_dropped_total",
-		"completed spans overwritten in the ring before any export read them",
-		func() uint64 { return s.spans.Dropped() })
 	s.reg.CounterFunc("rmccd_flight_records_total",
 		"records captured by the flight recorder over its lifetime",
 		func() uint64 { return s.cfg.Flight.Records() })
 	s.reg.CounterFunc("rmccd_flight_dropped_total",
-		"flight-recorder records evicted to make room for newer ones",
+		"flight-recorder records (spans and log lines) evicted to make room for newer ones",
 		func() uint64 { return s.cfg.Flight.Dropped() })
 	s.reg.CounterFunc("rmccd_log_lines_total", "structured log lines emitted",
 		func() uint64 { return s.log.Lines() })
@@ -526,21 +518,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	res, err := sc.resolve()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	lt, err := sim.NewLifetimeChecked(res.name, res.footprint, res.ltCfg)
-	if err != nil {
-		if errors.Is(err, engine.ErrInvalidConfig) {
-			writeError(w, http.StatusBadRequest, err.Error())
-		} else {
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
-	}
-	now := s.cfg.Now()
 	// The router assigns IDs up front (?id=) so it can consistent-hash a
 	// session onto a node before the session exists. IDs become checkpoint
 	// file names, so only the strict daemon shape is accepted.
@@ -554,26 +531,17 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		id = fmt.Sprintf("s-%08x", s.nextID.Add(1))
 	}
-	sess := &session{
-		id:        id,
-		shard:     s.pool.shardFor(id),
-		name:      res.name,
-		mode:      defaultStr(sc.Mode, "rmcc"),
-		scheme:    defaultStr(sc.Scheme, "morphable"),
-		seed:      res.seed,
-		created:   now,
-		cfgHash:   obs.HashConfig(sc),
-		sc:        sc,
-		footprint: res.footprint,
-		lt:        lt,
-		w:         res.w,
-		sampler:   obs.NewLogSampler(s.cfg.LogSampleEvery),
-		chunkHist: obs.NewHistogram(obs.Pow2Buckets(1, 24)),
+	now := s.cfg.Now()
+	sess, err := s.buildSession(id, sc, now)
+	if err != nil {
+		code := http.StatusInternalServerError
+		var bad configError
+		if errors.As(err, &bad) || errors.Is(err, engine.ErrInvalidConfig) {
+			code = http.StatusBadRequest
+		}
+		writeError(w, code, err.Error())
+		return
 	}
-	// The session logger carries the request-scoped identity fields every
-	// later line needs (per-session/request fields are bound once here).
-	sess.lg = s.log.With("session", id, "shard", sess.shard,
-		"workload", res.name, "seed", res.seed)
 	// A sampled create binds its trace ID into every later log line the
 	// session emits, so one grep connects logs to the distributed trace.
 	if tc := traceCtx(r.Context()); tc.Valid() && tc.Sampled {

@@ -1,11 +1,16 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -25,12 +30,19 @@ import (
 func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *client.Client) {
 	t.Helper()
 	srv := server.New(cfg)
+	return srv, client.New(serve(t, srv))
+}
+
+// serve runs srv on an httptest listener until the test ends and returns
+// the listener's base URL.
+func serve(t *testing.T, srv *server.Server) string {
+	t.Helper()
 	hs := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		hs.Close()
 		srv.Close()
 	})
-	return srv, client.New(hs.URL)
+	return hs.URL
 }
 
 func testSession() server.SessionConfig {
@@ -245,6 +257,44 @@ func TestErrorStatuses(t *testing.T) {
 	}
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("daemon unhealthy after bad input: %v", err)
+	}
+}
+
+// TestCreateRejectsInvalidSessionID: a router-assigned ?id= becomes a
+// checkpoint file name, so any ID outside the strict "s-" plus 1-16
+// lowercase hex digits shape is a 400 that leaves no file behind.
+func TestCreateRejectsInvalidSessionID(t *testing.T) {
+	dir := t.TempDir()
+	base := serve(t, server.New(server.Config{SnapshotDir: dir}))
+	body, err := json.Marshal(testSession())
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := func(id string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/sessions?id="+url.QueryEscape(id),
+			"application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, id := range []string{"../x", "S-1", "s-", "s-" + strings.Repeat("a", 17), "s-0g"} {
+		if code := create(id); code != http.StatusBadRequest {
+			t.Errorf("create ?id=%q: status %d, want 400", id, code)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("rejected creates left %d files in the snapshot dir", len(entries))
+	}
+	// The longest valid shape is accepted and checkpointed under its name.
+	valid := "s-" + strings.Repeat("a", 16)
+	if code := create(valid); code != http.StatusCreated {
+		t.Fatalf("create ?id=%q: status %d, want 201", valid, code)
+	}
+	if _, err := os.Stat(filepath.Join(dir, valid+".snap")); err != nil {
+		t.Fatalf("valid create wrote no checkpoint: %v", err)
 	}
 }
 

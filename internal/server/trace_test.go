@@ -3,9 +3,8 @@ package server_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
-	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,13 +17,7 @@ import (
 // are client errors — 400 with a JSON error body, never a 5xx, and never
 // any session work.
 func TestTraceHeaderRejection(t *testing.T) {
-	srv := server.New(server.Config{})
-	hs := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		hs.Close()
-		srv.Close()
-	})
-
+	base := serve(t, server.New(server.Config{}))
 	valid := obs.MintTraceContext().String()
 	cases := []struct {
 		name   string
@@ -39,7 +32,7 @@ func TestTraceHeaderRejection(t *testing.T) {
 	}
 	for _, tcase := range cases {
 		t.Run(tcase.name, func(t *testing.T) {
-			req, err := http.NewRequest(http.MethodGet, hs.URL+"/v1/sessions", nil)
+			req, err := http.NewRequest(http.MethodGet, base+"/v1/sessions", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +58,7 @@ func TestTraceHeaderRejection(t *testing.T) {
 	}
 
 	// The well-formed context sails through.
-	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/sessions", nil)
+	req, _ := http.NewRequest(http.MethodGet, base+"/v1/sessions", nil)
 	req.Header.Set(obs.TraceHeader, valid)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -89,14 +82,7 @@ func TestTracePropagationTracez(t *testing.T) {
 	ctx := context.Background()
 
 	tc := obs.MintTraceContext()
-	traced := c.WithTraceContext(tc)
-	info, err := traced.CreateSession(ctx, testSession())
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	if _, err := traced.ReplayWorkload(ctx, info.ID, 3000, 0, nil); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	tracedReplay(t, c, tc, 3000)
 	// Untraced traffic must stay out of the tree.
 	if _, err := c.ListSessions(ctx); err != nil {
 		t.Fatal(err)
@@ -163,26 +149,18 @@ func TestTracePropagationTracez(t *testing.T) {
 	}
 
 	// Lookup input validation: a non-hex trace ID is a 400.
-	if _, err := c.Tracez(ctx, strings.Repeat("z", 32), 0); !isAPIStatus(err, http.StatusBadRequest) {
+	if _, err := c.Tracez(ctx, strings.Repeat("z", 32), 0); !isStatus(err, http.StatusBadRequest) {
 		t.Errorf("bad trace id lookup: %v, want 400", err)
 	}
 }
 
 // TestUnsampledTraceSkipsRing: an unsampled context still parses and
-// propagates in logs-only form but must not occupy span-ring slots.
+// propagates in logs-only form but must associate no stored span with it.
 func TestUnsampledTraceSkipsRing(t *testing.T) {
 	srv, c := newTestServer(t, server.Config{ChunkAccesses: 1000})
-	ctx := context.Background()
 	tc := obs.MintTraceContext()
 	tc.Sampled = false
-	traced := c.WithTraceContext(tc)
-	info, err := traced.CreateSession(ctx, testSession())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := traced.ReplayWorkload(ctx, info.ID, 2000, 0, nil); err != nil {
-		t.Fatal(err)
-	}
+	tracedReplay(t, c, tc, 2000)
 	for _, sp := range srv.Spans().SpansForTrace(tc.TraceHi, tc.TraceLo) {
 		t.Errorf("unsampled trace recorded span %q", sp.Name)
 	}
@@ -199,20 +177,13 @@ func TestFlightzEndpoint(t *testing.T) {
 	ctx := context.Background()
 
 	tc := obs.MintTraceContext()
-	traced := c.WithTraceContext(tc)
-	info, err := traced.CreateSession(ctx, testSession())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := traced.ReplayWorkload(ctx, info.ID, 2000, 0, nil); err != nil {
-		t.Fatal(err)
-	}
+	tracedReplay(t, c, tc, 2000)
 
 	fz, err := c.Flightz(ctx)
 	if err != nil {
 		t.Fatalf("flightz: %v", err)
 	}
-	if !fz.Enabled || fz.Node != "node-a" || fz.Records == 0 || fz.Bytes == 0 {
+	if fz.Node != "node-a" || fz.Records == 0 || fz.Bytes == 0 {
 		t.Fatalf("flightz summary wrong: %+v", fz)
 	}
 	if fz.CapBytes != 1<<20 {
@@ -240,21 +211,72 @@ func TestFlightzEndpoint(t *testing.T) {
 	}
 }
 
-// TestFlightzWithoutRecorder: dump requests 404 cleanly on daemons run
-// without a recorder; the summary reports it disabled.
-func TestFlightzWithoutRecorder(t *testing.T) {
-	_, c := newTestServer(t, server.Config{})
+// TestOneRecordStore: the daemon keeps finished spans in one store, so
+// after a traced replay wraps a small store, /debug/tracez and the
+// /debug/flightz dump hold the same spans of the trace, and every surface
+// reports the same drop count.
+func TestOneRecordStore(t *testing.T) {
+	base := serve(t, server.New(server.Config{ChunkAccesses: 100, Flight: obs.NewFlightRecorder(2048, "n")}))
 	ctx := context.Background()
-	fz, err := c.Flightz(ctx)
-	if err != nil || fz.Enabled {
-		t.Fatalf("flightz on bare daemon: %+v, %v", fz, err)
+	tc := obs.MintTraceContext()
+	c := client.New(base)
+	tracedReplay(t, c, tc, 3000)
+
+	tz, err := c.Tracez(ctx, tc.TraceID(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.FlightDump(ctx); !isAPIStatus(err, http.StatusNotFound) {
-		t.Fatalf("dump on bare daemon: %v, want 404", err)
+	dump, err := c.FlightDump(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromTracez, fromDump := map[uint64]string{}, map[uint64]string{}
+	for _, sp := range tz.Spans {
+		fromTracez[sp.ID] = sp.Name
+	}
+	for _, sp := range dump.Spans {
+		if sp.TraceID() == tc.TraceID() {
+			fromDump[sp.ID] = sp.Name
+		}
+	}
+	if len(fromTracez) == 0 || !reflect.DeepEqual(fromTracez, fromDump) {
+		t.Fatalf("tracez spans %v, dump spans %v: want the same non-empty set", fromTracez, fromDump)
+	}
+
+	var status server.StatuszInfo
+	getJSON(t, base+"/statusz", &status)
+	text, err := c.RawMetrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var droppedSeries []string
+	for _, line := range strings.Split(text, "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok && strings.HasSuffix(name, "_dropped_total") {
+			droppedSeries = append(droppedSeries, name)
+		}
+	}
+	if len(droppedSeries) != 1 || droppedSeries[0] != "rmccd_flight_dropped_total" {
+		t.Fatalf("/metrics dropped series = %v, want only rmccd_flight_dropped_total", droppedSeries)
+	}
+	metric := metricValue(t, text, "rmccd_flight_dropped_total")
+	if tz.SpansDropped == 0 || status.FlightDropped != tz.SpansDropped ||
+		dump.Dropped != tz.SpansDropped || uint64(metric) != tz.SpansDropped {
+		t.Fatalf("drop counts disagree or the store never wrapped: tracez %d, statusz %d, dump %d, metric %v",
+			tz.SpansDropped, status.FlightDropped, dump.Dropped, metric)
 	}
 }
 
-func isAPIStatus(err error, code int) bool {
-	var ae *client.APIError
-	return errors.As(err, &ae) && ae.Status == code
+// tracedReplay creates a session and replays n workload accesses on it,
+// both under trace context tc.
+func tracedReplay(t *testing.T, c *client.Client, tc obs.TraceContext, n uint64) {
+	t.Helper()
+	ctx := context.Background()
+	traced := c.WithTraceContext(tc)
+	info, err := traced.CreateSession(ctx, testSession())
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, err := traced.ReplayWorkload(ctx, info.ID, n, 0, nil); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
 }

@@ -2,6 +2,7 @@ package sidechan
 
 import (
 	"math"
+	"sort"
 
 	"rmcc/internal/obs"
 )
@@ -298,7 +299,20 @@ func MutualInformation(xs, ys []int) (raw, corrected float64) {
 	if len(px) == 1 || len(py) == 1 {
 		return 0, 0 // degenerate marginal: MI is exactly zero
 	}
-	for k, p := range joint {
+	// Sum in key order: map order would make the float sum, and so the
+	// reported bits, vary in the last place from run to run.
+	keys := make([][2]int, 0, len(joint))
+	for k := range joint {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	for _, k := range keys {
+		p := joint[k]
 		raw += p * math.Log2(p/(px[k[0]]*py[k[1]]))
 	}
 	if raw < 0 {

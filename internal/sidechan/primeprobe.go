@@ -125,15 +125,6 @@ func (w *PrimeProbe) EpochAccesses() uint64 { return ppEpochCPU }
 // EpochMCAccesses implements Adversary.
 func (w *PrimeProbe) EpochMCAccesses() uint64 { return ppEpochMC }
 
-// sweepLen is the access count of one prime (or probe) pass for a shard.
-func sweepLen(shard, of int) uint64 {
-	sets := uint64(0)
-	for s := shard; s < ctrSets; s += of {
-		sets++
-	}
-	return sets * probeWays
-}
-
 // Schedule implements Adversary.
 func (w *PrimeProbe) Schedule(seed uint64, epochs int) []int {
 	cls := rng.New(seed ^ ppClassSalt)

@@ -44,10 +44,12 @@ go build -o "$workdir/rmcc-top" ./cmd/rmcc-top
 go build -o "$workdir/rmcc-trace" ./cmd/rmcc-trace
 
 echo "cluster-smoke: booting 3 rmccd nodes" >&2
+# -flight-cap sizes each process's one span store: 8 MiB holds ~65536
+# spans at ~120 B per span frame, enough to keep every traced session.
 nodes=()
 for i in 1 2 3; do
     "$workdir/rmccd" -addr 127.0.0.1:0 -port-file "$workdir/node$i.addr" \
-        -drain 10s -node-id "node$i" -span-ring 65536 \
+        -drain 10s -node-id "node$i" -flight-cap 8388608 \
         -log-level info -log-format json \
         2> "$workdir/node$i.log" &
     pids+=("$!")
@@ -61,7 +63,7 @@ echo "cluster-smoke: nodes up: ${nodes[*]}" >&2
 
 "$workdir/rmcc-router" -addr 127.0.0.1:0 -port-file "$workdir/router.addr" \
     -nodes "$(IFS=,; echo "${nodes[*]}")" -health-every 500ms \
-    -span-ring 65536 -log-level info -log-format json \
+    -flight-cap 8388608 -log-level info -log-format json \
     2> "$workdir/router.log" &
 router_pid=$!
 pids+=("$router_pid")
@@ -170,7 +172,9 @@ echo "cluster-smoke: trace $found_trace spans 3 processes" >&2
 
 # The drain request itself is traced too: the router's migration arc
 # (snapshot download -> restore) must be one connected trace.
-drain_trace=$(grep '"msg":"session migrated"' "$workdir/router.log" | head -1 \
+# grep -m1, not grep | head -1: under pipefail a grep still writing when
+# head exits dies of SIGPIPE and takes the script with it.
+drain_trace=$(grep -m1 '"msg":"session migrated"' "$workdir/router.log" \
     | sed -n 's/.*"trace":"\([^"]*\)".*/\1/p')
 if [ -n "$drain_trace" ]; then
     curl -fsS "http://$router/debug/tracez?trace=$drain_trace" > "$workdir/drain_tracez.json"
