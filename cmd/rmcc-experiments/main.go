@@ -35,7 +35,9 @@ import (
 	"rmcc/internal/core"
 	"rmcc/internal/crypto/aes"
 	"rmcc/internal/crypto/otp"
+	"rmcc/internal/mem/cache"
 	"rmcc/internal/obs"
+	"rmcc/internal/rng"
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
 	"rmcc/internal/server"
@@ -353,8 +355,8 @@ var (
 // microBenchmarks measures the simulator hot paths in-process via
 // testing.Benchmark, so the perf report records ns/op and allocs/op for the
 // exact binary being shipped: the T-table AES fast path and its byte-wise
-// reference (the speedup denominator), the engine read paths, and the
-// memoization-table lookup.
+// reference (the speedup denominator), the engine read paths, the cache
+// model, and the memoization-table lookup.
 func microBenchmarks() []jsonMicro {
 	key := []byte("0123456789abcdef")
 	c := aes.MustNew(key)
@@ -443,6 +445,22 @@ func microBenchmarks() []jsonMicro {
 			for i := 0; i < b.N; i++ {
 				span.ID = uint64(i)
 				fr.RecordSpan(span)
+			}
+		}},
+		// The cache model on the counter-cache geometry (128 KiB, 32-way,
+		// 64 B lines): a seeded stream over 1.5x its capacity in lines,
+		// so about two thirds of the accesses hit and the rest evict.
+		{"cache_access", func(b *testing.B) {
+			c := cache.New(cache.Config{SizeBytes: 128 << 10, Ways: 32, LineBytes: 64})
+			r := rng.New(1)
+			addrs := make([]uint64, 4096)
+			for i := range addrs {
+				addrs[i] = r.Uint64n(3<<10) << 6
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Access(addrs[i&4095], i&7 == 0)
 			}
 		}},
 		{"memo_lookup", func(b *testing.B) {

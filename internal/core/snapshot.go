@@ -118,5 +118,12 @@ func (t *Table) DecodeState(d *snapshot.Dec) error {
 		t.insertRNG.SetState(rs)
 	}
 	d.Binary(&t.stats)
-	return d.Err()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	// Every servable entry was just recomputed through fill: groups are
+	// reinstalled or left invalid (and only installGroup revalidates one),
+	// and the MRU list was refilled.
+	t.poisoned = false
+	return nil
 }

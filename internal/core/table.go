@@ -189,6 +189,11 @@ type Table struct {
 
 	stats Stats
 
+	// poisoned records that Poison has corrupted an entry. Every other
+	// path stores fill(value), so while it is false every entry Lookup can
+	// serve equals a fresh fill.
+	poisoned bool
+
 	// trace receives lifecycle events (insertions, epoch rollovers, budget
 	// activity) when attached via SetTracer; nil disables tracing. traceID
 	// distinguishes the MC's tables in the event stream (0 = L0, 1 = L1).
@@ -323,7 +328,8 @@ func (t *Table) LiveValues() []uint64 {
 // Poison corrupts the stored AES results for a live memoized value (fault
 // injection: an SRAM upset or deliberate tamper in the memoization table).
 // Until repaired, lookups of value serve a wrong pad — which the engine's
-// functional verification must catch. It reports whether value was live.
+// functional verification must catch. It reports whether value was live,
+// and if so marks the table Poisoned.
 func (t *Table) Poison(value uint64) bool {
 	for i := range t.groups {
 		g := &t.groups[i]
@@ -331,11 +337,18 @@ func (t *Table) Poison(value uint64) bool {
 			r := &g.results[value-g.start]
 			r.Enc.Lo ^= 0xbad0bad
 			r.Mac.Hi ^= 0xbad0bad
+			t.poisoned = true
 			return true
 		}
 	}
 	return false
 }
+
+// Poisoned reports whether Poison has corrupted an entry since the table
+// was built or last restored by DecodeState (which recomputes every entry).
+// It stays set after Repair: other poisoned entries may remain. While it is
+// false, every result Lookup serves equals fill(value).
+func (t *Table) Poisoned() bool { return t.poisoned }
 
 // Repair recomputes the stored results for value wherever it is memoized
 // (live group and MRU cache), healing a poisoned entry with a fresh AES

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"rmcc/internal/crypto/otp"
+	"rmcc/internal/snapshot"
 )
 
 // fakeFill produces a deterministic, distinguishable result per value so
@@ -70,6 +71,45 @@ func TestLookupReturnsCorrectResult(t *testing.T) {
 	_, src = tbl.Lookup(1_000_000, true)
 	if src != MissSource {
 		t.Fatalf("distant value hit: %v", src)
+	}
+}
+
+// TestPoisonedTracksCorruption: only a successful Poison marks the table;
+// Repair leaves the mark (other entries may still be corrupt), and a
+// DecodeState, which refills every entry through fill, clears it.
+func TestPoisonedTracksCorruption(t *testing.T) {
+	tbl := newTable(t, nil)
+	if tbl.Poisoned() {
+		t.Fatal("fresh table reports a poisoned entry")
+	}
+	if tbl.Poison(1_000_000) || tbl.Poisoned() {
+		t.Fatal("poisoning a value that is not live marked the table")
+	}
+	if !tbl.Poison(42) || !tbl.Poisoned() {
+		t.Fatal("poisoning a live value left the table reporting clean")
+	}
+	if res, _ := tbl.Lookup(42, false); res == fakeFill(42) {
+		t.Fatal("Poison did not corrupt the entry")
+	}
+	tbl.Repair(42)
+	if !tbl.Poisoned() {
+		t.Fatal("Repair cleared the mark")
+	}
+	tbl.Poison(7)
+	var e snapshot.Enc
+	tbl.EncodeState(&e)
+	for _, into := range []*Table{tbl, newTable(t, nil)} {
+		if err := into.DecodeState(snapshot.NewDec(e.Data())); err != nil {
+			t.Fatal(err)
+		}
+		if into.Poisoned() {
+			t.Fatal("restored table reports a poisoned entry")
+		}
+		for _, v := range into.LiveValues() {
+			if res, _ := into.Lookup(v, false); res != fakeFill(v) {
+				t.Fatalf("restored table serves a corrupt result for %d", v)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,10 @@
 // accesses hit and *which* victims are written back.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config sizes a cache.
 type Config struct {
@@ -29,21 +32,19 @@ func (c Config) Validate() error {
 			c.SizeBytes, c.Ways, c.LineBytes)
 	}
 	sets := c.SizeBytes / (c.LineBytes * c.Ways)
-	if sets&(sets-1) != 0 {
+	switch {
+	case sets&(sets-1) != 0:
 		return fmt.Errorf("cache: set count %d must be a power of two", sets)
+	case sets == 1 && c.LineBytes == 1:
+		// The tag would be the whole address, leaving no spare value
+		// for the invalid-way key.
+		return fmt.Errorf("cache: a single set of 1-byte lines is not supported")
 	}
 	return nil
 }
 
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Ways) }
-
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // last-touch stamp; larger = more recent
-}
 
 // Stats counts cache events since construction or the last ResetStats.
 type Stats struct {
@@ -66,11 +67,17 @@ func (s Stats) MissRate() float64 {
 
 // Cache is a set-associative LRU cache. Not safe for concurrent use; the
 // simulator is single-threaded on the event engine.
+//
+// Line state is kept in flat set-major arrays (way w of set s at index
+// s*Ways+w), so a lookup compares only the 8-byte keys of one set.
 type Cache struct {
 	cfg       Config
 	lineShift uint
+	tagShift  uint // set-index bits: tag = line number >> tagShift
 	setMask   uint64
-	sets      [][]line
+	keys      []uint64 // tag+1 of a valid line; 0 marks an invalid way
+	lru       []uint64 // last-touch stamp: 0 for an invalid way, >= 1 for a valid one
+	dirty     []bool
 	stamp     uint64
 	stats     Stats
 }
@@ -81,21 +88,16 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	shift := uint(0)
-	for 1<<shift != cfg.LineBytes {
-		shift++
-	}
 	nSets := cfg.Sets()
-	sets := make([][]line, nSets)
-	backing := make([]line, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	n := nSets * cfg.Ways
 	return &Cache{
 		cfg:       cfg,
-		lineShift: shift,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tagShift:  uint(bits.TrailingZeros(uint(nSets))),
 		setMask:   uint64(nSets - 1),
-		sets:      sets,
+		keys:      make([]uint64, n),
+		lru:       make([]uint64, n),
+		dirty:     make([]bool, n),
 	}
 }
 
@@ -112,18 +114,22 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// locate splits addr into its set's first index in the flat arrays and the
+// key a valid line holding it carries.
+func (c *Cache) locate(addr uint64) (base int, key uint64) {
 	l := addr >> c.lineShift
-	return l & c.setMask, l >> uint(popShift(c.setMask))
+	return int(l&c.setMask) * c.cfg.Ways, l>>c.tagShift + 1
 }
 
-func popShift(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		n++
-		mask >>= 1
+// find returns the flat index of the way in the set at base holding key,
+// or -1.
+func (c *Cache) find(base int, key uint64) int {
+	for i, k := range c.keys[base : base+c.cfg.Ways] {
+		if k == key {
+			return base + i
+		}
 	}
-	return n
+	return -1
 }
 
 // Result describes the outcome of an Access.
@@ -138,110 +144,83 @@ type Result struct {
 // and marks the line dirty on writes. It returns what happened, including
 // any victim that must be written back.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	set, tag := c.index(addr)
-	lines := c.sets[set]
+	base, key := c.locate(addr)
 	c.stamp++
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i].lru = c.stamp
-			if write {
-				lines[i].dirty = true
-			}
-			c.stats.Hits++
-			return Result{Hit: true}
+	if i := c.find(base, key); i >= 0 {
+		c.lru[i] = c.stamp
+		if write {
+			c.dirty[i] = true
 		}
+		c.stats.Hits++
+		return Result{Hit: true}
 	}
 	c.stats.Misses++
-	// Choose victim: invalid way first, else LRU.
-	victim := 0
-	for i := range lines {
-		if !lines[i].valid {
-			victim = i
-			break
-		}
-		if lines[i].lru < lines[victim].lru {
-			victim = i
+	// Victim: the first way with the smallest stamp. Invalid ways hold
+	// stamp 0 and valid ways a stamp >= 1, so this is the first invalid
+	// way, else the least recently used one.
+	stamps := c.lru[base : base+c.cfg.Ways]
+	victim, oldest := 0, stamps[0]
+	for i, s := range stamps {
+		if s < oldest {
+			victim, oldest = i, s
 		}
 	}
+	victim += base
 	var res Result
-	if lines[victim].valid {
+	if old := c.keys[victim]; old != 0 {
 		res.Evicted = true
-		res.Writeback = lines[victim].dirty
-		res.VictimAddr = c.reconstruct(set, lines[victim].tag)
+		res.Writeback = c.dirty[victim]
+		// The victim shares addr's set-index bits.
+		res.VictimAddr = (old-1)<<(c.tagShift+c.lineShift) | addr&(c.setMask<<c.lineShift)
 		c.stats.Evictions++
-		if lines[victim].dirty {
+		if res.Writeback {
 			c.stats.Writebacks++
 		}
 	}
-	lines[victim] = line{tag: tag, valid: true, dirty: write, lru: c.stamp}
+	c.keys[victim], c.lru[victim], c.dirty[victim] = key, c.stamp, write
 	return res
 }
 
 // Probe reports whether addr is resident without updating LRU or counters.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, l := range c.sets[set] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(c.locate(addr)) >= 0
 }
 
 // Touch marks addr most-recently-used if resident (no allocation).
 func (c *Cache) Touch(addr uint64) {
-	set, tag := c.index(addr)
-	lines := c.sets[set]
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			c.stamp++
-			lines[i].lru = c.stamp
-			return
-		}
+	if i := c.find(c.locate(addr)); i >= 0 {
+		c.stamp++
+		c.lru[i] = c.stamp
 	}
 }
 
 // Invalidate drops addr if resident and reports whether the dropped line
 // was dirty (the caller owns the resulting writeback).
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	lines := c.sets[set]
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			dirty = lines[i].dirty
-			lines[i] = line{}
-			return true, dirty
-		}
+	i := c.find(c.locate(addr))
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.dirty[i]
+	c.keys[i], c.lru[i], c.dirty[i] = 0, 0, false
+	return true, dirty
 }
 
 // MarkClean clears the dirty bit of addr if resident (after an explicit
 // writeback flush).
 func (c *Cache) MarkClean(addr uint64) {
-	set, tag := c.index(addr)
-	lines := c.sets[set]
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i].dirty = false
-			return
-		}
+	if i := c.find(c.locate(addr)); i >= 0 {
+		c.dirty[i] = false
 	}
-}
-
-func (c *Cache) reconstruct(set, tag uint64) uint64 {
-	return (tag<<uint(popShift(c.setMask)) | set) << c.lineShift
 }
 
 // ResidentLines returns the number of valid lines (for tests and occupancy
 // stats).
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for _, s := range c.sets {
-		for _, l := range s {
-			if l.valid {
-				n++
-			}
+	for _, k := range c.keys {
+		if k != 0 {
+			n++
 		}
 	}
 	return n

@@ -1,10 +1,13 @@
 package cache
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"rmcc/internal/rng"
+	"rmcc/internal/snapshot"
 )
 
 func small() *Cache {
@@ -18,6 +21,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 512, Ways: 0, LineBytes: 64},        // zero ways
 		{SizeBytes: 500, Ways: 2, LineBytes: 64},        // not divisible
 		{SizeBytes: 64 * 2 * 3, Ways: 2, LineBytes: 64}, // 3 sets
+		{SizeBytes: 4, Ways: 4, LineBytes: 1},           // one set of 1-byte lines
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -206,22 +210,47 @@ func TestMissRate(t *testing.T) {
 	}
 }
 
-func BenchmarkAccessHit(b *testing.B) {
-	c := New(Config{SizeBytes: 128 << 10, Ways: 32, LineBytes: 64})
-	c.Access(0x1000, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(0x1000, false)
+// TestDecodeStateRejectsImpossibleLines: a line state Access/Invalidate
+// never produce is refused as corrupt rather than silently reinterpreted.
+func TestDecodeStateRejectsImpossibleLines(t *testing.T) {
+	c := small()
+	c.Access(0x0000, true)
+	var e snapshot.Enc
+	c.EncodeState(&e)
+	good := e.Data()
+	if err := small().DecodeState(snapshot.NewDec(good)); err != nil {
+		t.Fatalf("own state refused: %v", err)
+	}
+	// Header: sets, ways, stamp, 4 counters; then per line tag, valid,
+	// dirty, lru. Line 0 of set 0 holds the access above; line 1 is
+	// invalid.
+	const line0, lineBytes = 7 * 8, 8 + 1 + 1 + 8
+	for name, mutate := range map[string]func(b []byte){
+		"valid with stamp 0": func(b []byte) { copy(b[line0+10:], make([]byte, 8)) },
+		"valid all-ones tag": func(b []byte) { copy(b[line0:], bytes.Repeat([]byte{0xff}, 8)) },
+		"invalid with a tag": func(b []byte) { b[line0+lineBytes] = 1 },
+		"invalid but dirty":  func(b []byte) { b[line0+lineBytes+9] = 1 },
+		"invalid with stamp": func(b []byte) { b[line0+lineBytes+10] = 1 },
+	} {
+		b := append([]byte(nil), good...)
+		mutate(b)
+		if err := small().DecodeState(snapshot.NewDec(b)); !errors.Is(err, snapshot.ErrSnapshotCorrupt) {
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", name, err)
+		}
 	}
 }
 
-func BenchmarkAccessStream(b *testing.B) {
+// BenchmarkAccess runs the counter-cache geometry over a seeded stream
+// drawn from 1.5x its capacity in lines, so about two thirds of the
+// accesses hit and the rest evict a victim.
+func BenchmarkAccess(b *testing.B) {
 	c := New(Config{SizeBytes: 128 << 10, Ways: 32, LineBytes: 64})
 	r := rng.New(1)
 	addrs := make([]uint64, 4096)
 	for i := range addrs {
-		addrs[i] = r.Uint64() & 0xffffff
+		addrs[i] = r.Uint64n(3<<10) << 6
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(addrs[i&4095], i&7 == 0)

@@ -13,7 +13,10 @@ import (
 // ("reboot") — that the internal/fault campaign driver exercises. Injection
 // methods corrupt state the way a physical attack or hardware fault would;
 // they never touch the detection machinery itself, so every detection seen
-// in a campaign is earned by the real verification paths.
+// in a campaign is earned by the real verification paths. The one exception
+// is PoisonMemoEntry: it also marks its table poisoned, which turns on the
+// per-hit AES cross-check (a clean table skips it). The detection itself is
+// still earned by that comparison.
 
 // TamperMAC flips bits in block i's stored MAC, simulating corruption of
 // the MAC co-located with the ciphertext. The next read of the block must
@@ -65,7 +68,10 @@ func (mc *MC) CorruptTreeCounter(l, c int, v uint64) {
 
 // PoisonMemoEntry corrupts the memoized AES results for value in the L0
 // table (an SRAM upset in the memoization array). Reports whether the
-// value was live. Detection happens on the next lookup that serves it.
+// value was live. A successful poisoning marks the table, arming the
+// per-hit AES cross-check in Read until a power loss, re-key, or snapshot
+// load replaces the table's entries; detection happens on the next lookup
+// that serves the entry.
 func (mc *MC) PoisonMemoEntry(value uint64) bool {
 	if mc.l0Table == nil {
 		return false

@@ -56,7 +56,10 @@ func (mc *MC) Read(addr uint64) Outcome {
 		// Figure-19 metric: every accessed counter value, hit or miss.
 		mc.stats.L0MemoLookupsAll++
 		res, src := mc.l0Table.Lookup(ctrVal, true)
-		if src != core.MissSource && res != mc.unit.CounterOnly(ctrVal) {
+		// Only Poison stores a result other than fill(value), so a table it
+		// never touched skips the cross-check: recomputing the AES on
+		// every hit would spend the very work the hit exists to save.
+		if src != core.MissSource && mc.l0Table.Poisoned() && res != mc.unit.CounterOnly(ctrVal) {
 			// Poisoned memoization entry: the stored AES result disagrees
 			// with a fresh computation. Repair the entry in place and fall
 			// back to the baseline AES pipeline (treat as a memo miss).

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
+	"rmcc/internal/core"
 	"rmcc/internal/rng"
 	"rmcc/internal/secmem/counter"
 )
@@ -311,26 +313,34 @@ func TestMetadataCorruptionTyped(t *testing.T) {
 	}
 }
 
+// poisonLiveBlock poisons the L0 table entry serving some block's current
+// counter and returns that block and value.
+func poisonLiveBlock(t *testing.T, mc *MC) (block int, v uint64) {
+	t.Helper()
+	st, tbl := mc.Store(), mc.L0Table()
+	for i := 0; i < st.NumDataBlocks(); i++ {
+		if v = st.DataCounter(i); tbl.Contains(v) {
+			if !mc.PoisonMemoEntry(v) {
+				t.Fatal("PoisonMemoEntry missed a live value")
+			}
+			return i, v
+		}
+	}
+	t.Skip("no block counter live in the warm-started table")
+	return 0, 0
+}
+
 // TestMemoPoisonDetectedAndRepaired: a poisoned table entry is caught by
 // the cross-check, repaired, and served from the AES pipeline.
 func TestMemoPoisonDetectedAndRepaired(t *testing.T) {
 	mc := testMC(t, RMCC, counter.Morphable, 16, nil)
-	// Find a block whose counter value is live in the table.
 	st := mc.Store()
-	tbl := mc.L0Table()
-	target := -1
-	for i := 0; i < st.NumDataBlocks(); i++ {
-		if tbl.Contains(st.DataCounter(i)) {
-			target = i
-			break
-		}
+	if mc.L0Table().Poisoned() {
+		t.Fatal("fresh table reports a poisoned entry")
 	}
-	if target < 0 {
-		t.Skip("no block counter live in the warm-started table")
-	}
-	v := st.DataCounter(target)
-	if !mc.PoisonMemoEntry(v) {
-		t.Fatal("PoisonMemoEntry missed a live value")
+	target, _ := poisonLiveBlock(t, mc)
+	if !mc.L0Table().Poisoned() {
+		t.Fatal("PoisonMemoEntry left the table reporting clean")
 	}
 	out := mc.Read(st.DataBlockAddr(target))
 	found := false
@@ -350,6 +360,54 @@ func TestMemoPoisonDetectedAndRepaired(t *testing.T) {
 	// clean.
 	if out2 := mc.Read(st.DataBlockAddr(target)); len(out2.Violations) != 0 {
 		t.Errorf("repaired entry still flagged: %+v", out2.Violations)
+	}
+}
+
+// TestPoisonClearedByRebuildAndRestore: the per-hit cross-check runs only
+// on a poisoned table, so each path that replaces a table's entries must
+// leave a clean table that also reports clean. Power loss and re-key
+// rebuild the tables; a snapshot load, into a fresh controller or over the
+// poisoned one, recomputes every entry through fill.
+func TestPoisonClearedByRebuildAndRestore(t *testing.T) {
+	reload := func(t *testing.T, from, into *MC) *MC {
+		var buf bytes.Buffer
+		if err := from.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := into.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return into
+	}
+	for _, tc := range []struct {
+		name string
+		op   func(t *testing.T, mc *MC) *MC
+	}{
+		{"power-loss", func(t *testing.T, mc *MC) *MC { mc.PowerLoss(); return mc }},
+		{"rekey", func(t *testing.T, mc *MC) *MC { mc.Rekey(); return mc }},
+		{"snapshot-load", func(t *testing.T, mc *MC) *MC { return reload(t, mc, New(mc.Config())) }},
+		{"snapshot-load-in-place", func(t *testing.T, mc *MC) *MC { return reload(t, mc, mc) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mc := testMC(t, RMCC, counter.Morphable, 16, nil)
+			target, _ := poisonLiveBlock(t, mc)
+			mc = tc.op(t, mc)
+			tbl := mc.L0Table()
+			if tbl.Poisoned() {
+				t.Fatal("table still reports a poisoned entry")
+			}
+			for _, v := range tbl.LiveValues() {
+				if res, src := tbl.Lookup(v, false); src == core.MissSource || res != mc.Unit().CounterOnly(v) {
+					t.Fatalf("live value %d served %v from %v, want a fresh AES result", v, res, src)
+				}
+			}
+			if out := mc.Read(mc.Store().DataBlockAddr(target)); len(out.Violations) != 0 {
+				t.Fatalf("read of the formerly poisoned block flagged: %+v", out.Violations)
+			}
+			if s := mc.Stats(); s.MemoPoisonDetected != 0 {
+				t.Fatalf("MemoPoisonDetected = %d, want 0", s.MemoPoisonDetected)
+			}
+		})
 	}
 }
 
