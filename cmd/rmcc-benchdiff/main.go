@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rmcc/internal/buildinfo"
@@ -77,17 +78,29 @@ func main() {
 		os.Exit(2)
 	}
 
+	regressions := diff(os.Stdout, base, cur, *threshold)
+	if regressions > 0 {
+		fmt.Printf("\n%d regression(s) beyond %.0f%% threshold\n", regressions, 100**threshold)
+		os.Exit(1)
+	}
+	fmt.Println("\nno regressions")
+}
+
+// diff writes the figure and micro comparison tables to w and returns
+// the number of regressions. Entries present in only one report are
+// listed and never counted.
+func diff(w io.Writer, base, cur report, threshold float64) int {
 	regressions := 0
 
 	baseFigs := map[string]figure{}
 	for _, f := range base.Figures {
 		baseFigs[f.Name] = f
 	}
-	fmt.Printf("%-24s %12s %12s %8s\n", "figure", "base (s)", "current (s)", "delta")
+	fmt.Fprintf(w, "%-24s %12s %12s %8s\n", "figure", "base (s)", "current (s)", "delta")
 	for _, f := range cur.Figures {
 		b, ok := baseFigs[f.Name]
 		if !ok {
-			fmt.Printf("%-24s %12s %12.2f %8s  (new figure, not compared)\n", f.Name, "-", f.Seconds, "-")
+			fmt.Fprintf(w, "%-24s %12s %12.2f %8s  (new figure, not compared)\n", f.Name, "-", f.Seconds, "-")
 			continue
 		}
 		delete(baseFigs, f.Name)
@@ -96,43 +109,45 @@ func main() {
 			rel = f.Seconds/b.Seconds - 1
 		}
 		mark := ""
-		if rel > *threshold {
+		if rel > threshold {
 			mark = "  REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-24s %12.2f %12.2f %+7.1f%%%s\n", f.Name, b.Seconds, f.Seconds, 100*rel, mark)
+		fmt.Fprintf(w, "%-24s %12.2f %12.2f %+7.1f%%%s\n", f.Name, b.Seconds, f.Seconds, 100*rel, mark)
 	}
-	for name := range baseFigs {
-		fmt.Printf("%-24s %12.2f %12s %8s  (removed figure, not compared)\n",
-			name, baseFigs[name].Seconds, "-", "-")
+	for _, b := range base.Figures {
+		if _, removed := baseFigs[b.Name]; removed {
+			fmt.Fprintf(w, "%-24s %12.2f %12s %8s  (removed figure, not compared)\n", b.Name, b.Seconds, "-", "-")
+		}
 	}
 
 	baseMicro := map[string]micro{}
 	for _, m := range base.Micro {
 		baseMicro[m.Name] = m
 	}
-	if len(cur.Micro) > 0 {
-		fmt.Printf("\n%-24s %12s %12s %10s\n", "micro", "base ns/op", "cur ns/op", "allocs")
+	if len(cur.Micro) > 0 || len(base.Micro) > 0 {
+		fmt.Fprintf(w, "\n%-24s %12s %12s %10s\n", "micro", "base ns/op", "cur ns/op", "allocs")
 	}
 	for _, m := range cur.Micro {
 		b, ok := baseMicro[m.Name]
 		if !ok {
-			fmt.Printf("%-24s %12s %12.1f %10d  (new bench, not compared)\n", m.Name, "-", m.NsPerOp, m.AllocsPerOp)
+			fmt.Fprintf(w, "%-24s %12s %12.1f %10d  (new bench, not compared)\n", m.Name, "-", m.NsPerOp, m.AllocsPerOp)
 			continue
 		}
+		delete(baseMicro, m.Name)
 		mark := ""
 		if b.AllocsPerOp == 0 && m.AllocsPerOp > 0 {
 			mark = fmt.Sprintf("  REGRESSION (allocates %d/op, baseline 0)", m.AllocsPerOp)
 			regressions++
 		}
-		fmt.Printf("%-24s %12.1f %12.1f %6d->%-3d%s\n", m.Name, b.NsPerOp, m.NsPerOp, b.AllocsPerOp, m.AllocsPerOp, mark)
+		fmt.Fprintf(w, "%-24s %12.1f %12.1f %6d->%-3d%s\n", m.Name, b.NsPerOp, m.NsPerOp, b.AllocsPerOp, m.AllocsPerOp, mark)
 	}
-
-	if regressions > 0 {
-		fmt.Printf("\n%d regression(s) beyond %.0f%% threshold\n", regressions, 100**threshold)
-		os.Exit(1)
+	for _, b := range base.Micro {
+		if _, removed := baseMicro[b.Name]; removed {
+			fmt.Fprintf(w, "%-24s %12.1f %12s %10d  (removed bench, not compared)\n", b.Name, b.NsPerOp, "-", b.AllocsPerOp)
+		}
 	}
-	fmt.Println("\nno regressions")
+	return regressions
 }
 
 func load(path string) (report, error) {

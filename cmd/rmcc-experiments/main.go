@@ -40,7 +40,6 @@ import (
 	"rmcc/internal/rng"
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
-	"rmcc/internal/server"
 	"rmcc/internal/trace"
 	"rmcc/internal/workload"
 )
@@ -399,21 +398,7 @@ func microBenchmarks() []jsonMicro {
 				mc.Read(uint64(i) * (8 << 10) % (128 << 20))
 			}
 		}},
-		// The two replay-wire decoders, one 4096-access batch per op so
-		// their ns/op compare directly: NDJSON line scanning vs binary
-		// frame decoding of the same access stream.
-		{"replay_decode_ndjson", func(b *testing.B) {
-			lines := wireBatchNDJSON()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, line := range lines {
-					if _, err := server.DecodeAccess(line); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}},
+		// The replay body decoder: one 4096-access RMTR frame per op.
 		{"replay_decode_binary", func(b *testing.B) {
 			frame := wireBatchFrame()
 			src := bytes.NewReader(frame)
@@ -493,7 +478,7 @@ func microBenchmarks() []jsonMicro {
 }
 
 // wireBatch captures one frame's worth of canneal accesses for the
-// replay-decode micros.
+// replay-decode micro.
 func wireBatch() []workload.Access {
 	w, _ := rmcc.WorkloadByName(rmcc.SizeTest, 1, "canneal")
 	accs := make([]workload.Access, 0, trace.DefaultFrameAccesses)
@@ -502,15 +487,6 @@ func wireBatch() []workload.Access {
 		return len(accs) < trace.DefaultFrameAccesses
 	})
 	return accs
-}
-
-func wireBatchNDJSON() [][]byte {
-	accs := wireBatch()
-	lines := make([][]byte, len(accs))
-	for i, a := range accs {
-		lines[i], _ = json.Marshal(server.AccessRecord{Addr: a.Addr, Write: a.Write, Gap: a.Gap})
-	}
-	return lines
 }
 
 func wireBatchFrame() []byte {

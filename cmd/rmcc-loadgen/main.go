@@ -7,17 +7,14 @@
 // service layer.
 //
 // The replay wire is selectable: -wire=workload uses the server-side
-// generator (no body), -wire=ndjson streams the accesses as NDJSON, and
-// -wire=binary streams them as length-prefixed RMTR frames — the
-// high-throughput path, several bytes per access instead of a JSON
-// object. -trace-file replays a recorded rmcc-trace file instead of a
-// generator stream (and defaults the wire to binary).
+// generator (no body), and -wire=binary uploads the accesses as
+// length-prefixed RMTR frames. -trace-file replays a recorded rmcc-trace
+// file instead of a generator stream (and defaults the wire to binary).
 //
 // Examples:
 //
 //	rmcc-loadgen -addr http://127.0.0.1:8077 -sessions 8 -workload canneal -accesses 50000
 //	rmcc-loadgen -addr http://$ADDR -sessions 8 -size test -check -metrics-out -
-//	rmcc-loadgen -wire ndjson -sessions 4      # exercise the streaming-upload path
 //	rmcc-loadgen -wire binary -sessions 4      # binary frames from the local generator
 //	rmcc-loadgen -trace-file canneal.rmtr -check  # replay a recorded trace (binary wire)
 //	rmcc-loadgen -replays 16 -accesses 5000    # 16 latency samples per session
@@ -60,9 +57,8 @@ func main() {
 		accesses   = flag.Uint64("accesses", 50_000, "accesses to replay per request")
 		replays    = flag.Int("replays", 1, "sequential replay requests per session (each a latency sample; the stream continues across them)")
 		seed       = flag.Uint64("seed", 1, "simulation seed (all sessions share it)")
-		wireStr    = flag.String("wire", "workload", "replay wire: workload (server-side generator) | ndjson | binary (RMTR frames)")
+		wireStr    = flag.String("wire", "workload", "replay wire: workload (server-side generator) | binary (RMTR frames)")
 		traceFile  = flag.String("trace-file", "", "replay this rmcc-trace file instead of a generator stream (defaults -wire to binary)")
-		ndjson     = flag.Bool("ndjson", false, "deprecated alias for -wire ndjson")
 		check      = flag.Bool("check", false, "run the same simulation in-process and require bit-identical engine stats")
 		crashAfter = flag.Uint64("crash-after", 0, "SIGKILL -crash-pid once this many aggregate accesses have applied (crash-recovery testing; exit 0 means the kill fired)")
 		crashPID   = flag.Int("crash-pid", 0, "daemon PID to kill for -crash-after")
@@ -104,8 +100,8 @@ func main() {
 		fatal(fmt.Errorf("daemon not healthy at %s: %w", base, err))
 	}
 
-	// Resolve the replay wire. -ndjson stays as a compatibility alias;
-	// -trace-file selects the binary wire unless one was named explicitly.
+	// Resolve the replay wire: -trace-file selects the binary wire unless
+	// one was named explicitly.
 	wire := *wireStr
 	wireSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -113,30 +109,24 @@ func main() {
 			wireSet = true
 		}
 	})
-	if *ndjson {
-		if wireSet && wire != "ndjson" {
-			fatal(fmt.Errorf("-ndjson conflicts with -wire %s", wire))
-		}
-		wire = "ndjson"
-	}
-	if *traceFile != "" && !wireSet && wire == "workload" {
+	if *traceFile != "" && !wireSet {
 		wire = "binary"
 	}
 	switch wire {
-	case "workload", "ndjson", "binary":
+	case "workload", "binary":
 	default:
-		fatal(fmt.Errorf("unknown -wire %q (want workload, ndjson, or binary)", wire))
+		fatal(fmt.Errorf("unknown -wire %q (want workload or binary)", wire))
 	}
 	if *traceFile != "" && wire == "workload" {
-		fatal(fmt.Errorf("-trace-file needs a body wire (-wire ndjson or binary)"))
+		fatal(fmt.Errorf("-trace-file needs the binary wire"))
 	}
 
-	// Load the replay source once, up front. A trace file provides both
-	// the raw RMTR bytes (reframed per binary replay without re-decoding)
-	// and the decoded stream (NDJSON wire, footprint, -check); generator
-	// streams are captured locally for the body wires.
+	// Load the replay source once, up front. A trace file provides the raw
+	// RMTR bytes (reframed per replay without re-decoding) and the loaded
+	// stream (footprint, -check); generator streams are captured locally
+	// for the binary wire.
 	var (
-		stream     []workload.Access // decoded accesses for the body wires
+		stream     []workload.Access // captured generator accesses, binary wire
 		traceBytes []byte            // raw RMTR file, binary trace replays
 		rep        *trace.Replay     // loaded trace (nil without -trace-file)
 	)
@@ -149,14 +139,7 @@ func main() {
 		if rep, err = trace.Load(bytes.NewReader(traceBytes)); err != nil {
 			fatal(err)
 		}
-		if wire == "ndjson" {
-			stream = make([]workload.Access, 0, rep.Len())
-			rep.Run(*seed, func(a workload.Access) bool {
-				stream = append(stream, a)
-				return len(stream) < rep.Len()
-			})
-		}
-	} else if wire != "workload" {
+	} else if wire == "binary" {
 		size, err := server.ParseSize(*sizeStr)
 		if err != nil {
 			fatal(err)
@@ -325,19 +308,17 @@ func main() {
 			t0 := time.Now()
 			for k := 0; k < *replays && r.err == nil; k++ {
 				rt0 := time.Now()
-				// Body wires re-upload the same captured stream each request
-				// (for traces that matches trace.Replay's looping semantics
-				// exactly; for generator streams the -check contract only
-				// covers -replays 1). The workload wire continues one
-				// server-side stream across requests.
+				// The binary wire re-uploads the same captured stream each
+				// request (for traces that matches trace.Replay's looping
+				// semantics exactly; for generator streams the -check
+				// contract only covers -replays 1). The workload wire
+				// continues one server-side stream across requests.
 				r.stats, r.err = retryReplay(func() (server.ReplayStats, error) {
 					switch {
 					case wire == "binary" && traceBytes != nil:
 						return c.ReplayTrace(ctx, info.ID, bytes.NewReader(traceBytes))
 					case wire == "binary":
 						return c.ReplayAccessesBinary(ctx, info.ID, stream)
-					case wire == "ndjson":
-						return c.ReplayAccesses(ctx, info.ID, stream)
 					default:
 						return c.ReplayWorkload(ctx, info.ID, *accesses, progressEvery, onp)
 					}
@@ -428,8 +409,9 @@ func main() {
 			directW = rep
 			wantAccesses = uint64(rep.Len()) * uint64(*replays)
 		case wire != "workload":
-			// Generator body wires re-upload the same captured prefix each
-			// request; only -replays 1 matches a direct run.
+			// Generator streams on the binary wire re-upload the same
+			// captured prefix each request; only -replays 1 matches a
+			// direct run.
 			wantAccesses = *accesses
 		default:
 			// Sequential workload replays continue one deterministic

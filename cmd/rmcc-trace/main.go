@@ -2,10 +2,11 @@
 // files and inspects or replays them through the lifetime simulator —
 // the Pin-trace role in the paper's methodology.
 //
-// It also converts between the two replay wire encodings: -encode turns
-// an NDJSON access stream (the rmccd replay body format) into an RMTR
-// trace, -decode turns a trace back into NDJSON — so any tooling that
-// speaks one format can feed the other.
+// It also converts access streams between NDJSON (one {"addr","write",
+// "gap"} object per line) and RMTR: -encode turns NDJSON into an RMTR
+// trace, which rmcc-loadgen -trace-file or client.ReplayTrace uploads as
+// rmccd's binary replay body; -decode turns a trace back into NDJSON.
+// Gaps above 127 are clamped, as the RMTR format stores 7 bits.
 //
 // Examples:
 //
@@ -18,6 +19,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +32,6 @@ import (
 	"rmcc/internal/buildinfo"
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
-	"rmcc/internal/server"
 	"rmcc/internal/sim"
 	"rmcc/internal/trace"
 	"rmcc/internal/workload"
@@ -159,9 +162,33 @@ func main() {
 	}
 }
 
+// accessRecord is one NDJSON access line, mirroring workload.Access.
+type accessRecord struct {
+	Addr uint64 `json:"addr"`
+	// Write marks stores; omitted/false = load.
+	Write bool `json:"write,omitempty"`
+	// Gap is the count of non-memory instructions since the previous
+	// access (0-255 here; RMTR keeps 0-127).
+	Gap uint8 `json:"gap,omitempty"`
+}
+
+// decodeAccessLine parses one NDJSON line strictly: unknown fields,
+// out-of-range values and trailing data are errors.
+func decodeAccessLine(line []byte) (workload.Access, error) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	var rec accessRecord
+	if err := dec.Decode(&rec); err != nil {
+		return workload.Access{}, fmt.Errorf("access record: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return workload.Access{}, errors.New("access record: trailing data after object")
+	}
+	return workload.Access{Addr: rec.Addr, Write: rec.Write, Gap: rec.Gap}, nil
+}
+
 // encodeNDJSON converts an NDJSON access stream into an RMTR trace named
-// label, using the same strict per-line decoder rmccd applies to replay
-// bodies. Gaps above the RMTR 7-bit field are clamped, as on the wire.
+// label. Gaps above the RMTR 7-bit field are clamped.
 func encodeNDJSON(in io.Reader, out io.Writer, label string) (uint64, error) {
 	bw := bufio.NewWriterSize(out, 256<<10)
 	tw, err := trace.NewWriter(bw, label)
@@ -177,7 +204,7 @@ func encodeNDJSON(in io.Reader, out io.Writer, label string) (uint64, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		a, err := server.DecodeAccess(raw)
+		a, err := decodeAccessLine(raw)
 		if err != nil {
 			return count, fmt.Errorf("line %d: %w", line, err)
 		}
@@ -195,7 +222,7 @@ func encodeNDJSON(in io.Reader, out io.Writer, label string) (uint64, error) {
 	return count, bw.Flush()
 }
 
-// decodeToNDJSON renders an RMTR trace as NDJSON, one AccessRecord per
+// decodeToNDJSON renders an RMTR trace as NDJSON, one accessRecord per
 // line, byte-identical to json.Marshal of the record (omitempty fields
 // included) so round-trips are exact.
 func decodeToNDJSON(in io.Reader, out io.Writer) (uint64, error) {
@@ -224,7 +251,7 @@ func decodeToNDJSON(in io.Reader, out io.Writer) (uint64, error) {
 }
 
 // appendAccessNDJSON formats one access exactly as json.Marshal formats
-// server.AccessRecord — "write" and "gap" omitted when zero.
+// accessRecord — "write" and "gap" omitted when zero.
 func appendAccessNDJSON(b []byte, a workload.Access) []byte {
 	b = append(b, `{"addr":`...)
 	b = strconv.AppendUint(b, a.Addr, 10)

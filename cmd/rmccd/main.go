@@ -63,7 +63,6 @@ func run() int {
 		logFormat   = flag.String("log-format", "text", "log line encoding: text|json")
 		debugAddr   = flag.String("debug-addr", "", "serve /statusz, /debug/tracez and /debug/pprof on this extra listener (off when empty)")
 		debugPort   = flag.String("debug-port-file", "", "write the resolved debug listen address to this file")
-		quiet       = flag.Bool("quiet", false, "deprecated: same as -log-level error")
 		version     = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -76,9 +75,6 @@ func run() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rmccd:", err)
 		return 2
-	}
-	if *quiet {
-		level = obs.LogError
 	}
 	format, err := obs.ParseLogFormat(*logFormat)
 	if err != nil {

@@ -211,6 +211,18 @@ func TestRouterReplayMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, "via router", directRun(t, 1, n), stats)
+
+	// The owning node's 415 for a non-RMTR body reaches the client
+	// through the router unchanged.
+	resp, err := http.Post(tc.hs.URL+"/v1/sessions/"+info.ID+"/replay",
+		server.ContentTypeNDJSON, strings.NewReader(`{"addr":4096}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("NDJSON body via router: status %d, want 415", resp.StatusCode)
+	}
 }
 
 // TestRouterDrainBitIdentical is the tentpole acceptance test in

@@ -2,11 +2,11 @@
 // dependency-free (net/http only) HTTP surface over the lifetime
 // simulator. Clients create sessions — each one a fully configured secure
 // memory controller plus cache hierarchy — and replay access streams
-// against them, either NDJSON uploads or the built-in workload
-// generators. Sessions are sharded across a fixed pool of single-owner
-// worker goroutines: engines are not thread-safe, so every touch of a
-// session's simulator state is serialized through its shard's bounded
-// queue (which doubles as backpressure on streaming uploads).
+// against them, either uploaded RMTR frame streams or the built-in
+// workload generators. Sessions are sharded across a fixed pool of
+// single-owner worker goroutines: engines are not thread-safe, so every
+// touch of a session's simulator state is serialized through its shard's
+// bounded queue (which doubles as backpressure on streaming uploads).
 //
 // See docs/SERVICE.md for the API reference.
 package server
@@ -24,7 +24,7 @@ import (
 
 // SessionConfig is the POST /v1/sessions request body. Either bind a
 // built-in workload generator (workload + size) or declare the virtual
-// footprint of the NDJSON streams you will upload (footprint_bytes) so
+// footprint of the access streams you will upload (footprint_bytes) so
 // the engine's protected-memory size can be derived the same way the
 // direct drivers derive it.
 type SessionConfig struct {
@@ -39,16 +39,16 @@ type SessionConfig struct {
 
 	// Workload optionally binds a built-in generator (see rmccsim -list);
 	// replays may then use the workload shortcut instead of uploading
-	// NDJSON. The session footprint is the workload's.
+	// accesses. The session footprint is the workload's.
 	Workload string `json:"workload,omitempty"`
 	// Size scales the bound workload: test|small|full (default test).
 	Size string `json:"size,omitempty"`
 
-	// FootprintBytes declares the virtual footprint for NDJSON-only
-	// sessions (required when no workload is bound).
+	// FootprintBytes declares the virtual footprint for upload sessions
+	// (required when no workload is bound).
 	FootprintBytes uint64 `json:"footprint_bytes,omitempty"`
 
-	// Label names NDJSON-only sessions in stats and listings.
+	// Label names upload sessions in stats and listings.
 	Label string `json:"label,omitempty"`
 
 	// Engine, when set, overrides the entire controller configuration
@@ -81,7 +81,7 @@ type resolved struct {
 	seed      uint64
 	mode      engine.Mode
 	scheme    counter.Scheme
-	w         workload.Workload // nil for NDJSON-only sessions
+	w         workload.Workload // nil for upload sessions
 	ltCfg     sim.LifetimeConfig
 }
 
@@ -180,17 +180,6 @@ func ParseSize(s string) (workload.Size, error) {
 		return workload.SizeFull, nil
 	}
 	return 0, fmt.Errorf("unknown size %q", s)
-}
-
-// AccessRecord is one NDJSON replay line: a single read or write the
-// simulated CPU issues, mirroring workload.Access.
-type AccessRecord struct {
-	Addr uint64 `json:"addr"`
-	// Write marks stores; omitted/false = load.
-	Write bool `json:"write,omitempty"`
-	// Gap is the count of non-memory instructions since the previous
-	// access (0-255).
-	Gap uint8 `json:"gap,omitempty"`
 }
 
 // SessionInfo describes one live session (create response, listings).

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"rmcc/internal/server"
@@ -69,44 +68,12 @@ func replayBody(b *testing.B, srv *server.Server, url, contentType string, body 
 	}
 }
 
-// BenchmarkReplayNDJSON measures end-to-end replay throughput over the
-// NDJSON compatibility wire: accesses/sec includes HTTP dispatch, line
-// scanning, JSON decode, and the shard apply path.
-func BenchmarkReplayNDJSON(b *testing.B) {
-	accs, footprint := benchCapture(b)
-	var buf strings.Builder
-	for _, a := range accs {
-		line, _ := json.Marshal(server.AccessRecord{Addr: a.Addr, Write: a.Write, Gap: a.Gap})
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	body := []byte(buf.String())
-	srv, url := benchServer(b, footprint)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		replayBody(b, srv, url, server.ContentTypeNDJSON, body)
-	}
-	b.ReportMetric(float64(benchAccesses)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
-}
-
-// BenchmarkReplayBinary measures the same end-to-end path over the
-// binary frame wire — same access stream, same session config, so the
-// accesses/s ratio against BenchmarkReplayNDJSON is the wire speedup.
+// BenchmarkReplayBinary measures end-to-end replay throughput over the
+// binary frame wire: accesses/sec includes HTTP dispatch, frame decoding,
+// and the shard apply path.
 func BenchmarkReplayBinary(b *testing.B) {
 	accs, footprint := benchCapture(b)
-	var buf bytes.Buffer
-	fw := trace.NewFrameWriter(&buf, trace.DefaultFrameAccesses)
-	for _, a := range accs {
-		if err := fw.Append(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := fw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	body := buf.Bytes()
+	body := frameAccesses(b, accs)
 	srv, url := benchServer(b, footprint)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()

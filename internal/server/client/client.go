@@ -209,36 +209,11 @@ func (c *Client) ReplayWorkload(ctx context.Context, id string, n uint64,
 	return c.replay(req, progressEvery > 0, onProgress)
 }
 
-// ReplayAccesses streams accesses as NDJSON and returns the rolled-up
-// stats.
-func (c *Client) ReplayAccesses(ctx context.Context, id string, accs []workload.Access) (server.ReplayStats, error) {
-	pr, pw := io.Pipe()
-	go func() {
-		bw := bufio.NewWriterSize(pw, 64<<10)
-		var err error
-		for _, a := range accs {
-			rec := server.AccessRecord{Addr: a.Addr, Write: a.Write, Gap: a.Gap}
-			var b []byte
-			if b, err = json.Marshal(rec); err != nil {
-				break
-			}
-			if _, err = bw.Write(append(b, '\n')); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		pw.CloseWithError(err)
-	}()
-	return c.ReplayNDJSON(ctx, id, pr)
-}
-
-// ReplayAccessesBinary streams accesses over the binary replay wire
-// (length-prefixed RMTR frames) and returns the rolled-up stats. Framing
-// happens on a pipe goroutine, so the upload backpressures against the
-// daemon's apply loop exactly like the NDJSON path — but at a few bytes
-// per access instead of a JSON object.
+// ReplayAccessesBinary uploads accesses to a session as length-prefixed
+// RMTR frames (the daemon's one replay body encoding) and returns the
+// rolled-up stats. Framing happens on a pipe goroutine, so the upload
+// backpressures against the daemon's apply loop. Gaps above 127 are
+// clamped, as in every RMTR stream.
 func (c *Client) ReplayAccessesBinary(ctx context.Context, id string, accs []workload.Access) (server.ReplayStats, error) {
 	pr, pw := io.Pipe()
 	go func() {
@@ -287,17 +262,6 @@ func (c *Client) ReplayBinary(ctx context.Context, id string, body io.Reader) (s
 		return server.ReplayStats{}, err
 	}
 	req.Header.Set("Content-Type", server.ContentTypeBinaryReplay)
-	return c.replay(req, false, nil)
-}
-
-// ReplayNDJSON streams a raw NDJSON body (one AccessRecord per line).
-func (c *Client) ReplayNDJSON(ctx context.Context, id string, body io.Reader) (server.ReplayStats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/sessions/"+id+"/replay", body)
-	if err != nil {
-		return server.ReplayStats{}, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
 	return c.replay(req, false, nil)
 }
 

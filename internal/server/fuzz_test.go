@@ -1,9 +1,6 @@
 package server
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // FuzzDecodeSessionConfig: arbitrary bytes must either decode cleanly or
 // return an error — never panic. A panic here would take down the create
@@ -30,40 +27,6 @@ func FuzzDecodeSessionConfig(f *testing.F) {
 		// can still reject it with an error — that is a 400, not a crash).
 		if _, rerr := sc.resolve(); rerr != nil {
 			return
-		}
-	})
-}
-
-// FuzzDecodeAccess: arbitrary NDJSON lines must decode or error, never
-// panic — malformed replay input has to surface as a 4xx without reaching
-// a shard worker.
-func FuzzDecodeAccess(f *testing.F) {
-	f.Add([]byte(`{"addr":4096}`))
-	f.Add([]byte(`{"addr":18446744073709551615,"write":true,"gap":255}`))
-	f.Add([]byte(`{"addr":0,"write":false,"gap":0}`))
-	f.Add([]byte(``))
-	f.Add([]byte(`{"addr":-1}`))
-	f.Add([]byte(`{"addr":1,"gap":256}`))
-	f.Add([]byte(`{"addr":1} {"addr":2}`))
-	f.Add([]byte(`{"addr":1,"bogus":true}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`"just a string"`))
-	f.Add([]byte(strings.Repeat("9", 400)))
-	f.Fuzz(func(t *testing.T, line []byte) {
-		a, err := DecodeAccess(line)
-		if err != nil {
-			return
-		}
-		// Differential property: the hand-rolled scanner accepts a strict
-		// subset of what the encoding/json implementation accepted, with
-		// identical decoded values. Any line the fast path takes, the
-		// oracle must take too — otherwise the scanner invented syntax.
-		std, stdErr := decodeAccessJSON(line)
-		if stdErr != nil {
-			t.Fatalf("fast decoder accepted %q but encoding/json rejects it: %v", line, stdErr)
-		}
-		if a != std {
-			t.Fatalf("decoders disagree on %q: fast = %+v, std = %+v", line, a, std)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,37 +17,26 @@ import (
 	"rmcc/internal/workload"
 )
 
-// Replay wire content types. NDJSON is the default for any body without
-// a binary content type, preserving pre-binary-wire clients.
+// Replay content types.
 const (
-	// ContentTypeBinaryReplay selects the length-prefixed RMTR frame
-	// stream (see internal/trace frame.go and docs/SERVICE.md).
+	// ContentTypeBinaryReplay is the one replay request body: the
+	// length-prefixed RMTR frame stream (see internal/trace frame.go and
+	// docs/SERVICE.md).
 	ContentTypeBinaryReplay = "application/x-rmcc-trace"
-	// ContentTypeNDJSON is the line-delimited JSON compatibility wire.
+	// ContentTypeNDJSON is the ?progress=N response frame stream.
 	ContentTypeNDJSON = "application/x-ndjson"
 )
 
-// Wire names used as metric label values.
-const (
-	wireWorkload = "workload"
-	wireNDJSON   = "ndjson"
-	wireBinary   = "binary"
-)
-
 // handleReplay applies an access stream to a session and returns rolled-up
-// stats. Three sources:
+// stats. Two sources:
 //
 //   - ?workload=&accesses=N — run the session's bound generator for N
 //     accesses server-side (the daemon analog of rmccsim -accesses).
-//   - NDJSON request body — one AccessRecord per line, applied in arrival
-//     order with chunk-granular backpressure.
 //   - Binary request body (Content-Type: application/x-rmcc-trace) —
 //     length-prefixed RMTR frames, decoded frame-at-a-time into a reused
-//     batch with zero per-access allocations.
+//     batch with zero per-access allocations (replayStream).
 //
-// Both body wires converge on one apply loop (replayStream over a
-// replaySource), so backpressure, cancellation, progress frames, stage
-// spans, and snapshot dirtiness behave identically regardless of wire.
+// Any other request is refused with 415 before the session is touched.
 //
 // ?progress=N streams NDJSON progress frames every N applied accesses and
 // finishes with a result (or error) frame; without it the response is one
@@ -105,6 +93,12 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if !useWorkload && !isBinaryReplay(r.Header.Get("Content-Type")) {
+		writeError(w, http.StatusUnsupportedMediaType,
+			"replay body must be Content-Type: "+ContentTypeBinaryReplay+
+				" (RMTR frames); convert NDJSON traces with rmcc-trace -encode")
+		return
+	}
 
 	ok, gone := sess.acquire()
 	if !ok {
@@ -135,22 +129,14 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var applied uint64
 	var err error
-	switch {
-	case useWorkload:
-		s.wireMetrics[wireWorkload].requests.Inc()
+	if useWorkload {
+		s.mReplaysWorkload.Inc()
 		applied, err = s.replayWorkload(ctx, sess, accesses, rw, rtc)
-	case isBinaryReplay(r.Header.Get("Content-Type")):
-		wm := s.wireMetrics[wireBinary]
-		wm.requests.Inc()
+	} else {
+		s.mReplaysBinary.Inc()
 		body := &countingReader{r: r.Body}
-		applied, err = s.replayBinary(ctx, sess, body, rw, rtc)
-		wm.bytes.Add(body.n)
-	default:
-		wm := s.wireMetrics[wireNDJSON]
-		wm.requests.Inc()
-		body := &countingReader{r: r.Body}
-		applied, err = s.replayNDJSON(ctx, sess, body, rw, rtc)
-		wm.bytes.Add(body.n)
+		applied, err = s.replayStream(ctx, sess, trace.NewFrameReader(body), rw, rtc)
+		s.mReplayBytes.Add(body.n)
 	}
 	s.mReplayAccesses.Add(applied)
 	s.mReplaySizes.Observe(applied)
@@ -203,8 +189,8 @@ func isBinaryReplay(contentType string) bool {
 	return strings.TrimSpace(mediaType) == ContentTypeBinaryReplay
 }
 
-// countingReader counts bytes drawn from a replay body for the per-wire
-// rmccd_replay_bytes_total counters. The count is added once at request
+// countingReader counts bytes drawn from a replay body for the
+// rmccd_replay_bytes_total counter. The count is added once at request
 // end, keeping the per-read path a plain integer add.
 type countingReader struct {
 	r io.Reader
@@ -327,51 +313,47 @@ func (s *Server) emitProgress(rw *replayWriter, sess *session, tc obs.TraceConte
 	return err
 }
 
-// replaySource yields decoded access batches from a request body. next
-// reuses buf's backing array (callers pass the previous batch back in),
-// so steady-state decoding allocates nothing per batch. A non-empty
-// batch may accompany io.EOF; errors of type *inputError are client
-// faults (4xx), everything else is a transport failure.
-type replaySource interface {
-	next(buf []workload.Access) ([]workload.Access, error)
-}
-
-// replayStream is the shared apply loop both body wires converge on:
-// pull one batch from the source, apply it on the session's shard,
-// account, emit progress. Because each batch is applied before more
-// input is read, a slow simulation backpressures the upload through the
-// unread TCP window regardless of wire.
-func (s *Server) replayStream(ctx context.Context, sess *session, src replaySource, rw *replayWriter, tc obs.TraceContext) (uint64, error) {
+// replayStream is the apply loop for a binary body: decode one RMTR
+// frame into the reused batch, apply it on the session's shard, account,
+// emit progress. Each frame is one batch — the sender's framing decides
+// the apply granularity (capped at trace.MaxFrameAccesses) — and the
+// decode reuses the batch plus the reader's payload buffer, so steady
+// state allocates nothing per access or per frame. Decoding happens on
+// the handler goroutine; only a validated batch crosses into the shard,
+// so malformed input can never panic a worker. Because each batch is
+// applied before the next frame is read, a slow simulation backpressures
+// the upload through the unread TCP window.
+func (s *Server) replayStream(ctx context.Context, sess *session, fr *trace.FrameReader, rw *replayWriter, tc obs.TraceContext) (uint64, error) {
 	batch := make([]workload.Access, 0, s.cfg.ChunkAccesses)
 	var applied uint64
-	for {
+	for frame := 1; ; frame++ {
 		if err := ctx.Err(); err != nil {
 			return applied, err
 		}
-		var srcErr error
-		batch, srcErr = src.next(batch)
-		if srcErr != nil && srcErr != io.EOF {
-			return applied, srcErr
-		}
-		if len(batch) > 0 {
-			stepped, total, err := s.applyBatch(ctx, sess, batch, tc)
-			applied += uint64(stepped)
-			if err != nil {
-				return applied, err
-			}
-			sess.accessesDone.Store(total)
-			sess.touch(s.cfg.Now())
-			if err := s.emitProgress(rw, sess, tc, applied); err != nil {
-				return applied, err
-			}
-			if stepped < len(batch) {
-				// The shard worker stopped mid-batch: only cancellation
-				// does that, and context errors are sticky.
-				return applied, ctx.Err()
-			}
-		}
-		if srcErr == io.EOF {
+		var err error
+		batch, err = fr.DecodeInto(batch)
+		switch {
+		case err == io.EOF:
 			return applied, nil
+		case errors.Is(err, trace.ErrFrameCorrupt), errors.Is(err, trace.ErrFrameTooLarge):
+			return applied, &inputError{fmt.Errorf("frame %d: %w", frame, err)}
+		case err != nil:
+			return applied, err
+		}
+		stepped, total, err := s.applyBatch(ctx, sess, batch, tc)
+		applied += uint64(stepped)
+		if err != nil {
+			return applied, err
+		}
+		sess.accessesDone.Store(total)
+		sess.touch(s.cfg.Now())
+		if err := s.emitProgress(rw, sess, tc, applied); err != nil {
+			return applied, err
+		}
+		if stepped < len(batch) {
+			// The shard worker stopped mid-batch: only cancellation
+			// does that, and context errors are sticky.
+			return applied, ctx.Err()
 		}
 	}
 }
@@ -401,90 +383,6 @@ func (s *Server) applyBatch(ctx context.Context, sess *session, batch []workload
 	}
 	s.recordChunk(sess, tc, submit, jt, uint64(stepped))
 	return stepped, total, nil
-}
-
-// ndjsonSource decodes NDJSON lines into batches of up to cap(buf)
-// accesses. Decoding happens on the handler goroutine; only the
-// validated batch crosses into the shard, so malformed input can never
-// panic a worker.
-type ndjsonSource struct {
-	sc       *bufio.Scanner
-	maxLine  int
-	line     int
-	scanDone bool
-}
-
-func (s *Server) newNDJSONSource(body io.Reader) *ndjsonSource {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), s.cfg.MaxLineBytes)
-	return &ndjsonSource{sc: sc, maxLine: s.cfg.MaxLineBytes}
-}
-
-func (src *ndjsonSource) next(buf []workload.Access) ([]workload.Access, error) {
-	buf = buf[:0]
-	if src.scanDone {
-		return buf, io.EOF
-	}
-	for len(buf) < cap(buf) {
-		if !src.sc.Scan() {
-			src.scanDone = true
-			if err := src.sc.Err(); err != nil {
-				if errors.Is(err, bufio.ErrTooLong) {
-					return buf, &inputError{fmt.Errorf("line %d: exceeds %d-byte line cap", src.line+1, src.maxLine)}
-				}
-				// Body read errors are client disconnects in practice.
-				return buf, err
-			}
-			return buf, io.EOF
-		}
-		src.line++
-		raw := src.sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		a, err := DecodeAccess(raw)
-		if err != nil {
-			return buf, &inputError{fmt.Errorf("line %d: %w", src.line, err)}
-		}
-		buf = append(buf, a)
-	}
-	return buf, nil
-}
-
-// replayNDJSON applies an NDJSON body through the shared apply loop.
-func (s *Server) replayNDJSON(ctx context.Context, sess *session, body io.Reader, rw *replayWriter, tc obs.TraceContext) (uint64, error) {
-	return s.replayStream(ctx, sess, s.newNDJSONSource(body), rw, tc)
-}
-
-// binarySource decodes length-prefixed RMTR frames. Each frame is one
-// batch: the sender's framing decides the apply granularity (capped at
-// trace.MaxFrameAccesses), and the decode reuses the caller's batch
-// plus the reader's payload buffer — zero allocations per access or per
-// frame at steady state.
-type binarySource struct {
-	fr    *trace.FrameReader
-	frame int
-}
-
-func (src *binarySource) next(buf []workload.Access) ([]workload.Access, error) {
-	buf, err := src.fr.DecodeInto(buf)
-	switch {
-	case err == nil:
-		src.frame++
-		return buf, nil
-	case err == io.EOF:
-		return buf, io.EOF
-	case errors.Is(err, trace.ErrFrameCorrupt), errors.Is(err, trace.ErrFrameTooLarge):
-		return buf, &inputError{fmt.Errorf("frame %d: %w", src.frame+1, err)}
-	default:
-		return buf, err
-	}
-}
-
-// replayBinary applies a binary-framed body through the shared apply
-// loop.
-func (s *Server) replayBinary(ctx context.Context, sess *session, body io.Reader, rw *replayWriter, tc obs.TraceContext) (uint64, error) {
-	return s.replayStream(ctx, sess, &binarySource{fr: trace.NewFrameReader(body)}, rw, tc)
 }
 
 // inputError marks client-side (4xx) replay failures.

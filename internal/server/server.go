@@ -46,8 +46,6 @@ type Config struct {
 	ChunkAccesses int
 	// MaxBodyBytes caps the session-config document (default 1 MiB).
 	MaxBodyBytes int64
-	// MaxLineBytes caps one NDJSON access line (default 4096).
-	MaxLineBytes int
 	// MaxReplayAccesses caps the workload-shortcut accesses parameter
 	// (default 1e9).
 	MaxReplayAccesses uint64
@@ -104,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxLineBytes <= 0 {
-		c.MaxLineBytes = 4096
 	}
 	if c.MaxReplayAccesses == 0 {
 		c.MaxReplayAccesses = 1_000_000_000
@@ -171,9 +166,11 @@ type Server struct {
 	mReplaysCancel   *obs.Counter
 	mReplayAccesses  *obs.Counter
 	mReplaySizes     *obs.Histogram
-	// Per-wire replay traffic: requests by source (workload shortcut,
-	// NDJSON body, binary frames) and body bytes read per body wire.
-	wireMetrics map[string]wireMetric
+	// Per-wire replay traffic: requests by source (workload shortcut or
+	// binary frames) and body bytes read on the binary wire.
+	mReplaysWorkload *obs.Counter
+	mReplaysBinary   *obs.Counter
+	mReplayBytes     *obs.Counter
 
 	// Per-stage replay latency (µs): queue-wait, engine-step, encode.
 	mStageQueueWait *obs.Histogram
@@ -222,13 +219,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// wireMetric bundles the per-wire replay instruments. bytes is nil for
-// the workload shortcut (no request body to meter).
-type wireMetric struct {
-	requests *obs.Counter
-	bytes    *obs.Counter
-}
-
 // Span stage names (the "stage" label on rmccd_replay_stage_duration_us).
 const (
 	stageQueueWait = "queue-wait"
@@ -253,22 +243,12 @@ func (s *Server) initMetrics() {
 	s.mReplaySizes = s.reg.Histogram("rmccd_replay_size_accesses",
 		"accesses applied per replay request",
 		[]uint64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000})
-	s.wireMetrics = map[string]wireMetric{
-		wireWorkload: {requests: s.reg.Counter("rmccd_replay_requests_total",
-			"replay requests, by wire", obs.L("wire", wireWorkload))},
-		wireNDJSON: {
-			requests: s.reg.Counter("rmccd_replay_requests_total", "",
-				obs.L("wire", wireNDJSON)),
-			bytes: s.reg.Counter("rmccd_replay_bytes_total",
-				"replay body bytes read, by wire", obs.L("wire", wireNDJSON)),
-		},
-		wireBinary: {
-			requests: s.reg.Counter("rmccd_replay_requests_total", "",
-				obs.L("wire", wireBinary)),
-			bytes: s.reg.Counter("rmccd_replay_bytes_total", "",
-				obs.L("wire", wireBinary)),
-		},
-	}
+	s.mReplaysWorkload = s.reg.Counter("rmccd_replay_requests_total",
+		"replay requests, by wire", obs.L("wire", "workload"))
+	s.mReplaysBinary = s.reg.Counter("rmccd_replay_requests_total", "",
+		obs.L("wire", "binary"))
+	s.mReplayBytes = s.reg.Counter("rmccd_replay_bytes_total",
+		"replay body bytes read, by wire", obs.L("wire", "binary"))
 	s.reg.GaugeFunc("rmccd_sessions_active", "live sessions",
 		func() float64 {
 			s.mu.Lock()

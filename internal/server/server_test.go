@@ -114,7 +114,7 @@ func TestSessionLifecycle(t *testing.T) {
 // TestServiceMatchesDirectRun is the no-drift acceptance criterion: a
 // replay through the daemon produces stats bit-identical to RunLifetime
 // over the same seed and workload — via the server-side generator AND via
-// NDJSON streaming of the same accesses. The daemon runs with the full
+// a binary-frame upload of the same accesses. The daemon runs with the full
 // observability stack enabled (debug-level JSON logging plus the
 // always-on span recording), proving instrumentation cannot perturb
 // simulation results.
@@ -147,7 +147,7 @@ func TestServiceMatchesDirectRun(t *testing.T) {
 	}
 	assertSameRun(t, "workload shortcut", direct, viaWorkload)
 
-	// NDJSON streaming path: capture the same stream and upload it.
+	// Upload path: capture the same stream and send it as RMTR frames.
 	var accs []workload.Access
 	w2, _ := workload.ByName(workload.SizeTest, 1, "canneal")
 	w2.Run(1, func(a workload.Access) bool {
@@ -159,13 +159,13 @@ func TestServiceMatchesDirectRun(t *testing.T) {
 		FootprintBytes: w.FootprintBytes(), Label: "canneal",
 	})
 	if err != nil {
-		t.Fatalf("create ndjson session: %v", err)
+		t.Fatalf("create upload session: %v", err)
 	}
-	viaNDJSON, err := c.ReplayAccesses(ctx, info2.ID, accs)
+	viaUpload, err := c.ReplayAccessesBinary(ctx, info2.ID, accs)
 	if err != nil {
-		t.Fatalf("ndjson replay: %v", err)
+		t.Fatalf("binary replay: %v", err)
 	}
-	assertSameRun(t, "NDJSON stream", direct, viaNDJSON)
+	assertSameRun(t, "binary upload", direct, viaUpload)
 }
 
 func assertSameRun(t *testing.T, label string, direct sim.LifetimeResult, got server.ReplayStats) {
@@ -214,7 +214,8 @@ func TestProgressFrames(t *testing.T) {
 }
 
 func TestErrorStatuses(t *testing.T) {
-	_, c := newTestServer(t, server.Config{})
+	base := serve(t, server.New(server.Config{}))
+	c := client.New(base)
 	ctx := context.Background()
 
 	// Unknown workload → 400.
@@ -250,10 +251,38 @@ func TestErrorStatuses(t *testing.T) {
 	if !isStatus(err, http.StatusBadRequest) {
 		t.Fatalf("unbound workload replay: %v, want 400", err)
 	}
-	// Malformed NDJSON line → 400, daemon stays healthy.
-	_, err = c.ReplayNDJSON(ctx, info.ID, strings.NewReader("{\"addr\":1}\nnot json\n"))
-	if !isStatus(err, http.StatusBadRequest) {
-		t.Fatalf("malformed NDJSON: %v, want 400", err)
+	// A body that is not RMTR frames → 415 naming the binary content type
+	// and the converter, refused before the session is touched.
+	for _, ctype := range []string{server.ContentTypeNDJSON, ""} {
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/sessions/"+info.ID+"/replay",
+			strings.NewReader("{\"addr\":4096}\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctype != "" {
+			req.Header.Set("Content-Type", ctype)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Fatalf("Content-Type %q body: status %d, want 415", ctype, resp.StatusCode)
+		}
+		for _, want := range []string{server.ContentTypeBinaryReplay, "rmcc-trace -encode"} {
+			if !strings.Contains(string(msg), want) {
+				t.Errorf("415 message %s does not name %q", msg, want)
+			}
+		}
+	}
+	snap, err := c.Snapshot(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("snapshot after refused uploads: %v", err)
+	}
+	if snap.Stats.Accesses != 0 {
+		t.Fatalf("refused uploads applied %d accesses", snap.Stats.Accesses)
 	}
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("daemon unhealthy after bad input: %v", err)

@@ -33,7 +33,7 @@ type session struct {
 	sc SessionConfig
 
 	lt *sim.Lifetime
-	w  workload.Workload // bound generator; nil for NDJSON-only sessions
+	w  workload.Workload // bound generator; nil for upload sessions
 	// stream is the persistent pull side of the bound generator, created
 	// on first workload replay so successive replays continue one
 	// deterministic stream. Closed at eviction.

@@ -30,53 +30,25 @@ func captureAccesses(t *testing.T, name string, seed uint64, n int) ([]workload.
 	return accs, w.FootprintBytes()
 }
 
-// TestBinaryMatchesNDJSONReplay is the cross-wire acceptance gate: the
-// same access stream uploaded over the NDJSON shim and over the binary
-// frame wire must produce bit-identical ReplayStats (session identity and
-// wall time aside). The two wires share one apply loop, so any divergence
-// would mean the frame codec corrupted the stream.
-func TestBinaryMatchesNDJSONReplay(t *testing.T) {
-	const n = 20_000
-	_, c := newTestServer(t, server.Config{})
-	ctx := context.Background()
-	accs, footprint := captureAccesses(t, "canneal", 1, n)
-
-	mk := func() string {
-		info, err := c.CreateSession(ctx, server.SessionConfig{
-			Mode: "rmcc", Scheme: "morphable", Seed: 1,
-			FootprintBytes: footprint, Label: "wire",
-		})
-		if err != nil {
-			t.Fatalf("create: %v", err)
+// frameAccesses encodes accs as a binary replay body.
+func frameAccesses(tb testing.TB, accs []workload.Access) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	fw := trace.NewFrameWriter(&buf, trace.DefaultFrameAccesses)
+	for _, a := range accs {
+		if err := fw.Append(a); err != nil {
+			tb.Fatal(err)
 		}
-		return info.ID
 	}
-	ndjsonID, binaryID := mk(), mk()
-
-	viaNDJSON, err := c.ReplayAccesses(ctx, ndjsonID, accs)
-	if err != nil {
-		t.Fatalf("ndjson replay: %v", err)
+	if err := fw.Flush(); err != nil {
+		tb.Fatal(err)
 	}
-	viaBinary, err := c.ReplayAccessesBinary(ctx, binaryID, accs)
-	if err != nil {
-		t.Fatalf("binary replay: %v", err)
-	}
-
-	// Neutralize per-request identity, then require exact equality —
-	// engine counters, LLC misses, rates, everything.
-	viaNDJSON.SessionID, viaBinary.SessionID = "", ""
-	viaNDJSON.WallSeconds, viaBinary.WallSeconds = 0, 0
-	if viaNDJSON != viaBinary {
-		t.Fatalf("wires diverge:\nndjson: %+v\nbinary: %+v", viaNDJSON, viaBinary)
-	}
-	if viaBinary.Accesses != n {
-		t.Fatalf("accesses = %d, want %d", viaBinary.Accesses, n)
-	}
+	return buf.Bytes()
 }
 
 // TestReplayTrace drives the full file path: record an RMTR trace,
 // stream it with ReplayTrace (client-side reframing), and require the
-// same stats as the equivalent NDJSON upload.
+// same stats as uploading the same accesses with ReplayAccessesBinary.
 func TestReplayTrace(t *testing.T) {
 	const n = 5_000
 	_, c := newTestServer(t, server.Config{})
@@ -111,14 +83,17 @@ func TestReplayTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace replay: %v", err)
 	}
-	viaNDJSON, err := c.ReplayAccesses(ctx, mk(), accs)
+	viaAccesses, err := c.ReplayAccessesBinary(ctx, mk(), accs)
 	if err != nil {
-		t.Fatalf("ndjson replay: %v", err)
+		t.Fatalf("binary replay: %v", err)
 	}
-	viaTrace.SessionID, viaNDJSON.SessionID = "", ""
-	viaTrace.WallSeconds, viaNDJSON.WallSeconds = 0, 0
-	if viaTrace != viaNDJSON {
-		t.Fatalf("trace wire diverges:\ntrace:  %+v\nndjson: %+v", viaTrace, viaNDJSON)
+	viaTrace.SessionID, viaAccesses.SessionID = "", ""
+	viaTrace.WallSeconds, viaAccesses.WallSeconds = 0, 0
+	if viaTrace != viaAccesses {
+		t.Fatalf("trace replay diverges:\ntrace:    %+v\naccesses: %+v", viaTrace, viaAccesses)
+	}
+	if viaTrace.Accesses != n {
+		t.Fatalf("accesses = %d, want %d", viaTrace.Accesses, n)
 	}
 }
 
@@ -161,8 +136,9 @@ func TestBinaryReplayErrors(t *testing.T) {
 	}
 }
 
-// TestWireMetrics checks the per-wire accounting: request counters for
-// all three sources and body-byte counters for the two body wires.
+// TestWireMetrics checks the per-wire accounting: the binary request
+// counter, a body-byte counter equal to the exact framed body sent, and
+// no series for the removed NDJSON wire.
 func TestWireMetrics(t *testing.T) {
 	_, c := newTestServer(t, server.Config{})
 	ctx := context.Background()
@@ -174,34 +150,23 @@ func TestWireMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if _, err := c.ReplayAccessesBinary(ctx, info.ID, accs); err != nil {
+	body := frameAccesses(t, accs)
+	if _, err := c.ReplayBinary(ctx, info.ID, bytes.NewReader(body)); err != nil {
 		t.Fatalf("binary replay: %v", err)
-	}
-	if _, err := c.ReplayAccesses(ctx, info.ID, accs); err != nil {
-		t.Fatalf("ndjson replay: %v", err)
 	}
 
 	text, err := c.RawMetrics(ctx)
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	for _, want := range []string{
-		`rmccd_replay_requests_total{wire="binary"} 1`,
-		`rmccd_replay_requests_total{wire="ndjson"} 1`,
-		`rmccd_replay_bytes_total{wire="binary"}`,
-		`rmccd_replay_bytes_total{wire="ndjson"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q", want)
-		}
+	if got := metricValue(t, text, `rmccd_replay_requests_total{wire="binary"}`); got != 1 {
+		t.Errorf("binary replay requests = %v, want 1", got)
 	}
-	// The whole point of the binary wire: strictly fewer bytes than the
-	// JSON rendering of the same stream. Both counters must be non-zero
-	// and binary < ndjson.
-	bin := metricValue(t, text, `rmccd_replay_bytes_total{wire="binary"}`)
-	nd := metricValue(t, text, `rmccd_replay_bytes_total{wire="ndjson"}`)
-	if bin <= 0 || nd <= 0 || bin >= nd {
-		t.Errorf("replay bytes: binary=%v ndjson=%v, want 0 < binary < ndjson", bin, nd)
+	if got := metricValue(t, text, `rmccd_replay_bytes_total{wire="binary"}`); got != float64(len(body)) {
+		t.Errorf("binary replay bytes = %v, want the %d-byte body", got, len(body))
+	}
+	if strings.Contains(text, `wire="ndjson"`) {
+		t.Error(`metrics still export a wire="ndjson" series`)
 	}
 }
 

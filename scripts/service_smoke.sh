@@ -11,7 +11,9 @@
 #      loadgen-appended client latency quantiles),
 #   4. render the live dashboard once with rmcc-top -once,
 #   5. curl /statusz and /debug/pprof/heap on the debug listener,
-#   6. replay once more over the NDJSON streaming-upload path,
+#   6. POST an NDJSON body to a kept session and require HTTP 415 naming
+#      the RMTR content type (the refused upload must leave the session
+#      untouched, which step 9's access counts check),
 #   7. record an RMTR trace with rmcc-trace, replay it over the binary
 #      frame wire with -check (bit-identical to the direct run), round-trip
 #      the trace through -decode/-encode (byte-identical file), and assert
@@ -77,9 +79,13 @@ curl -fsS "http://$debug_addr/debug/pprof/heap" > "$workdir/heap.pprof"
 curl -fsS "http://$debug_addr/debug/tracez?n=10" | grep -q '"slowest"' \
     || { echo "service-smoke: /debug/tracez missing spans" >&2; exit 1; }
 
-echo "service-smoke: NDJSON streaming-upload path" >&2
-"$workdir/rmcc-loadgen" -addr "$addr" -sessions 2 \
-    -workload canneal -size test -accesses "$accesses" -wire ndjson
+echo "service-smoke: NDJSON replay body -> 415" >&2
+sid=$(curl -fsS "http://$addr/v1/sessions" | grep -o '"id": *"s-[0-9a-f]*"' | head -1 | grep -o 's-[0-9a-f]*')
+code=$(curl -sS -o "$workdir/ndjson_replay.json" -w '%{http_code}' -X POST \
+    -H 'Content-Type: application/x-ndjson' --data-binary '{"addr":4096}' \
+    "http://$addr/v1/sessions/$sid/replay")
+[ "$code" = 415 ] && grep -q 'application/x-rmcc-trace' "$workdir/ndjson_replay.json" \
+    || { echo "service-smoke: NDJSON replay body got HTTP $code, want 415" >&2; cat "$workdir/ndjson_replay.json" >&2; exit 1; }
 
 echo "service-smoke: binary replay wire (rmcc-trace record -> loadgen -wire binary -check)" >&2
 "$workdir/rmcc-trace" -record -workload canneal -size test \
