@@ -129,9 +129,10 @@ func render(pm *obs.PromText, sessions []server.SessionInfo, now time.Time) stri
 		(time.Duration(uptime) * time.Second).String(),
 		active, replaysOK, replaysErr, human(accesses), spans, logLines)
 
-	// Per-stage replay latency quantiles from the daemon-side histograms.
+	// Per-stage replay latency quantiles from the daemon-side histograms,
+	// in the order a replay passes through them.
 	sb.WriteString("stage latency (µs):")
-	for _, stage := range []string{"queue-wait", "engine-step", "encode"} {
+	for _, stage := range []string{"decode", "queue-wait", "engine-step", "rollup", "encode"} {
 		p50, ok := pm.HistQuantile("rmccd_replay_stage_duration_us", 0.50, obs.L("stage", stage))
 		if !ok {
 			continue

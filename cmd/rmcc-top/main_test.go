@@ -23,6 +23,14 @@ rmccd_replay_stage_duration_us_bucket{le="128",stage="engine-step"} 5
 rmccd_replay_stage_duration_us_bucket{le="+Inf",stage="engine-step"} 10
 rmccd_replay_stage_duration_us_count{stage="engine-step"} 10
 rmccd_replay_stage_duration_us_sum{stage="engine-step"} 1000
+rmccd_replay_stage_duration_us_bucket{le="16",stage="decode"} 11
+rmccd_replay_stage_duration_us_bucket{le="+Inf",stage="decode"} 12
+rmccd_replay_stage_duration_us_count{stage="decode"} 12
+rmccd_replay_stage_duration_us_sum{stage="decode"} 96
+rmccd_replay_stage_duration_us_bucket{le="4",stage="rollup"} 2
+rmccd_replay_stage_duration_us_bucket{le="+Inf",stage="rollup"} 2
+rmccd_replay_stage_duration_us_count{stage="rollup"} 2
+rmccd_replay_stage_duration_us_sum{stage="rollup"} 6
 `
 
 func TestRenderFrame(t *testing.T) {
@@ -39,7 +47,8 @@ func TestRenderFrame(t *testing.T) {
 	frame := render(pm, sessions, time.Unix(0, 0).UTC())
 	for _, want := range []string{
 		"sessions 2", "replays 7 ok / 1 err", "accesses 3.50M",
-		"engine-step p50", "shard queues:  0:0  1:3",
+		"stage latency (µs):  decode p50 9 p99 16  engine-step p50 128 p99 128  rollup p50 2 p99 4\n",
+		"shard queues:  0:0  1:3",
 		"SESSION", "CTR-MISS%", "P99µs",
 		"s-1", "canneal", "replaying",
 		"s-2", "dedup", "idle",

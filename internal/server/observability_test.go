@@ -12,9 +12,10 @@ import (
 	"rmcc/internal/server"
 )
 
-// TestStageHistogramsInMetrics: after a replay, the per-stage span
-// histograms (queue-wait, engine-step, encode) and per-endpoint SLO
-// series must appear populated in /metrics.
+// TestStageHistogramsInMetrics: after a workload replay and a binary
+// upload, the per-stage span histograms (queue-wait, engine-step, decode,
+// rollup, encode) and per-endpoint SLO series must appear populated in
+// /metrics.
 func TestStageHistogramsInMetrics(t *testing.T) {
 	_, c := newTestServer(t, server.Config{ChunkAccesses: 1000})
 	ctx := context.Background()
@@ -26,6 +27,11 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 	if _, err := c.ReplayWorkload(ctx, info.ID, 5000, 1000, func(uint64) {}); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
+	// Two RMTR frames (4096 + 904 accesses) populate the decode stage.
+	accs, _ := captureAccesses(t, "canneal", 1, 5000)
+	if _, err := c.ReplayAccessesBinary(ctx, info.ID, accs); err != nil {
+		t.Fatalf("binary replay: %v", err)
+	}
 	text, err := c.RawMetrics(ctx)
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
@@ -33,10 +39,12 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 	for _, want := range []string{
 		`rmccd_replay_stage_duration_us_count{stage="queue-wait"}`,
 		`rmccd_replay_stage_duration_us_count{stage="engine-step"}`,
+		`rmccd_replay_stage_duration_us_count{stage="decode"}`,
+		`rmccd_replay_stage_duration_us_count{stage="rollup"}`,
 		`rmccd_replay_stage_duration_us_count{stage="encode"}`,
-		`rmccd_request_duration_us_count{endpoint="replay"} 1`,
+		`rmccd_request_duration_us_count{endpoint="replay"} 2`,
 		`rmccd_request_duration_us_count{endpoint="create"} 1`,
-		`rmccd_requests_total{class="2xx",endpoint="replay"} 1`,
+		`rmccd_requests_total{class="2xx",endpoint="replay"} 2`,
 		`rmccd_queue_depth_at_enqueue_count`,
 		`rmccd_uptime_seconds`,
 		`rmccd_spans_total`,
@@ -45,17 +53,18 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// The parser must read our own exposition, and engine-step must have
-	// observed one sample per chunk (5 chunks of 1000).
+	// The parser must read our own exposition. engine-step and queue-wait
+	// observe one sample per applied batch (5 chunks of 1000, then 2
+	// frames), decode one per frame read (2 frames, then EOF), and rollup
+	// one per replay.
 	parsed, err := obs.ParsePromText(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("parse own metrics: %v", err)
 	}
-	if v, ok := parsed.Value("rmccd_replay_stage_duration_us_count", obs.L("stage", "engine-step")); !ok || v != 5 {
-		t.Errorf("engine-step count = %v,%v, want 5", v, ok)
-	}
-	if v, ok := parsed.Value("rmccd_replay_stage_duration_us_count", obs.L("stage", "queue-wait")); !ok || v != 5 {
-		t.Errorf("queue-wait count = %v,%v, want 5", v, ok)
+	for stage, want := range map[string]float64{"engine-step": 7, "queue-wait": 7, "decode": 3, "rollup": 2} {
+		if v, ok := parsed.Value("rmccd_replay_stage_duration_us_count", obs.L("stage", stage)); !ok || v != want {
+			t.Errorf("%s count = %v,%v, want %v", stage, v, ok, want)
+		}
 	}
 	// 5 progress frames (every 1000) + 1 result document... the final
 	// document is unframed JSON here? No: progress mode streams, so the

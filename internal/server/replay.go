@@ -45,10 +45,16 @@ const (
 //
 // Every replay runs under a span parented to the request span; each
 // applied chunk records queue-wait and engine-step stage spans (from the
-// shard pool's worker timestamps) and each written progress/result frame
-// an encode span. The per-chunk path stays allocation-free: stage
+// shard pool's worker timestamps), each body frame read a decode span,
+// the closing stats roll-up a rollup span, and each written
+// progress/result frame an encode span — together they account for the
+// request's time. The per-chunk path stays allocation-free: stage
 // recording is ring writes plus atomic histogram adds, and the sampled
 // debug log line is gated on Enabled before its arguments exist.
+//
+// The roll-up reads only the session's running counters
+// (sim.Lifetime.Counters): Figure 15's coverage scan over every data
+// counter is not part of ReplayStats, so no response pays for it.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server draining")
@@ -166,7 +172,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var res sim.LifetimeResult
-	if perr := s.pool.do(ctx, sess.shard, func() { res = sess.lt.Result() }); perr != nil {
+	rollStart := time.Now()
+	perr := s.pool.do(ctx, sess.shard, func() { res = sess.lt.Counters() })
+	s.spans.RecordT(stageRollup, sess.id, rtc.SpanID, rtc, rollStart.UnixNano(), time.Since(rollStart))
+	if perr != nil {
 		s.mReplaysCancel.Inc()
 		sess.lg.Info("replay cancelled", "applied", applied, "reason", "cancelled before stats rollup")
 		rw.fail(http.StatusServiceUnavailable, "replay cancelled before stats rollup")
@@ -314,9 +323,10 @@ func (s *Server) emitProgress(rw *replayWriter, sess *session, tc obs.TraceConte
 }
 
 // replayStream is the apply loop for a binary body: decode one RMTR
-// frame into the reused batch, apply it on the session's shard, account,
-// emit progress. Each frame is one batch — the sender's framing decides
-// the apply granularity (capped at trace.MaxFrameAccesses) — and the
+// frame into the reused batch (under a decode span, which covers the body
+// read as well), apply it on the session's shard, account, emit
+// progress. Each frame is one batch — the sender's framing decides the
+// apply granularity (capped at trace.MaxFrameAccesses) — and the
 // decode reuses the batch plus the reader's payload buffer, so steady
 // state allocates nothing per access or per frame. Decoding happens on
 // the handler goroutine; only a validated batch crosses into the shard,
@@ -330,8 +340,10 @@ func (s *Server) replayStream(ctx context.Context, sess *session, fr *trace.Fram
 		if err := ctx.Err(); err != nil {
 			return applied, err
 		}
+		start := time.Now()
 		var err error
 		batch, err = fr.DecodeInto(batch)
+		s.spans.RecordT(stageDecode, sess.id, tc.SpanID, tc, start.UnixNano(), time.Since(start))
 		switch {
 		case err == io.EOF:
 			return applied, nil

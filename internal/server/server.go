@@ -172,10 +172,6 @@ type Server struct {
 	mReplaysBinary   *obs.Counter
 	mReplayBytes     *obs.Counter
 
-	// Per-stage replay latency (µs): queue-wait, engine-step, encode.
-	mStageQueueWait *obs.Histogram
-	mStageEngine    *obs.Histogram
-	mStageEncode    *obs.Histogram
 	// Shard queue depth observed at each chunk enqueue.
 	mEnqueueDepth *obs.Histogram
 
@@ -203,9 +199,6 @@ func New(cfg Config) *Server {
 	}
 	s.forceCtx, s.forceCancel = context.WithCancel(context.Background())
 	s.initMetrics()
-	s.spans.RegisterStage(stageQueueWait, s.mStageQueueWait)
-	s.spans.RegisterStage(stageEngine, s.mStageEngine)
-	s.spans.RegisterStage(stageEncode, s.mStageEncode)
 	s.initRoutes()
 	if cfg.SnapshotDir != "" {
 		// Rehydrate crashed sessions before any request can race a create,
@@ -221,8 +214,10 @@ func New(cfg Config) *Server {
 
 // Span stage names (the "stage" label on rmccd_replay_stage_duration_us).
 const (
+	stageDecode    = "decode"
 	stageQueueWait = "queue-wait"
 	stageEngine    = "engine-step"
+	stageRollup    = "rollup"
 	stageEncode    = "encode"
 )
 
@@ -267,14 +262,12 @@ func (s *Server) initMetrics() {
 		func() float64 { return 1 },
 		obs.L("revision", buildinfo.GitSHA()), obs.L("version", buildinfo.Version()))
 
+	// Per-stage replay latency (µs), fed by the stage spans.
 	stageBuckets := obs.Pow2Buckets(1, 24) // 2µs .. ~16.8s
-	const stageHelp = "per-stage replay latency in microseconds"
-	s.mStageQueueWait = s.reg.Histogram("rmccd_replay_stage_duration_us",
-		stageHelp, stageBuckets, obs.L("stage", stageQueueWait))
-	s.mStageEngine = s.reg.Histogram("rmccd_replay_stage_duration_us",
-		stageHelp, stageBuckets, obs.L("stage", stageEngine))
-	s.mStageEncode = s.reg.Histogram("rmccd_replay_stage_duration_us",
-		stageHelp, stageBuckets, obs.L("stage", stageEncode))
+	for _, stage := range []string{stageDecode, stageQueueWait, stageEngine, stageRollup, stageEncode} {
+		s.spans.RegisterStage(stage, s.reg.Histogram("rmccd_replay_stage_duration_us",
+			"per-stage replay latency in microseconds", stageBuckets, obs.L("stage", stage)))
+	}
 	s.mEnqueueDepth = s.reg.Histogram("rmccd_queue_depth_at_enqueue",
 		"shard queue depth observed when a replay chunk was submitted",
 		obs.Pow2Buckets(0, 10))
@@ -604,7 +597,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sess.release()
 	var res sim.LifetimeResult
-	if err := s.pool.do(r.Context(), sess.shard, func() { res = sess.lt.Result() }); err != nil {
+	if err := s.pool.do(r.Context(), sess.shard, func() { res = sess.lt.Counters() }); err != nil {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}

@@ -146,6 +146,7 @@ func TestServiceMatchesDirectRun(t *testing.T) {
 		t.Fatalf("replay: %v", err)
 	}
 	assertSameRun(t, "workload shortcut", direct, viaWorkload)
+	assertSnapshotSameRun(t, c, info.ID, "workload shortcut", direct)
 
 	// Upload path: capture the same stream and send it as RMTR frames.
 	var accs []workload.Access
@@ -166,6 +167,18 @@ func TestServiceMatchesDirectRun(t *testing.T) {
 		t.Fatalf("binary replay: %v", err)
 	}
 	assertSameRun(t, "binary upload", direct, viaUpload)
+	assertSnapshotSameRun(t, c, info2.ID, "binary upload", direct)
+}
+
+// assertSnapshotSameRun requires the session's stats snapshot, a second
+// roll-up path, to match the direct run too.
+func assertSnapshotSameRun(t *testing.T, c *client.Client, id, label string, direct sim.LifetimeResult) {
+	t.Helper()
+	snap, err := c.Snapshot(context.Background(), id)
+	if err != nil {
+		t.Fatalf("%s snapshot: %v", label, err)
+	}
+	assertSameRun(t, label+" snapshot", direct, snap.Stats)
 }
 
 func assertSameRun(t *testing.T, label string, direct sim.LifetimeResult, got server.ReplayStats) {

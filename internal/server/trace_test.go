@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -126,15 +127,12 @@ func TestTracePropagationTracez(t *testing.T) {
 			t.Errorf("in-process span %s has no parent", sp.Name)
 		}
 	}
-	// 3000 accesses at chunk 1000 → exactly 3 of each stage span.
+	// 3000 accesses at chunk 1000 → exactly 3 of each chunk stage span,
+	// and one replay span with one stats roll-up.
 	if names["http.create"] != 1 || names["http.replay"] != 1 {
 		t.Errorf("request spans wrong: %v", names)
 	}
-	for _, stage := range []string{"queue-wait", "engine-step", "replay"} {
-		want := 3
-		if stage == "replay" {
-			want = 1
-		}
+	for stage, want := range map[string]int{"queue-wait": 3, "engine-step": 3, "replay": 1, "rollup": 1} {
 		if names[stage] != want {
 			t.Errorf("%s spans = %d, want %d (all %v)", stage, names[stage], want, names)
 		}
@@ -151,6 +149,80 @@ func TestTracePropagationTracez(t *testing.T) {
 	// Lookup input validation: a non-hex trace ID is a 400.
 	if _, err := c.Tracez(ctx, strings.Repeat("z", 32), 0); !isStatus(err, http.StatusBadRequest) {
 		t.Errorf("bad trace id lookup: %v, want 400", err)
+	}
+}
+
+// TestReplayStageCoverage: a replay's stage spans account for its request
+// span, so /debug/tracez can say where a replay's time went. The stages
+// under the replay span must sum to at least 90% of the http.replay span
+// for a server-side workload replay and for binary uploads, where the
+// decode stage carries the body read.
+func TestReplayStageCoverage(t *testing.T) {
+	_, c := newTestServer(t, server.Config{})
+	ctx := context.Background()
+
+	tc := obs.MintTraceContext()
+	tracedReplay(t, c, tc, 100_000)
+	assertStageCoverage(t, c, tc, "workload replay")
+
+	const upload = 32 << 10
+	accs, footprint := captureAccesses(t, "canneal", 1, 3*upload)
+	info, err := c.CreateSession(ctx, server.SessionConfig{
+		Mode: "rmcc", Scheme: "morphable", Seed: 1,
+		FootprintBytes: footprint, Label: "canneal",
+	})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		tc := obs.MintTraceContext()
+		if _, err := c.WithTraceContext(tc).ReplayAccessesBinary(ctx, info.ID, accs[i*upload:(i+1)*upload]); err != nil {
+			t.Fatalf("upload %d: %v", i+1, err)
+		}
+		assertStageCoverage(t, c, tc, fmt.Sprintf("upload %d", i+1))
+	}
+}
+
+// assertStageCoverage requires the stage spans under trace tc's replay
+// span to cover at least 90% of its http.replay span. Stages run one
+// after another on the handler, so they can never sum past it.
+func assertStageCoverage(t *testing.T, c *client.Client, tc obs.TraceContext, label string) {
+	t.Helper()
+	resp, err := c.Tracez(context.Background(), tc.TraceID(), 0)
+	if err != nil {
+		t.Fatalf("%s: tracez: %v", label, err)
+	}
+	var requestUS, replayID uint64
+	for _, sp := range resp.Spans {
+		switch sp.Name {
+		case "http.replay":
+			requestUS = sp.DurationUS
+		case "replay":
+			replayID = sp.ID
+		}
+	}
+	if requestUS == 0 || replayID == 0 {
+		t.Fatalf("%s: trace holds no http.replay or replay span", label)
+	}
+	stages := map[string]uint64{}
+	var stagesUS uint64
+	for _, sp := range resp.Spans {
+		if sp.Parent != replayID {
+			continue
+		}
+		switch sp.Name {
+		case "queue-wait", "engine-step", "decode", "rollup", "encode":
+			stages[sp.Name] += sp.DurationUS
+			stagesUS += sp.DurationUS
+		default:
+			t.Errorf("%s: unexpected span %q under the replay span", label, sp.Name)
+		}
+	}
+	ratio := float64(stagesUS) / float64(requestUS)
+	t.Logf("%s: stages cover %.3f of %d µs: %v", label, ratio, requestUS, stages)
+	if ratio < 0.9 || ratio > 1 {
+		t.Errorf("%s: stage spans sum to %d µs, %.3f of the %d µs request span; want [0.9, 1]",
+			label, stagesUS, ratio, requestUS)
 	}
 }
 

@@ -84,6 +84,8 @@ type LifetimeResult struct {
 
 	// CoveragePerValue is the mean number of data blocks whose counter
 	// equals a live memoized value, per memoized value (Figure 15).
+	// Lifetime.Result fills it with a scan of every data counter;
+	// Lifetime.Counters leaves it zero.
 	CoveragePerValue float64
 	// MaxCounter is the largest data counter at the end (§IV-D2's +24%).
 	MaxCounter uint64

@@ -101,11 +101,25 @@ func (lt *Lifetime) Accesses() uint64 { return lt.accesses }
 // MC exposes the underlying controller (snapshot endpoints, tests).
 func (lt *Lifetime) MC() *engine.MC { return lt.mc }
 
-// Result snapshots the run so far as a LifetimeResult. It is a pure read:
+// Result snapshots the run so far as a LifetimeResult: Counters plus
+// CoveragePerValue, Figure 15's whole-run metric, which scans every data
+// counter (O(data blocks) time, and it allocates). It is a pure read:
 // calling it mid-stream and continuing to Step is fine (but must happen
 // on the owning goroutine — the engine scan underneath is not
 // thread-safe).
 func (lt *Lifetime) Result() LifetimeResult {
+	res := lt.Counters()
+	if lt.mc.L0Table() != nil && lt.mc.Store() != nil {
+		res.CoveragePerValue = coveragePerValue(lt.mc)
+	}
+	return res
+}
+
+// Counters snapshots every LifetimeResult field except CoveragePerValue,
+// which it leaves zero. It reads only running counters — O(1) and
+// allocation-free — so it is the roll-up for per-request service stats.
+// Same single-owner rule as Result.
+func (lt *Lifetime) Counters() LifetimeResult {
 	res := LifetimeResult{
 		Workload:      lt.name,
 		Accesses:      lt.accesses,
@@ -120,9 +134,6 @@ func (lt *Lifetime) Result() LifetimeResult {
 	}
 	if lt.mc.Store() != nil {
 		res.MaxCounter = lt.mc.Store().ObservedMax()
-	}
-	if lt.mc.L0Table() != nil && lt.mc.Store() != nil {
-		res.CoveragePerValue = coveragePerValue(lt.mc)
 	}
 	return res
 }

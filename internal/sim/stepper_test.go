@@ -1,0 +1,63 @@
+package sim_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"rmcc/internal/secmem/counter"
+	"rmcc/internal/secmem/engine"
+	"rmcc/internal/sim"
+	"rmcc/internal/workload"
+)
+
+// TestCountersMatchResult: at several points along a seeded canneal
+// stream, Counters is Result without the Figure-15 coverage scan — every
+// other field equal — and in rmcc mode it allocates nothing, so the scan
+// cannot creep back into the per-request service roll-up.
+func TestCountersMatchResult(t *testing.T) {
+	for _, mode := range []engine.Mode{engine.NonSecure, engine.Baseline, engine.RMCC} {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			w, ok := workload.ByName(workload.SizeTest, 5, "canneal")
+			if !ok {
+				t.Fatal("no canneal workload")
+			}
+			cfg := sim.DefaultLifetimeConfig(engine.DefaultConfig(mode, counter.Morphable, 0))
+			cfg.Seed = 5
+			lt, err := sim.NewLifetimeChecked(w.Name(), w.FootprintBytes(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := sim.NewAccessStream(func(sink workload.Sink) { w.Run(cfg.Seed, sink) })
+			defer st.Close()
+			var res sim.LifetimeResult
+			for _, at := range []uint64{0, 1, 2_500, 10_000, 30_000} {
+				for lt.Accesses() < at {
+					a, ok := st.Next()
+					if !ok {
+						t.Fatal("stream exhausted")
+					}
+					lt.Step(a)
+				}
+				res = lt.Result()
+				want := res
+				want.CoveragePerValue = 0
+				if got := lt.Counters(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("at %d accesses: Counters differs from Result without coverage:\ngot:  %+v\nwant: %+v",
+						at, got, want)
+				}
+			}
+			if mode != engine.RMCC {
+				return
+			}
+			// The zeroed field is the one that costs: rmcc mode has a live
+			// table, so Result's scan found coverage to report.
+			if res.CoveragePerValue == 0 {
+				t.Fatal("rmcc Result reports no coverage; the comparison above proves nothing")
+			}
+			if allocs := testing.AllocsPerRun(100, func() { _ = lt.Counters() }); allocs != 0 {
+				t.Errorf("Counters allocates %.1f/op, want 0", allocs)
+			}
+		})
+	}
+}

@@ -107,6 +107,13 @@ grep -q 'rmccd_replay_bytes_total{wire="binary"}' "$workdir/metrics_wire.txt" \
     || { echo "service-smoke: /metrics missing binary-wire byte counter" >&2; exit 1; }
 grep -q 'rmccd_replay_requests_total{wire="binary"}' "$workdir/metrics_wire.txt" \
     || { echo "service-smoke: /metrics missing binary-wire request counter" >&2; exit 1; }
+# The RMTR upload above read frames (decode) and every replay rolled up
+# its stats (rollup): both stage histograms must have counted spans.
+for stage in decode rollup; do
+    awk -v series="rmccd_replay_stage_duration_us_count{stage=\"$stage\"}" \
+        '$1 == series && $2 > 0 { found = 1 } END { exit !found }' "$workdir/metrics_wire.txt" \
+        || { echo "service-smoke: /metrics has no $stage stage spans" >&2; exit 1; }
+done
 
 grep -q 'rmccd_replays_total{status="ok"}' "$workdir/metrics.txt" \
     || { echo "service-smoke: /metrics missing replay counters" >&2; exit 1; }
