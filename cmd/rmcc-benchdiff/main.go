@@ -3,14 +3,19 @@
 // BENCH_<date>.json) and fails when the current run regresses against the
 // baseline:
 //
+//   - a figure present in both reports changed any value: its series, its
+//     row names, or any cell (exact float64 equality; figure values are
+//     deterministic at a fixed seed),
 //   - a figure present in both reports got more than -threshold (default
 //     25%) slower in wall-clock seconds, or
 //   - a micro-benchmark present in both reports started allocating where
 //     the baseline did not (the engine read-hit path must stay 0
 //     allocs/op).
 //
-// Figures or micro-benchmarks present in only one report are listed but
-// never fail the diff — PRs add and remove figures.
+// Baseline figures the current run did not produce are skipped, so a
+// -figures subset compares only what it ran. New figures and
+// micro-benchmarks present in only one report are listed but never fail
+// the diff.
 //
 // Usage:
 //
@@ -26,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"rmcc/internal/buildinfo"
 )
@@ -40,8 +46,15 @@ type report struct {
 }
 
 type figure struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
+	Name    string   `json:"name"`
+	Seconds float64  `json:"seconds"`
+	Series  []string `json:"series"`
+	Rows    []row    `json:"rows"`
+}
+
+type row struct {
+	Name  string    `json:"name"`
+	Cells []float64 `json:"cells"`
 }
 
 type micro struct {
@@ -80,14 +93,16 @@ func main() {
 
 	regressions := diff(os.Stdout, base, cur, *threshold)
 	if regressions > 0 {
-		fmt.Printf("\n%d regression(s) beyond %.0f%% threshold\n", regressions, 100**threshold)
+		fmt.Printf("\n%d regression(s) (changed figure values, >%.0f%% slower figures, or new allocations)\n",
+			regressions, 100**threshold)
 		os.Exit(1)
 	}
 	fmt.Println("\nno regressions")
 }
 
 // diff writes the figure and micro comparison tables to w and returns
-// the number of regressions. Entries present in only one report are
+// the number of regressions. Baseline figures missing from the current
+// report are skipped; other entries present in only one report are
 // listed and never counted.
 func diff(w io.Writer, base, cur report, threshold float64) int {
 	regressions := 0
@@ -103,7 +118,6 @@ func diff(w io.Writer, base, cur report, threshold float64) int {
 			fmt.Fprintf(w, "%-24s %12s %12.2f %8s  (new figure, not compared)\n", f.Name, "-", f.Seconds, "-")
 			continue
 		}
-		delete(baseFigs, f.Name)
 		rel := 0.0
 		if b.Seconds > 0 {
 			rel = f.Seconds/b.Seconds - 1
@@ -113,12 +127,11 @@ func diff(w io.Writer, base, cur report, threshold float64) int {
 			mark = "  REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(w, "%-24s %12.2f %12.2f %+7.1f%%%s\n", f.Name, b.Seconds, f.Seconds, 100*rel, mark)
-	}
-	for _, b := range base.Figures {
-		if _, removed := baseFigs[b.Name]; removed {
-			fmt.Fprintf(w, "%-24s %12.2f %12s %8s  (removed figure, not compared)\n", b.Name, b.Seconds, "-", "-")
+		if d := valuesDiffer(b, f); d != "" {
+			mark += "  REGRESSION (values: " + d + ")"
+			regressions++
 		}
+		fmt.Fprintf(w, "%-24s %12.2f %12.2f %+7.1f%%%s\n", f.Name, b.Seconds, f.Seconds, 100*rel, mark)
 	}
 
 	baseMicro := map[string]micro{}
@@ -148,6 +161,28 @@ func diff(w io.Writer, base, cur report, threshold float64) int {
 		}
 	}
 	return regressions
+}
+
+// valuesDiffer describes the first value that differs between a figure's
+// baseline and current tables, or returns "" when the series, the row
+// names and every cell are identical.
+func valuesDiffer(b, c figure) string {
+	if !slices.Equal(b.Series, c.Series) {
+		return fmt.Sprintf("series %q -> %q", b.Series, c.Series)
+	}
+	if len(b.Rows) != len(c.Rows) {
+		return fmt.Sprintf("%d rows -> %d", len(b.Rows), len(c.Rows))
+	}
+	for i, br := range b.Rows {
+		cr := c.Rows[i]
+		if br.Name != cr.Name {
+			return fmt.Sprintf("row %d %q -> %q", i, br.Name, cr.Name)
+		}
+		if !slices.Equal(br.Cells, cr.Cells) {
+			return fmt.Sprintf("row %s cells %v -> %v", br.Name, br.Cells, cr.Cells)
+		}
+	}
+	return ""
 }
 
 func load(path string) (report, error) {

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"reflect"
@@ -67,24 +68,18 @@ func main() {
 		timeout    = flag.Duration("timeout", 5*time.Minute, "overall deadline")
 		metricsOut = flag.String("metrics-out", "", "scrape /metrics after the run to this file (- for stdout), with client-side latency quantiles appended")
 		traceIDs   = flag.String("trace-ids-out", "", "write one \"session trace-id\" line per session to this file (- for stdout)")
-		logLevel   = flag.String("log-level", "warn", "minimum log level: debug|info|warn|error")
-		logFormat  = flag.String("log-format", "text", "log line encoding: text|json")
 		version    = flag.Bool("version", false, "print version and exit")
+		logLevel   slog.Level
+		logFormat  obs.LogFormat
 	)
+	flag.TextVar(&logLevel, "log-level", slog.LevelWarn, "minimum log level: debug|info|warn|error")
+	flag.TextVar(&logFormat, "log-format", obs.LogFormat("text"), "log line encoding: text|json")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("rmcc-loadgen"))
 		return
 	}
-	level, err := obs.ParseLogLevel(*logLevel)
-	if err != nil {
-		fatal(err)
-	}
-	format, err := obs.ParseLogFormat(*logFormat)
-	if err != nil {
-		fatal(err)
-	}
-	lg := obs.NewLogger(os.Stderr, level, format)
+	lg := obs.NewLogger(os.Stderr, logLevel, logFormat)
 	if *replays < 1 {
 		*replays = 1
 	}

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -48,27 +49,19 @@ func run() int {
 		healthEvery = flag.Duration("health-every", 2*time.Second, "node health-check poll interval")
 		flightCap   = flag.Int("flight-cap", 1<<20, "flight-recorder ring capacity in bytes: the router's span store behind /debug/tracez")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight proxied requests")
-		logLevel    = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-		logFormat   = flag.String("log-format", "text", "log line encoding: text|json")
 		version     = flag.Bool("version", false, "print version and exit")
+		logLevel    slog.Level
+		logFormat   obs.LogFormat
 	)
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug|info|warn|error")
+	flag.TextVar(&logFormat, "log-format", obs.LogFormat("text"), "log line encoding: text|json")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("rmcc-router"))
 		return 0
 	}
 
-	level, err := obs.ParseLogLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rmcc-router:", err)
-		return 2
-	}
-	format, err := obs.ParseLogFormat(*logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rmcc-router:", err)
-		return 2
-	}
-	log := obs.NewLogger(os.Stderr, level, format).
+	log := obs.NewLogger(os.Stderr, logLevel, logFormat).
 		With("version", buildinfo.Version())
 
 	var nodeList []string

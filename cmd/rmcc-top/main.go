@@ -49,7 +49,7 @@ func main() {
 		return
 	}
 	if *flight != "" {
-		if err := runFlight(*flight); err != nil {
+		if err := runFlight(os.Stdout, *flight); err != nil {
 			fmt.Fprintln(os.Stderr, "rmcc-top:", err)
 			os.Exit(1)
 		}

@@ -129,10 +129,11 @@ func renderTraceTree(spans []server.TracezSpan) string {
 }
 
 // runFlight decodes a flight-recorder dump file ("-" for stdin) and
-// prints its contents: header, span table (with trace IDs), events, and
-// captured warn+ log lines. Exits non-zero via the caller when the file
-// is missing or corrupt — the recovery smoke leans on that.
-func runFlight(path string) error {
+// prints its contents to w: header, span table (with trace IDs), events
+// by kind name, and captured warn+ log lines. Exits non-zero via the
+// caller when the file is missing or corrupt — the recovery smoke leans
+// on that.
+func runFlight(w io.Writer, path string) error {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -146,7 +147,7 @@ func runFlight(path string) error {
 	if err != nil {
 		return fmt.Errorf("decode flight dump %s: %w", path, err)
 	}
-	fmt.Printf("flight dump — node %s  records %d  dropped %d  spans %d  events %d  logs %d\n",
+	fmt.Fprintf(w, "flight dump — node %s  records %d  dropped %d  spans %d  events %d  logs %d\n",
 		d.Node, d.Records, d.Dropped, len(d.Spans), len(d.Events), len(d.Logs))
 	for _, sp := range d.Spans {
 		trace := sp.TraceID()
@@ -157,16 +158,16 @@ func runFlight(path string) error {
 		if detail != "" {
 			detail = "  " + detail
 		}
-		fmt.Printf("span %s %10dµs  parent=%d remote=%d trace=%s  %s%s\n",
+		fmt.Fprintf(w, "span %s %10dµs  parent=%d remote=%d trace=%s  %s%s\n",
 			time.Unix(0, sp.Start).UTC().Format(time.RFC3339Nano),
 			uint64(sp.Duration)/1e3, sp.Parent, sp.Remote, trace, sp.Name, detail)
 	}
 	for _, ev := range d.Events {
-		fmt.Printf("event seq=%d kind=%d addr=%#x v1=%d v2=%d\n",
+		fmt.Fprintf(w, "event seq=%d kind=%s addr=%#x v1=%d v2=%d\n",
 			ev.Seq, ev.Kind, ev.Addr, ev.V1, ev.V2)
 	}
 	for _, l := range d.Logs {
-		fmt.Printf("log %s [%s] %s\n",
+		fmt.Fprintf(w, "log %s [%s] %s\n",
 			time.Unix(0, l.TimeNS).UTC().Format(time.RFC3339Nano), l.Level, l.Line)
 	}
 	return nil

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -59,29 +60,21 @@ func run() int {
 		flightFile  = flag.String("flight-file", "", "crash-durable flight-recorder dump path (default <snapshot-dir>/flight.rec; off when both empty)")
 		flightEvery = flag.Duration("flight-every", 2*time.Second, "periodic flight-recorder flush interval (with -flight-file)")
 		flightCap   = flag.Int("flight-cap", 1<<20, "flight-recorder ring capacity in bytes: the one store behind /debug/tracez, /debug/flightz and flight dumps")
-		logLevel    = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-		logFormat   = flag.String("log-format", "text", "log line encoding: text|json")
 		debugAddr   = flag.String("debug-addr", "", "serve /statusz, /debug/tracez and /debug/pprof on this extra listener (off when empty)")
 		debugPort   = flag.String("debug-port-file", "", "write the resolved debug listen address to this file")
 		version     = flag.Bool("version", false, "print version and exit")
+		logLevel    slog.Level
+		logFormat   obs.LogFormat
 	)
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug|info|warn|error")
+	flag.TextVar(&logFormat, "log-format", obs.LogFormat("text"), "log line encoding: text|json")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("rmccd"))
 		return 0
 	}
 
-	level, err := obs.ParseLogLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rmccd:", err)
-		return 2
-	}
-	format, err := obs.ParseLogFormat(*logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rmccd:", err)
-		return 2
-	}
-	log := obs.NewLogger(os.Stderr, level, format).
+	log := obs.NewLogger(os.Stderr, logLevel, logFormat).
 		With("version", buildinfo.Version())
 
 	cfg := server.Config{
@@ -120,7 +113,7 @@ func run() int {
 	// even a SIGKILL'd process leaves a recent postmortem file behind.
 	flight := obs.NewFlightRecorder(*flightCap, cfg.NodeID)
 	cfg.Flight = flight
-	log.AttachFlight(flight)
+	obs.AttachFlight(log, flight)
 	ffile := *flightFile
 	if ffile == "" && *snapDir != "" {
 		ffile = filepath.Join(*snapDir, "flight.rec")

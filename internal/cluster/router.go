@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httputil"
@@ -58,8 +59,9 @@ type Config struct {
 	// (default obs.DefaultFlightCap).
 	FlightCap int
 
-	// Logger receives structured operational logs (nil disables).
-	Logger *obs.Logger
+	// Logger receives structured operational logs (default
+	// obs.DiscardLogger, which writes nothing).
+	Logger *slog.Logger
 	// Now is the clock, injectable for tests (default time.Now).
 	Now func() time.Time
 }
@@ -94,6 +96,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Now == nil {
 		c.Now = time.Now
+	}
+	if c.Logger == nil {
+		c.Logger = obs.DiscardLogger()
 	}
 	return c
 }
@@ -147,7 +152,7 @@ type entry struct {
 // the /v1/cluster control plane.
 type Router struct {
 	cfg     Config
-	log     *obs.Logger
+	log     *slog.Logger
 	reg     *obs.Registry
 	spans   *obs.SpanTracer
 	mux     *http.ServeMux

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -232,7 +233,7 @@ func TestRouterReplayMatchesDirectRun(t *testing.T) {
 // to an uninterrupted direct run.
 func TestRouterDrainBitIdentical(t *testing.T) {
 	tc := newTestCluster(t, 3, cluster.Config{
-		Logger: obs.NewLogger(bytes.NewBuffer(nil), obs.LogWarn, obs.LogText),
+		Logger: obs.NewLogger(bytes.NewBuffer(nil), slog.LevelWarn, "text"),
 	})
 	ctx := context.Background()
 	const nSessions, half = 9, 10_000

@@ -146,15 +146,16 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got Manifest
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Tool != "rmccsim" || got.Seed != 7 || got.Headline["ipc"] != 2.25 ||
 		got.Notes["driver"] != "lifetime" || got.SchemaVersion != ManifestSchemaVersion {
 		t.Errorf("round trip mismatch: %+v", got)
-	}
-	if keys := got.HeadlineKeys(); len(keys) != 1 || keys[0] != "ipc" {
-		t.Errorf("HeadlineKeys = %v", keys)
 	}
 }

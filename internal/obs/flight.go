@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 
 	"rmcc/internal/snapshot"
@@ -30,8 +31,9 @@ import (
 // Flight dump format identifiers.
 const (
 	flightMagic = "RMCCFLT1"
-	// FlightVersion is the dump format version.
-	FlightVersion = 1
+	// FlightVersion is the dump format version. Version 2 stores a log
+	// record's level as the int8 of its slog.Level.
+	FlightVersion = 2
 )
 
 // Flight record kinds (the u8 frame tag).
@@ -67,8 +69,8 @@ var ErrFlightCorrupt = errors.New("flight dump corrupt")
 var ErrFlightVersion = errors.New("flight dump version unsupported")
 
 // FlightRecorder is the in-memory ring. Safe for concurrent recording
-// from handler goroutines, the span tracer, and the log sink. Nil-safe:
-// every method on a nil recorder is a no-op.
+// from handler goroutines, the span tracer, and AttachFlight's log tee.
+// Nil-safe: every method on a nil recorder is a no-op.
 type FlightRecorder struct {
 	node string
 
@@ -215,10 +217,9 @@ func (f *FlightRecorder) RecordEvent(e Event) {
 // campaign-instrumented tracer streams its events into the crash ring.
 func (f *FlightRecorder) OnEvent(e Event) { f.RecordEvent(e) }
 
-// RecordLog captures one rendered log line (the warn+ feed from the
-// logger sink). A trailing newline is stripped; long lines truncate.
-// Allocation-free.
-func (f *FlightRecorder) RecordLog(tsNS int64, level LogLevel, line []byte) {
+// RecordLog captures one log line (the warn+ feed from AttachFlight). A
+// trailing newline is stripped; long lines truncate. Allocation-free.
+func (f *FlightRecorder) RecordLog(tsNS int64, level slog.Level, line []byte) {
 	if f == nil {
 		return
 	}
@@ -237,7 +238,7 @@ func (f *FlightRecorder) RecordLog(tsNS int64, level LogLevel, line []byte) {
 	}
 	s := f.scratch[:9]
 	binary.LittleEndian.PutUint64(s[0:], uint64(tsNS))
-	s[8] = byte(level)
+	s[8] = byte(int8(level))
 	w = f.put(w, s)
 	f.put(w, line)
 	f.mu.Unlock()
@@ -366,7 +367,7 @@ func (f *FlightRecorder) DumpToFile(path string) error {
 // FlightLog is one decoded log record.
 type FlightLog struct {
 	TimeNS int64
-	Level  LogLevel
+	Level  slog.Level
 	Line   string
 }
 
@@ -460,7 +461,7 @@ func (d *FlightDump) decodeBody(body []byte) error {
 			}
 			d.Logs = append(d.Logs, FlightLog{
 				TimeNS: int64(binary.LittleEndian.Uint64(p[0:])),
-				Level:  LogLevel(int8(p[8])),
+				Level:  slog.Level(int8(p[8])),
 				Line:   string(p[9:]),
 			})
 		default:

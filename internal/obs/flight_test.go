@@ -2,10 +2,14 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -33,7 +37,7 @@ func TestFlightRoundTrip(t *testing.T) {
 	fr.RecordSpan(span)
 	ev := Event{Seq: 9, Kind: EvFaultInjected, Addr: 0x1000, V1: 2, V2: 3}
 	fr.RecordEvent(ev)
-	fr.RecordLog(777, LogWarn, []byte("ts=x level=warn msg=boom\n"))
+	fr.RecordLog(777, slog.LevelWarn, []byte("ts=x level=warn msg=boom\n"))
 
 	d := dumpAndRead(t, fr)
 	if d.Node != "node-a" || d.Records != 3 || d.Dropped != 0 {
@@ -45,7 +49,7 @@ func TestFlightRoundTrip(t *testing.T) {
 	if len(d.Events) != 1 || d.Events[0] != ev {
 		t.Fatalf("events = %+v, want [%+v]", d.Events, ev)
 	}
-	want := FlightLog{TimeNS: 777, Level: LogWarn, Line: "ts=x level=warn msg=boom"}
+	want := FlightLog{TimeNS: 777, Level: slog.LevelWarn, Line: "ts=x level=warn msg=boom"}
 	if len(d.Logs) != 1 || d.Logs[0] != want {
 		t.Fatalf("logs = %+v, want [%+v]", d.Logs, want)
 	}
@@ -81,7 +85,7 @@ func TestFlightEviction(t *testing.T) {
 func TestFlightTruncatesOversize(t *testing.T) {
 	fr := NewFlightRecorder(1<<16, "n")
 	fr.RecordSpan(SpanRecord{ID: 1, Name: strings.Repeat("n", 400), Detail: strings.Repeat("d", 5000)})
-	fr.RecordLog(1, LogError, []byte(strings.Repeat("x", 10000)))
+	fr.RecordLog(1, slog.LevelError, []byte(strings.Repeat("x", 10000)))
 	d := dumpAndRead(t, fr)
 	if len(d.Spans[0].Name) != flightMaxName || len(d.Spans[0].Detail) != flightMaxDetail {
 		t.Fatalf("span strings not truncated: %d/%d", len(d.Spans[0].Name), len(d.Spans[0].Detail))
@@ -95,7 +99,7 @@ func TestFlightNilSafe(t *testing.T) {
 	var fr *FlightRecorder
 	fr.RecordSpan(SpanRecord{})
 	fr.RecordEvent(Event{})
-	fr.RecordLog(0, LogWarn, nil)
+	fr.RecordLog(0, slog.LevelWarn, nil)
 	if fr.Records() != 0 || fr.Dropped() != 0 || fr.Bytes() != 0 || fr.Cap() != 0 || fr.Node() != "" {
 		t.Fatal("nil recorder accessors must be zero")
 	}
@@ -114,7 +118,7 @@ func TestFlightRecordAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(500, func() { fr.RecordEvent(Event{Seq: 1}) }); a != 0 {
 		t.Fatalf("RecordEvent allocates %.1f/op, want 0", a)
 	}
-	if a := testing.AllocsPerRun(500, func() { fr.RecordLog(1, LogWarn, line) }); a != 0 {
+	if a := testing.AllocsPerRun(500, func() { fr.RecordLog(1, slog.LevelWarn, line) }); a != 0 {
 		t.Fatalf("RecordLog allocates %.1f/op, want 0", a)
 	}
 	// Steady state includes eviction: fill a small ring and keep writing.
@@ -130,24 +134,57 @@ func TestFlightRecordAllocFree(t *testing.T) {
 func TestLoggerFlightAttachment(t *testing.T) {
 	fr := NewFlightRecorder(1<<16, "n")
 	var out bytes.Buffer
-	lg := NewLogger(&out, LogDebug, LogText).
-		WithClock(func() time.Time { return time.Unix(10, 0) })
-	lg.AttachFlight(fr)
+	lg := NewLogger(&out, slog.LevelDebug, "json")
+	AttachFlight(lg, fr)
+	t0 := time.Now()
 	lg.Info("fine", "k", "v")                 // below warn: not captured
 	lg.Warn("trouble", "err", "x")            // captured
-	lg.With("session", "s-1").Error("broken") // children share the sink
+	lg.With("session", "s-1").Error("broken") // children share the tee
+	t1 := time.Now()
 	d := dumpAndRead(t, fr)
 	if len(d.Logs) != 2 {
 		t.Fatalf("flight captured %d lines, want 2 (warn+error): %+v", len(d.Logs), d.Logs)
 	}
-	if d.Logs[0].Level != LogWarn || !strings.Contains(d.Logs[0].Line, "msg=trouble") {
-		t.Fatalf("first captured line = %+v", d.Logs[0])
+	want := []FlightLog{
+		{Level: slog.LevelWarn, Line: "msg=trouble err=x"},
+		{Level: slog.LevelError, Line: "msg=broken session=s-1"},
 	}
-	if d.Logs[1].Level != LogError || !strings.Contains(d.Logs[1].Line, "session=s-1") {
-		t.Fatalf("second captured line = %+v", d.Logs[1])
+	for i, l := range d.Logs {
+		if l.Level != want[i].Level || l.Line != want[i].Line {
+			t.Errorf("captured line %d = %+v, want %+v", i, l, want[i])
+		}
+		if l.TimeNS < t0.UnixNano() || l.TimeNS > t1.UnixNano() {
+			t.Errorf("captured ts %d outside [%d, %d]", l.TimeNS, t0.UnixNano(), t1.UnixNano())
+		}
 	}
-	if d.Logs[0].TimeNS != time.Unix(10, 0).UnixNano() {
-		t.Fatalf("captured ts = %d", d.Logs[0].TimeNS)
+}
+
+// TestLoggerFlightTeeConcurrent: With children logging from several
+// goroutines share one line count and one flight tee (run under -race).
+func TestLoggerFlightTeeConcurrent(t *testing.T) {
+	fr := NewFlightRecorder(1<<20, "n")
+	lg := NewLogger(io.Discard, slog.LevelInfo, "text")
+	AttachFlight(lg, fr)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			child := lg.With("g", g)
+			for i := 0; i < 50; i++ {
+				child.Warn("slow", "i", i)
+			}
+		}(g)
+	}
+	wg.Wait()
+	d := dumpAndRead(t, fr)
+	if LogLines(lg) != 400 || len(d.Logs) != 400 {
+		t.Fatalf("LogLines = %d, flight logs = %d, want 400 each", LogLines(lg), len(d.Logs))
+	}
+	for _, l := range d.Logs {
+		if !strings.HasPrefix(l.Line, "msg=slow g=") || !strings.Contains(l.Line, " i=") {
+			t.Fatalf("torn flight line %q", l.Line)
+		}
 	}
 }
 
@@ -204,6 +241,11 @@ func TestReadFlightDumpRejects(t *testing.T) {
 	vbad := append([]byte{}, good...)
 	vbad[8] = 99
 	cases["bad version"] = vbad
+	v1 := append([]byte{}, good...)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	if _, err := ReadFlightDump(bytes.NewReader(v1)); !errors.Is(err, ErrFlightVersion) {
+		t.Errorf("version-1 dump: err = %v, want ErrFlightVersion", err)
+	}
 	for name, data := range cases {
 		_, err := ReadFlightDump(bytes.NewReader(data))
 		if err == nil {
@@ -222,7 +264,7 @@ func FuzzFlightDecode(f *testing.F) {
 	fr := NewFlightRecorder(1<<12, "seed-node")
 	fr.RecordSpan(SpanRecord{ID: 1, TraceHi: 1, TraceLo: 2, Name: "replay", Detail: "s-1"})
 	fr.RecordEvent(Event{Seq: 1, Kind: EvFaultInjected})
-	fr.RecordLog(1, LogWarn, []byte("msg=x"))
+	fr.RecordLog(1, slog.LevelWarn, []byte("msg=x"))
 	var buf bytes.Buffer
 	if err := fr.Dump(&buf); err != nil {
 		f.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"sort"
 
 	"rmcc/internal/buildinfo"
 )
@@ -75,19 +74,6 @@ func (m Manifest) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadManifest parses a manifest file.
-func ReadManifest(path string) (Manifest, error) {
-	var m Manifest
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(b, &m); err != nil {
-		return m, fmt.Errorf("obs: parse manifest %s: %w", path, err)
-	}
-	return m, nil
-}
-
 // HashConfig fingerprints any JSON-serializable configuration with FNV-1a
 // over its canonical (sorted-key) JSON encoding. Not cryptographic — it
 // only needs to distinguish configurations for diffing.
@@ -112,15 +98,4 @@ func GitSHA() string {
 		return sha
 	}
 	return buildinfo.GitSHA()
-}
-
-// HeadlineKeys returns the manifest's headline metric names sorted — the
-// iteration order for rendering and diffing.
-func (m Manifest) HeadlineKeys() []string {
-	keys := make([]string, 0, len(m.Headline))
-	for k := range m.Headline {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,341 +1,163 @@
 package obs
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the service-side structured logging component: a leveled,
-// nil-safe logger with deterministic text/JSON encodings, pre-bound
-// key/value fields (session, shard, workload, seed, ...), an injectable
-// clock for golden tests, and a rate-limit sampler for hot-path call
-// sites. Like every obs instrument it costs one branch when disabled:
-// all methods on a nil *Logger are no-ops, and Enabled lets hot paths
-// skip argument construction entirely.
+// This file is the service-side glue around the standard library's
+// log/slog. NewLogger builds a *slog.Logger whose lines keep this
+// repository's schema, counts the lines its logger family writes
+// (LogLines), and, once AttachFlight has run, tees every warn+ record
+// into a FlightRecorder. DiscardLogger is the disabled state, and
+// LogSampler rate-limits hot-path call sites.
 
-// LogLevel orders log severities, lowest first.
-type LogLevel int8
+// LogFormat selects the line encoding: "text" renders ts=… level=…
+// msg=… k=v lines (values quoted only when they contain spaces, quotes
+// or '='); "json" renders one object per line with keys in the order
+// ts, level, msg, bound fields, call-site fields. A -log-format flag
+// parses into it through flag.TextVar.
+type LogFormat string
 
-// Log levels, in increasing severity.
-const (
-	LogDebug LogLevel = iota
-	LogInfo
-	LogWarn
-	LogError
-)
-
-// String names the level (stable: part of the log schema).
-func (l LogLevel) String() string {
-	switch l {
-	case LogDebug:
-		return "debug"
-	case LogInfo:
-		return "info"
-	case LogWarn:
-		return "warn"
-	case LogError:
-		return "error"
-	default:
-		return fmt.Sprintf("LogLevel(%d)", int(l))
-	}
-}
-
-// ParseLogLevel maps a -log-level flag value to a level.
-func ParseLogLevel(s string) (LogLevel, error) {
-	switch s {
-	case "debug":
-		return LogDebug, nil
-	case "info":
-		return LogInfo, nil
-	case "warn":
-		return LogWarn, nil
-	case "error":
-		return LogError, nil
-	}
-	return 0, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", s)
-}
-
-// LogFormat selects the line encoding.
-type LogFormat int8
-
-// Log formats.
-const (
-	// LogText renders ts=... level=... msg=... k=v lines (values quoted
-	// only when they contain spaces, quotes, or '=').
-	LogText LogFormat = iota
-	// LogJSON renders one JSON object per line with keys in insertion
-	// order: ts, level, msg, then bound fields, then call-site fields.
-	LogJSON
-)
-
-// ParseLogFormat maps a -log-format flag value to a format.
-func ParseLogFormat(s string) (LogFormat, error) {
-	switch s {
-	case "text":
-		return LogText, nil
-	case "json":
-		return LogJSON, nil
-	}
-	return 0, fmt.Errorf("unknown log format %q (want text|json)", s)
-}
-
-// logSink is the shared output side of a logger family: one writer, one
-// level gate, one clock. Child loggers created by With share it.
-type logSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	level  LogLevel
-	format LogFormat
-	now    func() time.Time
-	lines  atomic.Uint64
-	flight *FlightRecorder
-}
-
-// logField is one pre-stringified key/value pair. raw values (numbers,
-// bools) render unquoted in JSON.
-type logField struct {
-	key string
-	val string
-	raw bool
-}
-
-// Logger is a leveled structured logger. The zero value is not usable;
-// build one with NewLogger. Nil-safe: every method on a nil *Logger is a
-// no-op, which is the disabled state — components carry a nil logger
-// unless one is attached, and pay one branch per call site.
-//
-// Encoding is deterministic: fields render in binding order, floats in
-// shortest round-trip form, and with an injected fixed clock two equal
-// call sequences produce byte-identical output.
-type Logger struct {
-	sink   *logSink
-	fields []logField
-}
-
-// NewLogger builds a logger emitting lines at or above level to w.
-func NewLogger(w io.Writer, level LogLevel, format LogFormat) *Logger {
-	return &Logger{sink: &logSink{w: w, level: level, format: format, now: time.Now}}
-}
-
-// WithClock replaces the timestamp source for the whole logger family
-// (tests). Returns the receiver for chaining; not safe to call
-// concurrently with logging.
-func (l *Logger) WithClock(now func() time.Time) *Logger {
-	if l != nil && now != nil {
-		l.sink.now = now
-	}
-	return l
-}
-
-// AttachFlight tees every warn+ line the logger family emits into the
-// flight recorder's crash ring (the rendered line, sans newline).
-// Configuration-time only; applies to the whole family, children
-// included. Nil-safe.
-func (l *Logger) AttachFlight(fr *FlightRecorder) {
-	if l != nil {
-		l.sink.flight = fr
-	}
-}
-
-// Lines returns how many lines the logger family has emitted (0 on nil).
-func (l *Logger) Lines() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.sink.lines.Load()
-}
-
-// Enabled reports whether a record at level would be emitted (false on
-// nil). Hot paths gate argument construction on it so a disabled or
-// filtered call site costs one branch and no allocations.
-func (l *Logger) Enabled(level LogLevel) bool {
-	return l != nil && level >= l.sink.level
-}
-
-// With returns a child logger whose lines carry the given key/value
-// pairs ahead of any call-site pairs. Values are stringified once, at
-// binding time. Nil-safe: With on a nil logger returns nil.
-func (l *Logger) With(kvs ...any) *Logger {
-	if l == nil {
+// UnmarshalText accepts "text" or "json".
+func (f *LogFormat) UnmarshalText(b []byte) error {
+	switch LogFormat(b) {
+	case "text", "json":
+		*f = LogFormat(b)
 		return nil
 	}
-	fs := appendFields(nil, kvs)
-	if len(fs) == 0 {
-		return l
-	}
-	child := &Logger{sink: l.sink, fields: make([]logField, 0, len(l.fields)+len(fs))}
-	child.fields = append(child.fields, l.fields...)
-	child.fields = append(child.fields, fs...)
-	return child
+	return fmt.Errorf("unknown log format %q (want text|json)", b)
 }
 
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, kvs ...any) { l.log(LogDebug, msg, kvs) }
+// MarshalText returns the format name.
+func (f LogFormat) MarshalText() ([]byte, error) { return []byte(f), nil }
 
-// Info logs at info level.
-func (l *Logger) Info(msg string, kvs ...any) { l.log(LogInfo, msg, kvs) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, kvs ...any) { l.log(LogWarn, msg, kvs) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, kvs ...any) { l.log(LogError, msg, kvs) }
-
-func (l *Logger) log(level LogLevel, msg string, kvs []any) {
-	if !l.Enabled(level) {
-		return
+// NewLogger builds a logger writing lines at or above level to w.
+func NewLogger(w io.Writer, level slog.Level, format LogFormat) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: level, ReplaceAttr: schemaAttr}
+	var out slog.Handler = slog.NewTextHandler(w, opts)
+	if format == "json" {
+		out = slog.NewJSONHandler(w, opts)
 	}
-	fs := appendFields(nil, kvs)
-	buf := make([]byte, 0, 256)
-	now := l.sink.now()
-	ts := now.UTC().Format(time.RFC3339Nano)
-	switch l.sink.format {
-	case LogJSON:
-		buf = append(buf, `{"ts":`...)
-		buf = appendJSONString(buf, ts)
-		buf = append(buf, `,"level":`...)
-		buf = appendJSONString(buf, level.String())
-		buf = append(buf, `,"msg":`...)
-		buf = appendJSONString(buf, msg)
-		for _, f := range l.fields {
-			buf = appendJSONField(buf, f)
-		}
-		for _, f := range fs {
-			buf = appendJSONField(buf, f)
-		}
-		buf = append(buf, '}', '\n')
-	default:
-		buf = append(buf, "ts="...)
-		buf = append(buf, ts...)
-		buf = append(buf, " level="...)
-		buf = append(buf, level.String()...)
-		buf = append(buf, " msg="...)
-		buf = appendTextValue(buf, msg)
-		for _, f := range l.fields {
-			buf = appendTextField(buf, f)
-		}
-		for _, f := range fs {
-			buf = appendTextField(buf, f)
-		}
-		buf = append(buf, '\n')
-	}
-	l.sink.mu.Lock()
-	_, _ = l.sink.w.Write(buf)
-	l.sink.mu.Unlock()
-	if level >= LogWarn {
-		l.sink.flight.RecordLog(now.UnixNano(), level, buf) // nil-safe
-	}
-	l.sink.lines.Add(1)
+	tee := &logTee{}
+	line := slog.NewTextHandler(&tee.buf, &slog.HandlerOptions{ReplaceAttr: flightAttr})
+	return slog.New(&logHandler{Handler: out, line: line, tee: tee})
 }
 
-// appendFields stringifies alternating key/value pairs. A trailing
-// unpaired value is kept under the key "!BADKEY" rather than dropped.
-func appendFields(dst []logField, kvs []any) []logField {
-	for i := 0; i+1 < len(kvs); i += 2 {
-		key, ok := kvs[i].(string)
-		if !ok {
-			key = fmt.Sprint(kvs[i])
-		}
-		dst = append(dst, fieldFor(key, kvs[i+1]))
-	}
-	if len(kvs)%2 == 1 {
-		dst = append(dst, fieldFor("!BADKEY", kvs[len(kvs)-1]))
-	}
-	return dst
-}
-
-func fieldFor(key string, v any) logField {
-	switch x := v.(type) {
-	case string:
-		return logField{key: key, val: x}
-	case int:
-		return logField{key: key, val: strconv.Itoa(x), raw: true}
-	case int64:
-		return logField{key: key, val: strconv.FormatInt(x, 10), raw: true}
-	case uint:
-		return logField{key: key, val: strconv.FormatUint(uint64(x), 10), raw: true}
-	case uint64:
-		return logField{key: key, val: strconv.FormatUint(x, 10), raw: true}
-	case float64:
-		return logField{key: key, val: formatFloat(x), raw: true}
-	case bool:
-		return logField{key: key, val: strconv.FormatBool(x), raw: true}
-	case time.Duration:
-		return logField{key: key, val: x.String()}
-	case error:
-		if x == nil {
-			return logField{key: key, val: "<nil>"}
-		}
-		return logField{key: key, val: x.Error()}
-	case fmt.Stringer:
-		return logField{key: key, val: x.String()}
-	default:
-		return logField{key: key, val: fmt.Sprint(v)}
-	}
-}
-
-func appendJSONField(buf []byte, f logField) []byte {
-	buf = append(buf, ',')
-	buf = appendJSONString(buf, f.key)
-	buf = append(buf, ':')
-	if f.raw {
-		return append(buf, f.val...)
-	}
-	return appendJSONString(buf, f.val)
-}
-
-func appendTextField(buf []byte, f logField) []byte {
-	buf = append(buf, ' ')
-	buf = append(buf, f.key...)
-	buf = append(buf, '=')
-	return appendTextValue(buf, f.val)
-}
-
-// appendTextValue quotes values that would break key=value tokenizing.
-func appendTextValue(buf []byte, s string) []byte {
-	if s == "" || strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.AppendQuote(buf, s)
-	}
-	return append(buf, s...)
-}
-
-// appendJSONString appends s as a JSON string literal. Only the escapes
-// JSON requires: quote, backslash, and control characters; multi-byte
-// UTF-8 passes through verbatim.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
-			buf = append(buf, '\\', '"')
-		case c == '\\':
-			buf = append(buf, '\\', '\\')
-		case c == '\n':
-			buf = append(buf, '\\', 'n')
-		case c == '\t':
-			buf = append(buf, '\\', 't')
-		case c == '\r':
-			buf = append(buf, '\\', 'r')
-		case c < 0x20:
-			const hex = "0123456789abcdef"
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		default:
-			buf = append(buf, c)
+// schemaAttr keeps the line schema: the record time as "ts" in UTC
+// RFC 3339 with nanoseconds, lower-case level names, and durations as Go
+// duration strings ("10s"; the JSON handler would write nanoseconds).
+func schemaAttr(groups []string, a slog.Attr) slog.Attr {
+	v := a.Value
+	switch {
+	case v.Kind() == slog.KindDuration:
+		return slog.String(a.Key, v.Duration().String())
+	case len(groups) > 0: // time and level are top-level keys
+	case a.Key == slog.TimeKey && v.Kind() == slog.KindTime:
+		return slog.String("ts", v.Time().UTC().Format(time.RFC3339Nano))
+	case a.Key == slog.LevelKey:
+		if l, ok := v.Any().(slog.Level); ok {
+			return slog.String(a.Key, strings.ToLower(l.String()))
 		}
 	}
-	return append(buf, '"')
+	return a
 }
+
+// flightAttr drops the time and level from a flight log line: both are
+// fields of the flight record itself.
+func flightAttr(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) == 0 && (a.Key == slog.TimeKey || a.Key == slog.LevelKey) {
+		return slog.Attr{}
+	}
+	return a
+}
+
+// logHandler wraps the output handler of one logger family. The loggers
+// that With derives from it share its logTee.
+type logHandler struct {
+	slog.Handler              // writes the line
+	line         slog.Handler // the same bound fields, rendering flight lines into tee.buf
+	tee          *logTee
+}
+
+// logTee is the state a logger family shares: its line count and its
+// flight tee.
+type logTee struct {
+	lines atomic.Uint64
+
+	mu     sync.Mutex // guards flight and buf
+	flight *FlightRecorder
+	buf    bytes.Buffer
+}
+
+func (h *logHandler) Handle(ctx context.Context, r slog.Record) error {
+	err := h.Handler.Handle(ctx, r)
+	h.tee.lines.Add(1)
+	if r.Level >= slog.LevelWarn {
+		h.tee.mu.Lock()
+		if h.tee.flight != nil {
+			h.tee.buf.Reset()
+			if h.line.Handle(ctx, r) == nil {
+				h.tee.flight.RecordLog(r.Time.UnixNano(), r.Level, h.tee.buf.Bytes())
+			}
+		}
+		h.tee.mu.Unlock()
+	}
+	return err
+}
+
+func (h *logHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	return &logHandler{Handler: h.Handler.WithAttrs(as), line: h.line.WithAttrs(as), tee: h.tee}
+}
+
+func (h *logHandler) WithGroup(name string) slog.Handler {
+	return &logHandler{Handler: h.Handler.WithGroup(name), line: h.line.WithGroup(name), tee: h.tee}
+}
+
+// LogLines returns how many lines lg's logger family has written: the
+// logger NewLogger built and every logger With derived from it. It is 0
+// for a logger NewLogger did not build.
+func LogLines(lg *slog.Logger) uint64 {
+	if h, ok := lg.Handler().(*logHandler); ok {
+		return h.tee.lines.Load()
+	}
+	return 0
+}
+
+// AttachFlight tees every warn+ record of lg's logger family into fr:
+// the record's time and level, and its message and fields in text form.
+// A logger NewLogger did not build is left as it is.
+func AttachFlight(lg *slog.Logger, fr *FlightRecorder) {
+	if h, ok := lg.Handler().(*logHandler); ok {
+		h.tee.mu.Lock()
+		h.tee.flight = fr
+		h.tee.mu.Unlock()
+	}
+}
+
+// DiscardLogger returns a logger that writes nothing and reports every
+// level disabled. Configs install it where their Logger is nil.
+func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
+
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // LogSampler rate-limits hot-path logging: Allow admits the first call
 // and every Nth thereafter. Safe for concurrent callers; a nil sampler
 // admits everything. Typical use gates a per-chunk debug line:
 //
-//	if lg.Enabled(obs.LogDebug) && sampler.Allow() { lg.Debug(...) }
+//	if lg.Enabled(ctx, slog.LevelDebug) && sampler.Allow() { lg.Debug(...) }
 type LogSampler struct {
 	every uint64
 	n     atomic.Uint64

@@ -1,44 +1,67 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"flag"
+	"io"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func fixedClock() func() time.Time {
-	t0 := time.Date(2026, 8, 6, 1, 2, 3, 0, time.UTC)
-	return func() time.Time { return t0 }
+// splitTS cuts the timestamp out of a log line that starts with prefix
+// and requires it to be UTC RFC 3339 with nanoseconds. It returns the
+// line with the timestamp value removed.
+func splitTS(t *testing.T, line, prefix, end string) string {
+	t.Helper()
+	if !strings.HasPrefix(line, prefix) {
+		t.Fatalf("line does not start with %q: %q", prefix, line)
+	}
+	n := strings.Index(line[len(prefix):], end)
+	if n < 0 {
+		t.Fatalf("no end to the timestamp in %q", line)
+	}
+	ts := line[len(prefix) : len(prefix)+n]
+	if pt, err := time.Parse(time.RFC3339Nano, ts); err != nil || pt.Location() != time.UTC || ts[len(ts)-1] != 'Z' {
+		t.Errorf("ts %q is not UTC RFC 3339: %v", ts, err)
+	}
+	return prefix + line[len(prefix)+n:]
 }
 
-// TestLoggerJSONGolden pins the JSON line schema byte-for-byte with a
-// fixed clock: ts, level, msg, bound fields, call-site fields, in order.
+// TestLoggerJSONGolden pins the JSON line schema byte for byte, ts
+// aside: ts, level, msg, bound fields, call-site fields, in order, with
+// lower-case levels and durations as Go duration strings.
 func TestLoggerJSONGolden(t *testing.T) {
 	var sb strings.Builder
-	lg := NewLogger(&sb, LogDebug, LogJSON).WithClock(fixedClock())
+	lg := NewLogger(&sb, slog.LevelDebug, "json")
 	lg.With("session", "s-00000001", "shard", 3).
-		Info("session created", "workload", "canneal", "seed", uint64(7), "rate", 0.25, "ok", true)
-	want := `{"ts":"2026-08-06T01:02:03Z","level":"info","msg":"session created",` +
-		`"session":"s-00000001","shard":3,"workload":"canneal","seed":7,"rate":0.25,"ok":true}` + "\n"
-	if sb.String() != want {
-		t.Errorf("line:\n got %q\nwant %q", sb.String(), want)
+		Info("session created", "workload", "canneal", "seed", uint64(7), "rate", 0.25, "ok", true,
+			"deadline", 10*time.Second)
+	got := splitTS(t, sb.String(), `{"ts":"`, `"`)
+	want := `{"ts":"","level":"info","msg":"session created",` +
+		`"session":"s-00000001","shard":3,"workload":"canneal","seed":7,"rate":0.25,"ok":true,` +
+		`"deadline":"10s"}` + "\n"
+	if got != want {
+		t.Errorf("line:\n got %q\nwant %q", got, want)
 	}
-	if lg.Lines() != 1 {
-		t.Errorf("Lines = %d, want 1", lg.Lines())
+	if LogLines(lg) != 1 {
+		t.Errorf("LogLines = %d, want 1", LogLines(lg))
 	}
 }
 
 // TestLoggerTextGolden pins the text encoding and its quoting rule.
 func TestLoggerTextGolden(t *testing.T) {
 	var sb strings.Builder
-	lg := NewLogger(&sb, LogInfo, LogText).WithClock(fixedClock())
+	lg := NewLogger(&sb, slog.LevelInfo, "text")
 	lg.Warn("replay failed", "session", "s-01", "error", "line 3: bad json", "applied", uint64(42))
-	want := `ts=2026-08-06T01:02:03Z level=warn msg="replay failed" session=s-01 ` +
+	got := splitTS(t, sb.String(), "ts=", " ")
+	want := `ts= level=warn msg="replay failed" session=s-01 ` +
 		`error="line 3: bad json" applied=42` + "\n"
-	if sb.String() != want {
-		t.Errorf("line:\n got %q\nwant %q", sb.String(), want)
+	if got != want {
+		t.Errorf("line:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -46,7 +69,7 @@ func TestLoggerTextGolden(t *testing.T) {
 // and requires the output to be a valid JSON document that round-trips.
 func TestLoggerJSONEscaping(t *testing.T) {
 	var sb strings.Builder
-	lg := NewLogger(&sb, LogDebug, LogJSON).WithClock(fixedClock())
+	lg := NewLogger(&sb, slog.LevelDebug, "json")
 	nasty := "a\"b\\c\nd\te\x01f é"
 	lg.Info(nasty, "path", nasty)
 	var doc map[string]any
@@ -58,39 +81,42 @@ func TestLoggerJSONEscaping(t *testing.T) {
 	}
 }
 
-// TestLoggerLevelGate checks filtering and the Enabled fast path.
+// TestLoggerLevelGate checks filtering, the Enabled fast path, and that
+// LogLines counts the lines of With children but not filtered ones.
 func TestLoggerLevelGate(t *testing.T) {
 	var sb strings.Builder
-	lg := NewLogger(&sb, LogWarn, LogText)
+	ctx := context.Background()
+	lg := NewLogger(&sb, slog.LevelWarn, "text")
+	child := lg.With("k", "v")
 	lg.Debug("nope")
-	lg.Info("nope")
-	if sb.Len() != 0 || lg.Lines() != 0 {
+	child.Info("nope")
+	if sb.Len() != 0 || LogLines(lg) != 0 {
 		t.Fatalf("below-level lines emitted: %q", sb.String())
 	}
-	if lg.Enabled(LogInfo) || !lg.Enabled(LogWarn) || !lg.Enabled(LogError) {
+	if lg.Enabled(ctx, slog.LevelInfo) || !lg.Enabled(ctx, slog.LevelWarn) || !child.Enabled(ctx, slog.LevelError) {
 		t.Error("Enabled gate wrong")
 	}
 	lg.Error("yes")
-	if lg.Lines() != 1 {
-		t.Errorf("Lines = %d, want 1", lg.Lines())
+	child.Warn("yes")
+	if LogLines(lg) != 2 || LogLines(child) != 2 {
+		t.Errorf("LogLines = %d (child %d), want 2", LogLines(lg), LogLines(child))
 	}
 }
 
-// TestLoggerNilSafe: the disabled state is a nil logger; everything must
-// be a no-op, including With chains.
-func TestLoggerNilSafe(t *testing.T) {
-	var lg *Logger
-	child := lg.With("k", "v").WithClock(fixedClock())
-	if child != nil {
-		t.Fatal("With on nil logger must return nil")
-	}
-	child.Info("ignored", "k", 1)
-	child.Debug("ignored")
-	if child.Enabled(LogError) {
-		t.Error("nil logger reports Enabled")
-	}
-	if child.Lines() != 0 {
-		t.Error("nil logger counts lines")
+// TestDiscardLogger: the disabled state writes nothing, reports every
+// level disabled, and stays disabled through With.
+func TestDiscardLogger(t *testing.T) {
+	ctx := context.Background()
+	lg := DiscardLogger()
+	child := lg.With("k", "v")
+	child.Error("ignored", "k", 1)
+	for _, l := range []*slog.Logger{lg, child} {
+		if l.Enabled(ctx, slog.LevelError) {
+			t.Error("discard logger reports Enabled at error level")
+		}
+		if LogLines(l) != 0 {
+			t.Error("discard logger counts lines")
+		}
 	}
 }
 
@@ -98,8 +124,9 @@ func TestLoggerNilSafe(t *testing.T) {
 // gracefully instead of panicking or dropping data.
 func TestLoggerBadPairs(t *testing.T) {
 	var sb strings.Builder
-	lg := NewLogger(&sb, LogDebug, LogText).WithClock(fixedClock())
-	lg.Info("odd", "k1", 1, "dangling")
+	lg := NewLogger(&sb, slog.LevelDebug, "text")
+	args := []any{"k1", 1, "dangling"} // a slice: vet rejects the odd count in a literal call
+	lg.Info("odd", args...)
 	if !strings.Contains(sb.String(), "!BADKEY=dangling") {
 		t.Errorf("dangling value lost: %q", sb.String())
 	}
@@ -145,23 +172,36 @@ func TestLogSampler(t *testing.T) {
 	}
 }
 
-// TestParseLogFlags covers the flag parsers.
+// TestParseLogFlags covers -log-level and -log-format as the daemons
+// declare them, through flag.TextVar.
 func TestParseLogFlags(t *testing.T) {
-	for s, want := range map[string]LogLevel{
-		"debug": LogDebug, "info": LogInfo, "warn": LogWarn, "error": LogError,
+	parse := func(args ...string) (slog.Level, LogFormat, error) {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		var level slog.Level
+		var format LogFormat
+		fs.TextVar(&level, "log-level", slog.LevelInfo, "")
+		fs.TextVar(&format, "log-format", LogFormat("text"), "")
+		err := fs.Parse(args)
+		return level, format, err
+	}
+	if l, f, err := parse(); err != nil || l != slog.LevelInfo || f != "text" {
+		t.Errorf("defaults = %v, %q, %v", l, f, err)
+	}
+	for s, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn, "error": slog.LevelError,
 	} {
-		got, err := ParseLogLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLogLevel(%q) = %v, %v", s, got, err)
+		if got, _, err := parse("-log-level", s); err != nil || got != want {
+			t.Errorf("-log-level %s = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseLogLevel("loud"); err == nil {
-		t.Error("ParseLogLevel accepted garbage")
+	if _, f, err := parse("-log-format", "json"); err != nil || f != "json" {
+		t.Errorf("-log-format json = %q, %v", f, err)
 	}
-	if f, err := ParseLogFormat("json"); err != nil || f != LogJSON {
-		t.Errorf("ParseLogFormat(json) = %v, %v", f, err)
+	if _, _, err := parse("-log-level", "loud"); err == nil {
+		t.Error("-log-level accepted garbage")
 	}
-	if _, err := ParseLogFormat("xml"); err == nil {
-		t.Error("ParseLogFormat accepted garbage")
+	if _, _, err := parse("-log-format", "xml"); err == nil {
+		t.Error("-log-format accepted garbage")
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"io"
+	"log/slog"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func newAllocTestSession(t *testing.T, cfg Config) (*Server, *session) {
 func TestReplayChunkInstrumentationAllocFree(t *testing.T) {
 	s, sess := newAllocTestSession(t, Config{
 		Shards: 1,
-		Logger: obs.NewLogger(io.Discard, obs.LogError, obs.LogText),
+		Logger: obs.NewLogger(io.Discard, slog.LevelError, "text"),
 	})
 	ctx := context.Background()
 	// A full distributed trace context attached to the chunk: the
@@ -122,7 +123,7 @@ func TestReplayChunkInstrumentationAllocFree(t *testing.T) {
 func TestRecordChunkAllocFree(t *testing.T) {
 	s, sess := newAllocTestSession(t, Config{
 		Shards: 1,
-		Logger: obs.NewLogger(io.Discard, obs.LogError, obs.LogText),
+		Logger: obs.NewLogger(io.Discard, slog.LevelError, "text"),
 	})
 	jt := jobTimes{startNS: 1_000, endNS: 51_000}
 	tc := obs.TraceContext{TraceHi: 1, TraceLo: 2, SpanID: 7, Sampled: true}

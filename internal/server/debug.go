@@ -83,7 +83,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		ChunkAccesses: s.cfg.ChunkAccesses,
 		MaxSessions:   s.cfg.MaxSessions,
 		SpansTotal:    s.spans.Total(),
-		LogLines:      s.log.Lines(),
+		LogLines:      obs.LogLines(s.log),
 		NumGoroutines: runtime.NumGoroutine(),
 
 		FlightRecords: s.cfg.Flight.Records(),

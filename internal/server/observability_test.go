@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -200,7 +201,7 @@ func TestDebugEndpoints(t *testing.T) {
 // the bound session fields, and hot-path chunk lines are debug-sampled.
 func TestStructuredLogSchema(t *testing.T) {
 	var sb strings.Builder
-	lg := obs.NewLogger(&sb, obs.LogDebug, obs.LogJSON)
+	lg := obs.NewLogger(&sb, slog.LevelDebug, "json")
 	_, c := newTestServer(t, server.Config{ChunkAccesses: 500, Logger: lg, LogSampleEvery: 1})
 	ctx := context.Background()
 	info, err := c.CreateSession(ctx, testSession())
@@ -239,8 +240,8 @@ func TestStructuredLogSchema(t *testing.T) {
 	if msgs["chunk applied"] != 4 {
 		t.Errorf("chunk applied lines = %d, want 4", msgs["chunk applied"])
 	}
-	if lg.Lines() != uint64(len(lines)) {
-		t.Errorf("Lines() = %d, emitted %d", lg.Lines(), len(lines))
+	if obs.LogLines(lg) != uint64(len(lines)) {
+		t.Errorf("LogLines = %d, emitted %d", obs.LogLines(lg), len(lines))
 	}
 }
 
@@ -248,7 +249,7 @@ func TestStructuredLogSchema(t *testing.T) {
 // emits far fewer chunk lines than chunks.
 func TestLogSamplingOnChunks(t *testing.T) {
 	var sb strings.Builder
-	lg := obs.NewLogger(&sb, obs.LogDebug, obs.LogJSON)
+	lg := obs.NewLogger(&sb, slog.LevelDebug, "json")
 	_, c := newTestServer(t, server.Config{ChunkAccesses: 100, Logger: lg, LogSampleEvery: 8})
 	ctx := context.Background()
 	info, err := c.CreateSession(ctx, testSession())

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -275,7 +276,7 @@ func (s *Server) recordChunk(sess *session, tc obs.TraceContext, submitNS int64,
 	s.spans.RecordT(stageEngine, sess.id, tc.SpanID, tc, jt.startNS, time.Duration(jt.endNS-jt.startNS))
 	stepUS := uint64(jt.endNS-jt.startNS) / 1e3
 	sess.chunkHist.Observe(stepUS)
-	if sess.lg.Enabled(obs.LogDebug) && sess.sampler.Allow() {
+	if sess.lg.Enabled(context.Background(), slog.LevelDebug) && sess.sampler.Allow() {
 		sess.lg.Debug("chunk applied", "accesses", got, "engine_step_us", stepUS,
 			"queue_wait_us", uint64(jt.startNS-submitNS)/1e3)
 	}

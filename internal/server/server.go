@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"sort"
@@ -65,9 +66,9 @@ type Config struct {
 
 	// Now is the clock, injectable for TTL tests (default time.Now).
 	Now func() time.Time
-	// Logger receives structured operational logs. Nil disables logging
-	// entirely (the default): every call site pays one branch.
-	Logger *obs.Logger
+	// Logger receives structured operational logs (default
+	// obs.DiscardLogger, which writes nothing).
+	Logger *slog.Logger
 	// LogSampleEvery admits one per-chunk debug log line in every N
 	// (default 64); chunk lines only exist at -log-level debug.
 	LogSampleEvery uint64
@@ -124,6 +125,9 @@ func (c Config) withDefaults() Config {
 	if c.Flight == nil {
 		c.Flight = obs.NewFlightRecorder(0, c.NodeID)
 	}
+	if c.Logger == nil {
+		c.Logger = obs.DiscardLogger()
+	}
 	return c
 }
 
@@ -135,7 +139,7 @@ type Server struct {
 	pool    *shardPool
 	mux     *http.ServeMux
 	reg     *obs.Registry
-	log     *obs.Logger
+	log     *slog.Logger
 	spans   *obs.SpanTracer
 	started time.Time
 
@@ -295,7 +299,7 @@ func (s *Server) initMetrics() {
 		"flight-recorder records (spans and log lines) evicted to make room for newer ones",
 		func() uint64 { return s.cfg.Flight.Dropped() })
 	s.reg.CounterFunc("rmccd_log_lines_total", "structured log lines emitted",
-		func() uint64 { return s.log.Lines() })
+		func() uint64 { return obs.LogLines(s.log) })
 }
 
 func (s *Server) initRoutes() {

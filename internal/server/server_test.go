@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -121,7 +122,7 @@ func TestSessionLifecycle(t *testing.T) {
 func TestServiceMatchesDirectRun(t *testing.T) {
 	const n = 20_000
 	_, c := newTestServer(t, server.Config{
-		Logger: obs.NewLogger(io.Discard, obs.LogDebug, obs.LogJSON),
+		Logger: obs.NewLogger(io.Discard, slog.LevelDebug, "json"),
 	})
 	ctx := context.Background()
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"log/slog"
 	"math"
 	"sync/atomic"
 	"time"
@@ -60,8 +61,8 @@ type session struct {
 	lastCkptAccesses atomic.Uint64
 
 	// lg carries the session's bound log fields (session, shard, workload,
-	// seed). Nil when the server has no logger attached.
-	lg *obs.Logger
+	// seed).
+	lg *slog.Logger
 	// sampler rate-limits per-chunk debug lines so a debug-level daemon
 	// under a large replay does not write one line per 4096 accesses.
 	sampler *obs.LogSampler

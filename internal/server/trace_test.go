@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"reflect"
 	"strings"
@@ -76,7 +77,7 @@ func TestTraceHeaderRejection(t *testing.T) {
 // a deterministic tree from /debug/tracez?trace=<id> with node stamps.
 func TestTracePropagationTracez(t *testing.T) {
 	var sb strings.Builder
-	lg := obs.NewLogger(&sb, obs.LogInfo, obs.LogJSON)
+	lg := obs.NewLogger(&sb, slog.LevelInfo, "json")
 	_, c := newTestServer(t, server.Config{
 		NodeID: "node-a", ChunkAccesses: 1000, Logger: lg,
 	})

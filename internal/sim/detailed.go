@@ -444,7 +444,7 @@ func (c *core) step() bool {
 		// core's frontend; the access cannot issue in the past.
 		c.tF = s.eng.Now()
 	}
-	lvl, victims := s.hier.accessLeveled(paddr, a.Write)
+	lvl, victims := s.hier.access(paddr, a.Write)
 	for _, v := range victims {
 		wout := s.mc.Write(v)
 		s.mc.OnEpochAccess()
@@ -625,12 +625,12 @@ func runDetailed(w workload.Workload, cfg DetailedConfig) (DetailedResult, *engi
 				progressed = true
 				ffDone++
 				paddr := s.mapper.Translate(a.Addr)
-				miss, victims := s.hier.access(paddr, a.Write)
+				lvl, victims := s.hier.access(paddr, a.Write)
 				for _, v := range victims {
 					s.mc.Write(v)
 					s.mc.OnEpochAccess()
 				}
-				if miss {
+				if lvl == missAll {
 					s.mc.Read(paddr)
 					s.mc.OnEpochAccess()
 				}

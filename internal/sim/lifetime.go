@@ -156,35 +156,6 @@ func newHierarchy(l1, l2, llc cache.Config) *hierarchy {
 	return &hierarchy{l1: cache.New(l1), l2: cache.New(l2), llc: cache.New(llc)}
 }
 
-// access runs one CPU access through L1→L2→LLC. It returns whether the
-// access missed the LLC (needs an MC read) and any dirty LLC victims that
-// must be written to memory.
-func (h *hierarchy) access(paddr uint64, write bool) (llcMiss bool, victims []uint64) {
-	r1 := h.l1.Access(paddr, write)
-	if r1.Evicted && r1.Writeback {
-		// L1 victim lands in L2 (it is inclusive-enough: allocate).
-		r2 := h.l2.Access(r1.VictimAddr, true)
-		if r2.Evicted && r2.Writeback {
-			victims = h.llcWrite(r2.VictimAddr, victims)
-		}
-	}
-	if r1.Hit {
-		return false, victims
-	}
-	r2 := h.l2.Access(paddr, false)
-	if r2.Evicted && r2.Writeback {
-		victims = h.llcWrite(r2.VictimAddr, victims)
-	}
-	if r2.Hit {
-		return false, victims
-	}
-	r3 := h.llc.Access(paddr, false)
-	if r3.Evicted && r3.Writeback {
-		victims = append(victims, r3.VictimAddr)
-	}
-	return !r3.Hit, victims
-}
-
 // llcWrite inserts a dirty block into the LLC, collecting any dirty victim
 // it displaces.
 func (h *hierarchy) llcWrite(paddr uint64, victims []uint64) []uint64 {
@@ -195,7 +166,7 @@ func (h *hierarchy) llcWrite(paddr uint64, victims []uint64) []uint64 {
 	return victims
 }
 
-// latency classification for the detailed driver.
+// hitLevel is the cache level that served an access.
 type hitLevel int
 
 const (
@@ -218,10 +189,13 @@ func (l hitLevel) String() string {
 	}
 }
 
-// accessLeveled is access but reporting which level served the request.
-func (h *hierarchy) accessLeveled(paddr uint64, write bool) (lvl hitLevel, victims []uint64) {
+// access runs one CPU access through L1→L2→LLC. It returns the level
+// that served it (missAll: the access needs an MC read) and any dirty LLC
+// victims that must be written to memory.
+func (h *hierarchy) access(paddr uint64, write bool) (lvl hitLevel, victims []uint64) {
 	r1 := h.l1.Access(paddr, write)
 	if r1.Evicted && r1.Writeback {
+		// L1 victim lands in L2 (it is inclusive-enough: allocate).
 		r2 := h.l2.Access(r1.VictimAddr, true)
 		if r2.Evicted && r2.Writeback {
 			victims = h.llcWrite(r2.VictimAddr, victims)

@@ -79,13 +79,13 @@ func (lt *Lifetime) Step(a workload.Access) {
 	lt.tlb4k.Lookup(a.Addr)
 	lt.tlb2m.Lookup(a.Addr)
 	paddr := lt.mapper.Translate(a.Addr)
-	miss, victims := lt.h.access(paddr, a.Write)
+	lvl, victims := lt.h.access(paddr, a.Write)
 	for _, v := range victims {
 		lt.mc.Write(v)
 		lt.mc.OnEpochAccess()
 		lt.writes++
 	}
-	if miss {
+	if lvl == missAll {
 		lt.mc.Read(paddr)
 		lt.mc.OnEpochAccess()
 		lt.reads++

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# CI perf gate: regenerate a fresh quick perf report into a scratch file
-# (never clobbering the checked-in baseline, even on the same calendar
-# day) and diff it against the newest checked-in BENCH_<date>.json with
-# cmd/rmcc-benchdiff. Fails on a >25% wall-clock regression for any
-# figure present in both reports, or on a micro-benchmark that starts
-# allocating where the baseline was allocation-free.
+# CI perf and figure-value gate: regenerate a fresh quick perf report
+# into a scratch file (never clobbering the checked-in baseline, even on
+# the same calendar day) and diff it against the newest checked-in
+# BENCH_<date>.json with cmd/rmcc-benchdiff. For every figure the fresh
+# run produced, fails when any value differs from the baseline (series,
+# row names, or any cell, compared exactly) or when it got >25% slower in
+# wall-clock; also fails on a micro-benchmark that starts allocating
+# where the baseline was allocation-free. Baseline figures the run did
+# not produce (a -figures subset) are skipped.
 #
 # Usage:
 #   scripts/bench_diff.sh                        # baseline = newest BENCH_*.json
