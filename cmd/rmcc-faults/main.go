@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +22,8 @@ import (
 	"rmcc"
 	"rmcc/internal/buildinfo"
 	"rmcc/internal/obs"
+	"rmcc/internal/secmem/counter"
+	"rmcc/internal/workload"
 )
 
 func main() {
@@ -54,11 +57,11 @@ func main() {
 		return
 	}
 
-	size, err := parseSize(*sizeStr)
+	size, err := workload.ParseSize(*sizeStr)
 	if err != nil {
 		fatal(err)
 	}
-	scheme, err := parseScheme(*schemeStr)
+	scheme, err := counter.ParseScheme(*schemeStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,7 +106,11 @@ func main() {
 		fatal(err)
 	}
 	if flight != nil {
-		if err := flight.DumpToFile(*flightOut); err != nil {
+		f, err := os.Create(*flightOut)
+		if err == nil {
+			err = errors.Join(flight.Dump(f), f.Close())
+		}
+		if err != nil {
 			fatal(fmt.Errorf("write flight dump: %w", err))
 		}
 		fmt.Printf("flight dump: %s (%d records)\n", *flightOut, flight.Records())
@@ -128,30 +135,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("RESULT: PASS")
-}
-
-func parseSize(s string) (rmcc.Size, error) {
-	switch s {
-	case "test":
-		return rmcc.SizeTest, nil
-	case "small":
-		return rmcc.SizeSmall, nil
-	case "full":
-		return rmcc.SizeFull, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
-}
-
-func parseScheme(s string) (rmcc.Scheme, error) {
-	switch s {
-	case "sgx":
-		return rmcc.SchemeSGX, nil
-	case "sc64":
-		return rmcc.SchemeSC64, nil
-	case "morphable":
-		return rmcc.SchemeMorphable, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
 }
 
 func parseRecovery(s string) (rmcc.RecoveryPolicy, error) {

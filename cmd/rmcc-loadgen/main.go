@@ -41,6 +41,8 @@ import (
 	"rmcc"
 	"rmcc/internal/buildinfo"
 	"rmcc/internal/obs"
+	"rmcc/internal/secmem/counter"
+	"rmcc/internal/secmem/engine"
 	"rmcc/internal/server"
 	"rmcc/internal/server/client"
 	"rmcc/internal/trace"
@@ -135,7 +137,7 @@ func main() {
 			fatal(err)
 		}
 	} else if wire == "binary" {
-		size, err := server.ParseSize(*sizeStr)
+		size, err := workload.ParseSize(*sizeStr)
 		if err != nil {
 			fatal(err)
 		}
@@ -415,7 +417,7 @@ func main() {
 			wantAccesses = *accesses * uint64(*replays)
 		}
 		if directW == nil {
-			size, err := server.ParseSize(*sizeStr)
+			size, err := workload.ParseSize(*sizeStr)
 			if err != nil {
 				fatal(err)
 			}
@@ -544,11 +546,11 @@ func latencyMetrics(results []result, allDurs []float64) string {
 // and requires identical stats: the service layer must add no behavioral
 // drift, on any wire.
 func checkEquivalence(got server.ReplayStats, w workload.Workload, modeStr, schemeStr string, seed, accesses uint64) error {
-	mode, err := server.ParseMode(modeStr)
+	mode, err := engine.ParseMode(modeStr)
 	if err != nil {
 		return err
 	}
-	scheme, err := server.ParseScheme(schemeStr)
+	scheme, err := counter.ParseScheme(schemeStr)
 	if err != nil {
 		return err
 	}

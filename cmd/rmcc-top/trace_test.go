@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"log/slog"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,8 +21,12 @@ func TestRunFlight(t *testing.T) {
 	lg := obs.NewLogger(io.Discard, slog.LevelInfo, "json")
 	obs.AttachFlight(lg, fr)
 	lg.With("session", "s-1").Warn("checkpoint failed", "error", "disk full")
+	var dump bytes.Buffer
+	if err := fr.Dump(&dump); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "flight.rec")
-	if err := fr.DumpToFile(path); err != nil {
+	if err := os.WriteFile(path, dump.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

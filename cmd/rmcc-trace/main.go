@@ -61,7 +61,10 @@ func main() {
 
 	switch {
 	case *record:
-		size := parseSize(*sizeStr)
+		size, err := workload.ParseSize(*sizeStr)
+		if err != nil {
+			fatal(err)
+		}
 		w, ok := rmcc.WorkloadByName(size, *seed, *name)
 		if !ok {
 			fatal(fmt.Errorf("unknown workload %q", *name))
@@ -147,7 +150,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		mode := parseMode(*modeStr)
+		mode, err := engine.ParseMode(*modeStr)
+		if err != nil {
+			fatal(err)
+		}
 		cfg := sim.DefaultLifetimeConfig(engine.DefaultConfig(mode, counter.Morphable, 0))
 		cfg.MaxAccesses = *n
 		res := sim.RunLifetime(rep, cfg)
@@ -298,28 +304,6 @@ func summarize(f *os.File) {
 	fmt.Printf("accesses   %d (%.1f%% writes)\n", count, 100*float64(writes)/float64(count))
 	fmt.Printf("addr range [%#x, %#x]\n", minAddr, maxAddr)
 	fmt.Printf("2MB pages  %d (~%d MB touched)\n", len(regions), len(regions)*2)
-}
-
-func parseSize(s string) rmcc.Size {
-	switch s {
-	case "test":
-		return rmcc.SizeTest
-	case "full":
-		return rmcc.SizeFull
-	default:
-		return rmcc.SizeSmall
-	}
-}
-
-func parseMode(s string) engine.Mode {
-	switch s {
-	case "nonsecure":
-		return engine.NonSecure
-	case "baseline":
-		return engine.Baseline
-	default:
-		return engine.RMCC
-	}
 }
 
 func fatal(err error) {

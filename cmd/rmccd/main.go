@@ -10,7 +10,7 @@
 //	rmccd -shards 8 -idle-ttl 5m -drain 10s
 //	rmccd -log-level debug -log-format json
 //	rmccd -debug-addr 127.0.0.1:8078                     # /statusz, /debug/pprof, /debug/tracez
-//	rmccd -snapshot-dir /var/lib/rmcc -flight-every 1s   # crash recovery + durable flight dumps
+//	rmccd -snapshot-dir /var/lib/rmcc                    # crash recovery + flight file
 //
 // Operational logs are structured (text or JSON, -log-format) and leveled
 // (-log-level); every session-scoped line carries session/shard/workload/
@@ -47,24 +47,23 @@ func main() {
 
 func run() int {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8077", "listen address (host:0 picks an ephemeral port)")
-		portFile    = flag.String("port-file", "", "write the resolved listen address to this file (for scripts wrapping host:0)")
-		shards      = flag.Int("shards", 0, "session shard workers (default GOMAXPROCS)")
-		queue       = flag.Int("queue", 0, "per-shard job queue depth (default 64)")
-		idleTTL     = flag.Duration("idle-ttl", 10*time.Minute, "evict sessions idle this long (<0 disables)")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight replays")
-		chunk       = flag.Int("chunk", 0, "replay chunk size in accesses (default 4096)")
-		snapDir     = flag.String("snapshot-dir", "", "durable session checkpoints live here; enables crash recovery (off when empty)")
-		snapEvery   = flag.Duration("snapshot-every", 30*time.Second, "periodic checkpoint interval (with -snapshot-dir)")
-		nodeID      = flag.String("node-id", "", "node name stamped on spans and flight dumps (default: resolved listen address)")
-		flightFile  = flag.String("flight-file", "", "crash-durable flight-recorder dump path (default <snapshot-dir>/flight.rec; off when both empty)")
-		flightEvery = flag.Duration("flight-every", 2*time.Second, "periodic flight-recorder flush interval (with -flight-file)")
-		flightCap   = flag.Int("flight-cap", 1<<20, "flight-recorder ring capacity in bytes: the one store behind /debug/tracez, /debug/flightz and flight dumps")
-		debugAddr   = flag.String("debug-addr", "", "serve /statusz, /debug/tracez and /debug/pprof on this extra listener (off when empty)")
-		debugPort   = flag.String("debug-port-file", "", "write the resolved debug listen address to this file")
-		version     = flag.Bool("version", false, "print version and exit")
-		logLevel    slog.Level
-		logFormat   obs.LogFormat
+		addr       = flag.String("addr", "127.0.0.1:8077", "listen address (host:0 picks an ephemeral port)")
+		portFile   = flag.String("port-file", "", "write the resolved listen address to this file (for scripts wrapping host:0)")
+		shards     = flag.Int("shards", 0, "session shard workers (default GOMAXPROCS)")
+		queue      = flag.Int("queue", 0, "per-shard job queue depth (default 64)")
+		idleTTL    = flag.Duration("idle-ttl", 10*time.Minute, "evict sessions idle this long (<0 disables)")
+		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight replays")
+		chunk      = flag.Int("chunk", 0, "replay chunk size in accesses (default 4096)")
+		snapDir    = flag.String("snapshot-dir", "", "durable session checkpoints live here; enables crash recovery (off when empty)")
+		snapEvery  = flag.Duration("snapshot-every", 30*time.Second, "periodic checkpoint interval (with -snapshot-dir)")
+		nodeID     = flag.String("node-id", "", "node name stamped on spans and flight dumps (default: resolved listen address)")
+		flightFile = flag.String("flight-file", "", "map the flight recorder onto this file, which a killed daemon leaves as its postmortem; an existing one is kept as <file>.prev (default <snapshot-dir>/flight.rec; off when both empty)")
+		flightCap  = flag.Int("flight-cap", 1<<20, "flight-recorder ring capacity in bytes: the one store behind /debug/tracez, /debug/flightz and flight dumps")
+		debugAddr  = flag.String("debug-addr", "", "serve /statusz, /debug/tracez and /debug/pprof on this extra listener (off when empty)")
+		debugPort  = flag.String("debug-port-file", "", "write the resolved debug listen address to this file")
+		version    = flag.Bool("version", false, "print version and exit")
+		logLevel   slog.Level
+		logFormat  obs.LogFormat
 	)
 	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug|info|warn|error")
 	flag.TextVar(&logFormat, "log-format", obs.LogFormat("text"), "log line encoding: text|json")
@@ -108,16 +107,32 @@ func run() int {
 	// The flight recorder is the daemon's one record store: finished spans
 	// and warn+ log lines land in its ring at zero steady-state
 	// allocations, /debug/tracez reads it, and /debug/flightz?dump=1 serves
-	// it live. With a dump path (explicit, or implied by -snapshot-dir) a
-	// flusher goroutine persists the ring durably every -flight-every, so
-	// even a SIGKILL'd process leaves a recent postmortem file behind.
-	flight := obs.NewFlightRecorder(*flightCap, cfg.NodeID)
-	cfg.Flight = flight
-	obs.AttachFlight(log, flight)
+	// it live. With a flight file (explicit, or implied by -snapshot-dir)
+	// the ring is mapped onto it, so even a SIGKILL'd process leaves every
+	// record it wrote behind; the checkpoint cycle and the graceful exit
+	// fsync it.
 	ffile := *flightFile
 	if ffile == "" && *snapDir != "" {
+		// server.New creates the snapshot dir, but the flight file is
+		// mapped before it runs.
+		if err := os.MkdirAll(*snapDir, 0o755); err != nil {
+			log.Error("create snapshot dir failed", "path", *snapDir, "error", err)
+			return 2
+		}
 		ffile = filepath.Join(*snapDir, "flight.rec")
 	}
+	var flight *obs.FlightRecorder
+	if ffile != "" {
+		if flight, err = obs.OpenFlightFile(ffile, *flightCap, cfg.NodeID); err != nil {
+			log.Error("flight file failed", "path", ffile, "error", err)
+			return 2
+		}
+		log.Info("flight recorder mapped", "path", ffile, "cap_bytes", flight.Cap())
+	} else {
+		flight = obs.NewFlightRecorder(*flightCap, cfg.NodeID)
+	}
+	cfg.Flight = flight
+	obs.AttachFlight(log, flight)
 
 	srv := server.New(cfg)
 	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
@@ -147,33 +162,6 @@ func run() int {
 			}
 		}()
 		log.Info("debug endpoints up", "addr", debugResolved)
-	}
-
-	var flightStop, flightDone chan struct{}
-	if ffile != "" {
-		if err := flight.DumpToFile(ffile); err != nil {
-			log.Error("flight dump failed", "path", ffile, "error", err)
-			srv.Close()
-			return 2
-		}
-		flightStop = make(chan struct{})
-		flightDone = make(chan struct{})
-		go func() {
-			defer close(flightDone)
-			t := time.NewTicker(*flightEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := flight.DumpToFile(ffile); err != nil {
-						log.Warn("flight flush failed", "path", ffile, "error", err)
-					}
-				case <-flightStop:
-					return
-				}
-			}
-		}()
-		log.Info("flight recorder on", "path", ffile, "cap_bytes", flight.Cap(), "every", *flightEvery)
 	}
 
 	errCh := make(chan error, 1)
@@ -213,15 +201,8 @@ func run() int {
 		n := srv.CheckpointAll(context.Background())
 		log.Info("final checkpoint", "sessions", n)
 	}
-	if flightDone != nil {
-		close(flightStop)
-		<-flightDone
-		// One last flush so the dump covers the drain itself.
-		if err := flight.DumpToFile(ffile); err != nil {
-			log.Warn("final flight flush failed", "path", ffile, "error", err)
-		} else {
-			log.Info("flight recorder flushed", "path", ffile, "records", flight.Records())
-		}
+	if err := flight.Sync(); err != nil {
+		log.Warn("flight sync failed", "path", ffile, "error", err)
 	}
 	srv.Close()
 	if clean {

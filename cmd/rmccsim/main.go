@@ -27,6 +27,9 @@ import (
 	"rmcc"
 	"rmcc/internal/buildinfo"
 	"rmcc/internal/obs"
+	"rmcc/internal/secmem/counter"
+	"rmcc/internal/secmem/engine"
+	"rmcc/internal/workload"
 )
 
 func main() {
@@ -97,15 +100,15 @@ func main() {
 		}()
 	}
 
-	size, err := parseSize(*sizeStr)
+	size, err := workload.ParseSize(*sizeStr)
 	if err != nil {
 		fatal(err)
 	}
-	mode, err := parseMode(*modeStr)
+	mode, err := engine.ParseMode(*modeStr)
 	if err != nil {
 		fatal(err)
 	}
-	scheme, err := parseScheme(*schemeStr)
+	scheme, err := counter.ParseScheme(*schemeStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -231,42 +234,6 @@ func nz(v uint64) float64 {
 		return 1
 	}
 	return float64(v)
-}
-
-func parseSize(s string) (rmcc.Size, error) {
-	switch s {
-	case "test":
-		return rmcc.SizeTest, nil
-	case "small":
-		return rmcc.SizeSmall, nil
-	case "full":
-		return rmcc.SizeFull, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
-}
-
-func parseMode(s string) (rmcc.Mode, error) {
-	switch s {
-	case "nonsecure":
-		return rmcc.ModeNonSecure, nil
-	case "baseline":
-		return rmcc.ModeBaseline, nil
-	case "rmcc":
-		return rmcc.ModeRMCC, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
-func parseScheme(s string) (rmcc.Scheme, error) {
-	switch s {
-	case "sgx":
-		return rmcc.SchemeSGX, nil
-	case "sc64":
-		return rmcc.SchemeSC64, nil
-	case "morphable":
-		return rmcc.SchemeMorphable, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
 }
 
 func fatal(err error) {

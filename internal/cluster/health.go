@@ -26,7 +26,7 @@ func (rt *Router) healthLoop() {
 		case <-t.C:
 			rt.CheckNodes(context.Background())
 			ticks++
-			if ticks%rt.cfg.ReconcileEvery == 0 {
+			if ticks%reconcileEvery == 0 {
 				rt.reconcile(context.Background())
 			}
 		case <-rt.healthStop:
@@ -46,7 +46,7 @@ func (rt *Router) CheckNodes(ctx context.Context) {
 }
 
 func (rt *Router) checkNode(ctx context.Context, n *node) {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	err := rt.scrapeNode(ctx, n)
 	if err == nil {

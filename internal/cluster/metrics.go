@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"time"
 
 	"rmcc/internal/buildinfo"
 	"rmcc/internal/obs"
@@ -93,7 +94,7 @@ func (rt *Router) initMetrics() {
 	rt.reg.GaugeFunc("rmcc_router_nodes_in_ring", "current ring membership count",
 		func() float64 { return float64(rt.ring.Load().Len()) })
 	rt.reg.GaugeFunc("rmcc_router_uptime_seconds", "seconds since the router started",
-		func() float64 { return rt.cfg.Now().Sub(rt.started).Seconds() })
+		func() float64 { return time.Since(rt.started).Seconds() })
 	rt.reg.GaugeFunc("rmcc_router_build_info",
 		"constant 1, labeled with the router build version and revision",
 		func() float64 { return 1 },

@@ -51,7 +51,7 @@ func (rt *Router) drainNode(ctx context.Context, src *node, tc obs.TraceContext)
 		if round > 0 {
 			rt.log.Info("drain: late arrivals", "node", src.id, "sessions", len(fresh))
 		}
-		sem := make(chan struct{}, rt.cfg.MigrateConcurrency)
+		sem := make(chan struct{}, migrateConcurrency)
 		var mu sync.Mutex
 		var wg sync.WaitGroup
 		for _, id := range fresh {

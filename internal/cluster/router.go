@@ -37,23 +37,11 @@ type Config struct {
 	VNodes int
 	// HealthEvery is the health-check poll interval (default 2s).
 	HealthEvery time.Duration
-	// HealthTimeout bounds one node's statusz+metrics poll (default 2s).
-	HealthTimeout time.Duration
 	// FailAfter consecutive failed checks mark a node unhealthy
 	// (default 3); RecoverAfter consecutive passes bring it back
 	// (default 2).
 	FailAfter    int
 	RecoverAfter int
-	// ReconcileEvery is how many health ticks pass between listing-based
-	// location reconciles (default 10).
-	ReconcileEvery int
-	// MigrateConcurrency bounds parallel session migrations during a
-	// drain (default 4).
-	MigrateConcurrency int
-	// MaxBodyBytes caps a create body (default 1 MiB); MaxSnapshotBytes
-	// caps a restore blob (default 256 MiB).
-	MaxBodyBytes     int64
-	MaxSnapshotBytes int64
 	// FlightCap sizes, in bytes, the flight-recorder ring that is the
 	// router's one span store behind /debug/tracez
 	// (default obs.DefaultFlightCap).
@@ -62,9 +50,19 @@ type Config struct {
 	// Logger receives structured operational logs (default
 	// obs.DiscardLogger, which writes nothing).
 	Logger *slog.Logger
-	// Now is the clock, injectable for tests (default time.Now).
-	Now func() time.Time
 }
+
+// Router policy constants.
+const (
+	// healthTimeout bounds one node's statusz+metrics poll.
+	healthTimeout = 2 * time.Second
+	// reconcileEvery is how many health ticks pass between listing-based
+	// location reconciles.
+	reconcileEvery = 10
+	// migrateConcurrency bounds parallel session migrations during a
+	// drain.
+	migrateConcurrency = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.VNodes <= 0 {
@@ -73,29 +71,11 @@ func (c Config) withDefaults() Config {
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = 2 * time.Second
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
 	}
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 2
-	}
-	if c.ReconcileEvery <= 0 {
-		c.ReconcileEvery = 10
-	}
-	if c.MigrateConcurrency <= 0 {
-		c.MigrateConcurrency = 4
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxSnapshotBytes <= 0 {
-		c.MaxSnapshotBytes = 256 << 20
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.Logger == nil {
 		c.Logger = obs.DiscardLogger()
@@ -197,7 +177,7 @@ func New(cfg Config) (*Router, error) {
 		log:        cfg.Logger,
 		reg:        obs.NewRegistry(),
 		spans:      obs.NewSpanTracerOn(obs.NewFlightRecorder(cfg.FlightCap, routerNode)),
-		started:    cfg.Now(),
+		started:    time.Now(),
 		nodes:      make(map[string]*node),
 		healthStop: make(chan struct{}),
 		healthDone: make(chan struct{}),
@@ -395,7 +375,7 @@ func newSessionID() string {
 // handleCreate assigns a session ID, consistent-hashes it to its owning
 // node, and forwards the create there under the ?id= contract.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
@@ -446,7 +426,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 // it to its ring owner, and forwards the restore there under the
 // session's migration gate.
 func (rt *Router) handleRestore(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxSnapshotBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxSnapshotBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
@@ -672,7 +652,7 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	rt.mu.Unlock()
 	writeJSON(w, http.StatusOK, StatuszInfo{
 		Version:       buildinfo.Version(),
-		UptimeSeconds: rt.cfg.Now().Sub(rt.started).Seconds(),
+		UptimeSeconds: time.Since(rt.started).Seconds(),
 		VNodes:        ci.VNodes,
 		Sessions:      ci.Sessions,
 		Nodes:         ci.Nodes,

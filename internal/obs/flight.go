@@ -1,15 +1,16 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
+	"os"
 	"sync"
-
-	"rmcc/internal/snapshot"
+	"sync/atomic"
+	"unsafe"
 )
 
 // This file is the record store of the observability layer: a flight
@@ -17,24 +18,49 @@ import (
 // sampled tracer events, and warn+ log lines into one fixed-size binary
 // ring — zero steady-state allocations, bounded memory. It is the only
 // place a process keeps finished spans: SpanTracer writes into it and
-// reads /debug/tracez back out of it, and the ring serializes on demand
-// (Dump) or on a timer to a durable file (tmp+fsync+rename via
-// internal/snapshot), so a SIGKILL'd, panicking, or fault-wedged node
-// leaves a postmortem the recovery path can read.
+// reads /debug/tracez back out of it.
 //
-// Records are framed [kind u8][len u16][payload] and written oldest-first;
-// appending evicts whole records from the head until the new one fits, so
-// the ring contents are always a valid record sequence and Dump never has
-// to resynchronize. All payload integers are little-endian, matching
+// The recorder's memory is its dump: one image holding a header and then
+// the raw ring, which Dump copies out as is. OpenFlightFile maps that
+// image onto a file, so a SIGKILL'd, panicking, or fault-wedged node
+// leaves a postmortem the recovery path can read without any flush.
+//
+// Records are framed [kind u8][len u16][payload]; appending evicts whole
+// records from the head until the new one fits, so the window is always a
+// valid record sequence. All integers are little-endian, matching
 // internal/snapshot and the RMTR wire.
 
-// Flight dump format identifiers.
+// Flight image format identifiers.
 const (
 	flightMagic = "RMCCFLT1"
-	// FlightVersion is the dump format version. Version 2 stores a log
-	// record's level as the int8 of its slog.Level.
-	FlightVersion = 2
+	// FlightVersion is the image format version. Version 3 is the
+	// recorder's own memory: the fixed header below, then the whole ring
+	// with the valid window named by one header word.
+	FlightVersion = 3
 )
+
+// Flight image header offsets:
+//
+//	 0  magic "RMCCFLT1"
+//	 8  version u32
+//	12  ring capacity u32
+//	16  lifetime records u64
+//	24  lifetime dropped records u64
+//	32  window u64: start<<32 | size of the valid bytes in the ring
+//	40  node length u16, then the node name
+//
+// The ring starts at the next multiple of 8 after the node name.
+const (
+	flightOffCap     = 12
+	flightOffRecords = 16
+	flightOffDropped = 24
+	flightOffWindow  = 32
+	flightOffNode    = 40
+)
+
+// flightHeaderLen is the image header length for a node name of nodeLen
+// bytes.
+func flightHeaderLen(nodeLen int) int { return (flightOffNode + 2 + nodeLen + 7) &^ 7 }
 
 // Flight record kinds (the u8 frame tag).
 const (
@@ -44,7 +70,8 @@ const (
 )
 
 // Payload truncation caps. Strings beyond these are cut at record time so
-// one oversized detail cannot evict the whole window.
+// one oversized detail cannot evict the whole window; the node name is
+// cut to flightMaxName as well.
 const (
 	flightMaxName   = 255
 	flightMaxDetail = 1024
@@ -55,9 +82,16 @@ const (
 // traceHi, traceLo, id, parent, remote, start, duration.
 const flightSpanFixed = 7 * 8
 
+// flightMaxFrame is the longest framed record: a log line at its cap.
+const flightMaxFrame = 3 + 8 + 1 + flightMaxLine
+
 // DefaultFlightCap is the default flight ring size (1 MiB ≈ the last
 // ~10k spans with typical name/detail lengths).
 const DefaultFlightCap = 1 << 20
+
+// flightMaxCap bounds the ring capacity, for recorders and for the
+// images the reader accepts.
+const flightMaxCap = 1 << 30
 
 // ErrFlightCorrupt is the typed decode error for damaged or truncated
 // flight dumps. The reader never panics: any structural problem — bad
@@ -68,30 +102,54 @@ var ErrFlightCorrupt = errors.New("flight dump corrupt")
 // ErrFlightVersion marks a dump written by an unknown format version.
 var ErrFlightVersion = errors.New("flight dump version unsupported")
 
-// FlightRecorder is the in-memory ring. Safe for concurrent recording
+// FlightRecorder is the ring and its image. Safe for concurrent recording
 // from handler goroutines, the span tracer, and AttachFlight's log tee.
 // Nil-safe: every method on a nil recorder is a no-op.
 type FlightRecorder struct {
 	node string
+	file *os.File // backs img for a recorder from OpenFlightFile
 
 	mu      sync.Mutex
-	buf     []byte
+	img     []byte // header, then ring
+	ring    []byte
 	start   int // offset of the oldest valid byte
 	size    int // valid bytes
 	seq     uint64
 	dropped uint64
 	spans   uint64 // lifetime span records
-	scratch [flightSpanFixed + 8]byte
+	scratch [flightMaxFrame]byte
 }
 
-// NewFlightRecorder builds a recorder whose ring holds capacity bytes
-// (DefaultFlightCap when capacity <= 0). node tags dumps with the
-// recording process's identity.
+// NewFlightRecorder builds a recorder on the heap whose ring holds
+// capacity bytes (DefaultFlightCap when capacity <= 0, at most 1 GiB).
+// node tags dumps with the recording process's identity.
 func NewFlightRecorder(capacity int, node string) *FlightRecorder {
+	capacity, node = flightLimits(capacity, node)
+	return newFlightRecorder(make([]byte, flightHeaderLen(len(node))+capacity), capacity, node)
+}
+
+// flightLimits applies the capacity default and caps and the node cap.
+func flightLimits(capacity int, node string) (int, string) {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
-	return &FlightRecorder{node: node, buf: make([]byte, capacity)}
+	if len(node) > flightMaxName {
+		node = node[:flightMaxName]
+	}
+	return min(capacity, flightMaxCap), node
+}
+
+// newFlightRecorder lays an empty image into img, which holds the header
+// for node followed by capacity ring bytes and starts 8-byte aligned.
+func newFlightRecorder(img []byte, capacity int, node string) *FlightRecorder {
+	copy(img, flightMagic)
+	binary.LittleEndian.PutUint32(img[8:], FlightVersion)
+	binary.LittleEndian.PutUint32(img[flightOffCap:], uint32(capacity))
+	binary.LittleEndian.PutUint16(img[flightOffNode:], uint16(len(node)))
+	copy(img[flightOffNode+2:], node)
+	f := &FlightRecorder{node: node, img: img, ring: img[len(img)-capacity:]}
+	f.publish()
+	return f
 }
 
 // Node returns the recorder's node tag ("" on nil).
@@ -149,7 +207,7 @@ func (f *FlightRecorder) Cap() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.buf)
+	return len(f.ring)
 }
 
 // RecordSpan captures a finished span. Allocation-free; SpanTracer calls
@@ -165,14 +223,8 @@ func (f *FlightRecorder) RecordSpan(r SpanRecord) {
 	if len(detail) > flightMaxDetail {
 		detail = detail[:flightMaxDetail]
 	}
-	plen := flightSpanFixed + 1 + len(name) + 2 + len(detail)
 	f.mu.Lock()
-	w, ok := f.reserve(flightKindSpan, plen)
-	if !ok {
-		f.mu.Unlock()
-		return
-	}
-	s := f.scratch[:flightSpanFixed]
+	s := f.scratch[3:]
 	binary.LittleEndian.PutUint64(s[0:], r.TraceHi)
 	binary.LittleEndian.PutUint64(s[8:], r.TraceLo)
 	binary.LittleEndian.PutUint64(s[16:], r.ID)
@@ -180,13 +232,11 @@ func (f *FlightRecorder) RecordSpan(r SpanRecord) {
 	binary.LittleEndian.PutUint64(s[32:], r.Remote)
 	binary.LittleEndian.PutUint64(s[40:], uint64(r.Start))
 	binary.LittleEndian.PutUint64(s[48:], uint64(r.Duration))
-	w = f.put(w, s)
-	f.scratch[0] = byte(len(name))
-	w = f.put(w, f.scratch[:1])
-	w = f.putStr(w, name)
-	binary.LittleEndian.PutUint16(f.scratch[:2], uint16(len(detail)))
-	w = f.put(w, f.scratch[:2])
-	f.putStr(w, detail)
+	s[flightSpanFixed] = byte(len(name))
+	n := flightSpanFixed + 1 + copy(s[flightSpanFixed+1:], name)
+	binary.LittleEndian.PutUint16(s[n:], uint16(len(detail)))
+	n += 2 + copy(s[n+2:], detail)
+	f.add(flightKindSpan, n)
 	f.mu.Unlock()
 }
 
@@ -196,20 +246,14 @@ func (f *FlightRecorder) RecordEvent(e Event) {
 	if f == nil {
 		return
 	}
-	const plen = 8 + 1 + 3*8
 	f.mu.Lock()
-	w, ok := f.reserve(flightKindEvent, plen)
-	if !ok {
-		f.mu.Unlock()
-		return
-	}
-	s := f.scratch[:plen]
+	s := f.scratch[3:]
 	binary.LittleEndian.PutUint64(s[0:], e.Seq)
 	s[8] = byte(e.Kind)
 	binary.LittleEndian.PutUint64(s[9:], e.Addr)
 	binary.LittleEndian.PutUint64(s[17:], e.V1)
 	binary.LittleEndian.PutUint64(s[25:], e.V2)
-	f.put(w, s)
+	f.add(flightKindEvent, 8+1+3*8)
 	f.mu.Unlock()
 }
 
@@ -229,113 +273,102 @@ func (f *FlightRecorder) RecordLog(tsNS int64, level slog.Level, line []byte) {
 	if len(line) > flightMaxLine {
 		line = line[:flightMaxLine]
 	}
-	plen := 8 + 1 + len(line)
 	f.mu.Lock()
-	w, ok := f.reserve(flightKindLog, plen)
-	if !ok {
-		f.mu.Unlock()
-		return
-	}
-	s := f.scratch[:9]
+	s := f.scratch[3:]
 	binary.LittleEndian.PutUint64(s[0:], uint64(tsNS))
 	s[8] = byte(int8(level))
-	w = f.put(w, s)
-	f.put(w, line)
+	f.add(flightKindLog, 9+copy(s[9:], line))
 	f.mu.Unlock()
 }
 
-// reserve evicts records until frameLen(plen) bytes fit, writes the frame
-// header, counts the record, and returns the ring offset where the
-// payload starts. Returns ok=false when the record can never fit. Caller
-// holds f.mu.
-func (f *FlightRecorder) reserve(kind byte, plen int) (int, bool) {
-	total := 3 + plen
-	if total > len(f.buf) {
+// add frames the plen-byte payload in f.scratch[3:] as a kind record
+// and adds it to the ring, evicting the oldest records until it fits;
+// a record that can never fit is counted as dropped. Caller holds f.mu.
+func (f *FlightRecorder) add(kind byte, plen int) {
+	rec := f.scratch[:3+plen]
+	if len(rec) > len(f.ring) {
 		f.dropped++
-		return 0, false
+		f.publish()
+		return
 	}
-	for len(f.buf)-f.size < total {
-		f.evictOne()
+	if len(f.ring)-f.size < len(rec) {
+		for len(f.ring)-f.size < len(rec) {
+			f.evictOne()
+		}
+		// The evicted bytes leave the window before they are overwritten.
+		f.publish()
 	}
-	w := (f.start + f.size) % len(f.buf)
-	f.scratch[0] = kind
-	binary.LittleEndian.PutUint16(f.scratch[1:3], uint16(plen))
-	w = f.put(w, f.scratch[:3])
-	f.size += total
+	rec[0] = kind
+	binary.LittleEndian.PutUint16(rec[1:3], uint16(plen))
+	w := (f.start + f.size) % len(f.ring)
+	if n := copy(f.ring[w:], rec); n < len(rec) {
+		copy(f.ring, rec[n:])
+	}
+	f.size += len(rec)
 	f.seq++
 	if kind == flightKindSpan {
 		f.spans++
 	}
-	return w, true
+	// The record joins the window only once all its bytes are in place.
+	f.publish()
 }
 
 // evictOne drops the oldest record. Caller holds f.mu and guarantees the
 // ring is non-empty (size >= 3 whenever size > 0, by construction).
 func (f *FlightRecorder) evictOne() {
-	h := (f.start + 1) % len(f.buf)
-	lo := uint16(f.buf[h])
-	h = (h + 1) % len(f.buf)
-	hi := uint16(f.buf[h])
+	h := (f.start + 1) % len(f.ring)
+	lo := uint16(f.ring[h])
+	h = (h + 1) % len(f.ring)
+	hi := uint16(f.ring[h])
 	rec := 3 + int(lo|hi<<8)
-	f.start = (f.start + rec) % len(f.buf)
+	f.start = (f.start + rec) % len(f.ring)
 	f.size -= rec
 	f.dropped++
 }
 
-// put copies b into the ring at offset w (wrapping) and returns the
-// offset just past it. Caller holds f.mu.
-func (f *FlightRecorder) put(w int, b []byte) int {
-	n := copy(f.buf[w:], b)
-	if n < len(b) {
-		copy(f.buf, b[n:])
-	}
-	return (w + len(b)) % len(f.buf)
+// publish writes the counters and then the window into the image header.
+// The window is one aligned word set by a single atomic store, and it is
+// published only between whole records, so a process killed at any
+// instant leaves an image whose window holds whole records. Caller holds
+// f.mu.
+func (f *FlightRecorder) publish() {
+	binary.LittleEndian.PutUint64(f.img[flightOffRecords:], f.seq)
+	binary.LittleEndian.PutUint64(f.img[flightOffDropped:], f.dropped)
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], uint64(f.start)<<32|uint64(f.size))
+	atomic.StoreUint64((*uint64)(unsafe.Pointer(&f.img[flightOffWindow])), binary.NativeEndian.Uint64(w[:]))
 }
 
-// putStr is put for string payloads (copy from a string compiles to the
-// same memmove, no conversion allocation).
-func (f *FlightRecorder) putStr(w int, s string) int {
-	n := copy(f.buf[w:], s)
-	if n < len(s) {
-		copy(f.buf, s[n:])
-	}
-	return (w + len(s)) % len(f.buf)
-}
-
-// Dump serializes the recorder: a header (magic, version, node, lifetime
-// counters) followed by the retained record window, oldest first. The
-// ring is locked for the duration; Dump itself allocates only the
-// linearized copy.
+// Dump writes the recorder's image: the header (magic, version, ring
+// capacity, lifetime counters, window, node) and then the raw ring. The
+// image is copied under the lock and written after it is released.
 func (f *FlightRecorder) Dump(w io.Writer) error {
 	if f == nil {
 		return errors.New("no flight recorder")
 	}
 	f.mu.Lock()
-	hdr := make([]byte, 0, 8+4+2+len(f.node)+8+8+4)
-	hdr = append(hdr, flightMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, FlightVersion)
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(f.node)))
-	hdr = append(hdr, f.node...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, f.seq)
-	hdr = binary.LittleEndian.AppendUint64(hdr, f.dropped)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(f.size))
-	body := f.body()
+	img := append([]byte(nil), f.img...)
 	f.mu.Unlock()
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+	_, err := w.Write(img)
 	return err
 }
 
-// body returns a linearized copy of the retained records, oldest first.
-// Caller holds f.mu.
-func (f *FlightRecorder) body() []byte {
-	body := make([]byte, f.size)
-	n := copy(body, f.buf[f.start:])
-	if n < f.size {
-		copy(body[n:], f.buf[:f.size-n])
+// Sync flushes a recorder from OpenFlightFile to stable storage, so its
+// file also survives a host crash; a heap or nil recorder has nothing to
+// flush. Records are not blocked while it runs.
+func (f *FlightRecorder) Sync() error {
+	if f == nil || f.file == nil {
+		return nil
 	}
+	return f.file.Sync()
+}
+
+// linearize returns a copy of the size bytes of ring that start at
+// offset start, wrapping at the ring's end; size <= len(ring).
+func linearize(ring []byte, start, size int) []byte {
+	body := make([]byte, size)
+	n := copy(body, ring[start:])
+	copy(body[n:], ring)
 	return body
 }
 
@@ -346,22 +379,13 @@ func (f *FlightRecorder) Spans() []SpanRecord {
 		return nil
 	}
 	f.mu.Lock()
-	body := f.body()
+	body := linearize(f.ring, f.start, f.size)
 	f.mu.Unlock()
 	var d FlightDump
 	// The ring only ever holds whole, well-framed records, so decoding its
 	// own bytes cannot fail.
 	_ = d.decodeBody(body)
 	return d.Spans
-}
-
-// DumpToFile writes the dump durably (tmp+fsync+rename) at path.
-func (f *FlightRecorder) DumpToFile(path string) error {
-	var buf bytes.Buffer
-	if err := f.Dump(&buf); err != nil {
-		return err
-	}
-	return snapshot.WriteFileDurable(path, buf.Bytes())
 }
 
 // FlightLog is one decoded log record.
@@ -381,43 +405,49 @@ type FlightDump struct {
 	Logs    []FlightLog
 }
 
-// ReadFlightDump decodes a dump produced by Dump. It never panics:
-// malformed input yields ErrFlightCorrupt / ErrFlightVersion wrapped
-// errors, and the input size is bounded by the declared body length.
+// ReadFlightDump decodes an image written by Dump or left in a flight
+// file: it checks the header, reads the ring, and decodes the window's
+// records oldest first. It never panics: malformed input yields
+// ErrFlightCorrupt / ErrFlightVersion wrapped errors, and it allocates no
+// more than the input holds.
 func ReadFlightDump(r io.Reader) (*FlightDump, error) {
-	var fixed [8 + 4 + 2]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
+	var hdr [flightOffNode + 2]byte
+	if _, err := io.ReadFull(r, hdr[:12]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrFlightCorrupt, err)
 	}
-	if string(fixed[:8]) != flightMagic {
+	if string(hdr[:8]) != flightMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFlightCorrupt)
 	}
-	if v := binary.LittleEndian.Uint32(fixed[8:12]); v != FlightVersion {
+	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != FlightVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrFlightVersion, v)
 	}
-	nodeLen := int(binary.LittleEndian.Uint16(fixed[12:14]))
-	rest := make([]byte, nodeLen+8+8+4)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	if _, err := io.ReadFull(r, hdr[12:]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrFlightCorrupt, err)
+	}
+	capacity := uint64(binary.LittleEndian.Uint32(hdr[flightOffCap:]))
+	win := binary.LittleEndian.Uint64(hdr[flightOffWindow:])
+	start, size := win>>32, win&math.MaxUint32
+	if capacity > flightMaxCap {
+		return nil, fmt.Errorf("%w: ring capacity %d", ErrFlightCorrupt, capacity)
+	}
+	if start >= capacity || size > capacity {
+		return nil, fmt.Errorf("%w: window start %d size %d in a %d-byte ring", ErrFlightCorrupt, start, size, capacity)
+	}
+	nodeLen := int(binary.LittleEndian.Uint16(hdr[flightOffNode:]))
+	want := flightHeaderLen(nodeLen) - len(hdr) + int(capacity)
+	rest, err := io.ReadAll(io.LimitReader(r, int64(want)))
+	if err != nil {
+		return nil, fmt.Errorf("%w: ring: %v", ErrFlightCorrupt, err)
+	}
+	if len(rest) != want {
+		return nil, fmt.Errorf("%w: image truncated at %d of %d bytes", ErrFlightCorrupt, len(hdr)+len(rest), len(hdr)+want)
 	}
 	d := &FlightDump{
 		Node:    string(rest[:nodeLen]),
-		Records: binary.LittleEndian.Uint64(rest[nodeLen:]),
-		Dropped: binary.LittleEndian.Uint64(rest[nodeLen+8:]),
+		Records: binary.LittleEndian.Uint64(hdr[flightOffRecords:]),
+		Dropped: binary.LittleEndian.Uint64(hdr[flightOffDropped:]),
 	}
-	bodyLen := binary.LittleEndian.Uint32(rest[nodeLen+16:])
-	const maxBody = 1 << 30
-	if bodyLen > maxBody {
-		return nil, fmt.Errorf("%w: body length %d", ErrFlightCorrupt, bodyLen)
-	}
-	body, err := io.ReadAll(io.LimitReader(r, int64(bodyLen)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: body: %v", ErrFlightCorrupt, err)
-	}
-	if len(body) != int(bodyLen) {
-		return nil, fmt.Errorf("%w: body truncated at %d of %d bytes", ErrFlightCorrupt, len(body), bodyLen)
-	}
-	if err := d.decodeBody(body); err != nil {
+	if err := d.decodeBody(linearize(rest[want-int(capacity):], int(start), int(size))); err != nil {
 		return nil, err
 	}
 	return d, nil

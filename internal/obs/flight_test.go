@@ -2,12 +2,9 @@ package obs
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +103,9 @@ func TestFlightNilSafe(t *testing.T) {
 	if err := fr.Dump(&bytes.Buffer{}); err == nil {
 		t.Fatal("nil Dump must error")
 	}
+	if err := fr.Sync(); err != nil {
+		t.Fatalf("nil Sync = %v, want nil", err)
+	}
 }
 
 func TestFlightRecordAllocFree(t *testing.T) {
@@ -188,36 +188,6 @@ func TestLoggerFlightTeeConcurrent(t *testing.T) {
 	}
 }
 
-func TestFlightDumpToFileDurable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "flight.rec")
-	fr := NewFlightRecorder(1<<16, "n")
-	fr.RecordSpan(SpanRecord{ID: 1, Name: "s"})
-	if err := fr.DumpToFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("tmp file left behind")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadFlightDump(bytes.NewReader(data))
-	if err != nil || len(d.Spans) != 1 {
-		t.Fatalf("decode written dump: %v, spans=%d", err, len(d.Spans))
-	}
-	// Overwrite must replace, not append.
-	fr.RecordSpan(SpanRecord{ID: 2, Name: "s"})
-	if err := fr.DumpToFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, _ = os.ReadFile(path)
-	if d, err = ReadFlightDump(bytes.NewReader(data)); err != nil || len(d.Spans) != 2 {
-		t.Fatalf("second dump: %v, spans=%d", err, len(d.Spans))
-	}
-}
-
 func TestReadFlightDumpRejects(t *testing.T) {
 	fr := NewFlightRecorder(1<<12, "n")
 	fr.RecordSpan(SpanRecord{ID: 1, Name: "x", Detail: "y"})
@@ -226,34 +196,38 @@ func TestReadFlightDumpRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-
-	// The body starts after magic(8)+version(4)+nodeLen(2)+node(1)+
-	// counters(16)+bodyLen(4); flip the first frame's kind byte.
-	garbage := append([]byte{}, good...)
-	garbage[8+4+2+1+16+4] = 0xff
-	cases := map[string][]byte{
-		"empty":        {},
-		"bad magic":    append([]byte("NOTMAGIC"), good[8:]...),
-		"truncated":    good[:len(good)-3],
-		"short hdr":    good[:10],
-		"body garbage": garbage,
-	}
-	vbad := append([]byte{}, good...)
-	vbad[8] = 99
-	cases["bad version"] = vbad
-	v1 := append([]byte{}, good...)
-	binary.LittleEndian.PutUint32(v1[8:], 1)
-	if _, err := ReadFlightDump(bytes.NewReader(v1)); !errors.Is(err, ErrFlightVersion) {
-		t.Errorf("version-1 dump: err = %v, want ErrFlightVersion", err)
-	}
-	for name, data := range cases {
-		_, err := ReadFlightDump(bytes.NewReader(data))
-		if err == nil {
-			t.Errorf("%s: decode succeeded, want error", name)
-			continue
+	// with returns a copy of good with the little-endian value v of n
+	// bytes at offset off.
+	with := func(off, n int, v uint64) []byte {
+		b := append([]byte{}, good...)
+		for i := 0; i < n; i++ {
+			b[off+i] = byte(v >> (8 * i))
 		}
-		if !errors.Is(err, ErrFlightCorrupt) && !errors.Is(err, ErrFlightVersion) {
-			t.Errorf("%s: err = %v, want typed flight error", name, err)
+		return b
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"empty", []byte{}, ErrFlightCorrupt},
+		{"bad magic", append([]byte("NOTMAGIC"), good[8:]...), ErrFlightCorrupt},
+		{"short hdr", good[:10], ErrFlightCorrupt},
+		{"cut after version", good[:20], ErrFlightCorrupt},
+		{"truncated ring", good[:len(good)-3], ErrFlightCorrupt},
+		// The ring starts after the 40-byte fixed header, the node length
+		// and the 1-byte node, padded to 48; flip the first frame's kind.
+		{"body garbage", with(flightHeaderLen(1), 1, 0xff), ErrFlightCorrupt},
+		{"window start >= capacity", with(flightOffWindow, 8, 1<<12<<32), ErrFlightCorrupt},
+		{"window size > capacity", with(flightOffWindow, 8, 1<<12+1), ErrFlightCorrupt},
+		{"capacity over the limit", with(flightOffCap, 4, flightMaxCap+1), ErrFlightCorrupt},
+		{"version 1", with(8, 4, 1), ErrFlightVersion},
+		{"version 2", with(8, 4, 2), ErrFlightVersion},
+		{"version 99", with(8, 4, 99), ErrFlightVersion},
+	}
+	for _, c := range cases {
+		if _, err := ReadFlightDump(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
 }
@@ -261,7 +235,7 @@ func TestReadFlightDumpRejects(t *testing.T) {
 // FuzzFlightDecode asserts the dump reader never panics and fails only
 // with its typed errors, whatever bytes it is fed. Run in CI fuzz-smoke.
 func FuzzFlightDecode(f *testing.F) {
-	fr := NewFlightRecorder(1<<12, "seed-node")
+	fr := NewFlightRecorder(256, "seed-node")
 	fr.RecordSpan(SpanRecord{ID: 1, TraceHi: 1, TraceLo: 2, Name: "replay", Detail: "s-1"})
 	fr.RecordEvent(Event{Seq: 1, Kind: EvFaultInjected})
 	fr.RecordLog(1, slog.LevelWarn, []byte("msg=x"))
@@ -272,6 +246,16 @@ func FuzzFlightDecode(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte(flightMagic))
 	f.Add([]byte{})
+	// A small ring written past its end: the window wraps.
+	wrapped := NewFlightRecorder(256, "wrap")
+	for i := 0; i < 9; i++ {
+		wrapped.RecordSpan(SpanRecord{ID: uint64(i + 1), Name: "s", Detail: "dddddddddd"})
+	}
+	var wbuf bytes.Buffer
+	if err := wrapped.Dump(&wbuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wbuf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadFlightDump(bytes.NewReader(data))
 		if err != nil {

@@ -52,6 +52,20 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme maps the scheme names "sgx", "sc64" and "morphable" (as
+// flags and the rmccd wire spell them) to schemes.
+func ParseScheme(s string) (Scheme, error) {
+	switch s {
+	case "sgx":
+		return SGX, nil
+	case "sc64":
+		return SC64, nil
+	case "morphable":
+		return Morphable, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q", s)
+}
+
 // Coverage returns the number of 64 B data blocks one counter block covers.
 func (s Scheme) Coverage() int {
 	switch s {

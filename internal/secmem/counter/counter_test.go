@@ -274,3 +274,14 @@ func BenchmarkCanEncodeMorphable(b *testing.B) {
 		s.CanEncodeData(blk, s.DataCounter(blk)+1)
 	}
 }
+
+func TestParseScheme(t *testing.T) {
+	for name, want := range map[string]Scheme{"sgx": SGX, "sc64": SC64, "morphable": Morphable} {
+		if got, err := ParseScheme(name); err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseScheme("SC-64"); err == nil || err.Error() != `unknown scheme "SC-64"` {
+		t.Errorf("ParseScheme(\"SC-64\") error = %v, want unknown scheme", err)
+	}
+}

@@ -53,6 +53,20 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode maps the mode names "nonsecure", "baseline" and "rmcc" (as
+// flags and the rmccd wire spell them) to modes.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "nonsecure":
+		return NonSecure, nil
+	case "baseline":
+		return Baseline, nil
+	case "rmcc":
+		return RMCC, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
+}
+
 // Config parameterizes the memory controller.
 type Config struct {
 	Mode   Mode

@@ -405,3 +405,14 @@ func BenchmarkEngineWriteRMCC(b *testing.B) {
 }
 
 var _ = core.MissSource // keep import for clarity in failure messages
+
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]Mode{"nonsecure": NonSecure, "baseline": Baseline, "rmcc": RMCC} {
+		if got, err := ParseMode(name); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseMode("RMCC"); err == nil || err.Error() != `unknown mode "RMCC"` {
+		t.Errorf("ParseMode(\"RMCC\") error = %v, want unknown mode", err)
+	}
+}

@@ -94,13 +94,13 @@ func (sc SessionConfig) resolve() (resolved, error) {
 		r.seed = 1
 	}
 	var err error
-	if r.mode, err = ParseMode(defaultStr(sc.Mode, "rmcc")); err != nil {
+	if r.mode, err = engine.ParseMode(defaultStr(sc.Mode, "rmcc")); err != nil {
 		return r, err
 	}
-	if r.scheme, err = ParseScheme(defaultStr(sc.Scheme, "morphable")); err != nil {
+	if r.scheme, err = counter.ParseScheme(defaultStr(sc.Scheme, "morphable")); err != nil {
 		return r, err
 	}
-	size, err := ParseSize(defaultStr(sc.Size, "test"))
+	size, err := workload.ParseSize(defaultStr(sc.Size, "test"))
 	if err != nil {
 		return r, err
 	}
@@ -141,45 +141,6 @@ func defaultStr(s, def string) string {
 		return def
 	}
 	return s
-}
-
-// ParseMode maps the wire mode names to engine modes.
-func ParseMode(s string) (engine.Mode, error) {
-	switch s {
-	case "nonsecure":
-		return engine.NonSecure, nil
-	case "baseline":
-		return engine.Baseline, nil
-	case "rmcc":
-		return engine.RMCC, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
-// ParseScheme maps the wire scheme names to counter schemes.
-func ParseScheme(s string) (counter.Scheme, error) {
-	switch s {
-	case "sgx":
-		return counter.SGX, nil
-	case "sc64":
-		return counter.SC64, nil
-	case "morphable":
-		return counter.Morphable, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
-}
-
-// ParseSize maps the wire size names to workload scales.
-func ParseSize(s string) (workload.Size, error) {
-	switch s {
-	case "test":
-		return workload.SizeTest, nil
-	case "small":
-		return workload.SizeSmall, nil
-	case "full":
-		return workload.SizeFull, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }
 
 // SessionInfo describes one live session (create response, listings).

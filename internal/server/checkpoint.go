@@ -144,7 +144,8 @@ func (s *Server) checkpointSession(ctx context.Context, sess *session) error {
 }
 
 // checkpointer periodically checkpoints every session that advanced since
-// its last checkpoint.
+// its last checkpoint, and fsyncs a file-backed flight recorder on the
+// same cadence.
 func (s *Server) checkpointer() {
 	defer close(s.ckptDone)
 	t := time.NewTicker(s.cfg.SnapshotEvery)
@@ -153,6 +154,9 @@ func (s *Server) checkpointer() {
 		select {
 		case <-t.C:
 			s.checkpointDirty(context.Background())
+			if err := s.cfg.Flight.Sync(); err != nil {
+				s.log.Warn("flight sync failed", "error", err)
+			}
 		case <-s.ckptStop:
 			return
 		}
@@ -335,8 +339,8 @@ func (s *Server) register(sess *session, now time.Time) error {
 	if _, exists := s.sessions[sess.id]; exists {
 		return fmt.Errorf("session %q already exists", sess.id)
 	}
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		return fmt.Errorf("session limit reached (%d)", s.cfg.MaxSessions)
+	if len(s.sessions) >= maxSessions {
+		return fmt.Errorf("session limit reached (%d)", maxSessions)
 	}
 	s.sessions[sess.id] = sess
 	return nil
@@ -473,7 +477,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSnapshotBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSnapshotBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return

@@ -81,7 +81,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		Shards:        s.cfg.Shards,
 		QueueDepths:   make([]int, s.cfg.Shards),
 		ChunkAccesses: s.cfg.ChunkAccesses,
-		MaxSessions:   s.cfg.MaxSessions,
+		MaxSessions:   maxSessions,
 		SpansTotal:    s.spans.Total(),
 		LogLines:      obs.LogLines(s.log),
 		NumGoroutines: runtime.NumGoroutine(),

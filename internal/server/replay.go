@@ -76,9 +76,9 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "accesses must be a positive integer")
 			return
 		}
-		if accesses > s.cfg.MaxReplayAccesses {
+		if accesses > maxReplayAccesses {
 			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("accesses %d exceeds the per-replay cap %d", accesses, s.cfg.MaxReplayAccesses))
+				fmt.Sprintf("accesses %d exceeds the per-replay cap %d", accesses, maxReplayAccesses))
 			return
 		}
 		if sess.w == nil {

@@ -27,6 +27,18 @@ import (
 	_ "rmcc/internal/sidechan"
 )
 
+// Service caps. The router applies the same body caps.
+const (
+	// maxSessions caps live sessions; creates beyond it get 429.
+	maxSessions = 1024
+	// maxReplayAccesses caps the workload-shortcut accesses parameter.
+	maxReplayAccesses = 1_000_000_000
+	// MaxBodyBytes caps a session-config document.
+	MaxBodyBytes = 1 << 20
+	// MaxSnapshotBytes caps a POST /v1/sessions/restore body.
+	MaxSnapshotBytes = 256 << 20
+)
+
 // Config parameterizes the daemon. The zero value is usable: every field
 // has a production default.
 type Config struct {
@@ -38,18 +50,10 @@ type Config struct {
 	// IdleTTL evicts sessions untouched for this long (default 10m;
 	// negative disables eviction).
 	IdleTTL time.Duration
-	// MaxSessions caps live sessions; creates beyond it get 429
-	// (default 1024).
-	MaxSessions int
 	// ChunkAccesses is the replay batch applied per shard job — the
 	// granularity of backpressure, progress, and cancellation
 	// (default 4096).
 	ChunkAccesses int
-	// MaxBodyBytes caps the session-config document (default 1 MiB).
-	MaxBodyBytes int64
-	// MaxReplayAccesses caps the workload-shortcut accesses parameter
-	// (default 1e9).
-	MaxReplayAccesses uint64
 
 	// SnapshotDir, when set, makes sessions crash-recoverable: each live
 	// session is periodically checkpointed to <dir>/<id>.snap, the drain
@@ -60,9 +64,6 @@ type Config struct {
 	// SnapshotEvery is the periodic checkpoint interval (default 30s;
 	// only meaningful with SnapshotDir).
 	SnapshotEvery time.Duration
-	// MaxSnapshotBytes caps a POST /v1/sessions/restore body
-	// (default 256 MiB).
-	MaxSnapshotBytes int64
 
 	// Now is the clock, injectable for TTL tests (default time.Now).
 	Now func() time.Time
@@ -81,7 +82,9 @@ type Config struct {
 	// in this ring, which /debug/tracez reads and /debug/flightz dumps.
 	// Spans are always recorded — completing one is allocation-free — so
 	// the store is never disabled, only sized (default: an
-	// obs.DefaultFlightCap ring tagged NodeID).
+	// obs.DefaultFlightCap ring tagged NodeID). With SnapshotDir set, each
+	// checkpoint tick also Syncs it, which fsyncs a recorder from
+	// obs.OpenFlightFile.
 	Flight *obs.FlightRecorder
 }
 
@@ -95,26 +98,14 @@ func (c Config) withDefaults() Config {
 	if c.IdleTTL == 0 {
 		c.IdleTTL = 10 * time.Minute
 	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 1024
-	}
 	if c.ChunkAccesses <= 0 {
 		c.ChunkAccesses = 4096
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxReplayAccesses == 0 {
-		c.MaxReplayAccesses = 1_000_000_000
 	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 30 * time.Second
-	}
-	if c.MaxSnapshotBytes <= 0 {
-		c.MaxSnapshotBytes = 256 << 20
 	}
 	if c.LogSampleEvery == 0 {
 		c.LogSampleEvery = 64
@@ -485,7 +476,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
@@ -527,10 +518,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	sess.touch(now)
 
 	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
+	if len(s.sessions) >= maxSessions {
 		s.mu.Unlock()
 		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("session limit reached (%d)", s.cfg.MaxSessions))
+			fmt.Sprintf("session limit reached (%d)", maxSessions))
 		return
 	}
 	if _, exists := s.sessions[id]; exists {

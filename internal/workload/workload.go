@@ -11,6 +11,7 @@
 package workload
 
 import (
+	"fmt"
 	"sync"
 
 	"rmcc/internal/graph"
@@ -103,6 +104,20 @@ const (
 	SizeSmall
 	SizeFull
 )
+
+// ParseSize maps the size names "test", "small" and "full" (as flags and
+// the rmccd wire spell them) to sizes.
+func ParseSize(s string) (Size, error) {
+	switch s {
+	case "test":
+		return SizeTest, nil
+	case "small":
+		return SizeSmall, nil
+	case "full":
+		return SizeFull, nil
+	}
+	return 0, fmt.Errorf("unknown size %q", s)
+}
 
 // graphScale returns R-MAT scale/edge-factor per size.
 func graphScale(s Size) (scale, ef int) {

@@ -205,3 +205,14 @@ func BenchmarkCannealStream(b *testing.B) {
 		return n < b.N
 	})
 }
+
+func TestParseSize(t *testing.T) {
+	for name, want := range map[string]Size{"test": SizeTest, "small": SizeSmall, "full": SizeFull} {
+		if got, err := ParseSize(name); err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseSize("smal"); err == nil || err.Error() != `unknown size "smal"` {
+		t.Errorf("ParseSize(\"smal\") error = %v, want unknown size", err)
+	}
+}

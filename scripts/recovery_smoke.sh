@@ -7,11 +7,14 @@
 #      interval,
 #   3. drive 4 sessions and SIGKILL the daemon mid-replay from inside the
 #      load generator (-crash-after/-crash-pid) — an ungraceful death with
-#      whatever checkpoints the periodic cycle managed to cut,
+#      whatever checkpoints the periodic cycle managed to cut — and require
+#      its mapped flight file to hold an engine-step span of a loadgen
+#      trace: the replay that was in flight,
 #   4. sabotage the checkpoint dir: truncate one session's file mid-state
 #      (meta survives -> fresh-session fallback) and drop in a garbage
 #      file (no meta -> skipped),
 #   5. restart the daemon over the same dir and require the sessions back,
+#      and the dead daemon's flight file kept as flight.rec.prev,
 #   6. top every recovered session up to the full access target with
 #      rmcc-loadgen -resume -check: the final engine stats must be
 #      bit-identical to an uninterrupted direct simulation — the restored
@@ -43,7 +46,6 @@ snapdir="$workdir/snapshots"
 start_daemon() {
     "$workdir/rmccd" -addr 127.0.0.1:0 -port-file "$workdir/addr" -drain 10s \
         -snapshot-dir "$snapdir" -snapshot-every 150ms \
-        -flight-every 100ms \
         -log-level info -log-format json \
         2>> "$1" &
     daemon_pid=$!
@@ -71,32 +73,32 @@ if [ "$snaps" -lt 1 ]; then
     exit 1
 fi
 
-# The SIGKILL'd daemon must leave a readable flight-recorder postmortem
-# (the periodic flusher writes it durably alongside the checkpoints), and
-# the dump must contain spans of the distributed traces the load
+# flight_holds FILE [SPAN]: FILE decodes with rmcc-top -flight and holds
+# a span (named SPAN, when given) of a distributed trace the load
 # generator minted.
+flight_holds() {
+    "$workdir/rmcc-top" -flight "$1" > "$workdir/flight.txt" \
+        || { echo "recovery-smoke: flight dump $1 unreadable" >&2; return 1; }
+    grep -q '^flight dump — node ' "$workdir/flight.txt" \
+        || { echo "recovery-smoke: flight render of $1 missing header" >&2; head "$workdir/flight.txt" >&2; return 1; }
+    while read -r _ trace; do
+        grep -q "trace=$trace  ${2:-}" "$workdir/flight.txt" && return 0
+    done < "$workdir/traces.txt"
+    echo "recovery-smoke: $1 holds no ${2:-} span of any loadgen trace" >&2
+    head -20 "$workdir/flight.txt" >&2
+    return 1
+}
+
+# The flight ring is mapped onto flight.rec, so the SIGKILL'd daemon's
+# file holds every record it wrote, including the engine-step spans of
+# the replays it was running.
 flightrec="$snapdir/flight.rec"
 if [ ! -s "$flightrec" ]; then
     echo "recovery-smoke: no flight dump at $flightrec after SIGKILL" >&2
     exit 1
 fi
-"$workdir/rmcc-top" -flight "$flightrec" > "$workdir/flight.txt" \
-    || { echo "recovery-smoke: flight dump unreadable" >&2; exit 1; }
-grep -q '^flight dump — node ' "$workdir/flight.txt" \
-    || { echo "recovery-smoke: flight render missing header" >&2; head "$workdir/flight.txt" >&2; exit 1; }
-traced=0
-while read -r _ trace; do
-    if grep -q "trace=$trace" "$workdir/flight.txt"; then
-        traced=1
-        break
-    fi
-done < "$workdir/traces.txt"
-if [ "$traced" -ne 1 ]; then
-    echo "recovery-smoke: flight dump contains no span of any loadgen trace" >&2
-    head -20 "$workdir/flight.txt" >&2
-    exit 1
-fi
-echo "recovery-smoke: flight dump readable, loadgen traces present" >&2
+flight_holds "$flightrec" engine-step || exit 1
+echo "recovery-smoke: flight dump readable, in-flight engine-step spans present" >&2
 
 # Sabotage: truncate one checkpoint's state (its meta section survives, so
 # recovery must fall back to a fresh session under the same ID) and plant
@@ -117,6 +119,11 @@ if [ "$recovered" -ne "$sessions" ]; then
     cat "$workdir/rmccd2.log" >&2
     exit 1
 fi
+
+# The restart maps a fresh flight.rec; the crashed run's postmortem must
+# survive it as flight.rec.prev.
+flight_holds "$flightrec.prev" || exit 1
+echo "recovery-smoke: crashed run's flight dump kept as flight.rec.prev" >&2
 
 echo "recovery-smoke: resuming all $recovered sessions to $accesses accesses with -check" >&2
 "$workdir/rmcc-loadgen" -addr "$addr" -resume -keep \
