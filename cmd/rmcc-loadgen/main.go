@@ -6,17 +6,18 @@
 // bit-identical engine stats — the no-behavioral-drift guarantee of the
 // service layer.
 //
-// The replay wire is selectable: -wire=workload uses the server-side
-// generator (no body), and -wire=binary uploads the accesses as
-// length-prefixed RMTR frames. -trace-file replays a recorded rmcc-trace
-// file instead of a generator stream (and defaults the wire to binary).
+// By default each replay runs the session's bound generator server-side
+// (no request body). -trace-file instead uploads a recorded rmcc-trace
+// file, whose body is already a replay body, once per replay; record one
+// with rmcc-trace -record to replay a generator stream over the upload
+// path.
 //
 // Examples:
 //
 //	rmcc-loadgen -addr http://127.0.0.1:8077 -sessions 8 -workload canneal -accesses 50000
 //	rmcc-loadgen -addr http://$ADDR -sessions 8 -size test -check -metrics-out -
-//	rmcc-loadgen -wire binary -sessions 4      # binary frames from the local generator
-//	rmcc-loadgen -trace-file canneal.rmtr -check  # replay a recorded trace (binary wire)
+//	rmcc-trace -record -workload canneal -size test -n 50000 -o canneal.rmtr
+//	rmcc-loadgen -trace-file canneal.rmtr -check  # upload a recorded trace
 //	rmcc-loadgen -replays 16 -accesses 5000    # 16 latency samples per session
 package main
 
@@ -60,8 +61,7 @@ func main() {
 		accesses   = flag.Uint64("accesses", 50_000, "accesses to replay per request")
 		replays    = flag.Int("replays", 1, "sequential replay requests per session (each a latency sample; the stream continues across them)")
 		seed       = flag.Uint64("seed", 1, "simulation seed (all sessions share it)")
-		wireStr    = flag.String("wire", "workload", "replay wire: workload (server-side generator) | binary (RMTR frames)")
-		traceFile  = flag.String("trace-file", "", "replay this rmcc-trace file instead of a generator stream (defaults -wire to binary)")
+		traceFile  = flag.String("trace-file", "", "upload this rmcc-trace file once per replay instead of running the server-side generator")
 		check      = flag.Bool("check", false, "run the same simulation in-process and require bit-identical engine stats")
 		crashAfter = flag.Uint64("crash-after", 0, "SIGKILL -crash-pid once this many aggregate accesses have applied (crash-recovery testing; exit 0 means the kill fired)")
 		crashPID   = flag.Int("crash-pid", 0, "daemon PID to kill for -crash-after")
@@ -97,59 +97,20 @@ func main() {
 		fatal(fmt.Errorf("daemon not healthy at %s: %w", base, err))
 	}
 
-	// Resolve the replay wire: -trace-file selects the binary wire unless
-	// one was named explicitly.
-	wire := *wireStr
-	wireSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "wire" {
-			wireSet = true
-		}
-	})
-	if *traceFile != "" && !wireSet {
-		wire = "binary"
-	}
-	switch wire {
-	case "workload", "binary":
-	default:
-		fatal(fmt.Errorf("unknown -wire %q (want workload or binary)", wire))
-	}
-	if *traceFile != "" && wire == "workload" {
-		fatal(fmt.Errorf("-trace-file needs the binary wire"))
-	}
-
-	// Load the replay source once, up front. A trace file provides the raw
-	// RMTR bytes (reframed per replay without re-decoding) and the loaded
-	// stream (footprint, -check); generator streams are captured locally
-	// for the binary wire.
+	// A trace file provides the raw RMTR bytes (uploaded per replay) and
+	// the loaded stream (footprint, -check).
 	var (
-		stream     []workload.Access // captured generator accesses, binary wire
-		traceBytes []byte            // raw RMTR file, binary trace replays
-		rep        *trace.Replay     // loaded trace (nil without -trace-file)
+		traceBytes []byte
+		rep        *trace.Replay
 	)
 	if *traceFile != "" {
-		b, err := os.ReadFile(*traceFile)
-		if err != nil {
+		var err error
+		if traceBytes, err = os.ReadFile(*traceFile); err != nil {
 			fatal(err)
 		}
-		traceBytes = b
 		if rep, err = trace.Load(bytes.NewReader(traceBytes)); err != nil {
 			fatal(err)
 		}
-	} else if wire == "binary" {
-		size, err := workload.ParseSize(*sizeStr)
-		if err != nil {
-			fatal(err)
-		}
-		w, ok := rmcc.WorkloadByName(size, *seed, *name)
-		if !ok {
-			fatal(fmt.Errorf("unknown workload %q", *name))
-		}
-		stream = make([]workload.Access, 0, *accesses)
-		w.Run(*seed, func(a workload.Access) bool {
-			stream = append(stream, a)
-			return uint64(len(stream)) < *accesses
-		})
 	}
 
 	scfg := server.SessionConfig{
@@ -179,8 +140,8 @@ func main() {
 		if *crashPID <= 0 {
 			fatal(fmt.Errorf("-crash-after requires -crash-pid"))
 		}
-		if wire != "workload" {
-			fatal(fmt.Errorf("-crash-after is not supported with -wire %s (progress frames drive the kill)", wire))
+		if rep != nil {
+			fatal(fmt.Errorf("-crash-after is not supported with -trace-file (progress frames drive the kill)"))
 		}
 		progressEvery = 500
 		mkProgress = func() func(uint64) {
@@ -305,20 +266,14 @@ func main() {
 			t0 := time.Now()
 			for k := 0; k < *replays && r.err == nil; k++ {
 				rt0 := time.Now()
-				// The binary wire re-uploads the same captured stream each
-				// request (for traces that matches trace.Replay's looping
-				// semantics exactly; for generator streams the -check
-				// contract only covers -replays 1). The workload wire
+				// A trace upload sends the whole file each request, which
+				// matches trace.Replay's looping semantics; the generator
 				// continues one server-side stream across requests.
 				r.stats, r.err = retryReplay(func() (server.ReplayStats, error) {
-					switch {
-					case wire == "binary" && traceBytes != nil:
+					if rep != nil {
 						return c.ReplayTrace(ctx, info.ID, bytes.NewReader(traceBytes))
-					case wire == "binary":
-						return c.ReplayAccessesBinary(ctx, info.ID, stream)
-					default:
-						return c.ReplayWorkload(ctx, info.ID, *accesses, progressEvery, onp)
 					}
+					return c.ReplayWorkload(ctx, info.ID, *accesses, progressEvery, onp)
 				})
 				if r.err == nil {
 					r.durs = append(r.durs, time.Since(rt0).Seconds())
@@ -396,27 +351,16 @@ func main() {
 	}
 
 	if *check {
+		// Sequential replays continue one deterministic stream, and trace
+		// uploads loop the recorded one, so the final cumulative stats
+		// equal one direct run of replays × (accesses per replay) — exact
+		// for any -replays.
 		var directW workload.Workload
-		var wantAccesses uint64
-		switch {
-		case rep != nil:
-			// Trace replays loop the recorded stream, so K uploads equal a
-			// direct run of len×K accesses over the same looping workload —
-			// exact for any -replays.
+		wantAccesses := *accesses * uint64(*replays)
+		if rep != nil {
 			directW = rep
 			wantAccesses = uint64(rep.Len()) * uint64(*replays)
-		case wire != "workload":
-			// Generator streams on the binary wire re-upload the same
-			// captured prefix each request; only -replays 1 matches a
-			// direct run.
-			wantAccesses = *accesses
-		default:
-			// Sequential workload replays continue one deterministic
-			// stream, so the final cumulative stats equal one direct run
-			// of replays×accesses.
-			wantAccesses = *accesses * uint64(*replays)
-		}
-		if directW == nil {
+		} else {
 			size, err := workload.ParseSize(*sizeStr)
 			if err != nil {
 				fatal(err)
@@ -544,7 +488,7 @@ func latencyMetrics(results []result, allDurs []float64) string {
 // checkEquivalence reruns the first session's simulation in-process
 // through the public sim driver (over w — a generator or a loaded trace)
 // and requires identical stats: the service layer must add no behavioral
-// drift, on any wire.
+// drift, from either replay source.
 func checkEquivalence(got server.ReplayStats, w workload.Workload, modeStr, schemeStr string, seed, accesses uint64) error {
 	mode, err := engine.ParseMode(modeStr)
 	if err != nil {

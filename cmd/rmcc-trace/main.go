@@ -2,10 +2,11 @@
 // files and inspects or replays them through the lifetime simulator —
 // the Pin-trace role in the paper's methodology.
 //
-// It also converts access streams between NDJSON (one {"addr","write",
-// "gap"} object per line) and RMTR: -encode turns NDJSON into an RMTR
-// trace, which rmcc-loadgen -trace-file or client.ReplayTrace uploads as
-// rmccd's binary replay body; -decode turns a trace back into NDJSON.
+// An RMTR trace is a short header followed by rmccd's binary replay body,
+// so rmcc-loadgen -trace-file (or client.ReplayTrace) uploads a recorded
+// file as it stands. The tool also converts access streams between NDJSON
+// (one {"addr","write","gap"} object per line) and RMTR: -encode turns
+// NDJSON into an RMTR trace; -decode turns a trace back into NDJSON.
 // Gaps above 127 are clamped, as the RMTR format stores 7 bits.
 //
 // Examples:

@@ -9,12 +9,13 @@
 //	rmccd -addr 127.0.0.1:0 -port-file /tmp/rmccd.addr   # ephemeral port
 //	rmccd -shards 8 -idle-ttl 5m -drain 10s
 //	rmccd -log-level debug -log-format json
-//	rmccd -debug-addr 127.0.0.1:8078                     # /statusz, /debug/pprof, /debug/tracez
+//	rmccd -debug-addr 127.0.0.1:8078                     # /debug/pprof
 //	rmccd -snapshot-dir /var/lib/rmcc                    # crash recovery + flight file
 //
 // Operational logs are structured (text or JSON, -log-format) and leveled
 // (-log-level); every session-scoped line carries session/shard/workload/
-// seed fields. The debug surface (statusz, tracez, pprof) only exists
+// seed fields. /statusz, /debug/tracez and /debug/flightz are served on
+// the service address; the profiling surface (/debug/pprof) only exists
 // when -debug-addr is set, on its own listener.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: /healthz flips to 503, new
@@ -59,7 +60,7 @@ func run() int {
 		nodeID     = flag.String("node-id", "", "node name stamped on spans and flight dumps (default: resolved listen address)")
 		flightFile = flag.String("flight-file", "", "map the flight recorder onto this file, which a killed daemon leaves as its postmortem; an existing one is kept as <file>.prev (default <snapshot-dir>/flight.rec; off when both empty)")
 		flightCap  = flag.Int("flight-cap", 1<<20, "flight-recorder ring capacity in bytes: the one store behind /debug/tracez, /debug/flightz and flight dumps")
-		debugAddr  = flag.String("debug-addr", "", "serve /statusz, /debug/tracez and /debug/pprof on this extra listener (off when empty)")
+		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof on this extra listener (off when empty)")
 		debugPort  = flag.String("debug-port-file", "", "write the resolved debug listen address to this file")
 		version    = flag.Bool("version", false, "print version and exit")
 		logLevel   slog.Level

@@ -337,6 +337,52 @@ func TestRouterDrainBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRouterReconcileAfterRestart: a router that did not see a drain (a
+// restarted one) places a migrated session by its ring alone, so it
+// misroutes it to the drained node, which answers 404; once reconcile has
+// listed the nodes, every session resolves through it.
+func TestRouterReconcileAfterRestart(t *testing.T) {
+	tc := newTestCluster(t, 3, cluster.Config{})
+	ctx := context.Background()
+	for i := 0; i < 9; i++ {
+		if _, err := tc.rc.CreateSession(ctx, cannealSession(uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list, err := tc.rc.ListSessions(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, moved := list[0].Node, list[0].ID
+	if res, err := tc.rc.DrainNode(ctx, victim); err != nil || res.Migrated == 0 || res.Failed != 0 {
+		t.Fatalf("drain %s: %+v, %v", victim, res, err)
+	}
+
+	nodes := make([]string, 0, len(tc.nodes))
+	for _, n := range tc.nodes {
+		nodes = append(nodes, n.hs.URL)
+	}
+	rt, err := cluster.New(cluster.Config{Nodes: nodes, HealthEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(rt)
+	t.Cleanup(func() {
+		hs.Close()
+		rt.Close()
+	})
+	rc := client.New(hs.URL)
+	if _, err := rc.Snapshot(ctx, moved); !isStatus(err, http.StatusNotFound) {
+		t.Fatalf("migrated session %s through a fresh router: %v, want 404 from the drained node", moved, err)
+	}
+	rt.Reconcile(ctx)
+	for _, info := range list {
+		if _, err := rc.Snapshot(ctx, info.ID); err != nil {
+			t.Fatalf("session %s after reconcile: %v", info.ID, err)
+		}
+	}
+}
+
 // TestRouterDrainDuringReplays drains a node while replays are actively
 // flowing through the router: the per-session gate must serialize each
 // migration against that session's traffic with zero divergence.

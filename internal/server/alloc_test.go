@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rmcc/internal/obs"
-	"rmcc/internal/sim"
 	"rmcc/internal/workload"
 )
 
@@ -28,10 +27,10 @@ func newAllocTestSession(t *testing.T, cfg Config) (*Server, *session) {
 
 // TestReplayChunkInstrumentationAllocFree is the benchmark guard for the
 // tentpole's zero-overhead constraint: with logging at error level and
-// spans recording (they always record), submitting a replay chunk must
+// spans recording (they always record), applying a replay batch must
 // allocate no more than the pre-instrumentation shard round-trip — one
 // closure escape plus one completion channel plus the escaping result
-// variables. The chunk size is 0 so the engine itself contributes nothing
+// variables. The batch is empty so the engine itself contributes nothing
 // and the measurement isolates the service-layer path.
 func TestReplayChunkInstrumentationAllocFree(t *testing.T) {
 	s, sess := newAllocTestSession(t, Config{
@@ -39,78 +38,60 @@ func TestReplayChunkInstrumentationAllocFree(t *testing.T) {
 		Logger: obs.NewLogger(io.Discard, slog.LevelError, "text"),
 	})
 	ctx := context.Background()
-	// A full distributed trace context attached to the chunk: the
+	// A full distributed trace context attached to the batch: the
 	// tentpole's acceptance bar is that tracing adds zero allocations on
 	// this path, sampled or not.
 	sampled := obs.TraceContext{TraceHi: 0xaaaa, TraceLo: 0xbbbb, SpanID: 1, Sampled: true}
 	unsampled := obs.TraceContext{TraceHi: 0xcccc, TraceLo: 0xdddd, SpanID: 1}
-
-	// Warm up: first chunk lazily creates the access stream.
-	if _, _, _, err := s.applyWorkloadChunk(ctx, sess, 0, sampled); err != nil {
-		t.Fatal(err)
+	var batch []workload.Access
+	apply := func(tc obs.TraceContext) func() {
+		return func() {
+			if _, _, err := s.applyBatch(ctx, sess, batch, tc); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	apply(sampled)() // warm up
 
-	instrumented := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := s.applyWorkloadChunk(ctx, sess, 0, sampled); err != nil {
-			t.Fatal(err)
-		}
-	})
-	untraced := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := s.applyWorkloadChunk(ctx, sess, 0, unsampled); err != nil {
-			t.Fatal(err)
-		}
-	})
+	instrumented := testing.AllocsPerRun(200, apply(sampled))
+	untraced := testing.AllocsPerRun(200, apply(unsampled))
 	if untraced != instrumented {
-		t.Errorf("unsampled trace context changes chunk allocations: %.1f vs %.1f/op", untraced, instrumented)
+		t.Errorf("unsampled trace context changes batch allocations: %.1f vs %.1f/op", untraced, instrumented)
 	}
 
-	// Control: the pre-instrumentation chunk shape — same closure-captured
+	// Control: the pre-instrumentation batch shape — same closure-captured
 	// result variables, untimed pool round-trip, no spans, no histograms.
 	control := testing.AllocsPerRun(200, func() {
-		var want, got, total uint64
-		var exhausted bool
+		var stepped int
+		var total uint64
 		err := s.pool.do(ctx, sess.shard, func() {
-			if sess.stream == nil {
-				w, seed := sess.w, sess.seed
-				sess.stream = sim.NewAccessStream(func(sink workload.Sink) { w.Run(seed, sink) })
-			}
-			for got < want {
-				a, ok := sess.stream.Next()
-				if !ok {
-					exhausted = true
-					break
-				}
+			for _, a := range batch {
 				sess.lt.Step(a)
-				got++
+				stepped++
 			}
 			total = sess.lt.Accesses()
 		})
-		if err != nil || exhausted || got != total {
+		if err != nil || stepped != 0 || total != 0 {
 			t.Fatal("control path misbehaved")
 		}
 	})
 
 	if instrumented > control {
-		t.Errorf("instrumented chunk path allocates %.1f/op, control %.1f/op — observability added allocations",
+		t.Errorf("instrumented batch path allocates %.1f/op, control %.1f/op — observability added allocations",
 			instrumented, control)
 	}
 	t.Logf("allocs/op: instrumented=%.1f control=%.1f", instrumented, control)
 
-	// A durable checkpoint between chunks must not perturb the chunk path:
-	// the encode buffer is session-owned and reused, the resume-cursor
-	// bookkeeping is two shard-owned uint64s, and nothing the checkpoint
-	// allocates leaks into subsequent chunk submissions.
+	// A durable checkpoint between batches must not perturb the batch
+	// path: the encode buffer is session-owned and reused, and nothing the
+	// checkpoint allocates leaks into subsequent batch submissions.
 	s.cfg.SnapshotDir = t.TempDir()
 	if err := s.checkpointSession(ctx, sess); err != nil {
 		t.Fatal(err)
 	}
-	afterCkpt := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := s.applyWorkloadChunk(ctx, sess, 0, sampled); err != nil {
-			t.Fatal(err)
-		}
-	})
+	afterCkpt := testing.AllocsPerRun(200, apply(sampled))
 	if afterCkpt > control {
-		t.Errorf("chunk path allocates %.1f/op after a checkpoint, control %.1f/op",
+		t.Errorf("batch path allocates %.1f/op after a checkpoint, control %.1f/op",
 			afterCkpt, control)
 	}
 	t.Logf("allocs/op after checkpoint: %.1f", afterCkpt)

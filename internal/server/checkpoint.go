@@ -317,12 +317,9 @@ func (s *Server) restoreSession(data []byte) (*session, error) {
 	if err := sr.Close(); err != nil {
 		return nil, err
 	}
-	// Both cursors start at the checkpointed value: pulled is what the next
-	// checkpoint persists (it must never rewind to zero just because the
-	// lazily created stream has not been rebuilt yet), skipPulled is how far
-	// the rebuilt stream fast-forwards before serving new accesses.
+	// The cursor is what the next checkpoint persists, and how far the
+	// lazily rebuilt stream fast-forwards before serving new accesses.
 	sess.pulled = meta.Pulled
-	sess.skipPulled = meta.Pulled
 	sess.accessesDone.Store(sess.lt.Accesses())
 	// Nothing else owns the simulator yet; seed the listing mirrors so a
 	// recovered session reports live rates before its first chunk.

@@ -236,21 +236,15 @@ func (c *Client) ReplayAccessesBinary(ctx context.Context, id string, accs []wor
 	return c.ReplayBinary(ctx, id, pr)
 }
 
-// ReplayTrace streams an RMTR trace file (the rmcc-trace -record format)
-// to a session over the binary wire, reframing it on the fly — the trace
-// header is stripped and the body re-chunked into length-prefixed frames
-// without re-encoding any access.
+// ReplayTrace uploads an RMTR trace file (the rmcc-trace -record format)
+// to a session: it checks the header and sends the rest, which is already
+// a replay body, verbatim.
 func (c *Client) ReplayTrace(ctx context.Context, id string, tr io.Reader) (server.ReplayStats, error) {
-	pr, pw := io.Pipe()
-	go func() {
-		bw := bufio.NewWriterSize(pw, 64<<10)
-		_, err := trace.Reframe(tr, bw, trace.DefaultFrameAccesses)
-		if err == nil {
-			err = bw.Flush()
-		}
-		pw.CloseWithError(err)
-	}()
-	return c.ReplayBinary(ctx, id, pr)
+	r, err := trace.NewReader(tr)
+	if err != nil {
+		return server.ReplayStats{}, err
+	}
+	return c.ReplayBinary(ctx, id, r.Body())
 }
 
 // ReplayBinary streams a raw binary replay body (already framed —

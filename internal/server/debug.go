@@ -12,16 +12,13 @@ import (
 	"rmcc/internal/obs"
 )
 
-// DebugHandler returns the daemon's debug surface — /statusz,
-// /debug/tracez, and the net/http/pprof family — as a separate handler so
-// cmd/rmccd can bind it to its own (typically loopback-only) listener,
-// gated by -debug-addr. None of it is mounted on the service mux: the
-// production API surface stays closed by default.
+// DebugHandler returns the daemon's profiling surface, the
+// net/http/pprof family, as a separate handler so cmd/rmccd can bind it
+// to its own (typically loopback-only) listener, gated by -debug-addr.
+// /statusz, /debug/tracez and /debug/flightz live on the service mux,
+// where the router reads them.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	mux.HandleFunc("GET /debug/tracez", s.handleTracez)
-	mux.HandleFunc("GET /debug/flightz", s.handleFlightz)
 	// Explicit pprof registration; pprof.Index serves the named profiles
 	// (heap, goroutine, ...) under /debug/pprof/<name> itself.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

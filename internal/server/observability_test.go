@@ -11,6 +11,7 @@ import (
 
 	"rmcc/internal/obs"
 	"rmcc/internal/server"
+	"rmcc/internal/server/client"
 )
 
 // TestStageHistogramsInMetrics: after a workload replay and a binary
@@ -55,14 +56,15 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 		}
 	}
 	// The parser must read our own exposition. engine-step and queue-wait
-	// observe one sample per applied batch (5 chunks of 1000, then 2
-	// frames), decode one per frame read (2 frames, then EOF), and rollup
-	// one per replay.
+	// observe one sample per applied batch (5 generator batches of 1000,
+	// then 2 frames), decode one per batch read from either source (5
+	// generator batches and EOF, then 2 frames and EOF), and rollup one
+	// per replay.
 	parsed, err := obs.ParsePromText(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("parse own metrics: %v", err)
 	}
-	for stage, want := range map[string]float64{"engine-step": 7, "queue-wait": 7, "decode": 3, "rollup": 2} {
+	for stage, want := range map[string]float64{"engine-step": 7, "queue-wait": 7, "decode": 9, "rollup": 2} {
 		if v, ok := parsed.Value("rmccd_replay_stage_duration_us_count", obs.L("stage", stage)); !ok || v != want {
 			t.Errorf("%s count = %v,%v, want %v", stage, v, ok, want)
 		}
@@ -104,10 +106,13 @@ func TestSessionInfoLiveRates(t *testing.T) {
 	}
 }
 
-// TestDebugEndpoints drives /statusz, /debug/tracez, and /debug/pprof on
-// the separate debug handler after real traffic.
+// TestDebugEndpoints drives /statusz and /debug/tracez on the service
+// address and /debug/pprof on the separate debug handler after real
+// traffic.
 func TestDebugEndpoints(t *testing.T) {
-	srv, c := newTestServer(t, server.Config{Shards: 2, ChunkAccesses: 1000})
+	srv := server.New(server.Config{Shards: 2, ChunkAccesses: 1000})
+	base := serve(t, srv)
+	c := client.New(base)
 	debug := httptest.NewServer(srv.DebugHandler())
 	defer debug.Close()
 	ctx := context.Background()
@@ -122,7 +127,7 @@ func TestDebugEndpoints(t *testing.T) {
 
 	// /statusz
 	var status server.StatuszInfo
-	getJSON(t, debug.URL+"/statusz", &status)
+	getJSON(t, base+"/statusz", &status)
 	if status.Sessions != 1 || status.Shards != 2 || status.MaxSessions == 0 {
 		t.Errorf("statusz wrong: %+v", status)
 	}
@@ -142,7 +147,7 @@ func TestDebugEndpoints(t *testing.T) {
 
 	// /debug/tracez
 	var tz server.TracezResponse
-	getJSON(t, debug.URL+"/debug/tracez?n=50", &tz)
+	getJSON(t, base+"/debug/tracez?n=50", &tz)
 	if tz.TotalSpans == 0 || len(tz.Slowest) == 0 {
 		t.Fatalf("tracez empty: %+v", tz)
 	}
@@ -180,18 +185,24 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 
 	// tracez input validation
-	if resp, err := http.Get(debug.URL + "/debug/tracez?n=0"); err != nil || resp.StatusCode != http.StatusBadRequest {
+	if resp, err := http.Get(base + "/debug/tracez?n=0"); err != nil || resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("tracez n=0: %v %v, want 400", resp.Status, err)
 	}
 
-	// /debug/pprof/ index and a profile
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap"} {
+	// /debug/pprof/ index and a profile on the debug handler, and nothing
+	// else there.
+	for path, want := range map[string]int{
+		"/debug/pprof/":     http.StatusOK,
+		"/debug/pprof/heap": http.StatusOK,
+		"/statusz":          http.StatusNotFound,
+		"/debug/tracez":     http.StatusNotFound,
+	} {
 		resp, err := http.Get(debug.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
 		}
 		resp.Body.Close()
 	}

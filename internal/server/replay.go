@@ -29,13 +29,13 @@ const (
 )
 
 // handleReplay applies an access stream to a session and returns rolled-up
-// stats. Two sources:
+// stats. Two sources feed the same batch loop (replayBatches):
 //
-//   - ?workload=&accesses=N — run the session's bound generator for N
-//     accesses server-side (the daemon analog of rmccsim -accesses).
+//   - ?workload=&accesses=N — the session's bound generator, read in
+//     ChunkAccesses-long batches (the daemon analog of rmccsim -accesses).
 //   - Binary request body (Content-Type: application/x-rmcc-trace) —
-//     length-prefixed RMTR frames, decoded frame-at-a-time into a reused
-//     batch with zero per-access allocations (replayStream).
+//     length-prefixed RMTR frames, one batch per frame: an rmcc-trace file
+//     minus its header.
 //
 // Any other request is refused with 415 before the session is touched.
 //
@@ -44,14 +44,14 @@ const (
 // JSON ReplayStats document. Cancellation is chunk-granular: a dropped
 // client connection or the shutdown drain deadline aborts mid-stream.
 //
-// Every replay runs under a span parented to the request span; each
-// applied chunk records queue-wait and engine-step stage spans (from the
-// shard pool's worker timestamps), each body frame read a decode span,
-// the closing stats roll-up a rollup span, and each written
-// progress/result frame an encode span — together they account for the
-// request's time. The per-chunk path stays allocation-free: stage
-// recording is ring writes plus atomic histogram adds, and the sampled
-// debug log line is gated on Enabled before its arguments exist.
+// Every replay runs under a span parented to the request span: each batch
+// read records a decode span, each applied batch queue-wait and
+// engine-step spans (from the shard pool's worker timestamps), the
+// closing stats roll-up a rollup span, and each written progress/result
+// frame an encode span — together they account for the request's time.
+// The per-batch path stays allocation-free: stage recording is ring
+// writes plus atomic histogram adds, and the sampled debug log line is
+// gated on Enabled before its arguments exist.
 //
 // The roll-up reads only the session's running counters
 // (sim.Lifetime.Counters): Figure 15's coverage scan over every data
@@ -138,11 +138,13 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if useWorkload {
 		s.mReplaysWorkload.Inc()
-		applied, err = s.replayWorkload(ctx, sess, accesses, rw, rtc)
+		g := &generator{sess: sess, n: accesses, chunk: uint64(s.cfg.ChunkAccesses)}
+		applied, err = s.replayBatches(ctx, sess, g, rw, rtc)
+		g.settle(applied)
 	} else {
 		s.mReplaysBinary.Inc()
 		body := &countingReader{r: r.Body}
-		applied, err = s.replayStream(ctx, sess, trace.NewFrameReader(body), rw, rtc)
+		applied, err = s.replayBatches(ctx, sess, trace.NewFrameReader(body), rw, rtc)
 		s.mReplayBytes.Add(body.n)
 	}
 	s.mReplayAccesses.Add(applied)
@@ -213,60 +215,6 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// applyWorkloadChunk runs fn-equivalent chunk work on the session's shard
-// and records its queue-wait and engine-step stage spans under the trace
-// context's span.
-// This is THE hot service-layer path — one call per ChunkAccesses — and
-// its per-call allocations are capped at the untimed PR-4 profile (one
-// closure + one completion channel), enforced by
-// TestReplayChunkInstrumentationAllocFree.
-func (s *Server) applyWorkloadChunk(ctx context.Context, sess *session, want uint64, tc obs.TraceContext) (got, total uint64, exhausted bool, err error) {
-	s.mEnqueueDepth.Observe(uint64(s.pool.queueLen(sess.shard)))
-	submit := time.Now().UnixNano()
-	jt, err := s.pool.doTimed(ctx, sess.shard, func() {
-		if sess.stream == nil {
-			w, seed := sess.w, sess.seed
-			sess.stream = sim.NewAccessStream(func(sink workload.Sink) { w.Run(seed, sink) })
-			// Restored session: the stream is a pure function of
-			// (workload, seed), so fast-forward past the accesses the
-			// pre-crash incarnation already consumed. A local counter, not
-			// sess.pulled: the restore path already set pulled to the
-			// checkpointed cursor so checkpoints cut before this point
-			// persist it, and advancing it here would double-count.
-			for skip := sess.skipPulled; skip > 0; skip-- {
-				if _, ok := sess.stream.Next(); !ok {
-					exhausted = true
-					break
-				}
-			}
-		}
-		for got < want {
-			if got%512 == 511 && ctx.Err() != nil {
-				break
-			}
-			a, ok := sess.stream.Next()
-			if !ok {
-				exhausted = true
-				break
-			}
-			sess.lt.Step(a)
-			got++
-		}
-		sess.pulled += got
-		total = sess.lt.Accesses()
-		// Refresh the lock-free rate mirrors on the shard goroutine (the
-		// only place engine state may be read). Capturing a stats struct
-		// into the submitter's frame instead would add an escaping heap
-		// variable per chunk; the atomic stores keep the path alloc-free.
-		sess.storeRates(sess.lt.MC().Stats())
-	})
-	if err != nil {
-		return got, total, exhausted, err
-	}
-	s.recordChunk(sess, tc, submit, jt, got)
-	return got, total, exhausted, nil
-}
-
 // recordChunk emits the queue-wait and engine-step stage spans for one
 // applied chunk, feeds the session's latency history, and (sampled, debug
 // level only) logs the chunk. Allocation-free when the logger is disabled
@@ -282,35 +230,6 @@ func (s *Server) recordChunk(sess *session, tc obs.TraceContext, submitNS int64,
 	}
 }
 
-// replayWorkload steps the bound generator for n accesses in shard-owned
-// chunks.
-func (s *Server) replayWorkload(ctx context.Context, sess *session, n uint64, rw *replayWriter, tc obs.TraceContext) (uint64, error) {
-	var applied uint64
-	for applied < n {
-		if err := ctx.Err(); err != nil {
-			return applied, err
-		}
-		want := uint64(s.cfg.ChunkAccesses)
-		if rem := n - applied; rem < want {
-			want = rem
-		}
-		got, total, exhausted, err := s.applyWorkloadChunk(ctx, sess, want, tc)
-		if err != nil {
-			return applied, err
-		}
-		applied += got
-		sess.accessesDone.Store(total)
-		sess.touch(s.cfg.Now())
-		if err := s.emitProgress(rw, sess, tc, applied); err != nil {
-			return applied, err
-		}
-		if exhausted {
-			break
-		}
-	}
-	return applied, nil
-}
-
 // emitProgress forwards to the replay writer and wraps any written frame
 // in an encode stage span. The no-frame case (threshold not crossed, or
 // no ?progress at all) costs two time reads and no allocation.
@@ -323,33 +242,38 @@ func (s *Server) emitProgress(rw *replayWriter, sess *session, tc obs.TraceConte
 	return err
 }
 
-// replayStream is the apply loop for a binary body: decode one RMTR
-// frame into the reused batch (under a decode span, which covers the body
-// read as well), apply it on the session's shard, account, emit
-// progress. Each frame is one batch — the sender's framing decides the
-// apply granularity (capped at trace.MaxFrameAccesses) — and the
-// decode reuses the batch plus the reader's payload buffer, so steady
-// state allocates nothing per access or per frame. Decoding happens on
-// the handler goroutine; only a validated batch crosses into the shard,
-// so malformed input can never panic a worker. Because each batch is
-// applied before the next frame is read, a slow simulation backpressures
-// the upload through the unread TCP window.
-func (s *Server) replayStream(ctx context.Context, sess *session, fr *trace.FrameReader, rw *replayWriter, tc obs.TraceContext) (uint64, error) {
+// batchReader is a replay source: it fills dst's backing array with the
+// next batch and returns it, or io.EOF at the clean end of the stream.
+// *trace.FrameReader reads upload bodies; *generator reads the session's
+// bound workload.
+type batchReader interface {
+	DecodeInto(dst []workload.Access) ([]workload.Access, error)
+}
+
+// replayBatches is the one apply loop: read a batch from src into the
+// reused slice (under a decode span, which covers the body read or the
+// generator pulls), apply it on the session's shard, account, emit
+// progress. Reading happens on the handler goroutine; only a validated
+// batch crosses into the shard, so malformed input can never panic a
+// worker. Because each batch is applied before the next is read, a slow
+// simulation backpressures an upload through the unread TCP window, and
+// steady state allocates nothing per access or per batch.
+func (s *Server) replayBatches(ctx context.Context, sess *session, src batchReader, rw *replayWriter, tc obs.TraceContext) (uint64, error) {
 	batch := make([]workload.Access, 0, s.cfg.ChunkAccesses)
 	var applied uint64
-	for frame := 1; ; frame++ {
+	for n := 1; ; n++ {
 		if err := ctx.Err(); err != nil {
 			return applied, err
 		}
 		start := time.Now()
 		var err error
-		batch, err = fr.DecodeInto(batch)
+		batch, err = src.DecodeInto(batch)
 		s.spans.RecordT(stageDecode, sess.id, tc.SpanID, tc, start.UnixNano(), time.Since(start))
 		switch {
 		case err == io.EOF:
 			return applied, nil
 		case errors.Is(err, trace.ErrFrameCorrupt), errors.Is(err, trace.ErrFrameTooLarge):
-			return applied, &inputError{fmt.Errorf("frame %d: %w", frame, err)}
+			return applied, &inputError{fmt.Errorf("frame %d: %w", n, err)}
 		case err != nil:
 			return applied, err
 		}
@@ -371,12 +295,65 @@ func (s *Server) replayStream(ctx context.Context, sess *session, fr *trace.Fram
 	}
 }
 
-// applyBatch steps one decoded batch on the session's shard and records
-// its stage spans. The shard closure reports how many accesses it
-// stepped through the captured counter — cancellation mid-batch leaves
-// stepped < len(batch) — rather than mutating the caller's slice, so
-// the apply loop's accounting never depends on cross-goroutine slice
-// surgery.
+// generator reads a workload replay's batches from the session's bound
+// stream, which persists across replays so successive ones continue one
+// deterministic stream. It runs on the handler goroutine under the
+// replay lease, which is what guards sess.stream and sess.pulled.
+type generator struct {
+	sess  *session
+	n     uint64 // accesses this replay asks for
+	chunk uint64
+	read  uint64 // accesses read so far
+}
+
+// DecodeInto implements batchReader. A missing stream is built at the
+// session's cursor: the stream is a pure function of (workload, seed),
+// so skipping pulled accesses resumes it exactly, after a restore or a
+// cancelled replay alike.
+func (g *generator) DecodeInto(dst []workload.Access) ([]workload.Access, error) {
+	dst = dst[:0]
+	sess := g.sess
+	if sess.stream == nil {
+		w, seed := sess.w, sess.seed
+		sess.stream = sim.NewAccessStream(func(sink workload.Sink) { w.Run(seed, sink) })
+		for skip := sess.pulled; skip > 0; skip-- {
+			sess.stream.Next()
+		}
+	}
+	for uint64(len(dst)) < min(g.n-g.read, g.chunk) {
+		a, ok := sess.stream.Next()
+		if !ok {
+			break
+		}
+		dst = append(dst, a)
+	}
+	if len(dst) == 0 {
+		return dst, io.EOF
+	}
+	g.read += uint64(len(dst))
+	return dst, nil
+}
+
+// settle advances the session's cursor by the accesses the replay
+// applied. A replay cut off mid-batch read more than it applied, so the
+// stream is closed: the next replay rebuilds it at the cursor.
+func (g *generator) settle(applied uint64) {
+	g.sess.pulled += applied
+	if applied < g.read {
+		g.sess.stream.Close()
+		g.sess.stream = nil
+	}
+}
+
+// applyBatch steps one batch on the session's shard and records its
+// stage spans. The shard closure reports how many accesses it stepped
+// through the captured counter — cancellation mid-batch leaves stepped <
+// len(batch) — rather than mutating the caller's slice, so the apply
+// loop's accounting never depends on cross-goroutine slice surgery.
+// This is THE hot service-layer path, one call per batch; its per-call
+// allocations are capped at an untimed shard round-trip (one closure plus
+// one completion channel), enforced by
+// TestReplayChunkInstrumentationAllocFree.
 func (s *Server) applyBatch(ctx context.Context, sess *session, batch []workload.Access, tc obs.TraceContext) (stepped int, total uint64, err error) {
 	s.mEnqueueDepth.Observe(uint64(s.pool.queueLen(sess.shard)))
 	submit := time.Now().UnixNano()

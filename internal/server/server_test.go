@@ -126,16 +126,7 @@ func TestServiceMatchesDirectRun(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	w, ok := workload.ByName(workload.SizeTest, 1, "canneal")
-	if !ok {
-		t.Fatal("canneal unavailable")
-	}
-	engCfg := engine.DefaultConfig(engine.RMCC, counter.Morphable, 0)
-	engCfg.InitSeed = 1
-	cfg := sim.DefaultLifetimeConfig(engCfg)
-	cfg.MaxAccesses = n
-	cfg.Seed = 1
-	direct := sim.RunLifetime(w, cfg)
+	direct := directRun(t, n)
 
 	// Server-side generator path.
 	info, err := c.CreateSession(ctx, testSession())
@@ -150,15 +141,10 @@ func TestServiceMatchesDirectRun(t *testing.T) {
 	assertSnapshotSameRun(t, c, info.ID, "workload shortcut", direct)
 
 	// Upload path: capture the same stream and send it as RMTR frames.
-	var accs []workload.Access
-	w2, _ := workload.ByName(workload.SizeTest, 1, "canneal")
-	w2.Run(1, func(a workload.Access) bool {
-		accs = append(accs, a)
-		return len(accs) < n
-	})
+	accs, footprint := captureAccesses(t, "canneal", 1, n)
 	info2, err := c.CreateSession(ctx, server.SessionConfig{
 		Mode: "rmcc", Scheme: "morphable", Seed: 1,
-		FootprintBytes: w.FootprintBytes(), Label: "canneal",
+		FootprintBytes: footprint, Label: "canneal",
 	})
 	if err != nil {
 		t.Fatalf("create upload session: %v", err)
@@ -169,6 +155,22 @@ func TestServiceMatchesDirectRun(t *testing.T) {
 	}
 	assertSameRun(t, "binary upload", direct, viaUpload)
 	assertSnapshotSameRun(t, c, info2.ID, "binary upload", direct)
+}
+
+// directRun simulates testSession's first n accesses in-process, outside
+// the service.
+func directRun(t *testing.T, n uint64) sim.LifetimeResult {
+	t.Helper()
+	w, ok := workload.ByName(workload.SizeTest, 1, "canneal")
+	if !ok {
+		t.Fatal("canneal unavailable")
+	}
+	engCfg := engine.DefaultConfig(engine.RMCC, counter.Morphable, 0)
+	engCfg.InitSeed = 1
+	cfg := sim.DefaultLifetimeConfig(engCfg)
+	cfg.MaxAccesses = n
+	cfg.Seed = 1
+	return sim.RunLifetime(w, cfg)
 }
 
 // assertSnapshotSameRun requires the session's stats snapshot, a second
@@ -225,6 +227,43 @@ func TestProgressFrames(t *testing.T) {
 			t.Fatalf("progress not monotonic: %v", frames)
 		}
 	}
+}
+
+// TestCancelledReplaysResumeStream: a workload replay the client cuts off
+// mid-batch must leave the session's stream at exactly the accesses it
+// applied. Three cancellations, each followed by a short replay, end
+// bit-identical to one direct run of the session's total.
+func TestCancelledReplaysResumeStream(t *testing.T) {
+	// Batches long enough that a cut lands inside one: the client cancels
+	// on the first progress frame, while the shard steps the second batch.
+	_, c := newTestServer(t, server.Config{ChunkAccesses: 20_000})
+	ctx := context.Background()
+	info, err := c.CreateSession(ctx, testSession())
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	var stats server.ReplayStats
+	for i := 0; i < 3; i++ {
+		cctx, cancel := context.WithCancel(ctx)
+		_, err := c.ReplayWorkload(cctx, info.ID, 1_000_000, 1, func(uint64) { cancel() })
+		cancel()
+		if err == nil {
+			t.Fatalf("cut %d: replay finished despite the cancel", i)
+		}
+		// The handler may still hold the lease while it notices the cut.
+		for {
+			stats, err = c.ReplayWorkload(ctx, info.ID, 1000, 0, nil)
+			if !isStatus(err, http.StatusConflict) {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if err != nil {
+			t.Fatalf("replay after cut %d: %v", i, err)
+		}
+	}
+	t.Logf("session ended at %d accesses", stats.Accesses)
+	assertSameRun(t, "after 3 cancelled replays", directRun(t, stats.Accesses), stats)
 }
 
 func TestErrorStatuses(t *testing.T) {

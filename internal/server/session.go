@@ -14,10 +14,10 @@ import (
 )
 
 // session is one client-visible simulation: a Lifetime stepper (engine +
-// cache hierarchy + TLBs + page mapper) pinned to a shard. The lt and
-// stream fields are touched only on the shard goroutine or while the
-// session is held exclusively by a replay; everything else is immutable
-// or atomic.
+// cache hierarchy + TLBs + page mapper) pinned to a shard. lt is touched
+// only on the shard goroutine; stream and pulled only while the session
+// is held exclusively by a replay or checkpoint lease. Everything else is
+// immutable or atomic.
 type session struct {
 	id      string
 	shard   int
@@ -37,18 +37,14 @@ type session struct {
 	w  workload.Workload // bound generator; nil for upload sessions
 	// stream is the persistent pull side of the bound generator, created
 	// on first workload replay so successive replays continue one
-	// deterministic stream. Closed at eviction.
+	// deterministic stream. Closed at eviction, and after a replay cut
+	// off mid-batch (it has then run ahead of pulled).
 	stream *sim.AccessStream
-	// pulled counts accesses drawn from the bound generator's logical
-	// stream across incarnations (shard-owned). It is the checkpointed
-	// resume cursor: restore seeds it from the snapshot so it is valid
-	// even before the stream is lazily rebuilt, and the stream — a pure
-	// function of (workload, seed) — discards skipPulled accesses before
-	// continuing.
+	// pulled counts accesses applied from the bound generator's logical
+	// stream across incarnations. It is the checkpointed resume cursor:
+	// restore seeds it from the snapshot, and a stream — a pure function
+	// of (workload, seed) — is always built by discarding pulled accesses.
 	pulled uint64
-	// skipPulled is the restored cursor a lazily created stream must skip
-	// past (set once at restore, read on the shard goroutine).
-	skipPulled uint64
 
 	// ckptBuf is the reusable checkpoint encode buffer, touched only while
 	// the replay lease is held (checkpoints take the lease like replays).

@@ -47,8 +47,9 @@ func frameAccesses(tb testing.TB, accs []workload.Access) []byte {
 }
 
 // TestReplayTrace drives the full file path: record an RMTR trace,
-// stream it with ReplayTrace (client-side reframing), and require the
-// same stats as uploading the same accesses with ReplayAccessesBinary.
+// upload it with ReplayTrace (header checked, body sent verbatim), and
+// require the same stats as uploading the same accesses with
+// ReplayAccessesBinary.
 func TestReplayTrace(t *testing.T) {
 	const n = 5_000
 	_, c := newTestServer(t, server.Config{})
@@ -94,6 +95,10 @@ func TestReplayTrace(t *testing.T) {
 	}
 	if viaTrace.Accesses != n {
 		t.Fatalf("accesses = %d, want %d", viaTrace.Accesses, n)
+	}
+	if _, err := c.ReplayTrace(ctx, mk(), strings.NewReader("RMTR\x01\x00")); err == nil ||
+		!strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 trace: err = %v, want unsupported version 1", err)
 	}
 }
 

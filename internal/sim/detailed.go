@@ -386,7 +386,7 @@ func (s *detailedSim) waitTxn(tx *txn) event.Time {
 // 192-entry ROB and per-core MSHRs, with in-order retirement.
 type core struct {
 	sim *detailedSim
-	st  *stream
+	st  *AccessStream
 
 	tF         event.Time // frontend dispatch clock
 	pos        uint64     // instructions dispatched
@@ -406,7 +406,7 @@ type robEntry struct {
 
 // step processes one CPU access; it returns false when the stream ended.
 func (c *core) step() bool {
-	a, ok := c.st.next()
+	a, ok := c.st.Next()
 	if !ok {
 		c.exhausted = true
 		return false
@@ -590,19 +590,19 @@ func runDetailed(w workload.Workload, cfg DetailedConfig) (DetailedResult, *engi
 	cores := make([]*core, nCores)
 	for i := range cores {
 		i := i
-		var st *stream
+		var st *AccessStream
 		if isSharded && nCores > 1 {
-			st = newStream(func(sink workload.Sink) {
+			st = NewAccessStream(func(sink workload.Sink) {
 				sharded.RunShard(i, nCores, cfg.Seed+uint64(i), sink)
 			})
 		} else {
-			st = newStream(func(sink workload.Sink) { w.Run(cfg.Seed, sink) })
+			st = NewAccessStream(func(sink workload.Sink) { w.Run(cfg.Seed, sink) })
 		}
 		cores[i] = &core{sim: s, st: st}
 	}
 	defer func() {
 		for _, c := range cores {
-			c.st.close()
+			c.st.Close()
 		}
 	}()
 
@@ -617,7 +617,7 @@ func runDetailed(w workload.Workload, cfg DetailedConfig) (DetailedResult, *engi
 				if c.exhausted {
 					continue
 				}
-				a, ok := c.st.next()
+				a, ok := c.st.Next()
 				if !ok {
 					c.exhausted = true
 					continue

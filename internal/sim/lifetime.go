@@ -103,11 +103,11 @@ func RunLifetime(w workload.Workload, cfg LifetimeConfig) LifetimeResult {
 		// match engine.New's panic-on-invalid contract.
 		panic(err)
 	}
-	st := newStream(func(sink workload.Sink) { w.Run(cfg.Seed, sink) })
-	defer st.close()
+	st := NewAccessStream(func(sink workload.Sink) { w.Run(cfg.Seed, sink) })
+	defer st.Close()
 
 	for lt.Accesses() < cfg.MaxAccesses {
-		a, ok := st.next()
+		a, ok := st.Next()
 		if !ok {
 			break
 		}

@@ -203,14 +203,14 @@ func TestDetailedAESLatencySensitivity(t *testing.T) {
 
 func TestStreamCloseStopsGenerator(t *testing.T) {
 	w := mustWL(t, "canneal", 12)
-	st := newStream(func(sink workload.Sink) { w.Run(1, sink) })
+	st := NewAccessStream(func(sink workload.Sink) { w.Run(1, sink) })
 	for i := 0; i < 100; i++ {
-		if _, ok := st.next(); !ok {
+		if _, ok := st.Next(); !ok {
 			t.Fatal("stream ended prematurely")
 		}
 	}
-	st.close() // must not deadlock
-	if _, ok := st.next(); ok {
+	st.Close() // must not deadlock
+	if _, ok := st.Next(); ok {
 		t.Fatal("stream produced accesses after close")
 	}
 }

@@ -2,11 +2,13 @@ package sim
 
 import "rmcc/internal/workload"
 
-// stream pulls a workload's push-style access stream through a bounded
-// channel so simulators can consume it pull-style (and interleave several
-// shards). The generator goroutine exits promptly once the stream is
-// closed.
-type stream struct {
+// AccessStream pulls a workload's push-style access stream through a
+// bounded channel so simulators can consume it pull-style (and interleave
+// several shards). The rmccd service holds one per workload-bound session
+// so successive replay calls continue the same deterministic stream
+// instead of restarting it. The generator goroutine exits promptly once
+// the stream is closed.
+type AccessStream struct {
 	ch      chan []workload.Access
 	stop    chan struct{}
 	buf     []workload.Access
@@ -16,10 +18,10 @@ type stream struct {
 
 const streamBatch = 2048
 
-// newStream starts run (a closure invoking Workload.Run or RunShard with a
-// supplied sink) in a goroutine and returns the pull side.
-func newStream(run func(sink workload.Sink)) *stream {
-	s := &stream{
+// NewAccessStream starts run (a closure invoking Workload.Run or RunShard
+// with the supplied sink) in a goroutine and returns the pull side.
+func NewAccessStream(run func(sink workload.Sink)) *AccessStream {
+	s := &AccessStream{
 		ch:   make(chan []workload.Access, 4),
 		stop: make(chan struct{}),
 	}
@@ -43,9 +45,9 @@ func newStream(run func(sink workload.Sink)) *stream {
 	return s
 }
 
-// next returns the next access; ok is false once the stream is exhausted
-// (only after close, since workloads loop forever).
-func (s *stream) next() (workload.Access, bool) {
+// Next returns the next access; ok is false once the stream is exhausted
+// (only after Close, since workloads loop forever).
+func (s *AccessStream) Next() (workload.Access, bool) {
 	if s.idx >= len(s.buf) {
 		if s.drained {
 			return workload.Access{}, false
@@ -62,10 +64,10 @@ func (s *stream) next() (workload.Access, bool) {
 	return a, true
 }
 
-// close stops the generator and drains the channel so the goroutine exits.
-// Any locally buffered accesses are discarded: after close, next never
+// Close stops the generator and drains the channel so the goroutine exits.
+// Any locally buffered accesses are discarded: after Close, Next never
 // yields again.
-func (s *stream) close() {
+func (s *AccessStream) Close() {
 	close(s.stop)
 	for range s.ch {
 	}
@@ -73,21 +75,3 @@ func (s *stream) close() {
 	s.idx = 0
 	s.drained = true
 }
-
-// AccessStream is the exported pull side of a workload's push-style
-// stream: the rmccd service holds one per workload-bound session so
-// successive replay calls continue the same deterministic stream instead
-// of restarting it. Close stops the generator goroutine.
-type AccessStream struct{ s *stream }
-
-// NewAccessStream starts run (a closure invoking Workload.Run with the
-// supplied sink) in a goroutine and returns the pull side.
-func NewAccessStream(run func(sink workload.Sink)) *AccessStream {
-	return &AccessStream{s: newStream(run)}
-}
-
-// Next returns the next access; ok is false once the stream is exhausted.
-func (a *AccessStream) Next() (workload.Access, bool) { return a.s.next() }
-
-// Close stops the generator and discards buffered accesses.
-func (a *AccessStream) Close() { a.s.close() }

@@ -1,19 +1,18 @@
-// Binary replay framing: the wire form of RMTR.
+// Binary replay framing: the body of an RMTR file and of an rmccd replay
+// request.
 //
-// An RMTR file is one unbounded varint stream — fine on disk, but a
-// streaming replay endpoint needs to decode and apply input in bounded
-// batches without buffering the whole body. A frame stream chunks the
-// same per-access encoding into length-prefixed batches:
+// A streaming replay endpoint needs to decode and apply input in bounded
+// batches without buffering the whole body, so accesses travel in
+// length-prefixed frames:
 //
 //	frame := payload-len u32 LE | access-count u32 LE | payload
 //	payload := access-count × (flags u8 | addr-delta varint)
 //
-// The per-access encoding is byte-identical to the RMTR file body
-// (flags bit0 = write, bits 1..7 = gap), and the address-delta
-// predictor runs across frame boundaries, so reframing a trace file
-// costs one varint decode + encode per access and no compression loss.
-// A body is a plain concatenation of frames; EOF at a frame boundary is
-// the clean end of stream.
+// flags bit0 = write, bits 1..7 = gap, and the address-delta predictor
+// runs across frame boundaries. A body is a plain concatenation of
+// frames; EOF at a frame boundary is the clean end of stream. A trace
+// file is a header (trace.go) followed by such a body, so uploading a
+// file re-encodes nothing.
 //
 // Limits are part of the format: a decoder rejects frames whose header
 // declares more than MaxFramePayload bytes or MaxFrameAccesses accesses
@@ -86,8 +85,8 @@ func NewFrameWriter(w io.Writer, batch int) *FrameWriter {
 }
 
 // Append encodes one access into the current frame, emitting the frame
-// when the batch fills. Gaps above 127 are clamped, matching the RMTR
-// file encoding.
+// when the batch fills. Gaps above 127 are clamped: the format stores 7
+// bits.
 func (fw *FrameWriter) Append(a workload.Access) error {
 	gap := a.Gap
 	if gap > 127 {
@@ -194,29 +193,4 @@ func (fr *FrameReader) DecodeInto(dst []workload.Access) ([]workload.Access, err
 		return dst, fmt.Errorf("%w: %d trailing payload bytes", ErrFrameCorrupt, len(fr.payload)-off)
 	}
 	return dst, nil
-}
-
-// Reframe converts an RMTR trace stream (the rmcc-trace file format)
-// into a frame stream — the client half of the binary replay wire. It
-// returns the access count framed. The per-access cost is one varint
-// decode plus one encode; nothing allocates per access.
-func Reframe(trace io.Reader, frames io.Writer, batch int) (uint64, error) {
-	tr, err := NewReader(trace)
-	if err != nil {
-		return 0, err
-	}
-	fw := NewFrameWriter(frames, batch)
-	for {
-		a, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fw.Count(), err
-		}
-		if err := fw.Append(a); err != nil {
-			return fw.Count(), err
-		}
-	}
-	return fw.Count(), fw.Flush()
 }

@@ -77,14 +77,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameMatchesRMTREncoding pins the payload encoding to the RMTR
-// file body: reframing a trace file must reproduce the access stream
-// bit-exactly, and a single-frame payload must equal the file's body
-// bytes (same per-access encoding, same delta predictor).
-func TestFrameMatchesRMTREncoding(t *testing.T) {
-	accs := genAccesses(500, 7)
-	var rmtr bytes.Buffer
-	w, err := NewWriter(&rmtr, "wire")
+// TestFileBodyIsFrameStream pins the file format to the replay wire: a
+// written trace minus its header is byte for byte the FrameWriter stream
+// of the same accesses, and Body hands over exactly those bytes.
+func TestFileBodyIsFrameStream(t *testing.T) {
+	accs := genAccesses(3*DefaultFrameAccesses+500, 7)
+	var file bytes.Buffer
+	w, err := NewWriter(&file, "wire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,39 +92,23 @@ func TestFrameMatchesRMTREncoding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w.Flush()
-	fileBody := rmtr.Bytes()[len(magic)+2+len("wire"):]
-
-	stream := frameStream(t, accs, len(accs))
-	if got := stream[frameHeaderLen:]; !bytes.Equal(got, fileBody) {
-		t.Fatalf("frame payload (%d bytes) differs from RMTR file body (%d bytes)", len(got), len(fileBody))
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
-
-	var framed bytes.Buffer
-	n, err := Reframe(bytes.NewReader(rmtr.Bytes()), &framed, 64)
+	body := file.Bytes()[len(magic)+2+len("wire"):]
+	if want := frameStream(t, accs, DefaultFrameAccesses); !bytes.Equal(body, want) {
+		t.Fatalf("file body (%d bytes) differs from the frame stream (%d bytes)", len(body), len(want))
+	}
+	r, err := NewReader(bytes.NewReader(file.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != uint64(len(accs)) {
-		t.Fatalf("reframed %d accesses, want %d", n, len(accs))
+	got, err := io.ReadAll(r.Body())
+	if err != nil {
+		t.Fatal(err)
 	}
-	fr := NewFrameReader(&framed)
-	var got []workload.Access
-	buf := make([]workload.Access, 0, 64)
-	for {
-		buf, err = fr.DecodeInto(buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, buf...)
-	}
-	for i := range accs {
-		if got[i] != accs[i] {
-			t.Fatalf("access %d = %+v, want %+v", i, got[i], accs[i])
-		}
+	if !bytes.Equal(got, body) {
+		t.Fatalf("Body returned %d bytes, want the %d-byte frame stream", len(got), len(body))
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -26,10 +27,8 @@ func FuzzReader(f *testing.F) {
 		}
 		for i := 0; i < 1_000_000; i++ {
 			if _, err := r.Next(); err != nil {
-				if err != io.EOF && err != io.ErrUnexpectedEOF {
-					// Any error is fine as long as it is an error, not a
-					// panic; bufio may surface other io errors.
-					_ = err
+				if err != io.EOF && !errors.Is(err, ErrFrameCorrupt) && !errors.Is(err, ErrFrameTooLarge) {
+					t.Fatalf("untyped trace error: %v", err)
 				}
 				return
 			}

@@ -5,20 +5,17 @@
 // exported for cross-simulator comparison, the role Pin traces play in the
 // paper's methodology.
 //
-// Format (little-endian):
+// Format:
 //
-//	magic "RMTR" | version u8 | name len u8 | name bytes
-//	then per access a varint-encoded record:
-//	  flags-and-gap u8: bit0 = write, bits 1..7 = gap (0-127)
-//	  addr delta: signed varint from the previous address
+//	magic "RMTR" | version u8 (2) | name len u8 | name bytes
+//	then the frame stream of frame.go
 //
-// Delta + varint encoding compresses typical streams to 2-4 bytes per
-// access (vs 16 raw).
+// A trace file minus its header is byte for byte an rmccd replay body, so
+// uploading one is a verbatim copy. Delta + varint encoding compresses
+// typical streams to 2-4 bytes per access (vs 16 raw).
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -28,67 +25,24 @@ import (
 
 const (
 	magic   = "RMTR"
-	version = 1
+	version = 2
 )
 
-// Writer streams accesses to an io.Writer.
-type Writer struct {
-	w        *bufio.Writer
-	prevAddr uint64
-	count    uint64
-	buf      [binary.MaxVarintLen64 + 1]byte
-}
+// Writer streams accesses to an io.Writer: the header, then frames of
+// DefaultFrameAccesses accesses. Flush after the last Append.
+type Writer struct{ *FrameWriter }
 
 // NewWriter writes the header for a trace of the named workload.
 func NewWriter(w io.Writer, name string) (*Writer, error) {
 	if len(name) > 255 {
 		return nil, fmt.Errorf("trace: name too long")
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(magic); err != nil {
+	head := append([]byte(magic), version, byte(len(name)))
+	if _, err := w.Write(append(head, name...)); err != nil {
 		return nil, err
 	}
-	if err := bw.WriteByte(version); err != nil {
-		return nil, err
-	}
-	if err := bw.WriteByte(byte(len(name))); err != nil {
-		return nil, err
-	}
-	if _, err := bw.WriteString(name); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
+	return &Writer{NewFrameWriter(w, DefaultFrameAccesses)}, nil
 }
-
-// Append records one access. Gaps above 127 are clamped (the format stores
-// 7 bits; workload gaps fit comfortably).
-func (t *Writer) Append(a workload.Access) error {
-	gap := a.Gap
-	if gap > 127 {
-		gap = 127
-	}
-	flags := gap << 1
-	if a.Write {
-		flags |= 1
-	}
-	if err := t.w.WriteByte(flags); err != nil {
-		return err
-	}
-	delta := int64(a.Addr) - int64(t.prevAddr)
-	n := binary.PutVarint(t.buf[:], delta)
-	if _, err := t.w.Write(t.buf[:n]); err != nil {
-		return err
-	}
-	t.prevAddr = a.Addr
-	t.count++
-	return nil
-}
-
-// Count returns the number of accesses appended.
-func (t *Writer) Count() uint64 { return t.count }
-
-// Flush writes buffered data to the underlying writer.
-func (t *Writer) Flush() error { return t.w.Flush() }
 
 // Record captures up to n accesses of w's stream into out.
 func Record(w workload.Workload, seed uint64, n uint64, out io.Writer) (uint64, error) {
@@ -109,18 +63,19 @@ func Record(w workload.Workload, seed uint64, n uint64, out io.Writer) (uint64, 
 	return tw.Count(), tw.Flush()
 }
 
-// Reader decodes a trace stream.
+// Reader decodes a trace stream. A caller either iterates Next or takes
+// the undecoded frames from Body, not both.
 type Reader struct {
-	r        *bufio.Reader
-	name     string
-	prevAddr uint64
+	name  string
+	fr    *FrameReader
+	batch []workload.Access
+	next  int
 }
 
-// NewReader validates the header and positions at the first access.
+// NewReader validates the header and positions at the first frame.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, len(magic)+2)
-	if _, err := io.ReadFull(br, head); err != nil {
+	var head [len(magic) + 2]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, fmt.Errorf("trace: short header: %w", err)
 	}
 	if string(head[:4]) != magic {
@@ -130,35 +85,31 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("trace: unsupported version %d", head[4])
 	}
 	name := make([]byte, head[5])
-	if _, err := io.ReadFull(br, name); err != nil {
+	if _, err := io.ReadFull(r, name); err != nil {
 		return nil, fmt.Errorf("trace: short name: %w", err)
 	}
-	return &Reader{r: br, name: string(name)}, nil
+	return &Reader{name: string(name), fr: NewFrameReader(r)}, nil
 }
 
 // Name returns the recorded workload's name.
 func (t *Reader) Name() string { return t.name }
 
+// Body returns the rest of the trace undecoded: its frame stream, which
+// is an rmccd replay body as it stands.
+func (t *Reader) Body() io.Reader { return t.fr.r }
+
 // Next decodes one access; io.EOF signals a clean end of trace.
 func (t *Reader) Next() (workload.Access, error) {
-	flags, err := t.r.ReadByte()
-	if err != nil {
-		return workload.Access{}, err
-	}
-	delta, err := binary.ReadVarint(t.r)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	if t.next == len(t.batch) {
+		batch, err := t.fr.DecodeInto(t.batch)
+		if err != nil {
+			t.batch = batch[:0]
+			return workload.Access{}, err
 		}
-		return workload.Access{}, err
+		t.batch, t.next = batch, 0
 	}
-	addr := uint64(int64(t.prevAddr) + delta)
-	t.prevAddr = addr
-	return workload.Access{
-		Addr:  addr,
-		Write: flags&1 != 0,
-		Gap:   flags >> 1,
-	}, nil
+	t.next++
+	return t.batch[t.next-1], nil
 }
 
 // Replay is a workload.Workload backed by an in-memory trace, so recorded

@@ -165,6 +165,11 @@ func TestBadHeaders(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("RMTR\x09\x00"))); err == nil {
 		t.Fatal("bad version accepted")
 	}
+	// Version 1 files carried one unframed varint stream.
+	v1 := []byte("RMTR\x01\x04unit\x00\x80\x80\x04")
+	if _, err := NewReader(bytes.NewReader(v1)); err == nil || err.Error() != "trace: unsupported version 1" {
+		t.Fatalf("version-1 header: err = %v, want trace: unsupported version 1", err)
+	}
 	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}

@@ -6,7 +6,7 @@
 #   2. boot 3 rmccd nodes and one rmcc-router over them, all on
 #      ephemeral ports with port-file + /statusz readiness polling,
 #   3. record an RMTR trace and drive $sessions concurrent sessions
-#      through the router over the binary frame wire with -check
+#      through the router, uploading it with -trace-file -check
 #      (replayed engine stats must be bit-identical to a direct
 #      in-process simulation) and -keep,
 #   4. once every session is created and replays are flowing, drain one
@@ -19,6 +19,8 @@
 #   6. assert the drained node holds no sessions, the survivors hold all
 #      of them, the router listing annotates none with the drained node,
 #      and the router metrics counted the migrations with zero failures,
+#      then replay one migrated session once more under its loadgen trace
+#      ID and require that trace to span router, source and destination,
 #   7. render the cluster dashboard once with rmcc-top -once,
 #   8. SIGTERM the router and every node and require clean exits.
 #
@@ -75,9 +77,9 @@ echo "cluster-smoke: router up on $router" >&2
 "$workdir/rmcc-trace" -record -workload canneal -size test \
     -n "$accesses" -seed 1 -o "$workdir/canneal.rmtr"
 
-echo "cluster-smoke: $sessions concurrent sessions x $replays trace replays (binary wire, -check, -keep) through the router" >&2
+echo "cluster-smoke: $sessions concurrent sessions x $replays trace uploads (-check, -keep) through the router" >&2
 "$workdir/rmcc-loadgen" -addr "$router" -sessions "$sessions" \
-    -trace-file "$workdir/canneal.rmtr" -wire binary -replays "$replays" \
+    -trace-file "$workdir/canneal.rmtr" -replays "$replays" \
     -trace-ids-out "$workdir/traces.txt" \
     -check -keep -timeout 15m > "$workdir/loadgen.out" 2> "$workdir/loadgen.err" &
 loadgen_pid=$!
@@ -142,24 +144,31 @@ if [ "$annotated" -ne 0 ]; then
 fi
 
 echo "cluster-smoke: one distributed trace must connect router, source node, and destination node across the drain" >&2
-# Loadgen minted one X-Rmcc-Trace context per session, so a session that
-# replayed on its source node, migrated, and replayed again on its
-# destination has all three processes in one trace. Scan migrated
-# sessions for one whose cluster-wide tracez tree shows >= 3 node stamps.
-found_trace=""
-while read -r msid; do
-    mtrace=$(awk -v id="$msid" '$1 == id {print $2}' "$workdir/traces.txt")
-    [ -n "$mtrace" ] || continue
-    curl -fsS "http://$router/debug/tracez?trace=$mtrace" > "$workdir/tracez.json" || continue
-    tnodes=$(grep -o '"node": "[^"]*"' "$workdir/tracez.json" | sort -u | grep -c . || true)
-    if [ "$tnodes" -ge 3 ]; then
-        found_trace="$mtrace"
-        break
-    fi
-done < <(grep '"msg":"session migrated"' "$workdir/router.log" \
-    | sed -n 's/.*"session":"\([^"]*\)".*/\1/p' | head -100)
-if [ -z "$found_trace" ]; then
-    echo "cluster-smoke: no migrated session's trace spans router + source + destination" >&2
+# Loadgen minted one X-Rmcc-Trace context per session, so a migrated
+# session's trace already holds its create and replays on the source
+# node. Its replays may all have finished before the drain, so replay it
+# once more through the router under the same trace ID: that request
+# reaches the destination node.
+msid=$(grep -m1 '"msg":"session migrated"' "$workdir/router.log" \
+    | sed -n 's/.*"session":"\([^"]*\)".*/\1/p')
+found_trace=$(awk -v id="$msid" '$1 == id {print $2}' "$workdir/traces.txt")
+if [ -z "$msid" ] || [ -z "$found_trace" ]; then
+    echo "cluster-smoke: no migrated session with a loadgen trace ID" >&2
+    exit 1
+fi
+# The replay body is the trace file minus its header: "RMTR", version,
+# name length, name.
+name_len=$(od -An -j5 -N1 -tu1 "$workdir/canneal.rmtr" | tr -d ' ')
+tail -c +$((7 + name_len)) "$workdir/canneal.rmtr" \
+    | curl -fsS -X POST -H 'Content-Type: application/x-rmcc-trace' \
+        -H "X-Rmcc-Trace: 00-$found_trace-00000000000000a1-01" --data-binary @- \
+        "http://$router/v1/sessions/$msid/replay" > "$workdir/migrated_replay.json"
+grep -q '"accesses"' "$workdir/migrated_replay.json" \
+    || { echo "cluster-smoke: replay of migrated session $msid failed" >&2; cat "$workdir/migrated_replay.json" >&2; exit 1; }
+curl -fsS "http://$router/debug/tracez?trace=$found_trace" > "$workdir/tracez.json"
+tnodes=$(grep -o '"node": "[^"]*"' "$workdir/tracez.json" | sort -u | grep -c . || true)
+if [ "$tnodes" -lt 3 ]; then
+    echo "cluster-smoke: trace $found_trace of migrated session $msid spans $tnodes processes, want router + source + destination" >&2
     exit 1
 fi
 grep -q '"node": "router"' "$workdir/tracez.json" \

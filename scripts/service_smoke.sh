@@ -3,21 +3,23 @@
 #
 #   1. build rmccd + rmcc-loadgen + rmcc-top,
 #   2. boot the daemon on an ephemeral port with JSON structured logging
-#      and the debug listener enabled,
+#      and the pprof debug listener enabled,
 #   3. drive 8 concurrent sessions through the built-in workload replay
 #      with -check (service stats must be bit-identical to a direct
 #      in-process simulation), keep the sessions, and scrape /metrics
 #      (which must carry the per-stage span histograms plus the
 #      loadgen-appended client latency quantiles),
 #   4. render the live dashboard once with rmcc-top -once,
-#   5. curl /statusz and /debug/pprof/heap on the debug listener,
+#   5. curl /statusz and /debug/tracez on the service address and
+#      /debug/pprof/heap on the debug listener,
 #   6. POST an NDJSON body to a kept session and require HTTP 415 naming
 #      the RMTR content type (the refused upload must leave the session
 #      untouched, which step 9's access counts check),
-#   7. record an RMTR trace with rmcc-trace, replay it over the binary
-#      frame wire with -check (bit-identical to the direct run), round-trip
-#      the trace through -decode/-encode (byte-identical file), and assert
-#      the per-wire replay metrics appeared,
+#   7. record an RMTR trace with rmcc-trace, upload it with -trace-file
+#      -check (bit-identical to the direct run), require the daemon to have
+#      read exactly the file minus its header per upload, round-trip the
+#      trace through -decode/-encode (byte-identical file), and assert the
+#      per-wire replay metrics appeared,
 #   8. SIGTERM the daemon and require a clean graceful drain: exit 0
 #      within the drain deadline, plus structured log lines carrying a
 #      session field,
@@ -70,13 +72,13 @@ grep -q 'SESSION' "$workdir/top.txt" && grep -q 'canneal' "$workdir/top.txt" \
     || { echo "service-smoke: rmcc-top -once rendered no session table" >&2; cat "$workdir/top.txt" >&2; exit 1; }
 
 echo "service-smoke: debug endpoints" >&2
-curl -fsS "http://$debug_addr/statusz" > "$workdir/statusz.json"
+curl -fsS "http://$addr/statusz" > "$workdir/statusz.json"
 grep -q '"sessions"' "$workdir/statusz.json" && grep -q '"uptime_seconds"' "$workdir/statusz.json" \
     || { echo "service-smoke: /statusz missing fields" >&2; cat "$workdir/statusz.json" >&2; exit 1; }
 curl -fsS "http://$debug_addr/debug/pprof/heap" > "$workdir/heap.pprof"
 [ -s "$workdir/heap.pprof" ] \
     || { echo "service-smoke: /debug/pprof/heap returned nothing" >&2; exit 1; }
-curl -fsS "http://$debug_addr/debug/tracez?n=10" | grep -q '"slowest"' \
+curl -fsS "http://$addr/debug/tracez?n=10" | grep -q '"slowest"' \
     || { echo "service-smoke: /debug/tracez missing spans" >&2; exit 1; }
 
 echo "service-smoke: NDJSON replay body -> 415" >&2
@@ -87,11 +89,19 @@ code=$(curl -sS -o "$workdir/ndjson_replay.json" -w '%{http_code}' -X POST \
 [ "$code" = 415 ] && grep -q 'application/x-rmcc-trace' "$workdir/ndjson_replay.json" \
     || { echo "service-smoke: NDJSON replay body got HTTP $code, want 415" >&2; cat "$workdir/ndjson_replay.json" >&2; exit 1; }
 
-echo "service-smoke: binary replay wire (rmcc-trace record -> loadgen -wire binary -check)" >&2
+echo "service-smoke: trace upload (rmcc-trace -record -> loadgen -trace-file -check)" >&2
 "$workdir/rmcc-trace" -record -workload canneal -size test \
     -n "$accesses" -seed 1 -o "$workdir/canneal.rmtr"
 "$workdir/rmcc-loadgen" -addr "$addr" -sessions 2 \
-    -trace-file "$workdir/canneal.rmtr" -wire binary -check
+    -trace-file "$workdir/canneal.rmtr" -check
+# A trace file is a 13-byte header ("RMTR", version, name length,
+# "canneal") plus the replay body, uploaded verbatim: the daemon must have
+# read exactly the body, once per session.
+body_bytes=$(( $(wc -c < "$workdir/canneal.rmtr") - 13 ))
+read_bytes=$(curl -fsS "http://$addr/metrics" \
+    | awk '$1 == "rmccd_replay_bytes_total{wire=\"binary\"}" { print $2 }')
+[ "$read_bytes" = "$(( 2 * body_bytes ))" ] \
+    || { echo "service-smoke: daemon read $read_bytes body bytes, want 2 x $body_bytes" >&2; exit 1; }
 
 echo "service-smoke: NDJSON <-> RMTR round trip (decode -> encode -> byte-identical)" >&2
 "$workdir/rmcc-trace" -decode "$workdir/canneal.rmtr" -o "$workdir/canneal.ndjson"
