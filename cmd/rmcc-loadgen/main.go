@@ -261,7 +261,7 @@ func main() {
 				return
 			}
 			r.id = info.ID
-			lg.Debug("session created", "session", info.ID, "shard", info.Shard)
+			lg.Debug("session created", "session", info.ID)
 			created.Wait()
 			t0 := time.Now()
 			for k := 0; k < *replays && r.err == nil; k++ {

@@ -1,9 +1,9 @@
 // Command rmcc-top is a live watch client for an rmccd daemon, in the
 // spirit of top(1): it polls /metrics and the session listing on an
 // interval and renders a refreshing terminal dashboard — daemon header
-// (uptime, sessions, replay counts, stage latency quantiles, shard
-// queues) plus one row per live session with its hit rates, memoization
-// coverage, and per-chunk replay latency percentiles.
+// (uptime, sessions, replay counts, stage latency quantiles) plus one row
+// per live session with its hit rates, memoization coverage, and
+// per-chunk replay latency percentiles.
 //
 // It needs nothing beyond the public service surface: every number comes
 // from the Prometheus exposition or the SessionInfo JSON, so it works
@@ -132,7 +132,7 @@ func render(pm *obs.PromText, sessions []server.SessionInfo, now time.Time) stri
 	// Per-stage replay latency quantiles from the daemon-side histograms,
 	// in the order a replay passes through them.
 	sb.WriteString("stage latency (µs):")
-	for _, stage := range []string{"decode", "queue-wait", "engine-step", "rollup", "encode"} {
+	for _, stage := range []string{"decode", "engine-step", "rollup", "encode"} {
 		p50, ok := pm.HistQuantile("rmccd_replay_stage_duration_us", 0.50, obs.L("stage", stage))
 		if !ok {
 			continue
@@ -140,21 +140,10 @@ func render(pm *obs.PromText, sessions []server.SessionInfo, now time.Time) stri
 		p99, _ := pm.HistQuantile("rmccd_replay_stage_duration_us", 0.99, obs.L("stage", stage))
 		fmt.Fprintf(&sb, "  %s p50 %.0f p99 %.0f", stage, p50, p99)
 	}
-	sb.WriteByte('\n')
+	sb.WriteString("\n\n")
 
-	// Shard queue depths, in shard order.
-	depths := shardDepths(pm)
-	if len(depths) > 0 {
-		sb.WriteString("shard queues:")
-		for i, d := range depths {
-			fmt.Fprintf(&sb, "  %d:%.0f", i, d)
-		}
-		sb.WriteByte('\n')
-	}
-	sb.WriteByte('\n')
-
-	fmt.Fprintf(&sb, "%-12s %-12s %5s %12s %9s %9s %7s %9s %9s %7s %-9s\n",
-		"SESSION", "WORKLOAD", "SHARD", "ACCESSES", "CTR-MISS%", "MEMO-HIT%", "ACCEL%", "P50µs", "P99µs", "CKPT", "STATE")
+	fmt.Fprintf(&sb, "%-12s %-12s %12s %9s %9s %7s %9s %9s %7s %-9s\n",
+		"SESSION", "WORKLOAD", "ACCESSES", "CTR-MISS%", "MEMO-HIT%", "ACCEL%", "P50µs", "P99µs", "CKPT", "STATE")
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].Accesses > sessions[j].Accesses })
 	for _, s := range sessions {
 		state := "idle"
@@ -169,8 +158,8 @@ func render(pm *obs.PromText, sessions []server.SessionInfo, now time.Time) stri
 		if s.LastCheckpoint != "" {
 			ckpt = (time.Duration(s.CheckpointAgeSecs) * time.Second).String()
 		}
-		fmt.Fprintf(&sb, "%-12s %-12s %5d %12s %9.1f %9.1f %7.1f %9.0f %9.0f %7s %-9s\n",
-			s.ID, workload, s.Shard, human(float64(s.Accesses)),
+		fmt.Fprintf(&sb, "%-12s %-12s %12s %9.1f %9.1f %7.1f %9.0f %9.0f %7s %-9s\n",
+			s.ID, workload, human(float64(s.Accesses)),
 			100*s.CtrMissRate, 100*s.MemoHitRateOnMisses, 100*s.AcceleratedRate,
 			s.ReplayP50us, s.ReplayP99us, ckpt, state)
 	}
@@ -263,32 +252,6 @@ func yn(b bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-// shardDepths collects rmccd_shard_queue_depth gauges indexed by their
-// shard label.
-func shardDepths(pm *obs.PromText) []float64 {
-	type kv struct {
-		shard int
-		depth float64
-	}
-	var rows []kv
-	for _, s := range pm.Samples {
-		if s.Name != "rmccd_shard_queue_depth" {
-			continue
-		}
-		var shard int
-		if _, err := fmt.Sscanf(s.Label("shard"), "%d", &shard); err != nil {
-			continue
-		}
-		rows = append(rows, kv{shard, s.Value})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].shard < rows[j].shard })
-	depths := make([]float64, len(rows))
-	for i, r := range rows {
-		depths[i] = r.depth
-	}
-	return depths
 }
 
 // human renders a count with k/M suffixes for the dashboard columns.

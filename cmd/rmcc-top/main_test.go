@@ -17,8 +17,6 @@ rmccd_replays_total{status="error"} 1
 rmccd_replay_accesses_total 3500000
 rmccd_spans_total 42
 rmccd_log_lines_total 9
-rmccd_shard_queue_depth{shard="0"} 0
-rmccd_shard_queue_depth{shard="1"} 3
 rmccd_replay_stage_duration_us_bucket{le="128",stage="engine-step"} 5
 rmccd_replay_stage_duration_us_bucket{le="+Inf",stage="engine-step"} 10
 rmccd_replay_stage_duration_us_count{stage="engine-step"} 10
@@ -39,16 +37,15 @@ func TestRenderFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	sessions := []server.SessionInfo{
-		{ID: "s-1", Workload: "canneal", Shard: 1, Accesses: 3_000_000,
+		{ID: "s-1", Workload: "canneal", Accesses: 3_000_000,
 			CtrMissRate: 0.25, MemoHitRateOnMisses: 0.8, AcceleratedRate: 0.6,
 			ReplayP50us: 120, ReplayP99us: 900, Replaying: true},
-		{ID: "s-2", Name: "dedup", Shard: 0, Accesses: 500_000},
+		{ID: "s-2", Name: "dedup", Accesses: 500_000},
 	}
 	frame := render(pm, sessions, time.Unix(0, 0).UTC())
 	for _, want := range []string{
 		"sessions 2", "replays 7 ok / 1 err", "accesses 3.50M",
-		"stage latency (µs):  decode p50 9 p99 16  engine-step p50 128 p99 128  rollup p50 2 p99 4\n",
-		"shard queues:  0:0  1:3",
+		"stage latency (µs):  decode p50 9 p99 16  engine-step p50 128 p99 128  rollup p50 2 p99 4\n\n",
 		"SESSION", "CTR-MISS%", "P99µs",
 		"s-1", "canneal", "replaying",
 		"s-2", "dedup", "idle",
@@ -113,7 +110,7 @@ func TestRenderClusterFrame(t *testing.T) {
 			t.Errorf("cluster frame missing %q:\n%s", want, frame)
 		}
 	}
-	if strings.Contains(frame, "shard queues") {
+	if strings.Contains(frame, "stage latency") {
 		t.Errorf("cluster frame fell through to the single-daemon view:\n%s", frame)
 	}
 	// Draining node row: healthy=yes but ring=no.

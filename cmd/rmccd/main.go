@@ -1,20 +1,20 @@
 // Command rmccd serves the secure-memory simulator as a multi-tenant
-// daemon: clients create sessions (one warm engine each, sharded across
-// single-owner workers) and replay access streams against them over HTTP.
-// See docs/SERVICE.md for the API.
+// daemon: clients create sessions (one warm engine each, stepped by the
+// request that holds the session's replay lease) and replay access
+// streams against them over HTTP. See docs/SERVICE.md for the API.
 //
 // Examples:
 //
 //	rmccd -addr 127.0.0.1:8077
 //	rmccd -addr 127.0.0.1:0 -port-file /tmp/rmccd.addr   # ephemeral port
-//	rmccd -shards 8 -idle-ttl 5m -drain 10s
+//	rmccd -idle-ttl 5m -drain 10s
 //	rmccd -log-level debug -log-format json
 //	rmccd -debug-addr 127.0.0.1:8078                     # /debug/pprof
 //	rmccd -snapshot-dir /var/lib/rmcc                    # crash recovery + flight file
 //
 // Operational logs are structured (text or JSON, -log-format) and leveled
-// (-log-level); every session-scoped line carries session/shard/workload/
-// seed fields. /statusz, /debug/tracez and /debug/flightz are served on
+// (-log-level); every session-scoped line carries session/workload/seed
+// fields. /statusz, /debug/tracez and /debug/flightz are served on
 // the service address; the profiling surface (/debug/pprof) only exists
 // when -debug-addr is set, on its own listener.
 //
@@ -50,8 +50,6 @@ func run() int {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8077", "listen address (host:0 picks an ephemeral port)")
 		portFile   = flag.String("port-file", "", "write the resolved listen address to this file (for scripts wrapping host:0)")
-		shards     = flag.Int("shards", 0, "session shard workers (default GOMAXPROCS)")
-		queue      = flag.Int("queue", 0, "per-shard job queue depth (default 64)")
 		idleTTL    = flag.Duration("idle-ttl", 10*time.Minute, "evict sessions idle this long (<0 disables)")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight replays")
 		chunk      = flag.Int("chunk", 0, "replay chunk size in accesses (default 4096)")
@@ -78,8 +76,6 @@ func run() int {
 		With("version", buildinfo.Version())
 
 	cfg := server.Config{
-		Shards:        *shards,
-		QueueDepth:    *queue,
 		IdleTTL:       *idleTTL,
 		ChunkAccesses: *chunk,
 		Logger:        log,
@@ -199,7 +195,7 @@ func run() int {
 	// With durable checkpoints on, a graceful exit's last act is a final
 	// checkpoint of every live session, so nothing is lost across restarts.
 	if *snapDir != "" {
-		n := srv.CheckpointAll(context.Background())
+		n := srv.CheckpointAll()
 		log.Info("final checkpoint", "sessions", n)
 	}
 	if err := flight.Sync(); err != nil {

@@ -722,9 +722,9 @@ func (rt *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 	traced := endpoint != "healthz" && endpoint != "metrics" &&
 		endpoint != "statusz" && endpoint != "tracez"
 	return func(w http.ResponseWriter, r *http.Request) {
-		tc, err := parseTraceHeader(r)
+		tc, err := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			writeError(w, http.StatusBadRequest, obs.TraceHeader+": "+err.Error())
 			classes["4xx"].Inc()
 			return
 		}
@@ -756,18 +756,4 @@ func (rt *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 			span.End()
 		}
 	}
-}
-
-// parseTraceHeader extracts the request's X-Rmcc-Trace context, rejecting
-// oversized values on length alone (mirrors the node-side check).
-func parseTraceHeader(r *http.Request) (obs.TraceContext, error) {
-	v := r.Header.Get(obs.TraceHeader)
-	if len(v) > obs.TraceHeaderLen {
-		return obs.TraceContext{}, fmt.Errorf("%s header too long (%d bytes)", obs.TraceHeader, len(v))
-	}
-	tc, err := obs.ParseTraceContext(v)
-	if err != nil {
-		return obs.TraceContext{}, fmt.Errorf("%s: %v", obs.TraceHeader, err)
-	}
-	return tc, nil
 }

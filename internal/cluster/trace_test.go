@@ -85,7 +85,7 @@ func TestRouterDrainTraceConnected(t *testing.T) {
 	}
 	// Both nodes ran traced replays, so both carry stage spans.
 	for _, node := range []string{"node-0", "node-1"} {
-		for _, want := range []string{"http.replay", "replay", "engine-step", "queue-wait"} {
+		for _, want := range []string{"http.replay", "replay", "decode", "engine-step"} {
 			if !names[node][want] {
 				t.Errorf("%s slice missing %q span (got %v)", node, want, names[node])
 			}

@@ -13,8 +13,8 @@ import (
 // /debug/flightz?dump=1 and rmcc-top -flight all read that one store.
 //
 // Unlike the single-run Tracer, a SpanTracer IS safe for concurrent use:
-// rmccd records spans from every HTTP handler goroutine and around every
-// shard-worker chunk. Completing a span is allocation-free (atomic
+// rmccd records spans from every HTTP handler goroutine, including every
+// replay batch's stages. Completing a span is allocation-free (atomic
 // histogram adds plus one framed copy into the recorder's preallocated
 // ring), so the daemon's zero-alloc replay chunk path holds with spans
 // enabled.
@@ -35,7 +35,7 @@ type SpanRecord struct {
 	// upstream tracer's ordinal space, so they are rendered distinctly
 	// from local Parent links.
 	Remote uint64
-	// Name is the stage name ("replay", "queue-wait", "engine-step", ...).
+	// Name is the stage name ("replay", "decode", "engine-step", ...).
 	Name string
 	// Detail is free-form context (typically a session id or URL path).
 	Detail string
@@ -159,10 +159,10 @@ func (t *SpanTracer) StartRemote(name, detail string, tc TraceContext) Span {
 
 // RecordT logs an externally measured span (start in Unix nanoseconds)
 // inside trace tc (trace ID only; parent stays the local link) and
-// returns its ID — the path for stages whose boundaries were captured
-// elsewhere, like the shard pool's queue-wait/run timestamps. No-op
-// returning 0 on a nil tracer. Allocation-free — it runs on the replay
-// chunk path.
+// returns its ID — the path for stages whose boundaries the caller
+// measured itself, like rmccd's back-to-back replay stages, each of which
+// starts where the previous one ended. No-op returning 0 on a nil tracer.
+// Allocation-free — it runs on the replay batch path.
 func (t *SpanTracer) RecordT(name, detail string, parent uint64, tc TraceContext, startNS int64, d time.Duration) uint64 {
 	if t == nil {
 		return 0
@@ -255,6 +255,10 @@ type Span struct {
 
 // ID returns the span's ID for parent links (0 for an inert span).
 func (s Span) ID() uint64 { return s.id }
+
+// Start returns the span's start time in Unix nanoseconds (0 for an
+// inert span).
+func (s Span) Start() int64 { return s.start }
 
 // End completes the span, recording it into its stage histogram and the
 // store. No-op on an inert span.

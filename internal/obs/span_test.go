@@ -57,8 +57,8 @@ func TestSpanTracerBasic(t *testing.T) {
 func TestSpanTracerRecord(t *testing.T) {
 	st := NewSpanTracer(4)
 	hist := NewHistogram(Pow2Buckets(1, 24))
-	st.RegisterStage("queue-wait", hist)
-	id := st.RecordT("queue-wait", "s-02", 7, TraceContext{}, 1234, 250*time.Microsecond)
+	st.RegisterStage("engine-step", hist)
+	id := st.RecordT("engine-step", "s-02", 7, TraceContext{}, 1234, 250*time.Microsecond)
 	if id == 0 {
 		t.Fatal("RecordT returned 0 id")
 	}
@@ -71,7 +71,7 @@ func TestSpanTracerRecord(t *testing.T) {
 		t.Errorf("stage hist = %d/%d, want 1/250", hist.Count(), hist.Sum())
 	}
 	// Negative durations clamp to zero rather than corrupting histograms.
-	st.RecordT("queue-wait", "s-02", 0, TraceContext{}, 0, -time.Second)
+	st.RecordT("engine-step", "s-02", 0, TraceContext{}, 0, -time.Second)
 	if hist.Sum() != 250 {
 		t.Errorf("negative duration leaked into hist sum: %d", hist.Sum())
 	}
@@ -141,8 +141,8 @@ func TestSpanTracerNilSafe(t *testing.T) {
 	}
 }
 
-// TestSpanTracerConcurrent is the shard-worker concurrency model under
-// the race detector: many goroutines completing spans (with a stage
+// TestSpanTracerConcurrent is the daemon's concurrency model under the
+// race detector: many goroutines completing spans (with a stage
 // histogram attached) while exporters concurrently snapshot the store and
 // serialize the registry. Afterwards every counter must agree on the
 // emission count, and every span is either retained or counted dropped.

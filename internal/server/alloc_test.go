@@ -25,93 +25,70 @@ func newAllocTestSession(t *testing.T, cfg Config) (*Server, *session) {
 	return s, sess
 }
 
-// TestReplayChunkInstrumentationAllocFree is the benchmark guard for the
-// tentpole's zero-overhead constraint: with logging at error level and
-// spans recording (they always record), applying a replay batch must
-// allocate no more than the pre-instrumentation shard round-trip — one
-// closure escape plus one completion channel plus the escaping result
-// variables. The batch is empty so the engine itself contributes nothing
-// and the measurement isolates the service-layer path.
+// TestReplayChunkInstrumentationAllocFree pins the per-batch service path
+// at zero allocations with logging at error level and spans recording
+// (they always record): applyBatch steps the batch, refreshes the listing
+// mirrors, writes the engine-step span into the record store, feeds the
+// session's latency history and gates the sampled debug line. It must
+// allocate nothing with a sampled trace context, with an unsampled one,
+// and after a durable checkpoint has used the session's encode buffer.
+// The batch is empty so the engine itself contributes nothing and the
+// measurement isolates the service layer.
 func TestReplayChunkInstrumentationAllocFree(t *testing.T) {
 	s, sess := newAllocTestSession(t, Config{
-		Shards: 1,
 		Logger: obs.NewLogger(io.Discard, slog.LevelError, "text"),
 	})
 	ctx := context.Background()
-	// A full distributed trace context attached to the batch: the
-	// tentpole's acceptance bar is that tracing adds zero allocations on
-	// this path, sampled or not.
 	sampled := obs.TraceContext{TraceHi: 0xaaaa, TraceLo: 0xbbbb, SpanID: 1, Sampled: true}
 	unsampled := obs.TraceContext{TraceHi: 0xcccc, TraceLo: 0xdddd, SpanID: 1}
 	var batch []workload.Access
 	apply := func(tc obs.TraceContext) func() {
+		clk := &stageClock{spans: s.spans, id: sess.id, tc: tc, last: time.Now().UnixNano()}
 		return func() {
-			if _, _, err := s.applyBatch(ctx, sess, batch, tc); err != nil {
-				t.Fatal(err)
+			if n := s.applyBatch(ctx, sess, batch, clk); n != 0 {
+				t.Fatalf("stepped %d accesses of an empty batch", n)
 			}
 		}
 	}
 	apply(sampled)() // warm up
 
-	instrumented := testing.AllocsPerRun(200, apply(sampled))
-	untraced := testing.AllocsPerRun(200, apply(unsampled))
-	if untraced != instrumented {
-		t.Errorf("unsampled trace context changes batch allocations: %.1f vs %.1f/op", untraced, instrumented)
-	}
-
-	// Control: the pre-instrumentation batch shape — same closure-captured
-	// result variables, untimed pool round-trip, no spans, no histograms.
-	control := testing.AllocsPerRun(200, func() {
-		var stepped int
-		var total uint64
-		err := s.pool.do(ctx, sess.shard, func() {
-			for _, a := range batch {
-				sess.lt.Step(a)
-				stepped++
-			}
-			total = sess.lt.Accesses()
-		})
-		if err != nil || stepped != 0 || total != 0 {
-			t.Fatal("control path misbehaved")
+	check := func(label string, tc obs.TraceContext) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(200, apply(tc)); allocs != 0 {
+			t.Errorf("applyBatch allocates %.1f/op %s, want 0", allocs, label)
 		}
-	})
-
-	if instrumented > control {
-		t.Errorf("instrumented batch path allocates %.1f/op, control %.1f/op — observability added allocations",
-			instrumented, control)
 	}
-	t.Logf("allocs/op: instrumented=%.1f control=%.1f", instrumented, control)
+	check("with a sampled trace", sampled)
+	check("with an unsampled trace", unsampled)
 
 	// A durable checkpoint between batches must not perturb the batch
-	// path: the encode buffer is session-owned and reused, and nothing the
-	// checkpoint allocates leaks into subsequent batch submissions.
+	// path: the encode buffer is session-owned and reused.
 	s.cfg.SnapshotDir = t.TempDir()
-	if err := s.checkpointSession(ctx, sess); err != nil {
+	if err := s.checkpointSession(sess); err != nil {
 		t.Fatal(err)
 	}
-	afterCkpt := testing.AllocsPerRun(200, apply(sampled))
-	if afterCkpt > control {
-		t.Errorf("batch path allocates %.1f/op after a checkpoint, control %.1f/op",
-			afterCkpt, control)
-	}
-	t.Logf("allocs/op after checkpoint: %.1f", afterCkpt)
+	check("after a checkpoint", sampled)
 }
 
-// TestRecordChunkAllocFree pins the span/histogram/sampled-log recording
-// itself at zero allocations when the logger filters debug lines. Every
-// span lands in the daemon's record store, so the store's ring is part of
-// this path.
+// TestRecordChunkAllocFree pins the per-batch recording itself at zero
+// allocations when the logger filters debug lines: the engine-step span
+// the stage clock writes into the daemon's record store (so the store's
+// ring is part of this path), the session's latency histogram and the
+// sampled debug-line gate — the tail of applyBatch, without the engine.
 func TestRecordChunkAllocFree(t *testing.T) {
 	s, sess := newAllocTestSession(t, Config{
-		Shards: 1,
 		Logger: obs.NewLogger(io.Discard, slog.LevelError, "text"),
 	})
-	jt := jobTimes{startNS: 1_000, endNS: 51_000}
 	tc := obs.TraceContext{TraceHi: 1, TraceLo: 2, SpanID: 7, Sampled: true}
+	clk := &stageClock{spans: s.spans, id: sess.id, tc: tc, last: time.Now().UnixNano()}
 	allocs := testing.AllocsPerRun(500, func() {
-		s.recordChunk(sess, tc, 0, jt, 4096)
+		stepUS := uint64(clk.mark(stageEngine) / time.Microsecond)
+		sess.chunkHist.Observe(stepUS)
+		if sess.lg.Enabled(context.Background(), slog.LevelDebug) && sess.sampler.Allow() {
+			t.Fatal("debug line enabled at error level")
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("recordChunk allocates %.1f/op with observability disabled, want 0", allocs)
+		t.Errorf("batch recording allocates %.1f/op with debug lines filtered, want 0", allocs)
 	}
 }

@@ -3,10 +3,11 @@
 // simulator. Clients create sessions — each one a fully configured secure
 // memory controller plus cache hierarchy — and replay access streams
 // against them, either uploaded RMTR frame streams or the built-in
-// workload generators. Sessions are sharded across a fixed pool of
-// single-owner worker goroutines: engines are not thread-safe, so every
-// touch of a session's simulator state is serialized through its shard's
-// bounded queue (which doubles as backpressure on streaming uploads).
+// workload generators. Engines are not thread-safe, so a session has one
+// owner at a time: the handler goroutine holding its replay lease steps
+// the engine itself, and a second replay gets 409. Each batch is applied
+// before the next is read, which backpressures a streaming upload through
+// its TCP window.
 //
 // See docs/SERVICE.md for the API reference.
 package server
@@ -149,7 +150,6 @@ func defaultStr(s, def string) string {
 // the engine or taking the replay lease.
 type SessionInfo struct {
 	ID             string `json:"id"`
-	Shard          int    `json:"shard"`
 	Name           string `json:"name"`
 	Workload       string `json:"workload,omitempty"`
 	Mode           string `json:"mode"`

@@ -70,7 +70,7 @@ func replayBody(b *testing.B, srv *server.Server, url, contentType string, body 
 
 // BenchmarkReplayBinary measures end-to-end replay throughput over the
 // binary frame wire: accesses/sec includes HTTP dispatch, frame decoding,
-// and the shard apply path.
+// and stepping the engine.
 func BenchmarkReplayBinary(b *testing.B) {
 	accs, footprint := benchCapture(b)
 	body := frameAccesses(b, accs)

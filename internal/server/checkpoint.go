@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,8 +48,8 @@ type sessionMeta struct {
 	Accesses uint64 `json:"accesses"`
 }
 
-// writeSessionSnapshot encodes the complete checkpoint. Must run on the
-// session's shard goroutine (it reads simulator state).
+// writeSessionSnapshot encodes the complete checkpoint. The caller must
+// hold the replay lease (it reads simulator state).
 func writeSessionSnapshot(sess *session, w io.Writer) error {
 	sw := snapshot.NewWriter(w, sessionKind, snapshot.HashString(sess.cfgHash))
 	meta := sessionMeta{
@@ -93,28 +92,19 @@ func (s *Server) removeCheckpoint(sess *session) {
 	_ = os.Remove(s.checkpointPath(sess.id) + ".tmp")
 }
 
-// encodeCheckpoint fills sess.ckptBuf with the session's checkpoint on
-// its shard goroutine and returns the access count it captured. The
-// caller must hold the replay lease (the buffer and simulator are
-// otherwise unguarded).
-func (s *Server) encodeCheckpoint(ctx context.Context, sess *session) (accesses uint64, err error) {
-	var serr error
-	err = s.pool.do(ctx, sess.shard, func() {
-		sess.ckptBuf.Reset()
-		serr = writeSessionSnapshot(sess, &sess.ckptBuf)
-		accesses = sess.lt.Accesses()
-	})
-	if err == nil {
-		err = serr
-	}
-	return accesses, err
+// encodeCheckpoint fills sess.ckptBuf with the session's checkpoint and
+// returns the access count it captured. The caller must hold the replay
+// lease (the buffer and simulator are otherwise unguarded).
+func encodeCheckpoint(sess *session) (accesses uint64, err error) {
+	sess.ckptBuf.Reset()
+	return sess.lt.Accesses(), writeSessionSnapshot(sess, &sess.ckptBuf)
 }
 
 // checkpointSession cuts one durable checkpoint: take the replay lease,
-// encode on the shard, write tmp+rename so a crash never leaves a
-// half-written file where a valid one stood. Returns errCheckpointBusy
-// (not a failure) when a replay holds the session.
-func (s *Server) checkpointSession(ctx context.Context, sess *session) error {
+// encode, write tmp+rename so a crash never leaves a half-written file
+// where a valid one stood. Returns errCheckpointBusy (not a failure) when
+// a replay holds the session.
+func (s *Server) checkpointSession(sess *session) error {
 	ok, gone := sess.acquire()
 	if !ok {
 		if gone {
@@ -124,7 +114,7 @@ func (s *Server) checkpointSession(ctx context.Context, sess *session) error {
 	}
 	defer sess.release()
 	start := time.Now()
-	accesses, err := s.encodeCheckpoint(ctx, sess)
+	accesses, err := encodeCheckpoint(sess)
 	if err == nil {
 		err = snapshot.WriteFileDurable(s.checkpointPath(sess.id), sess.ckptBuf.Bytes())
 	}
@@ -153,7 +143,7 @@ func (s *Server) checkpointer() {
 	for {
 		select {
 		case <-t.C:
-			s.checkpointDirty(context.Background())
+			s.checkpointDirty()
 			if err := s.cfg.Flight.Sync(); err != nil {
 				s.log.Warn("flight sync failed", "error", err)
 			}
@@ -166,14 +156,14 @@ func (s *Server) checkpointer() {
 // checkpointDirty checkpoints sessions whose access count moved since the
 // last checkpoint (or that never had one), returning how many were cut.
 // Busy sessions are skipped; the next tick retries.
-func (s *Server) checkpointDirty(ctx context.Context) int {
+func (s *Server) checkpointDirty() int {
 	n := 0
 	for _, sess := range s.liveSessions() {
 		if sess.lastCkptNS.Load() != 0 &&
 			sess.accessesDone.Load() == sess.lastCkptAccesses.Load() {
 			continue
 		}
-		if s.checkpointSession(ctx, sess) == nil {
+		if s.checkpointSession(sess) == nil {
 			n++
 		}
 	}
@@ -184,13 +174,13 @@ func (s *Server) checkpointDirty(ctx context.Context) int {
 // path's last act before the process exits, so a clean shutdown is
 // indistinguishable from a crash with perfectly fresh checkpoints. No-op
 // without SnapshotDir. Returns how many checkpoints were written.
-func (s *Server) CheckpointAll(ctx context.Context) int {
+func (s *Server) CheckpointAll() int {
 	if s.cfg.SnapshotDir == "" {
 		return 0
 	}
 	n := 0
 	for _, sess := range s.liveSessions() {
-		if err := s.checkpointSession(ctx, sess); err != nil {
+		if err := s.checkpointSession(sess); err != nil {
 			sess.lg.Warn("final checkpoint skipped", "error", err)
 			continue
 		}
@@ -214,23 +204,23 @@ func (s *Server) liveSessions() []*session {
 
 // decodeSessionMeta reads just the header and "meta" section — the part a
 // truncated-tail checkpoint can still yield, enabling the fresh-session
-// fallback.
-func decodeSessionMeta(data []byte) (sessionMeta, uint64, error) {
+// fallback — and returns the reader positioned after the meta section.
+func decodeSessionMeta(data []byte) (sessionMeta, *snapshot.Reader, error) {
 	sr, err := snapshot.NewReader(bytes.NewReader(data), sessionKind)
 	if err != nil {
-		return sessionMeta{}, 0, err
+		return sessionMeta{}, nil, err
 	}
 	payload, err := sr.Section("meta")
 	if err != nil {
-		return sessionMeta{}, 0, err
+		return sessionMeta{}, nil, err
 	}
 	var meta sessionMeta
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&meta); err != nil {
-		return sessionMeta{}, 0, fmt.Errorf("%w: meta: %v", snapshot.ErrSnapshotCorrupt, err)
+		return sessionMeta{}, nil, fmt.Errorf("%w: meta: %v", snapshot.ErrSnapshotCorrupt, err)
 	}
-	return meta, sr.ConfigHash(), nil
+	return meta, sr, nil
 }
 
 // configError marks a session config that does not resolve: a client
@@ -251,7 +241,6 @@ func (s *Server) buildSession(id string, sc SessionConfig, created time.Time) (*
 	}
 	sess := &session{
 		id:        id,
-		shard:     s.pool.shardFor(id),
 		name:      res.name,
 		mode:      defaultStr(sc.Mode, "rmcc"),
 		scheme:    defaultStr(sc.Scheme, "morphable"),
@@ -265,8 +254,7 @@ func (s *Server) buildSession(id string, sc SessionConfig, created time.Time) (*
 		sampler:   obs.NewLogSampler(s.cfg.LogSampleEvery),
 		chunkHist: obs.NewHistogram(obs.Pow2Buckets(1, 24)),
 	}
-	sess.lg = s.log.With("session", id, "shard", sess.shard,
-		"workload", res.name, "seed", res.seed)
+	sess.lg = s.log.With("session", id, "workload", res.name, "seed", res.seed)
 	return sess, nil
 }
 
@@ -275,19 +263,9 @@ func (s *Server) buildSession(id string, sc SessionConfig, created time.Time) (*
 // are the typed snapshot taxonomy (config problems inside meta surface as
 // ErrSnapshotConfigMismatch).
 func (s *Server) restoreSession(data []byte) (*session, error) {
-	sr, err := snapshot.NewReader(bytes.NewReader(data), sessionKind)
+	meta, sr, err := decodeSessionMeta(data)
 	if err != nil {
 		return nil, err
-	}
-	payload, err := sr.Section("meta")
-	if err != nil {
-		return nil, err
-	}
-	var meta sessionMeta
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&meta); err != nil {
-		return nil, fmt.Errorf("%w: meta: %v", snapshot.ErrSnapshotCorrupt, err)
 	}
 	if got, want := sr.ConfigHash(), snapshot.HashString(obs.HashConfig(meta.Config)); got != want {
 		return nil, fmt.Errorf("%w: session config hash %016x, want %016x",
@@ -434,7 +412,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		}
 		defer sess.release()
 		start := time.Now()
-		if _, err := s.encodeCheckpoint(r.Context(), sess); err != nil {
+		if _, err := encodeCheckpoint(sess); err != nil {
 			s.mSnapshotFailWrite.Inc()
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -453,7 +431,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 			"daemon has no -snapshot-dir; use ?download=1 for an inline checkpoint")
 		return
 	}
-	if err := s.checkpointSession(r.Context(), sess); err != nil {
+	if err := s.checkpointSession(sess); err != nil {
 		if errors.Is(err, errCheckpointBusy) {
 			writeError(w, http.StatusConflict, "session busy (replay in flight)")
 			return
@@ -505,7 +483,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	s.mSessionsCreated.Inc()
 	sess.lg.Info("session restored", "accesses", sess.accessesDone.Load())
 	if s.cfg.SnapshotDir != "" {
-		if err := s.checkpointSession(r.Context(), sess); err != nil {
+		if err := s.checkpointSession(sess); err != nil {
 			sess.lg.Warn("initial checkpoint failed", "error", err)
 		}
 	}

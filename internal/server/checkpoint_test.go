@@ -286,7 +286,7 @@ func TestDrainFinalCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.BeginDrain()
-	if n := srv.CheckpointAll(ctx); n != 1 {
+	if n := srv.CheckpointAll(); n != 1 {
 		t.Fatalf("CheckpointAll wrote %d checkpoints, want 1", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, info.ID+".snap")); err != nil {

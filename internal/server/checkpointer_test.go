@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"rmcc/internal/obs"
 )
 
 // TestCheckpointDirty: the periodic checkpointer cuts a session whose
@@ -14,7 +12,7 @@ import (
 // skips one that did not move, and skips one whose replay lease is held
 // until the lease is released.
 func TestCheckpointDirty(t *testing.T) {
-	s := New(Config{Shards: 1, SnapshotDir: t.TempDir(), SnapshotEvery: time.Hour})
+	s := New(Config{SnapshotDir: t.TempDir(), SnapshotEvery: time.Hour})
 	t.Cleanup(s.Close)
 	ctx := context.Background()
 	sc := SessionConfig{Mode: "rmcc", Scheme: "morphable", Seed: 1, Workload: "canneal", Size: "test"}
@@ -31,14 +29,15 @@ func TestCheckpointDirty(t *testing.T) {
 	}
 	step := func(sess *session) {
 		g := &generator{sess: sess, n: 1000, chunk: 1000}
-		applied, err := s.replayBatches(ctx, sess, g, &replayWriter{}, obs.TraceContext{})
+		clk := &stageClock{spans: s.spans, id: sess.id, last: time.Now().UnixNano()}
+		applied, err := s.replayBatches(ctx, sess, g, &replayWriter{}, clk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g.settle(applied)
 	}
 
-	if n := s.checkpointDirty(ctx); n != 3 {
+	if n := s.checkpointDirty(); n != 3 {
 		t.Fatalf("first pass cut %d checkpoints, want all 3", n)
 	}
 	idleAt := idle.lastCkptNS.Load()
@@ -47,7 +46,7 @@ func TestCheckpointDirty(t *testing.T) {
 	if ok, _ := leased.acquire(); !ok {
 		t.Fatal("lease busy")
 	}
-	if n := s.checkpointDirty(ctx); n != 1 {
+	if n := s.checkpointDirty(); n != 1 {
 		t.Fatalf("second pass cut %d checkpoints, want 1", n)
 	}
 	if got := moved.lastCkptAccesses.Load(); got != 1000 {
@@ -60,11 +59,11 @@ func TestCheckpointDirty(t *testing.T) {
 		t.Errorf("leased session checkpointed at %d accesses while its lease was held", got)
 	}
 	leased.release()
-	if n := s.checkpointDirty(ctx); n != 1 || leased.lastCkptAccesses.Load() != 1000 {
+	if n := s.checkpointDirty(); n != 1 || leased.lastCkptAccesses.Load() != 1000 {
 		t.Fatalf("after release: cut %d, leased session at %d accesses; want 1 cut at 1000",
 			n, leased.lastCkptAccesses.Load())
 	}
-	if n := s.checkpointDirty(ctx); n != 0 {
+	if n := s.checkpointDirty(); n != 0 {
 		t.Fatalf("quiet pass cut %d checkpoints, want 0", n)
 	}
 }

@@ -39,14 +39,9 @@ type StatuszInfo struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Draining      bool    `json:"draining"`
 
-	Shards        int   `json:"shards"`
-	QueueDepths   []int `json:"queue_depths"`
-	ChunkAccesses int   `json:"chunk_accesses"`
-
-	Sessions    int `json:"sessions"`
-	MaxSessions int `json:"max_sessions"`
-	// ShardOccupancy counts live sessions per shard.
-	ShardOccupancy []int `json:"shard_occupancy"`
+	ChunkAccesses int `json:"chunk_accesses"`
+	Sessions      int `json:"sessions"`
+	MaxSessions   int `json:"max_sessions"`
 
 	SpansTotal    uint64 `json:"spans_total"`
 	LogLines      uint64 `json:"log_lines"`
@@ -75,8 +70,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		StartedAt:     s.started.UTC().Format(time.RFC3339),
 		UptimeSeconds: now.Sub(s.started).Seconds(),
 		Draining:      s.draining.Load(),
-		Shards:        s.cfg.Shards,
-		QueueDepths:   make([]int, s.cfg.Shards),
 		ChunkAccesses: s.cfg.ChunkAccesses,
 		MaxSessions:   maxSessions,
 		SpansTotal:    s.spans.Total(),
@@ -92,17 +85,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		SnapshotFailures:  s.mSnapshotFailWrite.Value() + s.mSnapshotFailLoad.Value(),
 		SessionsRecovered: s.mSessionsRecovered.Value(),
 	}
-	for i := range info.QueueDepths {
-		info.QueueDepths[i] = s.pool.queueLen(i)
-	}
-	occ := make([]int, s.cfg.Shards)
 	s.mu.Lock()
 	info.Sessions = len(s.sessions)
-	for _, sess := range s.sessions {
-		occ[sess.shard]++
-	}
 	s.mu.Unlock()
-	info.ShardOccupancy = occ
 	writeJSON(w, http.StatusOK, info)
 }
 

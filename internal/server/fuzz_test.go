@@ -4,8 +4,8 @@ import "testing"
 
 // FuzzDecodeSessionConfig: arbitrary bytes must either decode cleanly or
 // return an error — never panic. A panic here would take down the create
-// handler; a shard worker is never involved because decoding happens
-// before any simulator state is built.
+// handler; no simulator state is involved because decoding happens
+// before any is built.
 func FuzzDecodeSessionConfig(f *testing.F) {
 	f.Add([]byte(`{"mode":"rmcc","scheme":"morphable","workload":"canneal","size":"test","seed":1}`))
 	f.Add([]byte(`{"footprint_bytes":1048576,"label":"trace"}`))

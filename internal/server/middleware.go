@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -39,11 +38,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	traced := endpoint != "healthz" && endpoint != "metrics" &&
 		endpoint != "statusz" && endpoint != "tracez" && endpoint != "flightz"
 	return func(w http.ResponseWriter, r *http.Request) {
-		tc, err := parseTraceHeader(r)
+		tc, err := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader))
 		if err != nil {
 			// A malformed context is a client error, never a 5xx: reject
 			// before any session work so tracing garbage can't propagate.
-			writeError(w, http.StatusBadRequest, err.Error())
+			// The parser checks the length before it decodes any hex.
+			writeError(w, http.StatusBadRequest, obs.TraceHeader+": "+err.Error())
 			if c := classes["4xx"]; c != nil {
 				c.Inc()
 			}
@@ -68,21 +68,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			span.End()
 		}
 	}
-}
-
-// parseTraceHeader extracts the request's X-Rmcc-Trace context. Oversized
-// values are rejected on length alone so a hostile header never reaches
-// the hex decoder.
-func parseTraceHeader(r *http.Request) (obs.TraceContext, error) {
-	v := r.Header.Get(obs.TraceHeader)
-	if len(v) > obs.TraceHeaderLen {
-		return obs.TraceContext{}, fmt.Errorf("%s header too long (%d bytes)", obs.TraceHeader, len(v))
-	}
-	tc, err := obs.ParseTraceContext(v)
-	if err != nil {
-		return obs.TraceContext{}, fmt.Errorf("%s: %v", obs.TraceHeader, err)
-	}
-	return tc, nil
 }
 
 // classOf buckets a status code into the counter classes.

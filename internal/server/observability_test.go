@@ -15,9 +15,9 @@ import (
 )
 
 // TestStageHistogramsInMetrics: after a workload replay and a binary
-// upload, the per-stage span histograms (queue-wait, engine-step, decode,
-// rollup, encode) and per-endpoint SLO series must appear populated in
-// /metrics.
+// upload, the per-stage span histograms (decode, engine-step, rollup,
+// encode) and per-endpoint SLO series must appear populated in /metrics,
+// with no other stage and no queue series.
 func TestStageHistogramsInMetrics(t *testing.T) {
 	_, c := newTestServer(t, server.Config{ChunkAccesses: 1000})
 	ctx := context.Background()
@@ -39,7 +39,6 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 		t.Fatalf("metrics: %v", err)
 	}
 	for _, want := range []string{
-		`rmccd_replay_stage_duration_us_count{stage="queue-wait"}`,
 		`rmccd_replay_stage_duration_us_count{stage="engine-step"}`,
 		`rmccd_replay_stage_duration_us_count{stage="decode"}`,
 		`rmccd_replay_stage_duration_us_count{stage="rollup"}`,
@@ -47,7 +46,6 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 		`rmccd_request_duration_us_count{endpoint="replay"} 2`,
 		`rmccd_request_duration_us_count{endpoint="create"} 1`,
 		`rmccd_requests_total{class="2xx",endpoint="replay"} 2`,
-		`rmccd_queue_depth_at_enqueue_count`,
 		`rmccd_uptime_seconds`,
 		`rmccd_spans_total`,
 	} {
@@ -55,16 +53,26 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// The parser must read our own exposition. engine-step and queue-wait
-	// observe one sample per applied batch (5 generator batches of 1000,
-	// then 2 frames), decode one per batch read from either source (5
-	// generator batches and EOF, then 2 frames and EOF), and rollup one
-	// per replay.
+	// The parser must read our own exposition. engine-step observes one
+	// sample per applied batch (5 generator batches of 1000, then 2
+	// frames), decode one per batch read from either source (5 generator
+	// batches and EOF, then 2 frames and EOF), and rollup one per replay.
 	parsed, err := obs.ParsePromText(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("parse own metrics: %v", err)
 	}
-	for stage, want := range map[string]float64{"engine-step": 7, "queue-wait": 7, "decode": 9, "rollup": 2} {
+	// A replay has four stages, and no series reports a queue: sessions
+	// have no worker pool to wait for.
+	stages := map[string]bool{"decode": true, "engine-step": true, "rollup": true, "encode": true}
+	for _, smp := range parsed.Samples {
+		if st := smp.Label("stage"); st != "" && !stages[st] {
+			t.Errorf("metrics carry unexpected stage %q", st)
+		}
+		if strings.Contains(smp.Name, "_queue") {
+			t.Errorf("metrics carry queue series %s", smp.Name)
+		}
+	}
+	for stage, want := range map[string]float64{"engine-step": 7, "decode": 9, "rollup": 2} {
 		if v, ok := parsed.Value("rmccd_replay_stage_duration_us_count", obs.L("stage", stage)); !ok || v != want {
 			t.Errorf("%s count = %v,%v, want %v", stage, v, ok, want)
 		}
@@ -110,7 +118,7 @@ func TestSessionInfoLiveRates(t *testing.T) {
 // address and /debug/pprof on the separate debug handler after real
 // traffic.
 func TestDebugEndpoints(t *testing.T) {
-	srv := server.New(server.Config{Shards: 2, ChunkAccesses: 1000})
+	srv := server.New(server.Config{ChunkAccesses: 1000})
 	base := serve(t, srv)
 	c := client.New(base)
 	debug := httptest.NewServer(srv.DebugHandler())
@@ -128,18 +136,11 @@ func TestDebugEndpoints(t *testing.T) {
 	// /statusz
 	var status server.StatuszInfo
 	getJSON(t, base+"/statusz", &status)
-	if status.Sessions != 1 || status.Shards != 2 || status.MaxSessions == 0 {
+	if status.Sessions != 1 || status.ChunkAccesses != 1000 || status.MaxSessions == 0 {
 		t.Errorf("statusz wrong: %+v", status)
 	}
 	if status.GoVersion == "" || status.StartedAt == "" {
 		t.Errorf("statusz missing build info: %+v", status)
-	}
-	occ := 0
-	for _, n := range status.ShardOccupancy {
-		occ += n
-	}
-	if occ != 1 {
-		t.Errorf("shard occupancy sums to %d, want 1", occ)
 	}
 	if status.SpansTotal == 0 {
 		t.Error("statusz reports zero spans after a replay")
@@ -158,7 +159,7 @@ func TestDebugEndpoints(t *testing.T) {
 			t.Errorf("tracez not sorted by duration: %+v", tz.Slowest)
 		}
 	}
-	for _, want := range []string{"replay", "engine-step", "queue-wait"} {
+	for _, want := range []string{"replay", "decode", "engine-step"} {
 		if !names[want] {
 			t.Errorf("tracez missing %q spans (got %v)", want, names)
 		}

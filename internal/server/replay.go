@@ -44,14 +44,15 @@ const (
 // JSON ReplayStats document. Cancellation is chunk-granular: a dropped
 // client connection or the shutdown drain deadline aborts mid-stream.
 //
-// Every replay runs under a span parented to the request span: each batch
-// read records a decode span, each applied batch queue-wait and
-// engine-step spans (from the shard pool's worker timestamps), the
-// closing stats roll-up a rollup span, and each written progress/result
-// frame an encode span — together they account for the request's time.
-// The per-batch path stays allocation-free: stage recording is ring
-// writes plus atomic histogram adds, and the sampled debug log line is
-// gated on Enabled before its arguments exist.
+// The handler goroutine holds the session's replay lease for the whole
+// replay and steps the engine itself. Every replay runs under a span
+// parented to the request span, and a stageClock times its stages back
+// to back under it: each batch read is a decode span, each applied batch
+// an engine-step span, the closing stats roll-up a rollup span, and each
+// written progress/result frame an encode span — together they tile the
+// replay span. The per-batch path stays allocation-free: stage recording
+// is ring writes plus atomic histogram adds, and the sampled debug log
+// line is gated on Enabled before its arguments exist.
 //
 // The roll-up reads only the session's running counters
 // (sim.Lifetime.Counters): Figure 15's coverage scan over every data
@@ -132,6 +133,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	rtc.SpanID = rsp.ID()
 	defer rsp.End()
 
+	clk := &stageClock{spans: s.spans, id: sess.id, tc: rtc, last: rsp.Start()}
 	rw := &replayWriter{w: w, every: progressEvery}
 	start := time.Now()
 	var applied uint64
@@ -139,12 +141,12 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if useWorkload {
 		s.mReplaysWorkload.Inc()
 		g := &generator{sess: sess, n: accesses, chunk: uint64(s.cfg.ChunkAccesses)}
-		applied, err = s.replayBatches(ctx, sess, g, rw, rtc)
+		applied, err = s.replayBatches(ctx, sess, g, rw, clk)
 		g.settle(applied)
 	} else {
 		s.mReplaysBinary.Inc()
 		body := &countingReader{r: r.Body}
-		applied, err = s.replayBatches(ctx, sess, trace.NewFrameReader(body), rw, rtc)
+		applied, err = s.replayBatches(ctx, sess, trace.NewFrameReader(body), rw, clk)
 		s.mReplayBytes.Add(body.n)
 	}
 	s.mReplayAccesses.Add(applied)
@@ -174,22 +176,13 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var res sim.LifetimeResult
-	rollStart := time.Now()
-	perr := s.pool.do(ctx, sess.shard, func() { res = sess.lt.Counters() })
-	s.spans.RecordT(stageRollup, sess.id, rtc.SpanID, rtc, rollStart.UnixNano(), time.Since(rollStart))
-	if perr != nil {
-		s.mReplaysCancel.Inc()
-		sess.lg.Info("replay cancelled", "applied", applied, "reason", "cancelled before stats rollup")
-		rw.fail(http.StatusServiceUnavailable, "replay cancelled before stats rollup")
-		return
-	}
+	res := sess.lt.Counters()
+	clk.mark(stageRollup)
 	s.mReplaysOK.Inc()
 	stats := statsFromResult(sess.id, sess.seed, res)
 	stats.WallSeconds = time.Since(start).Seconds()
-	encStart := time.Now()
 	rw.result(stats)
-	s.spans.RecordT(stageEncode, sess.id, rtc.SpanID, rtc, encStart.UnixNano(), time.Since(encStart))
+	clk.mark(stageEncode)
 	sess.lg.Info("replay complete", "accesses", applied,
 		"total_accesses", res.Accesses, "wall_seconds", stats.WallSeconds)
 }
@@ -215,31 +208,26 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// recordChunk emits the queue-wait and engine-step stage spans for one
-// applied chunk, feeds the session's latency history, and (sampled, debug
-// level only) logs the chunk. Allocation-free when the logger is disabled
-// or filtered.
-func (s *Server) recordChunk(sess *session, tc obs.TraceContext, submitNS int64, jt jobTimes, got uint64) {
-	s.spans.RecordT(stageQueueWait, sess.id, tc.SpanID, tc, submitNS, time.Duration(jt.startNS-submitNS))
-	s.spans.RecordT(stageEngine, sess.id, tc.SpanID, tc, jt.startNS, time.Duration(jt.endNS-jt.startNS))
-	stepUS := uint64(jt.endNS-jt.startNS) / 1e3
-	sess.chunkHist.Observe(stepUS)
-	if sess.lg.Enabled(context.Background(), slog.LevelDebug) && sess.sampler.Allow() {
-		sess.lg.Debug("chunk applied", "accesses", got, "engine_step_us", stepUS,
-			"queue_wait_us", uint64(jt.startNS-submitNS)/1e3)
-	}
+// stageClock times a replay's stages back to back on the handler
+// goroutine: mark records a stage span from the previous mark (the replay
+// span's start, for the first) to now, parented to the replay span. So
+// the stages tile the replay span, and time spent between two stages —
+// a descheduled handler, say — lands in the next stage instead of
+// falling between spans.
+type stageClock struct {
+	spans *obs.SpanTracer
+	id    string           // session ID, the spans' detail
+	tc    obs.TraceContext // the replay span's trace context
+	last  int64            // Unix nanos of the previous mark
 }
 
-// emitProgress forwards to the replay writer and wraps any written frame
-// in an encode stage span. The no-frame case (threshold not crossed, or
-// no ?progress at all) costs two time reads and no allocation.
-func (s *Server) emitProgress(rw *replayWriter, sess *session, tc obs.TraceContext, applied uint64) error {
-	start := time.Now()
-	wrote, err := rw.progress(applied)
-	if wrote {
-		s.spans.RecordT(stageEncode, sess.id, tc.SpanID, tc, start.UnixNano(), time.Since(start))
-	}
-	return err
+// mark records stage as ending now and returns its duration.
+func (c *stageClock) mark(stage string) time.Duration {
+	now := time.Now().UnixNano()
+	d := time.Duration(now - c.last)
+	c.spans.RecordT(stage, c.id, c.tc.SpanID, c.tc, c.last, d)
+	c.last = now
+	return d
 }
 
 // batchReader is a replay source: it fills dst's backing array with the
@@ -251,24 +239,23 @@ type batchReader interface {
 }
 
 // replayBatches is the one apply loop: read a batch from src into the
-// reused slice (under a decode span, which covers the body read or the
-// generator pulls), apply it on the session's shard, account, emit
-// progress. Reading happens on the handler goroutine; only a validated
-// batch crosses into the shard, so malformed input can never panic a
-// worker. Because each batch is applied before the next is read, a slow
+// reused slice (a decode stage, which covers the body read or the
+// generator pulls), apply it, account, emit progress. Only a validated
+// batch reaches the engine, so malformed input can never panic a step.
+// Because each batch is applied before the next is read, a slow
 // simulation backpressures an upload through the unread TCP window, and
-// steady state allocates nothing per access or per batch.
-func (s *Server) replayBatches(ctx context.Context, sess *session, src batchReader, rw *replayWriter, tc obs.TraceContext) (uint64, error) {
+// steady state allocates nothing per access or per batch. The caller
+// holds the session's replay lease.
+func (s *Server) replayBatches(ctx context.Context, sess *session, src batchReader, rw *replayWriter, clk *stageClock) (uint64, error) {
 	batch := make([]workload.Access, 0, s.cfg.ChunkAccesses)
 	var applied uint64
 	for n := 1; ; n++ {
 		if err := ctx.Err(); err != nil {
 			return applied, err
 		}
-		start := time.Now()
 		var err error
 		batch, err = src.DecodeInto(batch)
-		s.spans.RecordT(stageDecode, sess.id, tc.SpanID, tc, start.UnixNano(), time.Since(start))
+		clk.mark(stageDecode)
 		switch {
 		case err == io.EOF:
 			return applied, nil
@@ -277,19 +264,21 @@ func (s *Server) replayBatches(ctx context.Context, sess *session, src batchRead
 		case err != nil:
 			return applied, err
 		}
-		stepped, total, err := s.applyBatch(ctx, sess, batch, tc)
+		stepped := s.applyBatch(ctx, sess, batch, clk)
 		applied += uint64(stepped)
+		sess.touch(s.cfg.Now())
+		// A progress frame is an encode stage; without one, the time
+		// rolls into the next decode.
+		wrote, err := rw.progress(applied)
+		if wrote {
+			clk.mark(stageEncode)
+		}
 		if err != nil {
 			return applied, err
 		}
-		sess.accessesDone.Store(total)
-		sess.touch(s.cfg.Now())
-		if err := s.emitProgress(rw, sess, tc, applied); err != nil {
-			return applied, err
-		}
 		if stepped < len(batch) {
-			// The shard worker stopped mid-batch: only cancellation
-			// does that, and context errors are sticky.
+			// applyBatch stopped mid-batch: only cancellation does
+			// that, and context errors are sticky.
 			return applied, ctx.Err()
 		}
 	}
@@ -345,34 +334,29 @@ func (g *generator) settle(applied uint64) {
 	}
 }
 
-// applyBatch steps one batch on the session's shard and records its
-// stage spans. The shard closure reports how many accesses it stepped
-// through the captured counter — cancellation mid-batch leaves stepped <
-// len(batch) — rather than mutating the caller's slice, so the apply
-// loop's accounting never depends on cross-goroutine slice surgery.
-// This is THE hot service-layer path, one call per batch; its per-call
-// allocations are capped at an untimed shard round-trip (one closure plus
-// one completion channel), enforced by
-// TestReplayChunkInstrumentationAllocFree.
-func (s *Server) applyBatch(ctx context.Context, sess *session, batch []workload.Access, tc obs.TraceContext) (stepped int, total uint64, err error) {
-	s.mEnqueueDepth.Observe(uint64(s.pool.queueLen(sess.shard)))
-	submit := time.Now().UnixNano()
-	jt, err := s.pool.doTimed(ctx, sess.shard, func() {
-		for _, a := range batch {
-			if stepped%512 == 511 && ctx.Err() != nil {
-				break
-			}
-			sess.lt.Step(a)
-			stepped++
+// applyBatch steps one batch through the session's engine and returns
+// how many accesses it stepped: cancellation mid-batch leaves fewer than
+// len(batch). It refreshes the listing mirrors, records the engine-step
+// stage on clk, feeds the session's latency history and (sampled, debug
+// level only) logs the batch. The caller holds the replay lease. This is
+// THE hot service-layer path, one call per batch, and it allocates
+// nothing (TestReplayChunkInstrumentationAllocFree).
+func (s *Server) applyBatch(ctx context.Context, sess *session, batch []workload.Access, clk *stageClock) (stepped int) {
+	for _, a := range batch {
+		if stepped%512 == 511 && ctx.Err() != nil {
+			break
 		}
-		total = sess.lt.Accesses()
-		sess.storeRates(sess.lt.MC().Stats())
-	})
-	if err != nil {
-		return 0, 0, err
+		sess.lt.Step(a)
+		stepped++
 	}
-	s.recordChunk(sess, tc, submit, jt, uint64(stepped))
-	return stepped, total, nil
+	sess.accessesDone.Store(sess.lt.Accesses())
+	sess.storeRates(sess.lt.MC().Stats())
+	stepUS := uint64(clk.mark(stageEngine) / time.Microsecond)
+	sess.chunkHist.Observe(stepUS)
+	if sess.lg.Enabled(context.Background(), slog.LevelDebug) && sess.sampler.Allow() {
+		sess.lg.Debug("chunk applied", "accesses", stepped, "engine_step_us", stepUS)
+	}
+	return stepped
 }
 
 // inputError marks client-side (4xx) replay failures.

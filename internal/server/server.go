@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,7 +18,6 @@ import (
 	"rmcc/internal/buildinfo"
 	"rmcc/internal/obs"
 	"rmcc/internal/secmem/engine"
-	"rmcc/internal/sim"
 
 	// Register the sidechannel adversary workloads (ppSweep, memjam4k) so
 	// every rmccd session and rmcc-loadgen shortcut can resolve them by
@@ -42,17 +40,12 @@ const (
 // Config parameterizes the daemon. The zero value is usable: every field
 // has a production default.
 type Config struct {
-	// Shards is the worker-goroutine pool size (default GOMAXPROCS).
-	Shards int
-	// QueueDepth bounds each shard's job queue; a full queue blocks
-	// submitters, backpressuring streaming clients (default 64).
-	QueueDepth int
 	// IdleTTL evicts sessions untouched for this long (default 10m;
 	// negative disables eviction).
 	IdleTTL time.Duration
-	// ChunkAccesses is the replay batch applied per shard job — the
-	// granularity of backpressure, progress, and cancellation
-	// (default 4096).
+	// ChunkAccesses is the generator batch a workload replay steps
+	// before it reads the next one — the granularity of progress and
+	// cancellation (default 4096). Uploads step one frame at a time.
 	ChunkAccesses int
 
 	// SnapshotDir, when set, makes sessions crash-recoverable: each live
@@ -89,12 +82,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	if c.IdleTTL == 0 {
 		c.IdleTTL = 10 * time.Minute
 	}
@@ -127,7 +114,6 @@ func (c Config) withDefaults() Config {
 // full graceful-shutdown sequence).
 type Server struct {
 	cfg     Config
-	pool    *shardPool
 	mux     *http.ServeMux
 	reg     *obs.Registry
 	log     *slog.Logger
@@ -167,9 +153,6 @@ type Server struct {
 	mReplaysBinary   *obs.Counter
 	mReplayBytes     *obs.Counter
 
-	// Shard queue depth observed at each chunk enqueue.
-	mEnqueueDepth *obs.Histogram
-
 	// Durable-checkpoint metrics.
 	mSnapshots          *obs.Counter
 	mSnapshotFailWrite  *obs.Counter
@@ -179,12 +162,12 @@ type Server struct {
 	mSnapshotBytes      *obs.Histogram
 }
 
-// New builds a server and starts its shard pool and TTL janitor.
+// New builds a server and starts its TTL janitor (and, with SnapshotDir,
+// its checkpointer).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,
-		pool:        newShardPool(cfg.Shards, cfg.QueueDepth),
 		log:         cfg.Logger,
 		spans:       obs.NewSpanTracerOn(cfg.Flight),
 		started:     cfg.Now(),
@@ -209,11 +192,10 @@ func New(cfg Config) *Server {
 
 // Span stage names (the "stage" label on rmccd_replay_stage_duration_us).
 const (
-	stageDecode    = "decode"
-	stageQueueWait = "queue-wait"
-	stageEngine    = "engine-step"
-	stageRollup    = "rollup"
-	stageEncode    = "encode"
+	stageDecode = "decode"
+	stageEngine = "engine-step"
+	stageRollup = "rollup"
+	stageEncode = "encode"
 )
 
 func (s *Server) initMetrics() {
@@ -245,13 +227,6 @@ func (s *Server) initMetrics() {
 			defer s.mu.Unlock()
 			return float64(len(s.sessions))
 		})
-	for i := 0; i < s.cfg.Shards; i++ {
-		shard := i
-		s.reg.GaugeFunc("rmccd_shard_queue_depth",
-			"pending jobs per shard queue",
-			func() float64 { return float64(s.pool.queueLen(shard)) },
-			obs.L("shard", strconv.Itoa(shard)))
-	}
 	s.reg.GaugeFunc("rmccd_build_info",
 		"constant 1, labeled with the daemon build version and revision",
 		func() float64 { return 1 },
@@ -259,13 +234,10 @@ func (s *Server) initMetrics() {
 
 	// Per-stage replay latency (µs), fed by the stage spans.
 	stageBuckets := obs.Pow2Buckets(1, 24) // 2µs .. ~16.8s
-	for _, stage := range []string{stageDecode, stageQueueWait, stageEngine, stageRollup, stageEncode} {
+	for _, stage := range []string{stageDecode, stageEngine, stageRollup, stageEncode} {
 		s.spans.RegisterStage(stage, s.reg.Histogram("rmccd_replay_stage_duration_us",
 			"per-stage replay latency in microseconds", stageBuckets, obs.L("stage", stage)))
 	}
-	s.mEnqueueDepth = s.reg.Histogram("rmccd_queue_depth_at_enqueue",
-		"shard queue depth observed when a replay chunk was submitted",
-		obs.Pow2Buckets(0, 10))
 	s.mSnapshots = s.reg.Counter("rmccd_snapshots_total",
 		"session checkpoints cut (periodic, drain, and on-demand)")
 	s.mSnapshotFailWrite = s.reg.Counter("rmccd_snapshot_failures_total",
@@ -334,9 +306,12 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // ForceCancel aborts every in-flight replay (drain deadline expired).
 func (s *Server) ForceCancel() { s.forceCancel() }
 
-// Close stops the janitor and the shard pool. Call only after the HTTP
-// listener has stopped delivering requests (http.Server.Shutdown/Close):
-// shard submission after Close panics by design.
+// Close stops the janitor and the checkpointer, cancels in-flight
+// replays, and drops every session. Call it once, after the HTTP listener
+// has stopped accepting requests. A handler may still be running then
+// (http.Server.Close does not wait for handlers), so Close touches a
+// session's generator stream only after taking its replay lease, which it
+// never gives back; a session whose lease is held is left to its holder.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	close(s.janitorStop)
@@ -346,10 +321,9 @@ func (s *Server) Close() {
 		<-s.ckptDone
 	}
 	s.forceCancel()
-	s.pool.close()
 	s.mu.Lock()
 	for _, sess := range s.sessions {
-		if sess.stream != nil {
+		if ok, _ := sess.acquire(); ok && sess.stream != nil {
 			sess.stream.Close()
 		}
 		delete(s.sessions, sess.id)
@@ -541,7 +515,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// Durable from birth: cut the initial checkpoint now so a crash at any
 	// point after the create response leaves the session recoverable.
 	if s.cfg.SnapshotDir != "" {
-		if err := s.checkpointSession(r.Context(), sess); err != nil {
+		if err := s.checkpointSession(sess); err != nil {
 			sess.lg.Warn("initial checkpoint failed", "error", err)
 		}
 	}
@@ -591,11 +565,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sess.release()
-	var res sim.LifetimeResult
-	if err := s.pool.do(r.Context(), sess.shard, func() { res = sess.lt.Counters() }); err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
+	res := sess.lt.Counters()
 	sess.touch(s.cfg.Now())
 	stats := statsFromResult(sess.id, sess.seed, res)
 	manifest := obs.NewManifest("rmccd", map[string]any{

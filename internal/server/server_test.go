@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -235,7 +236,7 @@ func TestProgressFrames(t *testing.T) {
 // bit-identical to one direct run of the session's total.
 func TestCancelledReplaysResumeStream(t *testing.T) {
 	// Batches long enough that a cut lands inside one: the client cancels
-	// on the first progress frame, while the shard steps the second batch.
+	// on the first progress frame, while the server steps the second batch.
 	_, c := newTestServer(t, server.Config{ChunkAccesses: 20_000})
 	ctx := context.Background()
 	info, err := c.CreateSession(ctx, testSession())
@@ -419,7 +420,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rmccd_replays_total{status=\"ok\"} 1",
 		"rmccd_replay_accesses_total 1000",
 		"rmccd_build_info",
-		"rmccd_shard_queue_depth",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
@@ -431,7 +431,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // many goroutines — the -race lifecycle test. Every session must complete
 // its replay with the exact requested access count.
 func TestConcurrentSessions(t *testing.T) {
-	_, c := newTestServer(t, server.Config{Shards: 4, QueueDepth: 4, ChunkAccesses: 512})
+	_, c := newTestServer(t, server.Config{ChunkAccesses: 512})
 	ctx := context.Background()
 	const clients = 12
 	const n = 4000
@@ -514,6 +514,74 @@ func TestConcurrentReplaySameSession(t *testing.T) {
 	if okCount+busyCount != racers {
 		t.Fatalf("ok=%d busy=%d, want %d total", okCount, busyCount, racers)
 	}
+}
+
+// TestOneOwnerPerSession: the replay lease is a session's one owner.
+// Four clients, each with its own transport and so its own server-side
+// connection goroutines, replay one workload-bound session concurrently
+// and snapshot its stats after every replay, while the periodic
+// checkpointer takes the lease every millisecond. Each collision is a
+// 409, which the clients retry, and the session ends bit-identical to one
+// direct run of every access; under -race, any engine touch outside the
+// lease is a reported data race.
+func TestOneOwnerPerSession(t *testing.T) {
+	srv := server.New(server.Config{
+		ChunkAccesses: 500, SnapshotDir: t.TempDir(), SnapshotEvery: time.Millisecond,
+	})
+	base := serve(t, srv)
+	ctx := context.Background()
+	info, err := client.New(base).CreateSession(ctx, testSession())
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	// retry repeats f while the session is busy.
+	retry := func(f func() error) error {
+		for {
+			if err := f(); !isStatus(err, http.StatusConflict) {
+				return err
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	const clients, replays, n = 4, 3, 1500
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		c := client.New(base)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < replays; k++ {
+				if err := retry(func() error {
+					_, err := c.ReplayWorkload(ctx, info.ID, n, 0, nil)
+					return err
+				}); err != nil {
+					errs <- fmt.Errorf("replay: %w", err)
+					return
+				}
+				if err := retry(func() error {
+					_, err := c.Snapshot(ctx, info.ID)
+					return err
+				}); err != nil {
+					errs <- fmt.Errorf("snapshot: %w", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var snap server.SnapshotResponse
+	if err := retry(func() (err error) {
+		snap, err = client.New(base).Snapshot(ctx, info.ID)
+		return err
+	}); err != nil {
+		t.Fatalf("final snapshot: %v", err)
+	}
+	assertSameRun(t, "concurrent replays", directRun(t, clients*replays*n), snap.Stats)
 }
 
 func TestIdleTTLEviction(t *testing.T) {

@@ -14,13 +14,15 @@ import (
 )
 
 // session is one client-visible simulation: a Lifetime stepper (engine +
-// cache hierarchy + TLBs + page mapper) pinned to a shard. lt is touched
-// only on the shard goroutine; stream and pulled only while the session
-// is held exclusively by a replay or checkpoint lease. Everything else is
-// immutable or atomic.
+// cache hierarchy + TLBs + page mapper). Its one owner is whichever
+// goroutine holds the replay lease (acquire): a replay, a stats snapshot
+// or a checkpoint. Only the holder touches lt, stream, pulled and
+// ckptBuf, so the non-thread-safe engine is stepped by one goroutine at a
+// time; evict closes stream only after it has marked the session gone
+// and seen the lease free, and no acquire succeeds after that. Everything
+// else is immutable or atomic.
 type session struct {
 	id      string
-	shard   int
 	name    string
 	mode    string
 	scheme  string
@@ -56,8 +58,7 @@ type session struct {
 	lastCkptBytes    atomic.Uint64
 	lastCkptAccesses atomic.Uint64
 
-	// lg carries the session's bound log fields (session, shard, workload,
-	// seed).
+	// lg carries the session's bound log fields (session, workload, seed).
 	lg *slog.Logger
 	// sampler rate-limits per-chunk debug lines so a debug-level daemon
 	// under a large replay does not write one line per 4096 accesses.
@@ -69,14 +70,13 @@ type session struct {
 
 	lastUsed atomic.Int64 // unix nanos
 	// accessesDone mirrors lt.Accesses() for lock-free listings; updated
-	// after each shard-applied chunk.
+	// after each applied batch.
 	accessesDone atomic.Uint64
 	replaying    atomic.Bool // exclusive replay/snapshot-modifying lease
 	evicted      atomic.Bool
 
-	// Live engine-rate mirrors (float64 bits), refreshed on the shard
-	// goroutine after each applied chunk so listings never touch the
-	// engine off-shard.
+	// Live engine-rate mirrors (float64 bits), refreshed by the lease
+	// holder after each applied batch so listings never touch the engine.
 	rCtrMiss atomic.Uint64
 	rMemoHit atomic.Uint64
 	rAccel   atomic.Uint64
@@ -85,7 +85,7 @@ type session struct {
 func (s *session) touch(now time.Time) { s.lastUsed.Store(now.UnixNano()) }
 
 // storeRates refreshes the lock-free rate mirrors from an engine stats
-// copy taken on the shard goroutine.
+// copy taken by the lease holder.
 func (s *session) storeRates(st engine.Stats) {
 	s.rCtrMiss.Store(math.Float64bits(st.CtrMissRate()))
 	s.rMemoHit.Store(math.Float64bits(st.MemoHitRateOnMisses()))
@@ -93,9 +93,11 @@ func (s *session) storeRates(st engine.Stats) {
 }
 
 // acquire takes the exclusive replay lease, refusing sessions that are
-// busy or already evicted. The CAS-then-check-other-flag ordering pairs
-// with evict's: when the two race, at least one side observes the other
-// and backs off.
+// busy or already evicted. The lease is the session's one owner: the CAS
+// here and release's Store order each holder after the previous one, so
+// everything a holder wrote is visible to the next. The
+// CAS-then-check-other-flag ordering pairs with evict's: when the two
+// race, at least one side observes the other and backs off.
 func (s *session) acquire() (ok, gone bool) {
 	if !s.replaying.CompareAndSwap(false, true) {
 		return false, false
@@ -123,7 +125,6 @@ func (s *session) info(accesses uint64, now time.Time) SessionInfo {
 	}
 	return SessionInfo{
 		ID:                  s.id,
-		Shard:               s.shard,
 		Name:                s.name,
 		Workload:            wl,
 		Mode:                s.mode,

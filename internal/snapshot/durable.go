@@ -8,9 +8,9 @@ import (
 // WriteFileDurable replaces path atomically and durably: write to a
 // sibling tmp file, fsync it, rename over the target, then fsync the
 // directory so the rename itself survives power loss — tmp+rename alone
-// only protects against process crashes, not a torn page cache. It is the
-// one write path for every crash-surviving artifact: session checkpoints
-// and flight-recorder dumps.
+// only protects against process crashes, not a torn page cache. rmccd
+// writes its session checkpoints through it; the flight recorder is a
+// mapped file of its own and does not.
 func WriteFileDurable(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -41,8 +41,8 @@ const (
 	// fits MaxFramePayload.
 	MaxFrameAccesses = 1 << 16
 	// DefaultFrameAccesses is the writer's default batch size: big enough
-	// to amortize the 8-byte header and the receiver's per-frame shard
-	// round-trip, small enough for chunk-granular backpressure.
+	// to amortize the 8-byte header and the receiver's per-frame
+	// bookkeeping, small enough for chunk-granular backpressure.
 	DefaultFrameAccesses = 4096
 )
 

@@ -117,13 +117,24 @@ grep -q 'rmccd_replay_bytes_total{wire="binary"}' "$workdir/metrics_wire.txt" \
     || { echo "service-smoke: /metrics missing binary-wire byte counter" >&2; exit 1; }
 grep -q 'rmccd_replay_requests_total{wire="binary"}' "$workdir/metrics_wire.txt" \
     || { echo "service-smoke: /metrics missing binary-wire request counter" >&2; exit 1; }
-# The RMTR upload above read frames (decode) and every replay rolled up
-# its stats (rollup): both stage histograms must have counted spans.
-for stage in decode rollup; do
+# Every replay read batches (decode), stepped them (engine-step), rolled
+# up its stats (rollup) and wrote its result (encode): all four stage
+# histograms must have counted spans.
+for stage in decode engine-step rollup encode; do
     awk -v series="rmccd_replay_stage_duration_us_count{stage=\"$stage\"}" \
         '$1 == series && $2 > 0 { found = 1 } END { exit !found }' "$workdir/metrics_wire.txt" \
         || { echo "service-smoke: /metrics has no $stage stage spans" >&2; exit 1; }
 done
+# Those four are the only stages, and no series reports a queue: the
+# goroutine holding a session's replay lease steps its engine directly.
+extra=$(grep -o 'stage="[^"]*"' "$workdir/metrics_wire.txt" | sort -u \
+    | grep -v -e '"decode"' -e '"engine-step"' -e '"rollup"' -e '"encode"' || true)
+[ -z "$extra" ] \
+    || { echo "service-smoke: /metrics has unexpected stages: $extra" >&2; exit 1; }
+if grep -E '^rmccd_[a-z_]*queue' "$workdir/metrics_wire.txt" >&2; then
+    echo "service-smoke: /metrics still reports queue series" >&2
+    exit 1
+fi
 
 grep -q 'rmccd_replays_total{status="ok"}' "$workdir/metrics.txt" \
     || { echo "service-smoke: /metrics missing replay counters" >&2; exit 1; }
