@@ -58,9 +58,6 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 
-		metricsOut  = flag.String("metrics-out", "", "write sweep metrics to this file (.json for JSON, else Prometheus text; - for stdout)")
-		traceOut    = flag.String("trace-out", "", "write a per-access event trace (JSON Lines) from an instrumented reference run executed after the figures")
-		traceCap    = flag.Int("trace-cap", obs.DefaultTracerCap, "event-trace ring capacity (newest N events retained)")
 		manifestOut = flag.String("manifest-out", "", "write the run manifest (JSON) to this file")
 		version     = flag.Bool("version", false, "print version and exit")
 	)
@@ -153,11 +150,7 @@ func main() {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 	}
 
-	// Sweep-level observability: one registry for the whole sweep (per-run
-	// engine registries would collide across parallel cells), a manifest
-	// mirroring the perf report's headline numbers, and — for -trace-out —
-	// a per-access trace from an instrumented reference run after the
-	// figures complete.
+	// The manifest mirrors the perf report's headline numbers.
 	manifest := obs.NewManifest("rmcc-experiments", map[string]any{
 		"figures": *figures, "workloads": *workloads, "quick": *quick,
 		"parallel": *parallel, "micro": *micro,
@@ -166,10 +159,6 @@ func main() {
 	manifest.GoMaxProcs = runtime.GOMAXPROCS(0)
 	manifest.Notes["figures"] = *figures
 	manifest.Notes["quick"] = fmt.Sprintf("%v", *quick)
-	var reg *obs.Registry
-	if *metricsOut != "" {
-		reg = obs.NewRegistry()
-	}
 
 	start := time.Now()
 	manifest.Started = start.UTC().Format(time.RFC3339)
@@ -191,11 +180,6 @@ func main() {
 		}
 		figuresRun++
 		manifest.Headline["seconds_"+e.Name] = secs
-		if reg != nil {
-			reg.Gauge("rmcc_experiments_figure_seconds",
-				"wall-clock seconds to regenerate one figure",
-				obs.L("figure", e.Name)).Set(secs)
-		}
 		if *jsonFlag {
 			report.Figures = append(report.Figures, toJSONFigure(e.Name, table, secs))
 			fmt.Fprintf(os.Stderr, "%s regenerated in %.1fs\n", e.Name, secs)
@@ -213,15 +197,6 @@ func main() {
 		for _, m := range report.Micro {
 			manifest.Headline["micro_"+m.Name+"_ns_per_op"] = m.NsPerOp
 			manifest.Headline["micro_"+m.Name+"_allocs_per_op"] = float64(m.AllocsPerOp)
-			if reg != nil {
-				lbl := obs.L("bench", m.Name)
-				reg.Gauge("rmcc_experiments_micro_ns_per_op",
-					"micro-benchmark nanoseconds per operation", lbl).Set(m.NsPerOp)
-				reg.Gauge("rmcc_experiments_micro_allocs_per_op",
-					"micro-benchmark heap allocations per operation", lbl).Set(float64(m.AllocsPerOp))
-				reg.Gauge("rmcc_experiments_micro_bytes_per_op",
-					"micro-benchmark heap bytes per operation", lbl).Set(float64(m.BytesPerOp))
-			}
 		}
 		if !*jsonFlag {
 			fmt.Println("Micro-benchmarks (in-process, testing.Benchmark):")
@@ -235,14 +210,6 @@ func main() {
 	manifest.WallClockSeconds = report.TotalSeconds
 	manifest.Headline["total_seconds"] = report.TotalSeconds
 	manifest.Headline["figures_run"] = float64(figuresRun)
-	if reg != nil {
-		reg.Gauge("rmcc_experiments_total_seconds",
-			"wall-clock seconds for the whole sweep").Set(report.TotalSeconds)
-		reg.Gauge("rmcc_experiments_figures_run",
-			"number of figures regenerated").Set(float64(figuresRun))
-		reg.Gauge("rmcc_experiments_parallelism",
-			"simulation worker pool size").Set(float64(*parallel))
-	}
 	if *jsonFlag {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -252,47 +219,12 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" {
-		if err := writeReferenceTrace(*traceOut, *traceCap, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "rmcc-experiments: write trace: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if reg != nil {
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rmcc-experiments: write metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if *manifestOut != "" {
 		if err := manifest.WriteFile(*manifestOut); err != nil {
 			fmt.Fprintf(os.Stderr, "rmcc-experiments: write manifest: %v\n", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// writeReferenceTrace runs one instrumented lifetime simulation (RMCC mode,
-// Morphable counters, the canneal workload) and writes its per-access event
-// trace as JSON Lines. The figure sweep itself cannot carry a tracer — its
-// cells run in parallel and the tracer is single-run by design — so the
-// trace documents a representative run at the sweep's seed.
-func writeReferenceTrace(path string, capacity int, seed uint64, quick bool) error {
-	size, accesses := rmcc.SizeSmall, uint64(2_000_000)
-	if quick {
-		size, accesses = rmcc.SizeTest, 200_000
-	}
-	w, ok := rmcc.WorkloadByName(size, seed, "canneal")
-	if !ok {
-		return fmt.Errorf("reference workload canneal unavailable")
-	}
-	tr := obs.NewTracer(capacity)
-	cfg := rmcc.DefaultLifetimeConfig(rmcc.DefaultEngineConfig(rmcc.ModeRMCC, rmcc.SchemeMorphable))
-	cfg.MaxAccesses = accesses
-	cfg.Seed = seed
-	cfg.Tracer = tr
-	rmcc.RunLifetime(w, cfg)
-	return tr.WriteFile(path)
 }
 
 // jsonReport is the schema of the -json perf report consumed by

@@ -1,11 +1,13 @@
 // Command rmccsim runs one secure-memory simulation: a workload, a counter
 // scheme, a protection mode, and a driver (lifetime or detailed), printing
-// the result summary.
+// the result summary. -metrics-out writes the whole result
+// (sim.LifetimeResult or sim.DetailedResult) as JSON.
 //
 // Examples:
 //
 //	rmccsim -workload canneal -mode rmcc -driver lifetime -accesses 5000000
 //	rmccsim -workload pageRank -mode baseline -scheme sc64 -driver detailed
+//	rmccsim -workload canneal -metrics-out result.json
 //	rmccsim -cpuprofile cpu.out -workload BFS -driver detailed
 //	rmccsim -list
 //
@@ -14,8 +16,10 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -33,36 +37,50 @@ import (
 )
 
 func main() {
-	var (
-		name       = flag.String("workload", "canneal", "workload name (see -list)")
-		list       = flag.Bool("list", false, "list workloads and exit")
-		sizeStr    = flag.String("size", "small", "workload scale: test|small|full")
-		modeStr    = flag.String("mode", "rmcc", "protection: nonsecure|baseline|rmcc")
-		schemeStr  = flag.String("scheme", "morphable", "counters: sgx|sc64|morphable")
-		driver     = flag.String("driver", "lifetime", "simulation driver: lifetime|detailed")
-		accesses   = flag.Uint64("accesses", 5_000_000, "lifetime accesses / detailed window")
-		seed       = flag.Uint64("seed", 1, "experiment seed")
-		aesNS      = flag.Int64("aes", 15, "AES latency in ns (detailed driver)")
-		cores      = flag.Int("cores", 1, "cores (detailed driver; graph kernels shard)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	if _, err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "rmccsim:", err)
+		os.Exit(2)
+	}
+}
 
-		metricsOut  = flag.String("metrics-out", "", "write run metrics to this file (.json for JSON, else Prometheus text; - for stdout)")
-		traceOut    = flag.String("trace-out", "", "write the per-access event trace (JSON Lines) to this file (- for stdout)")
-		traceCap    = flag.Int("trace-cap", obs.DefaultTracerCap, "event-trace ring capacity (newest N events retained)")
-		manifestOut = flag.String("manifest-out", "", "write the run manifest (JSON) to this file")
-		version     = flag.Bool("version", false, "print version and exit")
+// run parses args, runs one simulation, prints its summary to stdout and
+// writes the requested files. It returns the run's result, an
+// rmcc.LifetimeResult or an rmcc.DetailedResult (nil for -version and
+// -list).
+func run(args []string, stdout io.Writer) (any, error) {
+	fs := flag.NewFlagSet("rmccsim", flag.ExitOnError)
+	var (
+		name       = fs.String("workload", "canneal", "workload name (see -list)")
+		list       = fs.Bool("list", false, "list workloads and exit")
+		sizeStr    = fs.String("size", "small", "workload scale: test|small|full")
+		modeStr    = fs.String("mode", "rmcc", "protection: nonsecure|baseline|rmcc")
+		schemeStr  = fs.String("scheme", "morphable", "counters: sgx|sc64|morphable")
+		driver     = fs.String("driver", "lifetime", "simulation driver: lifetime|detailed")
+		accesses   = fs.Uint64("accesses", 5_000_000, "lifetime accesses / detailed window")
+		seed       = fs.Uint64("seed", 1, "experiment seed")
+		aesNS      = fs.Int64("aes", 15, "AES latency in ns (detailed driver)")
+		cores      = fs.Int("cores", 1, "cores (detailed driver; graph kernels shard)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+
+		metricsOut  = fs.String("metrics-out", "", "write the run's result (JSON, Go field names as keys) to this file (- for stdout)")
+		traceOut    = fs.String("trace-out", "", "write the per-access event trace (JSON Lines) to this file (- for stdout)")
+		traceCap    = fs.Int("trace-cap", obs.DefaultTracerCap, "event-trace ring capacity (newest N events retained)")
+		manifestOut = fs.String("manifest-out", "", "write the run manifest (JSON) to this file")
+		version     = fs.Bool("version", false, "print version and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 	if *version {
-		fmt.Println(buildinfo.String("rmccsim"))
-		return
+		fmt.Fprintln(stdout, buildinfo.String("rmccsim"))
+		return nil, nil
 	}
 
 	if *list {
-		fmt.Println(strings.Join(rmcc.WorkloadNames(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(rmcc.WorkloadNames(), "\n"))
+		return nil, nil
 	}
 
 	if *pprofAddr != "" {
@@ -75,10 +93,11 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			f.Close()
+			return nil, err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -102,30 +121,24 @@ func main() {
 
 	size, err := workload.ParseSize(*sizeStr)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	mode, err := engine.ParseMode(*modeStr)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	scheme, err := counter.ParseScheme(*schemeStr)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	w, ok := rmcc.WorkloadByName(size, *seed, *name)
 	if !ok {
-		fatal(fmt.Errorf("unknown workload %q (use -list)", *name))
+		return nil, fmt.Errorf("unknown workload %q (use -list)", *name)
 	}
 
-	// Observability: one registry/tracer per run, attached through the
-	// driver config and exported after the run completes.
-	var (
-		reg *obs.Registry
-		tr  *obs.Tracer
-	)
-	if *metricsOut != "" {
-		reg = obs.NewRegistry()
-	}
+	// One tracer per run, attached through the driver config and written
+	// after the run completes.
+	var tr *obs.Tracer
 	if *traceOut != "" {
 		tr = obs.NewTracer(*traceCap)
 	}
@@ -144,15 +157,16 @@ func main() {
 	manifest.Started = started.UTC().Format(time.RFC3339)
 
 	engCfg := rmcc.DefaultEngineConfig(mode, scheme)
+	var result any
 	switch *driver {
 	case "lifetime":
 		cfg := rmcc.DefaultLifetimeConfig(engCfg)
 		cfg.MaxAccesses = *accesses
 		cfg.Seed = *seed
-		cfg.Metrics = reg
 		cfg.Tracer = tr
 		res := rmcc.RunLifetime(w, cfg)
-		printLifetime(res)
+		result = res
+		printLifetime(stdout, res)
 		e := res.Engine
 		manifest.Headline["accesses"] = float64(res.Accesses)
 		manifest.Headline["ctr_miss_rate"] = e.CtrMissRate()
@@ -167,66 +181,82 @@ func main() {
 		cfg.Cores = *cores
 		cfg.AESLat = *aesNS * 1000
 		cfg.MeasureAccesses = *accesses
-		cfg.Metrics = reg
 		cfg.Tracer = tr
 		res := rmcc.RunDetailed(w, cfg)
-		printDetailed(res)
+		result = res
+		printDetailed(stdout, res)
 		manifest.Headline["ipc"] = res.IPC
 		manifest.Headline["llc_misses"] = float64(res.LLCMisses)
 		manifest.Headline["avg_miss_latency_ns"] = res.AvgMissLatencyNS
 		manifest.Headline["ctr_miss_rate"] = res.Engine.CtrMissRate()
 		manifest.Headline["memo_hit_rate_on_misses"] = res.Engine.MemoHitRateOnMisses()
 	default:
-		fatal(fmt.Errorf("unknown driver %q", *driver))
+		return nil, fmt.Errorf("unknown driver %q", *driver)
 	}
 	manifest.WallClockSeconds = time.Since(started).Seconds()
 
-	if reg != nil {
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fatal(fmt.Errorf("write metrics: %w", err))
+	if *metricsOut != "" {
+		if err := writeResult(*metricsOut, stdout, result); err != nil {
+			return nil, fmt.Errorf("write metrics: %w", err)
 		}
 	}
 	if tr != nil {
 		if err := tr.WriteFile(*traceOut); err != nil {
-			fatal(fmt.Errorf("write trace: %w", err))
+			return nil, fmt.Errorf("write trace: %w", err)
 		}
 	}
 	if *manifestOut != "" {
 		if err := manifest.WriteFile(*manifestOut); err != nil {
-			fatal(fmt.Errorf("write manifest: %w", err))
+			return nil, fmt.Errorf("write manifest: %w", err)
 		}
 	}
+	return result, nil
 }
 
-func printLifetime(res rmcc.LifetimeResult) {
+// writeResult writes res as indented JSON with Go field names as keys,
+// the encoding rmccd's ReplayStats.Engine uses; "-" writes to stdout.
+func writeResult(path string, stdout io.Writer, res any) error {
+	b, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	if path == "-" {
+		_, err = stdout.Write(b)
+		return err
+	}
+	return os.WriteFile(path, b, 0o644)
+}
+
+func printLifetime(w io.Writer, res rmcc.LifetimeResult) {
 	e := res.Engine
-	fmt.Printf("workload            %s\n", res.Workload)
-	fmt.Printf("accesses            %d\n", res.Accesses)
-	fmt.Printf("LLC miss reads      %d\n", res.LLCMissReads)
-	fmt.Printf("LLC miss writes     %d\n", res.LLCMissWrites)
-	fmt.Printf("ctr miss rate       %.1f%%\n", 100*e.CtrMissRate())
-	fmt.Printf("memo hit (misses)   %.1f%%\n", 100*e.MemoHitRateOnMisses())
-	fmt.Printf("memo hit (all)      %.1f%%\n", 100*e.MemoHitRateAll())
-	fmt.Printf("accelerated misses  %.1f%%\n", 100*e.AcceleratedRate())
-	fmt.Printf("coverage/value      %.0f blocks\n", res.CoveragePerValue)
-	fmt.Printf("total traffic       %d blocks\n", e.TotalTraffic())
-	fmt.Printf("overhead (L0/L1)    %d / %d blocks\n", e.OverheadL0Blocks, e.OverheadL1Blocks)
-	fmt.Printf("baseline overflows  %d\n", e.BaselineOverflows)
-	fmt.Printf("max counter         %d\n", res.MaxCounter)
-	fmt.Printf("TLB miss/LLC miss   4KB %.2f, 2MB %.3f\n",
+	fmt.Fprintf(w, "workload            %s\n", res.Workload)
+	fmt.Fprintf(w, "accesses            %d\n", res.Accesses)
+	fmt.Fprintf(w, "LLC miss reads      %d\n", res.LLCMissReads)
+	fmt.Fprintf(w, "LLC miss writes     %d\n", res.LLCMissWrites)
+	fmt.Fprintf(w, "ctr miss rate       %.1f%%\n", 100*e.CtrMissRate())
+	fmt.Fprintf(w, "memo hit (misses)   %.1f%%\n", 100*e.MemoHitRateOnMisses())
+	fmt.Fprintf(w, "memo hit (all)      %.1f%%\n", 100*e.MemoHitRateAll())
+	fmt.Fprintf(w, "accelerated misses  %.1f%%\n", 100*e.AcceleratedRate())
+	fmt.Fprintf(w, "coverage/value      %.0f blocks\n", res.CoveragePerValue)
+	fmt.Fprintf(w, "total traffic       %d blocks\n", e.TotalTraffic())
+	fmt.Fprintf(w, "overhead (L0/L1)    %d / %d blocks\n", e.OverheadL0Blocks, e.OverheadL1Blocks)
+	fmt.Fprintf(w, "baseline overflows  %d\n", e.BaselineOverflows)
+	fmt.Fprintf(w, "max counter         %d\n", res.MaxCounter)
+	fmt.Fprintf(w, "TLB miss/LLC miss   4KB %.2f, 2MB %.3f\n",
 		float64(res.TLB4KMisses)/nz(res.LLCMissReads), float64(res.TLB2MMisses)/nz(res.LLCMissReads))
 }
 
-func printDetailed(res rmcc.DetailedResult) {
-	fmt.Printf("workload            %s\n", res.Workload)
-	fmt.Printf("instructions        %d\n", res.Instructions)
-	fmt.Printf("IPC                 %.3f\n", res.IPC)
-	fmt.Printf("window              %.3f ms\n", float64(res.WindowTime)/1e9)
-	fmt.Printf("LLC misses          %d\n", res.LLCMisses)
-	fmt.Printf("avg miss latency    %.1f ns\n", res.AvgMissLatencyNS)
-	fmt.Printf("DRAM utilization    %.1f%%\n", 100*res.DRAM.Utilization(res.WindowTime))
-	fmt.Printf("ctr miss rate       %.1f%%\n", 100*res.Engine.CtrMissRate())
-	fmt.Printf("memo hit (misses)   %.1f%%\n", 100*res.Engine.MemoHitRateOnMisses())
+func printDetailed(w io.Writer, res rmcc.DetailedResult) {
+	fmt.Fprintf(w, "workload            %s\n", res.Workload)
+	fmt.Fprintf(w, "instructions        %d\n", res.Instructions)
+	fmt.Fprintf(w, "IPC                 %.3f\n", res.IPC)
+	fmt.Fprintf(w, "window              %.3f ms\n", float64(res.WindowTime)/1e9)
+	fmt.Fprintf(w, "LLC misses          %d\n", res.LLCMisses)
+	fmt.Fprintf(w, "avg miss latency    %.1f ns\n", res.AvgMissLatencyNS)
+	fmt.Fprintf(w, "DRAM utilization    %.1f%%\n", 100*res.DRAM.Utilization(res.WindowTime))
+	fmt.Fprintf(w, "ctr miss rate       %.1f%%\n", 100*res.Engine.CtrMissRate())
+	fmt.Fprintf(w, "memo hit (misses)   %.1f%%\n", 100*res.Engine.MemoHitRateOnMisses())
 }
 
 func nz(v uint64) float64 {
@@ -234,9 +264,4 @@ func nz(v uint64) float64 {
 		return 1
 	}
 	return float64(v)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rmccsim:", err)
-	os.Exit(2)
 }

@@ -335,6 +335,20 @@ func TestRouterDrainBitIdentical(t *testing.T) {
 	if v, ok := pm.Value("rmcc_router_migrations_total", obs.L("status", "ok")); !ok || v != float64(most) {
 		t.Fatalf("rmcc_router_migrations_total{status=ok} = %v (ok=%v), want %d", v, ok, most)
 	}
+
+	// Activation puts the drained node back in the ring.
+	if err := tc.rc.ActivateNode(ctx, victim); err != nil {
+		t.Fatalf("activate %s: %v", victim, err)
+	}
+	if ci, err = tc.rc.Cluster(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range ci.Nodes {
+		if n.State != "active" || !n.InRing {
+			t.Fatalf("after activating %s: node %s state %s in_ring %v, want active in ring",
+				victim, n.ID, n.State, n.InRing)
+		}
+	}
 }
 
 // TestRouterReconcileAfterRestart: a router that did not see a drain (a
@@ -560,6 +574,9 @@ func TestRouterDrainRefusals(t *testing.T) {
 	}
 	if _, err := tc.rc.DrainNode(ctx, "10.9.9.9:1"); !isStatus(err, http.StatusNotFound) {
 		t.Fatalf("draining an unknown node: %v, want 404", err)
+	}
+	if err := tc.rc.ActivateNode(ctx, "10.9.9.9:1"); !isStatus(err, http.StatusNotFound) {
+		t.Fatalf("activating an unknown node: %v, want 404", err)
 	}
 }
 

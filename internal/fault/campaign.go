@@ -144,19 +144,6 @@ func (c *Campaign) Run() (CampaignResult, error) {
 		st.mc = mc
 		st.chk = checker.New(mc, 1)
 	}
-	if cfg.Metrics != nil {
-		// Campaign counters, by fault kind: how many injections ran and how
-		// many actually corrupted state (the detection denominator).
-		for k := Kind(0); k < NumKinds; k++ {
-			k := k
-			cfg.Metrics.CounterFunc("rmcc_fault_injections_total",
-				"fault-campaign injections executed",
-				func() uint64 { return st.injectedByKind[k] }, obs.L("kind", k.String()))
-			cfg.Metrics.CounterFunc("rmcc_fault_armed_total",
-				"injections that corrupted state (detection denominator)",
-				func() uint64 { return st.armedByKind[k] }, obs.L("kind", k.String()))
-		}
-	}
 	cfg.OnAccess = func(n uint64, mc *engine.MC) {
 		for st.next < len(st.sched) && n >= st.sched[st.next].AtAccess {
 			st.inject(st.sched[st.next])
@@ -217,12 +204,6 @@ type campaignState struct {
 
 	memoLookupsAtLast uint64
 	memoHitsAtLast    uint64
-
-	// Per-kind tallies backing the rmcc_fault_* registry views, updated as
-	// each drill runs (the aggregate CampaignResult is only built at the
-	// end of the run).
-	injectedByKind [NumKinds]uint64
-	armedByKind    [NumKinds]uint64
 }
 
 // mix is splitmix64's finalizer: deterministic target selection from salt.
@@ -248,7 +229,6 @@ func (st *campaignState) inject(f Fault) {
 	n := store.NumDataBlocks()
 	b := int(mix(f.Salt) % uint64(n))
 	addr := store.DataBlockAddr(b)
-	st.injectedByKind[f.Kind]++
 	mc.Tracer().Emit(obs.EvFaultInjected, addr, uint64(f.Kind), f.AtAccess)
 
 	switch f.Kind {
@@ -428,9 +408,6 @@ func (st *campaignState) injectMemoPoison(f Fault, b int, r *Result) {
 }
 
 func (st *campaignState) record(r Result) {
-	if r.Armed {
-		st.armedByKind[r.Fault.Kind]++
-	}
 	st.results = append(st.results, r)
 	s := st.mc.Stats()
 	st.memoLookupsAtLast = s.L0MemoLookupsAll

@@ -2,16 +2,14 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
 
 // formatFloat renders v in the shortest form that round-trips — the
-// deterministic float rendering shared by both exporters.
+// deterministic float rendering of the exporter.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
@@ -68,79 +66,4 @@ func labelString(labels []Label) string {
 // sanitizeHelp keeps HELP lines single-line.
 func sanitizeHelp(s string) string {
 	return strings.NewReplacer("\n", " ", "\\", `\\`).Replace(s)
-}
-
-// WriteFile writes the registry to path, choosing the format from the
-// extension: ".json" gets the JSON document, anything else the Prometheus
-// text exposition. "-" writes Prometheus text to stdout.
-func (r *Registry) WriteFile(path string) error {
-	if path == "-" {
-		return r.WritePrometheus(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	var werr error
-	if strings.HasSuffix(path, ".json") {
-		werr = r.WriteJSON(f)
-	} else {
-		werr = r.WritePrometheus(f)
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// jsonMetric is one series in the JSON export.
-type jsonMetric struct {
-	Name   string            `json:"name"`
-	Type   string            `json:"type"`
-	Help   string            `json:"help,omitempty"`
-	Labels map[string]string `json:"labels,omitempty"`
-	// Value carries counter/gauge values.
-	Value *float64 `json:"value,omitempty"`
-	// Histogram payload: cumulative counts per upper bound, plus sum/count.
-	Buckets []jsonBucket `json:"buckets,omitempty"`
-	Sum     *uint64      `json:"sum,omitempty"`
-	Count   *uint64      `json:"count,omitempty"`
-}
-
-type jsonBucket struct {
-	LE         uint64 `json:"le"`
-	Cumulative uint64 `json:"cumulative"`
-}
-
-// WriteJSON writes every registered series as one JSON document:
-// {"metrics": [...]} in the same deterministic order as WritePrometheus.
-// encoding/json sorts map keys, so label rendering is deterministic too.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	out := struct {
-		Metrics []jsonMetric `json:"metrics"`
-	}{Metrics: make([]jsonMetric, 0, r.Len())}
-	for _, m := range r.snapshot() {
-		jm := jsonMetric{Name: m.name, Type: m.typ.String(), Help: m.help}
-		if len(m.labels) > 0 {
-			jm.Labels = make(map[string]string, len(m.labels))
-			for _, l := range m.labels {
-				jm.Labels[l.Key] = l.Value
-			}
-		}
-		if m.hist != nil {
-			bounds, cum := m.hist.Buckets()
-			for i, b := range bounds {
-				jm.Buckets = append(jm.Buckets, jsonBucket{LE: b, Cumulative: cum[i]})
-			}
-			sum, count := m.hist.Sum(), m.hist.Count()
-			jm.Sum, jm.Count = &sum, &count
-		} else {
-			v := m.value()
-			jm.Value = &v
-		}
-		out.Metrics = append(out.Metrics, jm)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

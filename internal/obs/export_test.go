@@ -17,7 +17,7 @@ func buildRegistry(goroutines int) *Registry {
 	reg := NewRegistry()
 	c := reg.Counter("test_ops_total", "operations", L("kind", "read"))
 	g := reg.Gauge("test_ratio", "a ratio")
-	h := reg.Histogram("test_depth", "chain depth", LinearBuckets(0, 1, 3))
+	h := reg.Histogram("test_depth", "chain depth", []uint64{0, 1, 2})
 	reg.CounterFunc("test_view_total", "func-backed view", func() uint64 { return 7 })
 	reg.GaugeFunc("test_view_ratio", "func-backed gauge", func() float64 { return 0.25 }, L("scope", "all"))
 
@@ -40,9 +40,9 @@ func buildRegistry(goroutines int) *Registry {
 }
 
 // TestExportsDeterministicAcrossParallelism is the golden test: the
-// Prometheus text and JSON exports must be byte-identical whatever the
-// number of goroutines that produced the counts (the CI matrix exercises
-// different -parallel settings; exports must not care).
+// Prometheus text export must be byte-identical whatever the number of
+// goroutines that produced the counts (the CI matrix exercises different
+// -parallel settings; exports must not care).
 func TestExportsDeterministicAcrossParallelism(t *testing.T) {
 	golden := strings.Join([]string{
 		`# HELP test_depth chain depth`,
@@ -67,60 +67,16 @@ func TestExportsDeterministicAcrossParallelism(t *testing.T) {
 		`test_view_total 7`,
 	}, "\n") + "\n"
 
-	var jsonGolden string
 	for _, goroutines := range []int{1, 2, 4, 6} {
 		reg := buildRegistry(goroutines)
-		var prom, js strings.Builder
+		var prom strings.Builder
 		if err := reg.WritePrometheus(&prom); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.WriteJSON(&js); err != nil {
 			t.Fatal(err)
 		}
 		if prom.String() != golden {
 			t.Errorf("goroutines=%d: Prometheus export diverged:\ngot:\n%s\nwant:\n%s",
 				goroutines, prom.String(), golden)
 		}
-		if jsonGolden == "" {
-			jsonGolden = js.String()
-			var doc struct {
-				Metrics []json.RawMessage `json:"metrics"`
-			}
-			if err := json.Unmarshal([]byte(jsonGolden), &doc); err != nil {
-				t.Fatalf("JSON export is not valid JSON: %v", err)
-			}
-			if len(doc.Metrics) != 5 {
-				t.Fatalf("JSON export has %d metrics, want 5", len(doc.Metrics))
-			}
-		} else if js.String() != jsonGolden {
-			t.Errorf("goroutines=%d: JSON export diverged", goroutines)
-		}
-	}
-}
-
-// TestWriteFileFormatsByExtension pins the extension dispatch the
-// -metrics-out flags rely on.
-func TestWriteFileFormatsByExtension(t *testing.T) {
-	reg := buildRegistry(1)
-	dir := t.TempDir()
-
-	promPath := filepath.Join(dir, "m.prom")
-	if err := reg.WriteFile(promPath); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := os.ReadFile(promPath)
-	if !strings.HasPrefix(string(b), "# HELP test_depth") {
-		t.Errorf("prom file does not look like Prometheus text: %q", b[:40])
-	}
-
-	jsonPath := filepath.Join(dir, "m.json")
-	if err := reg.WriteFile(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	jb, _ := os.ReadFile(jsonPath)
-	if err := json.Unmarshal(jb, &doc); err != nil {
-		t.Errorf(".json file is not JSON: %v", err)
 	}
 }
 

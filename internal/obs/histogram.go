@@ -52,33 +52,32 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
 	var cum uint64
-	lower := float64(0)
-	for i, bound := range h.bounds {
-		c := h.counts[i].Load()
-		if float64(cum+c) >= rank && c > 0 {
-			upper := float64(bound)
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (upper-lower)*frac
+	return bucketQuantile(q, float64(total), len(h.bounds), func(i int) (float64, float64) {
+		cum += h.counts[i].Load()
+		return float64(h.bounds[i]), float64(cum)
+	})
+}
+
+// bucketQuantile interpolates the q-quantile (q clamped to [0, 1]) of a
+// histogram with n finite buckets and total observations, the +Inf
+// bucket's included. bucket(i), called once per bucket in ascending
+// order, returns bucket i's upper bound and the cumulative count up to
+// it. The target rank is interpolated linearly inside the first
+// non-empty bucket that reaches it, from the previous bound (0 for the
+// first); a rank in the +Inf bucket clamps to the last finite bound.
+// Histogram.Quantile and PromText.HistQuantile share it.
+func bucketQuantile(q, total float64, n int, bucket func(i int) (le, cum float64)) float64 {
+	rank := min(max(q, 0), 1) * total
+	lower, prev := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		le, cum := bucket(i)
+		if cum >= rank && cum > prev {
+			return lower + (le-lower)*max((rank-prev)/(cum-prev), 0)
 		}
-		cum += c
-		lower = float64(bound)
+		lower, prev = le, cum
 	}
-	// Target rank fell in the +Inf bucket: clamp to the top finite bound.
-	if len(h.bounds) > 0 {
-		return float64(h.bounds[len(h.bounds)-1])
-	}
-	return 0
+	return lower
 }
 
 // Observe records one value.
@@ -161,18 +160,6 @@ func Pow2Buckets(lo, hi uint) []uint64 {
 	out := make([]uint64, 0, hi-lo+1)
 	for e := lo; e <= hi; e++ {
 		out = append(out, uint64(1)<<e)
-	}
-	return out
-}
-
-// LinearBuckets returns n ascending bounds start, start+step, ...
-func LinearBuckets(start, step uint64, n int) []uint64 {
-	if step == 0 {
-		step = 1
-	}
-	out := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, start+step*uint64(i))
 	}
 	return out
 }

@@ -1,22 +1,22 @@
 // Package obs is the simulator's observability layer: a dependency-free
 // metrics registry (counters, gauges, histograms with fixed deterministic
-// buckets), a ring-buffer event tracer for per-access lifecycle events, and
-// per-run manifests — the uniform substrate behind the Prometheus/JSON
-// exports of cmd/rmccsim and cmd/rmcc-experiments and the CI perf-diff
-// harness.
+// buckets) behind the /metrics pages of rmccd and rmcc-router, a
+// ring-buffer event tracer for per-access lifecycle events, and per-run
+// manifests. A finished simulator run reports through its result struct
+// (sim.LifetimeResult, sim.DetailedResult), not a registry.
 //
 // Design constraints, in order:
 //
 //   - Zero overhead when disabled. Every instrument is nil-safe: calling
 //     Inc/Add/Set/Observe/Emit on a nil *Counter, *Gauge, *Histogram, or
 //     *Tracer is a no-op costing one branch. The engine hot paths stay
-//     allocation-free whether or not observation is attached (enforced by
+//     allocation-free whether or not a tracer is attached (enforced by
 //     the engine's 0 B/op benchmarks).
 //   - Deterministic exports. Metrics export sorted by (name, labels);
 //     histogram buckets are fixed at construction; floats render with
 //     strconv's shortest round-trip form. Two runs with equal counts
-//     produce byte-identical Prometheus text and JSON whatever the
-//     goroutine interleaving that produced the counts.
+//     produce byte-identical Prometheus text whatever the goroutine
+//     interleaving that produced the counts.
 //   - No dependencies. Prometheus text exposition is ~40 lines of fmt; we
 //     do not import a client library.
 //
@@ -24,12 +24,9 @@
 //
 //   - owned instruments (Counter/Gauge/Histogram) allocated by the
 //     registry, updated with atomics — safe for concurrent writers;
-//   - func-backed views (CounterFunc/GaugeFunc) that read an existing
-//     hand-rolled stats field at export time. This is how the engine, the
-//     memoization tables, the caches, and the fault campaign register:
-//     their hot paths keep incrementing plain struct fields (the old
-//     public Stats accessors remain the source of truth, byte-identical),
-//     and the registry reads those fields only when an export is cut.
+//   - func-backed views (CounterFunc/GaugeFunc) that read live process
+//     state (active sessions, uptime, span and log-line counts) only when
+//     an export is cut.
 package obs
 
 import (
@@ -202,7 +199,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 }
 
 // snapshot returns the metrics sorted by (name, label string) — the
-// deterministic export order shared by both exporters.
+// deterministic export order.
 func (r *Registry) snapshot() []*metric {
 	r.mu.Lock()
 	out := make([]*metric, len(r.metrics))
@@ -215,13 +212,6 @@ func (r *Registry) snapshot() []*metric {
 		return out[i].labelString() < out[j].labelString()
 	})
 	return out
-}
-
-// Len returns the number of registered series.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.metrics)
 }
 
 // --- Owned instruments ---

@@ -238,31 +238,11 @@ func (p *PromText) HistQuantile(name string, q float64, want ...Label) (v float6
 	if total == 0 {
 		return 0, false
 	}
-	if q < 0 {
-		q = 0
+	n := len(buckets)
+	if math.IsInf(buckets[n-1].le, 1) {
+		n--
 	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * total
-	lower, prevCum := 0.0, 0.0
-	for _, b := range buckets {
-		if b.cum >= rank && b.cum > prevCum {
-			upper := b.le
-			if math.IsInf(upper, 1) {
-				// Clamp the +Inf bucket to the top finite bound.
-				return lower, true
-			}
-			frac := (rank - prevCum) / (b.cum - prevCum)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (upper-lower)*frac, true
-		}
-		if !math.IsInf(b.le, 1) {
-			lower = b.le
-		}
-		prevCum = b.cum
-	}
-	return lower, true
+	return bucketQuantile(q, total, n, func(i int) (le, cum float64) {
+		return buckets[i].le, buckets[i].cum
+	}), true
 }

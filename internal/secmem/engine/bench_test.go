@@ -20,13 +20,11 @@ func BenchmarkEngineReadHit(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReadHitObserved is BenchmarkEngineReadHit with a metrics
-// registry and event tracer attached — the acceptance bar for the
-// observability layer is that this stays 0 B/op and within noise of the
-// unobserved benchmark.
+// BenchmarkEngineReadHitObserved is BenchmarkEngineReadHit with an event
+// tracer attached — the acceptance bar for the observability layer is
+// that this stays 0 B/op and within noise of the unobserved benchmark.
 func BenchmarkEngineReadHitObserved(b *testing.B) {
 	mc := testMC(b, RMCC, counter.Morphable, 64, nil)
-	mc.RegisterMetrics(obs.NewRegistry())
 	mc.SetTracer(obs.NewTracer(obs.DefaultTracerCap))
 	mc.Read(0x100000)
 	b.ReportAllocs()

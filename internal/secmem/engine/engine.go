@@ -287,10 +287,8 @@ type MC struct {
 
 	// trace, when attached via SetTracer, receives per-access lifecycle
 	// events; nil (the default) disables tracing at the cost of one branch
-	// per emit site. chainLenHist, when attached via RegisterMetrics,
-	// observes the counter-chain depth of every read miss.
-	trace        *obs.Tracer
-	chainLenHist *obs.Histogram
+	// per emit site.
+	trace *obs.Tracer
 }
 
 // New builds a memory controller; it panics on invalid configuration (the

@@ -1,21 +1,13 @@
 package engine
 
-import (
-	"strconv"
+import "rmcc/internal/obs"
 
-	"rmcc/internal/core"
-	"rmcc/internal/mem/dram"
-	"rmcc/internal/obs"
-)
-
-// This file wires the controller into the observability layer
-// (internal/obs). The hot paths keep incrementing the plain Stats fields —
-// Stats()/ResetStats() and every rendered table stay byte-identical — and
-// RegisterMetrics exposes those fields as func-backed registry views read
-// only when an export is cut. SetTracer attaches the per-access event
-// tracer; a nil tracer (the default) keeps every emit site a single
-// predicted branch, so the read-hit path stays allocation-free either way
-// (BenchmarkEngineReadHitObserved enforces 0 B/op with both attached).
+// This file attaches the per-access event tracer (internal/obs). The hot
+// paths keep incrementing the plain Stats fields, which are the run's
+// numbers (Stats()/ResetStats() and every rendered table read them); a
+// nil tracer (the default) keeps every emit site a single predicted
+// branch, so the read-hit path stays allocation-free either way
+// (BenchmarkEngineReadHitObserved enforces 0 B/op with one attached).
 
 // SetTracer attaches tr (nil detaches) to the controller and its
 // memoization tables. Events flow until detached; the tracer must belong
@@ -32,243 +24,3 @@ func (mc *MC) SetTracer(tr *obs.Tracer) {
 
 // Tracer returns the attached tracer (nil when tracing is disabled).
 func (mc *MC) Tracer() *obs.Tracer { return mc.trace }
-
-// RegisterMetrics registers every controller statistic with reg under the
-// rmcc_engine_* / rmcc_memo_table_* / rmcc_ctr_cache_* namespaces (see
-// docs/OBSERVABILITY.md for the catalogue). Call once per controller per
-// registry; the views read live state, so exports taken mid-run see
-// current values. Also installs the read-miss chain-depth histogram.
-func (mc *MC) RegisterMetrics(reg *obs.Registry) {
-	s := &mc.stats
-
-	reg.CounterFunc("rmcc_engine_reads_total",
-		"LLC read misses processed by the MC", func() uint64 { return s.Reads })
-	reg.CounterFunc("rmcc_engine_writes_total",
-		"LLC writebacks processed by the MC", func() uint64 { return s.Writes })
-
-	reg.CounterFunc("rmcc_engine_ctr_cache_requests_total",
-		"L0 counter-block lookups by result",
-		func() uint64 { return s.CtrL0Hits }, obs.L("result", "hit"))
-	reg.CounterFunc("rmcc_engine_ctr_cache_requests_total", "",
-		func() uint64 { return s.CtrL0Misses }, obs.L("result", "miss"))
-	reg.CounterFunc("rmcc_engine_ctr_cache_read_misses_total",
-		"L0 counter misses on read requests (the exposed-decryption set)",
-		func() uint64 { return s.CtrL0ReadMisses })
-	reg.CounterFunc("rmcc_engine_l1_misses_total",
-		"L0 misses whose L1 tree node also missed", func() uint64 { return s.L1Misses })
-	for l := range s.ChainFetches {
-		l := l
-		reg.CounterFunc("rmcc_engine_chain_fetches_total",
-			"counter-chain DRAM fetches by tree level",
-			func() uint64 { return s.ChainFetches[l] }, obs.L("level", strconv.Itoa(l)))
-	}
-
-	reg.CounterFunc("rmcc_engine_memo_lookups_total",
-		"L0 memoization lookups restricted to counter misses (Figure 10)",
-		func() uint64 { return s.L0MemoLookupsOnMiss }, obs.L("table", "l0"), obs.L("scope", "miss"))
-	reg.CounterFunc("rmcc_engine_memo_lookups_total", "",
-		func() uint64 { return s.L0MemoLookupsAll }, obs.L("table", "l0"), obs.L("scope", "all"))
-	reg.CounterFunc("rmcc_engine_memo_lookups_total", "",
-		func() uint64 { return s.L1MemoLookupsOnMiss }, obs.L("table", "l1"), obs.L("scope", "miss"))
-	reg.CounterFunc("rmcc_engine_memo_hits_total",
-		"memoization hits by table, scope, and serving structure",
-		func() uint64 { return s.L0MemoGroupHitsOnMiss },
-		obs.L("table", "l0"), obs.L("scope", "miss"), obs.L("source", "group"))
-	reg.CounterFunc("rmcc_engine_memo_hits_total", "",
-		func() uint64 { return s.L0MemoMRUHitsOnMiss },
-		obs.L("table", "l0"), obs.L("scope", "miss"), obs.L("source", "mru"))
-	reg.CounterFunc("rmcc_engine_memo_hits_total", "",
-		func() uint64 { return s.L0MemoHitsAll },
-		obs.L("table", "l0"), obs.L("scope", "all"), obs.L("source", "any"))
-	reg.CounterFunc("rmcc_engine_memo_hits_total", "",
-		func() uint64 { return s.L1MemoHitsOnMiss },
-		obs.L("table", "l1"), obs.L("scope", "miss"), obs.L("source", "any"))
-	reg.CounterFunc("rmcc_engine_accelerated_misses_total",
-		"read counter misses fully accelerated by memoization (§VI headline)",
-		func() uint64 { return s.AcceleratedMisses })
-
-	reg.CounterFunc("rmcc_engine_read_updates_total",
-		"read-triggered counter jumps applied", func() uint64 { return s.ReadUpdates })
-	reg.CounterFunc("rmcc_engine_read_update_relevels_total",
-		"read-triggered jumps that releveled a group", func() uint64 { return s.ReadUpdateRelevels })
-	reg.CounterFunc("rmcc_engine_read_updates_denied_total",
-		"read-triggered jumps skipped for lack of budget", func() uint64 { return s.ReadUpdatesDenied })
-	reg.CounterFunc("rmcc_engine_write_jumps_total",
-		"write-time counter jumps beyond +1", func() uint64 { return s.WriteJumps })
-	reg.CounterFunc("rmcc_engine_write_jump_relevels_total",
-		"write jumps that releveled (budget-charged)", func() uint64 { return s.WriteJumpRelevels })
-	reg.CounterFunc("rmcc_engine_write_jumps_denied_total",
-		"write jumps refused for lack of budget", func() uint64 { return s.WriteJumpsDenied })
-	reg.CounterFunc("rmcc_engine_baseline_overflows_total",
-		"relevels the baseline policy would also pay", func() uint64 { return s.BaselineOverflows })
-	reg.CounterFunc("rmcc_engine_tree_jumps_total",
-		"memoization-aware L1 tree-counter jumps", func() uint64 { return s.TreeJumps })
-
-	for k := 0; k < dram.NumKinds; k++ {
-		k := k
-		reg.CounterFunc("rmcc_engine_traffic_blocks_total",
-			"DRAM traffic in 64-byte block transfers by kind",
-			func() uint64 { return s.TrafficBlocks[k] }, obs.L("kind", dram.Kind(k).String()))
-	}
-	reg.CounterFunc("rmcc_engine_overhead_blocks_total",
-		"traffic charged to the RMCC overhead budgets by table",
-		func() uint64 { return s.OverheadL0Blocks }, obs.L("table", "l0"))
-	reg.CounterFunc("rmcc_engine_overhead_blocks_total", "",
-		func() uint64 { return s.OverheadL1Blocks }, obs.L("table", "l1"))
-
-	reg.CounterFunc("rmcc_engine_integrity_failures_total",
-		"MAC check mismatches (tamper detections)", func() uint64 { return s.IntegrityFailures })
-	reg.CounterFunc("rmcc_engine_decrypt_mismatches_total",
-		"plaintext round-trip failures", func() uint64 { return s.DecryptMismatches })
-	for k := ViolationKind(0); k < NumViolationKinds; k++ {
-		k := k
-		reg.CounterFunc("rmcc_engine_violations_total",
-			"typed integrity violations detected",
-			func() uint64 { return s.ViolationsByKind[k] }, obs.L("kind", k.String()))
-	}
-	reg.CounterFunc("rmcc_engine_metadata_corruptions_total",
-		"non-metadata addresses caught in the counter cache", func() uint64 { return s.MetadataCorruptions })
-	reg.CounterFunc("rmcc_engine_memo_poison_detected_total",
-		"poisoned memo entries caught at lookup", func() uint64 { return s.MemoPoisonDetected })
-	reg.CounterFunc("rmcc_engine_memo_poison_repaired_total",
-		"poisoned memo entries re-filled in place", func() uint64 { return s.MemoPoisonRepaired })
-	reg.CounterFunc("rmcc_engine_retry_attempts_total",
-		"re-fetches issued under retry policies", func() uint64 { return s.RetryAttempts })
-	reg.CounterFunc("rmcc_engine_retry_recoveries_total",
-		"violations cleared by a retry", func() uint64 { return s.RetryRecoveries })
-	reg.CounterFunc("rmcc_engine_rekey_recoveries_total",
-		"violations escalated to the re-key path", func() uint64 { return s.RekeyRecoveries })
-	reg.CounterFunc("rmcc_engine_counter_overflows_total",
-		"56-bit ceiling hits forcing a re-key", func() uint64 { return s.CounterOverflows })
-	reg.CounterFunc("rmcc_engine_rekeys_total",
-		"whole-memory re-key/reboot events", func() uint64 { return s.Rekeys })
-	reg.CounterFunc("rmcc_engine_rekey_blocks_total",
-		"block transfers spent re-encrypting memory", func() uint64 { return s.RekeyBlocks })
-	reg.CounterFunc("rmcc_engine_dropped_writebacks_total",
-		"injected lost writes", func() uint64 { return s.DroppedWritebacks })
-	reg.CounterFunc("rmcc_engine_duplicated_writebacks_total",
-		"injected duplicate writes (benign)", func() uint64 { return s.DuplicatedWritebacks })
-	reg.CounterFunc("rmcc_engine_power_losses_total",
-		"injected power-loss events", func() uint64 { return s.PowerLosses })
-
-	// Derived rates as gauges: the exact figure formulas, exported so CI
-	// can alert on them without re-deriving.
-	reg.GaugeFunc("rmcc_engine_ctr_miss_rate",
-		"counter misses per processed read (Figure 3)", func() float64 { return s.CtrMissRate() })
-	reg.GaugeFunc("rmcc_engine_memo_hit_rate_on_misses",
-		"fraction of L0 counter misses served memoized (Figure 10)",
-		func() float64 { return s.MemoHitRateOnMisses() })
-	reg.GaugeFunc("rmcc_engine_memo_hit_rate_all",
-		"fraction of all accessed counter values memoized (Figure 19)",
-		func() float64 { return s.MemoHitRateAll() })
-	reg.GaugeFunc("rmcc_engine_accelerated_rate",
-		"fraction of read counter misses accelerated (§VI headline)",
-		func() float64 { return s.AcceleratedRate() })
-	reg.GaugeFunc("rmcc_engine_key_epoch",
-		"current key generation (0 at boot, +1 per re-key)",
-		func() float64 { return float64(mc.keyEpoch) })
-
-	// Observed-max registers (§IV-D2 OSM and its per-tree-level analogs).
-	reg.GaugeFunc("rmcc_engine_observed_max",
-		"observed-max counter registers by level (0 = data OSM)",
-		func() float64 {
-			if mc.store == nil {
-				return 0
-			}
-			return float64(mc.store.ObservedMax())
-		}, obs.L("level", "0"))
-	if mc.store != nil {
-		for l := 1; l <= mc.store.Levels(); l++ {
-			l := l
-			reg.GaugeFunc("rmcc_engine_observed_max", "",
-				func() float64 { return float64(mc.observedTreeMax[l]) },
-				obs.L("level", strconv.Itoa(l)))
-		}
-	}
-
-	// Counter cache (the MC-side metadata cache). The cache object is
-	// rebuilt on re-key/power loss; reading through mc keeps the view on
-	// the live instance.
-	reg.CounterFunc("rmcc_ctr_cache_hits_total", "MC counter-cache hits",
-		func() uint64 { return mc.ctrCache.Stats().Hits })
-	reg.CounterFunc("rmcc_ctr_cache_misses_total", "MC counter-cache misses",
-		func() uint64 { return mc.ctrCache.Stats().Misses })
-	reg.CounterFunc("rmcc_ctr_cache_evictions_total", "MC counter-cache evictions",
-		func() uint64 { return mc.ctrCache.Stats().Evictions })
-	reg.CounterFunc("rmcc_ctr_cache_writebacks_total", "MC counter-cache dirty evictions",
-		func() uint64 { return mc.ctrCache.Stats().Writebacks })
-
-	// Memoization tables, read through mc so rebuilds (re-key, power
-	// loss) are followed.
-	registerTableMetrics(reg, "l0", func() *core.Table { return mc.l0Table })
-	registerTableMetrics(reg, "l1", func() *core.Table { return mc.l1Table })
-
-	// Chain-depth histogram: how many counter-chain blocks each read miss
-	// fetched from DRAM (0 when the L0 block was resident).
-	mc.chainLenHist = reg.Histogram("rmcc_engine_read_chain_depth",
-		"counter-chain blocks fetched from DRAM per processed read",
-		obs.LinearBuckets(0, 1, 6))
-}
-
-// registerTableMetrics exports one memoization table's statistics under
-// rmcc_memo_table_* with a table=<id> label. get re-reads the table pointer
-// on every export so re-key rebuilds are followed.
-func registerTableMetrics(reg *obs.Registry, id string, get func() *core.Table) {
-	lbl := obs.L("table", id)
-	stat := func(read func(core.Stats) uint64) func() uint64 {
-		return func() uint64 {
-			t := get()
-			if t == nil {
-				return 0
-			}
-			return read(t.Stats())
-		}
-	}
-	reg.CounterFunc("rmcc_memo_table_lookups_total",
-		"memoization-table lookups", stat(func(s core.Stats) uint64 { return s.Lookups }), lbl)
-	reg.CounterFunc("rmcc_memo_table_hits_total",
-		"memoization-table hits by serving structure",
-		stat(func(s core.Stats) uint64 { return s.GroupHits }), lbl, obs.L("source", "group"))
-	reg.CounterFunc("rmcc_memo_table_hits_total", "",
-		stat(func(s core.Stats) uint64 { return s.MRUHits }), lbl, obs.L("source", "mru"))
-	reg.CounterFunc("rmcc_memo_table_misses_total",
-		"memoization-table misses", stat(func(s core.Stats) uint64 { return s.Misses }), lbl)
-	reg.CounterFunc("rmcc_memo_table_insertions_total",
-		"mid-epoch new-group insertions (§IV-C3)",
-		stat(func(s core.Stats) uint64 { return s.Insertions }), lbl)
-	reg.CounterFunc("rmcc_memo_table_epochs_total",
-		"completed table epochs", stat(func(s core.Stats) uint64 { return s.Epochs }), lbl)
-	reg.CounterFunc("rmcc_memo_table_budget_spent_blocks_total",
-		"block transfers charged to the epoch overhead budget",
-		stat(func(s core.Stats) uint64 { return s.BudgetSpent }), lbl)
-	reg.CounterFunc("rmcc_memo_table_budget_denied_total",
-		"budget charges refused for lack of budget",
-		stat(func(s core.Stats) uint64 { return s.BudgetDenied }), lbl)
-	reg.GaugeFunc("rmcc_memo_table_budget_remaining_blocks",
-		"unspent epoch overhead budget in block transfers",
-		func() float64 {
-			t := get()
-			if t == nil {
-				return 0
-			}
-			return t.BudgetRemaining()
-		}, lbl)
-	reg.GaugeFunc("rmcc_memo_table_max_value",
-		"Max-counter-in-Table (largest live memoized value, Figure 9)",
-		func() float64 {
-			t := get()
-			if t == nil {
-				return 0
-			}
-			return float64(t.MaxInTable())
-		}, lbl)
-	reg.GaugeFunc("rmcc_memo_table_hit_rate",
-		"(group+MRU hits)/lookups since construction",
-		func() float64 {
-			t := get()
-			if t == nil {
-				return 0
-			}
-			return t.Stats().HitRate()
-		}, lbl)
-}

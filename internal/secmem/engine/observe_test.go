@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"rmcc/internal/obs"
@@ -60,15 +59,12 @@ func treeMaxAtLevel(mc *MC, l int) uint64 {
 	return max
 }
 
-// TestRegisterMetricsViewsMatchStats drives traffic with a registry and
-// tracer attached and cross-checks three layers against each other: the
-// legacy Stats() accessors (the source of truth), the registry's func-backed
-// views, and the tracer's per-kind counts.
-func TestRegisterMetricsViewsMatchStats(t *testing.T) {
+// TestTracerCountsMatchStats drives traffic with a tracer attached and
+// cross-checks the tracer's per-kind counts against Stats(), the run's
+// numbers.
+func TestTracerCountsMatchStats(t *testing.T) {
 	mc := testMC(t, RMCC, counter.Morphable, 64, nil)
-	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1 << 12)
-	mc.RegisterMetrics(reg)
 	mc.SetTracer(tr)
 
 	for i := 0; i < 50_000; i++ {
@@ -82,26 +78,8 @@ func TestRegisterMetricsViewsMatchStats(t *testing.T) {
 	}
 
 	s := mc.Stats()
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	prom := sb.String()
-	for _, want := range []string{
-		"# TYPE rmcc_engine_reads_total counter",
-		"# TYPE rmcc_engine_observed_max gauge",
-		"# TYPE rmcc_engine_read_chain_depth histogram",
-		`rmcc_memo_table_lookups_total{table="l0"}`,
-		`rmcc_engine_traffic_blocks_total{kind="data"}`,
-	} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("Prometheus export missing %q", want)
-		}
-	}
-
-	// Tracer cross-checks: every processed access emitted exactly one
-	// counter-cache event, and memo hit+miss events cover the Figure-19
-	// lookups.
+	// Every processed access emitted exactly one counter-cache event, and
+	// memo hit+miss events cover the Figure-19 lookups.
 	hits := tr.CountByKind(obs.EvCtrCacheHit)
 	misses := tr.CountByKind(obs.EvCtrCacheMiss)
 	if hits != s.CtrL0Hits || misses != s.CtrL0Misses {
@@ -116,22 +94,15 @@ func TestRegisterMetricsViewsMatchStats(t *testing.T) {
 		t.Errorf("tracer memo hits %d != L0MemoHitsAll %d",
 			tr.CountByKind(obs.EvMemoHit), s.L0MemoHitsAll)
 	}
-
-	// The chain-depth histogram observed every processed read.
-	if mc.chainLenHist.Count() != s.Reads {
-		t.Errorf("chain histogram count %d != reads %d", mc.chainLenHist.Count(), s.Reads)
-	}
 }
 
-// TestStatsUnchangedByObservation pins the "thin views" contract: attaching
-// a registry and tracer must not change a single engine statistic — the
-// rendered experiment tables derive from Stats() and must stay
-// byte-identical with observability on.
+// TestStatsUnchangedByObservation: attaching a tracer must not change a
+// single engine statistic — the rendered experiment tables derive from
+// Stats() and must stay byte-identical with tracing on.
 func TestStatsUnchangedByObservation(t *testing.T) {
 	run := func(observe bool) Stats {
 		mc := testMC(t, RMCC, counter.Morphable, 64, nil)
 		if observe {
-			mc.RegisterMetrics(obs.NewRegistry())
 			mc.SetTracer(obs.NewTracer(1 << 10))
 		}
 		for i := 0; i < 30_000; i++ {
@@ -152,11 +123,10 @@ func TestStatsUnchangedByObservation(t *testing.T) {
 }
 
 // TestReadHitPathAllocFreeObserved enforces the acceptance criterion that
-// the read-hit path stays allocation-free with a registry and tracer
-// attached (BenchmarkEngineReadHitObserved measures the time cost).
+// the read-hit path stays allocation-free with a tracer attached
+// (BenchmarkEngineReadHitObserved measures the time cost).
 func TestReadHitPathAllocFreeObserved(t *testing.T) {
 	mc := testMC(t, RMCC, counter.Morphable, 64, nil)
-	mc.RegisterMetrics(obs.NewRegistry())
 	mc.SetTracer(obs.NewTracer(obs.DefaultTracerCap))
 	mc.Read(0x100000)
 	var i uint64

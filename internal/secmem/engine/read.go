@@ -42,7 +42,6 @@ func (mc *MC) Read(addr uint64) Outcome {
 		mc.stats.CtrL0ReadMisses++
 		mc.trace.Emit(obs.EvCtrCacheMiss, addr, ctrVal, 0)
 	}
-	mc.chainLenHist.Observe(uint64(len(chain)))
 
 	// Functional content check first: the fetched block is decrypted and
 	// verified under its current counter before any read-triggered update

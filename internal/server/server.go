@@ -309,9 +309,10 @@ func (s *Server) ForceCancel() { s.forceCancel() }
 // Close stops the janitor and the checkpointer, cancels in-flight
 // replays, and drops every session. Call it once, after the HTTP listener
 // has stopped accepting requests. A handler may still be running then
-// (http.Server.Close does not wait for handlers), so Close touches a
-// session's generator stream only after taking its replay lease, which it
-// never gives back; a session whose lease is held is left to its holder.
+// (http.Server.Close does not wait for handlers), so Close marks each
+// session evicted and closes its generator stream only after taking its
+// replay lease, which it never gives back; a session whose lease is held
+// is ended by its holder on release.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	close(s.janitorStop)
@@ -323,9 +324,8 @@ func (s *Server) Close() {
 	s.forceCancel()
 	s.mu.Lock()
 	for _, sess := range s.sessions {
-		if ok, _ := sess.acquire(); ok && sess.stream != nil {
-			sess.stream.Close()
-		}
+		sess.evicted.Store(true)
+		sess.acquire() // ends the session now if its lease is free
 		delete(s.sessions, sess.id)
 	}
 	s.mu.Unlock()
@@ -379,22 +379,18 @@ func (s *Server) Sweep(now time.Time) int {
 	return n
 }
 
-// evict removes a session unless a replay holds it. The CAS ordering
-// pairs with session.acquire (see its comment).
+// evict removes a session unless its replay lease is held (a replay, a
+// snapshot or a checkpoint).
 func (s *Server) evict(sess *session, ctr *obs.Counter, reason string) bool {
-	if !sess.evicted.CompareAndSwap(false, true) {
+	if ok, _ := sess.acquire(); !ok {
 		return false
 	}
-	if sess.replaying.Load() {
-		sess.evicted.Store(false)
-		return false
-	}
+	// The lease is kept for good: no one steps an evicted session again.
+	sess.evicted.Store(true)
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
 	s.mu.Unlock()
-	if sess.stream != nil {
-		sess.stream.Close()
-	}
+	sess.end()
 	s.removeCheckpoint(sess)
 	ctr.Inc()
 	sess.lg.Info("session evicted",

@@ -400,6 +400,55 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 }
 
+// TestDrainDeadlineAbortsReplay: ForceCancel (rmccd's drain deadline)
+// aborts a running workload replay with 503, counts it as cancelled, and
+// releases the session's lease, so the session answers snapshots again.
+func TestDrainDeadlineAbortsReplay(t *testing.T) {
+	srv, c := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	info, err := c.CreateSession(ctx, testSession())
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	replayed := make(chan error, 1)
+	go func() {
+		_, err := c.ReplayWorkload(ctx, info.ID, 1_000_000_000, 0, nil)
+		replayed <- err
+	}()
+	// Wait until the replay has applied a batch.
+	for {
+		list, err := c.ListSessions(ctx)
+		if err != nil {
+			t.Fatalf("list: %v", err)
+		}
+		if len(list) == 1 && list[0].Accesses > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.ForceCancel()
+	err = <-replayed
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable ||
+		ae.Msg != "replay aborted: drain deadline expired" {
+		t.Fatalf("replay under ForceCancel: %v, want 503 replay aborted: drain deadline expired", err)
+	}
+	text, err := c.RawMetrics(ctx)
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	pm, err := obs.ParsePromText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := pm.Value("rmccd_replays_total", obs.L("status", "cancelled")); !ok || v != 1 {
+		t.Fatalf("rmccd_replays_total{status=cancelled} = %v (ok=%v), want 1", v, ok)
+	}
+	if _, err := c.Snapshot(ctx, info.ID); err != nil {
+		t.Fatalf("snapshot after the aborted replay: %v, want 200", err)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, c := newTestServer(t, server.Config{})
 	ctx := context.Background()

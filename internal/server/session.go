@@ -18,9 +18,10 @@ import (
 // goroutine holds the replay lease (acquire): a replay, a stats snapshot
 // or a checkpoint. Only the holder touches lt, stream, pulled and
 // ckptBuf, so the non-thread-safe engine is stepped by one goroutine at a
-// time; evict closes stream only after it has marked the session gone
-// and seen the lease free, and no acquire succeeds after that. Everything
-// else is immutable or atomic.
+// time. Once the session is evicted (by evict or Server.Close), whoever
+// holds the lease or takes it next keeps it for good and closes stream
+// (end), so no acquire succeeds after that. Everything else is immutable
+// or atomic.
 type session struct {
 	id      string
 	name    string
@@ -39,8 +40,8 @@ type session struct {
 	w  workload.Workload // bound generator; nil for upload sessions
 	// stream is the persistent pull side of the bound generator, created
 	// on first workload replay so successive replays continue one
-	// deterministic stream. Closed at eviction, and after a replay cut
-	// off mid-batch (it has then run ahead of pulled).
+	// deterministic stream. Closed at eviction or server close, and after
+	// a replay cut off mid-batch (it has then run ahead of pulled).
 	stream *sim.AccessStream
 	// pulled counts accesses applied from the bound generator's logical
 	// stream across incarnations. It is the checkpointed resume cursor:
@@ -73,7 +74,7 @@ type session struct {
 	// after each applied batch.
 	accessesDone atomic.Uint64
 	replaying    atomic.Bool // exclusive replay/snapshot-modifying lease
-	evicted      atomic.Bool
+	evicted      atomic.Bool // set once, never cleared
 
 	// Live engine-rate mirrors (float64 bits), refreshed by the lease
 	// holder after each applied batch so listings never touch the engine.
@@ -93,23 +94,42 @@ func (s *session) storeRates(st engine.Stats) {
 }
 
 // acquire takes the exclusive replay lease, refusing sessions that are
-// busy or already evicted. The lease is the session's one owner: the CAS
-// here and release's Store order each holder after the previous one, so
-// everything a holder wrote is visible to the next. The
-// CAS-then-check-other-flag ordering pairs with evict's: when the two
-// race, at least one side observes the other and backs off.
+// busy or evicted. The lease is the session's one owner: the CAS here and
+// release's Store order each holder after the previous one, so
+// everything a holder wrote is visible to the next. A session evicted
+// while its lease was free is ended by whoever takes the lease next.
 func (s *session) acquire() (ok, gone bool) {
 	if !s.replaying.CompareAndSwap(false, true) {
-		return false, false
+		return false, s.evicted.Load()
 	}
 	if s.evicted.Load() {
-		s.replaying.Store(false)
+		s.end()
 		return false, true
 	}
 	return true, false
 }
 
-func (s *session) release() { s.replaying.Store(false) }
+// release gives the lease back, unless the session was evicted while it
+// was held: then the lease is taken again, for good, and the stream
+// closed. Server.Close sets evicted before it tries the lease and
+// release clears the lease before it reads evicted, so at least one of
+// the two sees the other, and the CAS lets only one of them end the
+// session.
+func (s *session) release() {
+	s.replaying.Store(false)
+	if s.evicted.Load() && s.replaying.CompareAndSwap(false, true) {
+		s.end()
+	}
+}
+
+// end closes the generator stream of an evicted session; the caller has
+// taken the lease for good.
+func (s *session) end() {
+	if s.stream != nil {
+		s.stream.Close()
+		s.stream = nil
+	}
+}
 
 // info renders the listing view.
 func (s *session) info(accesses uint64, now time.Time) SessionInfo {

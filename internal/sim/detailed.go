@@ -51,11 +51,8 @@ type DetailedConfig struct {
 	Seed      uint64
 	Cores     int
 
-	// Metrics, when set, receives func-backed views of the engine, cache
-	// hierarchy, and DRAM statistics plus a read-miss latency histogram.
-	// Tracer, when set, is attached to the MC. Both default to nil.
-	Metrics *obs.Registry
-	Tracer  *obs.Tracer
+	// Tracer, when set, is attached to the MC. It defaults to nil.
+	Tracer *obs.Tracer
 
 	// FastForwardAccesses stream through the functional path only — the
 	// Gem5 "atomic mode" analog of the paper's 25-billion-instruction
@@ -221,10 +218,6 @@ type detailedSim struct {
 	cycPS      event.Time // ps per cycle
 	missLatSum event.Time
 	missCount  uint64
-
-	// missLatHist observes each read miss's accept-to-verified latency in
-	// nanoseconds (nil when no registry is attached; Observe is nil-safe).
-	missLatHist *obs.Histogram
 }
 
 // prefetch reacts to a demand miss: armed streams pull the next lines into
@@ -332,7 +325,6 @@ func (s *detailedSim) startRead(paddr uint64, out engine.Outcome) *txn {
 			tx.finalize(&s.cfg)
 			s.missLatSum += tx.complete - tx.t0
 			s.missCount++
-			s.missLatHist.Observe(uint64((tx.complete - tx.t0) / event.Nanosecond))
 		}
 	}
 	// Hold a setup token: enqueue backpressure can advance simulation and
@@ -527,23 +519,8 @@ func (c *core) drain() event.Time {
 	return c.tF
 }
 
-// RunDetailedDebug is RunDetailed with a post-run hook over the MC, for
-// inspection in tools and tests.
-func RunDetailedDebug(w workload.Workload, cfg DetailedConfig, inspect func(*engine.MC)) DetailedResult {
-	res, mc := runDetailed(w, cfg)
-	if inspect != nil {
-		inspect(mc)
-	}
-	return res
-}
-
 // RunDetailed executes a timing simulation of w.
 func RunDetailed(w workload.Workload, cfg DetailedConfig) DetailedResult {
-	res, _ := runDetailed(w, cfg)
-	return res
-}
-
-func runDetailed(w workload.Workload, cfg DetailedConfig) (DetailedResult, *engine.MC) {
 	if cfg.Cores < 1 {
 		cfg.Cores = 1
 	}
@@ -562,23 +539,6 @@ func runDetailed(w workload.Workload, cfg DetailedConfig) (DetailedResult, *engi
 	s.pf = newPrefetcher(cfg.PrefetchStreams, cfg.PrefetchDegree)
 	if cfg.Tracer != nil {
 		s.mc.SetTracer(cfg.Tracer)
-	}
-	if cfg.Metrics != nil {
-		s.mc.RegisterMetrics(cfg.Metrics)
-		registerHierarchyMetrics(cfg.Metrics, s.hier)
-		s.missLatHist = cfg.Metrics.Histogram("rmcc_sim_read_miss_latency_ns",
-			"MC-accept-to-data-verified latency of LLC read misses (Figure 14)",
-			obs.Pow2Buckets(4, 14))
-		cfg.Metrics.CounterFunc("rmcc_sim_dram_reads_total",
-			"DRAM channel read requests", func() uint64 { return s.ch.Stats().Reads })
-		cfg.Metrics.CounterFunc("rmcc_sim_dram_writes_total",
-			"DRAM channel write requests", func() uint64 { return s.ch.Stats().Writes })
-		cfg.Metrics.CounterFunc("rmcc_sim_dram_row_hits_total",
-			"row-buffer hits", func() uint64 { return s.ch.Stats().RowHits })
-		cfg.Metrics.CounterFunc("rmcc_sim_dram_row_misses_total",
-			"row-buffer misses (closed row)", func() uint64 { return s.ch.Stats().RowMisses })
-		cfg.Metrics.CounterFunc("rmcc_sim_dram_row_conflicts_total",
-			"row-buffer conflicts (different row open)", func() uint64 { return s.ch.Stats().RowConflicts })
 	}
 
 	// Build per-core streams: graph kernels shard, others run one core.
@@ -716,7 +676,7 @@ func runDetailed(w workload.Workload, cfg DetailedConfig) (DetailedResult, *engi
 	if s.missCount > 0 {
 		res.AvgMissLatencyNS = float64(s.missLatSum) / float64(s.missCount) / float64(event.Nanosecond)
 	}
-	return res, s.mc
+	return res
 }
 
 // String renders a one-line summary.

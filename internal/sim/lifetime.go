@@ -35,13 +35,9 @@ type LifetimeConfig struct {
 	MaxAccesses uint64
 	Seed        uint64
 
-	// Metrics, when set, receives func-backed views of the engine, cache
-	// hierarchy, and TLB statistics before the access stream starts; exports
-	// cut from it mid-run or afterwards see live values. Tracer, when set,
-	// is attached to the MC for per-access event tracing. Both default to
-	// nil (no observation overhead).
-	Metrics *obs.Registry
-	Tracer  *obs.Tracer
+	// Tracer, when set, is attached to the MC for per-access event
+	// tracing. It defaults to nil (no observation overhead).
+	Tracer *obs.Tracer
 
 	// OnController, when set, receives the constructed MC before the access
 	// stream starts — the attachment point for fault campaigns and extra

@@ -14,7 +14,7 @@ const lifetimeKind = "rmcc-lifetime"
 // ConfigHash hashes everything that determines the stepper's state layout
 // and its deterministic evolution: workload name, cache/TLB/page geometry,
 // engine configuration, seed, and the derived physical memory size. The
-// observation hooks (Metrics, Tracer, OnController, OnAccess) are excluded
+// observation hooks (Tracer, OnController, OnAccess) are excluded
 // — they shape what is observed, not the state itself.
 func (lt *Lifetime) ConfigHash() uint64 {
 	c := lt.cfg

@@ -3,7 +3,6 @@ package sim
 import (
 	"rmcc/internal/mem/tlb"
 	"rmcc/internal/mem/vm"
-	"rmcc/internal/obs"
 	"rmcc/internal/secmem/engine"
 	"rmcc/internal/workload"
 )
@@ -58,15 +57,6 @@ func NewLifetimeChecked(name string, footprintBytes uint64, cfg LifetimeConfig) 
 	}
 	if cfg.OnController != nil {
 		cfg.OnController(mc)
-	}
-	if cfg.Metrics != nil {
-		mc.RegisterMetrics(cfg.Metrics)
-		registerHierarchyMetrics(cfg.Metrics, lt.h)
-		cfg.Metrics.CounterFunc("rmcc_sim_tlb_misses_total",
-			"TLB misses on the CPU access stream by page size",
-			func() uint64 { return lt.tlb4k.Stats().Misses }, obs.L("page", "4k"))
-		cfg.Metrics.CounterFunc("rmcc_sim_tlb_misses_total", "",
-			func() uint64 { return lt.tlb2m.Stats().Misses }, obs.L("page", "2m"))
 	}
 	return lt, nil
 }

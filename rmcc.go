@@ -6,7 +6,7 @@
 // cache, an out-of-order CPU window model, a DDR4 timing model, and the
 // paper's eleven workloads.
 //
-// Typical use (see examples/quickstart):
+// Typical use (see example_test.go):
 //
 //	mc := rmcc.NewController(rmcc.ModeRMCC, rmcc.SchemeMorphable, 256<<20)
 //	out := mc.Read(0x1000)        // one LLC miss through the secure MC

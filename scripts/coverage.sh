@@ -2,21 +2,21 @@
 # CI coverage gate (CI: coverage): run the full test suite with a
 # cross-package coverage profile, render the HTML report (uploaded as a
 # CI artifact), and fail if total statement coverage falls below the
-# floor. The floor is the figure measured when the gate was introduced
-# (74.3%), minus headroom for run-to-run variance — it ratchets up, not
-# down: raise COVERAGE_MIN here as the suite grows, never lower it to
-# absorb a regression.
+# floor. The floor is the last measured total (79.4%, on a 2-vCPU host)
+# minus 1.5 points of headroom for run-to-run variance — it ratchets up,
+# not down: raise COVERAGE_MIN here as the suite grows, never lower it
+# to absorb a regression.
 #
 # Usage:
 #   scripts/coverage.sh                    # profile + HTML into ./coverage/
 #   OUT=/tmp/cov scripts/coverage.sh       # write elsewhere
-#   COVERAGE_MIN=75.0 scripts/coverage.sh  # tighten the floor
+#   COVERAGE_MIN=80.0 scripts/coverage.sh  # tighten the floor
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 out="${OUT:-coverage}"
-min="${COVERAGE_MIN:-70.0}"
+min="${COVERAGE_MIN:-77.9}"
 mkdir -p "$out"
 
 echo "coverage: go test -coverprofile over ./... (floor $min%)" >&2
