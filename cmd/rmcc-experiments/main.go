@@ -25,6 +25,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -120,6 +121,12 @@ func main() {
 	opts.Parallelism = *parallel
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
+		for _, w := range opts.Workloads {
+			if !slices.Contains(workload.Names(), w) {
+				fmt.Fprintf(os.Stderr, "rmcc-experiments: unknown workload %q (use rmccsim -list)\n", w)
+				os.Exit(2)
+			}
+		}
 	}
 
 	// SIGINT/SIGTERM cancels the sweep: workers stop picking up cells, the

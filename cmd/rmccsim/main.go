@@ -1,7 +1,8 @@
 // Command rmccsim runs one secure-memory simulation: a workload, a counter
 // scheme, a protection mode, and a driver (lifetime or detailed), printing
 // the result summary. -metrics-out writes the whole result
-// (sim.LifetimeResult or sim.DetailedResult) as JSON.
+// (sim.LifetimeResult or sim.DetailedResult) as JSON; with -metrics-out -
+// that document is all of stdout, and the summary goes to stderr.
 //
 // Examples:
 //
@@ -37,17 +38,17 @@ import (
 )
 
 func main() {
-	if _, err := run(os.Args[1:], os.Stdout); err != nil {
+	if _, err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "rmccsim:", err)
 		os.Exit(2)
 	}
 }
 
-// run parses args, runs one simulation, prints its summary to stdout and
-// writes the requested files. It returns the run's result, an
-// rmcc.LifetimeResult or an rmcc.DetailedResult (nil for -version and
-// -list).
-func run(args []string, stdout io.Writer) (any, error) {
+// run parses args, runs one simulation, prints its summary to stdout (to
+// stderr when -metrics-out - claims stdout) and writes the requested
+// files. It returns the run's result, an rmcc.LifetimeResult or an
+// rmcc.DetailedResult (nil for -version and -list).
+func run(args []string, stdout, stderr io.Writer) (any, error) {
 	fs := flag.NewFlagSet("rmccsim", flag.ExitOnError)
 	var (
 		name       = fs.String("workload", "canneal", "workload name (see -list)")
@@ -59,7 +60,6 @@ func run(args []string, stdout io.Writer) (any, error) {
 		accesses   = fs.Uint64("accesses", 5_000_000, "lifetime accesses / detailed window")
 		seed       = fs.Uint64("seed", 1, "experiment seed")
 		aesNS      = fs.Int64("aes", 15, "AES latency in ns (detailed driver)")
-		cores      = fs.Int("cores", 1, "cores (detailed driver; graph kernels shard)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -145,7 +145,7 @@ func run(args []string, stdout io.Writer) (any, error) {
 	manifest := obs.NewManifest("rmccsim", map[string]any{
 		"workload": *name, "size": *sizeStr, "mode": *modeStr,
 		"scheme": *schemeStr, "driver": *driver, "accesses": *accesses,
-		"aes_ns": *aesNS, "cores": *cores,
+		"aes_ns": *aesNS,
 	})
 	manifest.Seed = *seed
 	manifest.GoMaxProcs = runtime.GOMAXPROCS(0)
@@ -156,6 +156,13 @@ func run(args []string, stdout io.Writer) (any, error) {
 	started := time.Now()
 	manifest.Started = started.UTC().Format(time.RFC3339)
 
+	summary := stdout
+	if *metricsOut == "-" {
+		if *traceOut == "-" {
+			return nil, fmt.Errorf("-metrics-out - and -trace-out - cannot share stdout")
+		}
+		summary = stderr
+	}
 	engCfg := rmcc.DefaultEngineConfig(mode, scheme)
 	var result any
 	switch *driver {
@@ -166,7 +173,7 @@ func run(args []string, stdout io.Writer) (any, error) {
 		cfg.Tracer = tr
 		res := rmcc.RunLifetime(w, cfg)
 		result = res
-		printLifetime(stdout, res)
+		printLifetime(summary, res)
 		e := res.Engine
 		manifest.Headline["accesses"] = float64(res.Accesses)
 		manifest.Headline["ctr_miss_rate"] = e.CtrMissRate()
@@ -178,13 +185,12 @@ func run(args []string, stdout io.Writer) (any, error) {
 	case "detailed":
 		cfg := rmcc.DefaultDetailedConfig(engCfg)
 		cfg.Seed = *seed
-		cfg.Cores = *cores
 		cfg.AESLat = *aesNS * 1000
 		cfg.MeasureAccesses = *accesses
 		cfg.Tracer = tr
 		res := rmcc.RunDetailed(w, cfg)
 		result = res
-		printDetailed(stdout, res)
+		printDetailed(summary, res)
 		manifest.Headline["ipc"] = res.IPC
 		manifest.Headline["llc_misses"] = float64(res.LLCMisses)
 		manifest.Headline["avg_miss_latency_ns"] = res.AvgMissLatencyNS

@@ -11,9 +11,9 @@ import (
 
 // The health checker polls each node's /statusz (liveness plus the
 // node-side draining flag) and /metrics (ParsePromText: live session
-// count and replay p99 for the cluster view). A node fails FailAfter
-// consecutive checks before it leaves the ring, and passes RecoverAfter
-// consecutive checks before it rejoins — hysteresis so one slow scrape
+// count and replay p99 for the cluster view). A node fails failAfter (3)
+// consecutive checks before it leaves the ring, and passes recoverAfter
+// (2) consecutive checks before it rejoins — hysteresis so one slow scrape
 // doesn't reshuffle session placement.
 
 func (rt *Router) healthLoop() {
@@ -54,7 +54,7 @@ func (rt *Router) checkNode(ctx context.Context, n *node) {
 		n.lastErr.Store(nil)
 		n.consecOK++
 		n.consecFail = 0
-		if !n.healthy.Load() && n.consecOK >= rt.cfg.RecoverAfter {
+		if !n.healthy.Load() && n.consecOK >= recoverAfter {
 			rt.log.Info("node healthy", "node", n.id, "after_checks", n.consecOK)
 			rt.mu.Lock()
 			n.healthy.Store(true)
@@ -68,7 +68,7 @@ func (rt *Router) checkNode(ctx context.Context, n *node) {
 	n.lastErr.Store(&msg)
 	n.consecFail++
 	n.consecOK = 0
-	if n.healthy.Load() && n.consecFail >= rt.cfg.FailAfter {
+	if n.healthy.Load() && n.consecFail >= failAfter {
 		rt.log.Warn("node unhealthy", "node", n.id,
 			"after_checks", n.consecFail, "error", err)
 		rt.mu.Lock()

@@ -37,11 +37,6 @@ type Config struct {
 	VNodes int
 	// HealthEvery is the health-check poll interval (default 2s).
 	HealthEvery time.Duration
-	// FailAfter consecutive failed checks mark a node unhealthy
-	// (default 3); RecoverAfter consecutive passes bring it back
-	// (default 2).
-	FailAfter    int
-	RecoverAfter int
 	// FlightCap sizes, in bytes, the flight-recorder ring that is the
 	// router's one span store behind /debug/tracez
 	// (default obs.DefaultFlightCap).
@@ -56,6 +51,10 @@ type Config struct {
 const (
 	// healthTimeout bounds one node's statusz+metrics poll.
 	healthTimeout = 2 * time.Second
+	// failAfter consecutive failed checks mark a node unhealthy;
+	// recoverAfter consecutive passes bring it back.
+	failAfter    = 3
+	recoverAfter = 2
 	// reconcileEvery is how many health ticks pass between listing-based
 	// location reconciles.
 	reconcileEvery = 10
@@ -70,12 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = 2 * time.Second
-	}
-	if c.FailAfter <= 0 {
-		c.FailAfter = 3
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 2
 	}
 	if c.Logger == nil {
 		c.Logger = obs.DiscardLogger()

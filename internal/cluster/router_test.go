@@ -502,7 +502,7 @@ func TestRouterRestoreRoutesToOwner(t *testing.T) {
 }
 
 func TestRouterHealthTransitions(t *testing.T) {
-	tc := newTestCluster(t, 2, cluster.Config{FailAfter: 2, RecoverAfter: 2})
+	tc := newTestCluster(t, 2, cluster.Config{})
 	ctx := context.Background()
 
 	tc.rt.CheckNodes(ctx)
@@ -516,19 +516,19 @@ func TestRouterHealthTransitions(t *testing.T) {
 		}
 	}
 
-	// Break node B: FailAfter consecutive failures take it out.
+	// Break node B: three consecutive failures take it out.
 	b := tc.nodes[1]
 	b.broken.Store(true)
-	tc.rt.CheckNodes(ctx)
-	if ci, _ = tc.rc.Cluster(ctx); !ci.Nodes[1].Healthy {
-		// One failure must NOT flip it yet.
-	} else if !ci.Nodes[1].InRing {
-		t.Fatal("node left the ring after a single failed check")
+	for i := 1; i < 3; i++ {
+		tc.rt.CheckNodes(ctx)
+		if ci, _ = tc.rc.Cluster(ctx); !ci.Nodes[1].Healthy || !ci.Nodes[1].InRing {
+			t.Fatalf("node left the ring after %d failed checks: %+v", i, ci.Nodes[1])
+		}
 	}
 	tc.rt.CheckNodes(ctx)
 	ci, _ = tc.rc.Cluster(ctx)
 	if ci.Nodes[1].Healthy || ci.Nodes[1].InRing {
-		t.Fatalf("node still in ring after %d failures: %+v", 2, ci.Nodes[1])
+		t.Fatalf("node still in ring after 3 failures: %+v", ci.Nodes[1])
 	}
 	if ci.Nodes[1].LastError == "" {
 		t.Fatal("unhealthy node carries no last error")
@@ -546,9 +546,12 @@ func TestRouterHealthTransitions(t *testing.T) {
 		t.Fatalf("create landed on %s, want survivor %s", info.Node, tc.nodes[0].id)
 	}
 
-	// Recovery: RecoverAfter consecutive passes bring it back.
+	// Recovery: two consecutive passes bring it back.
 	b.broken.Store(false)
 	tc.rt.CheckNodes(ctx)
+	if ci, _ = tc.rc.Cluster(ctx); ci.Nodes[1].InRing {
+		t.Fatal("node rejoined the ring after a single passed check")
+	}
 	tc.rt.CheckNodes(ctx)
 	ci, _ = tc.rc.Cluster(ctx)
 	if !ci.Nodes[1].Healthy || !ci.Nodes[1].InRing {
@@ -558,8 +561,9 @@ func TestRouterHealthTransitions(t *testing.T) {
 	// A node-side graceful drain (SIGTERM path) reads as unhealthy too:
 	// the node answers /statusz but reports draining.
 	tc.nodes[0].srv.BeginDrain()
-	tc.rt.CheckNodes(ctx)
-	tc.rt.CheckNodes(ctx)
+	for i := 0; i < 3; i++ {
+		tc.rt.CheckNodes(ctx)
+	}
 	ci, _ = tc.rc.Cluster(ctx)
 	if ci.Nodes[0].Healthy || ci.Nodes[0].InRing {
 		t.Fatalf("draining node still in ring: %+v", ci.Nodes[0])

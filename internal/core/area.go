@@ -22,7 +22,7 @@ func (c Config) DataArrayBytes() int { return c.Entries() * EntryBytes }
 // (1 KB in the paper's configuration: 64 16-byte counters).
 func (c Config) TagArrayBytes() int {
 	watchpoints := 17 + 14 // X+1+8i and X+129+2^j monitors
-	return (c.Groups + c.ShadowGroups + watchpoints + 1) * 16
+	return (c.Groups + shadowGroups + watchpoints + 1) * 16
 }
 
 // AreaBytes returns the SRAM-equivalent area of one table including its

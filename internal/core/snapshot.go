@@ -76,8 +76,8 @@ func (t *Table) DecodeState(d *snapshot.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if ns > uint64(t.cfg.ShadowGroups) {
-		return d.Failf("shadow list length %d, cap %d", ns, t.cfg.ShadowGroups)
+	if ns > shadowGroups {
+		return d.Failf("shadow list length %d, cap %d", ns, shadowGroups)
 	}
 	t.shadow = t.shadow[:0]
 	for i := uint64(0); i < ns; i++ {
@@ -91,8 +91,8 @@ func (t *Table) DecodeState(d *snapshot.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if nm > uint64(t.cfg.MRUSize) {
-		return d.Failf("MRU list length %d, cap %d", nm, t.cfg.MRUSize)
+	if nm > mruSize {
+		return d.Failf("MRU list length %d, cap %d", nm, mruSize)
 	}
 	t.mru = t.mru[:0]
 	for i := uint64(0); i < nm; i++ {

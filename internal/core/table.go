@@ -31,12 +31,18 @@ import (
 	"rmcc/internal/rng"
 )
 
+// The paper's fixed side structures (§IV-C): recently evicted groups the
+// table tracks, and memoized values it keeps under them. EnableShadow and
+// EnableMRU switch them off for the ablation.
+const (
+	shadowGroups = 16
+	mruSize      = 16
+)
+
 // Config parameterizes one memoization table.
 type Config struct {
-	Groups       int // live Memoized Counter Value Groups (16)
-	GroupSize    int // consecutive values per group (8; Figs 21-22 sweep 4/8/16)
-	ShadowGroups int // recently evicted groups tracked (16)
-	MRUSize      int // memoized values under evicted groups (16)
+	Groups    int // live Memoized Counter Value Groups (16)
+	GroupSize int // consecutive values per group (8; Figs 21-22 sweep 4/8/16)
 
 	OverMaxThreshold uint64  // reads above table max per epoch that trigger insertion (2048)
 	CoverageQuantile float64 // new group start must cover this fraction of epoch reads (0.98)
@@ -69,8 +75,6 @@ func DefaultConfig() Config {
 	return Config{
 		Groups:           16,
 		GroupSize:        8,
-		ShadowGroups:     16,
-		MRUSize:          16,
 		OverMaxThreshold: 2048,
 		CoverageQuantile: 0.98,
 		EpochAccesses:    1_000_000,
@@ -86,8 +90,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.Groups <= 0 || c.GroupSize <= 0:
 		return fmt.Errorf("core: need positive Groups/GroupSize, got %d/%d", c.Groups, c.GroupSize)
-	case c.ShadowGroups < 0 || c.MRUSize < 0:
-		return fmt.Errorf("core: negative shadow/MRU sizes")
 	case c.CoverageQuantile <= 0 || c.CoverageQuantile > 1:
 		return fmt.Errorf("core: CoverageQuantile %v out of (0,1]", c.CoverageQuantile)
 	case c.EpochAccesses == 0:
@@ -226,7 +228,7 @@ func NewTable(cfg Config, fill func(uint64) otp.CtrResult, sysMax func() uint64)
 		fill:   fill,
 		sysMax: sysMax,
 		groups: make([]group, cfg.Groups),
-		shadow: make([]shadowGroup, 0, cfg.ShadowGroups),
+		shadow: make([]shadowGroup, 0, shadowGroups),
 		budget: budget{perEpoch: cfg.BudgetFrac * float64(cfg.EpochAccesses)},
 	}
 	t.budget.available = t.budget.perEpoch
@@ -417,7 +419,7 @@ func (t *Table) Lookup(value uint64, isRead bool) (otp.CtrResult, HitSource) {
 		// First use since eviction: compute once (this lookup still pays
 		// the AES latency) and memoize for next time.
 		e := mruEntry{value: value, result: t.fill(value)}
-		if len(t.mru) < t.cfg.MRUSize {
+		if len(t.mru) < mruSize {
 			t.mru = append(t.mru, mruEntry{})
 		}
 		copy(t.mru[1:], t.mru[:len(t.mru)-1])
@@ -559,7 +561,7 @@ func (t *Table) evictToShadow(i int) {
 		return
 	}
 	s := shadowGroup{start: t.groups[i].start, useCount: t.groups[i].useCount, valid: true}
-	if len(t.shadow) < t.cfg.ShadowGroups {
+	if len(t.shadow) < shadowGroups {
 		t.shadow = append(t.shadow, shadowGroup{})
 	}
 	copy(t.shadow[1:], t.shadow[:len(t.shadow)-1])

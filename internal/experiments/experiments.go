@@ -32,7 +32,6 @@ type Options struct {
 	// Detailed driver scale.
 	WarmupAccesses  uint64
 	MeasureAccesses uint64
-	Cores           int
 
 	// Epoch scale for the memoization tables. The paper's epoch is 1 M
 	// memory accesses; scaled runs shrink it proportionally so the
@@ -64,7 +63,6 @@ func DefaultOptions() Options {
 		LifetimeAccesses: 8_000_000,
 		WarmupAccesses:   200_000,
 		MeasureAccesses:  800_000,
-		Cores:            1,
 		EpochAccesses:    1_000_000,
 		OverMaxThreshold: 2048,
 	}
@@ -79,7 +77,6 @@ func QuickOptions() Options {
 		LifetimeAccesses: 3_000_000,
 		WarmupAccesses:   150_000,
 		MeasureAccesses:  500_000,
-		Cores:            1,
 		EpochAccesses:    100_000,
 		OverMaxThreshold: 512,
 	}
@@ -128,7 +125,6 @@ func (o Options) lifetimeConfig(mode engine.Mode, scheme counter.Scheme) sim.Lif
 func (o Options) detailedConfig(mode engine.Mode, scheme counter.Scheme) sim.DetailedConfig {
 	cfg := sim.DefaultDetailedConfig(o.engineConfig(mode, scheme))
 	cfg.Seed = o.Seed
-	cfg.Cores = o.Cores
 	cfg.WarmupAccesses = o.WarmupAccesses
 	cfg.MeasureAccesses = o.MeasureAccesses
 	if o.Size != workload.SizeFull {
@@ -162,7 +158,6 @@ type runKey struct {
 	seed     uint64
 	warm     uint64
 	meas     uint64
-	cores    int
 }
 
 // detailedEntry is one cached detailed simulation. The per-entry Once is
@@ -192,7 +187,7 @@ func (o Options) detailedRun(name string, mode engine.Mode, scheme counter.Schem
 func (o Options) detailedRunH(name string, mode engine.Mode, scheme counter.Scheme,
 	aesNS int64, ctrKB int, spec, hardened bool) sim.DetailedResult {
 	key := runKey{name, mode, scheme, aesNS, ctrKB, spec, hardened,
-		o.Size, o.Seed, o.WarmupAccesses, o.MeasureAccesses, o.Cores}
+		o.Size, o.Seed, o.WarmupAccesses, o.MeasureAccesses}
 	detailedCacheMu.Lock()
 	e, ok := detailedCache[key]
 	if !ok {

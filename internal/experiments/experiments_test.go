@@ -19,7 +19,6 @@ func testOptions() Options {
 		LifetimeAccesses: 150_000,
 		WarmupAccesses:   20_000,
 		MeasureAccesses:  60_000,
-		Cores:            1,
 		EpochAccesses:    20_000,
 		OverMaxThreshold: 128,
 	}

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"rmcc/internal/workload"
-)
+import "testing"
 
 // leakageTestOptions keeps the leakage figure fast: 16 attacker epochs per
 // cell (the minimum clamp) at test scale.
@@ -124,8 +120,5 @@ func TestWorkloadFilterExcludesExtras(t *testing.T) {
 	ws := o.workloads()
 	if len(ws) != 1 || ws[0].Name() != "ppSweep" {
 		t.Fatalf("explicit extra selection = %v", ws)
-	}
-	if _, ok := ws[0].(workload.Sharded); !ok {
-		t.Fatal("ppSweep lost its sharded interface through the suite")
 	}
 }

@@ -126,42 +126,30 @@ type Campaign struct {
 func (c *Campaign) Run() (CampaignResult, error) {
 	cfg := c.Lifetime
 	cfg.Engine.TrackContents = true
-	vcfg := cfg.Engine
-	if vcfg.MemBytes == 0 {
-		// RunLifetime sizes memory from the workload footprint; validate
-		// the rest of the configuration with a placeholder.
-		vcfg.MemBytes = 1 << 20
-	}
-	if err := vcfg.Validate(); err != nil {
+	lt, err := sim.NewLifetimeChecked(c.Workload.Name(), c.Workload.FootprintBytes(), cfg)
+	if err != nil {
 		return CampaignResult{}, err
 	}
 
 	sched := append(Schedule(nil), c.Schedule...)
 	sched.sort()
+	st := &campaignState{sched: sched, mc: lt.MC(), chk: checker.New(lt.MC(), 1)}
 
-	st := &campaignState{sched: sched}
-	cfg.OnController = func(mc *engine.MC) {
-		st.mc = mc
-		st.chk = checker.New(mc, 1)
-	}
-	cfg.OnAccess = func(n uint64, mc *engine.MC) {
-		for st.next < len(st.sched) && n >= st.sched[st.next].AtAccess {
-			st.inject(st.sched[st.next])
-			st.next++
+	// Step the stream, injecting every fault that falls due after each
+	// access.
+	c.Workload.Run(cfg.Seed, func(a workload.Access) bool {
+		if lt.Accesses() >= cfg.MaxAccesses {
+			return false
 		}
-	}
-
-	res := CampaignResult{}
-	res.Lifetime = sim.RunLifetime(c.Workload, cfg)
+		lt.Step(a)
+		st.injectDue(lt.Accesses())
+		return true
+	})
+	res := CampaignResult{Lifetime: lt.Result()}
 
 	// Inject anything scheduled beyond the stream's end, then close out.
-	for st.next < len(st.sched) {
-		st.inject(st.sched[st.next])
-		st.next++
-	}
-	if st.chk != nil {
-		st.chk.Check()
-	}
+	st.injectDue(^uint64(0))
+	st.chk.Check()
 
 	res.Faults = st.results
 	res.Checker = st.chk.Report()
@@ -186,15 +174,14 @@ func (c *Campaign) Run() (CampaignResult, error) {
 			res.Recovered++
 		}
 	}
-	if st.mc != nil {
-		s := st.mc.Stats()
-		res.PostFaultMemoLookups = s.L0MemoLookupsAll - st.memoLookupsAtLast
-		res.PostFaultMemoHits = s.L0MemoHitsAll - st.memoHitsAtLast
-	}
+	s := st.mc.Stats()
+	res.PostFaultMemoLookups = s.L0MemoLookupsAll - st.memoLookupsAtLast
+	res.PostFaultMemoHits = s.L0MemoHitsAll - st.memoHitsAtLast
 	return res, nil
 }
 
-// campaignState threads the driver hooks.
+// campaignState carries the schedule cursor, the checker and the results
+// through a campaign run.
 type campaignState struct {
 	sched   Schedule
 	next    int
@@ -214,6 +201,14 @@ func mix(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
+}
+
+// injectDue runs, in schedule order, every fault due at or before access n.
+func (st *campaignState) injectDue(n uint64) {
+	for st.next < len(st.sched) && n >= st.sched[st.next].AtAccess {
+		st.inject(st.sched[st.next])
+		st.next++
+	}
 }
 
 // inject executes one fault's drill: corrupt state, probe, score.

@@ -152,23 +152,27 @@ func TestRekeyAwareness(t *testing.T) {
 	}
 }
 
-// TestCleanCannealRunNoFalsePositives wraps a full canneal lifetime run
-// with a periodically-invoked checker: zero violations of any class.
+// TestCleanCannealRunNoFalsePositives steps a canneal lifetime run with a
+// periodically-invoked checker: zero violations of any class.
 func TestCleanCannealRunNoFalsePositives(t *testing.T) {
 	eng := engine.DefaultConfig(engine.RMCC, counter.Morphable, 0)
 	eng.TrackContents = true
 	cfg := sim.DefaultLifetimeConfig(eng)
-	cfg.MaxAccesses = 200_000
 	cfg.Seed = 3
+	w := workload.NewCanneal(workload.SizeTest)
+	lt, err := sim.NewLifetimeChecked(w.Name(), w.FootprintBytes(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	var ck *Checker
-	cfg.OnController = func(mc *engine.MC) { ck = New(mc, 1) }
-	cfg.OnAccess = func(n uint64, mc *engine.MC) {
-		if n%5000 == 0 {
+	ck := New(lt.MC(), 1)
+	w.Run(cfg.Seed, func(a workload.Access) bool {
+		lt.Step(a)
+		if lt.Accesses()%5000 == 0 {
 			ck.Check()
 		}
-	}
-	sim.RunLifetime(workload.NewCanneal(workload.SizeTest), cfg)
+		return lt.Accesses() < 200_000
+	})
 	ck.Check()
 	if rep := ck.Report(); rep.Total != 0 {
 		t.Fatalf("clean canneal run flagged: %v\nfirst: %v", rep, ck.Violations()[0])

@@ -83,10 +83,9 @@ type Config struct {
 	L0Table core.Config
 	L1Table core.Config
 
-	// KeyMaster seeds key derivation; AES256 selects 14-round AES for the
-	// 22 ns sensitivity point.
+	// KeyMaster seeds AES-128 key derivation. Figure 17's 22 ns AES-256
+	// point is a latency (sim.DetailedConfig.AESLat), not a key length.
 	KeyMaster [16]byte
-	AES256    bool
 
 	// TrackContents maintains a real plaintext/ciphertext image of memory
 	// and verifies every decryption and MAC check. Intended for tests and
@@ -112,11 +111,12 @@ type Config struct {
 	// 56-bit ceiling always triggers the re-key/reboot regardless of this
 	// knob — the architecture has no other sound response.
 	Recovery RecoveryPolicy
-	// RetryLimit bounds re-fetch attempts under RetryRefetch/RekeyRecover
-	// (transient bus faults clear on re-read; persistent corruption
-	// escalates). Zero disables retries.
-	RetryLimit int
 }
+
+// retryLimit bounds re-fetch attempts under RetryRefetch/RekeyRecover
+// (transient bus faults clear on re-read; persistent corruption
+// escalates).
+const retryLimit = 2
 
 // Validate checks the configuration, wrapping every failure in
 // ErrInvalidConfig so callers can classify with errors.Is.
@@ -126,9 +126,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.Recovery < FailStop || cfg.Recovery > RekeyRecover {
 		return fmt.Errorf("%w: unknown recovery policy %d", ErrInvalidConfig, int(cfg.Recovery))
-	}
-	if cfg.RetryLimit < 0 {
-		return fmt.Errorf("%w: negative RetryLimit %d", ErrInvalidConfig, cfg.RetryLimit)
 	}
 	if cfg.Mode == NonSecure {
 		return nil
@@ -176,7 +173,6 @@ func DefaultConfig(mode Mode, scheme counter.Scheme, memBytes uint64) Config {
 		InitSeed:          1,
 		RandomizeInit:     true,
 		WarmStartFrac:     0.9,
-		RetryLimit:        2,
 	}
 }
 
@@ -340,11 +336,7 @@ func (mc *MC) deriveUnit() *otp.Unit {
 	for b := 0; b < 8; b++ {
 		master[8+b] ^= byte(mc.keyEpoch >> (8 * uint(b)))
 	}
-	keyLen := 16
-	if mc.cfg.AES256 {
-		keyLen = 32
-	}
-	return otp.MustNewUnit(otp.DeriveKeys(master, keyLen))
+	return otp.MustNewUnit(otp.DeriveKeys(master, 16))
 }
 
 // newCounterCache builds a cold counter cache from the configuration.

@@ -130,9 +130,9 @@ const (
 	// corrupted block keeps failing verification. The strictest — and the
 	// default — response.
 	FailStop RecoveryPolicy = iota
-	// RetryRefetch re-fetches and re-verifies the block up to RetryLimit
-	// times, clearing transient (bus) faults; persistent corruption then
-	// fail-stops.
+	// RetryRefetch re-fetches and re-verifies the block up to retryLimit
+	// (2) times, clearing transient (bus) faults; persistent corruption
+	// then fail-stops.
 	RetryRefetch
 	// RekeyRecover escalates persistent violations to the whole-memory
 	// re-key/reboot after retries are exhausted, restoring a verifiable

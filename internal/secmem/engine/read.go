@@ -122,7 +122,7 @@ func (mc *MC) Read(addr uint64) Outcome {
 
 // verifyAndRecover decrypts and verifies block i, then applies the
 // configured RecoveryPolicy to any failure: FailStop records the violation
-// and moves on; RetryRefetch re-fetches up to RetryLimit times, clearing
+// and moves on; RetryRefetch re-fetches up to retryLimit times, clearing
 // transient faults; RekeyRecover additionally escalates persistent failures
 // to the whole-memory re-key (executed by finish).
 func (mc *MC) verifyAndRecover(i int, blockAddr uint64) {
@@ -133,7 +133,7 @@ func (mc *MC) verifyAndRecover(i int, blockAddr uint64) {
 	firstPt, firstMac := ptOK, macOK
 	recovered := false
 	if mc.cfg.Recovery != FailStop {
-		for r := 0; r < mc.cfg.RetryLimit; r++ {
+		for r := 0; r < retryLimit; r++ {
 			mc.stats.RetryAttempts++
 			mc.stats.TrafficBlocks[dram.KindData]++ // the re-fetch
 			ptOK, macOK = mc.contents.verifyRead(i, mc.store.DataCounter(i), blockAddr)

@@ -22,7 +22,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}{
 		{"bad mode", func(c *Config) { c.Mode = Mode(99) }, "mode"},
 		{"bad recovery", func(c *Config) { c.Recovery = RecoveryPolicy(99) }, "recovery"},
-		{"negative retry limit", func(c *Config) { c.RetryLimit = -1 }, "RetryLimit"},
 		{"bad scheme", func(c *Config) { c.Scheme = counter.Scheme(99) }, "scheme"},
 		{"zero memory", func(c *Config) { c.MemBytes = 0 }, "MemBytes"},
 		{"unaligned memory", func(c *Config) { c.MemBytes = 100 }, "MemBytes"},
@@ -145,8 +144,8 @@ func TestRetryRefetchPersistentFailStops(t *testing.T) {
 		t.Error("RetryRefetch escalated to a re-key")
 	}
 	s := mc.Stats()
-	if s.RetryAttempts != uint64(mc.Config().RetryLimit) {
-		t.Errorf("retry attempts = %d, want %d", s.RetryAttempts, mc.Config().RetryLimit)
+	if s.RetryAttempts != retryLimit {
+		t.Errorf("retry attempts = %d, want %d", s.RetryAttempts, retryLimit)
 	}
 	if s.IntegrityFailures != 1 {
 		t.Errorf("IntegrityFailures = %d, want 1", s.IntegrityFailures)

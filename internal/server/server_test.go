@@ -690,3 +690,66 @@ func isStatus(err error, code int) bool {
 	var ae *client.APIError
 	return errors.As(err, &ae) && ae.Status == code
 }
+
+// TestEngineOverrideTableSizesAreFixed: the memo tables' shadow-group and
+// MRU sizes are constants, so an engine override that names them is an
+// unknown field (400) rather than a zero size that panics mid-replay. The
+// ablation switches stay, and a table with both turned off replays.
+func TestEngineOverrideTableSizesAreFixed(t *testing.T) {
+	base := serve(t, server.New(server.Config{}))
+	ctx := context.Background()
+	doc := func(l0 map[string]any) []byte {
+		t.Helper()
+		b, err := json.Marshal(engine.DefaultConfig(engine.RMCC, counter.Morphable, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eng map[string]any
+		if err := json.Unmarshal(b, &eng); err != nil {
+			t.Fatal(err)
+		}
+		table := eng["L0Table"].(map[string]any)
+		table["OverMaxThreshold"] = 1
+		table["EpochAccesses"] = 1000
+		for k, v := range l0 {
+			table[k] = v
+		}
+		b, err = json.Marshal(map[string]any{"workload": "canneal", "size": "test", "engine": eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	create := func(body []byte) *http.Response {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	for _, field := range []string{"ShadowGroups", "MRUSize"} {
+		resp := create(doc(map[string]any{field: 0}))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("engine override with L0Table.%s 0: status %d, want 400", field, resp.StatusCode)
+		}
+	}
+
+	resp := create(doc(map[string]any{"EnableShadow": false, "EnableMRU": false}))
+	if resp.StatusCode != http.StatusCreated {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("engine override without shadow groups and MRU: status %d (%s), want 201", resp.StatusCode, msg)
+	}
+	var info server.SessionInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := client.New(base).ReplayWorkload(ctx, info.ID, 200_000, 0, nil)
+	if err != nil {
+		t.Fatalf("replay without shadow groups and MRU: %v", err)
+	}
+	if stats.Accesses != 200_000 {
+		t.Fatalf("replayed %d accesses, want 200000", stats.Accesses)
+	}
+}

@@ -77,7 +77,7 @@ const (
 // lines are flushed per slot), so MC reads == CPU accesses; each push
 // slot additionally produces exactly one writeback.
 const (
-	ppSweepCPU    = ctrSets * probeWays // one full (unsharded) sweep
+	ppSweepCPU    = ctrSets * probeWays // one full sweep
 	ppEpochWrites = ppPushSlots + ppBgSlots
 	ppEpochCPU    = 2*ppSweepCPU + (ppPushSlots+ppBgSlots+ppBurst)*(1+evictWays) + ppDecoys
 	ppEpochMC     = ppEpochCPU + ppEpochWrites
@@ -137,58 +137,44 @@ func (w *PrimeProbe) Schedule(seed uint64, epochs int) []int {
 
 // Run implements workload.Workload.
 func (w *PrimeProbe) Run(seed uint64, sink workload.Sink) {
-	w.RunShard(0, 1, seed, sink)
-}
-
-// RunShard implements workload.Sharded: shard i of N walks counter-cache
-// sets i, i+N, … in the prime/probe passes; shard 0 additionally runs the
-// victim, background, burst and decoy phases.
-func (w *PrimeProbe) RunShard(shard, of int, seed uint64, sink workload.Sink) {
-	if of <= 0 {
-		of = 1
-	}
 	e := &emit{sink: sink}
 	cls := rng.New(seed ^ ppClassSalt)
 
 	// Warmup: one sweep to settle the caches, then lift the victim and
 	// background counters to the top of the cold table's coverage.
-	w.sweep(e, shard, of)
-	if shard == 0 {
-		w.pushSlots(e, w.victim, ppVictimWarm, 1)
-		w.pushSlots(e, w.dummy, ppDummyWarm, ppDummyLines)
-		w.pushSlots(e, w.bg, ppBgWarm, 1)
-		for i := 0; i < ppWarmPad && !e.stopped; i++ {
-			e.load(w.pad + uint64(i)*lineBytes)
-		}
+	w.sweep(e)
+	w.pushSlots(e, w.victim, ppVictimWarm, 1)
+	w.pushSlots(e, w.dummy, ppDummyWarm, ppDummyLines)
+	w.pushSlots(e, w.bg, ppBgWarm, 1)
+	for i := 0; i < ppWarmPad && !e.stopped; i++ {
+		e.load(w.pad + uint64(i)*lineBytes)
 	}
 
 	dummyPhase := 0
 	for !e.stopped {
 		k := cls.Intn(ppClasses)
-		w.sweep(e, shard, of) // prime
-		if shard == 0 {
-			w.pushSlots(e, w.victim, ppPushBase+k*ppPushDelta, 1)
-			// Rotate the dummy padding's start line so consecutive epochs
-			// spread their writes evenly regardless of k.
-			pad := ppPushSlots - (ppPushBase + k*ppPushDelta)
-			w.pushSlotsFrom(e, w.dummy, pad, ppDummyLines, dummyPhase)
-			dummyPhase = (dummyPhase + pad) % ppDummyLines
-			w.pushSlots(e, w.bg, ppBgSlots, 1)
-			for r := 0; r < ppBurst && !e.stopped; r++ {
-				e.load(w.victim)
-				w.conflictSweep(e, 0)
-			}
-			for j := 0; j < ppDecoys && !e.stopped; j++ {
-				e.load(w.decoy + uint64(k+1)*ctrCoverage + uint64(j)*conflictStride)
-			}
+		w.sweep(e) // prime
+		w.pushSlots(e, w.victim, ppPushBase+k*ppPushDelta, 1)
+		// Rotate the dummy padding's start line so consecutive epochs
+		// spread their writes evenly regardless of k.
+		pad := ppPushSlots - (ppPushBase + k*ppPushDelta)
+		w.pushSlotsFrom(e, w.dummy, pad, ppDummyLines, dummyPhase)
+		dummyPhase = (dummyPhase + pad) % ppDummyLines
+		w.pushSlots(e, w.bg, ppBgSlots, 1)
+		for r := 0; r < ppBurst && !e.stopped; r++ {
+			e.load(w.victim)
+			w.conflictSweep(e, 0)
 		}
-		w.sweep(e, shard, of) // probe
+		for j := 0; j < ppDecoys && !e.stopped; j++ {
+			e.load(w.decoy + uint64(k+1)*ctrCoverage + uint64(j)*conflictStride)
+		}
+		w.sweep(e) // probe
 	}
 }
 
-// sweep walks the shard's counter-cache sets with probeWays lines each.
-func (w *PrimeProbe) sweep(e *emit, shard, of int) {
-	for s := shard; s < ctrSets; s += of {
+// sweep walks every counter-cache set with probeWays lines each.
+func (w *PrimeProbe) sweep(e *emit) {
+	for s := 0; s < ctrSets; s++ {
 		for way := 0; way < probeWays; way++ {
 			if !e.load(w.probe + uint64(way)*conflictStride + uint64(s)*ctrCoverage) {
 				return

@@ -46,33 +46,6 @@ func TestAdversaryDeterminism(t *testing.T) {
 	}
 }
 
-// TestPrimeProbeShardDeterminism covers the sharded entry point: each
-// shard's stream must be deterministic, and shard 0 of N must still carry
-// the victim phases (the non-zero shards only sweep).
-func TestPrimeProbeShardDeterminism(t *testing.T) {
-	w := NewPrimeProbe()
-	const n = 100_000
-	for shard := 0; shard < 4; shard++ {
-		s1 := capture(n, func(s workload.Sink) { w.RunShard(shard, 4, 5, s) })
-		s2 := capture(n, func(s workload.Sink) { w.RunShard(shard, 4, 5, s) })
-		if !sameStream(s1, s2) {
-			t.Errorf("shard %d: same seed produced different streams", shard)
-		}
-		writes := 0
-		for _, a := range s1 {
-			if a.Write {
-				writes++
-			}
-		}
-		if shard == 0 && writes == 0 {
-			t.Error("shard 0 carries no victim writes")
-		}
-		if shard != 0 && writes != 0 {
-			t.Errorf("shard %d emits %d writes, want 0 (sweep only)", shard, writes)
-		}
-	}
-}
-
 // TestScheduleDeterminism: Schedule must reproduce the classes Run draws.
 func TestScheduleDeterminism(t *testing.T) {
 	for _, adv := range []Adversary{NewPrimeProbe(), NewMemJam()} {

@@ -49,7 +49,6 @@ type DetailedConfig struct {
 
 	PageBytes uint64
 	Seed      uint64
-	Cores     int
 
 	// Tracer, when set, is attached to the MC. It defaults to nil.
 	Tracer *obs.Tracer
@@ -59,7 +58,7 @@ type DetailedConfig struct {
 	// warmup: caches, counters and memoization tables evolve, but no
 	// timing is simulated. Then WarmupAccesses run with timing before the
 	// stats reset, and MeasureAccesses define the observation window
-	// (CPU-level accesses, summed over cores).
+	// (CPU-level accesses).
 	FastForwardAccesses uint64
 	WarmupAccesses      uint64
 	MeasureAccesses     uint64
@@ -88,7 +87,6 @@ func DefaultDetailedConfig(eng engine.Config) DetailedConfig {
 		PrefetchDegree:      2,
 		PageBytes:           2 << 20,
 		Seed:                1,
-		Cores:               1,
 		FastForwardAccesses: 3_000_000,
 		WarmupAccesses:      500_000,
 		MeasureAccesses:     2_000_000,
@@ -203,7 +201,7 @@ const (
 	trickleSlots    = 8
 )
 
-// detailedSim owns all shared timing state.
+// detailedSim owns the timing state around the core.
 type detailedSim struct {
 	cfg    DetailedConfig
 	eng    *event.Engine
@@ -387,7 +385,6 @@ type core struct {
 	misses     []*txn     // outstanding LLC misses (MSHR occupancy)
 
 	instRetired uint64
-	exhausted   bool
 }
 
 type robEntry struct {
@@ -400,7 +397,6 @@ type robEntry struct {
 func (c *core) step() bool {
 	a, ok := c.st.Next()
 	if !ok {
-		c.exhausted = true
 		return false
 	}
 	s := c.sim
@@ -432,8 +428,8 @@ func (c *core) step() bool {
 	if s.eng.Now() < c.tF {
 		s.eng.RunUntil(c.tF)
 	} else if c.tF < s.eng.Now() {
-		// Another core (or a stall) advanced simulated time past this
-		// core's frontend; the access cannot issue in the past.
+		// A stall advanced simulated time past the frontend; the access
+		// cannot issue in the past.
 		c.tF = s.eng.Now()
 	}
 	lvl, victims := s.hier.access(paddr, a.Write)
@@ -519,11 +515,8 @@ func (c *core) drain() event.Time {
 	return c.tF
 }
 
-// RunDetailed executes a timing simulation of w.
+// RunDetailed executes a timing simulation of w on Table I's one core.
 func RunDetailed(w workload.Workload, cfg DetailedConfig) DetailedResult {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
 	s := &detailedSim{
 		cfg:   cfg,
 		eng:   event.New(),
@@ -541,90 +534,33 @@ func RunDetailed(w workload.Workload, cfg DetailedConfig) DetailedResult {
 		s.mc.SetTracer(cfg.Tracer)
 	}
 
-	// Build per-core streams: graph kernels shard, others run one core.
-	sharded, isSharded := w.(workload.Sharded)
-	nCores := cfg.Cores
-	if !isSharded {
-		nCores = 1
-	}
-	cores := make([]*core, nCores)
-	for i := range cores {
-		i := i
-		var st *AccessStream
-		if isSharded && nCores > 1 {
-			st = NewAccessStream(func(sink workload.Sink) {
-				sharded.RunShard(i, nCores, cfg.Seed+uint64(i), sink)
-			})
-		} else {
-			st = NewAccessStream(func(sink workload.Sink) { w.Run(cfg.Seed, sink) })
-		}
-		cores[i] = &core{sim: s, st: st}
-	}
-	defer func() {
-		for _, c := range cores {
-			c.st.Close()
-		}
-	}()
+	c := &core{sim: s, st: NewAccessStream(func(sink workload.Sink) { w.Run(cfg.Seed, sink) })}
+	defer c.st.Close()
 
 	// Atomic-mode fast-forward: evolve caches, counters and memoization
 	// tables functionally so the timed window observes converged state
 	// (the paper warms up for 25 billion instructions before measuring).
-	if cfg.FastForwardAccesses > 0 {
-		var ffDone uint64
-		for ffDone < cfg.FastForwardAccesses {
-			progressed := false
-			for _, c := range cores {
-				if c.exhausted {
-					continue
-				}
-				a, ok := c.st.Next()
-				if !ok {
-					c.exhausted = true
-					continue
-				}
-				progressed = true
-				ffDone++
-				paddr := s.mapper.Translate(a.Addr)
-				lvl, victims := s.hier.access(paddr, a.Write)
-				for _, v := range victims {
-					s.mc.Write(v)
-					s.mc.OnEpochAccess()
-				}
-				if lvl == missAll {
-					s.mc.Read(paddr)
-					s.mc.OnEpochAccess()
-				}
-			}
-			if !progressed {
-				break
-			}
+	for ff := uint64(0); ff < cfg.FastForwardAccesses; ff++ {
+		a, ok := c.st.Next()
+		if !ok {
+			break
 		}
-	}
-
-	// pickCore returns the live core with the smallest frontend time.
-	pickCore := func() *core {
-		var best *core
-		for _, c := range cores {
-			if c.exhausted {
-				continue
-			}
-			if best == nil || c.tF < best.tF {
-				best = c
-			}
+		paddr := s.mapper.Translate(a.Addr)
+		lvl, victims := s.hier.access(paddr, a.Write)
+		for _, v := range victims {
+			s.mc.Write(v)
+			s.mc.OnEpochAccess()
 		}
-		return best
+		if lvl == missAll {
+			s.mc.Read(paddr)
+			s.mc.OnEpochAccess()
+		}
 	}
 
 	var processed uint64
 	runPhase := func(target uint64) {
-		for processed < target {
-			c := pickCore()
-			if c == nil {
-				break
-			}
-			if c.step() {
-				processed++
-			}
+		for processed < target && c.step() {
+			processed++
 		}
 	}
 
@@ -633,38 +569,24 @@ func RunDetailed(w workload.Workload, cfg DetailedConfig) DetailedResult {
 	s.mc.ResetStats()
 	s.ch.ResetStats()
 	s.missLatSum, s.missCount = 0, 0
-	var instStart uint64
-	for _, c := range cores {
-		instStart += c.instRetired
-	}
-	tStart := s.eng.Now()
-	for _, c := range cores {
-		if c.tF > tStart {
-			tStart = c.tF
-		}
-	}
+	instStart := c.instRetired
+	tStart := max(s.eng.Now(), c.tF)
 
 	runPhase(cfg.WarmupAccesses + cfg.MeasureAccesses)
 
 	// Close the window: drain outstanding work.
 	tEnd := s.eng.Now()
-	for _, c := range cores {
-		if t := c.drain(); t > tEnd {
-			tEnd = t
-		}
+	if t := c.drain(); t > tEnd {
+		tEnd = t
 	}
 
-	var instEnd uint64
-	for _, c := range cores {
-		instEnd += c.instRetired
-	}
 	window := tEnd - tStart
 	if window <= 0 {
 		window = 1
 	}
 	res := DetailedResult{
 		Workload:     w.Name(),
-		Instructions: instEnd - instStart,
+		Instructions: c.instRetired - instStart,
 		WindowTime:   window,
 		Accesses:     processed - cfg.WarmupAccesses,
 		LLCMisses:    s.missCount,

@@ -38,14 +38,6 @@ type LifetimeConfig struct {
 	// Tracer, when set, is attached to the MC for per-access event
 	// tracing. It defaults to nil (no observation overhead).
 	Tracer *obs.Tracer
-
-	// OnController, when set, receives the constructed MC before the access
-	// stream starts — the attachment point for fault campaigns and extra
-	// instrumentation.
-	OnController func(mc *engine.MC)
-	// OnAccess, when set, runs after every CPU access with the 1-based
-	// access ordinal and the MC — the fault campaign's injection point.
-	OnAccess func(n uint64, mc *engine.MC)
 }
 
 // DefaultLifetimeConfig mirrors the paper's Pintool configuration.

@@ -159,17 +159,6 @@ func TestDetailedRMCCBeatsMorphableOnIrregular(t *testing.T) {
 	}
 }
 
-func TestDetailedMultiCoreSharding(t *testing.T) {
-	cfg := detailedCfg(engine.Baseline, counter.Morphable)
-	cfg.Cores = 4
-	cfg.WarmupAccesses = 100_000
-	cfg.MeasureAccesses = 300_000
-	res := RunDetailed(mustWL(t, "BFS", 9), cfg)
-	if res.IPC <= 0 || res.LLCMisses == 0 {
-		t.Fatalf("multicore run degenerate: %+v", res)
-	}
-}
-
 func TestDetailedDeterminism(t *testing.T) {
 	cfg := detailedCfg(engine.RMCC, counter.Morphable)
 	cfg.WarmupAccesses = 50_000

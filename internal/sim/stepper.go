@@ -55,9 +55,6 @@ func NewLifetimeChecked(name string, footprintBytes uint64, cfg LifetimeConfig) 
 	if cfg.Tracer != nil {
 		mc.SetTracer(cfg.Tracer)
 	}
-	if cfg.OnController != nil {
-		cfg.OnController(mc)
-	}
 	return lt, nil
 }
 
@@ -79,9 +76,6 @@ func (lt *Lifetime) Step(a workload.Access) {
 		lt.mc.Read(paddr)
 		lt.mc.OnEpochAccess()
 		lt.reads++
-	}
-	if lt.cfg.OnAccess != nil {
-		lt.cfg.OnAccess(lt.accesses, lt.mc)
 	}
 }
 

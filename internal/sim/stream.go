@@ -3,11 +3,10 @@ package sim
 import "rmcc/internal/workload"
 
 // AccessStream pulls a workload's push-style access stream through a
-// bounded channel so simulators can consume it pull-style (and interleave
-// several shards). The rmccd service holds one per workload-bound session
-// so successive replay calls continue the same deterministic stream
-// instead of restarting it. The generator goroutine exits promptly once
-// the stream is closed.
+// bounded channel so simulators can consume it pull-style. The rmccd
+// service holds one per workload-bound session so successive replay
+// calls continue the same deterministic stream instead of restarting it.
+// The generator goroutine exits promptly once the stream is closed.
 type AccessStream struct {
 	ch      chan []workload.Access
 	stop    chan struct{}
@@ -18,8 +17,8 @@ type AccessStream struct {
 
 const streamBatch = 2048
 
-// NewAccessStream starts run (a closure invoking Workload.Run or RunShard
-// with the supplied sink) in a goroutine and returns the pull side.
+// NewAccessStream starts run (a closure invoking Workload.Run with the
+// supplied sink) in a goroutine and returns the pull side.
 func NewAccessStream(run func(sink workload.Sink)) *AccessStream {
 	s := &AccessStream{
 		ch:   make(chan []workload.Access, 4),

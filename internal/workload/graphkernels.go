@@ -36,9 +36,6 @@ func (b *graphBase) edgeProp() uint64 { return b.lay.region(uint64(b.g.M()) * 4)
 
 func (b *graphBase) FootprintBytes() uint64 { return b.lay.footprint() }
 
-// shardRange yields the vertex stripe for one of N threads.
-func shardStart(shard int) int { return shard }
-
 // --- pageRank ---
 
 // PageRank iterates rank propagation: per vertex, gather the ranks of all
@@ -59,14 +56,11 @@ func NewPageRank(g *graph.CSR) *PageRank {
 func (p *PageRank) Name() string { return "pageRank" }
 
 // Run implements Workload.
-func (p *PageRank) Run(seed uint64, sink Sink) { p.RunShard(0, 1, seed, sink) }
-
-// RunShard implements Sharded.
-func (p *PageRank) RunShard(shard, of int, seed uint64, sink Sink) {
+func (p *PageRank) Run(seed uint64, sink Sink) {
 	e := &emitter{sink: sink}
 	src, dst := p.rankA, p.rankB
 	for iter := 0; ; iter++ {
-		for v := shardStart(shard); v < p.g.N && !e.stopped; v += of {
+		for v := 0; v < p.g.N && !e.stopped; v++ {
 			e.load(p.offAddr(v), 2)
 			e.load(p.offAddr(v+1), 1)
 			start, end := p.g.Offsets[v], p.g.Offsets[v+1]
@@ -103,20 +97,17 @@ func NewGraphColoring(g *graph.CSR) *GraphColoring {
 func (c *GraphColoring) Name() string { return "graphColoring" }
 
 // Run implements Workload.
-func (c *GraphColoring) Run(seed uint64, sink Sink) { c.RunShard(0, 1, seed, sink) }
-
-// RunShard implements Sharded.
-func (c *GraphColoring) RunShard(shard, of int, seed uint64, sink Sink) {
+func (c *GraphColoring) Run(seed uint64, sink Sink) {
 	e := &emitter{sink: sink}
 	colors := make([]int32, c.g.N)
 	var used [1024]bool
 	for {
 		// Reset phase: streaming stores (a real phase transition).
-		for v := shardStart(shard); v < c.g.N && !e.stopped; v += of {
+		for v := 0; v < c.g.N && !e.stopped; v++ {
 			colors[v] = -1
 			e.store(c.colorBase+uint64(v)*8, 1)
 		}
-		for v := shardStart(shard); v < c.g.N && !e.stopped; v += of {
+		for v := 0; v < c.g.N && !e.stopped; v++ {
 			e.load(c.offAddr(v), 2)
 			e.load(c.offAddr(v+1), 1)
 			start, end := c.g.Offsets[v], c.g.Offsets[v+1]
@@ -169,20 +160,17 @@ func NewConnectedComp(g *graph.CSR) *ConnectedComp {
 func (c *ConnectedComp) Name() string { return "connectedComp" }
 
 // Run implements Workload.
-func (c *ConnectedComp) Run(seed uint64, sink Sink) { c.RunShard(0, 1, seed, sink) }
-
-// RunShard implements Sharded.
-func (c *ConnectedComp) RunShard(shard, of int, seed uint64, sink Sink) {
+func (c *ConnectedComp) Run(seed uint64, sink Sink) {
 	e := &emitter{sink: sink}
 	labels := make([]uint32, c.g.N)
 	for {
-		for v := shardStart(shard); v < c.g.N && !e.stopped; v += of {
+		for v := 0; v < c.g.N && !e.stopped; v++ {
 			labels[v] = uint32(v)
 			e.store(c.labelBase+uint64(v)*8, 1)
 		}
 		for changed := true; changed && !e.stopped; {
 			changed = false
-			for v := shardStart(shard); v < c.g.N && !e.stopped; v += of {
+			for v := 0; v < c.g.N && !e.stopped; v++ {
 				e.load(c.labelBase+uint64(v)*8, 2)
 				best := labels[v]
 				e.load(c.offAddr(v), 1)
@@ -228,16 +216,13 @@ func NewDegreeCentr(g *graph.CSR) *DegreeCentr {
 func (d *DegreeCentr) Name() string { return "degreeCentr" }
 
 // Run implements Workload.
-func (d *DegreeCentr) Run(seed uint64, sink Sink) { d.RunShard(0, 1, seed, sink) }
-
-// RunShard implements Sharded.
-func (d *DegreeCentr) RunShard(shard, of int, seed uint64, sink Sink) {
+func (d *DegreeCentr) Run(seed uint64, sink Sink) {
 	e := &emitter{sink: sink}
 	for {
-		for v := shardStart(shard); v < d.g.N && !e.stopped; v += of {
+		for v := 0; v < d.g.N && !e.stopped; v++ {
 			e.store(d.inBase+uint64(v)*8, 1)
 		}
-		for v := shardStart(shard); v < d.g.N && !e.stopped; v += of {
+		for v := 0; v < d.g.N && !e.stopped; v++ {
 			e.load(d.offAddr(v), 1)
 			e.load(d.offAddr(v+1), 1)
 			e.store(d.outBase+uint64(v)*8, 2)
@@ -278,12 +263,9 @@ func NewDFS(g *graph.CSR) *DFS {
 func (d *DFS) Name() string { return "DFS" }
 
 // Run implements Workload.
-func (d *DFS) Run(seed uint64, sink Sink) { d.RunShard(0, 1, seed, sink) }
-
-// RunShard implements Sharded.
-func (d *DFS) RunShard(shard, of int, seed uint64, sink Sink) {
+func (d *DFS) Run(seed uint64, sink Sink) {
 	e := &emitter{sink: sink}
-	r := rng.New(seed + uint64(shard)*977)
+	r := rng.New(seed)
 	visited := make([]bool, d.g.N)
 	stack := make([]int32, 0, d.g.N)
 	for {
@@ -355,12 +337,9 @@ func NewBFS(g *graph.CSR) *BFS {
 func (b *BFS) Name() string { return "BFS" }
 
 // Run implements Workload.
-func (b *BFS) Run(seed uint64, sink Sink) { b.RunShard(0, 1, seed, sink) }
-
-// RunShard implements Sharded.
-func (b *BFS) RunShard(shard, of int, seed uint64, sink Sink) {
+func (b *BFS) Run(seed uint64, sink Sink) {
 	e := &emitter{sink: sink}
-	r := rng.New(seed + uint64(shard)*1459)
+	r := rng.New(seed)
 	visited := make([]bool, b.g.N)
 	frontier := make([]int32, 0, b.g.N)
 	next := make([]int32, 0, b.g.N)
@@ -423,9 +402,6 @@ func NewTriangleCount(g *graph.CSR) *TriangleCount {
 // Name implements Workload.
 func (t *TriangleCount) Name() string { return "triangleCount" }
 
-// Run implements Workload.
-func (t *TriangleCount) Run(seed uint64, sink Sink) { t.RunShard(0, 1, seed, sink) }
-
 // intersectCap bounds the merge-intersection work per neighbor pair.
 // Power-law hubs otherwise make the kernel quadratic in the hub degree and
 // the simulation window never leaves one (fully cached) adjacency list;
@@ -433,8 +409,8 @@ func (t *TriangleCount) Run(seed uint64, sink Sink) { t.RunShard(0, 1, seed, sin
 // smaller list or using hash probes.
 const intersectCap = 256
 
-// RunShard implements Sharded.
-func (t *TriangleCount) RunShard(shard, of int, seed uint64, sink Sink) {
+// Run implements Workload.
+func (t *TriangleCount) Run(seed uint64, sink Sink) {
 	e := &emitter{sink: sink}
 	// Process vertices in a hashed order so the access stream mixes hub
 	// and leaf adjacency lists instead of dwelling on vertex 0's hub.
@@ -443,7 +419,7 @@ func (t *TriangleCount) RunShard(shard, of int, seed uint64, sink Sink) {
 		stride = 1
 	}
 	for {
-		for k := shardStart(shard); k < t.g.N && !e.stopped; k += of {
+		for k := 0; k < t.g.N && !e.stopped; k++ {
 			v := int((uint64(k)*stride + seed) % uint64(t.g.N))
 			e.load(t.offAddr(v), 1)
 			e.load(t.offAddr(v+1), 1)
@@ -508,17 +484,14 @@ func NewShortestPath(g *graph.CSR) *ShortestPath {
 // Name implements Workload.
 func (s *ShortestPath) Name() string { return "shortestPath" }
 
-// Run implements Workload.
-func (s *ShortestPath) Run(seed uint64, sink Sink) { s.RunShard(0, 1, seed, sink) }
-
 // weight derives a deterministic edge weight (the array is synthetic but
 // its *accesses* are real).
 func edgeWeight(ei uint64) uint32 { return uint32(ei*2654435761)%63 + 1 }
 
-// RunShard implements Sharded.
-func (s *ShortestPath) RunShard(shard, of int, seed uint64, sink Sink) {
+// Run implements Workload.
+func (s *ShortestPath) Run(seed uint64, sink Sink) {
 	e := &emitter{sink: sink}
-	r := rng.New(seed + uint64(shard)*631)
+	r := rng.New(seed)
 	const inf = ^uint32(0)
 	dist := make([]uint32, s.g.N)
 	for {
@@ -527,12 +500,12 @@ func (s *ShortestPath) RunShard(shard, of int, seed uint64, sink Sink) {
 			dist[v] = inf
 		}
 		dist[root] = 0
-		for v := shardStart(shard); v < s.g.N && !e.stopped; v += of {
+		for v := 0; v < s.g.N && !e.stopped; v++ {
 			e.store(s.distBase+uint64(v)*8, 1)
 		}
 		for changed := true; changed && !e.stopped; {
 			changed = false
-			for v := shardStart(shard); v < s.g.N && !e.stopped; v += of {
+			for v := 0; v < s.g.N && !e.stopped; v++ {
 				e.load(s.distBase+uint64(v)*8, 1)
 				if dist[v] == inf {
 					continue

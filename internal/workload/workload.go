@@ -38,13 +38,6 @@ type Workload interface {
 	Run(seed uint64, sink Sink)
 }
 
-// Sharded workloads can run as one of N threads over a shared data
-// structure (the paper runs GraphBig as four threads).
-type Sharded interface {
-	Workload
-	RunShard(shard, of int, seed uint64, sink Sink)
-}
-
 // emitter wraps a sink with stop-flag plumbing so kernels read cleanly.
 type emitter struct {
 	sink    Sink

@@ -104,47 +104,6 @@ func TestStopIsPrompt(t *testing.T) {
 	}
 }
 
-func TestShardsDiffer(t *testing.T) {
-	ws := Suite(SizeTest, 6)
-	for _, w := range ws {
-		sh, ok := w.(Sharded)
-		if !ok {
-			continue
-		}
-		var a0, a1 []Access
-		sh.RunShard(0, 4, 7, func(a Access) bool { a0 = append(a0, a); return len(a0) < 5000 })
-		sh.RunShard(1, 4, 7, func(a Access) bool { a1 = append(a1, a); return len(a1) < 5000 })
-		same := 0
-		for i := range a0 {
-			if a0[i].Addr == a1[i].Addr {
-				same++
-			}
-		}
-		if same == len(a0) {
-			t.Fatalf("%s: shards 0 and 1 produced identical streams", w.Name())
-		}
-	}
-}
-
-func TestGraphKernelsAreSharded(t *testing.T) {
-	paper := map[string]bool{}
-	for _, n := range PaperNames() {
-		paper[n] = true
-	}
-	count := 0
-	for _, w := range Suite(SizeTest, 1) {
-		if !paper[w.Name()] {
-			continue // extras may shard too (ppSweep does)
-		}
-		if _, ok := w.(Sharded); ok {
-			count++
-		}
-	}
-	if count != 8 {
-		t.Fatalf("sharded kernels = %d, want the 8 graph kernels", count)
-	}
-}
-
 func TestIrregularityOrdering(t *testing.T) {
 	// The paper's premise (Figure 3): canneal is far more irregular than
 	// mcf. Measure unique 8 KiB regions touched per access as a proxy.
