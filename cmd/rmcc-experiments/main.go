@@ -388,7 +388,7 @@ func microBenchmarks() []jsonMicro {
 			}
 		}},
 		{"memo_lookup", func(b *testing.B) {
-			unit := otp.MustNewUnit(otp.DeriveKeys([16]byte{1}, 16))
+			unit := otp.MustNewUnit(otp.DeriveKeys([16]byte{1}))
 			cfg := core.DefaultConfig()
 			cfg.OverMaxThreshold = 1 << 40
 			tbl := core.MustNewTable(cfg, unit.CounterOnly, nil)

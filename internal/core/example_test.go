@@ -11,7 +11,7 @@ import (
 // consecutive memoized values across writebacks, staying covered the whole
 // way.
 func Example() {
-	unit := otp.MustNewUnit(otp.DeriveKeys([16]byte{7}, 16))
+	unit := otp.MustNewUnit(otp.DeriveKeys([16]byte{7}))
 	table := core.MustNewTable(core.DefaultConfig(),
 		func(v uint64) otp.CtrResult { return unit.CounterOnly(v) }, nil)
 

@@ -150,14 +150,6 @@ type Stats struct {
 	BudgetDenied uint64
 }
 
-// HitRate returns (group+MRU hits)/lookups.
-func (s Stats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.GroupHits+s.MRUHits) / float64(s.Lookups)
-}
-
 // Table is one RMCC memoization table (the MC keeps one for L0 counters and
 // one for L1 counters). Not safe for concurrent use.
 type Table struct {
@@ -680,6 +672,3 @@ func (t *Table) SpendBudget(blocks int) bool {
 	t.trace.Emit(obs.EvBudgetSpend, t.traceID, uint64(blocks), uint64(t.budget.available))
 	return true
 }
-
-// BudgetRemaining returns the unspent overhead budget in block transfers.
-func (t *Table) BudgetRemaining() float64 { return t.budget.available }

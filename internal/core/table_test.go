@@ -354,7 +354,7 @@ func TestBudgetSpendAndCarryOver(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tbl.OnAccess()
 	}
-	if got := tbl.BudgetRemaining(); got != 12 {
+	if got := tbl.budget.available; got != 12 {
 		t.Fatalf("budget after carry-over = %v, want 12", got)
 	}
 }
@@ -367,8 +367,8 @@ func TestHitRateStats(t *testing.T) {
 	if s.Lookups != 2 || s.GroupHits != 1 || s.Misses != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", s.HitRate())
+	if s.MRUHits != 0 {
+		t.Fatalf("MRU hits = %d", s.MRUHits)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // counter-only AES result is the memoizable half; combined with the
 // always-fast address-only result it yields the pad that encrypts a block.
 func Example() {
-	unit := otp.MustNewUnit(otp.DeriveKeys([16]byte{1, 2, 3}, 16))
+	unit := otp.MustNewUnit(otp.DeriveKeys([16]byte{1, 2, 3}))
 
 	// The slow, memoizable part: one AES pair per counter *value*.
 	ctrRes := unit.CounterOnly(42)

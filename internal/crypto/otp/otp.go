@@ -72,19 +72,16 @@ type Keys struct {
 	Mac gf.Keys
 }
 
-// DeriveKeys expands a master seed into the full key set. Keys are derived
-// by encrypting distinct constants under the master key, a standard KDF
-// shape that keeps the package dependency-free.
-func DeriveKeys(master [16]byte, keyLen int) Keys {
+// DeriveKeys expands a master seed into the full set of 16-byte (AES-128)
+// keys. Keys are derived by encrypting distinct constants under the master
+// key, a standard KDF shape that keeps the package dependency-free.
+func DeriveKeys(master [16]byte) Keys {
 	kdf := aes.MustNew(master[:])
 	derive := func(label byte) []byte {
-		out := make([]byte, keyLen)
-		for off := 0; off < keyLen; off += 16 {
-			var in [16]byte
-			in[0] = label
-			in[1] = byte(off)
-			kdf.Encrypt(out[off:off+16], in[:])
-		}
+		var in [16]byte
+		in[0] = label
+		out := make([]byte, 16)
+		kdf.Encrypt(out, in[:])
 		return out
 	}
 	var k Keys

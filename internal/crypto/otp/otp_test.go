@@ -1,25 +1,29 @@
 package otp
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"rmcc/internal/rng"
 )
 
-func testUnit(t testing.TB, keyLen int) *Unit {
+func testUnit(t testing.TB) *Unit {
 	t.Helper()
 	var master [16]byte
 	for i := range master {
 		master[i] = byte(i * 17)
 	}
-	return MustNewUnit(DeriveKeys(master, keyLen))
+	return MustNewUnit(DeriveKeys(master))
 }
 
 func TestDeriveKeysDistinct(t *testing.T) {
-	k := DeriveKeys([16]byte{1}, 16)
+	k := DeriveKeys([16]byte{1})
 	all := [][]byte{k.BaselineEnc, k.BaselineMac, k.CtrEnc, k.CtrMac, k.AddrEnc, k.AddrMac}
 	for i := range all {
+		if len(all[i]) != 16 {
+			t.Fatalf("key %d is %d bytes, want 16", i, len(all[i]))
+		}
 		for j := i + 1; j < len(all); j++ {
 			if string(all[i]) == string(all[j]) {
 				t.Fatalf("keys %d and %d identical", i, j)
@@ -31,21 +35,17 @@ func TestDeriveKeysDistinct(t *testing.T) {
 			t.Fatalf("mac key %d is zero", i)
 		}
 	}
-}
-
-func TestDeriveKeys256(t *testing.T) {
-	k := DeriveKeys([16]byte{2}, 32)
-	if len(k.CtrEnc) != 32 {
-		t.Fatalf("key length %d, want 32", len(k.CtrEnc))
+	// Pinned: every simulator run's pads, MACs and figures derive from
+	// these bytes.
+	if got := fmt.Sprintf("%x %x %x", k.BaselineEnc, k.AddrMac, k.Mac[0]); got !=
+		"faeb01888d2e92aee70ecc1c638bf6d6 241e97865ed3b56cef8912f6ede93b3d 186fc64c5c5681ab" {
+		t.Fatalf("derived keys changed: %s", got)
 	}
-	if string(k.CtrEnc[:16]) == string(k.CtrEnc[16:]) {
-		t.Fatal("key halves identical; KDF not mixing offset")
-	}
-	MustNewUnit(k) // must build an AES-256 unit
+	MustNewUnit(k) // must build an AES-128 unit
 }
 
 func TestPadXorInvolution(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	f := func(block [8]uint64, addr, ctr uint64) bool {
 		orig := block
 		p := u.RMCCPad(u.CounterOnly(ctr), addr)
@@ -62,7 +62,7 @@ func TestPadXorInvolution(t *testing.T) {
 }
 
 func TestRMCCPadDependsOnCounterAndAddress(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	base := u.RMCCPad(u.CounterOnly(100), 0x1000)
 	if diff := u.RMCCPad(u.CounterOnly(101), 0x1000); diff == base {
 		t.Fatal("pad identical across counters")
@@ -73,7 +73,7 @@ func TestRMCCPadDependsOnCounterAndAddress(t *testing.T) {
 }
 
 func TestRMCCPadWordsDistinct(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	p := u.RMCCPad(u.CounterOnly(7), 0x2000)
 	for i := 0; i < WordsPerBlock; i++ {
 		for j := i + 1; j < WordsPerBlock; j++ {
@@ -86,7 +86,7 @@ func TestRMCCPadWordsDistinct(t *testing.T) {
 
 func TestEncMacPadsDiffer(t *testing.T) {
 	// §IV-C5: OTPs for encryption and MAC must differ for the same block.
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	cr := u.CounterOnly(42)
 	if cr.Enc == cr.Mac {
 		t.Fatal("counter-only results for enc and mac identical")
@@ -103,7 +103,7 @@ func TestEncMacPadsDiffer(t *testing.T) {
 // commutative, because the AES inputs are padded into disjoint domains and
 // keyed differently.
 func TestTypeARepeatEliminated(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	x, y := uint64(0x40), uint64(0x80)
 	p1 := u.RMCCPad(u.CounterOnly(y), x)
 	p2 := u.RMCCPad(u.CounterOnly(x), y)
@@ -115,7 +115,7 @@ func TestTypeARepeatEliminated(t *testing.T) {
 // TestNoOTPRepeatAcrossWritebacks samples the core security invariant: for a
 // fixed block, pads across many counter values never collide.
 func TestNoOTPRepeatAcrossWritebacks(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	addr := uint64(0x7f000)
 	seen := make(map[Word128]uint64)
 	for ctr := uint64(1); ctr <= 4096; ctr++ {
@@ -128,7 +128,7 @@ func TestNoOTPRepeatAcrossWritebacks(t *testing.T) {
 }
 
 func TestCounterMaskApplied(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	// Counters differing only above bit 55 are architecturally identical.
 	a := u.CounterOnly(5)
 	b := u.CounterOnly(5 | 1<<56)
@@ -138,7 +138,7 @@ func TestCounterMaskApplied(t *testing.T) {
 }
 
 func TestBaselinePadProperties(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	p1 := u.BaselinePad(0x1000, 9)
 	p2 := u.BaselinePad(0x1000, 10)
 	p3 := u.BaselinePad(0x1040, 9)
@@ -155,7 +155,7 @@ func TestBaselinePadProperties(t *testing.T) {
 }
 
 func TestBaselineMacOTPDiffersFromEncPad(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	p := u.BaselinePad(0x4000, 3)
 	m := u.BaselineMacOTP(0x4000, 3)
 	if m == (p[0].Hi^p[0].Lo)&((1<<56)-1) {
@@ -164,7 +164,7 @@ func TestBaselineMacOTPDiffersFromEncPad(t *testing.T) {
 }
 
 func TestBlockMACVerifyAndTamper(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	r := rng.New(3)
 	var words [8]uint64
 	for i := range words {
@@ -184,7 +184,7 @@ func TestBlockMACVerifyAndTamper(t *testing.T) {
 // TestRMCCvsBaselineEquivalentSecurityShape checks that the RMCC pad is as
 // "wide" as the baseline pad: full 512-bit coverage, no zero words.
 func TestRMCCPadNonDegenerate(t *testing.T) {
-	u := testUnit(t, 16)
+	u := testUnit(t)
 	r := rng.New(4)
 	zeroWords := 0
 	const trials = 200
@@ -202,14 +202,14 @@ func TestRMCCPadNonDegenerate(t *testing.T) {
 }
 
 func BenchmarkCounterOnly(b *testing.B) {
-	u := testUnit(b, 16)
+	u := testUnit(b)
 	for i := 0; i < b.N; i++ {
 		_ = u.CounterOnly(uint64(i))
 	}
 }
 
 func BenchmarkRMCCPadFromMemoizedResult(b *testing.B) {
-	u := testUnit(b, 16)
+	u := testUnit(b)
 	cr := u.CounterOnly(1) // memoized: computed once
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -218,7 +218,7 @@ func BenchmarkRMCCPadFromMemoizedResult(b *testing.B) {
 }
 
 func BenchmarkBaselinePad(b *testing.B) {
-	u := testUnit(b, 16)
+	u := testUnit(b)
 	for i := 0; i < b.N; i++ {
 		_ = u.BaselinePad(uint64(i)<<6, uint64(i))
 	}

@@ -156,7 +156,7 @@ func TestIgamcSanity(t *testing.T) {
 func TestRMCCOTPPassesBattery(t *testing.T) {
 	var master [16]byte
 	master[0] = 0x5c
-	u := otp.MustNewUnit(otp.DeriveKeys(master, 16))
+	u := otp.MustNewUnit(otp.DeriveKeys(master))
 
 	const samples = 4096
 	otpWords := make([]uint64, 0, samples*2)

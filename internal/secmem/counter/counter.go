@@ -121,12 +121,28 @@ const BlockBytes = 64
 // tree[1][j] is the counter protecting L0 counter block j; tree[l][k]
 // protects level-(l-1) node k. The root level's counters live on-chip and
 // need no protection.
+//
+// SC-64 and Morphable data counters are held in their encoded form, as
+// their hardware holds them: groups[j].base is L0 group j's smallest
+// value, and off[i] is data block i's 8-bit offset above its group's
+// base. Each group also keeps its largest offset and how many of its
+// blocks sit at the base, so reading a counter, checking a group's
+// encodability, and updating a counter take O(1); only an update that
+// moves a group's last block off the base scans the group's offsets, to
+// lift the base to the new minimum. A group whose spread no 8-bit offset
+// holds (only CorruptDataCounter and DecodeState make one) is wide: its
+// values live in the full-width slots full[start:end], allocated on first
+// use, until a relevel or re-key encodes it again. SGX keeps every data
+// counter in full, one 56-bit slot per block as its hardware does.
 type Store struct {
 	scheme      Scheme
 	nBlocks     int // data blocks
 	coverage    int
+	shift       uint // log2(coverage): data block index -> L0 group
 	arity       int
-	vals        []uint64   // per data block true counter value
+	groups      []group    // per L0 group (nil for SGX)
+	off         []uint8    // per data block offset above its group's base
+	full        []uint64   // per data block full-width value (SGX, wide groups)
 	tree        [][]uint64 // tree[l] for l >= 1; index = child block/node id
 	ctrBase     uint64
 	treeBase    []uint64 // base address per tree level (index 1..)
@@ -134,6 +150,14 @@ type Store struct {
 
 	// Overflows counts relevel events per level (0 = data/L0 groups).
 	Overflows []uint64
+}
+
+// group is one split-counter L0 group's encoded summary.
+type group struct {
+	base   uint64 // smallest value in the group
+	maxOff uint8  // largest offset above base
+	atBase uint8  // blocks at offset 0
+	wide   bool   // values held in Store.full instead
 }
 
 // NewStore builds counter state for dataBytes of protected memory. The tree
@@ -149,12 +173,20 @@ func NewStore(scheme Scheme, dataBytes uint64) *Store {
 		nBlocks:  n,
 		coverage: scheme.Coverage(),
 		arity:    scheme.TreeArity(),
-		vals:     make([]uint64, n),
+	}
+	for 1<<s.shift < s.coverage {
+		s.shift++
 	}
 	s.ctrBase = dataBytes
 	// Build tree level sizes: level 1 has one counter per L0 counter
 	// block; level l has one counter per level-(l-1) node.
 	numL0 := (n + s.coverage - 1) / s.coverage
+	if scheme == SGX {
+		s.full = make([]uint64, n)
+	} else {
+		s.groups = make([]group, numL0)
+		s.off = make([]uint8, n)
+	}
 	s.tree = append(s.tree, nil) // level 0 placeholder
 	s.treeBase = append(s.treeBase, 0)
 	childCount := numL0
@@ -170,6 +202,7 @@ func NewStore(scheme Scheme, dataBytes uint64) *Store {
 		childCount = nodes
 	}
 	s.Overflows = make([]uint64, len(s.tree)+1)
+	s.ResetCounters()
 	return s
 }
 
@@ -204,7 +237,7 @@ func (s *Store) DataBlockIndex(addr uint64) int { return int(addr / BlockBytes) 
 func (s *Store) DataBlockAddr(i int) uint64 { return uint64(i) * BlockBytes }
 
 // L0Index returns the L0 counter block index covering data block i.
-func (s *Store) L0Index(i int) int { return i / s.coverage }
+func (s *Store) L0Index(i int) int { return i >> s.shift }
 
 // L0BlockAddr returns the byte address of L0 counter block j.
 func (s *Store) L0BlockAddr(j int) uint64 { return s.ctrBase + uint64(j)*BlockBytes }
@@ -247,8 +280,17 @@ func (s *Store) TreeLevelLen(l int) int { return len(s.tree[l]) }
 
 // --- Data (L0) counters ---
 
+// wide reports whether L0 group j's values live in the full-width slots.
+func (s *Store) wide(j int) bool { return s.groups == nil || s.groups[j].wide }
+
 // DataCounter returns the current counter value of data block i.
-func (s *Store) DataCounter(i int) uint64 { return s.vals[i] }
+func (s *Store) DataCounter(i int) uint64 {
+	j := i >> s.shift
+	if s.wide(j) {
+		return s.full[i]
+	}
+	return s.groups[j].base + uint64(s.off[i])
+}
 
 // GroupRange returns the [start, end) data block indices covered by L0
 // counter block j.
@@ -265,42 +307,92 @@ func (s *Store) GroupRange(j int) (start, end int) {
 func (s *Store) GroupValues(j int) []uint64 {
 	start, end := s.GroupRange(j)
 	out := make([]uint64, end-start)
-	copy(out, s.vals[start:end])
+	for k := range out {
+		out[k] = s.DataCounter(start + k)
+	}
 	return out
 }
 
-// groupMinMax scans group j, optionally substituting newVal for block i.
-func (s *Store) groupMinMax(j, i int, newVal uint64, substitute bool) (min, max uint64, nonBase int) {
-	start, end := s.GroupRange(j)
-	first := true
-	for b := start; b < end; b++ {
-		v := s.vals[b]
-		if substitute && b == i {
-			v = newVal
+// GroupMax returns the largest counter value in L0 group j.
+func (s *Store) GroupMax(j int) uint64 {
+	if !s.wide(j) {
+		g := &s.groups[j]
+		return g.base + uint64(g.maxOff)
+	}
+	_, hi, _ := s.scan(j, -1, 0)
+	return hi
+}
+
+// scan reads group j value by value, with block i reading as v, and
+// returns its minimum, its maximum and how many blocks sit above the
+// minimum. Only wide groups and non-increasing queries need it.
+func (s *Store) scan(j, i int, v uint64) (lo, hi uint64, above int) {
+	at := func(b int) uint64 {
+		if b == i {
+			return v
 		}
-		if first {
-			min, max = v, v
-			first = false
+		return s.DataCounter(b)
+	}
+	start, end := s.GroupRange(j)
+	lo = ^uint64(0)
+	for b := start; b < end; b++ {
+		lo, hi = min(lo, at(b)), max(hi, at(b))
+	}
+	for b := start; b < end; b++ {
+		if at(b) > lo {
+			above++
+		}
+	}
+	return lo, hi, above
+}
+
+// raise previews encoded group j once block i moves up to offset d above
+// the group's current base: the offset the base lifts by (non-zero only
+// when i was the group's last block at the base), the group's largest
+// offset, and how many blocks then sit at the new base.
+func (s *Store) raise(j, i int, d uint64) (lift, top uint64, atMin int) {
+	g := &s.groups[j]
+	top = max(uint64(g.maxOff), d)
+	if s.off[i] != 0 || g.atBase > 1 {
+		atMin = int(g.atBase)
+		if s.off[i] == 0 {
+			atMin--
+		}
+		return 0, top, atMin
+	}
+	// Block i was the last at the base: the new base is the smallest of
+	// d and the other blocks' offsets.
+	lift, atMin = d, 1
+	start, end := s.GroupRange(j)
+	for b := start; b < end; b++ {
+		if b == i {
 			continue
 		}
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	// Count values above the base (needed for the ZCC format check).
-	for b := start; b < end; b++ {
-		v := s.vals[b]
-		if substitute && b == i {
-			v = newVal
-		}
-		if v > min {
-			nonBase++
+		switch o := uint64(s.off[b]); {
+		case o < lift:
+			lift, atMin = o, 1
+		case o == lift:
+			atMin++
 		}
 	}
-	return min, max, nonBase
+	return lift, top, atMin
+}
+
+// fits reports whether the scheme encodes a group whose values span spread
+// with above blocks over the shared base.
+func (s *Store) fits(spread uint64, above int) bool {
+	switch s.scheme {
+	case SGX:
+		return true
+	case SC64:
+		return spread <= sc64MinorRange
+	case Morphable:
+		// Uniform 128 x 3b format, else ZCC exceptions.
+		return spread <= morphUniformRange ||
+			spread <= morphZCCRange && above <= morphZCCMaxNonBase
+	default:
+		return false
+	}
 }
 
 // CanEncodeData reports whether setting data block i to newVal keeps its L0
@@ -309,35 +401,52 @@ func (s *Store) CanEncodeData(i int, newVal uint64) bool {
 	if newVal > MaxCounter {
 		return false
 	}
-	switch s.scheme {
-	case SGX:
+	if s.scheme == SGX {
 		return true
-	case SC64:
-		min, max, _ := s.groupMinMax(s.L0Index(i), i, newVal, true)
-		return max-min <= sc64MinorRange
-	case Morphable:
-		min, max, nonBase := s.groupMinMax(s.L0Index(i), i, newVal, true)
-		if max-min <= morphUniformRange {
-			return true // uniform 128 x 3b format
-		}
-		return max-min <= morphZCCRange && nonBase <= morphZCCMaxNonBase
-	default:
-		return false
 	}
+	j := i >> s.shift
+	if g := &s.groups[j]; !g.wide && newVal > g.base+uint64(s.off[i]) {
+		start, end := s.GroupRange(j)
+		lift, top, atMin := s.raise(j, i, newVal-g.base)
+		return s.fits(top-lift, end-start-atMin)
+	}
+	lo, hi, above := s.scan(j, i, newVal)
+	return s.fits(hi-lo, above)
 }
 
-// SetDataCounter sets data block i's counter to newVal. The caller must
-// ensure the value increases and (unless immediately releveling) stays
-// encodable. Panics on a non-increasing value: reusing or rewinding a
-// counter is a security violation the simulator must never commit.
+// SetDataCounter sets data block i's counter to newVal. Callers gate it on
+// CanEncodeData. Panics on a non-increasing value (reusing or rewinding a
+// counter is a security violation the simulator must never commit) and on
+// a value that leaves the group unencodable (an overflow must relevel).
 func (s *Store) SetDataCounter(i int, newVal uint64) {
-	if newVal <= s.vals[i] {
-		panic(fmt.Sprintf("counter: non-increasing update for block %d: %d -> %d", i, s.vals[i], newVal))
+	cur := s.DataCounter(i)
+	if newVal <= cur {
+		panic(fmt.Sprintf("counter: non-increasing update for block %d: %d -> %d", i, cur, newVal))
 	}
-	s.vals[i] = newVal
+	if !s.CanEncodeData(i, newVal) {
+		panic(fmt.Sprintf("counter: update leaves block %d's group unencodable: %d -> %d", i, cur, newVal))
+	}
 	if newVal > s.observedMax {
 		s.observedMax = newVal
 	}
+	j := i >> s.shift
+	if s.wide(j) {
+		s.full[i] = newVal
+		return
+	}
+	g := &s.groups[j]
+	d := newVal - g.base
+	lift, top, atMin := s.raise(j, i, d)
+	if lift > 0 {
+		start, end := s.GroupRange(j)
+		for b := start; b < end; b++ {
+			s.off[b] -= uint8(lift) // block i's wraps; it is set below
+		}
+		g.base += lift
+	}
+	s.off[i] = uint8(d - lift)
+	g.maxOff = uint8(top - lift)
+	g.atBase = uint8(atMin)
 }
 
 // RelevelData executes an L0 overflow for the group of data block i: every
@@ -345,23 +454,79 @@ func (s *Store) SetDataCounter(i int, newVal uint64) {
 // current maximum. It returns the data block indices that must be
 // re-encrypted and written back (all blocks in the group).
 func (s *Store) RelevelData(i int, target uint64) []int {
-	j := s.L0Index(i)
-	start, end := s.GroupRange(j)
-	for b := start; b < end; b++ {
-		if target <= s.vals[b] {
-			panic(fmt.Sprintf("counter: relevel target %d not above block %d value %d", target, b, s.vals[b]))
-		}
+	j := i >> s.shift
+	if hi := s.GroupMax(j); target <= hi {
+		panic(fmt.Sprintf("counter: relevel target %d not above group %d maximum %d", target, j, hi))
 	}
+	start, end := s.GroupRange(j)
 	blocks := make([]int, 0, end-start)
 	for b := start; b < end; b++ {
-		s.vals[b] = target
 		blocks = append(blocks, b)
 	}
+	s.level(j, target)
 	if target > s.observedMax {
 		s.observedMax = target
 	}
 	s.Overflows[0]++
 	return blocks
+}
+
+// level sets every counter of L0 group j to v.
+func (s *Store) level(j int, v uint64) {
+	start, end := s.GroupRange(j)
+	if s.groups == nil {
+		for b := start; b < end; b++ {
+			s.full[b] = v
+		}
+		return
+	}
+	clear(s.off[start:end])
+	s.groups[j] = group{base: v, atBase: uint8(end - start)}
+}
+
+// pack stores vals as L0 group j's values: encoded when every value fits
+// an 8-bit offset above the group minimum, wide otherwise.
+func (s *Store) pack(j int, vals []uint64) {
+	start, _ := s.GroupRange(j)
+	if s.groups == nil {
+		copy(s.full[start:], vals)
+		return
+	}
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if hi-lo > 0xff {
+		if s.full == nil {
+			s.full = make([]uint64, s.nBlocks)
+		}
+		copy(s.full[start:], vals)
+		s.groups[j].wide = true
+		return
+	}
+	for k, v := range vals {
+		s.off[start+k] = uint8(v - lo)
+	}
+	s.summarize(j, lo)
+}
+
+// summarize rebuilds encoded group j's summary from offsets written above
+// base, lifting the base to the group's smallest value.
+func (s *Store) summarize(j int, base uint64) {
+	start, end := s.GroupRange(j)
+	offs := s.off[start:end]
+	lo, hi := offs[0], offs[0]
+	for _, o := range offs {
+		lo, hi = min(lo, o), max(hi, o)
+	}
+	g := group{base: base + uint64(lo), maxOff: hi - lo}
+	for k := range offs {
+		offs[k] -= lo
+		if offs[k] == 0 {
+			g.atBase++
+		}
+	}
+	s.groups[j] = g
 }
 
 // --- Tree counters ---
@@ -452,7 +617,17 @@ func (s *Store) RelevelTree(l, c int, target uint64) []int {
 // counter storage itself; the engine's MAC check and the checker's
 // regression scan are expected to flag the damage. Never call it from
 // policy code.
-func (s *Store) CorruptDataCounter(i int, v uint64) { s.vals[i] = v }
+func (s *Store) CorruptDataCounter(i int, v uint64) {
+	j := i >> s.shift
+	var buf [128]uint64
+	vals := buf[:0]
+	start, end := s.GroupRange(j)
+	for b := start; b < end; b++ {
+		vals = append(vals, s.DataCounter(b))
+	}
+	vals[i-start] = v
+	s.pack(j, vals)
+}
 
 // CorruptTreeCounter overwrites the level-l counter protecting child c,
 // bypassing every invariant — the tree analog of CorruptDataCounter.
@@ -463,13 +638,11 @@ func (s *Store) CorruptTreeCounter(l, c int, v uint64) { s.tree[l][c] = v }
 // (key, counter) pad space restarts, so zero counters are safe again. The
 // cumulative Overflows tallies are preserved.
 func (s *Store) ResetCounters() {
-	for i := range s.vals {
-		s.vals[i] = 0
+	for j := 0; j < s.NumL0Blocks(); j++ {
+		s.level(j, 0)
 	}
 	for l := 1; l < len(s.tree); l++ {
-		for x := range s.tree[l] {
-			s.tree[l][x] = 0
-		}
+		clear(s.tree[l])
 	}
 	s.observedMax = 0
 }
@@ -509,20 +682,19 @@ func (s *Store) WarmSnap(r *rng.Source, bases []uint64, frac float64) {
 		if r.Float64() >= frac {
 			continue
 		}
-		start, end := s.GroupRange(j)
-		min := s.vals[start]
-		for b := start; b < end; b++ {
-			if s.vals[b] < min {
-				min = s.vals[b]
-			}
-		}
 		base := bases[r.Intn(len(bases))]
+		if !s.wide(j) {
+			g := &s.groups[j]
+			g.base = base
+			s.observedMax = max(s.observedMax, base+uint64(g.maxOff))
+			continue
+		}
+		start, end := s.GroupRange(j)
+		lo, _, _ := s.scan(j, -1, 0)
 		for b := start; b < end; b++ {
-			v := base + (s.vals[b] - min)
-			s.vals[b] = v
-			if v > s.observedMax {
-				s.observedMax = v
-			}
+			v := base + (s.full[b] - lo)
+			s.full[b] = v
+			s.observedMax = max(s.observedMax, v)
 		}
 	}
 }
@@ -582,19 +754,30 @@ func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
 	for j := 0; j < s.NumL0Blocks(); j++ {
 		base := opts.BaseLo + r.Uint64n(span)
 		start, end := s.GroupRange(j)
+		var top uint64 // largest nudge
 		nudges := 0
 		for b := start; b < end; b++ {
-			v := base
+			var nudge uint64
 			if nudges < maxNudges && r.Float64() < opts.SpreadFrac {
-				v += r.Uint64n(spreadRange + 1)
-				if v != base {
+				nudge = r.Uint64n(spreadRange + 1)
+				if nudge != 0 {
 					nudges++
 				}
 			}
-			s.vals[b] = v
-			if v > s.observedMax {
-				s.observedMax = v
+			top = max(top, nudge)
+			if s.groups == nil {
+				s.full[b] = base + nudge
+			} else {
+				s.off[b] = uint8(nudge)
 			}
+		}
+		s.observedMax = max(s.observedMax, base+top)
+		if s.groups == nil {
+			continue
+		}
+		s.groups[j] = group{base: base, maxOff: uint8(top), atBase: uint8(end - start - nudges)}
+		if nudges == end-start {
+			s.summarize(j, base) // every block was nudged: lift the base
 		}
 	}
 	for l := 1; l <= s.Levels(); l++ {

@@ -147,6 +147,34 @@ func TestSetDataCounterMonotone(t *testing.T) {
 	s.SetDataCounter(3, 10)
 }
 
+// TestSetDataCounterRejectsUnencodable: an update that leaves its group
+// unencodable must relevel instead, so SetDataCounter refuses it and
+// leaves the counter as it was.
+func TestSetDataCounterRejectsUnencodable(t *testing.T) {
+	mustPanic := func(s *Store, i int, v uint64) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if recover() == nil {
+				t.Fatalf("%v: unencodable update of block %d to %d did not panic", s.Scheme(), i, v)
+			}
+			if got := s.DataCounter(i); got == v {
+				t.Fatalf("%v: refused update of block %d still stored %d", s.Scheme(), i, got)
+			}
+		}()
+		s.SetDataCounter(i, v)
+	}
+	// SC-64: a spread of 128 over a group of zeros.
+	mustPanic(NewStore(SC64, 1<<20), 0, 128)
+	// Morphable: 30 exceptions at 100 fill ZCC; a 31st above the uniform
+	// format's 7 fits neither format.
+	s := NewStore(Morphable, 1<<20)
+	for b := 0; b < 30; b++ {
+		s.SetDataCounter(b, 100)
+	}
+	mustPanic(s, 30, 8)
+}
+
 func TestRelevelData(t *testing.T) {
 	s := NewStore(SC64, 1<<20)
 	s.SetDataCounter(0, 100)

@@ -3,11 +3,14 @@ package counter
 import "fmt"
 
 // This file implements the actual 64-byte wire formats of the counter
-// blocks, bit for bit. The simulator's hot path works on decoded values
-// (encodability checks in counter.go mirror these capacities exactly);
-// the packing here substantiates those capacity constants, models what a
-// hardware decoder must parse — the paper charges 3 ns for Morphable's
-// variable-format decode — and gives tests a round-trip target.
+// blocks, bit for bit. The Store in counter.go holds SC-64 and Morphable
+// groups in the same split form, a shared base plus per-block minors, but
+// with byte-aligned 8-bit minors and no format tag, so its hot path reads
+// and updates them without bit packing; its encodability checks mirror
+// these capacities exactly. The packing here substantiates those capacity
+// constants, models what a hardware decoder must parse — the paper charges
+// 3 ns for Morphable's variable-format decode — and gives tests a
+// round-trip target.
 //
 // Formats:
 //

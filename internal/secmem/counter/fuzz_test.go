@@ -2,58 +2,26 @@ package counter
 
 import "testing"
 
-// FuzzEncodeUpdateRelevel drives a counter store through arbitrary update
-// sequences and checks the structural invariants: CanEncodeData's verdict
-// is always safe to act on, counters never decrease, and relevel leaves a
-// uniform (maximally encodable) group.
-func FuzzEncodeUpdateRelevel(f *testing.F) {
-	f.Add(uint16(3), uint8(1), uint8(7))
-	f.Add(uint16(200), uint8(2), uint8(127))
-	f.Fuzz(func(t *testing.T, blockSel uint16, schemeSel uint8, bump uint8) {
-		scheme := []Scheme{SGX, SC64, Morphable}[int(schemeSel)%3]
-		s := NewStore(scheme, 1<<18) // 4096 blocks
-		i := int(blockSel) % s.NumDataBlocks()
-		cur := s.DataCounter(i)
-		target := cur + 1 + uint64(bump)
-		if s.CanEncodeData(i, target) {
-			s.SetDataCounter(i, target)
-			if s.DataCounter(i) != target {
-				t.Fatal("set did not stick")
-			}
-			// Still-encodable group: a +1 write somewhere must never be
-			// worse than releveling.
-			if !s.CanEncodeData(i, target+1) && scheme == SGX {
-				t.Fatal("SGX rejected +1")
-			}
-		} else {
-			// Overflow path: relevel to one above the group max.
-			start, end := s.GroupRange(s.L0Index(i))
-			var max uint64
-			for b := start; b < end; b++ {
-				if v := s.DataCounter(b); v > max {
-					max = v
-				}
-			}
-			relTarget := max + 1
-			if target > relTarget {
-				relTarget = target
-			}
-			blocks := s.RelevelData(i, relTarget)
-			if len(blocks) != end-start {
-				t.Fatalf("relevel touched %d of %d", len(blocks), end-start)
-			}
-			for b := start; b < end; b++ {
-				if s.DataCounter(b) != relTarget {
-					t.Fatal("relevel not uniform")
-				}
-			}
-			// A uniform group always accepts the next +1.
-			if !s.CanEncodeData(i, relTarget+1) {
-				t.Fatal("uniform group rejected +1")
-			}
+// FuzzStoreAgainstReference decodes the fuzzer's bytes into an op stream
+// (the first byte picks the scheme) and drives a Store and the plain-value
+// reference through it as TestDifferentialAgainstReference does: updates
+// gated by CanEncodeData, baseline and memo-target relevels, corruptions,
+// re-keys, Randomize, WarmSnap and snapshot round trips. CanEncodeData's
+// verdicts are compared after every op and all state at the end.
+func FuzzStoreAgainstReference(f *testing.F) {
+	f.Add([]byte{2, 3, 0, 5, 3, 0, 9, 3, 1, 40, 2, 7, 200, 50, 1, 48, 0, 130, 60})
+	f.Add([]byte{1, 1, 0, 33, 0, 1, 0, 17, 3, 1, 0, 70, 0, 2, 0, 0, 47, 9, 2, 1, 54})
+	f.Add([]byte{0, 2, 1, 2, 50, 7, 0, 0, 62, 255, 3, 2, 57, 1, 1, 4, 1, 45})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
 		}
-		if s.ObservedMax() < s.DataCounter(i) {
-			t.Fatal("observedMax lagging")
+		g := diffGeometries[int(data[0])%len(diffGeometries)]
+		src := &byteSource{b: data[1:]}
+		d := newDiffer(t, g.scheme, g.blocks, src)
+		for len(src.b) > 0 {
+			d.step()
 		}
+		d.checkAll()
 	})
 }

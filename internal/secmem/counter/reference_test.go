@@ -1,0 +1,546 @@
+package counter
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"rmcc/internal/rng"
+	"rmcc/internal/snapshot"
+)
+
+// refStore is the literal model Store is checked against: every data
+// counter a full uint64, every encodability check a scan of the group, and
+// every set-up and restore a write of plain values. The tree levels are
+// kept the same way, so the two models' EncodeState bytes compare whole.
+type refStore struct {
+	scheme      Scheme
+	coverage    int
+	arity       int
+	vals        []uint64
+	tree        [][]uint64
+	observedMax uint64
+	overflows   []uint64
+}
+
+func newRefStore(scheme Scheme, dataBytes uint64) *refStore {
+	geo := NewStore(scheme, dataBytes)
+	r := &refStore{
+		scheme:    scheme,
+		coverage:  scheme.Coverage(),
+		arity:     scheme.TreeArity(),
+		vals:      make([]uint64, geo.NumDataBlocks()),
+		tree:      [][]uint64{nil},
+		overflows: make([]uint64, len(geo.Overflows)),
+	}
+	for l := 1; l <= geo.Levels(); l++ {
+		r.tree = append(r.tree, make([]uint64, geo.TreeLevelLen(l)))
+	}
+	return r
+}
+
+func (r *refStore) numGroups() int { return (len(r.vals) + r.coverage - 1) / r.coverage }
+
+func (r *refStore) groupRange(j int) (start, end int) {
+	start = j * r.coverage
+	return start, min(start+r.coverage, len(r.vals))
+}
+
+// groupMinMax scans group j, reading block i as newVal.
+func (r *refStore) groupMinMax(j, i int, newVal uint64) (lo, hi uint64, nonBase int) {
+	start, end := r.groupRange(j)
+	at := func(b int) uint64 {
+		if b == i {
+			return newVal
+		}
+		return r.vals[b]
+	}
+	lo, hi = at(start), at(start)
+	for b := start; b < end; b++ {
+		lo, hi = min(lo, at(b)), max(hi, at(b))
+	}
+	for b := start; b < end; b++ {
+		if at(b) > lo {
+			nonBase++
+		}
+	}
+	return lo, hi, nonBase
+}
+
+func (r *refStore) groupMax(j int) uint64 {
+	_, hi, _ := r.groupMinMax(j, -1, 0)
+	return hi
+}
+
+func (r *refStore) canEncodeData(i int, newVal uint64) bool {
+	if newVal > MaxCounter {
+		return false
+	}
+	lo, hi, nonBase := r.groupMinMax(i/r.coverage, i, newVal)
+	switch r.scheme {
+	case SGX:
+		return true
+	case SC64:
+		return hi-lo <= sc64MinorRange
+	default:
+		return hi-lo <= morphUniformRange || hi-lo <= morphZCCRange && nonBase <= morphZCCMaxNonBase
+	}
+}
+
+func (r *refStore) setDataCounter(i int, newVal uint64) {
+	if newVal <= r.vals[i] {
+		panic(fmt.Sprintf("reference: non-increasing update for block %d", i))
+	}
+	r.vals[i] = newVal
+	r.observedMax = max(r.observedMax, newVal)
+}
+
+func (r *refStore) relevelData(i int, target uint64) []int {
+	start, end := r.groupRange(i / r.coverage)
+	var blocks []int
+	for b := start; b < end; b++ {
+		if target <= r.vals[b] {
+			panic(fmt.Sprintf("reference: relevel target %d not above block %d", target, b))
+		}
+		r.vals[b] = target
+		blocks = append(blocks, b)
+	}
+	r.observedMax = max(r.observedMax, target)
+	r.overflows[0]++
+	return blocks
+}
+
+func (r *refStore) resetCounters() {
+	clear(r.vals)
+	for _, lvl := range r.tree {
+		clear(lvl)
+	}
+	r.observedMax = 0
+}
+
+// randomize is Store.Randomize written over plain values, with the same
+// random draws in the same order.
+func (r *refStore) randomize(src *rng.Source, opts RandomizeOptions) {
+	span := opts.BaseHi - opts.BaseLo
+	if span == 0 {
+		span = 1
+	}
+	spreadRange := uint64(2)
+	if r.scheme == SC64 {
+		spreadRange = sc64MinorRange / 2
+	}
+	if r.scheme == SGX {
+		spreadRange = 1024
+	}
+	maxNudges := int(^uint(0) >> 1)
+	if r.scheme == Morphable {
+		maxNudges = 8
+	}
+	for j := 0; j < r.numGroups(); j++ {
+		base := opts.BaseLo + src.Uint64n(span)
+		start, end := r.groupRange(j)
+		nudges := 0
+		for b := start; b < end; b++ {
+			v := base
+			if nudges < maxNudges && src.Float64() < opts.SpreadFrac {
+				v += src.Uint64n(spreadRange + 1)
+				if v != base {
+					nudges++
+				}
+			}
+			r.vals[b] = v
+			r.observedMax = max(r.observedMax, v)
+		}
+	}
+	for l := 1; l < len(r.tree); l++ {
+		for start := 0; start < len(r.tree[l]); start += r.arity {
+			end := min(start+r.arity, len(r.tree[l]))
+			base := opts.BaseLo/8 + src.Uint64n(span/8+1)
+			for x := start; x < end; x++ {
+				v := base
+				if src.Float64() < opts.SpreadFrac {
+					v += src.Uint64n(treeMinorRange / 4)
+				}
+				r.tree[l][x] = v
+			}
+		}
+	}
+}
+
+func (r *refStore) warmSnap(src *rng.Source, bases []uint64, frac float64) {
+	for j := 0; j < r.numGroups(); j++ {
+		if src.Float64() >= frac {
+			continue
+		}
+		lo, _, _ := r.groupMinMax(j, -1, 0)
+		base := bases[src.Intn(len(bases))]
+		start, end := r.groupRange(j)
+		for b := start; b < end; b++ {
+			r.vals[b] = base + (r.vals[b] - lo)
+			r.observedMax = max(r.observedMax, r.vals[b])
+		}
+	}
+}
+
+func (r *refStore) encodeState(e *snapshot.Enc) {
+	e.U64s(r.vals)
+	e.U64(uint64(len(r.tree) - 1))
+	for _, lvl := range r.tree[1:] {
+		e.U64s(lvl)
+	}
+	e.U64(r.observedMax)
+	e.U64s(r.overflows)
+}
+
+func (r *refStore) decodeState(d *snapshot.Dec) error {
+	d.U64sInto(r.vals)
+	if levels := d.U64(); levels != uint64(len(r.tree)-1) {
+		return d.Failf("reference: %d tree levels", levels)
+	}
+	for _, lvl := range r.tree[1:] {
+		d.U64sInto(lvl)
+	}
+	r.observedMax = d.U64()
+	d.U64sInto(r.overflows)
+	return d.Finish()
+}
+
+// diffGeometries are the stores the differential streams run on; each
+// ends in a partial L0 group (SC-64's holds a single block).
+var diffGeometries = []struct {
+	scheme Scheme
+	blocks int
+}{
+	{SGX, 8*40 + 5},
+	{SC64, 64*20 + 1},
+	{Morphable, 128*12 + 37},
+}
+
+// opSource yields the op stream's choices: a seeded RNG in the
+// differential test, the fuzzer's bytes in FuzzStoreAgainstReference.
+type opSource interface{ Uint64n(n uint64) uint64 }
+
+// byteSource reads each choice from as many input bytes as its range
+// needs; an exhausted input reads as zeros.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) Uint64n(n uint64) uint64 {
+	var v uint64
+	for span := n - 1; span > 0 && len(s.b) > 0; span >>= 8 {
+		v = v<<8 | uint64(s.b[0])
+		s.b = s.b[1:]
+	}
+	return v % n
+}
+
+// differ drives Stores and the reference through one op stream and fails
+// on the first divergence. A store restored from the reference's bytes
+// may join mid-stream (join).
+type differ struct {
+	t      testing.TB
+	src    opSource
+	scheme Scheme
+	bytes  uint64
+	ref    *refStore
+	stores []*Store
+	op     int
+	what   string
+}
+
+func newDiffer(t testing.TB, scheme Scheme, blocks int, src opSource) *differ {
+	bytes := uint64(blocks) * BlockBytes
+	return &differ{t: t, src: src, scheme: scheme, bytes: bytes,
+		ref: newRefStore(scheme, bytes), stores: []*Store{NewStore(scheme, bytes)}}
+}
+
+func (d *differ) fatalf(format string, args ...any) {
+	d.t.Helper()
+	d.t.Fatalf("%v op %d %s: %s", d.scheme, d.op, d.what, fmt.Sprintf(format, args...))
+}
+
+// step applies one op to every model, then compares CanEncodeData's
+// verdicts on the op's block for raises of 1, 8 and 128.
+func (d *differ) step() {
+	d.op++
+	i := d.block()
+	j := i / d.ref.coverage
+	cur := d.ref.vals[i]
+	switch k := d.src.Uint64n(64); {
+	case k < 30:
+		d.write(i, cur+1)
+	case k < 32:
+		// A sweep writes every block of the group once, so each of its
+		// blocks at the base moves up.
+		start := j * d.ref.coverage
+		for b := start; b < min(start+d.ref.coverage, len(d.ref.vals)); b++ {
+			d.write(b, d.ref.vals[b]+1)
+		}
+	case k < 40:
+		d.write(i, cur+1+d.src.Uint64n(140))
+	case k < 46:
+		// A memo-target relevel: onto a value above the group maximum.
+		d.relevel(i, d.ref.groupMax(j)+1+d.src.Uint64n(1000))
+	case k < 52:
+		d.corrupt(i, cur)
+	case k < 56:
+		d.roundTrip()
+	case k < 58:
+		d.what = "ResetCounters"
+		d.ref.resetCounters()
+		for _, s := range d.stores {
+			s.ResetCounters()
+		}
+	case k < 61:
+		d.randomize()
+	default:
+		d.warmSnap()
+	}
+	d.verdicts(i)
+}
+
+// block picks the op's block: anywhere, or in the first or the (partial)
+// last group, so streams drive single groups to their encoding limits.
+func (d *differ) block() int {
+	n := uint64(len(d.ref.vals))
+	switch d.src.Uint64n(4) {
+	case 0:
+		return int(d.src.Uint64n(uint64(d.ref.coverage)) % n)
+	case 1:
+		last := uint64(d.ref.numGroups()-1) * uint64(d.ref.coverage)
+		return int(last + d.src.Uint64n(n-last))
+	default:
+		return int(d.src.Uint64n(n))
+	}
+}
+
+// write moves block i to v the way the engine does: through
+// SetDataCounter when the group stays encodable, else by releveling the
+// group to just above its maximum; a group at the 56-bit ceiling re-keys.
+func (d *differ) write(i int, v uint64) {
+	j := i / d.ref.coverage
+	if d.ref.groupMax(j) >= MaxCounter {
+		d.what = "re-key at the ceiling"
+		d.ref.resetCounters()
+		for _, s := range d.stores {
+			s.ResetCounters()
+		}
+		return
+	}
+	d.what = fmt.Sprintf("write block %d -> %d", i, v)
+	want := d.ref.canEncodeData(i, v)
+	for k, s := range d.stores {
+		if got := s.CanEncodeData(i, v); got != want {
+			d.fatalf("store %d CanEncodeData %v, reference %v", k, got, want)
+		}
+	}
+	if !want {
+		d.relevel(i, max(d.ref.groupMax(j)+1, v))
+		return
+	}
+	d.ref.setDataCounter(i, v)
+	for _, s := range d.stores {
+		s.SetDataCounter(i, v)
+	}
+}
+
+func (d *differ) relevel(i int, target uint64) {
+	d.what = fmt.Sprintf("relevel block %d's group -> %d", i, target)
+	want := d.ref.relevelData(i, target)
+	for k, s := range d.stores {
+		if got := s.RelevelData(i, target); !slices.Equal(got, want) {
+			d.fatalf("store %d releveled blocks %v, reference %v", k, got, want)
+		}
+	}
+}
+
+// corrupt writes a value no encoding holds (or, for the XOR, one that
+// may), compares the damaged state, and then usually relevels the group.
+func (d *differ) corrupt(i int, cur uint64) {
+	v := [...]uint64{0, cur + 0x5eed, MaxCounter + 1, cur ^ (1 + d.src.Uint64n(255))}[d.src.Uint64n(4)]
+	d.what = fmt.Sprintf("corrupt block %d: %d -> %d", i, cur, v)
+	d.ref.vals[i] = v
+	for _, s := range d.stores {
+		s.CorruptDataCounter(i, v)
+	}
+	d.verdicts(i)
+	j := i / d.ref.coverage
+	if d.src.Uint64n(4) != 0 {
+		d.relevel(i, d.ref.groupMax(j)+1)
+	}
+}
+
+// roundTrip replaces every model with one decoded from its own
+// EncodeState bytes, after checking those bytes against the reference's.
+func (d *differ) roundTrip() {
+	d.what = "EncodeState/DecodeState round trip"
+	want := d.refBytes()
+	for k, s := range d.stores {
+		got := encodeStore(s)
+		if !bytes.Equal(got, want) {
+			d.fatalf("store %d EncodeState differs from the reference", k)
+		}
+		d.stores[k] = d.decode(got)
+	}
+	ref := newRefStore(d.scheme, d.bytes)
+	if err := ref.decodeState(snapshot.NewDec(want)); err != nil {
+		d.fatalf("reference DecodeState: %v", err)
+	}
+	d.ref = ref
+}
+
+// join adds a store restored from the reference's bytes.
+func (d *differ) join() {
+	d.what = "join a store restored from the reference"
+	d.stores = append(d.stores, d.decode(d.refBytes()))
+	d.checkAll()
+}
+
+func (d *differ) decode(b []byte) *Store {
+	s := NewStore(d.scheme, d.bytes)
+	dec := snapshot.NewDec(b)
+	if err := s.DecodeState(dec); err != nil {
+		d.fatalf("DecodeState: %v", err)
+	}
+	if err := dec.Finish(); err != nil {
+		d.fatalf("DecodeState: %v", err)
+	}
+	return s
+}
+
+func (d *differ) randomize() {
+	seed := d.src.Uint64n(1 << 32)
+	opts := DefaultRandomize()
+	if d.src.Uint64n(2) == 0 {
+		lo := d.src.Uint64n(1 << 20)
+		opts = RandomizeOptions{BaseLo: lo, BaseHi: lo + d.src.Uint64n(1<<20),
+			SpreadFrac: float64(d.src.Uint64n(101)) / 100}
+	}
+	d.what = fmt.Sprintf("Randomize(seed %d, %+v)", seed, opts)
+	d.ref.randomize(rng.New(seed), opts)
+	for _, s := range d.stores {
+		s.Randomize(rng.New(seed), opts)
+	}
+}
+
+func (d *differ) warmSnap() {
+	seed := d.src.Uint64n(1 << 32)
+	bases := make([]uint64, 1+d.src.Uint64n(8))
+	for k := range bases {
+		bases[k] = d.src.Uint64n(1 << 24)
+	}
+	frac := float64(d.src.Uint64n(101)) / 100
+	d.what = fmt.Sprintf("WarmSnap(seed %d, %v, %v)", seed, bases, frac)
+	d.ref.warmSnap(rng.New(seed), bases, frac)
+	for _, s := range d.stores {
+		s.WarmSnap(rng.New(seed), bases, frac)
+	}
+}
+
+// verdicts compares block i's value and CanEncodeData's verdicts on it.
+func (d *differ) verdicts(i int) {
+	cur := d.ref.vals[i]
+	for k, s := range d.stores {
+		if got := s.DataCounter(i); got != cur {
+			d.fatalf("store %d block %d = %d, reference %d", k, i, got, cur)
+		}
+		for _, up := range []uint64{1, 8, 128} {
+			if got, want := s.CanEncodeData(i, cur+up), d.ref.canEncodeData(i, cur+up); got != want {
+				d.fatalf("store %d CanEncodeData(%d, cur+%d) %v, reference %v", k, i, up, got, want)
+			}
+		}
+	}
+}
+
+// checkAll compares every counter, every group maximum, the observed-max
+// register, the overflow tallies and the EncodeState bytes, and checks
+// each encoded group's summary against its offsets.
+func (d *differ) checkAll() {
+	want := d.refBytes()
+	for k, s := range d.stores {
+		for j := range s.groups {
+			start, end := s.GroupRange(j)
+			g, offs := s.groups[j], s.off[start:end]
+			if g.wide {
+				continue
+			}
+			zeros := bytes.Count(offs, []byte{0})
+			if zeros == 0 || slices.Max(offs) != g.maxOff || zeros != int(g.atBase) {
+				d.fatalf("store %d group %d summary %+v, offsets %v", k, j, g, offs)
+			}
+		}
+		for i, v := range d.ref.vals {
+			if got := s.DataCounter(i); got != v {
+				d.fatalf("store %d block %d = %d, reference %d", k, i, got, v)
+			}
+		}
+		for j := 0; j < d.ref.numGroups(); j++ {
+			if got, want := s.GroupMax(j), d.ref.groupMax(j); got != want {
+				d.fatalf("store %d GroupMax(%d) = %d, reference %d", k, j, got, want)
+			}
+		}
+		if s.ObservedMax() != d.ref.observedMax {
+			d.fatalf("store %d ObservedMax %d, reference %d", k, s.ObservedMax(), d.ref.observedMax)
+		}
+		if !slices.Equal(s.Overflows, d.ref.overflows) {
+			d.fatalf("store %d Overflows %v, reference %v", k, s.Overflows, d.ref.overflows)
+		}
+		if !bytes.Equal(encodeStore(s), want) {
+			d.fatalf("store %d EncodeState differs from the reference", k)
+		}
+	}
+}
+
+func (d *differ) refBytes() []byte {
+	var e snapshot.Enc
+	d.ref.encodeState(&e)
+	return e.Data()
+}
+
+func encodeStore(s *Store) []byte {
+	var e snapshot.Enc
+	s.EncodeState(&e)
+	return e.Data()
+}
+
+// TestDifferentialAgainstReference drives the encoded Store and the
+// plain-value reference through seeded streams of every data-counter
+// operation on all three schemes. Every 1000 ops all state is compared;
+// halfway through, a store restored from the reference's bytes joins and
+// must continue identically.
+func TestDifferentialAgainstReference(t *testing.T) {
+	const ops = 60000
+	for gi, g := range diffGeometries {
+		t.Run(g.scheme.String(), func(t *testing.T) {
+			d := newDiffer(t, g.scheme, g.blocks, rng.New(uint64(500+gi)))
+			d.randomize()
+			for d.op < ops {
+				if d.op == ops/2 {
+					d.join()
+				}
+				d.step()
+				if d.op%1000 == 0 {
+					d.checkAll()
+				}
+			}
+			if d.ref.overflows[0] == 0 {
+				t.Fatal("stream never releveled a group")
+			}
+		})
+	}
+}
+
+// TestDataCounterFootprint pins the encoded layout's size: a SizeSmall
+// lifetime's 1 671 168 Morphable data counters hold at most 1.25 bytes of
+// state per block, counted from slice capacities (plain uint64s held 8).
+func TestDataCounterFootprint(t *testing.T) {
+	s := NewStore(Morphable, 1_671_168*BlockBytes)
+	s.Randomize(rng.New(1), DefaultRandomize())
+	n := cap(s.off)*int(unsafe.Sizeof(s.off[0])) +
+		cap(s.groups)*int(unsafe.Sizeof(s.groups[0])) +
+		cap(s.full)*int(unsafe.Sizeof(uint64(0)))
+	if per := float64(n) / float64(s.NumDataBlocks()); per > 1.25 {
+		t.Fatalf("%.3f bytes of data-counter state per block, want <= 1.25", per)
+	}
+}

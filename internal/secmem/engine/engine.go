@@ -336,7 +336,7 @@ func (mc *MC) deriveUnit() *otp.Unit {
 	for b := 0; b < 8; b++ {
 		master[8+b] ^= byte(mc.keyEpoch >> (8 * uint(b)))
 	}
-	return otp.MustNewUnit(otp.DeriveKeys(master, 16))
+	return otp.MustNewUnit(otp.DeriveKeys(master))
 }
 
 // newCounterCache builds a cold counter cache from the configuration.

@@ -203,7 +203,7 @@ func (mc *MC) readTriggeredUpdate(i int, cur uint64, out *Outcome) {
 	}
 	// The jump would overflow the group: relevel everything onto the
 	// memoized value if the budget allows the 2×coverage transfers.
-	groupMax := mc.groupMax(i)
+	groupMax := mc.store.GroupMax(mc.store.L0Index(i))
 	relevelTarget := target
 	if relevelTarget <= groupMax {
 		if t2, ok2 := mc.l0Table.NearestMemoized(groupMax); ok2 {
@@ -222,18 +222,6 @@ func (mc *MC) readTriggeredUpdate(i int, cur uint64, out *Outcome) {
 	mc.stats.ReadUpdates++
 	mc.stats.ReadUpdateRelevels++
 	mc.stats.OverheadL0Blocks += uint64(cost)
-}
-
-// groupMax returns the largest counter value in block i's L0 group.
-func (mc *MC) groupMax(i int) uint64 {
-	start, end := mc.store.GroupRange(mc.store.L0Index(i))
-	var max uint64
-	for b := start; b < end; b++ {
-		if v := mc.store.DataCounter(b); v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // markL0Dirty dirties block i's L0 counter block in the counter cache

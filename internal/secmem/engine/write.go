@@ -49,7 +49,7 @@ func (mc *MC) Write(addr uint64) Outcome {
 	// the relevel it could force — cannot be represented, the architecture
 	// re-keys all of memory ("reboot") and the write proceeds in the fresh
 	// epoch with every counter reset.
-	if mc.store.DataCounter(i) >= counter.MaxCounter || mc.groupMax(i) >= counter.MaxCounter {
+	if mc.store.GroupMax(l0Idx) >= counter.MaxCounter {
 		mc.stats.CounterOverflows++
 		mc.recordViolation(&IntegrityError{
 			Kind: ViolationCounterOverflow, Addr: addr, Block: i, Recovered: true,
@@ -82,7 +82,7 @@ func (mc *MC) Write(addr uint64) Outcome {
 				// memoized value (§IV-C2) at no extra charge — the
 				// baseline policy pays an equivalent relevel.
 				relTarget := target
-				if gm := mc.groupMax(i); relTarget <= gm {
+				if gm := mc.store.GroupMax(l0Idx); relTarget <= gm {
 					if t2, ok2 := mc.l0Table.NearestMemoized(gm); ok2 {
 						relTarget = t2
 					} else {
@@ -97,7 +97,7 @@ func (mc *MC) Write(addr uint64) Outcome {
 				// 2×coverage relevel traffic (§IV-C2), otherwise fall back
 				// to the baseline +1.
 				relTarget := target
-				if gm := mc.groupMax(i); relTarget <= gm {
+				if gm := mc.store.GroupMax(l0Idx); relTarget <= gm {
 					t2, ok2 := mc.l0Table.NearestMemoized(gm)
 					if !ok2 {
 						break
@@ -123,7 +123,7 @@ func (mc *MC) Write(addr uint64) Outcome {
 			mc.store.SetDataCounter(i, next)
 		} else {
 			// Baseline overflow: relevel the group to one above its max.
-			target := mc.groupMax(i) + 1
+			target := mc.store.GroupMax(l0Idx) + 1
 			mc.relevelData(i, target, &out, dram.KindOverflowL0)
 			mc.stats.BaselineOverflows++
 		}
