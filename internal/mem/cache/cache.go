@@ -2,6 +2,10 @@
 // true-LRU replacement. It backs the L1/L2/L3 data caches, the memory
 // controller's counter cache, and (via package tlb) the TLB.
 //
+// An LRU set is fully described by the recency order of its lines, so
+// each set keeps its lines in that order instead of per-line timestamps,
+// and the LRU victim is the set's last way.
+//
 // The model is functional: it tracks presence, dirtiness, and replacement
 // state, not contents. Contents live in the functional memory image owned by
 // the secure-memory engine; what the simulator needs from a cache is *which*
@@ -69,16 +73,18 @@ func (s Stats) MissRate() float64 {
 // simulator is single-threaded on the event engine.
 //
 // Line state is kept in flat set-major arrays (way w of set s at index
-// s*Ways+w), so a lookup compares only the 8-byte keys of one set.
+// s*Ways+w), so a lookup compares only the 8-byte keys of one set. Each
+// set is kept in recency order: its valid lines fill the front of its
+// ways, most recently used first, and its invalid ways (key 0) sit behind
+// them. The set's last way is therefore always the victim: an invalid
+// way while the set has room, else the least recently used line.
 type Cache struct {
 	cfg       Config
 	lineShift uint
 	tagShift  uint // set-index bits: tag = line number >> tagShift
 	setMask   uint64
 	keys      []uint64 // tag+1 of a valid line; 0 marks an invalid way
-	lru       []uint64 // last-touch stamp: 0 for an invalid way, >= 1 for a valid one
 	dirty     []bool
-	stamp     uint64
 	stats     Stats
 }
 
@@ -96,7 +102,6 @@ func New(cfg Config) *Cache {
 		tagShift:  uint(bits.TrailingZeros(uint(nSets))),
 		setMask:   uint64(nSets - 1),
 		keys:      make([]uint64, n),
-		lru:       make([]uint64, n),
 		dirty:     make([]bool, n),
 	}
 }
@@ -111,22 +116,20 @@ func (c *Cache) Stats() Stats { return c.stats }
 // warmup).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
-
-// locate splits addr into its set's first index in the flat arrays and the
-// key a valid line holding it carries.
-func (c *Cache) locate(addr uint64) (base int, key uint64) {
+// set returns the keys and dirty bits of the set holding addr, most
+// recently used first, and the key a valid line holding addr carries.
+func (c *Cache) set(addr uint64) (keys []uint64, dirty []bool, key uint64) {
 	l := addr >> c.lineShift
-	return int(l&c.setMask) * c.cfg.Ways, l>>c.tagShift + 1
+	base := int(l&c.setMask) * c.cfg.Ways
+	end := base + c.cfg.Ways
+	return c.keys[base:end], c.dirty[base:end], l>>c.tagShift + 1
 }
 
-// find returns the flat index of the way in the set at base holding key,
-// or -1.
-func (c *Cache) find(base int, key uint64) int {
-	for i, k := range c.keys[base : base+c.cfg.Ways] {
+// find returns the way in keys holding key, or -1.
+func find(keys []uint64, key uint64) int {
+	for i, k := range keys {
 		if k == key {
-			return base + i
+			return i
 		}
 	}
 	return -1
@@ -144,32 +147,21 @@ type Result struct {
 // and marks the line dirty on writes. It returns what happened, including
 // any victim that must be written back.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	base, key := c.locate(addr)
-	c.stamp++
-	if i := c.find(base, key); i >= 0 {
-		c.lru[i] = c.stamp
-		if write {
-			c.dirty[i] = true
-		}
+	keys, dirty, key := c.set(addr)
+	if i := find(keys, key); i >= 0 {
+		d := dirty[i] || write
+		copy(keys[1:i+1], keys[:i])
+		copy(dirty[1:i+1], dirty[:i])
+		keys[0], dirty[0] = key, d
 		c.stats.Hits++
 		return Result{Hit: true}
 	}
 	c.stats.Misses++
-	// Victim: the first way with the smallest stamp. Invalid ways hold
-	// stamp 0 and valid ways a stamp >= 1, so this is the first invalid
-	// way, else the least recently used one.
-	stamps := c.lru[base : base+c.cfg.Ways]
-	victim, oldest := 0, stamps[0]
-	for i, s := range stamps {
-		if s < oldest {
-			victim, oldest = i, s
-		}
-	}
-	victim += base
 	var res Result
-	if old := c.keys[victim]; old != 0 {
+	last := len(keys) - 1
+	if old := keys[last]; old != 0 {
 		res.Evicted = true
-		res.Writeback = c.dirty[victim]
+		res.Writeback = dirty[last]
 		// The victim shares addr's set-index bits.
 		res.VictimAddr = (old-1)<<(c.tagShift+c.lineShift) | addr&(c.setMask<<c.lineShift)
 		c.stats.Evictions++
@@ -177,41 +169,32 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 			c.stats.Writebacks++
 		}
 	}
-	c.keys[victim], c.lru[victim], c.dirty[victim] = key, c.stamp, write
+	copy(keys[1:], keys[:last])
+	copy(dirty[1:], dirty[:last])
+	keys[0], dirty[0] = key, write
 	return res
 }
 
 // Probe reports whether addr is resident without updating LRU or counters.
 func (c *Cache) Probe(addr uint64) bool {
-	return c.find(c.locate(addr)) >= 0
-}
-
-// Touch marks addr most-recently-used if resident (no allocation).
-func (c *Cache) Touch(addr uint64) {
-	if i := c.find(c.locate(addr)); i >= 0 {
-		c.stamp++
-		c.lru[i] = c.stamp
-	}
+	keys, _, key := c.set(addr)
+	return find(keys, key) >= 0
 }
 
 // Invalidate drops addr if resident and reports whether the dropped line
 // was dirty (the caller owns the resulting writeback).
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	i := c.find(c.locate(addr))
+	keys, dirtyBits, key := c.set(addr)
+	i := find(keys, key)
 	if i < 0 {
 		return false, false
 	}
-	dirty = c.dirty[i]
-	c.keys[i], c.lru[i], c.dirty[i] = 0, 0, false
+	dirty = dirtyBits[i]
+	last := len(keys) - 1
+	copy(keys[i:], keys[i+1:])
+	copy(dirtyBits[i:], dirtyBits[i+1:])
+	keys[last], dirtyBits[last] = 0, false
 	return true, dirty
-}
-
-// MarkClean clears the dirty bit of addr if resident (after an explicit
-// writeback flush).
-func (c *Cache) MarkClean(addr uint64) {
-	if i := c.find(c.locate(addr)); i >= 0 {
-		c.dirty[i] = false
-	}
 }
 
 // ResidentLines returns the number of valid lines (for tests and occupancy

@@ -123,28 +123,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestMarkClean(t *testing.T) {
-	c := small()
-	c.Access(0x0000, true)
-	c.MarkClean(0x0000)
-	c.Access(0x0100, false)
-	r := c.Access(0x0200, false)
-	if r.Writeback {
-		t.Fatal("cleaned line still wrote back")
-	}
-}
-
-func TestTouchPreventsEviction(t *testing.T) {
-	c := small()
-	c.Access(0x0000, false)
-	c.Access(0x0100, false) // 0x0000 is LRU
-	c.Touch(0x0000)         // now 0x0100 is LRU
-	r := c.Access(0x0200, false)
-	if r.VictimAddr != 0x0100 {
-		t.Fatalf("victim = %#x, want 0x100", r.VictimAddr)
-	}
-}
-
 func TestVictimAddressReconstruction(t *testing.T) {
 	c := New(Config{SizeBytes: 64 << 10, Ways: 4, LineBytes: 64})
 	r := rng.New(17)
@@ -153,8 +131,7 @@ func TestVictimAddressReconstruction(t *testing.T) {
 	inserted := make(map[uint64]bool)
 	for i := 0; i < 10000; i++ {
 		addr := r.Uint64() & 0xfffffff
-		la := c.LineAddr(addr)
-		inserted[la] = true
+		inserted[addr&^63] = true
 		res := c.Access(addr, false)
 		if res.Evicted {
 			if res.VictimAddr%64 != 0 {
@@ -215,6 +192,7 @@ func TestMissRate(t *testing.T) {
 func TestDecodeStateRejectsImpossibleLines(t *testing.T) {
 	c := small()
 	c.Access(0x0000, true)
+	c.Access(0x0100, false)
 	var e snapshot.Enc
 	c.EncodeState(&e)
 	good := e.Data()
@@ -222,15 +200,18 @@ func TestDecodeStateRejectsImpossibleLines(t *testing.T) {
 		t.Fatalf("own state refused: %v", err)
 	}
 	// Header: sets, ways, stamp, 4 counters; then per line tag, valid,
-	// dirty, lru. Line 0 of set 0 holds the access above; line 1 is
-	// invalid.
+	// dirty, lru. Set 0 holds the two accesses above (tags 1 and 0, most
+	// recent first); the first line of set 1 is invalid.
 	const line0, lineBytes = 7 * 8, 8 + 1 + 1 + 8
+	const line1, line2 = line0 + lineBytes, line0 + 2*lineBytes
 	for name, mutate := range map[string]func(b []byte){
 		"valid with stamp 0": func(b []byte) { copy(b[line0+10:], make([]byte, 8)) },
 		"valid all-ones tag": func(b []byte) { copy(b[line0:], bytes.Repeat([]byte{0xff}, 8)) },
-		"invalid with a tag": func(b []byte) { b[line0+lineBytes] = 1 },
-		"invalid but dirty":  func(b []byte) { b[line0+lineBytes+9] = 1 },
-		"invalid with stamp": func(b []byte) { b[line0+lineBytes+10] = 1 },
+		"invalid with a tag": func(b []byte) { b[line2] = 1 },
+		"invalid but dirty":  func(b []byte) { b[line2+9] = 1 },
+		"invalid with stamp": func(b []byte) { b[line2+10] = 1 },
+		"one stamp twice":    func(b []byte) { copy(b[line1+10:line1+18], b[line0+10:]) },
+		"one tag twice":      func(b []byte) { copy(b[line1:line1+8], b[line0:]) },
 	} {
 		b := append([]byte(nil), good...)
 		mutate(b)

@@ -2,7 +2,10 @@ package cache
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rmcc/internal/rng"
@@ -102,13 +105,6 @@ func (r *refCache) Access(addr uint64, write bool) Result {
 
 func (r *refCache) Probe(addr uint64) bool { return r.lookup(addr) != nil }
 
-func (r *refCache) Touch(addr uint64) {
-	if l := r.lookup(addr); l != nil {
-		r.stamp++
-		l.lru = r.stamp
-	}
-}
-
 func (r *refCache) Invalidate(addr uint64) (present, dirty bool) {
 	if l := r.lookup(addr); l != nil {
 		dirty = l.dirty
@@ -116,12 +112,6 @@ func (r *refCache) Invalidate(addr uint64) (present, dirty bool) {
 		return true, dirty
 	}
 	return false, false
-}
-
-func (r *refCache) MarkClean(addr uint64) {
-	if l := r.lookup(addr); l != nil {
-		l.dirty = false
-	}
 }
 
 func (r *refCache) ResidentLines() int {
@@ -152,6 +142,24 @@ func (r *refCache) EncodeState(e *snapshot.Enc) {
 			e.U64(l.lru)
 		}
 	}
+}
+
+// canonical encodes r as Cache.EncodeState encodes the same LRU state:
+// Ways as the global stamp, and each set's valid lines by descending
+// stamp, re-stamped Ways down to 1, ahead of its invalid ways.
+func (r *refCache) canonical() []byte {
+	ways := r.cfg.Ways
+	c := &refCache{cfg: r.cfg, sets: make([][]refLine, len(r.sets)), stamp: uint64(ways), stats: r.stats}
+	for i, s := range r.sets {
+		valid := slices.DeleteFunc(slices.Clone(s), func(l refLine) bool { return !l.valid })
+		slices.SortFunc(valid, func(a, b refLine) int { return cmp.Compare(b.lru, a.lru) })
+		c.sets[i] = make([]refLine, ways)
+		for j, l := range valid {
+			l.lru = uint64(ways - j)
+			c.sets[i][j] = l
+		}
+	}
+	return encode(c)
 }
 
 // geometries lists every cache shape the simulator builds, plus a
@@ -198,93 +206,143 @@ func encode(s interface{ EncodeState(*snapshot.Enc) }) []byte {
 	return e.Data()
 }
 
-// TestDifferentialAgainstReference drives the Cache and the literal
-// reference model with the same seeded streams of every operation and
-// requires identical results, counters, occupancy, and snapshot bytes.
-// Halfway through, a third cache restored from the reference's snapshot
-// joins and must continue identically.
+// diffOp is one operation of a differential stream: kind 0-11 is an
+// Access (a write when even), 12-13 a Probe, 14-15 an Invalidate.
+type diffOp struct {
+	kind uint8
+	addr uint64
+}
+
+func (o diffOp) String() string {
+	switch {
+	case o.kind < 12:
+		return fmt.Sprintf("Access(%#x, %v)", o.addr, o.kind&1 == 0)
+	case o.kind < 14:
+		return fmt.Sprintf("Probe(%#x)", o.addr)
+	default:
+		return fmt.Sprintf("Invalidate(%#x)", o.addr)
+	}
+}
+
+// runDiff drives a Cache and the literal reference model through ops and
+// requires identical results and counters after every op, and identical
+// occupancy and snapshot bytes (the reference's in canonical form) every
+// 1000 ops and at the end. Halfway through, a second cache restored from
+// the reference's raw snapshot bytes joins and must continue identically.
+// It returns the reference's final counters.
+func runDiff(t testing.TB, cfg Config, ops []diffOp) Stats {
+	ref := newRef(cfg)
+	caches := []*Cache{New(cfg)}
+	check := func(op int, what string) {
+		want := ref.canonical()
+		for ci, c := range caches {
+			if c.ResidentLines() != ref.ResidentLines() {
+				t.Fatalf("op %d %s, cache %d: %d resident lines, reference %d",
+					op, what, ci, c.ResidentLines(), ref.ResidentLines())
+			}
+			if !bytes.Equal(encode(c), want) {
+				t.Fatalf("op %d %s, cache %d: snapshot bytes differ from the reference", op, what, ci)
+			}
+		}
+	}
+	for op, o := range ops {
+		if op == len(ops)/2 {
+			restored := New(cfg)
+			if err := restored.DecodeState(snapshot.NewDec(encode(ref))); err != nil {
+				t.Fatalf("decode reference state: %v", err)
+			}
+			caches = append(caches, restored)
+			check(op, "restore")
+		}
+		switch addr := o.addr; {
+		case o.kind < 12:
+			write := o.kind&1 == 0
+			want := ref.Access(addr, write)
+			for ci, c := range caches {
+				if got := c.Access(addr, write); got != want {
+					t.Fatalf("op %d %v, cache %d: %+v, reference %+v", op, o, ci, got, want)
+				}
+			}
+		case o.kind < 14:
+			want := ref.Probe(addr)
+			for ci, c := range caches {
+				if got := c.Probe(addr); got != want {
+					t.Fatalf("op %d %v, cache %d: %v, reference %v", op, o, ci, got, want)
+				}
+			}
+		default:
+			wp, wd := ref.Invalidate(addr)
+			for ci, c := range caches {
+				if p, d := c.Invalidate(addr); p != wp || d != wd {
+					t.Fatalf("op %d %v, cache %d: (%v, %v), reference (%v, %v)", op, o, ci, p, d, wp, wd)
+				}
+			}
+		}
+		for ci, c := range caches {
+			if c.Stats() != ref.stats {
+				t.Fatalf("op %d %v, cache %d: stats %+v, reference %+v", op, o, ci, c.Stats(), ref.stats)
+			}
+		}
+		if op%1000 == 999 {
+			check(op, o.String())
+		}
+	}
+	check(len(ops), "end")
+	return ref.stats
+}
+
+// TestDifferentialAgainstReference runs seeded streams of every operation
+// through runDiff on every geometry.
 func TestDifferentialAgainstReference(t *testing.T) {
 	const ops = 20000
 	for gi, g := range geometries {
 		t.Run(g.name, func(t *testing.T) {
 			r := rng.New(uint64(1000 + gi))
 			next := diffStream(g.cfg, r)
-			ref := newRef(g.cfg)
-			caches := []*Cache{New(g.cfg)}
-			check := func(op int, what string) {
-				for ci, c := range caches {
-					if c.ResidentLines() != ref.ResidentLines() {
-						t.Fatalf("op %d %s, cache %d: %d resident lines, reference %d",
-							op, what, ci, c.ResidentLines(), ref.ResidentLines())
-					}
-					if !bytes.Equal(encode(c), encode(ref)) {
-						t.Fatalf("op %d %s, cache %d: snapshot bytes differ from the reference", op, what, ci)
-					}
-				}
-			}
-			for op := 0; op < ops; op++ {
-				if op == ops/2 {
-					restored := New(g.cfg)
-					if err := restored.DecodeState(snapshot.NewDec(encode(ref))); err != nil {
-						t.Fatalf("decode reference state: %v", err)
-					}
-					caches = append(caches, restored)
-					check(op, "restore")
-				}
+			stream := make([]diffOp, ops)
+			for i := range stream {
 				addr := next()
-				var what string
-				switch k := r.Uint64n(16); {
-				case k < 10:
-					write := k&1 == 0
-					what = fmt.Sprintf("Access(%#x, %v)", addr, write)
-					want := ref.Access(addr, write)
-					for ci, c := range caches {
-						if got := c.Access(addr, write); got != want {
-							t.Fatalf("op %d %s, cache %d: %+v, reference %+v", op, what, ci, got, want)
-						}
-					}
-				case k < 12:
-					what = fmt.Sprintf("Probe(%#x)", addr)
-					want := ref.Probe(addr)
-					for ci, c := range caches {
-						if got := c.Probe(addr); got != want {
-							t.Fatalf("op %d %s, cache %d: %v, reference %v", op, what, ci, got, want)
-						}
-					}
-				case k < 13:
-					what = fmt.Sprintf("Touch(%#x)", addr)
-					ref.Touch(addr)
-					for _, c := range caches {
-						c.Touch(addr)
-					}
-				case k < 15:
-					what = fmt.Sprintf("Invalidate(%#x)", addr)
-					wp, wd := ref.Invalidate(addr)
-					for ci, c := range caches {
-						if p, d := c.Invalidate(addr); p != wp || d != wd {
-							t.Fatalf("op %d %s, cache %d: (%v, %v), reference (%v, %v)", op, what, ci, p, d, wp, wd)
-						}
-					}
-				default:
-					what = fmt.Sprintf("MarkClean(%#x)", addr)
-					ref.MarkClean(addr)
-					for _, c := range caches {
-						c.MarkClean(addr)
-					}
-				}
-				for ci, c := range caches {
-					if c.Stats() != ref.stats {
-						t.Fatalf("op %d %s, cache %d: stats %+v, reference %+v", op, what, ci, c.Stats(), ref.stats)
-					}
-				}
-				if op%1000 == 999 {
-					check(op, what)
-				}
+				stream[i] = diffOp{kind: uint8(r.Uint64n(16)), addr: addr}
 			}
-			check(ops, "end")
-			if s := ref.stats; s.Hits == 0 || s.Evictions == 0 || s.Writebacks == 0 {
+			if s := runDiff(t, g.cfg, stream); s.Hits == 0 || s.Evictions == 0 || s.Writebacks == 0 {
 				t.Fatalf("stream never hit, evicted, or wrote back: %+v", s)
 			}
 		})
 	}
+}
+
+// FuzzCacheAgainstReference runs runDiff on fuzzed op streams. The first
+// byte picks a geometry; each op after it is a kind byte (low 4 bits: the
+// diffOp kind, high 4 bits: the offset within the line) and an address
+// byte. Address byte 0xff takes the next 8 bytes as a raw address;
+// otherwise its high 6 bits pick one of 2*Ways tags and its low 2 bits one
+// of four sets, so streams hit, fill sets and evict.
+func FuzzCacheAgainstReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 2, 4, 0, 8, 14, 4, 0, 12, 0, 0})
+	f.Add([]byte{2, 0, 1, 0, 5, 0, 9, 0, 13, 0, 17, 15, 5, 1, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1})
+	f.Add([]byte{9, 0, 0, 1, 4, 0, 8, 0, 12, 0, 16, 14, 8, 0, 20, 12, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cfg := geometries[int(data[0])%len(geometries)].cfg
+		lineBytes, sets := uint64(cfg.LineBytes), uint64(cfg.Sets())
+		hotSets := [4]uint64{0, 1 % sets, sets / 2, sets - 1}
+		pool := 2 * uint64(cfg.Ways)
+		var ops []diffOp
+		for data = data[1:]; len(data) >= 2; {
+			kind, a := data[0], data[1]
+			data = data[2:]
+			var addr uint64
+			if a == 0xff && len(data) >= 8 {
+				addr = binary.LittleEndian.Uint64(data)
+				data = data[8:]
+			} else {
+				tag, set := uint64(a>>2)%pool, hotSets[a&3]
+				addr = (tag*sets+set)*lineBytes + uint64(kind>>4)*lineBytes/16
+			}
+			ops = append(ops, diffOp{kind: kind & 15, addr: addr})
+		}
+		runDiff(t, cfg, ops)
+	})
 }

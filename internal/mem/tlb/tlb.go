@@ -46,8 +46,3 @@ func (t *TLB) Stats() cache.Stats { return t.inner.Stats() }
 
 // ResetStats zeroes the counters (after warmup) without flushing entries.
 func (t *TLB) ResetStats() { t.inner.ResetStats() }
-
-// PageAddr returns the page-aligned address containing vaddr.
-func (t *TLB) PageAddr(vaddr uint64) uint64 {
-	return vaddr &^ (uint64(t.cfg.PageBytes) - 1)
-}

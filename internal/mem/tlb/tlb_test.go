@@ -59,13 +59,6 @@ func TestHugePagesReduceMisses(t *testing.T) {
 	}
 }
 
-func TestPageAddr(t *testing.T) {
-	tl := New(Config{Entries: 16, Ways: 4, PageBytes: 2 << 20})
-	if got := tl.PageAddr(0x12345678); got != 0x12200000 {
-		t.Fatalf("PageAddr = %#x", got)
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	tl := New(Config{Entries: 16, Ways: 4, PageBytes: 4096})
 	tl.Lookup(0)

@@ -138,6 +138,9 @@ func coveragePerValue(mc *engine.MC) float64 {
 // propagate downward and ultimately reach the MC.
 type hierarchy struct {
 	l1, l2, llc *cache.Cache
+	// victims backs the slice access returns; each access reuses it, so
+	// callers drain the returned victims before the next access.
+	victims []uint64
 }
 
 func newHierarchy(l1, l2, llc cache.Config) *hierarchy {
@@ -146,12 +149,11 @@ func newHierarchy(l1, l2, llc cache.Config) *hierarchy {
 
 // llcWrite inserts a dirty block into the LLC, collecting any dirty victim
 // it displaces.
-func (h *hierarchy) llcWrite(paddr uint64, victims []uint64) []uint64 {
+func (h *hierarchy) llcWrite(paddr uint64) {
 	r := h.llc.Access(paddr, true)
 	if r.Evicted && r.Writeback {
-		victims = append(victims, r.VictimAddr)
+		h.victims = append(h.victims, r.VictimAddr)
 	}
-	return victims
 }
 
 // hitLevel is the cache level that served an access.
@@ -179,32 +181,34 @@ func (l hitLevel) String() string {
 
 // access runs one CPU access through L1→L2→LLC. It returns the level
 // that served it (missAll: the access needs an MC read) and any dirty LLC
-// victims that must be written to memory.
+// victims that must be written to memory. The victims are valid until the
+// next access.
 func (h *hierarchy) access(paddr uint64, write bool) (lvl hitLevel, victims []uint64) {
+	h.victims = h.victims[:0]
 	r1 := h.l1.Access(paddr, write)
 	if r1.Evicted && r1.Writeback {
 		// L1 victim lands in L2 (it is inclusive-enough: allocate).
 		r2 := h.l2.Access(r1.VictimAddr, true)
 		if r2.Evicted && r2.Writeback {
-			victims = h.llcWrite(r2.VictimAddr, victims)
+			h.llcWrite(r2.VictimAddr)
 		}
 	}
 	if r1.Hit {
-		return hitL1, victims
+		return hitL1, h.victims
 	}
 	r2 := h.l2.Access(paddr, false)
 	if r2.Evicted && r2.Writeback {
-		victims = h.llcWrite(r2.VictimAddr, victims)
+		h.llcWrite(r2.VictimAddr)
 	}
 	if r2.Hit {
-		return hitL2, victims
+		return hitL2, h.victims
 	}
 	r3 := h.llc.Access(paddr, false)
 	if r3.Evicted && r3.Writeback {
-		victims = append(victims, r3.VictimAddr)
+		h.victims = append(h.victims, r3.VictimAddr)
 	}
 	if r3.Hit {
-		return hitLLC, victims
+		return hitLLC, h.victims
 	}
-	return missAll, victims
+	return missAll, h.victims
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"rmcc/internal/mem/cache"
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
 	"rmcc/internal/workload"
@@ -201,5 +202,28 @@ func TestStreamCloseStopsGenerator(t *testing.T) {
 	st.Close() // must not deadlock
 	if _, ok := st.Next(); ok {
 		t.Fatal("stream produced accesses after close")
+	}
+}
+
+// TestHierarchyAccessAllocFree: access returns its dirty LLC victims in
+// the hierarchy's reused scratch slice, so a write stream that keeps
+// pushing dirty lines out of the LLC allocates nothing.
+func TestHierarchyAccessAllocFree(t *testing.T) {
+	twoWay := func(size int) cache.Config { return cache.Config{SizeBytes: size, Ways: 2, LineBytes: 64} }
+	h := newHierarchy(twoWay(1<<10), twoWay(2<<10), twoWay(4<<10))
+	const lines = 4 * (4 << 10) / 64 // 4x the LLC, every line written
+	victims := 0
+	run := func() {
+		for i := uint64(0); i < lines; i++ {
+			_, v := h.access(i*64, true)
+			victims += len(v)
+		}
+	}
+	run()
+	if victims == 0 {
+		t.Fatal("the stream pushed no dirty line out of the LLC")
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("hierarchy.access allocates %.1f times per %d accesses, want 0", allocs, lines)
 	}
 }
