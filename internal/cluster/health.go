@@ -117,7 +117,10 @@ var errDraining = drainingError{}
 // reconcile seeds routed locations from node listings — how a restarted
 // router (empty entries map) relearns where previously migrated
 // sessions live instead of trusting the ring for them. It only fills
-// unknown locations and never touches an entry whose gate is busy.
+// unknown locations, and does so without the entry's gate: a proxied
+// request holds the read side until the proxy returns, which can be after
+// its client has the answer, and a migration's repoint under the write
+// side still wins.
 func (rt *Router) reconcile(ctx context.Context) {
 	for _, n := range rt.nodeList {
 		if !n.healthy.Load() {
@@ -129,16 +132,7 @@ func (rt *Router) reconcile(ctx context.Context) {
 		}
 		for _, info := range infos {
 			v, _ := rt.entries.LoadOrStore(info.ID, &entry{})
-			e := v.(*entry)
-			if e.node.Load() != nil {
-				continue
-			}
-			if e.mu.TryLock() {
-				if e.node.Load() == nil {
-					e.node.Store(n)
-				}
-				e.mu.Unlock()
-			}
+			v.(*entry).node.CompareAndSwap(nil, n)
 		}
 	}
 }

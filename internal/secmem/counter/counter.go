@@ -16,6 +16,10 @@
 //     latency, and overflow dynamics — which are what the evaluation
 //     exercises — are preserved. See DESIGN.md §3.)
 //
+// Integrity-tree nodes are split-counter blocks too: each covers Coverage()
+// children with 7-bit minors above a shared major (SGX nodes hold eight
+// full counters).
+//
 // The package is the functional ground truth: every data block's true
 // counter value, every tree node's counter values, encodability checks, and
 // relevel (overflow) execution. Policy — what value a counter moves to on a
@@ -80,21 +84,6 @@ func (s Scheme) Coverage() int {
 	}
 }
 
-// TreeArity returns the number of child blocks covered by one integrity
-// tree node at levels 1 and above.
-func (s Scheme) TreeArity() int {
-	switch s {
-	case SGX:
-		return 8
-	case SC64:
-		return 64
-	case Morphable:
-		return 128
-	default:
-		return 0
-	}
-}
-
 // Encoding limits for the split-counter formats.
 const (
 	sc64MinorRange     = 127 // 7-bit minors
@@ -118,32 +107,18 @@ const BlockBytes = 64
 //	[ctrBase, ...)            L0 counter blocks, one per Coverage() data blocks
 //	[treeBase[l], ...)        tree nodes for level l >= 1
 //
-// tree[1][j] is the counter protecting L0 counter block j; tree[l][k]
-// protects level-(l-1) node k. The root level's counters live on-chip and
-// need no protection.
-//
-// SC-64 and Morphable data counters are held in their encoded form, as
-// their hardware holds them: groups[j].base is L0 group j's smallest
-// value, and off[i] is data block i's 8-bit offset above its group's
-// base. Each group also keeps its largest offset and how many of its
-// blocks sit at the base, so reading a counter, checking a group's
-// encodability, and updating a counter take O(1); only an update that
-// moves a group's last block off the base scans the group's offsets, to
-// lift the base to the new minimum. A group whose spread no 8-bit offset
-// holds (only CorruptDataCounter and DecodeState make one) is wide: its
-// values live in the full-width slots full[start:end], allocated on first
-// use, until a relevel or re-key encodes it again. SGX keeps every data
-// counter in full, one 56-bit slot per block as its hardware does.
+// L0 counter blocks and tree nodes are the same split-counter structure,
+// one shared major counter plus a minor per child, so every counter level
+// is one level value: lv[0] holds the data counters grouped by L0 counter
+// block, and lv[l] (l >= 1) holds tree level l's counters grouped by node.
+// Counter c of lv[1] protects L0 counter block c; counter c of lv[l]
+// protects level-(l-1) node c. Every group, at every level, covers
+// Coverage() children. The root level's counters live on-chip and need no
+// protection. The levels differ only in which spreads fit (fits).
 type Store struct {
 	scheme      Scheme
-	nBlocks     int // data blocks
-	coverage    int
-	shift       uint // log2(coverage): data block index -> L0 group
-	arity       int
-	groups      []group    // per L0 group (nil for SGX)
-	off         []uint8    // per data block offset above its group's base
-	full        []uint64   // per data block full-width value (SGX, wide groups)
-	tree        [][]uint64 // tree[l] for l >= 1; index = child block/node id
+	shift       uint    // log2(Coverage()): counter index -> group index
+	lv          []level // lv[0] data counters, lv[l] tree level l
 	ctrBase     uint64
 	treeBase    []uint64 // base address per tree level (index 1..)
 	observedMax uint64   // largest data counter ever set (§IV-D2 register)
@@ -152,77 +127,90 @@ type Store struct {
 	Overflows []uint64
 }
 
-// group is one split-counter L0 group's encoded summary.
+// level holds one counter level in its encoded form, as the hardware
+// holds it: groups[j].base is group j's smallest value, and off[i] is
+// counter i's 8-bit offset above its group's base. Each group also keeps
+// its largest offset and how many of its counters sit at the base, so
+// reading a counter, checking a group's encodability, and updating a
+// counter take O(1); only an update that moves a group's last counter off
+// the base scans the group's offsets, to lift the base to the new minimum.
+// A group whose spread no 8-bit offset holds (only corruption and
+// DecodeState make one) is wide: its values live in the full-width slots
+// full[start:end], allocated on first use, until a relevel or re-key
+// encodes it again. SGX keeps every counter in full, one 56-bit slot per
+// counter as its hardware does, and has no groups.
+type level struct {
+	n      int      // counters
+	shift  uint     // log2 of counters per group
+	groups []group  // per group (nil for SGX)
+	off    []uint8  // per counter offset above its group's base
+	full   []uint64 // per counter full-width value (SGX, wide groups)
+}
+
+// group is one split-counter group's encoded summary.
 type group struct {
 	base   uint64 // smallest value in the group
 	maxOff uint8  // largest offset above base
-	atBase uint8  // blocks at offset 0
-	wide   bool   // values held in Store.full instead
+	atBase uint8  // counters at offset 0
+	wide   bool   // values held in level.full instead
 }
 
 // NewStore builds counter state for dataBytes of protected memory. The tree
-// is built until a level has at most arity entries (that level's counters
-// are the on-chip root). It panics if dataBytes is not block-aligned.
+// is built until a level has at most Coverage() entries (that level's
+// counters are the on-chip root). It panics if dataBytes is not
+// block-aligned.
 func NewStore(scheme Scheme, dataBytes uint64) *Store {
 	if dataBytes == 0 || dataBytes%BlockBytes != 0 {
 		panic(fmt.Sprintf("counter: dataBytes %d not a positive multiple of %d", dataBytes, BlockBytes))
 	}
-	n := int(dataBytes / BlockBytes)
-	s := &Store{
-		scheme:   scheme,
-		nBlocks:  n,
-		coverage: scheme.Coverage(),
-		arity:    scheme.TreeArity(),
-	}
-	for 1<<s.shift < s.coverage {
+	s := &Store{scheme: scheme, ctrBase: dataBytes}
+	for 1<<s.shift < scheme.Coverage() {
 		s.shift++
 	}
-	s.ctrBase = dataBytes
-	// Build tree level sizes: level 1 has one counter per L0 counter
-	// block; level l has one counter per level-(l-1) node.
-	numL0 := (n + s.coverage - 1) / s.coverage
-	if scheme == SGX {
-		s.full = make([]uint64, n)
-	} else {
-		s.groups = make([]group, numL0)
-		s.off = make([]uint8, n)
-	}
-	s.tree = append(s.tree, nil) // level 0 placeholder
+	// Level l >= 1 has one counter per level-(l-1) group: per L0 counter
+	// block for level 1, per node above.
+	s.lv = append(s.lv, s.newLevel(int(dataBytes/BlockBytes)))
 	s.treeBase = append(s.treeBase, 0)
-	childCount := numL0
-	addr := s.ctrBase + uint64(numL0)*BlockBytes
-	for childCount > 1 {
-		s.tree = append(s.tree, make([]uint64, childCount))
+	addr := s.ctrBase + uint64(s.lv[0].numGroups())*BlockBytes
+	for children := s.lv[0].numGroups(); children > 1; {
+		lv := s.newLevel(children)
+		s.lv = append(s.lv, lv)
 		s.treeBase = append(s.treeBase, addr)
-		nodes := (childCount + s.arity - 1) / s.arity
-		addr += uint64(nodes) * BlockBytes
-		if nodes <= 1 {
-			break
-		}
-		childCount = nodes
+		children = lv.numGroups()
+		addr += uint64(children) * BlockBytes
 	}
-	s.Overflows = make([]uint64, len(s.tree)+1)
+	s.Overflows = make([]uint64, len(s.lv)+1) // one spare slot, as checkpoints carry it
 	s.ResetCounters()
 	return s
+}
+
+func (s *Store) newLevel(n int) level {
+	lv := level{n: n, shift: s.shift}
+	if s.scheme == SGX {
+		lv.full = make([]uint64, n)
+	} else {
+		lv.groups = make([]group, lv.numGroups())
+		lv.off = make([]uint8, n)
+	}
+	return lv
 }
 
 // Scheme returns the counter organization.
 func (s *Store) Scheme() Scheme { return s.scheme }
 
 // NumDataBlocks returns the number of protected data blocks.
-func (s *Store) NumDataBlocks() int { return s.nBlocks }
+func (s *Store) NumDataBlocks() int { return s.lv[0].n }
 
 // NumL0Blocks returns the number of L0 counter blocks.
-func (s *Store) NumL0Blocks() int {
-	return (s.nBlocks + s.coverage - 1) / s.coverage
-}
+func (s *Store) NumL0Blocks() int { return s.lv[0].numGroups() }
 
 // Levels returns the number of tree levels above L0 (root excluded from
 // fetch traffic: its counters are on-chip).
-func (s *Store) Levels() int { return len(s.tree) - 1 }
+func (s *Store) Levels() int { return len(s.lv) - 1 }
 
-// Coverage returns data blocks per L0 counter block.
-func (s *Store) Coverage() int { return s.coverage }
+// Coverage returns data blocks per L0 counter block, which is also the
+// number of children per tree node.
+func (s *Store) Coverage() int { return 1 << s.shift }
 
 // ObservedMax returns the Observed-System-Max register (§IV-D2): the
 // largest counter value any data block has ever held.
@@ -245,7 +233,7 @@ func (s *Store) L0BlockAddr(j int) uint64 { return s.ctrBase + uint64(j)*BlockBy
 // TreeNodeIndex returns the level-l node holding the counter of child c,
 // where c is an L0 block index for l==1 or a level-(l-1) node index
 // otherwise.
-func (s *Store) TreeNodeIndex(c int) int { return c / s.arity }
+func (s *Store) TreeNodeIndex(c int) int { return c >> s.shift }
 
 // TreeNodeAddr returns the byte address of node k at tree level l (l >= 1).
 // The level above the last stored level is the on-chip root; callers must
@@ -261,14 +249,12 @@ func (s *Store) ClassifyAddr(addr uint64) (level, idx int, ok bool) {
 	if addr < s.ctrBase {
 		return 0, 0, false
 	}
-	numL0 := s.NumL0Blocks()
-	if addr < s.ctrBase+uint64(numL0)*BlockBytes {
+	if addr < s.ctrBase+uint64(s.NumL0Blocks())*BlockBytes {
 		return 0, int((addr - s.ctrBase) / BlockBytes), true
 	}
 	for l := 1; l <= s.Levels(); l++ {
-		nodes := (len(s.tree[l]) + s.arity - 1) / s.arity
 		base := s.treeBase[l]
-		if addr >= base && addr < base+uint64(nodes)*BlockBytes {
+		if addr >= base && addr < base+uint64(s.lv[l].numGroups())*BlockBytes {
 			return l, int((addr - base) / BlockBytes), true
 		}
 	}
@@ -276,64 +262,51 @@ func (s *Store) ClassifyAddr(addr uint64) (level, idx int, ok bool) {
 }
 
 // TreeLevelLen returns the number of child counters stored at level l.
-func (s *Store) TreeLevelLen(l int) int { return len(s.tree[l]) }
+func (s *Store) TreeLevelLen(l int) int { return s.lv[l].n }
 
-// --- Data (L0) counters ---
+// --- One counter level ---
 
-// wide reports whether L0 group j's values live in the full-width slots.
-func (s *Store) wide(j int) bool { return s.groups == nil || s.groups[j].wide }
+func (lv *level) numGroups() int { return (lv.n + 1<<lv.shift - 1) >> lv.shift }
 
-// DataCounter returns the current counter value of data block i.
-func (s *Store) DataCounter(i int) uint64 {
-	j := i >> s.shift
-	if s.wide(j) {
-		return s.full[i]
-	}
-	return s.groups[j].base + uint64(s.off[i])
+// groupRange returns the [start, end) counters of group j.
+func (lv *level) groupRange(j int) (start, end int) {
+	start = j << lv.shift
+	return start, min(start+1<<lv.shift, lv.n)
 }
 
-// GroupRange returns the [start, end) data block indices covered by L0
-// counter block j.
-func (s *Store) GroupRange(j int) (start, end int) {
-	start = j * s.coverage
-	end = start + s.coverage
-	if end > s.nBlocks {
-		end = s.nBlocks
+// wide reports whether group j's values live in the full-width slots.
+func (lv *level) wide(j int) bool { return lv.groups == nil || lv.groups[j].wide }
+
+// get returns counter i's value.
+func (lv *level) get(i int) uint64 {
+	j := i >> lv.shift
+	if lv.wide(j) {
+		return lv.full[i]
 	}
-	return start, end
+	return lv.groups[j].base + uint64(lv.off[i])
 }
 
-// GroupValues returns a snapshot of the counter values in L0 group j.
-func (s *Store) GroupValues(j int) []uint64 {
-	start, end := s.GroupRange(j)
-	out := make([]uint64, end-start)
-	for k := range out {
-		out[k] = s.DataCounter(start + k)
-	}
-	return out
-}
-
-// GroupMax returns the largest counter value in L0 group j.
-func (s *Store) GroupMax(j int) uint64 {
-	if !s.wide(j) {
-		g := &s.groups[j]
+// groupMax returns the largest value in group j.
+func (lv *level) groupMax(j int) uint64 {
+	if !lv.wide(j) {
+		g := &lv.groups[j]
 		return g.base + uint64(g.maxOff)
 	}
-	_, hi, _ := s.scan(j, -1, 0)
+	_, hi, _ := lv.scan(j, -1, 0)
 	return hi
 }
 
-// scan reads group j value by value, with block i reading as v, and
-// returns its minimum, its maximum and how many blocks sit above the
+// scan reads group j value by value, with counter i reading as v, and
+// returns its minimum, its maximum and how many counters sit above the
 // minimum. Only wide groups and non-increasing queries need it.
-func (s *Store) scan(j, i int, v uint64) (lo, hi uint64, above int) {
+func (lv *level) scan(j, i int, v uint64) (lo, hi uint64, above int) {
 	at := func(b int) uint64 {
 		if b == i {
 			return v
 		}
-		return s.DataCounter(b)
+		return lv.get(b)
 	}
-	start, end := s.GroupRange(j)
+	start, end := lv.groupRange(j)
 	lo = ^uint64(0)
 	for b := start; b < end; b++ {
 		lo, hi = min(lo, at(b)), max(hi, at(b))
@@ -346,29 +319,29 @@ func (s *Store) scan(j, i int, v uint64) (lo, hi uint64, above int) {
 	return lo, hi, above
 }
 
-// raise previews encoded group j once block i moves up to offset d above
+// raise previews encoded group j once counter i moves up to offset d above
 // the group's current base: the offset the base lifts by (non-zero only
-// when i was the group's last block at the base), the group's largest
-// offset, and how many blocks then sit at the new base.
-func (s *Store) raise(j, i int, d uint64) (lift, top uint64, atMin int) {
-	g := &s.groups[j]
+// when i was the group's last counter at the base), the group's largest
+// offset, and how many counters then sit at the new base.
+func (lv *level) raise(j, i int, d uint64) (lift, top uint64, atMin int) {
+	g := &lv.groups[j]
 	top = max(uint64(g.maxOff), d)
-	if s.off[i] != 0 || g.atBase > 1 {
+	if lv.off[i] != 0 || g.atBase > 1 {
 		atMin = int(g.atBase)
-		if s.off[i] == 0 {
+		if lv.off[i] == 0 {
 			atMin--
 		}
 		return 0, top, atMin
 	}
-	// Block i was the last at the base: the new base is the smallest of
-	// d and the other blocks' offsets.
+	// Counter i was the last at the base: the new base is the smallest of
+	// d and the other counters' offsets.
 	lift, atMin = d, 1
-	start, end := s.GroupRange(j)
+	start, end := lv.groupRange(j)
 	for b := start; b < end; b++ {
 		if b == i {
 			continue
 		}
-		switch o := uint64(s.off[b]); {
+		switch o := uint64(lv.off[b]); {
 		case o < lift:
 			lift, atMin = o, 1
 		case o == lift:
@@ -378,118 +351,47 @@ func (s *Store) raise(j, i int, d uint64) (lift, top uint64, atMin int) {
 	return lift, top, atMin
 }
 
-// fits reports whether the scheme encodes a group whose values span spread
-// with above blocks over the shared base.
-func (s *Store) fits(spread uint64, above int) bool {
-	switch s.scheme {
-	case SGX:
-		return true
-	case SC64:
-		return spread <= sc64MinorRange
-	case Morphable:
-		// Uniform 128 x 3b format, else ZCC exceptions.
-		return spread <= morphUniformRange ||
-			spread <= morphZCCRange && above <= morphZCCMaxNonBase
-	default:
-		return false
-	}
-}
-
-// CanEncodeData reports whether setting data block i to newVal keeps its L0
-// group encodable without an overflow.
-func (s *Store) CanEncodeData(i int, newVal uint64) bool {
-	if newVal > MaxCounter {
-		return false
-	}
-	if s.scheme == SGX {
-		return true
-	}
-	j := i >> s.shift
-	if g := &s.groups[j]; !g.wide && newVal > g.base+uint64(s.off[i]) {
-		start, end := s.GroupRange(j)
-		lift, top, atMin := s.raise(j, i, newVal-g.base)
-		return s.fits(top-lift, end-start-atMin)
-	}
-	lo, hi, above := s.scan(j, i, newVal)
-	return s.fits(hi-lo, above)
-}
-
-// SetDataCounter sets data block i's counter to newVal. Callers gate it on
-// CanEncodeData. Panics on a non-increasing value (reusing or rewinding a
-// counter is a security violation the simulator must never commit) and on
-// a value that leaves the group unencodable (an overflow must relevel).
-func (s *Store) SetDataCounter(i int, newVal uint64) {
-	cur := s.DataCounter(i)
-	if newVal <= cur {
-		panic(fmt.Sprintf("counter: non-increasing update for block %d: %d -> %d", i, cur, newVal))
-	}
-	if !s.CanEncodeData(i, newVal) {
-		panic(fmt.Sprintf("counter: update leaves block %d's group unencodable: %d -> %d", i, cur, newVal))
-	}
-	if newVal > s.observedMax {
-		s.observedMax = newVal
-	}
-	j := i >> s.shift
-	if s.wide(j) {
-		s.full[i] = newVal
+// set moves counter i up to newVal, which the caller has checked encodes.
+func (lv *level) set(i int, newVal uint64) {
+	j := i >> lv.shift
+	if lv.wide(j) {
+		lv.full[i] = newVal
 		return
 	}
-	g := &s.groups[j]
+	g := &lv.groups[j]
 	d := newVal - g.base
-	lift, top, atMin := s.raise(j, i, d)
+	lift, top, atMin := lv.raise(j, i, d)
 	if lift > 0 {
-		start, end := s.GroupRange(j)
+		start, end := lv.groupRange(j)
 		for b := start; b < end; b++ {
-			s.off[b] -= uint8(lift) // block i's wraps; it is set below
+			lv.off[b] -= uint8(lift) // counter i's wraps; it is set below
 		}
 		g.base += lift
 	}
-	s.off[i] = uint8(d - lift)
+	lv.off[i] = uint8(d - lift)
 	g.maxOff = uint8(top - lift)
 	g.atBase = uint8(atMin)
 }
 
-// RelevelData executes an L0 overflow for the group of data block i: every
-// block in the group takes the value target, which must exceed the group's
-// current maximum. It returns the data block indices that must be
-// re-encrypted and written back (all blocks in the group).
-func (s *Store) RelevelData(i int, target uint64) []int {
-	j := i >> s.shift
-	if hi := s.GroupMax(j); target <= hi {
-		panic(fmt.Sprintf("counter: relevel target %d not above group %d maximum %d", target, j, hi))
-	}
-	start, end := s.GroupRange(j)
-	blocks := make([]int, 0, end-start)
-	for b := start; b < end; b++ {
-		blocks = append(blocks, b)
-	}
-	s.level(j, target)
-	if target > s.observedMax {
-		s.observedMax = target
-	}
-	s.Overflows[0]++
-	return blocks
-}
-
-// level sets every counter of L0 group j to v.
-func (s *Store) level(j int, v uint64) {
-	start, end := s.GroupRange(j)
-	if s.groups == nil {
+// fill sets every counter of group j to v.
+func (lv *level) fill(j int, v uint64) {
+	start, end := lv.groupRange(j)
+	if lv.groups == nil {
 		for b := start; b < end; b++ {
-			s.full[b] = v
+			lv.full[b] = v
 		}
 		return
 	}
-	clear(s.off[start:end])
-	s.groups[j] = group{base: v, atBase: uint8(end - start)}
+	clear(lv.off[start:end])
+	lv.groups[j] = group{base: v, atBase: uint8(end - start)}
 }
 
-// pack stores vals as L0 group j's values: encoded when every value fits
-// an 8-bit offset above the group minimum, wide otherwise.
-func (s *Store) pack(j int, vals []uint64) {
-	start, _ := s.GroupRange(j)
-	if s.groups == nil {
-		copy(s.full[start:], vals)
+// pack stores vals as group j's values: encoded when every value fits an
+// 8-bit offset above the group minimum, wide otherwise.
+func (lv *level) pack(j int, vals []uint64) {
+	start, _ := lv.groupRange(j)
+	if lv.groups == nil {
+		copy(lv.full[start:], vals)
 		return
 	}
 	lo, hi := vals[0], vals[0]
@@ -497,24 +399,24 @@ func (s *Store) pack(j int, vals []uint64) {
 		lo, hi = min(lo, v), max(hi, v)
 	}
 	if hi-lo > 0xff {
-		if s.full == nil {
-			s.full = make([]uint64, s.nBlocks)
+		if lv.full == nil {
+			lv.full = make([]uint64, lv.n)
 		}
-		copy(s.full[start:], vals)
-		s.groups[j].wide = true
+		copy(lv.full[start:], vals)
+		lv.groups[j].wide = true
 		return
 	}
 	for k, v := range vals {
-		s.off[start+k] = uint8(v - lo)
+		lv.off[start+k] = uint8(v - lo)
 	}
-	s.summarize(j, lo)
+	lv.summarize(j, lo)
 }
 
 // summarize rebuilds encoded group j's summary from offsets written above
 // base, lifting the base to the group's smallest value.
-func (s *Store) summarize(j int, base uint64) {
-	start, end := s.GroupRange(j)
-	offs := s.off[start:end]
+func (lv *level) summarize(j int, base uint64) {
+	start, end := lv.groupRange(j)
+	offs := lv.off[start:end]
 	lo, hi := offs[0], offs[0]
 	for _, o := range offs {
 		lo, hi = min(lo, o), max(hi, o)
@@ -526,88 +428,184 @@ func (s *Store) summarize(j int, base uint64) {
 			g.atBase++
 		}
 	}
-	s.groups[j] = g
+	lv.groups[j] = g
 }
 
-// --- Tree counters ---
-
-// TreeCounter returns the counter at level l protecting child c.
-func (s *Store) TreeCounter(l, c int) uint64 { return s.tree[l][c] }
-
-// treeGroupRange returns the [start, end) child indices stored in the same
-// level-l node as child c.
-func (s *Store) treeGroupRange(l, c int) (start, end int) {
-	start = (c / s.arity) * s.arity
-	end = start + s.arity
-	if end > len(s.tree[l]) {
-		end = len(s.tree[l])
+// rebase moves group j onto base, keeping each counter's distance above
+// the group minimum, and returns the group's new maximum.
+func (lv *level) rebase(j int, base uint64) uint64 {
+	if !lv.wide(j) {
+		g := &lv.groups[j]
+		g.base = base
+		return base + uint64(g.maxOff)
 	}
-	return start, end
+	start, end := lv.groupRange(j)
+	lo, _, _ := lv.scan(j, -1, 0)
+	var hi uint64
+	for b := start; b < end; b++ {
+		lv.full[b] = base + (lv.full[b] - lo)
+		hi = max(hi, lv.full[b])
+	}
+	return hi
 }
 
-// CanEncodeTree reports whether bumping level-l child c to newVal keeps its
-// node encodable (7-bit split minors at tree levels; SGX trees never
-// overflow below the 56-bit ceiling).
-func (s *Store) CanEncodeTree(l, c int, newVal uint64) bool {
+// corrupt overwrites counter i with v, bypassing every invariant.
+func (lv *level) corrupt(i int, v uint64) {
+	j := i >> lv.shift
+	var buf [128]uint64
+	start, end := lv.groupRange(j)
+	vals := buf[:end-start]
+	for k := range vals {
+		vals[k] = lv.get(start + k)
+	}
+	vals[i-start] = v
+	lv.pack(j, vals)
+}
+
+// fits reports whether a split-counter level-l group whose values span
+// spread, with above counters over the shared base, encodes: 7-bit minors
+// at tree levels, the scheme's formats for L0 counter blocks.
+func (s *Store) fits(l int, spread uint64, above int) bool {
+	switch {
+	case l > 0:
+		return spread <= treeMinorRange
+	case s.scheme == SC64:
+		return spread <= sc64MinorRange
+	default:
+		// Morphable: the uniform 128 x 3b format, else ZCC exceptions.
+		return spread <= morphUniformRange ||
+			spread <= morphZCCRange && above <= morphZCCMaxNonBase
+	}
+}
+
+// canEncode reports whether setting level-l counter i to newVal keeps its
+// group encodable without an overflow.
+func (s *Store) canEncode(l, i int, newVal uint64) bool {
 	if newVal > MaxCounter {
 		return false
 	}
 	if s.scheme == SGX {
 		return true
 	}
-	start, end := s.treeGroupRange(l, c)
-	var min, max uint64
-	first := true
-	for x := start; x < end; x++ {
-		v := s.tree[l][x]
-		if x == c {
-			v = newVal
-		}
-		if first {
-			min, max = v, v
-			first = false
-			continue
-		}
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+	lv := &s.lv[l]
+	j := i >> lv.shift
+	if g := &lv.groups[j]; !g.wide && newVal > g.base+uint64(lv.off[i]) {
+		start, end := lv.groupRange(j)
+		lift, top, atMin := lv.raise(j, i, newVal-g.base)
+		return s.fits(l, top-lift, end-start-atMin)
 	}
-	return max-min <= treeMinorRange
+	lo, hi, above := lv.scan(j, i, newVal)
+	return s.fits(l, hi-lo, above)
 }
 
-// SetTreeCounter sets level-l child c's counter; it panics on decrease.
-func (s *Store) SetTreeCounter(l, c int, newVal uint64) {
-	if newVal <= s.tree[l][c] {
-		panic(fmt.Sprintf("counter: non-increasing tree update l%d c%d: %d -> %d",
-			l, c, s.tree[l][c], newVal))
+// set moves level-l counter i to newVal. Panics on a non-increasing value
+// (reusing or rewinding a counter is a security violation the simulator
+// must never commit) and on a value that leaves the group unencodable (an
+// overflow must relevel).
+func (s *Store) set(l, i int, newVal uint64) {
+	lv := &s.lv[l]
+	cur := lv.get(i)
+	if newVal <= cur {
+		panic(fmt.Sprintf("counter: non-increasing update of level-%d counter %d: %d -> %d", l, i, cur, newVal))
 	}
-	s.tree[l][c] = newVal
+	if !s.canEncode(l, i, newVal) {
+		panic(fmt.Sprintf("counter: update leaves level-%d counter %d's group unencodable: %d -> %d",
+			l, i, cur, newVal))
+	}
+	lv.set(i, newVal)
 }
+
+// relevel executes an overflow of the level-l group holding counter i:
+// every counter in the group takes target, which must exceed the group's
+// current maximum. It returns the group's counter indices.
+func (s *Store) relevel(l, i int, target uint64) []int {
+	lv := &s.lv[l]
+	j := i >> lv.shift
+	if hi := lv.groupMax(j); target <= hi {
+		panic(fmt.Sprintf("counter: relevel target %d not above level-%d group %d maximum %d", target, l, j, hi))
+	}
+	start, end := lv.groupRange(j)
+	idx := make([]int, 0, end-start)
+	for b := start; b < end; b++ {
+		idx = append(idx, b)
+	}
+	lv.fill(j, target)
+	s.Overflows[l]++
+	return idx
+}
+
+// warmSnap rebases a fraction of level l's groups onto the given bases and
+// returns the largest value it wrote.
+func (s *Store) warmSnap(l int, r *rng.Source, bases []uint64, frac float64) (hi uint64) {
+	if len(bases) == 0 {
+		return 0
+	}
+	lv := &s.lv[l]
+	for j := 0; j < lv.numGroups(); j++ {
+		if r.Float64() >= frac {
+			continue
+		}
+		hi = max(hi, lv.rebase(j, bases[r.Intn(len(bases))]))
+	}
+	return hi
+}
+
+// --- Data (L0) counters ---
+
+// DataCounter returns the current counter value of data block i.
+func (s *Store) DataCounter(i int) uint64 { return s.lv[0].get(i) }
+
+// GroupRange returns the [start, end) data block indices covered by L0
+// counter block j.
+func (s *Store) GroupRange(j int) (start, end int) { return s.lv[0].groupRange(j) }
+
+// GroupMax returns the largest counter value in L0 group j.
+func (s *Store) GroupMax(j int) uint64 { return s.lv[0].groupMax(j) }
+
+// CanEncodeData reports whether setting data block i to newVal keeps its L0
+// group encodable without an overflow.
+func (s *Store) CanEncodeData(i int, newVal uint64) bool { return s.canEncode(0, i, newVal) }
+
+// SetDataCounter sets data block i's counter to newVal. Callers gate it on
+// CanEncodeData. Panics on a non-increasing value and on a value that
+// leaves the group unencodable.
+func (s *Store) SetDataCounter(i int, newVal uint64) {
+	s.set(0, i, newVal)
+	s.observedMax = max(s.observedMax, newVal)
+}
+
+// RelevelData executes an L0 overflow for the group of data block i: every
+// block in the group takes the value target, which must exceed the group's
+// current maximum. It returns the data block indices that must be
+// re-encrypted and written back (all blocks in the group).
+func (s *Store) RelevelData(i int, target uint64) []int {
+	blocks := s.relevel(0, i, target)
+	s.observedMax = max(s.observedMax, target)
+	return blocks
+}
+
+// --- Tree counters ---
+
+// TreeCounter returns the counter at level l protecting child c.
+func (s *Store) TreeCounter(l, c int) uint64 { return s.lv[l].get(c) }
+
+// TreeNodeMax returns the largest counter in node k at tree level l.
+func (s *Store) TreeNodeMax(l, k int) uint64 { return s.lv[l].groupMax(k) }
+
+// CanEncodeTree reports whether bumping level-l child c to newVal keeps its
+// node encodable (7-bit split minors at tree levels; SGX trees never
+// overflow below the 56-bit ceiling).
+func (s *Store) CanEncodeTree(l, c int, newVal uint64) bool { return s.canEncode(l, c, newVal) }
+
+// SetTreeCounter sets level-l child c's counter. Callers gate it on
+// CanEncodeTree; it panics on a non-increasing value and on a value that
+// leaves the node unencodable.
+func (s *Store) SetTreeCounter(l, c int, newVal uint64) { s.set(l, c, newVal) }
 
 // RelevelTree executes an overflow of the level-l node containing child c:
 // all children take target. It returns the child indices whose blocks must
 // be re-MACed and written back.
-func (s *Store) RelevelTree(l, c int, target uint64) []int {
-	start, end := s.treeGroupRange(l, c)
-	for x := start; x < end; x++ {
-		if target <= s.tree[l][x] {
-			panic(fmt.Sprintf("counter: tree relevel target %d not above child %d value %d",
-				target, x, s.tree[l][x]))
-		}
-	}
-	children := make([]int, 0, end-start)
-	for x := start; x < end; x++ {
-		s.tree[l][x] = target
-		children = append(children, x)
-	}
-	if l < len(s.Overflows) {
-		s.Overflows[l]++
-	}
-	return children
-}
+func (s *Store) RelevelTree(l, c int, target uint64) []int { return s.relevel(l, c, target) }
 
 // --- Fault injection and re-key ---
 
@@ -617,32 +615,21 @@ func (s *Store) RelevelTree(l, c int, target uint64) []int {
 // counter storage itself; the engine's MAC check and the checker's
 // regression scan are expected to flag the damage. Never call it from
 // policy code.
-func (s *Store) CorruptDataCounter(i int, v uint64) {
-	j := i >> s.shift
-	var buf [128]uint64
-	vals := buf[:0]
-	start, end := s.GroupRange(j)
-	for b := start; b < end; b++ {
-		vals = append(vals, s.DataCounter(b))
-	}
-	vals[i-start] = v
-	s.pack(j, vals)
-}
+func (s *Store) CorruptDataCounter(i int, v uint64) { s.lv[0].corrupt(i, v) }
 
 // CorruptTreeCounter overwrites the level-l counter protecting child c,
 // bypassing every invariant — the tree analog of CorruptDataCounter.
-func (s *Store) CorruptTreeCounter(l, c int, v uint64) { s.tree[l][c] = v }
+func (s *Store) CorruptTreeCounter(l, c int, v uint64) { s.lv[l].corrupt(c, v) }
 
 // ResetCounters zeroes every data and tree counter and the observed-max
 // register: the whole-memory re-key ("reboot"). Under a fresh key the
 // (key, counter) pad space restarts, so zero counters are safe again. The
 // cumulative Overflows tallies are preserved.
 func (s *Store) ResetCounters() {
-	for j := 0; j < s.NumL0Blocks(); j++ {
-		s.level(j, 0)
-	}
-	for l := 1; l < len(s.tree); l++ {
-		clear(s.tree[l])
+	for l := range s.lv {
+		for j := 0; j < s.lv[l].numGroups(); j++ {
+			s.lv[l].fill(j, 0)
+		}
 	}
 	s.observedMax = 0
 }
@@ -675,60 +662,20 @@ func DefaultRandomize() RandomizeOptions {
 // is exercised by the organic-convergence experiment). Must be called
 // after Randomize and before any accesses.
 func (s *Store) WarmSnap(r *rng.Source, bases []uint64, frac float64) {
-	if len(bases) == 0 {
-		return
-	}
-	for j := 0; j < s.NumL0Blocks(); j++ {
-		if r.Float64() >= frac {
-			continue
-		}
-		base := bases[r.Intn(len(bases))]
-		if !s.wide(j) {
-			g := &s.groups[j]
-			g.base = base
-			s.observedMax = max(s.observedMax, base+uint64(g.maxOff))
-			continue
-		}
-		start, end := s.GroupRange(j)
-		lo, _, _ := s.scan(j, -1, 0)
-		for b := start; b < end; b++ {
-			v := base + (s.full[b] - lo)
-			s.full[b] = v
-			s.observedMax = max(s.observedMax, v)
-		}
-	}
+	s.observedMax = max(s.observedMax, s.warmSnap(0, r, bases, frac))
 }
 
-// WarmSnapTree rebases a fraction of level-l tree node groups onto the
-// given bases, the tree analog of WarmSnap.
+// WarmSnapTree rebases a fraction of level-l tree nodes onto the given
+// bases, the tree analog of WarmSnap.
 func (s *Store) WarmSnapTree(r *rng.Source, l int, bases []uint64, frac float64) {
-	if len(bases) == 0 || l < 1 || l > s.Levels() {
-		return
-	}
-	for start := 0; start < len(s.tree[l]); start += s.arity {
-		if r.Float64() >= frac {
-			continue
-		}
-		end := start + s.arity
-		if end > len(s.tree[l]) {
-			end = len(s.tree[l])
-		}
-		min := s.tree[l][start]
-		for x := start; x < end; x++ {
-			if s.tree[l][x] < min {
-				min = s.tree[l][x]
-			}
-		}
-		base := bases[r.Intn(len(bases))]
-		for x := start; x < end; x++ {
-			s.tree[l][x] = base + (s.tree[l][x] - min)
-		}
+	if l >= 1 && l <= s.Levels() {
+		s.warmSnap(l, r, bases, frac)
 	}
 }
 
 // Randomize initializes all data and tree counters per opts. The resulting
 // state is always encodable (no immediate overflows). The observed-max
-// register is updated to the largest value produced.
+// register is updated to the largest data counter produced.
 func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
 	span := opts.BaseHi - opts.BaseLo
 	if span == 0 {
@@ -751,51 +698,43 @@ func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
 	if s.scheme == Morphable {
 		maxNudges = 8
 	}
-	for j := 0; j < s.NumL0Blocks(); j++ {
-		base := opts.BaseLo + r.Uint64n(span)
-		start, end := s.GroupRange(j)
-		var top uint64 // largest nudge
-		nudges := 0
-		for b := start; b < end; b++ {
-			var nudge uint64
-			if nudges < maxNudges && r.Float64() < opts.SpreadFrac {
-				nudge = r.Uint64n(spreadRange + 1)
-				if nudge != 0 {
-					nudges++
+	for l := range s.lv {
+		lv := &s.lv[l]
+		// Bases are drawn from [baseLo, baseLo+baseN) and nudges from
+		// [0, nudgeN); tree counters sit at an eighth of the data range.
+		baseLo, baseN, nudgeN, limit := opts.BaseLo, span, spreadRange+1, maxNudges
+		if l > 0 {
+			baseLo, baseN, nudgeN, limit = opts.BaseLo/8, span/8+1, treeMinorRange/4, int(^uint(0)>>1)
+		}
+		for j := 0; j < lv.numGroups(); j++ {
+			base := baseLo + r.Uint64n(baseN)
+			start, end := lv.groupRange(j)
+			var top uint64 // largest nudge
+			nudges := 0
+			for b := start; b < end; b++ {
+				var nudge uint64
+				if nudges < limit && r.Float64() < opts.SpreadFrac {
+					nudge = r.Uint64n(nudgeN)
+					if nudge != 0 {
+						nudges++
+					}
+				}
+				top = max(top, nudge)
+				if lv.groups == nil {
+					lv.full[b] = base + nudge
+				} else {
+					lv.off[b] = uint8(nudge)
 				}
 			}
-			top = max(top, nudge)
-			if s.groups == nil {
-				s.full[b] = base + nudge
-			} else {
-				s.off[b] = uint8(nudge)
+			if l == 0 {
+				s.observedMax = max(s.observedMax, base+top)
 			}
-		}
-		s.observedMax = max(s.observedMax, base+top)
-		if s.groups == nil {
-			continue
-		}
-		s.groups[j] = group{base: base, maxOff: uint8(top), atBase: uint8(end - start - nudges)}
-		if nudges == end-start {
-			s.summarize(j, base) // every block was nudged: lift the base
-		}
-	}
-	for l := 1; l <= s.Levels(); l++ {
-		for start := 0; start < len(s.tree[l]); start += s.arity {
-			end := start + s.arity
-			if end > len(s.tree[l]) {
-				end = len(s.tree[l])
+			if lv.groups == nil {
+				continue
 			}
-			base := opts.BaseLo / 8
-			if span > 0 {
-				base += r.Uint64n(span/8 + 1)
-			}
-			for x := start; x < end; x++ {
-				v := base
-				if r.Float64() < opts.SpreadFrac {
-					v += r.Uint64n(treeMinorRange / 4)
-				}
-				s.tree[l][x] = v
+			lv.groups[j] = group{base: base, maxOff: uint8(top), atBase: uint8(end - start - nudges)}
+			if nudges == end-start {
+				lv.summarize(j, base) // every counter was nudged: lift the base
 			}
 		}
 	}

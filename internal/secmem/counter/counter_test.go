@@ -7,22 +7,24 @@ import (
 	"rmcc/internal/rng"
 )
 
+// TestCoverageAndArity: an L0 counter block covers Coverage() data blocks,
+// and a tree node as many children.
 func TestCoverageAndArity(t *testing.T) {
 	cases := []struct {
 		s        Scheme
 		coverage int
-		arity    int
 	}{
-		{SGX, 8, 8},
-		{SC64, 64, 64},
-		{Morphable, 128, 128},
+		{SGX, 8},
+		{SC64, 64},
+		{Morphable, 128},
 	}
 	for _, c := range cases {
 		if got := c.s.Coverage(); got != c.coverage {
 			t.Errorf("%v coverage = %d, want %d", c.s, got, c.coverage)
 		}
-		if got := c.s.TreeArity(); got != c.arity {
-			t.Errorf("%v arity = %d, want %d", c.s, got, c.arity)
+		s := NewStore(c.s, 64<<20)
+		if got := s.TreeNodeIndex(c.coverage); s.TreeNodeIndex(c.coverage-1) != 0 || got != 1 {
+			t.Errorf("%v: child %d sits in node %d, want 1 (arity %d)", c.s, c.coverage, got, c.coverage)
 		}
 	}
 }
@@ -271,10 +273,10 @@ func TestRandomizeGroupsDiverge(t *testing.T) {
 	s.Randomize(rng.New(7), DefaultRandomize())
 	bases := make(map[uint64]bool)
 	for j := 0; j < s.NumL0Blocks(); j++ {
-		vals := s.GroupValues(j)
-		min := vals[0]
-		for _, v := range vals {
-			if v < min {
+		start, end := s.GroupRange(j)
+		min := s.DataCounter(start)
+		for b := start; b < end; b++ {
+			if v := s.DataCounter(b); v < min {
 				min = v
 			}
 		}
@@ -282,15 +284,6 @@ func TestRandomizeGroupsDiverge(t *testing.T) {
 	}
 	if len(bases) < s.NumL0Blocks()/4 {
 		t.Fatalf("group bases not diverse: %d distinct for %d groups", len(bases), s.NumL0Blocks())
-	}
-}
-
-func TestGroupValuesSnapshot(t *testing.T) {
-	s := NewStore(SGX, 1<<16)
-	v := s.GroupValues(0)
-	v[0] = 999
-	if s.DataCounter(0) == 999 {
-		t.Fatal("GroupValues aliases internal state")
 	}
 }
 

@@ -125,7 +125,11 @@ func TestEncodeMatchesCanEncode(t *testing.T) {
 				s.SetDataCounter(i, nv)
 			}
 		}
-		_, _, err := EncodeBlock(Morphable, s.GroupValues(0))
+		vals := make([]uint64, 128)
+		for i := range vals {
+			vals[i] = s.DataCounter(i)
+		}
+		_, _, err := EncodeBlock(Morphable, vals)
 		return err == nil // CanEncodeData gated every change
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -11,14 +11,13 @@ import (
 	"rmcc/internal/snapshot"
 )
 
-// refStore is the literal model Store is checked against: every data
-// counter a full uint64, every encodability check a scan of the group, and
-// every set-up and restore a write of plain values. The tree levels are
-// kept the same way, so the two models' EncodeState bytes compare whole.
+// refStore is the literal model Store is checked against: every data and
+// tree counter a full uint64, every encodability check a scan of the group
+// or node, and every set-up and restore a write of plain values, so the two
+// models' EncodeState bytes compare whole.
 type refStore struct {
 	scheme      Scheme
-	coverage    int
-	arity       int
+	coverage    int // also the tree's arity
 	vals        []uint64
 	tree        [][]uint64
 	observedMax uint64
@@ -30,7 +29,6 @@ func newRefStore(scheme Scheme, dataBytes uint64) *refStore {
 	r := &refStore{
 		scheme:    scheme,
 		coverage:  scheme.Coverage(),
-		arity:     scheme.TreeArity(),
 		vals:      make([]uint64, geo.NumDataBlocks()),
 		tree:      [][]uint64{nil},
 		overflows: make([]uint64, len(geo.Overflows)),
@@ -112,6 +110,70 @@ func (r *refStore) relevelData(i int, target uint64) []int {
 	return blocks
 }
 
+// treeRange returns the [start, end) children of the level-l node holding
+// child c.
+func (r *refStore) treeRange(l, c int) (start, end int) {
+	start = c / r.coverage * r.coverage
+	return start, min(start+r.coverage, len(r.tree[l]))
+}
+
+func (r *refStore) treeNodeMax(l, c int) uint64 {
+	start, end := r.treeRange(l, c)
+	return slices.Max(r.tree[l][start:end])
+}
+
+func (r *refStore) canEncodeTree(l, c int, newVal uint64) bool {
+	if newVal > MaxCounter {
+		return false
+	}
+	if r.scheme == SGX {
+		return true
+	}
+	start, end := r.treeRange(l, c)
+	lo, hi := newVal, newVal
+	for x := start; x < end; x++ {
+		if x != c {
+			lo, hi = min(lo, r.tree[l][x]), max(hi, r.tree[l][x])
+		}
+	}
+	return hi-lo <= treeMinorRange
+}
+
+func (r *refStore) setTreeCounter(l, c int, newVal uint64) {
+	if newVal <= r.tree[l][c] {
+		panic(fmt.Sprintf("reference: non-increasing tree update l%d c%d", l, c))
+	}
+	r.tree[l][c] = newVal
+}
+
+func (r *refStore) relevelTree(l, c int, target uint64) []int {
+	start, end := r.treeRange(l, c)
+	var children []int
+	for x := start; x < end; x++ {
+		if target <= r.tree[l][x] {
+			panic(fmt.Sprintf("reference: tree relevel target %d not above child %d", target, x))
+		}
+		r.tree[l][x] = target
+		children = append(children, x)
+	}
+	r.overflows[l]++
+	return children
+}
+
+func (r *refStore) warmSnapTree(src *rng.Source, l int, bases []uint64, frac float64) {
+	for start := 0; start < len(r.tree[l]); start += r.coverage {
+		if src.Float64() >= frac {
+			continue
+		}
+		end := min(start+r.coverage, len(r.tree[l]))
+		lo := slices.Min(r.tree[l][start:end])
+		base := bases[src.Intn(len(bases))]
+		for x := start; x < end; x++ {
+			r.tree[l][x] = base + (r.tree[l][x] - lo)
+		}
+	}
+}
+
 func (r *refStore) resetCounters() {
 	clear(r.vals)
 	for _, lvl := range r.tree {
@@ -155,8 +217,8 @@ func (r *refStore) randomize(src *rng.Source, opts RandomizeOptions) {
 		}
 	}
 	for l := 1; l < len(r.tree); l++ {
-		for start := 0; start < len(r.tree[l]); start += r.arity {
-			end := min(start+r.arity, len(r.tree[l]))
+		for start := 0; start < len(r.tree[l]); start += r.coverage {
+			end := min(start+r.coverage, len(r.tree[l]))
 			base := opts.BaseLo/8 + src.Uint64n(span/8+1)
 			for x := start; x < end; x++ {
 				v := base
@@ -208,14 +270,21 @@ func (r *refStore) decodeState(d *snapshot.Dec) error {
 }
 
 // diffGeometries are the stores the differential streams run on; each
-// ends in a partial L0 group (SC-64's holds a single block).
+// ends in a partial L0 group (the second SC-64 one holds a single block)
+// and a partial last node at every tree level. The first three keep small
+// trees (SGX two levels, the others one); the last three store two or three
+// tree levels, which Morphable reaches only above 16 384 blocks.
 var diffGeometries = []struct {
+	name   string
 	scheme Scheme
 	blocks int
 }{
-	{SGX, 8*40 + 5},
-	{SC64, 64*20 + 1},
-	{Morphable, 128*12 + 37},
+	{"SGX", SGX, 8*40 + 5},
+	{"SC-64", SC64, 64*20 + 1},
+	{"Morphable", Morphable, 128*12 + 37},
+	{"SGX-3-levels", SGX, 8*131 + 5},
+	{"SC-64-2-levels", SC64, 64*133 + 9},
+	{"Morphable-2-levels", Morphable, 128*137 + 3},
 }
 
 // opSource yields the op stream's choices: a seeded RNG in the
@@ -261,9 +330,14 @@ func (d *differ) fatalf(format string, args ...any) {
 }
 
 // step applies one op to every model, then compares CanEncodeData's
-// verdicts on the op's block for raises of 1, 8 and 128.
+// verdicts on the op's block for raises of 1, 8 and 128. A quarter of the
+// ops work on a tree counter instead (treeStep).
 func (d *differ) step() {
 	d.op++
+	if d.src.Uint64n(4) == 0 {
+		d.treeStep()
+		return
+	}
 	i := d.block()
 	j := i / d.ref.coverage
 	cur := d.ref.vals[i]
@@ -287,11 +361,7 @@ func (d *differ) step() {
 	case k < 56:
 		d.roundTrip()
 	case k < 58:
-		d.what = "ResetCounters"
-		d.ref.resetCounters()
-		for _, s := range d.stores {
-			s.ResetCounters()
-		}
+		d.rekey("ResetCounters")
 	case k < 61:
 		d.randomize()
 	default:
@@ -315,17 +385,150 @@ func (d *differ) block() int {
 	}
 }
 
+// treeStep applies one op to a tree counter, then compares CanEncodeTree's
+// verdicts on it: +1 and jump bumps, relevels onto the node maximum plus k,
+// corruptions and WarmSnapTree.
+func (d *differ) treeStep() {
+	l, c := d.child()
+	cur := d.ref.tree[l][c]
+	switch k := d.src.Uint64n(16); {
+	case k < 7:
+		d.bumpTree(l, c, cur+1)
+	case k < 10:
+		d.bumpTree(l, c, cur+1+d.src.Uint64n(140))
+	case k < 12:
+		d.relevelTree(l, c, d.ref.treeNodeMax(l, c)+1+d.src.Uint64n(1000))
+	case k < 14:
+		d.corruptTree(l, c, cur)
+	default:
+		d.warmSnapTree(l)
+	}
+	d.treeVerdicts(l, c)
+}
+
+// child picks the op's tree level and child: anywhere on the level, or in
+// its first or (partial) last node.
+func (d *differ) child() (l, c int) {
+	l = 1 + int(d.src.Uint64n(uint64(len(d.ref.tree)-1)))
+	n := uint64(len(d.ref.tree[l]))
+	switch d.src.Uint64n(4) {
+	case 0:
+		return l, int(d.src.Uint64n(uint64(d.ref.coverage)) % n)
+	case 1:
+		last := (n - 1) / uint64(d.ref.coverage) * uint64(d.ref.coverage)
+		return l, int(last + d.src.Uint64n(n-last))
+	default:
+		return l, int(d.src.Uint64n(n))
+	}
+}
+
+// rekey resets every model, as the engine's whole-memory re-key does.
+func (d *differ) rekey(why string) {
+	d.what = why
+	d.ref.resetCounters()
+	for _, s := range d.stores {
+		s.ResetCounters()
+	}
+}
+
+// bumpTree moves level-l child c to v the way the engine's tree update
+// does: through SetTreeCounter when the node stays encodable, else by
+// releveling the node to just above its maximum; a node at the 56-bit
+// ceiling re-keys.
+func (d *differ) bumpTree(l, c int, v uint64) {
+	if d.ref.treeNodeMax(l, c) >= MaxCounter {
+		d.rekey("re-key at a tree node's ceiling")
+		return
+	}
+	d.what = fmt.Sprintf("bump l%d child %d -> %d", l, c, v)
+	want := d.ref.canEncodeTree(l, c, v)
+	for k, s := range d.stores {
+		if got := s.CanEncodeTree(l, c, v); got != want {
+			d.fatalf("store %d CanEncodeTree %v, reference %v", k, got, want)
+		}
+	}
+	if !want {
+		d.relevelTree(l, c, max(d.ref.treeNodeMax(l, c)+1, v))
+		return
+	}
+	d.ref.setTreeCounter(l, c, v)
+	for _, s := range d.stores {
+		s.SetTreeCounter(l, c, v)
+	}
+}
+
+// relevelTree relevels the level-l node holding child c onto target; a
+// node at the ceiling re-keys instead.
+func (d *differ) relevelTree(l, c int, target uint64) {
+	if d.ref.treeNodeMax(l, c) >= MaxCounter {
+		d.rekey("re-key at a tree node's ceiling")
+		return
+	}
+	d.what = fmt.Sprintf("relevel l%d child %d's node -> %d", l, c, target)
+	want := d.ref.relevelTree(l, c, target)
+	for k, s := range d.stores {
+		if got := s.RelevelTree(l, c, target); !slices.Equal(got, want) {
+			d.fatalf("store %d releveled children %v, reference %v", k, got, want)
+		}
+	}
+}
+
+// corruptTree writes a value no node encoding holds, the top of the
+// uint64 range included, compares the damaged node, and then usually
+// relevels it.
+func (d *differ) corruptTree(l, c int, cur uint64) {
+	v := [...]uint64{0, cur + 0x5eed, MaxCounter + 1, ^uint64(0), cur ^ (1 + d.src.Uint64n(255))}[d.src.Uint64n(5)]
+	d.what = fmt.Sprintf("corrupt l%d child %d: %d -> %d", l, c, cur, v)
+	d.ref.tree[l][c] = v
+	for _, s := range d.stores {
+		s.CorruptTreeCounter(l, c, v)
+	}
+	d.treeVerdicts(l, c)
+	if d.src.Uint64n(4) != 0 {
+		d.relevelTree(l, c, d.ref.treeNodeMax(l, c)+1)
+	}
+}
+
+func (d *differ) warmSnapTree(l int) {
+	seed := d.src.Uint64n(1 << 32)
+	bases := make([]uint64, 1+d.src.Uint64n(8))
+	for k := range bases {
+		bases[k] = d.src.Uint64n(1 << 24)
+	}
+	frac := float64(d.src.Uint64n(101)) / 100
+	d.what = fmt.Sprintf("WarmSnapTree(seed %d, l%d, %v, %v)", seed, l, bases, frac)
+	d.ref.warmSnapTree(rng.New(seed), l, bases, frac)
+	for _, s := range d.stores {
+		s.WarmSnapTree(rng.New(seed), l, bases, frac)
+	}
+}
+
+// treeVerdicts compares level-l child c's value, its node's maximum, and
+// CanEncodeTree's verdicts on it for raises of 1, 8 and 128.
+func (d *differ) treeVerdicts(l, c int) {
+	cur := d.ref.tree[l][c]
+	for k, s := range d.stores {
+		if got := s.TreeCounter(l, c); got != cur {
+			d.fatalf("store %d l%d child %d = %d, reference %d", k, l, c, got, cur)
+		}
+		if got, want := s.TreeNodeMax(l, s.TreeNodeIndex(c)), d.ref.treeNodeMax(l, c); got != want {
+			d.fatalf("store %d l%d node of child %d max %d, reference %d", k, l, c, got, want)
+		}
+		for _, up := range []uint64{1, 8, 128} {
+			if got, want := s.CanEncodeTree(l, c, cur+up), d.ref.canEncodeTree(l, c, cur+up); got != want {
+				d.fatalf("store %d CanEncodeTree(%d, %d, cur+%d) %v, reference %v", k, l, c, up, got, want)
+			}
+		}
+	}
+}
+
 // write moves block i to v the way the engine does: through
 // SetDataCounter when the group stays encodable, else by releveling the
 // group to just above its maximum; a group at the 56-bit ceiling re-keys.
 func (d *differ) write(i int, v uint64) {
 	j := i / d.ref.coverage
 	if d.ref.groupMax(j) >= MaxCounter {
-		d.what = "re-key at the ceiling"
-		d.ref.resetCounters()
-		for _, s := range d.stores {
-			s.ResetCounters()
-		}
+		d.rekey("re-key at the ceiling")
 		return
 	}
 	d.what = fmt.Sprintf("write block %d -> %d", i, v)
@@ -453,21 +656,24 @@ func (d *differ) verdicts(i int) {
 	}
 }
 
-// checkAll compares every counter, every group maximum, the observed-max
+// checkAll compares every data and tree counter, every group and node
+// maximum, every tree counter's CanEncodeTree verdicts, the observed-max
 // register, the overflow tallies and the EncodeState bytes, and checks
 // each encoded group's summary against its offsets.
 func (d *differ) checkAll() {
 	want := d.refBytes()
 	for k, s := range d.stores {
-		for j := range s.groups {
-			start, end := s.GroupRange(j)
-			g, offs := s.groups[j], s.off[start:end]
-			if g.wide {
-				continue
-			}
-			zeros := bytes.Count(offs, []byte{0})
-			if zeros == 0 || slices.Max(offs) != g.maxOff || zeros != int(g.atBase) {
-				d.fatalf("store %d group %d summary %+v, offsets %v", k, j, g, offs)
+		for l, lv := range s.lv {
+			for j := range lv.groups {
+				start, end := lv.groupRange(j)
+				g, offs := lv.groups[j], lv.off[start:end]
+				if g.wide {
+					continue
+				}
+				zeros := bytes.Count(offs, []byte{0})
+				if zeros == 0 || slices.Max(offs) != g.maxOff || zeros != int(g.atBase) {
+					d.fatalf("store %d level %d group %d summary %+v, offsets %v", k, l, j, g, offs)
+				}
 			}
 		}
 		for i, v := range d.ref.vals {
@@ -478,6 +684,11 @@ func (d *differ) checkAll() {
 		for j := 0; j < d.ref.numGroups(); j++ {
 			if got, want := s.GroupMax(j), d.ref.groupMax(j); got != want {
 				d.fatalf("store %d GroupMax(%d) = %d, reference %d", k, j, got, want)
+			}
+		}
+		for l := 1; l < len(d.ref.tree); l++ {
+			for c := range d.ref.tree[l] {
+				d.treeVerdicts(l, c)
 			}
 		}
 		if s.ObservedMax() != d.ref.observedMax {
@@ -505,14 +716,14 @@ func encodeStore(s *Store) []byte {
 }
 
 // TestDifferentialAgainstReference drives the encoded Store and the
-// plain-value reference through seeded streams of every data-counter
-// operation on all three schemes. Every 1000 ops all state is compared;
+// plain-value reference through seeded streams of every data- and
+// tree-counter operation on all three schemes. Every 1000 ops all state is compared;
 // halfway through, a store restored from the reference's bytes joins and
 // must continue identically.
 func TestDifferentialAgainstReference(t *testing.T) {
 	const ops = 60000
 	for gi, g := range diffGeometries {
-		t.Run(g.scheme.String(), func(t *testing.T) {
+		t.Run(g.name, func(t *testing.T) {
 			d := newDiffer(t, g.scheme, g.blocks, rng.New(uint64(500+gi)))
 			d.randomize()
 			for d.op < ops {
@@ -524,8 +735,10 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					d.checkAll()
 				}
 			}
-			if d.ref.overflows[0] == 0 {
-				t.Fatal("stream never releveled a group")
+			for l, n := range d.ref.overflows[:len(d.ref.tree)] {
+				if n == 0 {
+					t.Fatalf("stream never releveled a level-%d group or node", l)
+				}
 			}
 		})
 	}
@@ -537,9 +750,10 @@ func TestDifferentialAgainstReference(t *testing.T) {
 func TestDataCounterFootprint(t *testing.T) {
 	s := NewStore(Morphable, 1_671_168*BlockBytes)
 	s.Randomize(rng.New(1), DefaultRandomize())
-	n := cap(s.off)*int(unsafe.Sizeof(s.off[0])) +
-		cap(s.groups)*int(unsafe.Sizeof(s.groups[0])) +
-		cap(s.full)*int(unsafe.Sizeof(uint64(0)))
+	lv := &s.lv[0]
+	n := cap(lv.off)*int(unsafe.Sizeof(lv.off[0])) +
+		cap(lv.groups)*int(unsafe.Sizeof(lv.groups[0])) +
+		cap(lv.full)*int(unsafe.Sizeof(uint64(0)))
 	if per := float64(n) / float64(s.NumDataBlocks()); per > 1.25 {
 		t.Fatalf("%.3f bytes of data-counter state per block, want <= 1.25", per)
 	}

@@ -2,20 +2,17 @@ package counter
 
 import "rmcc/internal/snapshot"
 
-// EncodeState serializes all counter ground truth: every data counter (as
-// a length-prefixed uint64 per block, whatever form the store holds it
-// in), every tree level, the observed-max register, and the cumulative
-// overflow tallies. Geometry (block counts, level count) is derived from
-// the scheme and footprint at construction, so only the values travel;
-// DecodeState enforces the lengths against the store it restores into.
+// EncodeState serializes all counter ground truth: every level's counters
+// (as a length-prefixed uint64 per counter, whatever form the store holds
+// them in), the observed-max register, and the cumulative overflow
+// tallies. Geometry (block counts, level count) is derived from the scheme
+// and footprint at construction, so only the values travel; DecodeState
+// enforces the lengths against the store it restores into.
 func (s *Store) EncodeState(e *snapshot.Enc) {
-	e.U64(uint64(s.nBlocks))
-	for i := 0; i < s.nBlocks; i++ {
-		e.U64(s.DataCounter(i))
-	}
+	s.lv[0].encode(e)
 	e.U64(uint64(s.Levels()))
 	for l := 1; l <= s.Levels(); l++ {
-		e.U64s(s.tree[l])
+		s.lv[l].encode(e)
 	}
 	e.U64(s.observedMax)
 	e.U64s(s.Overflows)
@@ -25,19 +22,10 @@ func (s *Store) EncodeState(e *snapshot.Enc) {
 // the identical scheme and footprint. It writes counters directly — the
 // monotonicity guard on SetDataCounter/SetTreeCounter compares against
 // live state, which does not apply when replacing the whole image with a
-// previously valid one — and re-encodes each data-counter group.
+// previously valid one — and re-encodes each group.
 func (s *Store) DecodeState(d *snapshot.Dec) error {
-	if n := d.U64(); d.Err() == nil && n != uint64(s.nBlocks) {
-		return d.Failf("uint64 slice length %d, want %d", n, s.nBlocks)
-	}
-	var buf [128]uint64
-	for j := 0; j < s.NumL0Blocks() && d.Err() == nil; j++ {
-		start, end := s.GroupRange(j)
-		vals := buf[:end-start]
-		for k := range vals {
-			vals[k] = d.U64()
-		}
-		s.pack(j, vals)
+	if err := s.lv[0].decode(d); err != nil {
+		return err
 	}
 	if levels := d.U64(); levels != uint64(s.Levels()) {
 		if err := d.Err(); err != nil {
@@ -46,9 +34,34 @@ func (s *Store) DecodeState(d *snapshot.Dec) error {
 		return d.Failf("counter tree has %d levels, want %d", levels, s.Levels())
 	}
 	for l := 1; l <= s.Levels(); l++ {
-		d.U64sInto(s.tree[l])
+		if err := s.lv[l].decode(d); err != nil {
+			return err
+		}
 	}
 	s.observedMax = d.U64()
 	d.U64sInto(s.Overflows)
+	return d.Err()
+}
+
+func (lv *level) encode(e *snapshot.Enc) {
+	e.U64(uint64(lv.n))
+	for i := 0; i < lv.n; i++ {
+		e.U64(lv.get(i))
+	}
+}
+
+func (lv *level) decode(d *snapshot.Dec) error {
+	if n := d.U64(); d.Err() == nil && n != uint64(lv.n) {
+		return d.Failf("uint64 slice length %d, want %d", n, lv.n)
+	}
+	var buf [128]uint64
+	for j := 0; j < lv.numGroups() && d.Err() == nil; j++ {
+		start, end := lv.groupRange(j)
+		vals := buf[:end-start]
+		for k := range vals {
+			vals[k] = d.U64()
+		}
+		lv.pack(j, vals)
+	}
 	return d.Err()
 }

@@ -423,27 +423,11 @@ func (mc *MC) warmStart() {
 // registers access-by-access.
 func (mc *MC) rescanTreeMax() {
 	for l := 1; l <= mc.store.Levels(); l++ {
-		var max uint64
-		for c := 0; c < mc.treeChildren(l); c++ {
-			if v := mc.store.TreeCounter(l, c); v > max {
-				max = v
-			}
+		mc.observedTreeMax[l] = 0
+		for k := 0; k*mc.store.Coverage() < mc.store.TreeLevelLen(l); k++ {
+			mc.observedTreeMax[l] = max(mc.observedTreeMax[l], mc.store.TreeNodeMax(l, k))
 		}
-		mc.observedTreeMax[l] = max
 	}
-}
-
-// treeChildren returns the number of child counters stored at level l.
-func (mc *MC) treeChildren(l int) int {
-	if l == 1 {
-		return mc.store.NumL0Blocks()
-	}
-	// Children of level l are the level-(l-1) nodes.
-	n := mc.store.NumL0Blocks()
-	for i := 1; i < l; i++ {
-		n = (n + mc.store.Scheme().TreeArity() - 1) / mc.store.Scheme().TreeArity()
-	}
-	return n
 }
 
 // Config returns the controller configuration.

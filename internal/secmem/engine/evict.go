@@ -49,16 +49,17 @@ func (mc *MC) bumpTreeCounter(l, childIdx int, out *[]Traffic, overflow *[]Traff
 		return // root counters live on-chip
 	}
 	// The parent node must be resident (and becomes dirty) to update it.
-	parentAddr := mc.store.TreeNodeAddr(l, mc.store.TreeNodeIndex(childIdx))
+	node := mc.store.TreeNodeIndex(childIdx)
+	parentAddr := mc.store.TreeNodeAddr(l, node)
 	mc.ensureCounterBlock(parentAddr, true, out, overflow)
 
-	cur := mc.store.TreeCounter(l, childIdx)
-	next := cur + 1
-
-	// Tree-counter ceiling: an integrity-tree counter at the 56-bit limit
-	// cannot advance; defer the whole-memory re-key to the end of the
-	// current access (the cache walk in flight must not be yanked mid-way).
-	if next > counter.MaxCounter {
+	// Tree-counter ceiling: a node with a counter at the 56-bit limit can
+	// neither advance it nor relevel above it (the same test the data path
+	// applies to the L0 group); defer the whole-memory re-key to the end of
+	// the current access (the cache walk in flight must not be yanked
+	// mid-way).
+	hi := mc.store.TreeNodeMax(l, node)
+	if hi >= counter.MaxCounter {
 		mc.stats.CounterOverflows++
 		mc.recordViolation(&IntegrityError{
 			Kind: ViolationCounterOverflow, Addr: parentAddr, Block: -1, Recovered: true,
@@ -67,6 +68,8 @@ func (mc *MC) bumpTreeCounter(l, childIdx int, out *[]Traffic, overflow *[]Traff
 		mc.needRekey = true
 		return
 	}
+	cur := mc.store.TreeCounter(l, childIdx)
+	next := cur + 1
 
 	// RMCC: memoization-aware update for L1 counters (the level the L1
 	// table memoizes), budget-gated like the data path.
@@ -81,7 +84,7 @@ func (mc *MC) bumpTreeCounter(l, childIdx int, out *[]Traffic, overflow *[]Traff
 				mc.relevelTree(l, childIdx, target, out, overflow, false)
 				return
 			} else {
-				cost := 2 * mc.store.Scheme().TreeArity()
+				cost := 2 * mc.store.Coverage()
 				if mc.l1Table.SpendBudget(cost) {
 					mc.relevelTree(l, childIdx, target, out, overflow, true)
 					mc.stats.TreeJumps++
@@ -100,30 +103,13 @@ func (mc *MC) bumpTreeCounter(l, childIdx int, out *[]Traffic, overflow *[]Traff
 		return
 	}
 	// Baseline overflow: relevel the node to one above its current max.
-	start, end := mc.treeGroupBounds(l, childIdx)
-	var max uint64
-	for c := start; c < end; c++ {
-		if v := mc.store.TreeCounter(l, c); v > max {
-			max = v
-		}
-	}
-	target := max + 1
+	target := hi + 1
 	if mc.cfg.Mode == RMCC && l == 1 && mc.l1Table != nil {
-		if t, ok := mc.l1Table.NearestMemoized(max); ok {
+		if t, ok := mc.l1Table.NearestMemoized(hi); ok {
 			target = t
 		}
 	}
 	mc.relevelTree(l, childIdx, target, out, overflow, false)
-}
-
-func (mc *MC) treeGroupBounds(l, childIdx int) (start, end int) {
-	arity := mc.store.Scheme().TreeArity()
-	start = (childIdx / arity) * arity
-	end = start + arity
-	if n := mc.store.TreeLevelLen(l); end > n {
-		end = n
-	}
-	return start, end
 }
 
 // relevelTree executes a tree-node overflow: all child counters move to

@@ -20,12 +20,7 @@ func TestObservedTreeMaxMatchesStore(t *testing.T) {
 		checkTreeMax := func(when string, exact bool) {
 			t.Helper()
 			for l := 1; l <= mc.store.Levels(); l++ {
-				var max uint64
-				for c := 0; c < mc.treeChildren(l); c++ {
-					if v := mc.store.TreeCounter(l, c); v > max {
-						max = v
-					}
-				}
+				max := treeMaxAtLevel(mc, l)
 				got := mc.observedTreeMax[l]
 				if exact && got != max {
 					t.Fatalf("%s %s: observedTreeMax[%d] = %d, stored max = %d", scheme, when, l, got, max)
@@ -51,7 +46,7 @@ func TestObservedTreeMaxMatchesStore(t *testing.T) {
 
 func treeMaxAtLevel(mc *MC, l int) uint64 {
 	var max uint64
-	for c := 0; c < mc.treeChildren(l); c++ {
+	for c := 0; c < mc.store.TreeLevelLen(l); c++ {
 		if v := mc.store.TreeCounter(l, c); v > max {
 			max = v
 		}

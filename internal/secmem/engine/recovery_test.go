@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -259,6 +258,46 @@ func TestCounterExhaustionRebootDrill(t *testing.T) {
 	}
 }
 
+// TestTreeCounterCeilingRekeys: a level-1 counter at the top of the uint64
+// range (corruption, or a restored blob) must re-key on the next bump in
+// its node rather than wrap the counter to 0. The writes sweep L0 blocks,
+// so their write-backs bump the corrupted counter itself (SGX reaches it
+// first) or its siblings (SC-64 and Morphable).
+func TestTreeCounterCeilingRekeys(t *testing.T) {
+	for _, scheme := range []counter.Scheme{counter.SGX, counter.SC64, counter.Morphable} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			mc := testMC(t, Baseline, scheme, 16, func(c *Config) {
+				c.CounterCacheBytes = 4096
+				c.CounterCacheWays = 4
+			})
+			st := mc.Store()
+			mc.CorruptTreeCounter(1, 0, ^uint64(0))
+			var out Outcome
+			for j := 0; j < st.NumL0Blocks() && !out.Rekeyed; j++ {
+				out = mc.Write(st.DataBlockAddr(j * st.Coverage()))
+			}
+			if !out.Rekeyed {
+				t.Fatal("no write re-keyed")
+			}
+			found := false
+			for _, v := range out.Violations {
+				found = found || v.Kind == ViolationCounterOverflow && v.Recovered
+			}
+			if !found || mc.Stats().CounterOverflows == 0 {
+				t.Fatalf("no recovered ViolationCounterOverflow: %+v", out.Violations)
+			}
+			if got := st.TreeCounter(1, 0); got != 0 {
+				t.Fatalf("corrupted counter reads %d after the re-key, want 0", got)
+			}
+			for j := 0; j < 256; j++ {
+				if o := mc.Write(st.DataBlockAddr(j * st.Coverage())); len(o.Violations) != 0 {
+					t.Fatalf("write after the re-key: %v", o.Violations[0])
+				}
+			}
+		})
+	}
+}
+
 // TestPowerLossKeepsDecryptions: losing all volatile state must not lose
 // data — counters persist, so every block still decrypts.
 func TestPowerLossKeepsDecryptions(t *testing.T) {
@@ -369,11 +408,7 @@ func TestMemoPoisonDetectedAndRepaired(t *testing.T) {
 // poisoned one, recomputes every entry through fill.
 func TestPoisonClearedByRebuildAndRestore(t *testing.T) {
 	reload := func(t *testing.T, from, into *MC) *MC {
-		var buf bytes.Buffer
-		if err := from.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := into.Load(&buf); err != nil {
+		if err := decodeMC(into, encodeMC(from)); err != nil {
 			t.Fatal(err)
 		}
 		return into

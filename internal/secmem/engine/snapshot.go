@@ -2,66 +2,14 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"rmcc/internal/snapshot"
 )
 
-// engineKind tags standalone engine snapshots.
-const engineKind = "rmcc-engine"
-
-// ConfigHash is the FNV-1a hash of the controller's configuration; Load
-// refuses snapshots whose hash differs (the serialized state's geometry —
-// counter blocks, cache sets, table groups — is derived from it).
-func (mc *MC) ConfigHash() uint64 {
-	return snapshot.HashString(fmt.Sprintf("%#v", mc.cfg))
-}
-
-// Save writes the controller's complete mutable state as one snapshot
-// stream. It must be called between accesses (never from inside a fault
-// hook mid-walk): in-flight violation state is intentionally not
-// serialized, and Save refuses to run while any is pending.
-func (mc *MC) Save(w io.Writer) error {
-	if len(mc.pending) != 0 || mc.needRekey {
-		return fmt.Errorf("engine: snapshot mid-access: %d pending violations, needRekey=%v",
-			len(mc.pending), mc.needRekey)
-	}
-	sw := snapshot.NewWriter(w, engineKind, mc.ConfigHash())
-	var e snapshot.Enc
-	mc.EncodeState(&e)
-	sw.Section("state", e.Data())
-	return sw.Close()
-}
-
-// Load restores state written by Save into a controller built with the
-// identical configuration. On error the controller is left in an undefined
-// state and must be discarded; errors are typed (snapshot.ErrSnapshot*).
-func (mc *MC) Load(r io.Reader) error {
-	sr, err := snapshot.NewReader(r, engineKind)
-	if err != nil {
-		return err
-	}
-	if got, want := sr.ConfigHash(), mc.ConfigHash(); got != want {
-		return fmt.Errorf("%w: engine config hash %016x, want %016x",
-			snapshot.ErrSnapshotConfigMismatch, got, want)
-	}
-	payload, err := sr.Section("state")
-	if err != nil {
-		return err
-	}
-	d := snapshot.NewDec(payload)
-	if err := mc.DecodeState(d); err != nil {
-		return err
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	return sr.Close()
-}
-
-// EncodeState serializes the controller into one section payload — the
-// embeddable form sim.Lifetime and standalone Save share.
+// EncodeState serializes the controller into one section payload, which
+// sim.Lifetime's snapshot embeds. Call it between accesses: in-flight
+// violation state is not serialized.
 func (mc *MC) EncodeState(e *snapshot.Enc) {
 	e.U64(mc.keyEpoch)
 	e.Binary(&mc.stats)
@@ -83,11 +31,12 @@ func (mc *MC) EncodeState(e *snapshot.Enc) {
 	}
 }
 
-// DecodeState restores an EncodeState payload into a freshly built
-// controller of the identical configuration. The key epoch is applied
-// first and the OTP unit re-derived from it, so the memoization tables'
-// fill-based reconstruction and the contents image operate under the
-// snapshot's keys rather than the boot keys.
+// DecodeState restores an EncodeState payload into a controller of the
+// identical configuration. Every failure is a typed snapshot error
+// (snapshot.ErrSnapshot*), after which the controller must be discarded.
+// The key epoch is applied first and the OTP unit re-derived from it, so
+// the memoization tables' fill-based reconstruction and the contents image
+// operate under the snapshot's keys rather than the boot keys.
 func (mc *MC) DecodeState(d *snapshot.Dec) error {
 	mc.pending = nil
 	mc.needRekey = false

@@ -1,10 +1,10 @@
 package engine
 
 import (
-	"bytes"
 	"testing"
 
 	"rmcc/internal/secmem/counter"
+	"rmcc/internal/snapshot"
 )
 
 // warmEngine1M drives one million mixed accesses through a 64 MB RMCC
@@ -29,33 +29,26 @@ func warmEngine1M(b *testing.B) *MC {
 	return mc
 }
 
-func BenchmarkEngineSaveWarm1M(b *testing.B) {
+func BenchmarkEngineSnapshotEncodeWarm1M(b *testing.B) {
 	mc := warmEngine1M(b)
-	var buf bytes.Buffer
-	if err := mc.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
+	var e snapshot.Enc
+	mc.EncodeState(&e)
+	b.SetBytes(int64(len(e.Data())))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := mc.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
+		e.Reset()
+		mc.EncodeState(&e)
 	}
 }
 
-func BenchmarkEngineLoadWarm1M(b *testing.B) {
+func BenchmarkEngineSnapshotDecodeWarm1M(b *testing.B) {
 	mc := warmEngine1M(b)
-	var buf bytes.Buffer
-	if err := mc.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
+	payload := encodeMC(mc)
 	dst := New(mc.Config())
-	b.SetBytes(int64(buf.Len()))
+	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := decodeMC(dst, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
