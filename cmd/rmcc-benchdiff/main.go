@@ -7,7 +7,10 @@
 //     row names, or any cell (exact float64 equality; figure values are
 //     deterministic at a fixed seed),
 //   - a figure present in both reports got more than -threshold (default
-//     25%) slower in wall-clock seconds, or
+//     25%) slower in wall-clock seconds, unless it ran under a second in
+//     both (such a figure is listed with its delta but not gated: at
+//     microseconds, as when a figure reuses another's runs, the relative
+//     change is noise), or
 //   - a micro-benchmark present in both reports started allocating where
 //     the baseline did not (the engine read-hit path must stay 0
 //     allocs/op).
@@ -35,6 +38,10 @@ import (
 
 	"rmcc/internal/buildinfo"
 )
+
+// minGatedSeconds is the wall-clock floor of the -threshold gate: a figure
+// under it in both reports is not timed against the threshold.
+const minGatedSeconds = 1.0
 
 type report struct {
 	Generated    string   `json:"generated"`
@@ -93,7 +100,7 @@ func main() {
 
 	regressions := diff(os.Stdout, base, cur, *threshold)
 	if regressions > 0 {
-		fmt.Printf("\n%d regression(s) (changed figure values, >%.0f%% slower figures, or new allocations)\n",
+		fmt.Printf("\n%d regression(s) (changed figure values, >%.0f%% slower figures of 1 s or more, or new allocations)\n",
 			regressions, 100**threshold)
 		os.Exit(1)
 	}
@@ -123,7 +130,10 @@ func diff(w io.Writer, base, cur report, threshold float64) int {
 			rel = f.Seconds/b.Seconds - 1
 		}
 		mark := ""
-		if rel > threshold {
+		switch {
+		case b.Seconds < minGatedSeconds && f.Seconds < minGatedSeconds:
+			mark = fmt.Sprintf("  (under %gs, timing not gated)", minGatedSeconds)
+		case rel > threshold:
 			mark = "  REGRESSION"
 			regressions++
 		}

@@ -60,6 +60,27 @@ func TestDiff(t *testing.T) {
 		}
 	}
 
+	// Figures that ran under a second on both sides are listed but not
+	// timed: a figure reusing another's runs reads microseconds.
+	for _, tc := range []struct {
+		base, cur float64
+		want      int
+	}{
+		{41e-6, 74e-6, 0},
+		{10, 13, 1},
+		{0.8, 1.3, 1},
+	} {
+		out.Reset()
+		got := diff(&out, report{Figures: []figure{fig("figure14", tc.base, 0.5)}},
+			report{Figures: []figure{fig("figure14", tc.cur, 0.5)}}, 0.25)
+		if got != tc.want {
+			t.Errorf("%gs -> %gs: regressions = %d, want %d:\n%s", tc.base, tc.cur, got, tc.want, out.String())
+		}
+		if note := strings.Contains(out.String(), "timing not gated"); note != (tc.cur < 1) {
+			t.Errorf("%gs -> %gs: not-gated note = %v:\n%s", tc.base, tc.cur, note, out.String())
+		}
+	}
+
 	for _, tc := range []struct {
 		name string
 		edit func(*figure)

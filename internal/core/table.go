@@ -90,12 +90,12 @@ func (c Config) Validate() error {
 	switch {
 	case c.Groups <= 0 || c.GroupSize <= 0:
 		return fmt.Errorf("core: need positive Groups/GroupSize, got %d/%d", c.Groups, c.GroupSize)
-	case c.CoverageQuantile <= 0 || c.CoverageQuantile > 1:
+	case !(c.CoverageQuantile > 0 && c.CoverageQuantile <= 1): // NaN fails too
 		return fmt.Errorf("core: CoverageQuantile %v out of (0,1]", c.CoverageQuantile)
 	case c.EpochAccesses == 0:
 		return fmt.Errorf("core: EpochAccesses must be positive")
-	case c.BudgetFrac < 0:
-		return fmt.Errorf("core: negative BudgetFrac")
+	case !(c.BudgetFrac >= 0):
+		return fmt.Errorf("core: BudgetFrac %v negative or NaN", c.BudgetFrac)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -33,10 +34,20 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero groups accepted")
 	}
-	bad = DefaultConfig()
-	bad.CoverageQuantile = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Fatal("quantile > 1 accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"quantile > 1", func(c *Config) { c.CoverageQuantile = 1.5 }},
+		{"NaN quantile", func(c *Config) { c.CoverageQuantile = math.NaN() }},
+		{"negative budget", func(c *Config) { c.BudgetFrac = -0.01 }},
+		{"NaN budget", func(c *Config) { c.BudgetFrac = math.NaN() }},
+	} {
+		bad = DefaultConfig()
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	if DefaultConfig().Entries() != 128 {
 		t.Fatalf("entries = %d, want 128 (Table I)", DefaultConfig().Entries())

@@ -12,7 +12,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rmcc/internal/rng"
 )
@@ -51,64 +51,72 @@ func DefaultRMAT(scale, edgeFactor int) RMATParams {
 	return RMATParams{ScaleLog2: scale, EdgeFactor: edgeFactor, A: 0.57, B: 0.19, C: 0.19}
 }
 
-// GenerateRMAT builds a CSR graph deterministically from the seed.
+// GenerateRMAT builds a CSR graph deterministically from the seed. It
+// panics on a scale outside [1, 30] and on quadrant probabilities that are
+// negative, NaN or sum past 1.
 func GenerateRMAT(p RMATParams, seed uint64) *CSR {
 	if p.ScaleLog2 <= 0 || p.ScaleLog2 > 30 {
 		panic(fmt.Sprintf("graph: scale %d out of range", p.ScaleLog2))
 	}
+	if !(p.A >= 0 && p.B >= 0 && p.C >= 0) || 1-p.A-p.B-p.C < 0 {
+		panic(fmt.Sprintf("graph: RMAT probabilities %v/%v/%v must be non-negative and sum to at most 1", p.A, p.B, p.C))
+	}
 	n := 1 << uint(p.ScaleLog2)
 	m := n * p.EdgeFactor
 	r := rng.New(seed)
-	d := 1 - p.A - p.B - p.C
-	if d < 0 {
-		panic("graph: RMAT probabilities exceed 1")
-	}
+	// Each level draws a 53-bit v and picks a quadrant by the cumulative
+	// sums A, A+B and (A+B)+C, formed in that order so that a seed keeps
+	// its graph: top-left below tA, top-right (dst bit) below tAB,
+	// bottom-left (src bit) below tABC, bottom-right (both bits) above.
+	// Non-negative probabilities make the thresholds ascend, so the src
+	// bit is v >= tAB and the dst bit the parity of the three compares.
+	tA, tAB, tABC := rng.Threshold(p.A), rng.Threshold(p.A+p.B), rng.Threshold(p.A+p.B+p.C)
 	type edge struct{ src, dst uint32 }
 	edges := make([]edge, 0, m)
 	for i := 0; i < m; i++ {
 		var src, dst uint32
-		for bit := p.ScaleLog2 - 1; bit >= 0; bit-- {
-			x := r.Float64()
-			switch {
-			case x < p.A:
-				// top-left: neither bit set
-			case x < p.A+p.B:
-				dst |= 1 << uint(bit)
-			case x < p.A+p.B+p.C:
-				src |= 1 << uint(bit)
-			default:
-				src |= 1 << uint(bit)
-				dst |= 1 << uint(bit)
-			}
+		for range p.ScaleLog2 {
+			v := r.Uint64() >> 11
+			s := b2u(v >= tAB)
+			src = src<<1 | s
+			dst = dst<<1 | (b2u(v >= tA) ^ s ^ b2u(v >= tABC))
 		}
 		if src == dst {
 			dst = (dst + 1) & uint32(n-1) // avoid self loops
 		}
 		edges = append(edges, edge{src, dst})
 	}
-	// Build CSR via counting sort on source.
-	counts := make([]uint64, n+1)
+	// Build CSR via counting sort on source; next[v] is where v's next
+	// target goes.
+	offsets := make([]uint64, n+1)
 	for _, e := range edges {
-		counts[e.src+1]++
+		offsets[e.src+1]++
 	}
 	for i := 1; i <= n; i++ {
-		counts[i] += counts[i-1]
+		offsets[i] += offsets[i-1]
 	}
-	offsets := make([]uint64, n+1)
-	copy(offsets, counts)
+	next := slices.Clone(offsets[:n])
 	targets := make([]uint32, len(edges))
-	fill := make([]uint64, n)
 	for _, e := range edges {
-		targets[offsets[e.src]+fill[e.src]] = e.dst
-		fill[e.src]++
+		targets[next[e.src]] = e.dst
+		next[e.src]++
 	}
 	g := &CSR{N: n, Offsets: offsets, Targets: targets}
 	// Sort each adjacency list: kernels like triangle counting rely on it.
 	for v := 0; v < n; v++ {
-		adj := g.Targets[g.Offsets[v]:g.Offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(g.Neighbors(v))
 	}
 	return g
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits a SETcc, not a
+// branch.
+func b2u(b bool) uint32 {
+	var u uint32
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // MaxDegreeVertex returns the vertex with the highest out-degree — a good

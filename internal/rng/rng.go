@@ -6,7 +6,17 @@
 // so it cannot depend on math/rand's global state or on seeding from time.
 // Every component that needs randomness receives its own *rng.Source seeded
 // from an experiment-level master seed.
+//
+// Float64 is v/2^53 for the 53-bit draw v = Uint64()>>11, and that division
+// is exact, so r.Float64() < p holds exactly when r.Uint64()>>11 <
+// Threshold(p). Set-up code that draws many Bernoulli trials against a
+// fixed p compares integers instead and consumes the same stream.
 package rng
+
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a xoshiro256** generator seeded via splitmix64.
 //
@@ -39,23 +49,20 @@ func (r *Source) Fork() *Source {
 	return New(r.Uint64() * 0xd1342543de82ef95)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits. It works on
+// locals so that it fits the compiler's inlining budget.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
-
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *Source) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
 // State returns the generator's internal xoshiro256** state, for
 // checkpointing. SetState restores it; together they make components that
@@ -75,8 +82,8 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform integer in [0, n) using Lemire's multiply-shift
-// rejection method. It panics if n == 0.
+// Uint64n returns a uniform integer in [0, n): v % n for the first draw v
+// at or above 2^64 mod n, which removes modulo bias. It panics if n == 0.
 func (r *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with zero n")
@@ -98,6 +105,19 @@ func (r *Source) Uint64n(n uint64) uint64 {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// Threshold returns the t in [0, 2^53] for which r.Float64() < p holds
+// exactly when r.Uint64()>>11 < t: ceil(p·2^53), clamped. A p of 0 or
+// below, or NaN, gives 0 (never true); 1 or above gives 2^53 (always).
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

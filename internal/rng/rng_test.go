@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +13,84 @@ func TestDeterminism(t *testing.T) {
 		if av, bv := a.Uint64(), b.Uint64(); av != bv {
 			t.Fatalf("sequence diverged at %d: %x vs %x", i, av, bv)
 		}
+	}
+}
+
+// TestKnownAnswers pins outputs of the xoshiro256** stream: the first draws
+// of three seeds, a Fork, and a run of Uint64n(3) with the state it leaves.
+// Any rewrite of the generator must reproduce them, or every seeded
+// workload, counter image and figure would move.
+func TestKnownAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		want [4]uint64
+	}{
+		{0, [4]uint64{0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c}},
+		{1, [4]uint64{0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7}},
+		{^uint64(0), [4]uint64{0x8f5520d52a7ead08, 0xc476a018caa1802d, 0x81de31c0d260469e, 0xbf658d7e065f3c2f}},
+	} {
+		r := New(tc.seed)
+		for i, want := range tc.want {
+			if got := r.Uint64(); got != want {
+				t.Errorf("New(%#x) draw %d = %#016x, want %#016x", tc.seed, i, got, want)
+			}
+		}
+	}
+
+	parent := New(7)
+	child := parent.Fork()
+	for i, want := range []uint64{0x5b98fcecf44f15d0, 0xf8ec72489364b545} {
+		if got := child.Uint64(); got != want {
+			t.Errorf("New(7).Fork() draw %d = %#016x, want %#016x", i, got, want)
+		}
+	}
+	if got, want := parent.Uint64(), uint64(0x475c3d964f482cd2); got != want {
+		t.Errorf("New(7) draw after Fork = %#016x, want %#016x", got, want)
+	}
+
+	r := New(3)
+	want := []uint64{2, 1, 2, 1, 2, 2, 2, 2, 2, 2, 0, 1, 2, 0, 2, 0}
+	got := make([]uint64, len(want))
+	for i := range got {
+		got[i] = r.Uint64n(3)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("New(3).Uint64n(3) x16 = %v, want %v", got, want)
+	}
+	if s, want := r.State(), [4]uint64{0xd9b5d6d5dc2a9635, 0x8e4dec578326760, 0xe429ce8ec42cd34b, 0x5c1fd1dcb5de96f7}; s != want {
+		t.Errorf("state after Uint64n = %#x, want %#x", s, want)
+	}
+}
+
+// TestThreshold checks Threshold(p) against the Float64 comparison it
+// replaces, float64(v)/2^53 < p, at v = t-1, t and t+1.
+func TestThreshold(t *testing.T) {
+	const one = 1 << 53
+	for _, p := range []float64{
+		0, 0x1p-53, 0.06, 0.19, 0.25, 0.5, 0.57, 0.76, 0.95, 1 - 0x1p-53, 1,
+		0.57 + 0.19, 0.57 + 0.19 + 0.19, // the default R-MAT sums
+		-0.5, 1.5, math.Inf(-1), math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64,
+	} {
+		th := Threshold(p)
+		if th > one {
+			t.Errorf("Threshold(%v) = %d, above 2^53", p, th)
+		}
+		for _, v := range []uint64{th - 1, th, th + 1} {
+			if v >= one { // not a 53-bit draw (also catches 0-1)
+				continue
+			}
+			if got, want := v < th, float64(v)/one < p; got != want {
+				t.Errorf("p=%v t=%d v=%d: v < t is %v, Float64 comparison %v", p, th, v, got, want)
+			}
+		}
+	}
+	for p, want := range map[float64]uint64{0: 0, 0x1p-53: 1, 0.5: one / 2, 1 - 0x1p-53: one - 1, 1: one, -0.5: 0, 1.5: one} {
+		if got := Threshold(p); got != want {
+			t.Errorf("Threshold(%v) = %d, want %d", p, got, want)
+		}
+	}
+	if got := Threshold(math.NaN()); got != 0 {
+		t.Errorf("Threshold(NaN) = %d, want 0", got)
 	}
 }
 

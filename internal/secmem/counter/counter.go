@@ -541,8 +541,9 @@ func (s *Store) warmSnap(l int, r *rng.Source, bases []uint64, frac float64) (hi
 		return 0
 	}
 	lv := &s.lv[l]
+	t := rng.Threshold(frac)
 	for j := 0; j < lv.numGroups(); j++ {
-		if r.Float64() >= frac {
+		if r.Uint64()>>11 >= t { // r.Float64() >= frac
 			continue
 		}
 		hi = max(hi, lv.rebase(j, bases[r.Intn(len(bases))]))
@@ -698,6 +699,7 @@ func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
 	if s.scheme == Morphable {
 		maxNudges = 8
 	}
+	spread := rng.Threshold(opts.SpreadFrac)
 	for l := range s.lv {
 		lv := &s.lv[l]
 		// Bases are drawn from [baseLo, baseLo+baseN) and nudges from
@@ -713,7 +715,7 @@ func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
 			nudges := 0
 			for b := start; b < end; b++ {
 				var nudge uint64
-				if nudges < limit && r.Float64() < opts.SpreadFrac {
+				if nudges < limit && r.Uint64()>>11 < spread { // r.Float64() < SpreadFrac
 					nudge = r.Uint64n(nudgeN)
 					if nudge != 0 {
 						nudges++

@@ -145,7 +145,7 @@ func (cfg Config) Validate() error {
 	if err := ccfg.Validate(); err != nil {
 		return fmt.Errorf("%w: counter cache: %v", ErrInvalidConfig, err)
 	}
-	if cfg.WarmStartFrac < 0 || cfg.WarmStartFrac > 1 {
+	if !(cfg.WarmStartFrac >= 0 && cfg.WarmStartFrac <= 1) { // NaN fails too
 		return fmt.Errorf("%w: WarmStartFrac %v out of [0,1]", ErrInvalidConfig, cfg.WarmStartFrac)
 	}
 	if cfg.Mode == RMCC {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -26,7 +27,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"unaligned memory", func(c *Config) { c.MemBytes = 100 }, "MemBytes"},
 		{"bad counter cache", func(c *Config) { c.CounterCacheBytes = 0 }, "counter cache"},
 		{"bad warm-start", func(c *Config) { c.WarmStartFrac = 1.5 }, "WarmStartFrac"},
+		{"NaN warm-start", func(c *Config) { c.WarmStartFrac = math.NaN() }, "WarmStartFrac"},
 		{"bad L0 table", func(c *Config) { c.L0Table.Groups = 0 }, "L0 table"},
+		{"NaN L0 quantile", func(c *Config) { c.L0Table.CoverageQuantile = math.NaN() }, "L0 table"},
+		{"NaN L0 budget", func(c *Config) { c.L0Table.BudgetFrac = math.NaN() }, "L0 table"},
 		{"bad L1 table", func(c *Config) { c.L1Table.GroupSize = 0 }, "L1 table"},
 	}
 	for _, tc := range cases {

@@ -5,7 +5,8 @@
 # BENCH_<date>.json with cmd/rmcc-benchdiff. For every figure the fresh
 # run produced, fails when any value differs from the baseline (series,
 # row names, or any cell, compared exactly) or when it got >25% slower in
-# wall-clock; also fails on a micro-benchmark that starts allocating
+# wall-clock (figures under 1 s in both reports are listed, not timed);
+# also fails on a micro-benchmark that starts allocating
 # where the baseline was allocation-free. Baseline figures the run did
 # not produce (a -figures subset) are skipped.
 #
