@@ -141,7 +141,10 @@ func (c *Campaign) Run() (CampaignResult, error) {
 		if lt.Accesses() >= cfg.MaxAccesses {
 			return false
 		}
-		lt.Step(a)
+		if err := lt.Step(a); err != nil {
+			// Memory is sized from the code-defined workload's footprint.
+			panic(err)
+		}
 		st.injectDue(lt.Accesses())
 		return true
 	})

@@ -4,7 +4,9 @@
 //
 // An LRU set is fully described by the recency order of its lines, so
 // each set keeps its lines in that order instead of per-line timestamps,
-// and the LRU victim is the set's last way.
+// and the LRU victim is the set's last way. A line is one word, its tag
+// and dirty bit together, so a reorder moves one slice, and a hit on a
+// set's most recent line, the commonest hit, changes no order at all.
 //
 // The model is functional: it tracks presence, dirtiness, and replacement
 // state, not contents. Contents live in the functional memory image owned by
@@ -39,10 +41,10 @@ func (c Config) Validate() error {
 	switch {
 	case sets&(sets-1) != 0:
 		return fmt.Errorf("cache: set count %d must be a power of two", sets)
-	case sets == 1 && c.LineBytes == 1:
-		// The tag would be the whole address, leaving no spare value
-		// for the invalid-way key.
-		return fmt.Errorf("cache: a single set of 1-byte lines is not supported")
+	case c.LineBytes*sets < 4:
+		// The line and set-index bits must take at least two address
+		// bits, so that a tag+1 fits in 63 bits beside the dirty bit.
+		return fmt.Errorf("cache: %d sets of %dB lines index fewer than 4 bytes", sets, c.LineBytes)
 	}
 	return nil
 }
@@ -72,19 +74,19 @@ func (s Stats) MissRate() float64 {
 // Cache is a set-associative LRU cache. Not safe for concurrent use; the
 // simulator is single-threaded on the event engine.
 //
-// Line state is kept in flat set-major arrays (way w of set s at index
-// s*Ways+w), so a lookup compares only the 8-byte keys of one set. Each
+// Line state is kept in one flat set-major array (way w of set s at index
+// s*Ways+w). A valid line is the word (tag+1)<<1 | dirty, and 0 marks an
+// invalid way, so a lookup compares only the 8-byte words of one set. Each
 // set is kept in recency order: its valid lines fill the front of its
-// ways, most recently used first, and its invalid ways (key 0) sit behind
-// them. The set's last way is therefore always the victim: an invalid
-// way while the set has room, else the least recently used line.
+// ways, most recently used first, and its invalid ways sit behind them.
+// The set's last way is therefore always the victim: an invalid way while
+// the set has room, else the least recently used line.
 type Cache struct {
 	cfg       Config
 	lineShift uint
 	tagShift  uint // set-index bits: tag = line number >> tagShift
 	setMask   uint64
-	keys      []uint64 // tag+1 of a valid line; 0 marks an invalid way
-	dirty     []bool
+	lines     []uint64 // (tag+1)<<1 | dirty of a valid line; 0 marks an invalid way
 	stats     Stats
 }
 
@@ -95,14 +97,12 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nSets := cfg.Sets()
-	n := nSets * cfg.Ways
 	return &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		tagShift:  uint(bits.TrailingZeros(uint(nSets))),
 		setMask:   uint64(nSets - 1),
-		keys:      make([]uint64, n),
-		dirty:     make([]bool, n),
+		lines:     make([]uint64, nSets*cfg.Ways),
 	}
 }
 
@@ -116,23 +116,29 @@ func (c *Cache) Stats() Stats { return c.stats }
 // warmup).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// set returns the keys and dirty bits of the set holding addr, most
-// recently used first, and the key a valid line holding addr carries.
-func (c *Cache) set(addr uint64) (keys []uint64, dirty []bool, key uint64) {
+// set returns the lines of the set holding addr, most recently used
+// first, and the clean word of a valid line holding addr.
+func (c *Cache) set(addr uint64) (lines []uint64, key uint64) {
 	l := addr >> c.lineShift
 	base := int(l&c.setMask) * c.cfg.Ways
-	end := base + c.cfg.Ways
-	return c.keys[base:end], c.dirty[base:end], l>>c.tagShift + 1
+	return c.lines[base : base+c.cfg.Ways], (l>>c.tagShift + 1) << 1
 }
 
-// find returns the way in keys holding key, or -1.
-func find(keys []uint64, key uint64) int {
-	for i, k := range keys {
-		if k == key {
+// find returns the way in lines holding key, clean or dirty, or -1.
+func find(lines []uint64, key uint64) int {
+	key |= 1
+	for i, k := range lines {
+		if k|1 == key {
 			return i
 		}
 	}
 	return -1
+}
+
+// lineAddr returns the address of the line whose word is k in the set
+// holding addr: the line shares addr's set-index bits.
+func (c *Cache) lineAddr(k, addr uint64) uint64 {
+	return (k>>1-1)<<(c.tagShift+c.lineShift) | addr&(c.setMask<<c.lineShift)
 }
 
 // Result describes the outcome of an Access.
@@ -147,53 +153,57 @@ type Result struct {
 // and marks the line dirty on writes. It returns what happened, including
 // any victim that must be written back.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	keys, dirty, key := c.set(addr)
-	if i := find(keys, key); i >= 0 {
-		d := dirty[i] || write
-		copy(keys[1:i+1], keys[:i])
-		copy(dirty[1:i+1], dirty[:i])
-		keys[0], dirty[0] = key, d
+	lines, key := c.set(addr)
+	if write {
+		key |= 1
+	}
+	// A hit on the most recent line leaves the set's order as it is.
+	if lines[0]|1 == key|1 {
+		lines[0] |= key
+		c.stats.Hits++
+		return Result{Hit: true}
+	}
+	if i := find(lines[1:], key) + 1; i > 0 {
+		k := lines[i] | key
+		copy(lines[1:i+1], lines[:i])
+		lines[0] = k
 		c.stats.Hits++
 		return Result{Hit: true}
 	}
 	c.stats.Misses++
 	var res Result
-	last := len(keys) - 1
-	if old := keys[last]; old != 0 {
+	last := len(lines) - 1
+	if old := lines[last]; old != 0 {
 		res.Evicted = true
-		res.Writeback = dirty[last]
-		// The victim shares addr's set-index bits.
-		res.VictimAddr = (old-1)<<(c.tagShift+c.lineShift) | addr&(c.setMask<<c.lineShift)
+		res.Writeback = old&1 != 0
+		res.VictimAddr = c.lineAddr(old, addr)
 		c.stats.Evictions++
 		if res.Writeback {
 			c.stats.Writebacks++
 		}
 	}
-	copy(keys[1:], keys[:last])
-	copy(dirty[1:], dirty[:last])
-	keys[0], dirty[0] = key, write
+	copy(lines[1:], lines[:last])
+	lines[0] = key
 	return res
 }
 
 // Probe reports whether addr is resident without updating LRU or counters.
 func (c *Cache) Probe(addr uint64) bool {
-	keys, _, key := c.set(addr)
-	return find(keys, key) >= 0
+	lines, key := c.set(addr)
+	return find(lines, key) >= 0
 }
 
 // Invalidate drops addr if resident and reports whether the dropped line
 // was dirty (the caller owns the resulting writeback).
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	keys, dirtyBits, key := c.set(addr)
-	i := find(keys, key)
+	lines, key := c.set(addr)
+	i := find(lines, key)
 	if i < 0 {
 		return false, false
 	}
-	dirty = dirtyBits[i]
-	last := len(keys) - 1
-	copy(keys[i:], keys[i+1:])
-	copy(dirtyBits[i:], dirtyBits[i+1:])
-	keys[last], dirtyBits[last] = 0, false
+	dirty = lines[i]&1 != 0
+	copy(lines[i:], lines[i+1:])
+	lines[len(lines)-1] = 0
 	return true, dirty
 }
 
@@ -201,10 +211,25 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // stats).
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for _, k := range c.keys {
+	for _, k := range c.lines {
 		if k != 0 {
 			n++
 		}
 	}
 	return n
+}
+
+// MaxLineAddr returns the highest line address the cache holds, and false
+// when it holds none.
+func (c *Cache) MaxLineAddr() (addr uint64, ok bool) {
+	ways := c.cfg.Ways
+	for i, k := range c.lines {
+		if k == 0 {
+			continue
+		}
+		if a := c.lineAddr(k, uint64(i/ways)<<c.lineShift); !ok || a > addr {
+			addr, ok = a, true
+		}
+	}
+	return addr, ok
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -22,10 +23,20 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 500, Ways: 2, LineBytes: 64},        // not divisible
 		{SizeBytes: 64 * 2 * 3, Ways: 2, LineBytes: 64}, // 3 sets
 		{SizeBytes: 4, Ways: 4, LineBytes: 1},           // one set of 1-byte lines
+		{SizeBytes: 8, Ways: 4, LineBytes: 2},           // one set of 2-byte lines
+		{SizeBytes: 8, Ways: 4, LineBytes: 1},           // two sets of 1-byte lines
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: config %+v unexpectedly valid", i, cfg)
+		}
+	}
+	for _, cfg := range []Config{
+		{SizeBytes: 8, Ways: 2, LineBytes: 4}, // one set of 4-byte lines
+		{SizeBytes: 8, Ways: 2, LineBytes: 1}, // four sets of 1-byte lines
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("config %+v indexes 4 bytes but is invalid: %v", cfg, err)
 		}
 	}
 	good := Config{SizeBytes: 128 << 10, Ways: 32, LineBytes: 64}
@@ -207,6 +218,8 @@ func TestDecodeStateRejectsImpossibleLines(t *testing.T) {
 	for name, mutate := range map[string]func(b []byte){
 		"valid with stamp 0": func(b []byte) { copy(b[line0+10:], make([]byte, 8)) },
 		"valid all-ones tag": func(b []byte) { copy(b[line0:], bytes.Repeat([]byte{0xff}, 8)) },
+		"valid tag 2^63-1":   func(b []byte) { binary.LittleEndian.PutUint64(b[line0:], 1<<63-1) },
+		"tag past 64 bits":   func(b []byte) { binary.LittleEndian.PutUint64(b[line0:], 1<<56) },
 		"invalid with a tag": func(b []byte) { b[line2] = 1 },
 		"invalid but dirty":  func(b []byte) { b[line2+9] = 1 },
 		"invalid with stamp": func(b []byte) { b[line2+10] = 1 },

@@ -23,6 +23,9 @@ type refCache struct {
 	sets      [][]refLine
 	stamp     uint64
 	stats     Stats
+	// mruHits counts read (0) and write (1) hits on the most recently
+	// used line of its set, the hits Cache serves without a reorder.
+	mruHits [2]uint64
 }
 
 type refLine struct {
@@ -65,6 +68,14 @@ func (r *refCache) lookup(addr uint64) *refLine {
 func (r *refCache) Access(addr uint64, write bool) Result {
 	r.stamp++
 	if l := r.lookup(addr); l != nil {
+		set, _ := r.index(addr)
+		if !slices.ContainsFunc(r.sets[set], func(o refLine) bool { return o.valid && o.lru > l.lru }) {
+			w := 0
+			if write {
+				w = 1
+			}
+			r.mruHits[w]++
+		}
 		l.lru = r.stamp
 		if write {
 			l.dirty = true
@@ -181,22 +192,28 @@ var geometries = []struct {
 }
 
 // diffStream yields a seeded address stream for cfg that both hits and
-// misses: most addresses reuse a pool of 2x-associativity tags in a few
-// sets (so LRU order and evictions matter), the rest are uniform over the
-// 64-bit space (so victim addresses carry high tag bits).
+// misses: a quarter of the addresses repeat the previous one (so accesses
+// hit the most recently used line), most others reuse a pool of
+// 2x-associativity tags in a few sets (so LRU order and evictions
+// matter), and the rest are uniform over the 64-bit space (so victim
+// addresses carry high tag bits).
 func diffStream(cfg Config, r *rng.Source) func() uint64 {
 	lineBytes := uint64(cfg.LineBytes)
 	sets := uint64(cfg.Sets())
 	hotSets := [4]uint64{0, sets - 1, r.Uint64n(sets), r.Uint64n(sets)}
 	pool := 2 * uint64(cfg.Ways)
+	var prev uint64
 	return func() uint64 {
-		off := r.Uint64n(lineBytes)
-		if r.Uint64n(8) == 0 {
-			return r.Uint64()
+		switch off := r.Uint64n(lineBytes); {
+		case r.Uint64n(4) == 0:
+		case r.Uint64n(8) == 0:
+			prev = r.Uint64()
+		default:
+			tag := r.Uint64n(pool)
+			set := hotSets[r.Uint64n(4)]
+			prev = (tag*sets+set)*lineBytes + off
 		}
-		tag := r.Uint64n(pool)
-		set := hotSets[r.Uint64n(4)]
-		return (tag*sets+set)*lineBytes + off
+		return prev
 	}
 }
 
@@ -229,8 +246,8 @@ func (o diffOp) String() string {
 // occupancy and snapshot bytes (the reference's in canonical form) every
 // 1000 ops and at the end. Halfway through, a second cache restored from
 // the reference's raw snapshot bytes joins and must continue identically.
-// It returns the reference's final counters.
-func runDiff(t testing.TB, cfg Config, ops []diffOp) Stats {
+// It returns the reference, for its final counters.
+func runDiff(t testing.TB, cfg Config, ops []diffOp) *refCache {
 	ref := newRef(cfg)
 	caches := []*Cache{New(cfg)}
 	check := func(op int, what string) {
@@ -288,7 +305,7 @@ func runDiff(t testing.TB, cfg Config, ops []diffOp) Stats {
 		}
 	}
 	check(len(ops), "end")
-	return ref.stats
+	return ref
 }
 
 // TestDifferentialAgainstReference runs seeded streams of every operation
@@ -304,8 +321,13 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				addr := next()
 				stream[i] = diffOp{kind: uint8(r.Uint64n(16)), addr: addr}
 			}
-			if s := runDiff(t, g.cfg, stream); s.Hits == 0 || s.Evictions == 0 || s.Writebacks == 0 {
+			ref := runDiff(t, g.cfg, stream)
+			if s := ref.stats; s.Hits == 0 || s.Evictions == 0 || s.Writebacks == 0 {
 				t.Fatalf("stream never hit, evicted, or wrote back: %+v", s)
+			}
+			if ref.mruHits[0] == 0 || ref.mruHits[1] == 0 {
+				t.Fatalf("stream took %d read and %d write hits on a most recent line, want some of each",
+					ref.mruHits[0], ref.mruHits[1])
 			}
 		})
 	}
@@ -314,13 +336,16 @@ func TestDifferentialAgainstReference(t *testing.T) {
 // FuzzCacheAgainstReference runs runDiff on fuzzed op streams. The first
 // byte picks a geometry; each op after it is a kind byte (low 4 bits: the
 // diffOp kind, high 4 bits: the offset within the line) and an address
-// byte. Address byte 0xff takes the next 8 bytes as a raw address;
-// otherwise its high 6 bits pick one of 2*Ways tags and its low 2 bits one
-// of four sets, so streams hit, fill sets and evict.
+// byte. Address byte 0xff takes the next 8 bytes as a raw address, and
+// 0xfe repeats the previous op's address (so accesses hit the most
+// recently used line); otherwise its high 6 bits pick one of 2*Ways tags
+// and its low 2 bits one of four sets, so streams hit, fill sets and
+// evict.
 func FuzzCacheAgainstReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 4, 0, 8, 14, 4, 0, 12, 0, 0})
 	f.Add([]byte{2, 0, 1, 0, 5, 0, 9, 0, 13, 0, 17, 15, 5, 1, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1})
 	f.Add([]byte{9, 0, 0, 1, 4, 0, 8, 0, 12, 0, 16, 14, 8, 0, 20, 12, 0})
+	f.Add([]byte{4, 1, 4, 0, 0xfe, 1, 0xfe, 0, 8, 2, 0xfe, 15, 0xfe, 0, 0xfe})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -330,14 +355,16 @@ func FuzzCacheAgainstReference(f *testing.F) {
 		hotSets := [4]uint64{0, 1 % sets, sets / 2, sets - 1}
 		pool := 2 * uint64(cfg.Ways)
 		var ops []diffOp
+		var addr uint64
 		for data = data[1:]; len(data) >= 2; {
 			kind, a := data[0], data[1]
 			data = data[2:]
-			var addr uint64
-			if a == 0xff && len(data) >= 8 {
+			switch {
+			case a == 0xff && len(data) >= 8:
 				addr = binary.LittleEndian.Uint64(data)
 				data = data[8:]
-			} else {
+			case a == 0xfe:
+			default:
 				tag, set := uint64(a>>2)%pool, hotSets[a&3]
 				addr = (tag*sets+set)*lineBytes + uint64(kind>>4)*lineBytes/16
 			}

@@ -26,14 +26,14 @@ func (c *Cache) EncodeState(e *snapshot.Enc) {
 	e.U64(c.stats.Misses)
 	e.U64(c.stats.Evictions)
 	e.U64(c.stats.Writebacks)
-	for i, k := range c.keys {
+	for i, k := range c.lines {
 		var tag, stamp uint64
 		if k != 0 {
-			tag, stamp = k-1, uint64(ways-i%ways)
+			tag, stamp = k>>1-1, uint64(ways-i%ways)
 		}
 		e.U64(tag)
 		e.Bool(k != 0)
-		e.Bool(c.dirty[i])
+		e.Bool(k&1 != 0)
 		e.U64(stamp)
 	}
 }
@@ -43,9 +43,9 @@ func (c *Cache) EncodeState(e *snapshot.Enc) {
 // configuration. Each set's valid lines are ordered by descending stamp;
 // the global stamp is read and ignored, since only the order of stamps
 // within a set matters. It refuses line states the model never produces:
-// an invalid line with any field set, a valid line with stamp 0 or the
-// all-ones tag, and two valid lines of one set with the same stamp or the
-// same tag.
+// an invalid line with any field set, a valid line with stamp 0 or a tag
+// no 64-bit address has under this geometry, and two valid lines of one
+// set with the same stamp or the same tag.
 func (d *Cache) DecodeState(dec *snapshot.Dec) error {
 	ways := d.cfg.Ways
 	if sets, w := dec.U64(), dec.U64(); sets != uint64(d.cfg.Sets()) || w != uint64(ways) {
@@ -59,21 +59,23 @@ func (d *Cache) DecodeState(dec *snapshot.Dec) error {
 	d.stats.Misses = dec.U64()
 	d.stats.Evictions = dec.U64()
 	d.stats.Writebacks = dec.U64()
+	maxTag := uint64(math.MaxUint64) >> (d.tagShift + d.lineShift)
 	stamps := make([]uint64, ways)
-	for base := 0; base < len(d.keys); base += ways {
-		keys, dirtyBits := d.keys[base:base+ways], d.dirty[base:base+ways]
+	for base := 0; base < len(d.lines); base += ways {
+		lines := d.lines[base : base+ways]
 		n := 0 // valid lines so far, kept sorted by descending stamp
 		for w := 0; w < ways; w++ {
 			tag, valid, dirty, lru := dec.U64(), dec.Bool(), dec.Bool(), dec.U64()
 			if err := dec.Err(); err != nil {
 				return err
 			}
-			if valid != (lru != 0) || valid && tag == math.MaxUint64 || !valid && (tag != 0 || dirty) {
+			if valid != (lru != 0) || valid && tag > maxTag || !valid && (tag != 0 || dirty) {
 				return dec.Failf("cache line %d: tag %#x valid %v dirty %v lru %d", base+w, tag, valid, dirty, lru)
 			}
 			if !valid {
 				continue
 			}
+			key := (tag + 1) << 1
 			i := n
 			for i > 0 && stamps[i-1] < lru {
 				i--
@@ -82,18 +84,19 @@ func (d *Cache) DecodeState(dec *snapshot.Dec) error {
 				if stamps[j] == lru {
 					return dec.Failf("cache set %d: two valid lines with stamp %d", base/ways, lru)
 				}
-				if keys[j] == tag+1 {
+				if lines[j]|1 == key|1 {
 					return dec.Failf("cache set %d: two valid lines with tag %#x", base/ways, tag)
 				}
 			}
+			if dirty {
+				key |= 1
+			}
 			copy(stamps[i+1:n+1], stamps[i:n])
-			copy(keys[i+1:n+1], keys[i:n])
-			copy(dirtyBits[i+1:n+1], dirtyBits[i:n])
-			stamps[i], keys[i], dirtyBits[i] = lru, tag+1, dirty
+			copy(lines[i+1:n+1], lines[i:n])
+			stamps[i], lines[i] = lru, key
 			n++
 		}
-		clear(keys[n:])
-		clear(dirtyBits[n:])
+		clear(lines[n:])
 	}
 	return dec.Err()
 }

@@ -1,15 +1,26 @@
 package vm
 
 import (
+	"errors"
 	"testing"
 
 	"rmcc/internal/rng"
 )
 
+// translate is Translate for tests whose memory never runs out.
+func translate(t *testing.T, m *Mapper, vaddr uint64) uint64 {
+	t.Helper()
+	paddr, err := m.Translate(vaddr)
+	if err != nil {
+		t.Fatalf("Translate(%#x): %v", vaddr, err)
+	}
+	return paddr
+}
+
 func TestTranslateStableAndAligned(t *testing.T) {
 	m := New(64<<20, 2<<20, 1)
-	a := m.Translate(0x12345678)
-	b := m.Translate(0x12345678)
+	a := translate(t, m, 0x12345678)
+	b := translate(t, m, 0x12345678)
 	if a != b {
 		t.Fatal("translation not stable")
 	}
@@ -22,7 +33,7 @@ func TestDistinctPagesDistinctFrames(t *testing.T) {
 	m := New(64<<20, 4096, 2)
 	seen := make(map[uint64]bool)
 	for v := uint64(0); v < 1000; v++ {
-		p := m.Translate(v*4096) >> 12
+		p := translate(t, m, v*4096) >> 12
 		if seen[p] {
 			t.Fatalf("frame %d reused", p)
 		}
@@ -36,9 +47,9 @@ func TestDistinctPagesDistinctFrames(t *testing.T) {
 func TestRandomPlacement(t *testing.T) {
 	m := New(64<<20, 4096, 3)
 	sequentialPairs := 0
-	prev := m.Translate(0) >> 12
+	prev := translate(t, m, 0) >> 12
 	for v := uint64(1); v < 512; v++ {
-		cur := m.Translate(v*4096) >> 12
+		cur := translate(t, m, v*4096) >> 12
 		if cur == prev+1 {
 			sequentialPairs++
 		}
@@ -51,16 +62,24 @@ func TestRandomPlacement(t *testing.T) {
 	}
 }
 
-func TestExhaustionPanics(t *testing.T) {
+// TestExhaustionReturnsError: a first touch past the last physical page
+// is an ErrOutOfMemory that maps nothing, while mapped pages still
+// translate as before.
+func TestExhaustionReturnsError(t *testing.T) {
 	m := New(8192, 4096, 4)
-	m.Translate(0)
-	m.Translate(4096)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on exhaustion")
+	a := translate(t, m, 0)
+	b := translate(t, m, 4096+5)
+	for i := 0; i < 2; i++ {
+		if _, err := m.Translate(8192); !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("third page: err = %v, want ErrOutOfMemory", err)
 		}
-	}()
-	m.Translate(8192)
+	}
+	if m.MappedPages() != 2 {
+		t.Fatalf("mapped = %d after exhaustion, want 2", m.MappedPages())
+	}
+	if translate(t, m, 7) != a+7 || translate(t, m, 4096+5) != b {
+		t.Fatal("mapped pages moved after exhaustion")
+	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
@@ -69,17 +88,21 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	r := rng.New(5)
 	for i := 0; i < 2000; i++ {
 		v := r.Uint64n(16 << 20)
-		if m1.Translate(v) != m2.Translate(v) {
+		if translate(t, m1, v) != translate(t, m2, v) {
 			t.Fatal("same seed diverged")
 		}
 	}
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-power-of-two page")
-		}
-	}()
-	New(1<<20, 3000, 1)
+	for _, page := range []uint64{0, 1, 3000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("page size %d: expected panic", page)
+				}
+			}()
+			New(1<<20, page, 1)
+		}()
+	}
 }

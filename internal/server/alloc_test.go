@@ -45,8 +45,8 @@ func TestReplayChunkInstrumentationAllocFree(t *testing.T) {
 	apply := func(tc obs.TraceContext) func() {
 		clk := &stageClock{spans: s.spans, id: sess.id, tc: tc, last: time.Now().UnixNano()}
 		return func() {
-			if n := s.applyBatch(ctx, sess, batch, clk); n != 0 {
-				t.Fatalf("stepped %d accesses of an empty batch", n)
+			if n, err := s.applyBatch(ctx, sess, batch, clk); n != 0 || err != nil {
+				t.Fatalf("stepped %d accesses of an empty batch: %v", n, err)
 			}
 		}
 	}

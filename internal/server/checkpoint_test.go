@@ -1,15 +1,22 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"rmcc/internal/mem/cache"
+	"rmcc/internal/secmem/engine"
 	"rmcc/internal/server"
 	"rmcc/internal/server/client"
+	"rmcc/internal/sim"
+	"rmcc/internal/snapshot"
+	"rmcc/internal/workload"
 )
 
 // directStats runs the reference simulation on a throwaway daemon: one
@@ -301,5 +308,86 @@ func TestDrainFinalCheckpoint(t *testing.T) {
 	}
 	if len(infos) != 1 || infos[0].Accesses != 4000 {
 		t.Fatalf("recovered sessions after drain: %+v", infos)
+	}
+}
+
+// resealSection returns data, a snapshot of kind whose sections are tags,
+// with section tag's payload passed through edit and every section sealed
+// under a fresh CRC.
+func resealSection(t *testing.T, data []byte, kind string, tags []string, tag string, edit func([]byte) []byte) []byte {
+	t.Helper()
+	sr, err := snapshot.NewReader(bytes.NewReader(data), kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	sw := snapshot.NewWriter(&out, kind, sr.ConfigHash())
+	for _, s := range tags {
+		p, err := sr.Section(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s == tag {
+			p = edit(p)
+		}
+		sw.Section(s, p)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestRestoreRefusesAddressesOutsidePhysicalMemory: a checkpoint whose
+// page table maps a page, or whose LLC holds a dirty line, past the
+// session's physical memory is a 422, however well sealed, so no later
+// replay can step into it. The undoctored blob restores.
+func TestRestoreRefusesAddressesOutsidePhysicalMemory(t *testing.T) {
+	_, c := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	info, err := c.CreateSession(ctx, server.SessionConfig{FootprintBytes: 1 << 20, Label: "doctored"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReplayAccessesBinary(ctx, info.ID, []workload.Access{{Addr: 2 << 21}}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := c.CheckpointDownload(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeleteSession(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	var vmState snapshot.Enc
+	vmState.U64(1) // allocation cursor
+	vmState.U64(1) // table length
+	vmState.U64(2) // vpage
+	vmState.U64(1 << 30)
+	llc := cache.New(sim.DefaultLifetimeConfig(engine.Config{}).LLC)
+	llc.Access(1<<50, true)
+	var llcState snapshot.Enc
+	llc.EncodeState(&llcState)
+	lifetimeTags := []string{"cursor", "l1", "l2", "llc", "tlb4k", "tlb2m", "vm", "engine"}
+	for _, tc := range []struct {
+		name, tag string
+		payload   []byte
+	}{
+		{"vpage 2 mapped to ppage 2^30", "vm", vmState.Data()},
+		{"dirty LLC line at 2^50", "llc", llcState.Data()},
+	} {
+		bad := resealSection(t, blob, "rmccd-session", []string{"meta", "lifetime"}, "lifetime", func(lt []byte) []byte {
+			return resealSection(t, lt, "rmcc-lifetime", lifetimeTags, tc.tag, func([]byte) []byte { return tc.payload })
+		})
+		if _, err := c.RestoreSession(ctx, bad); !isStatus(err, http.StatusUnprocessableEntity) {
+			t.Errorf("%s: restore err = %v, want 422", tc.name, err)
+		}
+	}
+	if list, err := c.ListSessions(ctx); err != nil || len(list) != 0 {
+		t.Fatalf("refused restores left sessions: %+v, %v", list, err)
+	}
+	if restored, err := c.RestoreSession(ctx, blob); err != nil || restored.Accesses != 1 {
+		t.Fatalf("undoctored restore: %+v, %v", restored, err)
 	}
 }

@@ -159,7 +159,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		case errors.As(err, &badInput):
 			s.mReplaysErr.Inc()
 			sess.lg.Warn("replay rejected", "applied", applied, "error", err)
-			rw.fail(http.StatusBadRequest, err.Error())
+			rw.fail(http.StatusBadRequest, fmt.Sprintf("%v (%d accesses applied)", err, applied))
 		case ctx.Err() != nil:
 			s.mReplaysCancel.Inc()
 			reason := "replay cancelled"
@@ -264,9 +264,14 @@ func (s *Server) replayBatches(ctx context.Context, sess *session, src batchRead
 		case err != nil:
 			return applied, err
 		}
-		stepped := s.applyBatch(ctx, sess, batch, clk)
+		stepped, stepErr := s.applyBatch(ctx, sess, batch, clk)
 		applied += uint64(stepped)
 		sess.touch(s.cfg.Now())
+		if stepErr != nil {
+			// The stream outgrew the session's physical memory; the
+			// step that found it changed nothing.
+			return applied, &inputError{fmt.Errorf("frame %d: %w", n, stepErr)}
+		}
 		// A progress frame is an encode stage; without one, the time
 		// rolls into the next decode.
 		wrote, err := rw.progress(applied)
@@ -277,8 +282,8 @@ func (s *Server) replayBatches(ctx context.Context, sess *session, src batchRead
 			return applied, err
 		}
 		if stepped < len(batch) {
-			// applyBatch stopped mid-batch: only cancellation does
-			// that, and context errors are sticky.
+			// applyBatch stopped mid-batch without a step error: only
+			// cancellation does that, and context errors are sticky.
 			return applied, ctx.Err()
 		}
 	}
@@ -335,18 +340,21 @@ func (g *generator) settle(applied uint64) {
 }
 
 // applyBatch steps one batch through the session's engine and returns
-// how many accesses it stepped: cancellation mid-batch leaves fewer than
-// len(batch). It refreshes the listing mirrors, records the engine-step
-// stage on clk, feeds the session's latency history and (sampled, debug
-// level only) logs the batch. The caller holds the replay lease. This is
+// how many accesses it stepped: cancellation or a step error mid-batch
+// leaves fewer than len(batch), and the step error is returned. It
+// refreshes the listing mirrors, records the engine-step stage on clk,
+// feeds the session's latency history and (sampled, debug level only)
+// logs the batch. The caller holds the replay lease. This is
 // THE hot service-layer path, one call per batch, and it allocates
 // nothing (TestReplayChunkInstrumentationAllocFree).
-func (s *Server) applyBatch(ctx context.Context, sess *session, batch []workload.Access, clk *stageClock) (stepped int) {
+func (s *Server) applyBatch(ctx context.Context, sess *session, batch []workload.Access, clk *stageClock) (stepped int, err error) {
 	for _, a := range batch {
 		if stepped%512 == 511 && ctx.Err() != nil {
 			break
 		}
-		sess.lt.Step(a)
+		if err = sess.lt.Step(a); err != nil {
+			break
+		}
 		stepped++
 	}
 	sess.accessesDone.Store(sess.lt.Accesses())
@@ -356,7 +364,7 @@ func (s *Server) applyBatch(ctx context.Context, sess *session, batch []workload
 	if sess.lg.Enabled(context.Background(), slog.LevelDebug) && sess.sampler.Allow() {
 		sess.lg.Debug("chunk applied", "accesses", stepped, "engine_step_us", stepUS)
 	}
-	return stepped
+	return stepped, err
 }
 
 // inputError marks client-side (4xx) replay failures.

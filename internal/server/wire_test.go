@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
 
+	"rmcc/internal/secmem/counter"
+	"rmcc/internal/secmem/engine"
 	"rmcc/internal/server"
+	"rmcc/internal/server/client"
+	"rmcc/internal/sim"
 	"rmcc/internal/trace"
 	"rmcc/internal/workload"
 )
@@ -139,6 +144,54 @@ func TestBinaryReplayErrors(t *testing.T) {
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("daemon unhealthy after bad frames: %v", err)
 	}
+}
+
+// TestUploadOutgrowingMemory: an upload that touches more pages than the
+// session's physical memory holds is a 400 naming the accesses applied
+// before it. The access that ran out changes nothing, so the session
+// stays listed with those accesses and its next replay matches a direct
+// run of the applied ones.
+func TestUploadOutgrowingMemory(t *testing.T) {
+	_, c := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	// 1 MiB of footprint gets 18 MiB of physical memory: nine 2 MiB pages.
+	info, err := c.CreateSession(ctx, server.SessionConfig{FootprintBytes: 1 << 20, Label: "oom"})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	accs := make([]workload.Access, 64)
+	for i := range accs {
+		accs[i] = workload.Access{Addr: uint64(i)<<30 | 64*uint64(i), Write: i%3 == 0}
+	}
+	_, err = c.ReplayAccessesBinary(ctx, info.ID, accs)
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest ||
+		!strings.Contains(ae.Msg, "out of physical memory") || !strings.Contains(ae.Msg, "(9 accesses applied)") {
+		t.Fatalf("upload past physical memory: %v, want 400 with 9 accesses applied", err)
+	}
+	list, err := c.ListSessions(ctx)
+	if err != nil || len(list) != 1 || list[0].ID != info.ID || list[0].Accesses != 9 {
+		t.Fatalf("listing after the 400: %+v, %v; want the session with 9 accesses", list, err)
+	}
+
+	next := workload.Access{Addr: 3<<30 | 5, Write: true}
+	got, err := c.ReplayAccessesBinary(ctx, info.ID, []workload.Access{next})
+	if err != nil {
+		t.Fatalf("replay after the 400: %v", err)
+	}
+	engCfg := engine.DefaultConfig(engine.RMCC, counter.Morphable, 0)
+	engCfg.InitSeed = 1
+	cfg := sim.DefaultLifetimeConfig(engCfg)
+	lt, err := sim.NewLifetimeChecked("oom", 1<<20, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range append(accs[:9:9], next) {
+		if err := lt.Step(a); err != nil {
+			t.Fatalf("direct run: %v", err)
+		}
+	}
+	assertSameRun(t, "replay after the 400", lt.Counters(), got)
 }
 
 // TestWireMetrics checks the per-wire accounting: the binary request

@@ -117,7 +117,10 @@ func RunLeakage(adv Adversary, opt LeakageOptions) (LeakageResult, error) {
 	var n uint64
 	epoch := 0
 	adv.Run(opt.Seed, func(a workload.Access) bool {
-		lt.Step(a)
+		if err := lt.Step(a); err != nil {
+			// Memory is sized from the adversary's own footprint.
+			panic(err)
+		}
 		n++
 		if n == warm {
 			// Warmup done: only now do observables count toward epochs.

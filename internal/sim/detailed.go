@@ -218,6 +218,16 @@ type detailedSim struct {
 	missCount  uint64
 }
 
+// translate maps vaddr to its physical address. Physical memory is sized
+// from the workload's own footprint, so running out of it is a bug.
+func (s *detailedSim) translate(vaddr uint64) uint64 {
+	paddr, err := s.mapper.Translate(vaddr)
+	if err != nil {
+		panic(err)
+	}
+	return paddr
+}
+
 // prefetch reacts to a demand miss: armed streams pull the next lines into
 // the LLC through the full secure path (prefetches fetch and decrypt like
 // demand reads — they warm the counter cache too — and consume DRAM
@@ -424,7 +434,7 @@ func (c *core) step() bool {
 	}
 
 	// Memory access.
-	paddr := s.mapper.Translate(a.Addr)
+	paddr := s.translate(a.Addr)
 	if s.eng.Now() < c.tF {
 		s.eng.RunUntil(c.tF)
 	} else if c.tF < s.eng.Now() {
@@ -545,7 +555,7 @@ func RunDetailed(w workload.Workload, cfg DetailedConfig) DetailedResult {
 		if !ok {
 			break
 		}
-		paddr := s.mapper.Translate(a.Addr)
+		paddr := s.translate(a.Addr)
 		lvl, victims := s.hier.access(paddr, a.Write)
 		for _, v := range victims {
 			s.mc.Write(v)

@@ -99,7 +99,11 @@ func RunLifetime(w workload.Workload, cfg LifetimeConfig) LifetimeResult {
 		if !ok {
 			break
 		}
-		lt.Step(a)
+		if err := lt.Step(a); err != nil {
+			// Physical memory is sized from the workload's own
+			// footprint, so a workload that outgrows it is a bug.
+			panic(err)
+		}
 	}
 	return lt.Result()
 }

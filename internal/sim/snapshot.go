@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"rmcc/internal/mem/cache"
 	"rmcc/internal/snapshot"
 )
 
@@ -58,7 +59,9 @@ func (lt *Lifetime) Save(w io.Writer) error {
 // Load restores state written by Save into a stepper built with the
 // identical name, footprint, and configuration. On error the stepper is
 // left in an undefined state and must be discarded; errors are typed
-// (snapshot.ErrSnapshot*).
+// (snapshot.ErrSnapshot*). Beyond what each part's decoder checks, it
+// refuses a data-cache line at or past the end of physical memory, which
+// no run produces and whose eviction would write outside it.
 func (lt *Lifetime) Load(r io.Reader) error {
 	sr, err := snapshot.NewReader(r, lifetimeKind)
 	if err != nil {
@@ -106,6 +109,15 @@ func (lt *Lifetime) Load(r io.Reader) error {
 		}
 		if err := d.Finish(); err != nil {
 			return fmt.Errorf("section %q: %w", part.tag, err)
+		}
+	}
+	for _, part := range []struct {
+		tag string
+		c   *cache.Cache
+	}{{"l1", lt.h.l1}, {"l2", lt.h.l2}, {"llc", lt.h.llc}} {
+		if top, ok := part.c.MaxLineAddr(); ok && top >= lt.mapper.PhysBytes() {
+			return fmt.Errorf("section %q: %w: line %#x beyond %d bytes of physical memory",
+				part.tag, snapshot.ErrSnapshotCorrupt, top, lt.mapper.PhysBytes())
 		}
 	}
 	if err := sr.Close(); err != nil {

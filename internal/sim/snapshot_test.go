@@ -2,11 +2,13 @@ package sim_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"rmcc/internal/mem/cache"
 	"rmcc/internal/rng"
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
@@ -213,5 +215,113 @@ func TestLifetimeLoadTypedErrors(t *testing.T) {
 	// The valid bytes load cleanly into a matching fresh stepper.
 	if err := fresh().Load(bytes.NewReader(valid)); err != nil {
 		t.Errorf("valid load: %v", err)
+	}
+}
+
+// reseal returns the lifetime snapshot data with section tag's payload
+// replaced, every section sealed under a fresh CRC as Save seals it.
+func reseal(t *testing.T, data []byte, tag string, payload []byte) []byte {
+	t.Helper()
+	sr, err := snapshot.NewReader(bytes.NewReader(data), "rmcc-lifetime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	sw := snapshot.NewWriter(&out, "rmcc-lifetime", sr.ConfigHash())
+	for _, s := range []string{"cursor", "l1", "l2", "llc", "tlb4k", "tlb2m", "vm", "engine"} {
+		p, err := sr.Section(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s == tag {
+			p = payload
+		}
+		sw.Section(s, p)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestLoadRefusesAddressesOutsidePhysicalMemory: a checkpoint whose page
+// table or data caches point past the end of physical memory is refused
+// as corrupt, though each section is well formed and sealed, instead of
+// loading and panicking a later step. A line just below the end loads.
+func TestLoadRefusesAddressesOutsidePhysicalMemory(t *testing.T) {
+	// 1 MiB of footprint gets 18 MiB of physical memory: nine 2 MiB pages.
+	const phys = 18 << 20
+	cfg := sim.DefaultLifetimeConfig(engine.DefaultConfig(engine.RMCC, counter.Morphable, 0))
+	fresh := func() *sim.Lifetime {
+		lt, err := sim.NewLifetimeChecked("doctored", 1<<20, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lt
+	}
+	lt := fresh()
+	if err := lt.Step(workload.Access{Addr: 2 << 21}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := lt.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	if err := fresh().Load(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("valid checkpoint: %v", err)
+	}
+
+	var e snapshot.Enc
+	e.U64(1) // allocation cursor
+	e.U64(1) // table length
+	e.U64(2) // vpage
+	e.U64(1 << 30)
+	if err := fresh().Load(bytes.NewReader(reseal(t, valid, "vm", e.Data()))); !errors.Is(err, snapshot.ErrSnapshotCorrupt) {
+		t.Errorf("vpage 2 mapped to ppage 2^30: err = %v, want ErrSnapshotCorrupt", err)
+	}
+
+	// A dirty line at addr, in an LLC that holds nothing else.
+	llcWith := func(addr uint64) []byte {
+		c := cache.New(cfg.LLC)
+		c.Access(addr, true)
+		var e snapshot.Enc
+		c.EncodeState(&e)
+		return e.Data()
+	}
+	for _, tc := range []struct {
+		addr uint64
+		ok   bool
+	}{{phys - 64, true}, {phys, false}, {1 << 50, false}} {
+		err := fresh().Load(bytes.NewReader(reseal(t, valid, "llc", llcWith(tc.addr))))
+		if tc.ok && err != nil || !tc.ok && !errors.Is(err, snapshot.ErrSnapshotCorrupt) {
+			t.Errorf("dirty LLC line at %#x: err = %v, want refused %v", tc.addr, err, !tc.ok)
+		}
+	}
+}
+
+// TestSaveBytesPinned pins the SHA-256 of a snapshot cut after a fixed
+// canneal stream that fills, dirties and evicts every cache level, so
+// checkpoints stay byte-identical across builds and older ones keep
+// loading. Regenerating the digest breaks both.
+func TestSaveBytesPinned(t *testing.T) {
+	const want = "626c82ee3933b2f5e991c0e2343a3d207d0cf48e4158e341d9e1bb2f2b2b60c9"
+	w, ok := workload.ByName(workload.SizeSmall, 7, "canneal")
+	if !ok {
+		t.Fatal("no canneal workload")
+	}
+	cfg := sim.DefaultLifetimeConfig(engine.DefaultConfig(engine.RMCC, counter.Morphable, 0))
+	cfg.Seed = 7
+	lt, err := sim.NewLifetimeChecked(w.Name(), w.FootprintBytes(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepTo(t, lt, w, cfg.Seed, 0, 100_000)
+	var buf bytes.Buffer
+	if err := lt.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("Save after 100 000 canneal accesses: sha256 %s, want %s", got, want)
 	}
 }

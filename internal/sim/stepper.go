@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"rmcc/internal/mem/tlb"
 	"rmcc/internal/mem/vm"
 	"rmcc/internal/secmem/engine"
@@ -59,13 +61,18 @@ func NewLifetimeChecked(name string, footprintBytes uint64, cfg LifetimeConfig) 
 }
 
 // Step runs one CPU access through TLBs, the cache hierarchy, and — on an
-// LLC miss or dirty eviction — the secure memory controller. It mirrors
-// the RunLifetime loop body exactly.
-func (lt *Lifetime) Step(a workload.Access) {
+// LLC miss or dirty eviction — the secure memory controller. It is the
+// RunLifetime loop body. An access whose page is new when every physical
+// page is mapped returns an error wrapping vm.ErrOutOfMemory before it
+// touches any state, so the stepper continues as if it had never come.
+func (lt *Lifetime) Step(a workload.Access) error {
+	paddr, err := lt.mapper.Translate(a.Addr)
+	if err != nil {
+		return fmt.Errorf("sim: access %d at %#x: %w", lt.accesses+1, a.Addr, err)
+	}
 	lt.accesses++
 	lt.tlb4k.Lookup(a.Addr)
 	lt.tlb2m.Lookup(a.Addr)
-	paddr := lt.mapper.Translate(a.Addr)
 	lvl, victims := lt.h.access(paddr, a.Write)
 	for _, v := range victims {
 		lt.mc.Write(v)
@@ -77,6 +84,7 @@ func (lt *Lifetime) Step(a workload.Access) {
 		lt.mc.OnEpochAccess()
 		lt.reads++
 	}
+	return nil
 }
 
 // Accesses returns the number of CPU accesses stepped so far.

@@ -1,10 +1,13 @@
 package sim_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"rmcc/internal/mem/vm"
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
 	"rmcc/internal/sim"
@@ -59,5 +62,39 @@ func TestCountersMatchResult(t *testing.T) {
 				t.Errorf("Counters allocates %.1f/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestStepOutOfMemoryChangesNothing: an access to a new page when every
+// physical page is mapped is an ErrOutOfMemory, and the stepper's state,
+// snapshot bytes included, is as if the access never came.
+func TestStepOutOfMemoryChangesNothing(t *testing.T) {
+	cfg := sim.DefaultLifetimeConfig(engine.DefaultConfig(engine.RMCC, counter.Morphable, 0))
+	// 1 MiB of footprint gets 18 MiB of physical memory: nine 2 MiB pages.
+	lt, err := sim.NewLifetimeChecked("oom", 1<<20, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func() []byte {
+		var buf bytes.Buffer
+		if err := lt.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for i := uint64(0); i < 9; i++ {
+		if err := lt.Step(workload.Access{Addr: i << 30, Write: true}); err != nil {
+			t.Fatalf("page %d: %v", i, err)
+		}
+	}
+	before := save()
+	if err := lt.Step(workload.Access{Addr: 9 << 30, Write: true}); !errors.Is(err, vm.ErrOutOfMemory) {
+		t.Fatalf("tenth page: err = %v, want ErrOutOfMemory", err)
+	}
+	if lt.Accesses() != 9 || !bytes.Equal(save(), before) {
+		t.Fatalf("the refused access changed the stepper: %d accesses", lt.Accesses())
+	}
+	if err := lt.Step(workload.Access{Addr: 5}); err != nil {
+		t.Fatalf("mapped page after the refusal: %v", err)
 	}
 }
