@@ -253,8 +253,8 @@ func (st *campaignState) inject(f Fault) {
 		// the corruption desynchronizes counter and ciphertext (a lazily
 		// installed image would otherwise seal under the corrupt value).
 		mc.SnapshotCiphertext(b)
-		cur := store.DataCounter(b)
-		mc.CorruptDataCounter(b, cur+0x5eed)
+		cur := store.Counter(0, b)
+		mc.CorruptCounter(0, b, cur+0x5eed)
 		r.Armed = true
 		st.probe(addr, &r)
 
@@ -346,7 +346,7 @@ func (st *campaignState) injectTreeCorrupt(f Fault, b int, r *Result) {
 	x := -1
 	for try := 0; try < nl1; try++ {
 		cand := int((mix(f.Salt) + uint64(try)) % uint64(nl1))
-		if store.TreeCounter(1, cand) > 0 {
+		if store.Counter(1, cand) > 0 {
 			x = cand
 			break
 		}
@@ -356,13 +356,13 @@ func (st *campaignState) injectTreeCorrupt(f Fault, b int, r *Result) {
 		// Stand in a legitimately-advanced history first — raise one
 		// counter, re-baseline the checker on it — then roll it back.
 		x = int(mix(f.Salt) % uint64(nl1))
-		mc.CorruptTreeCounter(1, x, 0x1000+mix(f.Salt)%0x1000)
+		mc.CorruptCounter(1, x, 0x1000+mix(f.Salt)%0x1000)
 		st.chk.Check()
 	}
 	r.Armed = true
 	r.Block = x
-	cur := store.TreeCounter(1, x)
-	mc.CorruptTreeCounter(1, x, cur/2)
+	cur := store.Counter(1, x)
+	mc.CorruptCounter(1, x, cur/2)
 
 	st.chk.Check()
 	after := st.chk.Report()
@@ -390,7 +390,7 @@ func (st *campaignState) injectMemoPoison(f Fault, b int, r *Result) {
 	n := store.NumDataBlocks()
 	for try := 0; try < n; try++ {
 		cand := int((mix(f.Salt) + uint64(try)) % uint64(n))
-		v := store.DataCounter(cand)
+		v := store.Counter(0, cand)
 		if v > counter.MaxCounter {
 			continue
 		}

@@ -140,11 +140,11 @@ func (c *Checker) snapshot() {
 		return
 	}
 	for i := 0; i < st.NumDataBlocks(); i += c.stride {
-		c.last[i] = st.DataCounter(i)
+		c.last[i] = st.Counter(0, i)
 	}
 	if st.Levels() >= 1 {
 		for x := 0; x < st.TreeLevelLen(1); x += c.stride {
-			c.lastL1[x] = st.TreeCounter(1, x)
+			c.lastL1[x] = st.Counter(1, x)
 		}
 	}
 }
@@ -193,7 +193,7 @@ func (c *Checker) Check() {
 		c.snapshot()
 	} else {
 		for i, prev := range c.last {
-			cur := st.DataCounter(i)
+			cur := st.Counter(0, i)
 			if cur < prev {
 				c.violatef(ClassCounterRegression,
 					"block %d counter decreased: %d -> %d (pad reuse!)", i, prev, cur)
@@ -205,7 +205,7 @@ func (c *Checker) Check() {
 			c.last[i] = cur
 		}
 		for x, prev := range c.lastL1 {
-			cur := st.TreeCounter(1, x)
+			cur := st.Counter(1, x)
 			if cur < prev {
 				c.violatef(ClassTreeRegression,
 					"L1 child %d counter decreased: %d -> %d", x, prev, cur)

@@ -24,7 +24,7 @@ func TestReportClasses(t *testing.T) {
 				mc.Write(0x2000)
 				ck.Check() // baseline after the legitimate advance
 				i := mc.Store().DataBlockIndex(0x2000)
-				mc.CorruptDataCounter(i, 0) // roll back
+				mc.CorruptCounter(0, i, 0) // roll back
 			},
 		},
 		{
@@ -32,7 +32,7 @@ func TestReportClasses(t *testing.T) {
 			class: ClassCounterCeiling,
 			corrupt: func(t *testing.T, mc *engine.MC, ck *Checker) {
 				i := mc.Store().DataBlockIndex(0x2000)
-				mc.CorruptDataCounter(i, counter.MaxCounter+1)
+				mc.CorruptCounter(0, i, counter.MaxCounter+1)
 			},
 		},
 		{
@@ -42,7 +42,7 @@ func TestReportClasses(t *testing.T) {
 				st := mc.Store()
 				x := -1
 				for c := 0; c < st.TreeLevelLen(1); c++ {
-					if st.TreeCounter(1, c) > 0 {
+					if st.Counter(1, c) > 0 {
 						x = c
 						break
 					}
@@ -50,7 +50,7 @@ func TestReportClasses(t *testing.T) {
 				if x < 0 {
 					t.Fatal("randomized init left every L1 counter zero")
 				}
-				mc.CorruptTreeCounter(1, x, st.TreeCounter(1, x)/2)
+				mc.CorruptCounter(1, x, st.Counter(1, x)/2)
 			},
 		},
 		{
@@ -145,7 +145,7 @@ func TestRekeyAwareness(t *testing.T) {
 	// still caught.
 	mc.Write(0x2000)
 	ck.Check()
-	mc.CorruptDataCounter(mc.Store().DataBlockIndex(0x2000), 0)
+	mc.CorruptCounter(0, mc.Store().DataBlockIndex(0x2000), 0)
 	ck.Check()
 	if ck.Report().Counts[ClassCounterRegression] == 0 {
 		t.Error("post-rekey rollback missed")

@@ -104,23 +104,24 @@ const BlockBytes = 64
 // Address map (block-granular, byte addresses):
 //
 //	[0, dataBytes)            data blocks
-//	[ctrBase, ...)            L0 counter blocks, one per Coverage() data blocks
+//	[treeBase[0], ...)        L0 counter blocks, one per Coverage() data blocks
 //	[treeBase[l], ...)        tree nodes for level l >= 1
 //
 // L0 counter blocks and tree nodes are the same split-counter structure,
 // one shared major counter plus a minor per child, so every counter level
-// is one level value: lv[0] holds the data counters grouped by L0 counter
-// block, and lv[l] (l >= 1) holds tree level l's counters grouped by node.
-// Counter c of lv[1] protects L0 counter block c; counter c of lv[l]
-// protects level-(l-1) node c. Every group, at every level, covers
-// Coverage() children. The root level's counters live on-chip and need no
-// protection. The levels differ only in which spreads fit (fits).
+// is one level value and every metadata block is a node: lv[0] holds the
+// data counters grouped by L0 counter block (the level-0 nodes), and lv[l]
+// (l >= 1) holds tree level l's counters grouped by node. Counter c of
+// lv[1] protects L0 counter block c; counter c of lv[l] protects level-(l-1)
+// node c. Every group, at every level, covers Coverage() children. The root
+// level's counters live on-chip and need no protection. The levels differ
+// only in which spreads fit (fits), and in that level 0 alone feeds the
+// observed-max register.
 type Store struct {
 	scheme      Scheme
-	shift       uint    // log2(Coverage()): counter index -> group index
-	lv          []level // lv[0] data counters, lv[l] tree level l
-	ctrBase     uint64
-	treeBase    []uint64 // base address per tree level (index 1..)
+	shift       uint     // log2(Coverage()): counter index -> node index
+	lv          []level  // lv[0] data counters, lv[l] tree level l
+	treeBase    []uint64 // base address of each level's nodes
 	observedMax uint64   // largest data counter ever set (§IV-D2 register)
 
 	// Overflows counts relevel events per level (0 = data/L0 groups).
@@ -163,21 +164,20 @@ func NewStore(scheme Scheme, dataBytes uint64) *Store {
 	if dataBytes == 0 || dataBytes%BlockBytes != 0 {
 		panic(fmt.Sprintf("counter: dataBytes %d not a positive multiple of %d", dataBytes, BlockBytes))
 	}
-	s := &Store{scheme: scheme, ctrBase: dataBytes}
+	s := &Store{scheme: scheme}
 	for 1<<s.shift < scheme.Coverage() {
 		s.shift++
 	}
-	// Level l >= 1 has one counter per level-(l-1) group: per L0 counter
-	// block for level 1, per node above.
-	s.lv = append(s.lv, s.newLevel(int(dataBytes/BlockBytes)))
-	s.treeBase = append(s.treeBase, 0)
-	addr := s.ctrBase + uint64(s.lv[0].numGroups())*BlockBytes
+	// Level l >= 1 has one counter per level-(l-1) node: per L0 counter
+	// block for level 1, per tree node above. Each level's nodes follow the
+	// level below's, starting with the L0 counter blocks after the data.
+	s.lv = []level{s.newLevel(int(dataBytes / BlockBytes))}
+	s.treeBase = []uint64{dataBytes}
 	for children := s.lv[0].numGroups(); children > 1; {
-		lv := s.newLevel(children)
-		s.lv = append(s.lv, lv)
-		s.treeBase = append(s.treeBase, addr)
-		children = lv.numGroups()
-		addr += uint64(children) * BlockBytes
+		top := len(s.lv) - 1
+		s.treeBase = append(s.treeBase, s.treeBase[top]+uint64(children)*BlockBytes)
+		s.lv = append(s.lv, s.newLevel(children))
+		children = s.lv[top+1].numGroups()
 	}
 	s.Overflows = make([]uint64, len(s.lv)+1) // one spare slot, as checkpoints carry it
 	s.ResetCounters()
@@ -224,36 +224,22 @@ func (s *Store) DataBlockIndex(addr uint64) int { return int(addr / BlockBytes) 
 // DataBlockAddr returns the byte address of data block i.
 func (s *Store) DataBlockAddr(i int) uint64 { return uint64(i) * BlockBytes }
 
-// L0Index returns the L0 counter block index covering data block i.
-func (s *Store) L0Index(i int) int { return i >> s.shift }
+// NodeIndex returns the node holding counter i of any level: data block
+// i's L0 counter block at level 0, the level-l node over child i above.
+func (s *Store) NodeIndex(i int) int { return i >> s.shift }
 
-// L0BlockAddr returns the byte address of L0 counter block j.
-func (s *Store) L0BlockAddr(j int) uint64 { return s.ctrBase + uint64(j)*BlockBytes }
-
-// TreeNodeIndex returns the level-l node holding the counter of child c,
-// where c is an L0 block index for l==1 or a level-(l-1) node index
-// otherwise.
-func (s *Store) TreeNodeIndex(c int) int { return c >> s.shift }
-
-// TreeNodeAddr returns the byte address of node k at tree level l (l >= 1).
-// The level above the last stored level is the on-chip root; callers must
-// not ask for its address.
-func (s *Store) TreeNodeAddr(l, k int) uint64 {
+// NodeAddr returns the byte address of node k at level l: an L0 counter
+// block for l == 0, a tree node above. The level above the last stored
+// level is the on-chip root; callers must not ask for its address.
+func (s *Store) NodeAddr(l, k int) uint64 {
 	return s.treeBase[l] + uint64(k)*BlockBytes
 }
 
-// ClassifyAddr resolves a metadata byte address back to its block: level 0
+// ClassifyAddr resolves a metadata byte address back to its node: level 0
 // with the L0 counter-block index, or level >= 1 with the tree-node index.
 // ok is false for data addresses and addresses beyond the metadata region.
 func (s *Store) ClassifyAddr(addr uint64) (level, idx int, ok bool) {
-	if addr < s.ctrBase {
-		return 0, 0, false
-	}
-	if addr < s.ctrBase+uint64(s.NumL0Blocks())*BlockBytes {
-		return 0, int((addr - s.ctrBase) / BlockBytes), true
-	}
-	for l := 1; l <= s.Levels(); l++ {
-		base := s.treeBase[l]
+	for l, base := range s.treeBase {
 		if addr >= base && addr < base+uint64(s.lv[l].numGroups())*BlockBytes {
 			return l, int((addr - base) / BlockBytes), true
 		}
@@ -462,6 +448,17 @@ func (lv *level) corrupt(i int, v uint64) {
 	lv.pack(j, vals)
 }
 
+// --- Counters, at every level (level 0: the data counters) ---
+
+// Counter returns level-l counter i: data block i's counter at level 0,
+// the counter protecting child i (an L0 counter block or a level-(l-1)
+// node) at tree level l.
+func (s *Store) Counter(l, i int) uint64 { return s.lv[l].get(i) }
+
+// GroupMax returns the largest counter in group j of level l (level-l
+// node j).
+func (s *Store) GroupMax(l, j int) uint64 { return s.lv[l].groupMax(j) }
+
 // fits reports whether a split-counter level-l group whose values span
 // spread, with above counters over the shared base, encodes: 7-bit minors
 // at tree levels, the scheme's formats for L0 counter blocks.
@@ -478,9 +475,11 @@ func (s *Store) fits(l int, spread uint64, above int) bool {
 	}
 }
 
-// canEncode reports whether setting level-l counter i to newVal keeps its
-// group encodable without an overflow.
-func (s *Store) canEncode(l, i int, newVal uint64) bool {
+// CanEncode reports whether setting level-l counter i to newVal keeps its
+// group encodable without an overflow: the scheme's formats at level 0,
+// 7-bit minors at tree levels. SGX never overflows below the 56-bit
+// ceiling.
+func (s *Store) CanEncode(l, i int, newVal uint64) bool {
 	if newVal > MaxCounter {
 		return false
 	}
@@ -498,129 +497,54 @@ func (s *Store) canEncode(l, i int, newVal uint64) bool {
 	return s.fits(l, hi-lo, above)
 }
 
-// set moves level-l counter i to newVal. Panics on a non-increasing value
-// (reusing or rewinding a counter is a security violation the simulator
-// must never commit) and on a value that leaves the group unencodable (an
-// overflow must relevel).
-func (s *Store) set(l, i int, newVal uint64) {
+// Set moves level-l counter i to newVal; at level 0 it also raises the
+// observed-max register. Callers gate it on CanEncode. Panics on a
+// non-increasing value (reusing or rewinding a counter is a security
+// violation the simulator must never commit) and on a value that leaves
+// the group unencodable (an overflow must relevel).
+func (s *Store) Set(l, i int, newVal uint64) {
 	lv := &s.lv[l]
 	cur := lv.get(i)
 	if newVal <= cur {
 		panic(fmt.Sprintf("counter: non-increasing update of level-%d counter %d: %d -> %d", l, i, cur, newVal))
 	}
-	if !s.canEncode(l, i, newVal) {
+	if !s.CanEncode(l, i, newVal) {
 		panic(fmt.Sprintf("counter: update leaves level-%d counter %d's group unencodable: %d -> %d",
 			l, i, cur, newVal))
 	}
 	lv.set(i, newVal)
+	if l == 0 {
+		s.observedMax = max(s.observedMax, newVal)
+	}
 }
 
-// relevel executes an overflow of the level-l group holding counter i:
+// Relevel executes an overflow of the level-l group holding counter i:
 // every counter in the group takes target, which must exceed the group's
-// current maximum. It returns the group's counter indices.
-func (s *Store) relevel(l, i int, target uint64) []int {
+// current maximum. It returns the [start, end) range of the group's
+// counters, whose blocks (data blocks at level 0, child nodes above) must
+// be re-encrypted or re-MACed and written back.
+func (s *Store) Relevel(l, i int, target uint64) (start, end int) {
 	lv := &s.lv[l]
 	j := i >> lv.shift
 	if hi := lv.groupMax(j); target <= hi {
 		panic(fmt.Sprintf("counter: relevel target %d not above level-%d group %d maximum %d", target, l, j, hi))
 	}
-	start, end := lv.groupRange(j)
-	idx := make([]int, 0, end-start)
-	for b := start; b < end; b++ {
-		idx = append(idx, b)
-	}
 	lv.fill(j, target)
 	s.Overflows[l]++
-	return idx
-}
-
-// warmSnap rebases a fraction of level l's groups onto the given bases and
-// returns the largest value it wrote.
-func (s *Store) warmSnap(l int, r *rng.Source, bases []uint64, frac float64) (hi uint64) {
-	if len(bases) == 0 {
-		return 0
+	if l == 0 {
+		s.observedMax = max(s.observedMax, target)
 	}
-	lv := &s.lv[l]
-	t := rng.Threshold(frac)
-	for j := 0; j < lv.numGroups(); j++ {
-		if r.Uint64()>>11 >= t { // r.Float64() >= frac
-			continue
-		}
-		hi = max(hi, lv.rebase(j, bases[r.Intn(len(bases))]))
-	}
-	return hi
+	return lv.groupRange(j)
 }
-
-// --- Data (L0) counters ---
-
-// DataCounter returns the current counter value of data block i.
-func (s *Store) DataCounter(i int) uint64 { return s.lv[0].get(i) }
-
-// GroupRange returns the [start, end) data block indices covered by L0
-// counter block j.
-func (s *Store) GroupRange(j int) (start, end int) { return s.lv[0].groupRange(j) }
-
-// GroupMax returns the largest counter value in L0 group j.
-func (s *Store) GroupMax(j int) uint64 { return s.lv[0].groupMax(j) }
-
-// CanEncodeData reports whether setting data block i to newVal keeps its L0
-// group encodable without an overflow.
-func (s *Store) CanEncodeData(i int, newVal uint64) bool { return s.canEncode(0, i, newVal) }
-
-// SetDataCounter sets data block i's counter to newVal. Callers gate it on
-// CanEncodeData. Panics on a non-increasing value and on a value that
-// leaves the group unencodable.
-func (s *Store) SetDataCounter(i int, newVal uint64) {
-	s.set(0, i, newVal)
-	s.observedMax = max(s.observedMax, newVal)
-}
-
-// RelevelData executes an L0 overflow for the group of data block i: every
-// block in the group takes the value target, which must exceed the group's
-// current maximum. It returns the data block indices that must be
-// re-encrypted and written back (all blocks in the group).
-func (s *Store) RelevelData(i int, target uint64) []int {
-	blocks := s.relevel(0, i, target)
-	s.observedMax = max(s.observedMax, target)
-	return blocks
-}
-
-// --- Tree counters ---
-
-// TreeCounter returns the counter at level l protecting child c.
-func (s *Store) TreeCounter(l, c int) uint64 { return s.lv[l].get(c) }
-
-// TreeNodeMax returns the largest counter in node k at tree level l.
-func (s *Store) TreeNodeMax(l, k int) uint64 { return s.lv[l].groupMax(k) }
-
-// CanEncodeTree reports whether bumping level-l child c to newVal keeps its
-// node encodable (7-bit split minors at tree levels; SGX trees never
-// overflow below the 56-bit ceiling).
-func (s *Store) CanEncodeTree(l, c int, newVal uint64) bool { return s.canEncode(l, c, newVal) }
-
-// SetTreeCounter sets level-l child c's counter. Callers gate it on
-// CanEncodeTree; it panics on a non-increasing value and on a value that
-// leaves the node unencodable.
-func (s *Store) SetTreeCounter(l, c int, newVal uint64) { s.set(l, c, newVal) }
-
-// RelevelTree executes an overflow of the level-l node containing child c:
-// all children take target. It returns the child indices whose blocks must
-// be re-MACed and written back.
-func (s *Store) RelevelTree(l, c int, target uint64) []int { return s.relevel(l, c, target) }
 
 // --- Fault injection and re-key ---
 
-// CorruptDataCounter overwrites data block i's counter with an arbitrary
-// value, bypassing every invariant (monotonicity, encodability, the
-// observed-max register). It models a physical attack or DRAM fault on the
-// counter storage itself; the engine's MAC check and the checker's
-// regression scan are expected to flag the damage. Never call it from
-// policy code.
-func (s *Store) CorruptDataCounter(i int, v uint64) { s.lv[0].corrupt(i, v) }
-
-// CorruptTreeCounter overwrites the level-l counter protecting child c,
-// bypassing every invariant — the tree analog of CorruptDataCounter.
-func (s *Store) CorruptTreeCounter(l, c int, v uint64) { s.lv[l].corrupt(c, v) }
+// Corrupt overwrites level-l counter i with an arbitrary value, bypassing
+// every invariant (monotonicity, encodability, the observed-max register).
+// It models a physical attack or DRAM fault on the counter storage itself;
+// the engine's MAC check and the checker's regression scan are expected to
+// flag the damage. Never call it from policy code.
+func (s *Store) Corrupt(l, i int, v uint64) { s.lv[l].corrupt(i, v) }
 
 // ResetCounters zeroes every data and tree counter and the observed-max
 // register: the whole-memory re-key ("reboot"). Under a fresh key the
@@ -656,21 +580,27 @@ func DefaultRandomize() RandomizeOptions {
 	return RandomizeOptions{BaseLo: 50_000, BaseHi: 200_000, SpreadFrac: 0.06}
 }
 
-// WarmSnap rebases a fraction of L0 groups onto the given base values,
-// preserving each group's internal offsets. It models the steady state of
-// a long-running RMCC system: the memoization-aware update has releveled
-// most groups onto memoized counter values (see §IV-B; convergence itself
-// is exercised by the organic-convergence experiment). Must be called
-// after Randomize and before any accesses.
-func (s *Store) WarmSnap(r *rng.Source, bases []uint64, frac float64) {
-	s.observedMax = max(s.observedMax, s.warmSnap(0, r, bases, frac))
-}
-
-// WarmSnapTree rebases a fraction of level-l tree nodes onto the given
-// bases, the tree analog of WarmSnap.
-func (s *Store) WarmSnapTree(r *rng.Source, l int, bases []uint64, frac float64) {
-	if l >= 1 && l <= s.Levels() {
-		s.warmSnap(l, r, bases, frac)
+// WarmSnap rebases a fraction of level l's groups onto the given base
+// values, preserving each group's internal offsets; at level 0 it raises
+// the observed-max register to the largest value written. It models the
+// steady state of a long-running RMCC system: the memoization-aware update
+// has releveled most groups onto memoized counter values (see §IV-B;
+// convergence itself is exercised by the organic-convergence experiment).
+// Must be called after Randomize and before any accesses.
+func (s *Store) WarmSnap(l int, r *rng.Source, bases []uint64, frac float64) {
+	if len(bases) == 0 {
+		return
+	}
+	lv := &s.lv[l]
+	t := rng.Threshold(frac)
+	for j := 0; j < lv.numGroups(); j++ {
+		if r.Uint64()>>11 >= t { // r.Float64() >= frac
+			continue
+		}
+		hi := lv.rebase(j, bases[r.Intn(len(bases))])
+		if l == 0 {
+			s.observedMax = max(s.observedMax, hi)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func TestCoverageAndArity(t *testing.T) {
 			t.Errorf("%v coverage = %d, want %d", c.s, got, c.coverage)
 		}
 		s := NewStore(c.s, 64<<20)
-		if got := s.TreeNodeIndex(c.coverage); s.TreeNodeIndex(c.coverage-1) != 0 || got != 1 {
+		if got := s.NodeIndex(c.coverage); s.NodeIndex(c.coverage-1) != 0 || got != 1 {
 			t.Errorf("%v: child %d sits in node %d, want 1 (arity %d)", c.s, c.coverage, got, c.coverage)
 		}
 	}
@@ -57,12 +57,34 @@ func TestStoreGeometryDeepTree(t *testing.T) {
 func TestAddressMapDisjoint(t *testing.T) {
 	s := NewStore(SC64, 1<<20)
 	dataEnd := s.DataBlockAddr(s.NumDataBlocks()-1) + BlockBytes
-	if s.L0BlockAddr(0) < dataEnd {
+	if s.NodeAddr(0, 0) < dataEnd {
 		t.Fatal("L0 region overlaps data")
 	}
-	l0End := s.L0BlockAddr(s.NumL0Blocks()-1) + BlockBytes
-	if s.Levels() >= 1 && s.TreeNodeAddr(1, 0) < l0End {
+	l0End := s.NodeAddr(0, s.NumL0Blocks()-1) + BlockBytes
+	if s.Levels() >= 1 && s.NodeAddr(1, 0) < l0End {
 		t.Fatal("tree region overlaps L0")
+	}
+	// Every node's address classifies back to it, level 0 (the L0 counter
+	// blocks) included, and the map is dense: data below it and the
+	// address past its last node classify to nothing.
+	for _, scheme := range []Scheme{SGX, SC64, Morphable} {
+		s := NewStore(scheme, 1088<<10)
+		next := s.NodeAddr(0, 0)
+		for l := 0; l <= s.Levels(); l++ {
+			nodes := (s.TreeLevelLen(l) + s.Coverage() - 1) / s.Coverage()
+			for k := 0; k < nodes; k++ {
+				addr := s.NodeAddr(l, k)
+				if gl, gk, ok := s.ClassifyAddr(addr); !ok || gl != l || gk != k || addr != next {
+					t.Fatalf("%v: level-%d node %d at %#x (want %#x) classifies to %d, %d, %v", scheme, l, k, addr, next, gl, gk, ok)
+				}
+				next += BlockBytes
+			}
+		}
+		for _, addr := range []uint64{0, s.DataBlockAddr(s.NumDataBlocks() - 1), next, ^uint64(0)} {
+			if l, k, ok := s.ClassifyAddr(addr); ok {
+				t.Fatalf("%v: %#x classifies to level %d node %d", scheme, addr, l, k)
+			}
+		}
 	}
 }
 
@@ -70,8 +92,8 @@ func TestL0IndexRoundTrip(t *testing.T) {
 	s := NewStore(Morphable, 1<<20)
 	f := func(raw uint32) bool {
 		i := int(raw) % s.NumDataBlocks()
-		j := s.L0Index(i)
-		start, end := s.GroupRange(j)
+		j := s.NodeIndex(i)
+		start, end := s.lv[0].groupRange(j)
 		return start <= i && i < end && (end-start) <= s.Coverage()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -81,10 +103,10 @@ func TestL0IndexRoundTrip(t *testing.T) {
 
 func TestSGXAlwaysEncodable(t *testing.T) {
 	s := NewStore(SGX, 1<<16)
-	if !s.CanEncodeData(0, 1<<40) {
+	if !s.CanEncode(0, 0, 1<<40) {
 		t.Fatal("SGX rejected a large but sub-56-bit value")
 	}
-	if s.CanEncodeData(0, MaxCounter+1) {
+	if s.CanEncode(0, 0, MaxCounter+1) {
 		t.Fatal("value above 56-bit ceiling accepted")
 	}
 }
@@ -92,10 +114,10 @@ func TestSGXAlwaysEncodable(t *testing.T) {
 func TestSC64EncodableRange(t *testing.T) {
 	s := NewStore(SC64, 1<<20)
 	// Group 0 all at zero: value 127 encodable, 128 not.
-	if !s.CanEncodeData(0, 127) {
+	if !s.CanEncode(0, 0, 127) {
 		t.Fatal("127 should be encodable with 7-bit minors")
 	}
-	if s.CanEncodeData(0, 128) {
+	if s.CanEncode(0, 0, 128) {
 		t.Fatal("128 should overflow 7-bit minors")
 	}
 }
@@ -103,14 +125,14 @@ func TestSC64EncodableRange(t *testing.T) {
 func TestMorphableFormats(t *testing.T) {
 	s := NewStore(Morphable, 1<<20)
 	// Uniform format: spread <= 7.
-	if !s.CanEncodeData(0, 7) {
+	if !s.CanEncode(0, 0, 7) {
 		t.Fatal("spread 7 should fit the uniform format")
 	}
 	// Beyond uniform: ZCC carries one exception up to 127.
-	if !s.CanEncodeData(0, 127) {
+	if !s.CanEncode(0, 0, 127) {
 		t.Fatal("single 127 exception should fit ZCC")
 	}
-	if s.CanEncodeData(0, 128) {
+	if s.CanEncode(0, 0, 128) {
 		t.Fatal("128 exceeds both formats")
 	}
 }
@@ -118,39 +140,39 @@ func TestMorphableFormats(t *testing.T) {
 func TestMorphableZCCExceptionLimit(t *testing.T) {
 	s := NewStore(Morphable, 1<<20)
 	for b := 0; b < 30; b++ {
-		s.SetDataCounter(b, 100)
+		s.Set(0, b, 100)
 	}
 	// 30 exceptions at 100 (base 0): encodable.
-	if !s.CanEncodeData(29, 101) {
+	if !s.CanEncode(0, 29, 101) {
 		t.Fatal("30 exceptions should be encodable under ZCC")
 	}
 	// Making a 31st block non-base with spread > uniform must overflow.
-	if s.CanEncodeData(30, 100) {
+	if s.CanEncode(0, 30, 100) {
 		t.Fatal("31st ZCC exception unexpectedly encodable")
 	}
 	// But if all values collapse into a spread <= 7, uniform rescues it.
 	s2 := NewStore(Morphable, 1<<20)
 	for b := 0; b < 127; b++ {
-		s2.SetDataCounter(b, 5)
+		s2.Set(0, b, 5)
 	}
-	if !s2.CanEncodeData(127, 6) {
+	if !s2.CanEncode(0, 127, 6) {
 		t.Fatal("uniform format should encode spread 6 regardless of exception count")
 	}
 }
 
 func TestSetDataCounterMonotone(t *testing.T) {
 	s := NewStore(SC64, 1<<16)
-	s.SetDataCounter(3, 10)
+	s.Set(0, 3, 10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("non-increasing update did not panic")
 		}
 	}()
-	s.SetDataCounter(3, 10)
+	s.Set(0, 3, 10)
 }
 
 // TestSetDataCounterRejectsUnencodable: an update that leaves its group
-// unencodable must relevel instead, so SetDataCounter refuses it and
+// unencodable must relevel instead, so Set refuses it and
 // leaves the counter as it was.
 func TestSetDataCounterRejectsUnencodable(t *testing.T) {
 	mustPanic := func(s *Store, i int, v uint64) {
@@ -160,11 +182,11 @@ func TestSetDataCounterRejectsUnencodable(t *testing.T) {
 			if recover() == nil {
 				t.Fatalf("%v: unencodable update of block %d to %d did not panic", s.Scheme(), i, v)
 			}
-			if got := s.DataCounter(i); got == v {
+			if got := s.Counter(0, i); got == v {
 				t.Fatalf("%v: refused update of block %d still stored %d", s.Scheme(), i, got)
 			}
 		}()
-		s.SetDataCounter(i, v)
+		s.Set(0, i, v)
 	}
 	// SC-64: a spread of 128 over a group of zeros.
 	mustPanic(NewStore(SC64, 1<<20), 0, 128)
@@ -172,52 +194,51 @@ func TestSetDataCounterRejectsUnencodable(t *testing.T) {
 	// format's 7 fits neither format.
 	s := NewStore(Morphable, 1<<20)
 	for b := 0; b < 30; b++ {
-		s.SetDataCounter(b, 100)
+		s.Set(0, b, 100)
 	}
 	mustPanic(s, 30, 8)
 }
 
 func TestRelevelData(t *testing.T) {
 	s := NewStore(SC64, 1<<20)
-	s.SetDataCounter(0, 100)
-	s.SetDataCounter(1, 50)
-	blocks := s.RelevelData(0, 128)
-	if len(blocks) != 64 {
-		t.Fatalf("relevel touched %d blocks, want 64", len(blocks))
+	s.Set(0, 0, 100)
+	s.Set(0, 1, 50)
+	start, end := s.Relevel(0, 0, 128)
+	if gs, ge := s.lv[0].groupRange(0); start != gs || end != ge || end-start != 64 {
+		t.Fatalf("relevel touched blocks [%d, %d), want group 0's 64 [%d, %d)", start, end, gs, ge)
 	}
-	start, end := s.GroupRange(0)
 	for b := start; b < end; b++ {
-		if s.DataCounter(b) != 128 {
-			t.Fatalf("block %d = %d after relevel", b, s.DataCounter(b))
+		if s.Counter(0, b) != 128 {
+			t.Fatalf("block %d = %d after relevel", b, s.Counter(0, b))
 		}
 	}
 	if s.Overflows[0] != 1 {
 		t.Fatalf("overflow count = %d", s.Overflows[0])
 	}
 	// Neighboring group untouched.
-	if s.DataCounter(end) != 0 {
+	if s.Counter(0, end) != 0 {
 		t.Fatal("relevel leaked into the next group")
 	}
 }
 
 func TestRelevelRejectsLowTarget(t *testing.T) {
 	s := NewStore(SC64, 1<<20)
-	s.SetDataCounter(0, 100)
+	s.Set(0, 0, 100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("relevel below max did not panic")
 		}
 	}()
-	s.RelevelData(1, 100)
+	s.Relevel(0, 1, 100)
 }
 
 func TestObservedMaxTracksUpdates(t *testing.T) {
 	s := NewStore(Morphable, 1<<20)
-	s.SetDataCounter(0, 7)
+	s.Set(0, 0, 7)
 	if s.ObservedMax() != 7 {
 		t.Fatalf("observedMax = %d", s.ObservedMax())
 	}
-	s.RelevelData(200, 500)
+	s.Relevel(0, 200, 500)
 	if s.ObservedMax() != 500 {
 		t.Fatalf("observedMax after relevel = %d", s.ObservedMax())
 	}
@@ -225,18 +246,17 @@ func TestObservedMaxTracksUpdates(t *testing.T) {
 
 func TestTreeEncodeAndRelevel(t *testing.T) {
 	s := NewStore(Morphable, 256<<20)
-	if !s.CanEncodeTree(1, 0, 127) {
+	if !s.CanEncode(1, 0, 127) {
 		t.Fatal("tree minor 127 should encode")
 	}
-	if s.CanEncodeTree(1, 0, 128) {
+	if s.CanEncode(1, 0, 128) {
 		t.Fatal("tree minor 128 should overflow")
 	}
-	s.SetTreeCounter(1, 0, 100)
-	children := s.RelevelTree(1, 0, 200)
-	if len(children) != 128 {
-		t.Fatalf("tree relevel touched %d children, want 128", len(children))
+	s.Set(1, 0, 100)
+	if start, end := s.Relevel(1, 0, 200); start != 0 || end != 128 {
+		t.Fatalf("tree relevel touched children [%d, %d), want [0, 128)", start, end)
 	}
-	if s.TreeCounter(1, 5) != 200 {
+	if s.Counter(1, 5) != 200 {
 		t.Fatal("sibling counter not releveled")
 	}
 	if s.Overflows[1] != 1 {
@@ -251,14 +271,14 @@ func TestRandomizeEncodableEverywhere(t *testing.T) {
 		// Every group must accept a +1 write to its max element (i.e. the
 		// randomized state itself is encodable with headroom).
 		for j := 0; j < s.NumL0Blocks(); j++ {
-			start, end := s.GroupRange(j)
+			start, end := s.lv[0].groupRange(j)
 			maxIdx := start
 			for b := start; b < end; b++ {
-				if s.DataCounter(b) > s.DataCounter(maxIdx) {
+				if s.Counter(0, b) > s.Counter(0, maxIdx) {
 					maxIdx = b
 				}
 			}
-			if !s.CanEncodeData(maxIdx, s.DataCounter(maxIdx)+1) {
+			if !s.CanEncode(0, maxIdx, s.Counter(0, maxIdx)+1) {
 				t.Fatalf("%v: group %d not encodable after randomize", scheme, j)
 			}
 		}
@@ -273,10 +293,10 @@ func TestRandomizeGroupsDiverge(t *testing.T) {
 	s.Randomize(rng.New(7), DefaultRandomize())
 	bases := make(map[uint64]bool)
 	for j := 0; j < s.NumL0Blocks(); j++ {
-		start, end := s.GroupRange(j)
-		min := s.DataCounter(start)
+		start, end := s.lv[0].groupRange(j)
+		min := s.Counter(0, start)
 		for b := start; b < end; b++ {
-			if v := s.DataCounter(b); v < min {
+			if v := s.Counter(0, b); v < min {
 				min = v
 			}
 		}
@@ -292,7 +312,7 @@ func BenchmarkCanEncodeMorphable(b *testing.B) {
 	s.Randomize(rng.New(1), DefaultRandomize())
 	for i := 0; i < b.N; i++ {
 		blk := (i * 7919) % s.NumDataBlocks()
-		s.CanEncodeData(blk, s.DataCounter(blk)+1)
+		s.CanEncode(0, blk, s.Counter(0, blk)+1)
 	}
 }
 

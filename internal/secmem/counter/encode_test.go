@@ -110,27 +110,27 @@ func TestEncodeMorphableRoundTrips(t *testing.T) {
 
 // TestEncodeMatchesCanEncode: the wire-format capacity and the simulator's
 // encodability predicate must agree — EncodeBlock succeeds exactly when
-// CanEncodeData accepts the group state.
+// CanEncode accepts the group state.
 func TestEncodeMatchesCanEncode(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		s := NewStore(Morphable, 128*64)
 		base := r.Uint64n(1 << 30)
 		// Build an arbitrary group state via relevel + raises.
-		s.RelevelData(0, base+1)
+		s.Relevel(0, 0, base+1)
 		for k := 0; k < int(r.Uint64n(40)); k++ {
 			i := r.Intn(128)
-			nv := s.DataCounter(i) + 1 + r.Uint64n(10)
-			if s.CanEncodeData(i, nv) {
-				s.SetDataCounter(i, nv)
+			nv := s.Counter(0, i) + 1 + r.Uint64n(10)
+			if s.CanEncode(0, i, nv) {
+				s.Set(0, i, nv)
 			}
 		}
 		vals := make([]uint64, 128)
 		for i := range vals {
-			vals[i] = s.DataCounter(i)
+			vals[i] = s.Counter(0, i)
 		}
 		_, _, err := EncodeBlock(Morphable, vals)
-		return err == nil // CanEncodeData gated every change
+		return err == nil // CanEncode gated every change
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -5,9 +5,9 @@ import "testing"
 // FuzzStoreAgainstReference decodes the fuzzer's bytes into an op stream
 // (the first byte picks the scheme and geometry) and drives a Store and the
 // plain-value reference through it as TestDifferentialAgainstReference
-// does: data and tree updates gated by CanEncodeData and CanEncodeTree,
-// baseline and memo-target relevels, corruptions, re-keys, Randomize,
-// WarmSnap, WarmSnapTree and snapshot round trips. The op's encodability
+// does: data and tree updates gated by CanEncode, baseline and
+// memo-target relevels, corruptions, re-keys, Randomize, WarmSnap at data
+// and tree levels, and snapshot round trips. The op's encodability
 // verdicts are compared after every op and all state at the end.
 func FuzzStoreAgainstReference(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 5, 3, 0, 9, 3, 1, 40, 2, 7, 200, 50, 1, 48, 0, 130, 60})

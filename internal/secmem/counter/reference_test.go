@@ -329,7 +329,7 @@ func (d *differ) fatalf(format string, args ...any) {
 	d.t.Fatalf("%v op %d %s: %s", d.scheme, d.op, d.what, fmt.Sprintf(format, args...))
 }
 
-// step applies one op to every model, then compares CanEncodeData's
+// step applies one op to every model, then compares CanEncode's level-0
 // verdicts on the op's block for raises of 1, 8 and 128. A quarter of the
 // ops work on a tree counter instead (treeStep).
 func (d *differ) step() {
@@ -385,9 +385,9 @@ func (d *differ) block() int {
 	}
 }
 
-// treeStep applies one op to a tree counter, then compares CanEncodeTree's
+// treeStep applies one op to a tree counter, then compares CanEncode's
 // verdicts on it: +1 and jump bumps, relevels onto the node maximum plus k,
-// corruptions and WarmSnapTree.
+// corruptions and a tree-level WarmSnap.
 func (d *differ) treeStep() {
 	l, c := d.child()
 	cur := d.ref.tree[l][c]
@@ -432,9 +432,8 @@ func (d *differ) rekey(why string) {
 }
 
 // bumpTree moves level-l child c to v the way the engine's tree update
-// does: through SetTreeCounter when the node stays encodable, else by
-// releveling the node to just above its maximum; a node at the 56-bit
-// ceiling re-keys.
+// does: through Set when the node stays encodable, else by releveling the
+// node to just above its maximum; a node at the 56-bit ceiling re-keys.
 func (d *differ) bumpTree(l, c int, v uint64) {
 	if d.ref.treeNodeMax(l, c) >= MaxCounter {
 		d.rekey("re-key at a tree node's ceiling")
@@ -443,8 +442,8 @@ func (d *differ) bumpTree(l, c int, v uint64) {
 	d.what = fmt.Sprintf("bump l%d child %d -> %d", l, c, v)
 	want := d.ref.canEncodeTree(l, c, v)
 	for k, s := range d.stores {
-		if got := s.CanEncodeTree(l, c, v); got != want {
-			d.fatalf("store %d CanEncodeTree %v, reference %v", k, got, want)
+		if got := s.CanEncode(l, c, v); got != want {
+			d.fatalf("store %d CanEncode(%d, %d) %v, reference %v", k, l, c, got, want)
 		}
 	}
 	if !want {
@@ -453,7 +452,7 @@ func (d *differ) bumpTree(l, c int, v uint64) {
 	}
 	d.ref.setTreeCounter(l, c, v)
 	for _, s := range d.stores {
-		s.SetTreeCounter(l, c, v)
+		s.Set(l, c, v)
 	}
 }
 
@@ -467,8 +466,8 @@ func (d *differ) relevelTree(l, c int, target uint64) {
 	d.what = fmt.Sprintf("relevel l%d child %d's node -> %d", l, c, target)
 	want := d.ref.relevelTree(l, c, target)
 	for k, s := range d.stores {
-		if got := s.RelevelTree(l, c, target); !slices.Equal(got, want) {
-			d.fatalf("store %d releveled children %v, reference %v", k, got, want)
+		if start, end := s.Relevel(l, c, target); !slices.Equal(span(start, end), want) {
+			d.fatalf("store %d releveled children [%d, %d), reference %v", k, start, end, want)
 		}
 	}
 }
@@ -481,7 +480,7 @@ func (d *differ) corruptTree(l, c int, cur uint64) {
 	d.what = fmt.Sprintf("corrupt l%d child %d: %d -> %d", l, c, cur, v)
 	d.ref.tree[l][c] = v
 	for _, s := range d.stores {
-		s.CorruptTreeCounter(l, c, v)
+		s.Corrupt(l, c, v)
 	}
 	d.treeVerdicts(l, c)
 	if d.src.Uint64n(4) != 0 {
@@ -496,35 +495,35 @@ func (d *differ) warmSnapTree(l int) {
 		bases[k] = d.src.Uint64n(1 << 24)
 	}
 	frac := float64(d.src.Uint64n(101)) / 100
-	d.what = fmt.Sprintf("WarmSnapTree(seed %d, l%d, %v, %v)", seed, l, bases, frac)
+	d.what = fmt.Sprintf("WarmSnap(l%d, seed %d, %v, %v)", l, seed, bases, frac)
 	d.ref.warmSnapTree(rng.New(seed), l, bases, frac)
 	for _, s := range d.stores {
-		s.WarmSnapTree(rng.New(seed), l, bases, frac)
+		s.WarmSnap(l, rng.New(seed), bases, frac)
 	}
 }
 
 // treeVerdicts compares level-l child c's value, its node's maximum, and
-// CanEncodeTree's verdicts on it for raises of 1, 8 and 128.
+// CanEncode's verdicts on it for raises of 1, 8 and 128.
 func (d *differ) treeVerdicts(l, c int) {
 	cur := d.ref.tree[l][c]
 	for k, s := range d.stores {
-		if got := s.TreeCounter(l, c); got != cur {
+		if got := s.Counter(l, c); got != cur {
 			d.fatalf("store %d l%d child %d = %d, reference %d", k, l, c, got, cur)
 		}
-		if got, want := s.TreeNodeMax(l, s.TreeNodeIndex(c)), d.ref.treeNodeMax(l, c); got != want {
+		if got, want := s.GroupMax(l, s.NodeIndex(c)), d.ref.treeNodeMax(l, c); got != want {
 			d.fatalf("store %d l%d node of child %d max %d, reference %d", k, l, c, got, want)
 		}
 		for _, up := range []uint64{1, 8, 128} {
-			if got, want := s.CanEncodeTree(l, c, cur+up), d.ref.canEncodeTree(l, c, cur+up); got != want {
-				d.fatalf("store %d CanEncodeTree(%d, %d, cur+%d) %v, reference %v", k, l, c, up, got, want)
+			if got, want := s.CanEncode(l, c, cur+up), d.ref.canEncodeTree(l, c, cur+up); got != want {
+				d.fatalf("store %d CanEncode(%d, %d, cur+%d) %v, reference %v", k, l, c, up, got, want)
 			}
 		}
 	}
 }
 
-// write moves block i to v the way the engine does: through
-// SetDataCounter when the group stays encodable, else by releveling the
-// group to just above its maximum; a group at the 56-bit ceiling re-keys.
+// write moves block i to v the way the engine does: through Set when the
+// group stays encodable, else by releveling the group to just above its
+// maximum; a group at the 56-bit ceiling re-keys.
 func (d *differ) write(i int, v uint64) {
 	j := i / d.ref.coverage
 	if d.ref.groupMax(j) >= MaxCounter {
@@ -534,8 +533,8 @@ func (d *differ) write(i int, v uint64) {
 	d.what = fmt.Sprintf("write block %d -> %d", i, v)
 	want := d.ref.canEncodeData(i, v)
 	for k, s := range d.stores {
-		if got := s.CanEncodeData(i, v); got != want {
-			d.fatalf("store %d CanEncodeData %v, reference %v", k, got, want)
+		if got := s.CanEncode(0, i, v); got != want {
+			d.fatalf("store %d CanEncode(0, %d) %v, reference %v", k, i, got, want)
 		}
 	}
 	if !want {
@@ -544,7 +543,7 @@ func (d *differ) write(i int, v uint64) {
 	}
 	d.ref.setDataCounter(i, v)
 	for _, s := range d.stores {
-		s.SetDataCounter(i, v)
+		s.Set(0, i, v)
 	}
 }
 
@@ -552,8 +551,8 @@ func (d *differ) relevel(i int, target uint64) {
 	d.what = fmt.Sprintf("relevel block %d's group -> %d", i, target)
 	want := d.ref.relevelData(i, target)
 	for k, s := range d.stores {
-		if got := s.RelevelData(i, target); !slices.Equal(got, want) {
-			d.fatalf("store %d releveled blocks %v, reference %v", k, got, want)
+		if start, end := s.Relevel(0, i, target); !slices.Equal(span(start, end), want) {
+			d.fatalf("store %d releveled blocks [%d, %d), reference %v", k, start, end, want)
 		}
 	}
 }
@@ -565,7 +564,7 @@ func (d *differ) corrupt(i int, cur uint64) {
 	d.what = fmt.Sprintf("corrupt block %d: %d -> %d", i, cur, v)
 	d.ref.vals[i] = v
 	for _, s := range d.stores {
-		s.CorruptDataCounter(i, v)
+		s.Corrupt(0, i, v)
 	}
 	d.verdicts(i)
 	j := i / d.ref.coverage
@@ -637,27 +636,27 @@ func (d *differ) warmSnap() {
 	d.what = fmt.Sprintf("WarmSnap(seed %d, %v, %v)", seed, bases, frac)
 	d.ref.warmSnap(rng.New(seed), bases, frac)
 	for _, s := range d.stores {
-		s.WarmSnap(rng.New(seed), bases, frac)
+		s.WarmSnap(0, rng.New(seed), bases, frac)
 	}
 }
 
-// verdicts compares block i's value and CanEncodeData's verdicts on it.
+// verdicts compares block i's value and CanEncode's verdicts on it.
 func (d *differ) verdicts(i int) {
 	cur := d.ref.vals[i]
 	for k, s := range d.stores {
-		if got := s.DataCounter(i); got != cur {
+		if got := s.Counter(0, i); got != cur {
 			d.fatalf("store %d block %d = %d, reference %d", k, i, got, cur)
 		}
 		for _, up := range []uint64{1, 8, 128} {
-			if got, want := s.CanEncodeData(i, cur+up), d.ref.canEncodeData(i, cur+up); got != want {
-				d.fatalf("store %d CanEncodeData(%d, cur+%d) %v, reference %v", k, i, up, got, want)
+			if got, want := s.CanEncode(0, i, cur+up), d.ref.canEncodeData(i, cur+up); got != want {
+				d.fatalf("store %d CanEncode(0, %d, cur+%d) %v, reference %v", k, i, up, got, want)
 			}
 		}
 	}
 }
 
 // checkAll compares every data and tree counter, every group and node
-// maximum, every tree counter's CanEncodeTree verdicts, the observed-max
+// maximum, every tree counter's CanEncode verdicts, the observed-max
 // register, the overflow tallies and the EncodeState bytes, and checks
 // each encoded group's summary against its offsets.
 func (d *differ) checkAll() {
@@ -677,12 +676,12 @@ func (d *differ) checkAll() {
 			}
 		}
 		for i, v := range d.ref.vals {
-			if got := s.DataCounter(i); got != v {
+			if got := s.Counter(0, i); got != v {
 				d.fatalf("store %d block %d = %d, reference %d", k, i, got, v)
 			}
 		}
 		for j := 0; j < d.ref.numGroups(); j++ {
-			if got, want := s.GroupMax(j), d.ref.groupMax(j); got != want {
+			if got, want := s.GroupMax(0, j), d.ref.groupMax(j); got != want {
 				d.fatalf("store %d GroupMax(%d) = %d, reference %d", k, j, got, want)
 			}
 		}
@@ -701,6 +700,15 @@ func (d *differ) checkAll() {
 			d.fatalf("store %d EncodeState differs from the reference", k)
 		}
 	}
+}
+
+// span lists the indices in [start, end).
+func span(start, end int) []int {
+	var idx []int
+	for i := start; i < end; i++ {
+		idx = append(idx, i)
+	}
+	return idx
 }
 
 func (d *differ) refBytes() []byte {

@@ -20,9 +20,9 @@ func (s *Store) EncodeState(e *snapshot.Enc) {
 
 // DecodeState restores state written by EncodeState into a store built with
 // the identical scheme and footprint. It writes counters directly — the
-// monotonicity guard on SetDataCounter/SetTreeCounter compares against
-// live state, which does not apply when replacing the whole image with a
-// previously valid one — and re-encodes each group.
+// monotonicity guard on Set compares against live state, which does not
+// apply when replacing the whole image with a previously valid one — and
+// re-encodes each group.
 func (s *Store) DecodeState(d *snapshot.Dec) error {
 	if err := s.lv[0].decode(d); err != nil {
 		return err

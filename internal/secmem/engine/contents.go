@@ -130,7 +130,7 @@ func (cs *contentStore) rekey(unit *otp.Unit, store *counter.Store) {
 		}
 	}
 	for i, plain := range cs.plain {
-		cs.seal(i, store.DataCounter(i), store.DataBlockAddr(i), plain)
+		cs.seal(i, store.Counter(0, i), store.DataBlockAddr(i), plain)
 	}
 	cs.transient = make(map[int]int)
 	cs.dropNext = make(map[int]bool)
@@ -144,7 +144,7 @@ func (mc *MC) TamperCiphertext(i int) error {
 		return ErrContentsDisabled
 	}
 	if _, ok := mc.contents.cipher[i]; !ok {
-		mc.contents.reencrypt(i, mc.store.DataCounter(i), mc.store.DataBlockAddr(i))
+		mc.contents.reencrypt(i, mc.store.Counter(0, i), mc.store.DataBlockAddr(i))
 	}
 	ct := mc.contents.cipher[i]
 	// Odd-constant addition rather than XOR: repeated tampering never
@@ -177,7 +177,7 @@ func (mc *MC) SnapshotCiphertext(i int) ([8]uint64, uint64) {
 		return [8]uint64{}, 0
 	}
 	if _, ok := mc.contents.cipher[i]; !ok {
-		mc.contents.reencrypt(i, mc.store.DataCounter(i), mc.store.DataBlockAddr(i))
+		mc.contents.reencrypt(i, mc.store.Counter(0, i), mc.store.DataBlockAddr(i))
 	}
 	return mc.contents.cipher[i], mc.contents.macs[i]
 }

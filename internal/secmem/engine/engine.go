@@ -225,9 +225,7 @@ type Outcome struct {
 	// OverflowTraffic lists relevel transfers, routed through the
 	// overflow engine (bounded concurrency) by the detailed simulator.
 	OverflowTraffic []Traffic
-	// Stalled marks accesses the MC rejected because two overflows were
-	// already outstanding (the detailed simulator retries them).
-	Accelerated bool // the §VI headline condition for this miss
+	Accelerated     bool // the §VI headline condition for this miss
 
 	// Violations lists every integrity violation the MC detected while
 	// processing this access (typed; nil on clean accesses). Entries with
@@ -258,8 +256,11 @@ type MC struct {
 	l0Table  *core.Table
 	l1Table  *core.Table
 
-	// observedTreeMax[l] tracks the largest tree counter per level (the
-	// L1 table's System-Max analog).
+	// observedTreeMax[l] is tree level l's observed-max register (the L1
+	// table's System-Max analog at level 1). rescanTreeMax sets every
+	// level's from the stored counters at boot and warm start; after that
+	// the update path keeps only level 1's current, and the registers above
+	// it, which only snapshots read, fall behind their level's maximum.
 	observedTreeMax []uint64
 
 	contents *contentStore
@@ -394,21 +395,21 @@ func (mc *MC) warmStart() {
 	dataBases := ladder(opts.BaseLo, span, mc.cfg.L0Table.Groups, mc.cfg.L0Table.GroupSize)
 	// Snap into the lower half of the ladder so stepped writes stay
 	// covered for many writebacks before reaching the top.
-	mc.store.WarmSnap(r, dataBases[:len(dataBases)/2+1], mc.cfg.WarmStartFrac)
+	mc.store.WarmSnap(0, r, dataBases[:len(dataBases)/2+1], mc.cfg.WarmStartFrac)
 	mc.l0Table.Seed(dataBases)
 	if mc.store.Levels() >= 1 {
 		// Mirror Randomize's tree value range (base/8).
 		l1Bases := ladder(opts.BaseLo/8, span/8+1, mc.cfg.L1Table.Groups, mc.cfg.L1Table.GroupSize)
-		mc.store.WarmSnapTree(r, 1, l1Bases[:len(l1Bases)/2+1], mc.cfg.WarmStartFrac)
+		mc.store.WarmSnap(1, r, l1Bases[:len(l1Bases)/2+1], mc.cfg.WarmStartFrac)
 		mc.l1Table.Seed(l1Bases)
 		// Refresh every per-level max register, not just level 1. Today
-		// WarmSnapTree only rewrites level-1 counters, so rescanning level
+		// WarmSnap only rewrites level-1 tree counters, so rescanning level
 		// 1 alone would be sufficient — but the observed-max registers are
 		// the §IV-D2 OSM analogs bounding where a new memoized group may
 		// start, and an under-reading register would let the table chase
 		// counter values the system never reached. Rescanning all levels
-		// keeps the invariant "observedTreeMax[l] == max stored counter at
-		// level l" structural rather than incidental (regression-tested by
+		// makes "observedTreeMax[l] == max stored counter at level l" hold
+		// at boot by construction (regression-tested by
 		// TestObservedTreeMaxMatchesStore).
 		mc.rescanTreeMax()
 	}
@@ -418,14 +419,15 @@ func (mc *MC) warmStart() {
 // stored tree counters — the tree analog of the data-side Observed System
 // Max register (§IV-D2): each register must upper-bound every counter at
 // its level so memoized-group insertion never outruns the system state.
-// Called after bulk counter rewrites (randomized init, warm start); the
-// incremental update paths in bumpTreeCounter/relevelTree maintain the
-// registers access-by-access.
+// Called after bulk counter rewrites (randomized init, warm start). Access
+// by access, the update path (advance, relevel) raises only level 1's
+// register, the one the L1 table reads; the others keep their boot values
+// until a re-key zeroes them.
 func (mc *MC) rescanTreeMax() {
 	for l := 1; l <= mc.store.Levels(); l++ {
 		mc.observedTreeMax[l] = 0
 		for k := 0; k*mc.store.Coverage() < mc.store.TreeLevelLen(l); k++ {
-			mc.observedTreeMax[l] = max(mc.observedTreeMax[l], mc.store.TreeNodeMax(l, k))
+			mc.observedTreeMax[l] = max(mc.observedTreeMax[l], mc.store.GroupMax(l, k))
 		}
 	}
 }

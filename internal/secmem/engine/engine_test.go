@@ -75,9 +75,9 @@ func TestCounterCacheLocality(t *testing.T) {
 func TestWriteIncrementsCounter(t *testing.T) {
 	mc := testMC(t, Baseline, counter.Morphable, 64, func(c *Config) { c.RandomizeInit = false })
 	i := mc.Store().DataBlockIndex(0x3000)
-	before := mc.Store().DataCounter(i)
+	before := mc.Store().Counter(0, i)
 	mc.Write(0x3000)
-	if got := mc.Store().DataCounter(i); got != before+1 {
+	if got := mc.Store().Counter(0, i); got != before+1 {
 		t.Fatalf("counter %d -> %d, want +1", before, got)
 	}
 }
@@ -107,6 +107,38 @@ func TestBaselineOverflowRelevels(t *testing.T) {
 	}
 }
 
+// TestRMCCOverflowAtMemoizedIncrement: when +1 lands on a memoized value
+// there is no jump to make, so a write whose +1 overflows the group
+// relevels it to one above its maximum, as the baseline does, even though
+// a memoized value lies higher. Morphable's 30-exception ZCC format makes
+// such a write: block 0 sits at the base 0 with 97 others, blocks 1-30 sit
+// at 20, and block 0's +1 would be a 31st exception; the table holds 0-7
+// and 40-159, so 21 is not memoized and 40 is.
+func TestRMCCOverflowAtMemoizedIncrement(t *testing.T) {
+	mc := testMC(t, RMCC, counter.Morphable, 64, func(c *Config) { c.RandomizeInit = false })
+	st := mc.Store()
+	for b := 1; b <= 30; b++ {
+		st.Set(0, b, 20)
+	}
+	starts := []uint64{0}
+	for k := uint64(0); k < 15; k++ {
+		starts = append(starts, 40+8*k)
+	}
+	mc.L0Table().Seed(starts)
+	o := mc.Write(st.DataBlockAddr(0))
+	if len(o.OverflowTraffic) != 2*st.Coverage() {
+		t.Fatalf("overflow traffic = %d transfers, want a relevel's %d", len(o.OverflowTraffic), 2*st.Coverage())
+	}
+	for b := 0; b < st.Coverage(); b++ {
+		if got := st.Counter(0, b); got != 21 {
+			t.Fatalf("block %d = %d after the relevel, want 21", b, got)
+		}
+	}
+	if s := mc.Stats(); s.BaselineOverflows != 1 || s.WriteJumps != 0 {
+		t.Fatalf("BaselineOverflows %d, WriteJumps %d; want 1 and 0", s.BaselineOverflows, s.WriteJumps)
+	}
+}
+
 func TestSGXNeverOverflows(t *testing.T) {
 	mc := testMC(t, Baseline, counter.SGX, 16, func(c *Config) { c.RandomizeInit = false })
 	for w := 0; w < 500; w++ {
@@ -122,8 +154,8 @@ func TestRMCCWriteLandsOnMemoizedValue(t *testing.T) {
 	// group; a write should move the counter to a memoized value.
 	mc.Write(0x6000)
 	i := mc.Store().DataBlockIndex(0x6000)
-	if !mc.L0Table().Contains(mc.Store().DataCounter(i)) {
-		t.Fatalf("counter %d not memoized after write", mc.Store().DataCounter(i))
+	if !mc.L0Table().Contains(mc.Store().Counter(0, i)) {
+		t.Fatalf("counter %d not memoized after write", mc.Store().Counter(0, i))
 	}
 }
 
@@ -172,12 +204,45 @@ func TestReadTriggeredUpdateConvergesReadOnlyBlocks(t *testing.T) {
 	// sit exactly on memoized values.
 	covered := 0
 	for i := 0; i < mc.Store().NumDataBlocks(); i += 64 {
-		if mc.L0Table().Contains(mc.Store().DataCounter(i)) {
+		if mc.L0Table().Contains(mc.Store().Counter(0, i)) {
 			covered++
 		}
 	}
 	if covered == 0 {
 		t.Fatal("no sampled blocks converged onto memoized values")
+	}
+}
+
+// TestReadUpdateRelevelsAboveGroupMax: a read-triggered relevel, like a
+// write's, lands above the group's maximum even when the nearest memoized
+// value above the counter lies below it. Block 0 sits at the base 8 with
+// 97 others and blocks 1-30 sit at 28, so raising block 0 to the memoized
+// 16 would make a 31st Morphable exception; the group relevels onto 32,
+// the table's next value above 28.
+func TestReadUpdateRelevelsAboveGroupMax(t *testing.T) {
+	mc := testMC(t, RMCC, counter.Morphable, 64, func(c *Config) {
+		c.RandomizeInit = false
+		c.L0Table.EpochAccesses = 1_000_000 // a budget that covers one relevel
+	})
+	st := mc.Store()
+	st.Relevel(0, 0, 8)
+	for b := 1; b <= 30; b++ {
+		st.Set(0, b, 28)
+	}
+	starts := []uint64{16}
+	for k := uint64(0); k < 15; k++ {
+		starts = append(starts, 32+8*k)
+	}
+	mc.L0Table().Seed(starts)
+	mc.Read(st.DataBlockAddr(0))
+	for b := 0; b < st.Coverage(); b++ {
+		if got := st.Counter(0, b); got != 32 {
+			t.Fatalf("block %d = %d after the read, want 32", b, got)
+		}
+	}
+	if s := mc.Stats(); s.ReadUpdateRelevels != 1 || s.OverheadL0Blocks != uint64(2*st.Coverage()) {
+		t.Fatalf("ReadUpdateRelevels %d, OverheadL0Blocks %d; want 1 and %d",
+			s.ReadUpdateRelevels, s.OverheadL0Blocks, 2*st.Coverage())
 	}
 }
 
@@ -272,7 +337,7 @@ func TestEvictionCascadeBumpsParents(t *testing.T) {
 	}
 	var bumped bool
 	for j := 0; j < mc.Store().NumL0Blocks(); j++ {
-		if mc.Store().TreeCounter(1, j) > 0 {
+		if mc.Store().Counter(1, j) > 0 {
 			bumped = true
 			break
 		}

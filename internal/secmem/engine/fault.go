@@ -26,7 +26,7 @@ func (mc *MC) TamperMAC(i int) error {
 		return ErrContentsDisabled
 	}
 	if _, ok := mc.contents.macs[i]; !ok {
-		mc.contents.reencrypt(i, mc.store.DataCounter(i), mc.store.DataBlockAddr(i))
+		mc.contents.reencrypt(i, mc.store.Counter(0, i), mc.store.DataBlockAddr(i))
 	}
 	// Odd-constant addition rather than XOR: repeated tampering never
 	// round-trips back to the original MAC.
@@ -47,22 +47,16 @@ func (mc *MC) TamperTransient(i int, reads int) error {
 	return nil
 }
 
-// CorruptDataCounter overwrites block i's stored counter without
-// re-sealing the block: the DRAM counter bits flipped while the ciphertext
-// stayed sealed under the old value, so the next read decrypts garbage and
-// fails its MAC check.
-func (mc *MC) CorruptDataCounter(i int, v uint64) {
-	if mc.store != nil {
-		mc.store.CorruptDataCounter(i, v)
-	}
-}
-
-// CorruptTreeCounter overwrites the level-l counter protecting child c —
-// integrity-tree metadata corruption. The checker's regression scan (and,
-// for upward corruption, the encodability machinery) must flag it.
-func (mc *MC) CorruptTreeCounter(l, c int, v uint64) {
-	if mc.store != nil && l >= 1 && l <= mc.store.Levels() {
-		mc.store.CorruptTreeCounter(l, c, v)
+// CorruptCounter overwrites level-l counter i without re-sealing or
+// re-MACing what it protects: the DRAM counter bits flipped. At level 0,
+// data block i's ciphertext stayed sealed under the old value, so the next
+// read decrypts garbage and fails its MAC check. Above, it is
+// integrity-tree metadata corruption of the counter protecting child i,
+// which the checker's regression scan must flag; a node it leaves
+// unencodable relevels above its maximum on its next update.
+func (mc *MC) CorruptCounter(l, i int, v uint64) {
+	if mc.store != nil && l >= 0 && l <= mc.store.Levels() {
+		mc.store.Corrupt(l, i, v)
 	}
 }
 
@@ -89,17 +83,12 @@ func (mc *MC) PoisonCounterCache(addr uint64) {
 	if mc.ctrCache == nil {
 		return
 	}
-	var extra, overflow []Traffic
+	var out Outcome
 	res := mc.ctrCache.Access(addr, true)
 	if res.Evicted && res.Writeback {
-		mc.writebackCounterBlock(res.VictimAddr, &extra, &overflow)
+		mc.writebackCounterBlock(res.VictimAddr, &out)
 	}
-	for _, t := range extra {
-		mc.addTraffic(t)
-	}
-	for _, t := range overflow {
-		mc.addTraffic(t)
-	}
+	mc.addTraffic(&out)
 }
 
 // EvictCounterLine force-evicts addr from the counter cache (a scrub),
@@ -113,14 +102,9 @@ func (mc *MC) EvictCounterLine(addr uint64) {
 	if !present || !dirty {
 		return
 	}
-	var extra, overflow []Traffic
-	mc.writebackCounterBlock(addr, &extra, &overflow)
-	for _, t := range extra {
-		mc.addTraffic(t)
-	}
-	for _, t := range overflow {
-		mc.addTraffic(t)
-	}
+	var out Outcome
+	mc.writebackCounterBlock(addr, &out)
+	mc.addTraffic(&out)
 }
 
 // DropNextWriteback arms a dropped-writeback fault on block i: the next
@@ -134,7 +118,7 @@ func (mc *MC) DropNextWriteback(i int) error {
 	// Materialize the current DRAM image now so the stale copy (sealed
 	// under the pre-write counter) is what the post-write read fetches.
 	if _, ok := mc.contents.cipher[i]; !ok {
-		mc.contents.reencrypt(i, mc.store.DataCounter(i), mc.store.DataBlockAddr(i))
+		mc.contents.reencrypt(i, mc.store.Counter(0, i), mc.store.DataBlockAddr(i))
 	}
 	mc.contents.dropNext[i] = true
 	mc.stats.DroppedWritebacks++
@@ -150,11 +134,11 @@ func (mc *MC) DuplicateWriteback(i int) error {
 		return ErrContentsDisabled
 	}
 	if _, ok := mc.contents.cipher[i]; !ok {
-		mc.contents.reencrypt(i, mc.store.DataCounter(i), mc.store.DataBlockAddr(i))
+		mc.contents.reencrypt(i, mc.store.Counter(0, i), mc.store.DataBlockAddr(i))
 	}
 	// Re-seal the identical plaintext under the identical counter: the
 	// DRAM image is rewritten with the same bytes.
-	mc.contents.reencrypt(i, mc.store.DataCounter(i), mc.store.DataBlockAddr(i))
+	mc.contents.reencrypt(i, mc.store.Counter(0, i), mc.store.DataBlockAddr(i))
 	mc.stats.DuplicatedWritebacks++
 	mc.stats.TrafficBlocks[dram.KindData]++
 	return nil
@@ -187,12 +171,12 @@ func (mc *MC) ForceCounterCeiling(addr uint64) error {
 		return fmt.Errorf("%w: non-secure mode has no counters", ErrInvalidConfig)
 	}
 	i := mc.store.DataBlockIndex(addr)
-	if mc.store.DataCounter(i) >= counter.MaxCounter {
+	if mc.store.Counter(0, i) >= counter.MaxCounter {
 		return nil
 	}
-	blocks := mc.store.RelevelData(i, counter.MaxCounter)
+	start, end := mc.store.Relevel(0, i, counter.MaxCounter)
 	if mc.contents != nil {
-		for _, b := range blocks {
+		for b := start; b < end; b++ {
 			mc.contents.reencrypt(b, counter.MaxCounter, mc.store.DataBlockAddr(b))
 		}
 	}
@@ -242,9 +226,18 @@ func (mc *MC) rekey(out *Outcome) {
 	out.Rekeyed = true
 }
 
-// finish completes an access: it executes any deferred re-key and drains
-// the pending violations onto the Outcome.
-func (mc *MC) finish(out *Outcome) {
+// finish completes a Read or Write: it adds up the access's traffic,
+// traces the data OSM register's advance past preOSM (read only when a
+// tracer is attached), executes any deferred re-key, drains the pending
+// violations onto the Outcome, and keeps Extra's storage for the next
+// access.
+func (mc *MC) finish(out *Outcome, preOSM uint64) {
+	mc.addTraffic(out)
+	if mc.trace != nil {
+		if v := mc.store.ObservedMax(); v > preOSM {
+			mc.trace.Emit(obs.EvOSMUpdate, 0, v, 0)
+		}
+	}
 	if mc.needRekey {
 		mc.rekey(out)
 	}
@@ -252,4 +245,5 @@ func (mc *MC) finish(out *Outcome) {
 		out.Violations = append(out.Violations, mc.pending...)
 		mc.pending = nil
 	}
+	mc.scratchExtra = out.Extra
 }

@@ -15,12 +15,18 @@ import (
 //     tampered block.
 //
 // Each op byte selects an action; the following byte selects its target
-// block, so go's fuzzer can minimize adversarial interleavings.
+// block, so go's fuzzer can minimize adversarial interleavings. The
+// tree-metadata op spreads the byte's 256 values over all of memory, so
+// it reaches every level-1 node, and takes its amounts from the op byte.
+// Adding an op changes the modulus and so what every op byte at or above
+// it means: re-encode the inputs under testdata/fuzz so they still run
+// the ops they pinned.
 func FuzzEngineFaultSequence(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 1, 2, 2, 3, 3, 4})
 	f.Add(uint8(1), []byte{4, 0, 5, 0, 6, 0, 7, 0, 0, 0})
 	f.Add(uint8(2), []byte{8, 9, 9, 1, 10, 2, 11, 3, 0, 1, 1, 1})
 	f.Add(uint8(0), []byte{2, 200, 0, 200, 3, 100, 1, 100, 12, 0})
+	f.Add(uint8(0), []byte{13, 0, 27, 64, 41, 128, 55, 192})
 
 	f.Fuzz(func(t *testing.T, policy uint8, ops []byte) {
 		cfg := DefaultConfig(RMCC, counter.Morphable, 4<<20)
@@ -44,7 +50,7 @@ func FuzzEngineFaultSequence(f *testing.F) {
 		for k := 0; k+1 < len(ops); k += 2 {
 			b := int(ops[k+1]) % n
 			addr := st.DataBlockAddr(b)
-			switch ops[k] % 13 {
+			switch ops[k] % 14 {
 			case 0:
 				mc.Read(addr)
 				mc.OnEpochAccess()
@@ -90,7 +96,7 @@ func FuzzEngineFaultSequence(f *testing.F) {
 				}
 				mc.Read(addr)
 			case 7:
-				mc.CorruptDataCounter(b, st.DataCounter(b)^uint64(ops[k+1]+1))
+				mc.CorruptCounter(0, b, st.Counter(0, b)^uint64(ops[k+1]+1))
 				mc.Read(addr)
 			case 8:
 				mc.PoisonMemoEntry(uint64(ops[k+1]))
@@ -117,6 +123,23 @@ func FuzzEngineFaultSequence(f *testing.F) {
 				if !out.Rekeyed {
 					t.Fatal("write at the 56-bit ceiling did not re-key")
 				}
+			case 13: // a level-1 node its group cannot encode, then a bump in it
+				amt := uint64(ops[k]) / 14
+				b := int(ops[k+1]) * n >> 8
+				l0 := st.NodeIndex(b)
+				node := st.NodeIndex(l0)
+				start := node * st.Coverage()
+				sib := start
+				if sib == l0 {
+					sib++
+				}
+				if sib < min(start+st.Coverage(), st.TreeLevelLen(1)) {
+					mc.CorruptCounter(1, sib, st.GroupMax(1, node)+128+amt)
+				}
+				lo := mc.L1Table().LiveValues()[0] // ascending
+				mc.CorruptCounter(1, l0, lo-min(lo, 2+amt))
+				mc.Write(st.DataBlockAddr(b))
+				mc.EvictCounterLine(st.NodeAddr(0, l0))
 			}
 		}
 	})

@@ -47,7 +47,7 @@ func TestObservedTreeMaxMatchesStore(t *testing.T) {
 func treeMaxAtLevel(mc *MC, l int) uint64 {
 	var max uint64
 	for c := 0; c < mc.store.TreeLevelLen(l); c++ {
-		if v := mc.store.TreeCounter(l, c); v > max {
+		if v := mc.store.Counter(l, c); v > max {
 			max = v
 		}
 	}

@@ -20,8 +20,8 @@ func (mc *MC) Read(addr uint64) Outcome {
 	out.Extra = mc.scratchExtra[:0]
 
 	i := mc.store.DataBlockIndex(addr)
-	l0Idx := mc.store.L0Index(i)
-	ctrVal := mc.store.DataCounter(i)
+	l0Idx := mc.store.NodeIndex(i)
+	ctrVal := mc.store.Counter(0, i)
 
 	// §IV-D2 data-OSM tracing: the register is maintained inside the
 	// counter store, so advances are detected by comparing around the
@@ -31,7 +31,7 @@ func (mc *MC) Read(addr uint64) Outcome {
 		preOSM = mc.store.ObservedMax()
 	}
 
-	chain, l0Hit, l1Covered := mc.walkChain(l0Idx, false, true, &out.Extra, &out.OverflowTraffic)
+	chain, l0Hit, l1Covered := mc.walkChain(l0Idx, false, true, &out)
 	out.CtrCacheHit = l0Hit
 	out.Chain = chain
 	if l0Hit {
@@ -104,19 +104,7 @@ func (mc *MC) Read(addr uint64) Outcome {
 		}
 	}
 
-	for _, t := range out.Extra {
-		mc.addTraffic(t)
-	}
-	for _, t := range out.OverflowTraffic {
-		mc.addTraffic(t)
-	}
-	if mc.trace != nil {
-		if v := mc.store.ObservedMax(); v > preOSM {
-			mc.trace.Emit(obs.EvOSMUpdate, 0, v, 0)
-		}
-	}
-	mc.finish(&out)
-	mc.scratchExtra = out.Extra
+	mc.finish(&out, preOSM)
 	return out
 }
 
@@ -126,7 +114,7 @@ func (mc *MC) Read(addr uint64) Outcome {
 // transient faults; RekeyRecover additionally escalates persistent failures
 // to the whole-memory re-key (executed by finish).
 func (mc *MC) verifyAndRecover(i int, blockAddr uint64) {
-	ptOK, macOK := mc.contents.verifyRead(i, mc.store.DataCounter(i), blockAddr)
+	ptOK, macOK := mc.contents.verifyRead(i, mc.store.Counter(0, i), blockAddr)
 	if ptOK && macOK {
 		return
 	}
@@ -136,7 +124,7 @@ func (mc *MC) verifyAndRecover(i int, blockAddr uint64) {
 		for r := 0; r < retryLimit; r++ {
 			mc.stats.RetryAttempts++
 			mc.stats.TrafficBlocks[dram.KindData]++ // the re-fetch
-			ptOK, macOK = mc.contents.verifyRead(i, mc.store.DataCounter(i), blockAddr)
+			ptOK, macOK = mc.contents.verifyRead(i, mc.store.Counter(0, i), blockAddr)
 			if ptOK && macOK {
 				recovered = true
 				mc.stats.RetryRecoveries++
@@ -184,66 +172,37 @@ func (mc *MC) readTriggeredUpdate(i int, cur uint64, out *Outcome) {
 	if !ok {
 		return
 	}
-	if mc.store.CanEncodeData(i, target) {
+	l0Idx := mc.store.NodeIndex(i)
+	if mc.store.CanEncode(0, i, target) {
 		if !mc.l0Table.SpendBudget(1) {
 			mc.stats.ReadUpdatesDenied++
 			return
 		}
-		mc.store.SetDataCounter(i, target)
+		mc.store.Set(0, i, target)
 		if mc.contents != nil {
 			mc.contents.reencrypt(i, target, mc.store.DataBlockAddr(i))
 		}
-		// The block is rewritten with its new ciphertext; its counter
-		// block is already resident (we just walked the chain) and dirty.
-		mc.markL0Dirty(i, out)
+		// The block is rewritten with its new ciphertext, and its counter
+		// block, resident since the chain walk unless the walk's own
+		// traffic evicted it, becomes dirty.
+		mc.ensureCounterBlock(mc.store.NodeAddr(0, l0Idx), true, out)
 		out.Extra = append(out.Extra, Traffic{Addr: mc.store.DataBlockAddr(i), Write: true, Kind: dram.KindData})
 		mc.stats.ReadUpdates++
 		mc.stats.OverheadL0Blocks++
 		return
 	}
 	// The jump would overflow the group: relevel everything onto the
-	// memoized value if the budget allows the 2×coverage transfers.
-	groupMax := mc.store.GroupMax(mc.store.L0Index(i))
-	relevelTarget := target
-	if relevelTarget <= groupMax {
-		if t2, ok2 := mc.l0Table.NearestMemoized(groupMax); ok2 {
-			relevelTarget = t2
-		} else {
-			mc.stats.ReadUpdatesDenied++
-			return
-		}
+	// memoized value, lifted above the group's maximum as advance lifts
+	// it, if the budget allows the 2×coverage transfers.
+	if hi := mc.store.GroupMax(0, l0Idx); target <= hi {
+		target, ok = mc.l0Table.NearestMemoized(hi)
 	}
-	cost := 2 * mc.store.Coverage()
-	if !mc.l0Table.SpendBudget(cost) {
+	if !ok || !mc.l0Table.SpendBudget(mc.relevelCost()) {
 		mc.stats.ReadUpdatesDenied++
 		return
 	}
-	mc.relevelData(i, relevelTarget, out, dram.KindOverflowL0)
+	mc.relevel(0, i, target, out)
 	mc.stats.ReadUpdates++
 	mc.stats.ReadUpdateRelevels++
-	mc.stats.OverheadL0Blocks += uint64(cost)
-}
-
-// markL0Dirty dirties block i's L0 counter block in the counter cache
-// (fetching it if a race evicted it), accounting any cascade.
-func (mc *MC) markL0Dirty(i int, out *Outcome) {
-	addr := mc.store.L0BlockAddr(mc.store.L0Index(i))
-	mc.ensureCounterBlock(addr, true, &out.Extra, &out.OverflowTraffic)
-}
-
-// relevelData executes a group relevel: every covered block is re-encrypted
-// under the target counter and rewritten (read + write per block).
-func (mc *MC) relevelData(i int, target uint64, out *Outcome, kind dram.Kind) {
-	blocks := mc.store.RelevelData(i, target)
-	for _, b := range blocks {
-		a := mc.store.DataBlockAddr(b)
-		out.OverflowTraffic = append(out.OverflowTraffic,
-			Traffic{Addr: a, Write: false, Kind: kind},
-			Traffic{Addr: a, Write: true, Kind: kind},
-		)
-		if mc.contents != nil {
-			mc.contents.reencrypt(b, target, a)
-		}
-	}
-	mc.markL0Dirty(i, out)
+	mc.stats.OverheadL0Blocks += uint64(mc.relevelCost())
 }

@@ -275,7 +275,7 @@ func TestTreeCounterCeilingRekeys(t *testing.T) {
 				c.CounterCacheWays = 4
 			})
 			st := mc.Store()
-			mc.CorruptTreeCounter(1, 0, ^uint64(0))
+			mc.CorruptCounter(1, 0, ^uint64(0))
 			var out Outcome
 			for j := 0; j < st.NumL0Blocks() && !out.Rekeyed; j++ {
 				out = mc.Write(st.DataBlockAddr(j * st.Coverage()))
@@ -290,13 +290,58 @@ func TestTreeCounterCeilingRekeys(t *testing.T) {
 			if !found || mc.Stats().CounterOverflows == 0 {
 				t.Fatalf("no recovered ViolationCounterOverflow: %+v", out.Violations)
 			}
-			if got := st.TreeCounter(1, 0); got != 0 {
+			if got := st.Counter(1, 0); got != 0 {
 				t.Fatalf("corrupted counter reads %d after the re-key, want 0", got)
 			}
 			for j := 0; j < 256; j++ {
 				if o := mc.Write(st.DataBlockAddr(j * st.Coverage())); len(o.Violations) != 0 {
 					t.Fatalf("write after the re-key: %v", o.Violations[0])
 				}
+			}
+		})
+	}
+}
+
+// TestCorruptedTreeNodeRelevelsAboveMax: a level-1 counter corrupted to
+// 10 below the L1 table's live values, in a node whose other counters all
+// sit more than 127 above them, leaves a node that no longer encodes and a
+// nearest memoized value under the node's maximum. The counter's next bump
+// (its L0 block written, then evicted) must relevel the node above that
+// maximum, here onto maximum+1 as no memoized value lies higher, as a
+// baseline overflow, not panic releveling onto the memoized value.
+func TestCorruptedTreeNodeRelevelsAboveMax(t *testing.T) {
+	for _, scheme := range []counter.Scheme{counter.Morphable, counter.SC64} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			mc := testMC(t, RMCC, scheme, 64, nil)
+			st := mc.Store()
+			live := mc.L1Table().LiveValues()
+			lo, hi := live[0], live[len(live)-1] // ascending
+			cov, n := st.Coverage(), st.TreeLevelLen(1)
+			node := -1
+			for k := 0; node < 0 && k*cov < n; k++ {
+				above := true
+				for c := k * cov; c < min((k+1)*cov, n); c++ {
+					above = above && st.Counter(1, c) > hi+127
+				}
+				if above {
+					node = k
+				}
+			}
+			if node < 0 {
+				t.Fatalf("no level-1 node sits more than 127 above the L1 table's %d..%d", lo, hi)
+			}
+			child, top := node*cov, st.GroupMax(1, node)
+			overflows := mc.Stats().BaselineOverflows
+			mc.CorruptCounter(1, child, lo-10)
+			mc.Write(st.DataBlockAddr(child * cov))
+			mc.EvictCounterLine(st.NodeAddr(0, child))
+			for c := child; c < min(child+cov, n); c++ {
+				if got := st.Counter(1, c); got != top+1 {
+					t.Fatalf("node %d child %d = %d after the bump, want %d (one above the node's maximum)", node, c, got, top+1)
+				}
+			}
+			if got := mc.Stats().BaselineOverflows; got != overflows+1 {
+				t.Fatalf("BaselineOverflows %d -> %d, want one relevel", overflows, got)
 			}
 		})
 	}
@@ -361,7 +406,7 @@ func poisonLiveBlock(t *testing.T, mc *MC) (block int, v uint64) {
 	t.Helper()
 	st, tbl := mc.Store(), mc.L0Table()
 	for i := 0; i < st.NumDataBlocks(); i++ {
-		if v = st.DataCounter(i); tbl.Contains(v) {
+		if v = st.Counter(0, i); tbl.Contains(v) {
 			if !mc.PoisonMemoEntry(v) {
 				t.Fatal("PoisonMemoEntry missed a live value")
 			}

@@ -126,6 +126,13 @@ func (mc *MC) ResetStats() {
 	}
 }
 
-func (mc *MC) addTraffic(t Traffic) {
-	mc.stats.TrafficBlocks[t.Kind]++
+// addTraffic adds an access's DRAM transfers, Extra and OverflowTraffic,
+// to the per-kind traffic totals.
+func (mc *MC) addTraffic(out *Outcome) {
+	for _, t := range out.Extra {
+		mc.stats.TrafficBlocks[t.Kind]++
+	}
+	for _, t := range out.OverflowTraffic {
+		mc.stats.TrafficBlocks[t.Kind]++
+	}
 }

@@ -19,7 +19,7 @@ func TestWarmStartSeedsTableAndCounters(t *testing.T) {
 	covered, total := 0, 0
 	for i := 0; i < mc.Store().NumDataBlocks(); i += 97 {
 		total++
-		if mc.L0Table().Contains(mc.Store().DataCounter(i)) {
+		if mc.L0Table().Contains(mc.Store().Counter(0, i)) {
 			covered++
 		}
 	}
@@ -36,7 +36,7 @@ func TestWarmStartZeroDisables(t *testing.T) {
 	// Boot table with randomized counters: essentially nothing covered.
 	covered := 0
 	for i := 0; i < mc.Store().NumDataBlocks(); i += 97 {
-		if mc.L0Table().Contains(mc.Store().DataCounter(i)) {
+		if mc.L0Table().Contains(mc.Store().Counter(0, i)) {
 			covered++
 		}
 	}
@@ -89,7 +89,7 @@ func TestWarmStartKeepsWritesOnTable(t *testing.T) {
 	var blk int
 	found := false
 	for i := 0; i < st.NumDataBlocks(); i += 31 {
-		if mc.L0Table().Contains(st.DataCounter(i)) {
+		if mc.L0Table().Contains(st.Counter(0, i)) {
 			blk, found = i, true
 			break
 		}
@@ -102,7 +102,7 @@ func TestWarmStartKeepsWritesOnTable(t *testing.T) {
 	const writes = 6
 	for w := 0; w < writes; w++ {
 		mc.Write(addr)
-		if mc.L0Table().Contains(st.DataCounter(blk)) {
+		if mc.L0Table().Contains(st.Counter(0, blk)) {
 			onTable++
 		}
 	}

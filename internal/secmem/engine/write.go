@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"rmcc/internal/core"
 	"rmcc/internal/mem/dram"
 	"rmcc/internal/obs"
 	"rmcc/internal/secmem/counter"
@@ -19,7 +20,7 @@ func (mc *MC) Write(addr uint64) Outcome {
 	out.Extra = mc.scratchExtra[:0]
 
 	i := mc.store.DataBlockIndex(addr)
-	l0Idx := mc.store.L0Index(i)
+	l0Idx := mc.store.NodeIndex(i)
 
 	// §IV-D2 data-OSM tracing, as in Read: compare around the access.
 	var preOSM uint64
@@ -29,7 +30,7 @@ func (mc *MC) Write(addr uint64) Outcome {
 
 	// Writes need the counter block resident (and dirty): encrypting the
 	// block consumes and updates its counter.
-	chain, l0Hit, _ := mc.walkChain(l0Idx, true, false, &out.Extra, &out.OverflowTraffic)
+	chain, l0Hit, _ := mc.walkChain(l0Idx, true, false, &out)
 	out.CtrCacheHit = l0Hit
 	out.Chain = chain
 	if l0Hit {
@@ -42,14 +43,14 @@ func (mc *MC) Write(addr uint64) Outcome {
 		if l0Hit {
 			ev = obs.EvCtrCacheHit
 		}
-		mc.trace.Emit(ev, addr, mc.store.DataCounter(i), 1)
+		mc.trace.Emit(ev, addr, mc.store.Counter(0, i), 1)
 	}
 
 	// 56-bit counter ceiling (paper §VII): when this write's increment — or
 	// the relevel it could force — cannot be represented, the architecture
 	// re-keys all of memory ("reboot") and the write proceeds in the fresh
 	// epoch with every counter reset.
-	if mc.store.GroupMax(l0Idx) >= counter.MaxCounter {
+	if mc.store.GroupMax(0, l0Idx) >= counter.MaxCounter {
 		mc.stats.CounterOverflows++
 		mc.recordViolation(&IntegrityError{
 			Kind: ViolationCounterOverflow, Addr: addr, Block: i, Recovered: true,
@@ -58,96 +59,151 @@ func (mc *MC) Write(addr uint64) Outcome {
 		mc.rekey(&out)
 		// The re-key dropped the counter cache; bring the (fresh) counter
 		// block back for the write itself.
-		mc.ensureCounterBlock(mc.store.L0BlockAddr(l0Idx), true, &out.Extra, &out.OverflowTraffic)
+		mc.ensureCounterBlock(mc.store.NodeAddr(0, l0Idx), true, &out)
 	}
 
-	cur := mc.store.DataCounter(i)
-	next := cur + 1
-	releveled := false
-
-	if mc.cfg.Mode == RMCC && mc.l0Table != nil {
-		if target, ok := mc.l0Table.NearestMemoized(cur); ok {
-			switch {
-			case target == next:
-				// The memoized value is the natural increment: the common
-				// steady state once a group sits inside a memoized window
-				// (Figure 7).
-			case mc.store.CanEncodeData(i, target):
-				// A jump that stays encodable costs nothing extra: same
-				// counter-block write, same data write.
-				next = target
-				mc.stats.WriteJumps++
-			case !mc.store.CanEncodeData(i, next):
-				// Baseline overflows too: relevel, landing directly on a
-				// memoized value (§IV-C2) at no extra charge — the
-				// baseline policy pays an equivalent relevel.
-				relTarget := target
-				if gm := mc.store.GroupMax(l0Idx); relTarget <= gm {
-					if t2, ok2 := mc.l0Table.NearestMemoized(gm); ok2 {
-						relTarget = t2
-					} else {
-						relTarget = gm + 1
-					}
-				}
-				mc.relevelData(i, relTarget, &out, dram.KindOverflowL0)
-				releveled = true
-				mc.stats.BaselineOverflows++
-			default:
-				// RMCC-induced overflow: only if the budget covers the
-				// 2×coverage relevel traffic (§IV-C2), otherwise fall back
-				// to the baseline +1.
-				relTarget := target
-				if gm := mc.store.GroupMax(l0Idx); relTarget <= gm {
-					t2, ok2 := mc.l0Table.NearestMemoized(gm)
-					if !ok2 {
-						break
-					}
-					relTarget = t2
-				}
-				cost := 2 * mc.store.Coverage()
-				if mc.l0Table.SpendBudget(cost) {
-					mc.relevelData(i, relTarget, &out, dram.KindOverflowL0)
-					releveled = true
-					mc.stats.WriteJumps++
-					mc.stats.WriteJumpRelevels++
-					mc.stats.OverheadL0Blocks += uint64(cost)
-				} else {
-					mc.stats.WriteJumpsDenied++
-				}
-			}
-		}
-	}
-
-	if !releveled {
-		if mc.store.CanEncodeData(i, next) {
-			mc.store.SetDataCounter(i, next)
-		} else {
-			// Baseline overflow: relevel the group to one above its max.
-			target := mc.store.GroupMax(l0Idx) + 1
-			mc.relevelData(i, target, &out, dram.KindOverflowL0)
-			mc.stats.BaselineOverflows++
-		}
+	// l0Table is nil outside RMCC mode, leaving the baseline +1.
+	switch s, _ := mc.advance(0, i, mc.l0Table, &out); s {
+	case stepJump:
+		mc.stats.WriteJumps++
+	case stepOverflow:
+		mc.stats.BaselineOverflows++
+	case stepRelevel:
+		mc.stats.WriteJumps++
+		mc.stats.WriteJumpRelevels++
+		mc.stats.OverheadL0Blocks += uint64(mc.relevelCost())
+	case stepDenied:
+		mc.stats.WriteJumpsDenied++
 	}
 
 	// Encrypt the block under its new counter and write it (with its MAC,
 	// co-located per Table I) to memory.
 	if mc.contents != nil {
-		mc.contents.writeBlock(i, mc.store.DataCounter(i), addr&^63)
+		mc.contents.writeBlock(i, mc.store.Counter(0, i), addr&^63)
 	}
 	out.Extra = append(out.Extra, Traffic{Addr: addr &^ 63, Write: true, Kind: dram.KindData})
 
-	for _, t := range out.Extra {
-		mc.addTraffic(t)
+	mc.finish(&out, preOSM)
+	return out
+}
+
+// step names the update advance made.
+type step int
+
+const (
+	stepIncrement step = iota // +1: no memoized value to jump to
+	stepJump                  // onto the nearest memoized value; the group still encodes
+	stepOverflow              // +1 overflowed anyway: releveled, as the baseline would be
+	stepRelevel               // releveled onto a memoized value, charged to the budget
+	stepDenied                // the budget refused that relevel: +1
+)
+
+// advance makes the write-side update of level-l counter i (§IV-B, with
+// the §IV-C2 overflow rules): a data write at level 0 through the L0
+// table, a tree write-back through the L1 table at level 1 and through
+// none above (a nil tbl is the baseline policy, +1). advance
+//
+//   - jumps to the nearest memoized value above the counter when the group
+//     still encodes it (a memoized value at +1 is no jump: +1 lands on it);
+//   - if +1 would overflow anyway, relevels at no charge, as the baseline
+//     would: onto the nearest memoized value above the group's maximum
+//     when there is a jump to make and such a value, else onto
+//     maximum+1;
+//   - otherwise relevels onto that value, charging the table's budget the
+//     read and write of every block the group covers;
+//   - and takes +1 if the budget refuses or no memoized value lies above
+//     the group's maximum.
+//
+// A relevel target must lie above the group's maximum, and the nearest
+// memoized value above the counter can lie below it; advance then lifts
+// it to the nearest memoized value above the maximum. advance returns the
+// update made and how many blocks a relevel rewrote.
+func (mc *MC) advance(l, i int, tbl *core.Table, out *Outcome) (step, int) {
+	cur := mc.store.Counter(l, i)
+	var target uint64
+	jump := false
+	if tbl != nil {
+		target, jump = tbl.NearestMemoized(cur)
+		jump = jump && target > cur+1
 	}
-	for _, t := range out.OverflowTraffic {
-		mc.addTraffic(t)
-	}
-	if mc.trace != nil {
-		if v := mc.store.ObservedMax(); v > preOSM {
-			mc.trace.Emit(obs.EvOSMUpdate, 0, v, 0)
+	s, next := stepIncrement, cur+1
+	if jump && mc.store.CanEncode(l, i, target) {
+		s, next = stepJump, target
+	} else if overflow := !mc.store.CanEncode(l, i, next); jump || overflow {
+		hi := mc.store.GroupMax(l, mc.store.NodeIndex(i))
+		if jump && target <= hi {
+			target, jump = tbl.NearestMemoized(hi)
+		}
+		switch {
+		case overflow:
+			if !jump {
+				target = hi + 1
+			}
+			return stepOverflow, mc.relevel(l, i, target, out)
+		case jump && tbl.SpendBudget(mc.relevelCost()):
+			return stepRelevel, mc.relevel(l, i, target, out)
+		case jump:
+			s = stepDenied
 		}
 	}
-	mc.finish(&out)
-	mc.scratchExtra = out.Extra
-	return out
+	mc.store.Set(l, i, next)
+	if l == 1 {
+		mc.observeL1(next)
+	}
+	return s, 0
+}
+
+// relevelCost is the budget an RMCC-induced relevel charges: a read and a
+// write of every block one group covers (§IV-C2).
+func (mc *MC) relevelCost() int { return 2 * mc.store.Coverage() }
+
+// observeL1 raises the level-1 observed-max register, which bounds where
+// the L1 table may start a new group, to a level-1 counter just written.
+// (The store keeps level 0's register.)
+func (mc *MC) observeL1(v uint64) {
+	if v > mc.observedTreeMax[1] {
+		mc.observedTreeMax[1] = v
+		mc.trace.Emit(obs.EvOSMUpdate, 1, v, 0)
+	}
+}
+
+// relevel executes an overflow: every counter of the level-l group holding
+// counter i moves to target, and every block the group protects is read
+// and rewritten — data blocks re-encrypted at level 0, child nodes
+// re-MACed above. Then the group's own node records the change: a data
+// group's counter block is dirtied (fetched again if the walk lost it),
+// while a tree node, left resident and dirty by the update that overflowed
+// it, has its own counter bumped one level up, since every minor it holds
+// changed. It returns how many blocks it rewrote.
+func (mc *MC) relevel(l, i int, target uint64, out *Outcome) int {
+	start, end := mc.store.Relevel(l, i, target)
+	if l == 1 {
+		mc.observeL1(target)
+	}
+	kind := dram.KindOverflowL1Plus
+	if l == 0 {
+		kind = dram.KindOverflowL0
+	}
+	for c := start; c < end; c++ {
+		var a uint64
+		if l == 0 {
+			a = mc.store.DataBlockAddr(c)
+			if mc.contents != nil {
+				mc.contents.reencrypt(c, target, a)
+			}
+		} else {
+			a = mc.store.NodeAddr(l-1, c)
+		}
+		out.OverflowTraffic = append(out.OverflowTraffic,
+			Traffic{Addr: a, Write: false, Kind: kind},
+			Traffic{Addr: a, Write: true, Kind: kind},
+		)
+	}
+	node := mc.store.NodeIndex(i)
+	if l == 0 {
+		mc.ensureCounterBlock(mc.store.NodeAddr(0, node), true, out)
+	} else {
+		mc.bumpTreeCounter(l+1, node, out)
+	}
+	return end - start
 }

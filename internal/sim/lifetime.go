@@ -130,7 +130,7 @@ func coveragePerValue(mc *engine.MC) float64 {
 	}
 	covered := 0
 	for i := 0; i < store.NumDataBlocks(); i++ {
-		if inTable[store.DataCounter(i)] {
+		if inTable[store.Counter(0, i)] {
 			covered++
 		}
 	}
