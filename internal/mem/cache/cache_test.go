@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -210,21 +209,27 @@ func TestDecodeStateRejectsImpossibleLines(t *testing.T) {
 	if err := small().DecodeState(snapshot.NewDec(good)); err != nil {
 		t.Fatalf("own state refused: %v", err)
 	}
-	// Header: sets, ways, stamp, 4 counters; then per line tag, valid,
-	// dirty, lru. Set 0 holds the two accesses above (tags 1 and 0, most
-	// recent first); the first line of set 1 is invalid.
-	const line0, lineBytes = 7 * 8, 8 + 1 + 1 + 8
-	const line1, line2 = line0 + lineBytes, line0 + 2*lineBytes
+	// Header: sets, ways, 4 counters; then one word per way, set by set.
+	// Set 0 holds the two accesses above, most recent first: tag 1 clean
+	// (word 4), then tag 0 dirty (word 3). Set 1 is empty.
+	const set0, set1 = 6 * 8, 8 * 8
+	word := func(off int, k uint64) func(b []byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[off:], k) }
+	}
+	const topTag = 1<<56 - 1 // 64 address bits less 6 line and 2 set bits
+	ok := append([]byte(nil), good...)
+	word(set1, (topTag+1)<<1)(ok)
+	if err := small().DecodeState(snapshot.NewDec(ok)); err != nil {
+		t.Fatalf("a line with the top tag refused: %v", err)
+	}
 	for name, mutate := range map[string]func(b []byte){
-		"valid with stamp 0": func(b []byte) { copy(b[line0+10:], make([]byte, 8)) },
-		"valid all-ones tag": func(b []byte) { copy(b[line0:], bytes.Repeat([]byte{0xff}, 8)) },
-		"valid tag 2^63-1":   func(b []byte) { binary.LittleEndian.PutUint64(b[line0:], 1<<63-1) },
-		"tag past 64 bits":   func(b []byte) { binary.LittleEndian.PutUint64(b[line0:], 1<<56) },
-		"invalid with a tag": func(b []byte) { b[line2] = 1 },
-		"invalid but dirty":  func(b []byte) { b[line2+9] = 1 },
-		"invalid with stamp": func(b []byte) { b[line2+10] = 1 },
-		"one stamp twice":    func(b []byte) { copy(b[line1+10:line1+18], b[line0+10:]) },
-		"one tag twice":      func(b []byte) { copy(b[line1:line1+8], b[line0:]) },
+		"valid behind invalid": word(set0, 0),
+		"valid in a later way": word(set1+8, 4),
+		"word of 1":            word(set1, 1),
+		"all-ones word":        word(set1, ^uint64(0)),
+		"tag past 64 bits":     word(set1, (topTag+2)<<1),
+		"one tag twice":        word(set0+8, 4),
+		"tag dirty and clean":  word(set0+8, 5),
 	} {
 		b := append([]byte(nil), good...)
 		mutate(b)

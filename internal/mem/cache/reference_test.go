@@ -137,40 +137,30 @@ func (r *refCache) ResidentLines() int {
 	return n
 }
 
+// EncodeState writes r in Cache.EncodeState's layout: geometry, counters,
+// then each set's valid lines by descending stamp as (tag+1)<<1 | dirty
+// words, followed by a 0 word per invalid way.
 func (r *refCache) EncodeState(e *snapshot.Enc) {
 	e.U64(uint64(len(r.sets)))
 	e.U64(uint64(r.cfg.Ways))
-	e.U64(r.stamp)
 	e.U64(r.stats.Hits)
 	e.U64(r.stats.Misses)
 	e.U64(r.stats.Evictions)
 	e.U64(r.stats.Writebacks)
 	for _, s := range r.sets {
-		for _, l := range s {
-			e.U64(l.tag)
-			e.Bool(l.valid)
-			e.Bool(l.dirty)
-			e.U64(l.lru)
-		}
-	}
-}
-
-// canonical encodes r as Cache.EncodeState encodes the same LRU state:
-// Ways as the global stamp, and each set's valid lines by descending
-// stamp, re-stamped Ways down to 1, ahead of its invalid ways.
-func (r *refCache) canonical() []byte {
-	ways := r.cfg.Ways
-	c := &refCache{cfg: r.cfg, sets: make([][]refLine, len(r.sets)), stamp: uint64(ways), stats: r.stats}
-	for i, s := range r.sets {
 		valid := slices.DeleteFunc(slices.Clone(s), func(l refLine) bool { return !l.valid })
 		slices.SortFunc(valid, func(a, b refLine) int { return cmp.Compare(b.lru, a.lru) })
-		c.sets[i] = make([]refLine, ways)
-		for j, l := range valid {
-			l.lru = uint64(ways - j)
-			c.sets[i][j] = l
+		for _, l := range valid {
+			k := (l.tag + 1) << 1
+			if l.dirty {
+				k |= 1
+			}
+			e.U64(k)
+		}
+		for range len(s) - len(valid) {
+			e.U64(0)
 		}
 	}
-	return encode(c)
 }
 
 // geometries lists every cache shape the simulator builds, plus a
@@ -243,15 +233,15 @@ func (o diffOp) String() string {
 
 // runDiff drives a Cache and the literal reference model through ops and
 // requires identical results and counters after every op, and identical
-// occupancy and snapshot bytes (the reference's in canonical form) every
-// 1000 ops and at the end. Halfway through, a second cache restored from
-// the reference's raw snapshot bytes joins and must continue identically.
+// occupancy and snapshot bytes every 1000 ops and at the end. Halfway
+// through, a second cache restored from the reference's snapshot bytes
+// joins and must continue identically.
 // It returns the reference, for its final counters.
 func runDiff(t testing.TB, cfg Config, ops []diffOp) *refCache {
 	ref := newRef(cfg)
 	caches := []*Cache{New(cfg)}
 	check := func(op int, what string) {
-		want := ref.canonical()
+		want := encode(ref)
 		for ci, c := range caches {
 			if c.ResidentLines() != ref.ResidentLines() {
 				t.Fatalf("op %d %s, cache %d: %d resident lines, reference %d",

@@ -42,8 +42,9 @@ const (
 	// EvBudgetDenied: a budget charge was refused for lack of budget.
 	// Addr = table id, V1 = blocks requested, V2 = remaining (truncated).
 	EvBudgetDenied
-	// EvOSMUpdate: an observed-max register advanced (§IV-D2). Addr =
-	// level (0 = data OSM, l >= 1 = tree level), V1 = new max.
+	// EvOSMUpdate: a counter write raised its level's observed-max
+	// register (§IV-D2); every counter level has one. Addr = level (0 =
+	// data OSM, l >= 1 = tree level), V1 = new max.
 	EvOSMUpdate
 	// EvFaultInjected: the fault campaign corrupted state. Addr = target
 	// address (or index), V1 = fault kind ordinal.

@@ -115,17 +115,14 @@ const BlockBytes = 64
 // lv[1] protects L0 counter block c; counter c of lv[l] protects level-(l-1)
 // node c. Every group, at every level, covers Coverage() children. The root
 // level's counters live on-chip and need no protection. The levels differ
-// only in which spreads fit (fits), and in that level 0 alone feeds the
-// observed-max register.
+// only in which spreads fit (fits). Each level has its own observed-max
+// register, which every write to the level raises.
 type Store struct {
-	scheme      Scheme
-	shift       uint     // log2(Coverage()): counter index -> node index
-	lv          []level  // lv[0] data counters, lv[l] tree level l
-	treeBase    []uint64 // base address of each level's nodes
-	observedMax uint64   // largest data counter ever set (§IV-D2 register)
-
-	// Overflows counts relevel events per level (0 = data/L0 groups).
-	Overflows []uint64
+	scheme   Scheme
+	shift    uint     // log2(Coverage()): counter index -> node index
+	lv       []level  // lv[0] data counters, lv[l] tree level l
+	treeBase []uint64 // base address of each level's nodes
+	observed []uint64 // per level: largest counter it has held (§IV-D2)
 }
 
 // level holds one counter level in its encoded form, as the hardware
@@ -179,7 +176,7 @@ func NewStore(scheme Scheme, dataBytes uint64) *Store {
 		s.lv = append(s.lv, s.newLevel(children))
 		children = s.lv[top+1].numGroups()
 	}
-	s.Overflows = make([]uint64, len(s.lv)+1) // one spare slot, as checkpoints carry it
+	s.observed = make([]uint64, len(s.lv))
 	s.ResetCounters()
 	return s
 }
@@ -212,9 +209,13 @@ func (s *Store) Levels() int { return len(s.lv) - 1 }
 // number of children per tree node.
 func (s *Store) Coverage() int { return 1 << s.shift }
 
-// ObservedMax returns the Observed-System-Max register (§IV-D2): the
-// largest counter value any data block has ever held.
-func (s *Store) ObservedMax() uint64 { return s.observedMax }
+// ObservedMax returns level l's Observed-System-Max register (§IV-D2):
+// the largest value any level-l counter has held since the last re-key.
+// Level 0's bounds the L0 memoization table, level 1's the L1 table.
+func (s *Store) ObservedMax(l int) uint64 { return s.observed[l] }
+
+// observe raises level l's observed-max register to v.
+func (s *Store) observe(l int, v uint64) { s.observed[l] = max(s.observed[l], v) }
 
 // --- Address mapping ---
 
@@ -497,7 +498,7 @@ func (s *Store) CanEncode(l, i int, newVal uint64) bool {
 	return s.fits(l, hi-lo, above)
 }
 
-// Set moves level-l counter i to newVal; at level 0 it also raises the
+// Set moves level-l counter i to newVal and raises the level's
 // observed-max register. Callers gate it on CanEncode. Panics on a
 // non-increasing value (reusing or rewinding a counter is a security
 // violation the simulator must never commit) and on a value that leaves
@@ -513,16 +514,15 @@ func (s *Store) Set(l, i int, newVal uint64) {
 			l, i, cur, newVal))
 	}
 	lv.set(i, newVal)
-	if l == 0 {
-		s.observedMax = max(s.observedMax, newVal)
-	}
+	s.observe(l, newVal)
 }
 
 // Relevel executes an overflow of the level-l group holding counter i:
 // every counter in the group takes target, which must exceed the group's
-// current maximum. It returns the [start, end) range of the group's
-// counters, whose blocks (data blocks at level 0, child nodes above) must
-// be re-encrypted or re-MACed and written back.
+// current maximum, and the level's observed-max register rises to it. It
+// returns the [start, end) range of the group's counters, whose blocks
+// (data blocks at level 0, child nodes above) must be re-encrypted or
+// re-MACed and written back.
 func (s *Store) Relevel(l, i int, target uint64) (start, end int) {
 	lv := &s.lv[l]
 	j := i >> lv.shift
@@ -530,33 +530,29 @@ func (s *Store) Relevel(l, i int, target uint64) (start, end int) {
 		panic(fmt.Sprintf("counter: relevel target %d not above level-%d group %d maximum %d", target, l, j, hi))
 	}
 	lv.fill(j, target)
-	s.Overflows[l]++
-	if l == 0 {
-		s.observedMax = max(s.observedMax, target)
-	}
+	s.observe(l, target)
 	return lv.groupRange(j)
 }
 
 // --- Fault injection and re-key ---
 
 // Corrupt overwrites level-l counter i with an arbitrary value, bypassing
-// every invariant (monotonicity, encodability, the observed-max register).
+// every invariant (monotonicity, encodability, the observed-max registers).
 // It models a physical attack or DRAM fault on the counter storage itself;
 // the engine's MAC check and the checker's regression scan are expected to
 // flag the damage. Never call it from policy code.
 func (s *Store) Corrupt(l, i int, v uint64) { s.lv[l].corrupt(i, v) }
 
-// ResetCounters zeroes every data and tree counter and the observed-max
+// ResetCounters zeroes every data and tree counter and every observed-max
 // register: the whole-memory re-key ("reboot"). Under a fresh key the
-// (key, counter) pad space restarts, so zero counters are safe again. The
-// cumulative Overflows tallies are preserved.
+// (key, counter) pad space restarts, so zero counters are safe again.
 func (s *Store) ResetCounters() {
 	for l := range s.lv {
 		for j := 0; j < s.lv[l].numGroups(); j++ {
 			s.lv[l].fill(j, 0)
 		}
 	}
-	s.observedMax = 0
+	clear(s.observed)
 }
 
 // --- Initialization ---
@@ -580,9 +576,20 @@ func DefaultRandomize() RandomizeOptions {
 	return RandomizeOptions{BaseLo: 50_000, BaseHi: 200_000, SpreadFrac: 0.06}
 }
 
+// LevelRange returns the range [lo, lo+n) that Randomize draws level l's
+// group bases from: [BaseLo, BaseHi) for the data counters (at least one
+// value), an eighth of it for tree counters.
+func (o RandomizeOptions) LevelRange(l int) (lo, n uint64) {
+	span := max(o.BaseHi-o.BaseLo, 1)
+	if l > 0 {
+		return o.BaseLo / 8, span/8 + 1
+	}
+	return o.BaseLo, span
+}
+
 // WarmSnap rebases a fraction of level l's groups onto the given base
-// values, preserving each group's internal offsets; at level 0 it raises
-// the observed-max register to the largest value written. It models the
+// values, preserving each group's internal offsets, and raises the level's
+// observed-max register to the largest value written. It models the
 // steady state of a long-running RMCC system: the memoization-aware update
 // has releveled most groups onto memoized counter values (see §IV-B;
 // convergence itself is exercised by the organic-convergence experiment).
@@ -597,21 +604,14 @@ func (s *Store) WarmSnap(l int, r *rng.Source, bases []uint64, frac float64) {
 		if r.Uint64()>>11 >= t { // r.Float64() >= frac
 			continue
 		}
-		hi := lv.rebase(j, bases[r.Intn(len(bases))])
-		if l == 0 {
-			s.observedMax = max(s.observedMax, hi)
-		}
+		s.observe(l, lv.rebase(j, bases[r.Intn(len(bases))]))
 	}
 }
 
 // Randomize initializes all data and tree counters per opts. The resulting
-// state is always encodable (no immediate overflows). The observed-max
-// register is updated to the largest data counter produced.
+// state is always encodable (no immediate overflows). Each level's
+// observed-max register is raised to the largest counter produced there.
 func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
-	span := opts.BaseHi - opts.BaseLo
-	if span == 0 {
-		span = 1
-	}
 	// Leave generous headroom so the randomized state is a realistic
 	// recently-releveled group, not one teetering on its encoding limit:
 	// otherwise the first few writes of every run trigger an unphysical
@@ -632,11 +632,11 @@ func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
 	spread := rng.Threshold(opts.SpreadFrac)
 	for l := range s.lv {
 		lv := &s.lv[l]
-		// Bases are drawn from [baseLo, baseLo+baseN) and nudges from
-		// [0, nudgeN); tree counters sit at an eighth of the data range.
-		baseLo, baseN, nudgeN, limit := opts.BaseLo, span, spreadRange+1, maxNudges
+		// Bases are drawn from LevelRange(l) and nudges from [0, nudgeN).
+		baseLo, baseN := opts.LevelRange(l)
+		nudgeN, limit := spreadRange+1, maxNudges
 		if l > 0 {
-			baseLo, baseN, nudgeN, limit = opts.BaseLo/8, span/8+1, treeMinorRange/4, int(^uint(0)>>1)
+			nudgeN, limit = treeMinorRange/4, int(^uint(0)>>1)
 		}
 		for j := 0; j < lv.numGroups(); j++ {
 			base := baseLo + r.Uint64n(baseN)
@@ -658,9 +658,7 @@ func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
 					lv.off[b] = uint8(nudge)
 				}
 			}
-			if l == 0 {
-				s.observedMax = max(s.observedMax, base+top)
-			}
+			s.observe(l, base+top)
 			if lv.groups == nil {
 				continue
 			}

@@ -212,9 +212,6 @@ func TestRelevelData(t *testing.T) {
 			t.Fatalf("block %d = %d after relevel", b, s.Counter(0, b))
 		}
 	}
-	if s.Overflows[0] != 1 {
-		t.Fatalf("overflow count = %d", s.Overflows[0])
-	}
 	// Neighboring group untouched.
 	if s.Counter(0, end) != 0 {
 		t.Fatal("relevel leaked into the next group")
@@ -233,14 +230,26 @@ func TestRelevelRejectsLowTarget(t *testing.T) {
 }
 
 func TestObservedMaxTracksUpdates(t *testing.T) {
-	s := NewStore(Morphable, 1<<20)
-	s.Set(0, 0, 7)
-	if s.ObservedMax() != 7 {
-		t.Fatalf("observedMax = %d", s.ObservedMax())
+	s := NewStore(Morphable, 256<<20)
+	for l := 0; l <= s.Levels(); l++ {
+		s.Set(l, 0, 7)
+		if got := s.ObservedMax(l); got != 7 {
+			t.Fatalf("level %d observed max = %d after a write of 7", l, got)
+		}
+		s.Relevel(l, 0, 500)
+		if got := s.ObservedMax(l); got != 500 {
+			t.Fatalf("level %d observed max = %d after a relevel to 500", l, got)
+		}
+		s.Corrupt(l, 1, 1000)
+		if got := s.ObservedMax(l); got != 500 {
+			t.Fatalf("level %d observed max = %d after a corruption, want 500", l, got)
+		}
 	}
-	s.Relevel(0, 200, 500)
-	if s.ObservedMax() != 500 {
-		t.Fatalf("observedMax after relevel = %d", s.ObservedMax())
+	s.ResetCounters()
+	for l := 0; l <= s.Levels(); l++ {
+		if got := s.ObservedMax(l); got != 0 {
+			t.Fatalf("level %d observed max = %d after a re-key", l, got)
+		}
 	}
 }
 
@@ -258,9 +267,6 @@ func TestTreeEncodeAndRelevel(t *testing.T) {
 	}
 	if s.Counter(1, 5) != 200 {
 		t.Fatal("sibling counter not releveled")
-	}
-	if s.Overflows[1] != 1 {
-		t.Fatalf("tree overflow count = %v", s.Overflows)
 	}
 }
 
@@ -282,8 +288,10 @@ func TestRandomizeEncodableEverywhere(t *testing.T) {
 				t.Fatalf("%v: group %d not encodable after randomize", scheme, j)
 			}
 		}
-		if s.ObservedMax() == 0 {
-			t.Fatalf("%v: observedMax not set", scheme)
+		for l := 0; l <= s.Levels(); l++ {
+			if s.ObservedMax(l) == 0 {
+				t.Fatalf("%v: level %d observed max not set", scheme, l)
+			}
 		}
 	}
 }

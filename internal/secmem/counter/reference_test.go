@@ -13,31 +13,38 @@ import (
 
 // refStore is the literal model Store is checked against: every data and
 // tree counter a full uint64, every encodability check a scan of the group
-// or node, and every set-up and restore a write of plain values, so the two
+// or node, every observed-max register raised by each value written to its
+// level, and every set-up and restore a write of plain values, so the two
 // models' EncodeState bytes compare whole.
 type refStore struct {
-	scheme      Scheme
-	coverage    int // also the tree's arity
-	vals        []uint64
-	tree        [][]uint64
-	observedMax uint64
-	overflows   []uint64
+	scheme   Scheme
+	coverage int // also the tree's arity
+	vals     []uint64
+	tree     [][]uint64
+	observed []uint64 // per level, level 0 the data counters
+	// relevels counts relevels per level, so a stream can show it reached
+	// every level's overflow path. It is not state: snapshots omit it.
+	relevels []uint64
 }
 
 func newRefStore(scheme Scheme, dataBytes uint64) *refStore {
 	geo := NewStore(scheme, dataBytes)
 	r := &refStore{
-		scheme:    scheme,
-		coverage:  scheme.Coverage(),
-		vals:      make([]uint64, geo.NumDataBlocks()),
-		tree:      [][]uint64{nil},
-		overflows: make([]uint64, len(geo.Overflows)),
+		scheme:   scheme,
+		coverage: scheme.Coverage(),
+		vals:     make([]uint64, geo.NumDataBlocks()),
+		tree:     [][]uint64{nil},
+		observed: make([]uint64, geo.Levels()+1),
+		relevels: make([]uint64, geo.Levels()+1),
 	}
 	for l := 1; l <= geo.Levels(); l++ {
 		r.tree = append(r.tree, make([]uint64, geo.TreeLevelLen(l)))
 	}
 	return r
 }
+
+// observe raises level l's observed-max register to v.
+func (r *refStore) observe(l int, v uint64) { r.observed[l] = max(r.observed[l], v) }
 
 func (r *refStore) numGroups() int { return (len(r.vals) + r.coverage - 1) / r.coverage }
 
@@ -92,7 +99,7 @@ func (r *refStore) setDataCounter(i int, newVal uint64) {
 		panic(fmt.Sprintf("reference: non-increasing update for block %d", i))
 	}
 	r.vals[i] = newVal
-	r.observedMax = max(r.observedMax, newVal)
+	r.observe(0, newVal)
 }
 
 func (r *refStore) relevelData(i int, target uint64) []int {
@@ -105,8 +112,8 @@ func (r *refStore) relevelData(i int, target uint64) []int {
 		r.vals[b] = target
 		blocks = append(blocks, b)
 	}
-	r.observedMax = max(r.observedMax, target)
-	r.overflows[0]++
+	r.observe(0, target)
+	r.relevels[0]++
 	return blocks
 }
 
@@ -144,6 +151,7 @@ func (r *refStore) setTreeCounter(l, c int, newVal uint64) {
 		panic(fmt.Sprintf("reference: non-increasing tree update l%d c%d", l, c))
 	}
 	r.tree[l][c] = newVal
+	r.observe(l, newVal)
 }
 
 func (r *refStore) relevelTree(l, c int, target uint64) []int {
@@ -156,7 +164,8 @@ func (r *refStore) relevelTree(l, c int, target uint64) []int {
 		r.tree[l][x] = target
 		children = append(children, x)
 	}
-	r.overflows[l]++
+	r.observe(l, target)
+	r.relevels[l]++
 	return children
 }
 
@@ -170,6 +179,7 @@ func (r *refStore) warmSnapTree(src *rng.Source, l int, bases []uint64, frac flo
 		base := bases[src.Intn(len(bases))]
 		for x := start; x < end; x++ {
 			r.tree[l][x] = base + (r.tree[l][x] - lo)
+			r.observe(l, r.tree[l][x])
 		}
 	}
 }
@@ -179,7 +189,7 @@ func (r *refStore) resetCounters() {
 	for _, lvl := range r.tree {
 		clear(lvl)
 	}
-	r.observedMax = 0
+	clear(r.observed)
 }
 
 // randomize is Store.Randomize written over plain values, with the same
@@ -213,7 +223,7 @@ func (r *refStore) randomize(src *rng.Source, opts RandomizeOptions) {
 				}
 			}
 			r.vals[b] = v
-			r.observedMax = max(r.observedMax, v)
+			r.observe(0, v)
 		}
 	}
 	for l := 1; l < len(r.tree); l++ {
@@ -226,6 +236,7 @@ func (r *refStore) randomize(src *rng.Source, opts RandomizeOptions) {
 					v += src.Uint64n(treeMinorRange / 4)
 				}
 				r.tree[l][x] = v
+				r.observe(l, v)
 			}
 		}
 	}
@@ -241,7 +252,7 @@ func (r *refStore) warmSnap(src *rng.Source, bases []uint64, frac float64) {
 		start, end := r.groupRange(j)
 		for b := start; b < end; b++ {
 			r.vals[b] = base + (r.vals[b] - lo)
-			r.observedMax = max(r.observedMax, r.vals[b])
+			r.observe(0, r.vals[b])
 		}
 	}
 }
@@ -252,8 +263,7 @@ func (r *refStore) encodeState(e *snapshot.Enc) {
 	for _, lvl := range r.tree[1:] {
 		e.U64s(lvl)
 	}
-	e.U64(r.observedMax)
-	e.U64s(r.overflows)
+	e.U64s(r.observed)
 }
 
 func (r *refStore) decodeState(d *snapshot.Dec) error {
@@ -264,8 +274,7 @@ func (r *refStore) decodeState(d *snapshot.Dec) error {
 	for _, lvl := range r.tree[1:] {
 		d.U64sInto(lvl)
 	}
-	r.observedMax = d.U64()
-	d.U64sInto(r.overflows)
+	d.U64sInto(r.observed)
 	return d.Finish()
 }
 
@@ -502,13 +511,17 @@ func (d *differ) warmSnapTree(l int) {
 	}
 }
 
-// treeVerdicts compares level-l child c's value, its node's maximum, and
-// CanEncode's verdicts on it for raises of 1, 8 and 128.
+// treeVerdicts compares level-l child c's value, its node's maximum, the
+// level's observed-max register, and CanEncode's verdicts on the child for
+// raises of 1, 8 and 128.
 func (d *differ) treeVerdicts(l, c int) {
 	cur := d.ref.tree[l][c]
 	for k, s := range d.stores {
 		if got := s.Counter(l, c); got != cur {
 			d.fatalf("store %d l%d child %d = %d, reference %d", k, l, c, got, cur)
+		}
+		if got := s.ObservedMax(l); got != d.ref.observed[l] {
+			d.fatalf("store %d ObservedMax(%d) %d, reference %d", k, l, got, d.ref.observed[l])
 		}
 		if got, want := s.GroupMax(l, s.NodeIndex(c)), d.ref.treeNodeMax(l, c); got != want {
 			d.fatalf("store %d l%d node of child %d max %d, reference %d", k, l, c, got, want)
@@ -589,6 +602,7 @@ func (d *differ) roundTrip() {
 	if err := ref.decodeState(snapshot.NewDec(want)); err != nil {
 		d.fatalf("reference DecodeState: %v", err)
 	}
+	ref.relevels = d.ref.relevels
 	d.ref = ref
 }
 
@@ -640,12 +654,16 @@ func (d *differ) warmSnap() {
 	}
 }
 
-// verdicts compares block i's value and CanEncode's verdicts on it.
+// verdicts compares block i's value, the data counters' observed-max
+// register, and CanEncode's verdicts on the block.
 func (d *differ) verdicts(i int) {
 	cur := d.ref.vals[i]
 	for k, s := range d.stores {
 		if got := s.Counter(0, i); got != cur {
 			d.fatalf("store %d block %d = %d, reference %d", k, i, got, cur)
+		}
+		if got := s.ObservedMax(0); got != d.ref.observed[0] {
+			d.fatalf("store %d ObservedMax(0) %d, reference %d", k, got, d.ref.observed[0])
 		}
 		for _, up := range []uint64{1, 8, 128} {
 			if got, want := s.CanEncode(0, i, cur+up), d.ref.canEncodeData(i, cur+up); got != want {
@@ -656,9 +674,9 @@ func (d *differ) verdicts(i int) {
 }
 
 // checkAll compares every data and tree counter, every group and node
-// maximum, every tree counter's CanEncode verdicts, the observed-max
-// register, the overflow tallies and the EncodeState bytes, and checks
-// each encoded group's summary against its offsets.
+// maximum, every tree counter's CanEncode verdicts, every level's
+// observed-max register and the EncodeState bytes, and checks each encoded
+// group's summary against its offsets.
 func (d *differ) checkAll() {
 	want := d.refBytes()
 	for k, s := range d.stores {
@@ -690,11 +708,8 @@ func (d *differ) checkAll() {
 				d.treeVerdicts(l, c)
 			}
 		}
-		if s.ObservedMax() != d.ref.observedMax {
-			d.fatalf("store %d ObservedMax %d, reference %d", k, s.ObservedMax(), d.ref.observedMax)
-		}
-		if !slices.Equal(s.Overflows, d.ref.overflows) {
-			d.fatalf("store %d Overflows %v, reference %v", k, s.Overflows, d.ref.overflows)
+		if got := s.ObservedMax(0); got != d.ref.observed[0] {
+			d.fatalf("store %d ObservedMax(0) %d, reference %d", k, got, d.ref.observed[0])
 		}
 		if !bytes.Equal(encodeStore(s), want) {
 			d.fatalf("store %d EncodeState differs from the reference", k)
@@ -743,7 +758,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					d.checkAll()
 				}
 			}
-			for l, n := range d.ref.overflows[:len(d.ref.tree)] {
+			for l, n := range d.ref.relevels {
 				if n == 0 {
 					t.Fatalf("stream never releveled a level-%d group or node", l)
 				}

@@ -4,9 +4,9 @@ import "rmcc/internal/snapshot"
 
 // EncodeState serializes all counter ground truth: every level's counters
 // (as a length-prefixed uint64 per counter, whatever form the store holds
-// them in), the observed-max register, and the cumulative overflow
-// tallies. Geometry (block counts, level count) is derived from the scheme
-// and footprint at construction, so only the values travel; DecodeState
+// them in), then the per-level observed-max registers, level 0 first.
+// Geometry (block counts, level count) is derived from the scheme and
+// footprint at construction, so only the values travel; DecodeState
 // enforces the lengths against the store it restores into.
 func (s *Store) EncodeState(e *snapshot.Enc) {
 	s.lv[0].encode(e)
@@ -14,8 +14,7 @@ func (s *Store) EncodeState(e *snapshot.Enc) {
 	for l := 1; l <= s.Levels(); l++ {
 		s.lv[l].encode(e)
 	}
-	e.U64(s.observedMax)
-	e.U64s(s.Overflows)
+	e.U64s(s.observed)
 }
 
 // DecodeState restores state written by EncodeState into a store built with
@@ -38,8 +37,7 @@ func (s *Store) DecodeState(d *snapshot.Dec) error {
 			return err
 		}
 	}
-	s.observedMax = d.U64()
-	d.U64sInto(s.Overflows)
+	d.U64sInto(s.observed)
 	return d.Err()
 }
 

@@ -256,13 +256,6 @@ type MC struct {
 	l0Table  *core.Table
 	l1Table  *core.Table
 
-	// observedTreeMax[l] is tree level l's observed-max register (the L1
-	// table's System-Max analog at level 1). rescanTreeMax sets every
-	// level's from the stored counters at boot and warm start; after that
-	// the update path keeps only level 1's current, and the registers above
-	// it, which only snapshots read, fall behind their level's maximum.
-	observedTreeMax []uint64
-
 	contents *contentStore
 
 	// keyEpoch counts whole-memory re-keys (0 at boot).
@@ -312,11 +305,8 @@ func NewChecked(cfg Config) (*MC, error) {
 	mc.store = counter.NewStore(cfg.Scheme, cfg.MemBytes)
 	mc.ctrCache = mc.newCounterCache()
 	mc.unit = mc.deriveUnit()
-	mc.observedTreeMax = make([]uint64, mc.store.Levels()+1)
 	if cfg.RandomizeInit {
 		mc.store.Randomize(rng.New(cfg.InitSeed), counter.DefaultRandomize())
-		// Seed the per-level max registers from the randomized state.
-		mc.rescanTreeMax()
 	}
 	if cfg.Mode == RMCC {
 		mc.buildTables()
@@ -350,26 +340,27 @@ func (mc *MC) newCounterCache() *cache.Cache {
 }
 
 // buildTables (re)builds cold memoization tables seeded with the low
-// counter range, discarding any previous contents.
+// counter range, discarding any previous contents. Each table's
+// System-Max bound (§IV-D2) is its level's observed-max register.
 func (mc *MC) buildTables() {
 	fill := func(v uint64) otp.CtrResult { return mc.unit.CounterOnly(v) }
-	mc.l0Table = core.MustNewTable(mc.cfg.L0Table, fill, func() uint64 { return mc.store.ObservedMax() })
-	mc.l1Table = core.MustNewTable(mc.cfg.L1Table, fill, func() uint64 { return mc.observedTreeMax[1] })
+	mc.l0Table = core.MustNewTable(mc.cfg.L0Table, fill, func() uint64 { return mc.store.ObservedMax(0) })
+	mc.l1Table = core.MustNewTable(mc.cfg.L1Table, fill, func() uint64 { return mc.store.ObservedMax(1) })
 	// Re-keys and power losses rebuild the tables; keep any attached
 	// tracer flowing across the rebuild.
 	mc.l0Table.SetTracer(mc.trace, 0)
 	mc.l1Table.SetTracer(mc.trace, 1)
 }
 
-// warmStart rebases most counter groups onto a set of hot counter values
-// and seeds the memoization tables with exactly those values — the
-// converged steady state the self-reinforcing update drives a long-running
-// system toward (§IV-B). The unsnapped remainder keeps the read-triggered
-// update, watchpoint insertion, and shadow machinery exercised.
+// warmStart rebases most counter groups at levels 0 and 1 onto a set of
+// hot counter values and seeds each level's memoization table with exactly
+// those values — the converged steady state the self-reinforcing update
+// drives a long-running system toward (§IV-B). The unsnapped remainder
+// keeps the read-triggered update, watchpoint insertion, and shadow
+// machinery exercised.
 func (mc *MC) warmStart() {
 	r := rng.New(mc.cfg.InitSeed ^ 0x57a2757a27)
 	opts := counter.DefaultRandomize()
-	span := opts.BaseHi - opts.BaseLo
 	// The steady state of the self-reinforcing update is a contiguous
 	// "ladder" of memoized windows (Figures 6/7: counters climb through
 	// consecutive memoized values, and new groups extend the ladder just
@@ -392,43 +383,17 @@ func (mc *MC) warmStart() {
 		}
 		return out
 	}
-	dataBases := ladder(opts.BaseLo, span, mc.cfg.L0Table.Groups, mc.cfg.L0Table.GroupSize)
-	// Snap into the lower half of the ladder so stepped writes stay
-	// covered for many writebacks before reaching the top.
-	mc.store.WarmSnap(0, r, dataBases[:len(dataBases)/2+1], mc.cfg.WarmStartFrac)
-	mc.l0Table.Seed(dataBases)
-	if mc.store.Levels() >= 1 {
-		// Mirror Randomize's tree value range (base/8).
-		l1Bases := ladder(opts.BaseLo/8, span/8+1, mc.cfg.L1Table.Groups, mc.cfg.L1Table.GroupSize)
-		mc.store.WarmSnap(1, r, l1Bases[:len(l1Bases)/2+1], mc.cfg.WarmStartFrac)
-		mc.l1Table.Seed(l1Bases)
-		// Refresh every per-level max register, not just level 1. Today
-		// WarmSnap only rewrites level-1 tree counters, so rescanning level
-		// 1 alone would be sufficient — but the observed-max registers are
-		// the §IV-D2 OSM analogs bounding where a new memoized group may
-		// start, and an under-reading register would let the table chase
-		// counter values the system never reached. Rescanning all levels
-		// makes "observedTreeMax[l] == max stored counter at level l" hold
-		// at boot by construction (regression-tested by
-		// TestObservedTreeMaxMatchesStore).
-		mc.rescanTreeMax()
-	}
-}
-
-// rescanTreeMax recomputes every per-level observed-max register from the
-// stored tree counters — the tree analog of the data-side Observed System
-// Max register (§IV-D2): each register must upper-bound every counter at
-// its level so memoized-group insertion never outruns the system state.
-// Called after bulk counter rewrites (randomized init, warm start). Access
-// by access, the update path (advance, relevel) raises only level 1's
-// register, the one the L1 table reads; the others keep their boot values
-// until a re-key zeroes them.
-func (mc *MC) rescanTreeMax() {
-	for l := 1; l <= mc.store.Levels(); l++ {
-		mc.observedTreeMax[l] = 0
-		for k := 0; k*mc.store.Coverage() < mc.store.TreeLevelLen(l); k++ {
-			mc.observedTreeMax[l] = max(mc.observedTreeMax[l], mc.store.GroupMax(l, k))
+	for l, tbl := range []*core.Table{mc.l0Table, mc.l1Table} {
+		if l > mc.store.Levels() {
+			break
 		}
+		// The ladder spans the level's Randomize range; snap into its
+		// lower half so stepped writes stay covered for many writebacks
+		// before reaching the top.
+		lo, n := opts.LevelRange(l)
+		bases := ladder(lo, n, tbl.Config().Groups, tbl.Config().GroupSize)
+		mc.store.WarmSnap(l, r, bases[:len(bases)/2+1], mc.cfg.WarmStartFrac)
+		tbl.Seed(bases)
 	}
 }
 

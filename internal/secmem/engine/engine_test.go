@@ -369,7 +369,7 @@ func TestObservedMaxGrowthBound(t *testing.T) {
 		mcB.OnEpochAccess()
 		mcR.OnEpochAccess()
 	}
-	bMax, rMax := mcB.Store().ObservedMax(), mcR.Store().ObservedMax()
+	bMax, rMax := mcB.Store().ObservedMax(0), mcR.Store().ObservedMax(0)
 	if rMax > bMax*3 {
 		t.Fatalf("RMCC max counter %d vastly exceeds baseline %d", rMax, bMax)
 	}

@@ -184,8 +184,8 @@ func (mc *MC) ForceCounterCeiling(addr uint64) error {
 }
 
 // Rekey forces the whole-memory re-key/reboot immediately (§VII): fresh
-// keys, all counters reset, the OSM register and memoization tables
-// cleared, every block re-encrypted. Returns an Outcome carrying the
+// keys, all counters reset, the observed-max registers and memoization
+// tables cleared, every block re-encrypted. Returns an Outcome carrying the
 // re-key marker and its traffic accounting.
 func (mc *MC) Rekey() Outcome {
 	var out Outcome
@@ -199,7 +199,7 @@ func (mc *MC) Rekey() Outcome {
 }
 
 // rekey executes the re-key/reboot in place: new key epoch, counters and
-// per-level max registers zeroed, counter cache and memoization tables
+// their observed-max registers zeroed, counter cache and memoization tables
 // cold, and — in the functional image — every tracked block re-sealed
 // under the new keys. The traffic cost (read + rewrite of every data
 // block) is charged to the KindOther category and RekeyBlocks.
@@ -208,9 +208,6 @@ func (mc *MC) rekey(out *Outcome) {
 	mc.keyEpoch++
 	mc.unit = mc.deriveUnit()
 	mc.store.ResetCounters()
-	for l := range mc.observedTreeMax {
-		mc.observedTreeMax[l] = 0
-	}
 	mc.ctrCache = mc.newCounterCache()
 	if mc.cfg.Mode == RMCC {
 		mc.buildTables()
@@ -227,17 +224,10 @@ func (mc *MC) rekey(out *Outcome) {
 }
 
 // finish completes a Read or Write: it adds up the access's traffic,
-// traces the data OSM register's advance past preOSM (read only when a
-// tracer is attached), executes any deferred re-key, drains the pending
-// violations onto the Outcome, and keeps Extra's storage for the next
-// access.
-func (mc *MC) finish(out *Outcome, preOSM uint64) {
+// executes any deferred re-key, drains the pending violations onto the
+// Outcome, and keeps Extra's storage for the next access.
+func (mc *MC) finish(out *Outcome) {
 	mc.addTraffic(out)
-	if mc.trace != nil {
-		if v := mc.store.ObservedMax(); v > preOSM {
-			mc.trace.Emit(obs.EvOSMUpdate, 0, v, 0)
-		}
-	}
 	if mc.needRekey {
 		mc.rekey(out)
 	}

@@ -4,54 +4,72 @@ import (
 	"testing"
 
 	"rmcc/internal/obs"
+	"rmcc/internal/rng"
 	"rmcc/internal/secmem/counter"
+	"rmcc/internal/snapshot"
 )
 
-// TestObservedTreeMaxMatchesStore regression-tests the §IV-D2 invariant the
-// per-level observed-max registers exist for: after construction (randomized
-// init + warm start) and after a burst of traffic, observedTreeMax[l] must
-// upper-bound — and at boot exactly equal — the largest stored counter at
-// level l. A register below the stored max would let the L1 table insert
-// memoized groups at values the system claims it never reached; the
-// historical hazard was warmStart rescanning only level 1.
-func TestObservedTreeMaxMatchesStore(t *testing.T) {
-	for _, scheme := range []counter.Scheme{counter.Morphable, counter.SGX} {
-		mc := testMC(t, RMCC, scheme, 64, nil)
-		checkTreeMax := func(when string, exact bool) {
-			t.Helper()
-			for l := 1; l <= mc.store.Levels(); l++ {
-				max := treeMaxAtLevel(mc, l)
-				got := mc.observedTreeMax[l]
-				if exact && got != max {
-					t.Fatalf("%s %s: observedTreeMax[%d] = %d, stored max = %d", scheme, when, l, got, max)
-				}
-				if !exact && got < max {
-					t.Fatalf("%s %s: observedTreeMax[%d] = %d under-reads stored max %d", scheme, when, l, got, max)
-				}
+// TestObservedMaxEveryLevel checks the §IV-D2 invariant the per-level
+// observed-max registers exist for, at every counter level: each register
+// reads the largest value its level has ever held. At boot that is the
+// stored maximum, or at levels 0 and 1, which warm start rebases, the
+// maximum Randomize drew if that is larger. After traffic through a small
+// counter cache, which moves every tree level, it is the larger of the
+// boot register and the stored maximum. A snapshot round trip keeps the
+// registers, and a re-key zeroes them. A register that stops following
+// its level reads below the stored maximum here.
+func TestObservedMaxEveryLevel(t *testing.T) {
+	for _, scheme := range []counter.Scheme{counter.SGX, counter.SC64, counter.Morphable} {
+		cfg := DefaultConfig(RMCC, scheme, 64<<20)
+		cfg.CounterCacheBytes, cfg.CounterCacheWays = 4<<10, 4
+		mc := New(cfg)
+		st := mc.Store()
+		randomized := counter.NewStore(scheme, cfg.MemBytes)
+		randomized.Randomize(rng.New(cfg.InitSeed), counter.DefaultRandomize())
+		boot := make([]uint64, st.Levels()+1)
+		for l := range boot {
+			boot[l] = max(levelMax(st, l), levelMax(randomized, l))
+			if got := st.ObservedMax(l); got != boot[l] {
+				t.Fatalf("%v at boot: ObservedMax(%d) = %d, want %d", scheme, l, got, boot[l])
 			}
 		}
-		checkTreeMax("at boot", true)
-		for i := 0; i < 20_000; i++ {
-			mc.Write(uint64(i%4096) * 64)
+		r := rng.New(1)
+		for range 400_000 {
+			mc.Write(st.DataBlockAddr(r.Intn(st.NumDataBlocks())))
 			mc.OnEpochAccess()
 		}
-		// After traffic the registers may exceed the stored max at levels
-		// the incremental paths do not track, but must never under-read.
-		checkTreeMax("after writes", false)
-		if mc.observedTreeMax[1] < treeMaxAtLevel(mc, 1) {
-			t.Fatalf("%s: level-1 register under-reads after writes", scheme)
+		for l := range boot {
+			if got, want := st.ObservedMax(l), max(boot[l], levelMax(st, l)); got != want {
+				t.Errorf("%v after writes: ObservedMax(%d) = %d, want %d", scheme, l, got, want)
+			}
+		}
+		var e snapshot.Enc
+		mc.EncodeState(&e)
+		restored := New(cfg)
+		if err := restored.DecodeState(snapshot.NewDec(e.Data())); err != nil {
+			t.Fatal(err)
+		}
+		for l := range boot {
+			if got, want := restored.Store().ObservedMax(l), st.ObservedMax(l); got != want {
+				t.Errorf("%v restored: ObservedMax(%d) = %d, want %d", scheme, l, got, want)
+			}
+		}
+		mc.Rekey()
+		for l := range boot {
+			if got := st.ObservedMax(l); got != 0 {
+				t.Errorf("%v after a re-key: ObservedMax(%d) = %d, want 0", scheme, l, got)
+			}
 		}
 	}
 }
 
-func treeMaxAtLevel(mc *MC, l int) uint64 {
-	var max uint64
-	for c := 0; c < mc.store.TreeLevelLen(l); c++ {
-		if v := mc.store.Counter(l, c); v > max {
-			max = v
-		}
+// levelMax returns the largest counter stored at level l.
+func levelMax(st *counter.Store, l int) uint64 {
+	var hi uint64
+	for c := 0; c < st.TreeLevelLen(l); c++ {
+		hi = max(hi, st.Counter(l, c))
 	}
-	return max
+	return hi
 }
 
 // TestTracerCountsMatchStats drives traffic with a tracer attached and

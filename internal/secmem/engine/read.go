@@ -23,14 +23,6 @@ func (mc *MC) Read(addr uint64) Outcome {
 	l0Idx := mc.store.NodeIndex(i)
 	ctrVal := mc.store.Counter(0, i)
 
-	// §IV-D2 data-OSM tracing: the register is maintained inside the
-	// counter store, so advances are detected by comparing around the
-	// access (only when a tracer is attached).
-	var preOSM uint64
-	if mc.trace != nil {
-		preOSM = mc.store.ObservedMax()
-	}
-
 	chain, l0Hit, l1Covered := mc.walkChain(l0Idx, false, true, &out)
 	out.CtrCacheHit = l0Hit
 	out.Chain = chain
@@ -104,7 +96,7 @@ func (mc *MC) Read(addr uint64) Outcome {
 		}
 	}
 
-	mc.finish(&out, preOSM)
+	mc.finish(&out)
 	return out
 }
 
@@ -178,6 +170,7 @@ func (mc *MC) readTriggeredUpdate(i int, cur uint64, out *Outcome) {
 			mc.stats.ReadUpdatesDenied++
 			return
 		}
+		mc.observe(0, target)
 		mc.store.Set(0, i, target)
 		if mc.contents != nil {
 			mc.contents.reencrypt(i, target, mc.store.DataBlockAddr(i))

@@ -236,8 +236,8 @@ func TestCounterExhaustionRebootDrill(t *testing.T) {
 	if s.CounterOverflows == 0 || s.Rekeys != 1 || s.RekeyBlocks == 0 {
 		t.Errorf("overflow/rekey stats = %d/%d/%d", s.CounterOverflows, s.Rekeys, s.RekeyBlocks)
 	}
-	if mc.Store().ObservedMax() > uint64(len(addrs)) {
-		t.Errorf("counters not reset: observed max %d", mc.Store().ObservedMax())
+	if mc.Store().ObservedMax(0) > uint64(len(addrs)) {
+		t.Errorf("counters not reset: observed max %d", mc.Store().ObservedMax(0))
 	}
 
 	// Post-reboot: every tracked block decrypts correctly...

@@ -19,7 +19,6 @@ func (mc *MC) EncodeState(e *snapshot.Enc) {
 	}
 	mc.store.EncodeState(e)
 	mc.ctrCache.EncodeState(e)
-	e.U64s(mc.observedTreeMax)
 	e.Bool(mc.l0Table != nil)
 	if mc.l0Table != nil {
 		mc.l0Table.EncodeState(e)
@@ -61,7 +60,6 @@ func (mc *MC) DecodeState(d *snapshot.Dec) error {
 	if err := mc.ctrCache.DecodeState(d); err != nil {
 		return err
 	}
-	d.U64sInto(mc.observedTreeMax)
 	hasTables := d.Bool()
 	if err := d.Err(); err != nil {
 		return err

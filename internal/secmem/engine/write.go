@@ -22,12 +22,6 @@ func (mc *MC) Write(addr uint64) Outcome {
 	i := mc.store.DataBlockIndex(addr)
 	l0Idx := mc.store.NodeIndex(i)
 
-	// §IV-D2 data-OSM tracing, as in Read: compare around the access.
-	var preOSM uint64
-	if mc.trace != nil {
-		preOSM = mc.store.ObservedMax()
-	}
-
 	// Writes need the counter block resident (and dirty): encrypting the
 	// block consumes and updates its counter.
 	chain, l0Hit, _ := mc.walkChain(l0Idx, true, false, &out)
@@ -83,7 +77,7 @@ func (mc *MC) Write(addr uint64) Outcome {
 	}
 	out.Extra = append(out.Extra, Traffic{Addr: addr &^ 63, Write: true, Kind: dram.KindData})
 
-	mc.finish(&out, preOSM)
+	mc.finish(&out)
 	return out
 }
 
@@ -146,10 +140,8 @@ func (mc *MC) advance(l, i int, tbl *core.Table, out *Outcome) (step, int) {
 			s = stepDenied
 		}
 	}
+	mc.observe(l, next)
 	mc.store.Set(l, i, next)
-	if l == 1 {
-		mc.observeL1(next)
-	}
 	return s, 0
 }
 
@@ -157,13 +149,13 @@ func (mc *MC) advance(l, i int, tbl *core.Table, out *Outcome) (step, int) {
 // write of every block one group covers (§IV-C2).
 func (mc *MC) relevelCost() int { return 2 * mc.store.Coverage() }
 
-// observeL1 raises the level-1 observed-max register, which bounds where
-// the L1 table may start a new group, to a level-1 counter just written.
-// (The store keeps level 0's register.)
-func (mc *MC) observeL1(v uint64) {
-	if v > mc.observedTreeMax[1] {
-		mc.observedTreeMax[1] = v
-		mc.trace.Emit(obs.EvOSMUpdate, 1, v, 0)
+// observe traces level l's observed-max register (§IV-D2) when the
+// counter write about to move a level-l counter to v raises it. The store
+// keeps the registers; every counter write on the update path comes here
+// first.
+func (mc *MC) observe(l int, v uint64) {
+	if v > mc.store.ObservedMax(l) {
+		mc.trace.Emit(obs.EvOSMUpdate, uint64(l), v, 0)
 	}
 }
 
@@ -176,10 +168,8 @@ func (mc *MC) observeL1(v uint64) {
 // it, has its own counter bumped one level up, since every minor it holds
 // changed. It returns how many blocks it rewrote.
 func (mc *MC) relevel(l, i int, target uint64, out *Outcome) int {
+	mc.observe(l, target)
 	start, end := mc.store.Relevel(l, i, target)
-	if l == 1 {
-		mc.observeL1(target)
-	}
 	kind := dram.KindOverflowL1Plus
 	if l == 0 {
 		kind = dram.KindOverflowL0

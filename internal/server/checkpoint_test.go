@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net/http"
 	"os"
@@ -225,6 +226,19 @@ func TestRecoveryFallbacks(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "s-deadbeef.snap"), []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A whole checkpoint of another session stamped with format version 1:
+	// the header is refused before the meta section is read → skipped.
+	old, err := c1.CreateSession(ctx, testSession())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldBlob, err := c1.CheckpointDownload(ctx, old.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, old.ID+".snap"), withVersion(oldBlob, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	_, c2 := newTestServer(t, server.Config{SnapshotDir: dir})
 	infos, err := c2.ListSessions(ctx)
@@ -273,11 +287,20 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 	if _, err := c.RestoreSession(ctx, blob[:len(blob)/2]); status(err) != 422 {
 		t.Errorf("truncated blob: %v", err)
 	}
-	mut := append([]byte(nil), blob...)
-	mut[8] = 0x7f // format version
-	if _, err := c.RestoreSession(ctx, mut); status(err) != 422 {
+	if _, err := c.RestoreSession(ctx, withVersion(blob, 0x7f)); status(err) != 422 {
 		t.Errorf("version flip: %v", err)
 	}
+	if _, err := c.RestoreSession(ctx, withVersion(blob, 1)); status(err) != 422 {
+		t.Errorf("format version 1: %v", err)
+	}
+}
+
+// withVersion returns a copy of a checkpoint with its header's format
+// version word set to v.
+func withVersion(blob []byte, v uint32) []byte {
+	mut := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(mut[8:], v)
+	return mut
 }
 
 func TestDrainFinalCheckpoint(t *testing.T) {

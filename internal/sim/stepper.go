@@ -125,7 +125,7 @@ func (lt *Lifetime) Counters() LifetimeResult {
 		Engine:        lt.mc.Stats(),
 	}
 	if lt.mc.Store() != nil {
-		res.MaxCounter = lt.mc.Store().ObservedMax()
+		res.MaxCounter = lt.mc.Store().ObservedMax(0)
 	}
 	return res
 }

@@ -36,8 +36,10 @@ import (
 
 // FormatVersion is the current container format. Readers reject any other
 // version with ErrSnapshotVersion: section payloads are not cross-version
-// compatible (see docs/SNAPSHOTS.md for the compatibility policy).
-const FormatVersion uint32 = 1
+// compatible (see docs/SNAPSHOTS.md for the compatibility policy). Version
+// 2 carries one observed-max register per counter level and cache lines
+// as the cache holds them.
+const FormatVersion uint32 = 2
 
 var magic = [8]byte{'R', 'M', 'C', 'C', 'S', 'N', 'A', 'P'}
 
