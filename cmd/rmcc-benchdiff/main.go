@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	rmcc-benchdiff -baseline BENCH_2026-10-19.json -current /tmp/fresh.json
+//	rmcc-benchdiff -baseline BENCH_2026-10-20.json -current /tmp/fresh.json
 //
 // Exit status: 0 when no regression, 1 on regression, 2 on usage/parse
 // errors. See scripts/bench_diff.sh for the CI entry point.

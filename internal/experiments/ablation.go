@@ -3,9 +3,7 @@ package experiments
 import (
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
-	"rmcc/internal/sim"
 	"rmcc/internal/stats"
-	"rmcc/internal/workload"
 )
 
 // Ablation quantifies each RMCC design choice called out in DESIGN.md §6 by
@@ -44,16 +42,11 @@ func Ablation(o Options) *stats.Table {
 	}
 	names := []string{"canneal", "pageRank"}
 	type metrics struct{ hit, acc float64 }
-	cells := make([][]metrics, len(points))
-	for i := range cells {
-		cells[i] = make([]metrics, len(names))
-	}
-	o.forEachCell(len(points), len(names), func(i, j int) {
-		w, _ := workload.ByName(o.Size, o.Seed, names[j])
+	cells := sweep(o, len(points), len(names), func(i, j int) metrics {
 		cfg := o.lifetimeConfig(engine.RMCC, counter.Morphable)
 		points[i].mutate(&cfg.Engine)
-		res := sim.RunLifetime(w, cfg)
-		cells[i][j] = metrics{res.Engine.MemoHitRateOnMisses(), res.Engine.AcceleratedRate()}
+		res := o.lifetime(names[j], cfg)
+		return metrics{res.Engine.MemoHitRateOnMisses(), res.Engine.AcceleratedRate()}
 	})
 	for i, p := range points {
 		var hitSum, accSum float64

@@ -3,9 +3,7 @@ package experiments
 import (
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
-	"rmcc/internal/sim"
 	"rmcc/internal/stats"
-	"rmcc/internal/workload"
 )
 
 // Convergence validates the *self-reinforcing* part of RMCC organically: a
@@ -26,17 +24,11 @@ func Convergence(o Options) *stats.Table {
 	}
 	names := []string{"canneal", "pageRank"}
 	mults := []uint64{1, 2, 4, 8}
-	rows := make([][]float64, len(names))
-	for i := range rows {
-		rows[i] = make([]float64, len(mults))
-	}
-	o.forEachCell(len(names), len(mults), func(i, p int) {
-		w, _ := workload.ByName(o.Size, o.Seed, names[i])
+	rows := sweep(o, len(names), len(mults), func(i, p int) float64 {
 		cfg := o.lifetimeConfig(engine.RMCC, counter.Morphable)
 		cfg.Engine.WarmStartFrac = 0 // cold start: organic convergence
 		cfg.MaxAccesses = base * mults[p] / 2
-		res := sim.RunLifetime(w, cfg)
-		rows[i][p] = res.Engine.MemoHitRateOnMisses()
+		return o.lifetime(names[i], cfg).Engine.MemoHitRateOnMisses()
 	})
 	for i, name := range names {
 		t.Add(name, rows[i]...)

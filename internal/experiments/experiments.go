@@ -8,13 +8,15 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"rmcc/internal/core"
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
-	"rmcc/internal/sidechan"
 	"rmcc/internal/sim"
+	"rmcc/internal/sim/event"
 	"rmcc/internal/stats"
 	"rmcc/internal/workload"
 )
@@ -82,23 +84,17 @@ func QuickOptions() Options {
 	}
 }
 
-// workloads returns the selected workload list (fresh instances). The
-// default is the paper's eleven — registered extras (e.g. the sidechannel
-// adversaries) never enter a paper figure unless named explicitly.
-func (o Options) workloads() []workload.Workload {
-	all := workload.Suite(o.Size, o.Seed)
-	names := o.Workloads
-	if names == nil {
-		names = workload.PaperNames()
+// names returns the selected workload names in suite order. The default is
+// the paper's eleven — registered extras (e.g. the sidechannel adversaries)
+// never enter a paper figure unless named explicitly.
+func (o Options) names() []string {
+	if o.Workloads == nil {
+		return workload.PaperNames()
 	}
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
-	}
-	var out []workload.Workload
-	for _, w := range all {
-		if want[w.Name()] {
-			out = append(out, w)
+	var out []string
+	for _, n := range workload.Names() {
+		if slices.Contains(o.Workloads, n) {
+			out = append(out, n)
 		}
 	}
 	return out
@@ -143,173 +139,175 @@ func (o Options) detailedConfig(mode engine.Mode, scheme counter.Scheme) sim.Det
 	return cfg
 }
 
-// runKey identifies one detailed simulation for result caching: the
-// detailed figures share most of their runs (Figure 13's Morphable run is
-// Figure 14's and Figure 17's 15 ns point), and all runs are deterministic.
-type runKey struct {
-	name     string
-	mode     engine.Mode
-	scheme   counter.Scheme
-	aesNS    int64
-	ctrKB    int
-	spec     bool
-	hardened bool
-	size     workload.Size
-	seed     uint64
-	warm     uint64
-	meas     uint64
+// runKey identifies one simulation: the workload, built at the options'
+// size and seed, and the driver's whole resolved configuration. Two cells
+// share a run exactly when they would simulate the same thing.
+type runKey[C comparable] struct {
+	name string
+	size workload.Size
+	seed uint64
+	cfg  C
 }
 
-// detailedEntry is one cached detailed simulation. The per-entry Once is
-// what makes the cache safe under the parallel sweep: two goroutines that
-// need the same run rendezvous on the entry, exactly one executes the
-// simulation, and the other blocks until the result is ready instead of
-// duplicating hours of work.
-type detailedEntry struct {
+// runCache runs each distinct simulation once and hands its result to every
+// figure that asks for it: the Morphable lifetime run serves Figures 3, 4,
+// 16, 20-22 and the headline, and Figure 13's Morphable detailed run is
+// Figure 14's and Figure 17's 15 ns point. All runs are deterministic. The
+// per-entry Once is what makes the cache safe under the parallel sweep: two
+// goroutines that need the same run rendezvous on the entry, exactly one
+// executes the simulation, and the other blocks until the result is ready.
+type runCache[C comparable, R any] struct {
+	simulate func(workload.Workload, C) R
+	builds   atomic.Uint64 // simulations actually executed
+
+	mu   sync.Mutex
+	runs map[runKey[C]]*cachedRun[R]
+}
+
+type cachedRun[R any] struct {
 	once sync.Once
-	res  sim.DetailedResult
+	res  R
 }
 
 var (
-	detailedCacheMu sync.Mutex
-	detailedCache   = map[runKey]*detailedEntry{}
-	detailedBuilds  atomic.Uint64 // simulations actually executed (dedup tests)
+	lifetimeRuns = &runCache[sim.LifetimeConfig, sim.LifetimeResult]{simulate: sim.RunLifetime}
+	detailedRuns = &runCache[sim.DetailedConfig, sim.DetailedResult]{simulate: sim.RunDetailed}
 )
 
-// detailedRun executes (or recalls) one detailed simulation.
-func (o Options) detailedRun(name string, mode engine.Mode, scheme counter.Scheme,
-	aesNS int64, ctrKB int, spec bool) sim.DetailedResult {
-	return o.detailedRunH(name, mode, scheme, aesNS, ctrKB, spec, false)
-}
-
-// detailedRunH is detailedRun with the hardened (randomized-insertion)
-// table mode as an extra axis — the FigureHardenedCost runs.
-func (o Options) detailedRunH(name string, mode engine.Mode, scheme counter.Scheme,
-	aesNS int64, ctrKB int, spec, hardened bool) sim.DetailedResult {
-	key := runKey{name, mode, scheme, aesNS, ctrKB, spec, hardened,
-		o.Size, o.Seed, o.WarmupAccesses, o.MeasureAccesses}
-	detailedCacheMu.Lock()
-	e, ok := detailedCache[key]
-	if !ok {
-		e = &detailedEntry{}
-		detailedCache[key] = e
+func (c *runCache[C, R]) run(o Options, name string, cfg C) R {
+	key := runKey[C]{name, o.Size, o.Seed, cfg}
+	c.mu.Lock()
+	if c.runs == nil {
+		c.runs = map[runKey[C]]*cachedRun[R]{}
 	}
-	detailedCacheMu.Unlock()
-	e.once.Do(func() {
-		detailedBuilds.Add(1)
+	r, ok := c.runs[key]
+	if !ok {
+		r = &cachedRun[R]{}
+		c.runs[key] = r
+	}
+	c.mu.Unlock()
+	r.once.Do(func() {
+		c.builds.Add(1)
 		w, ok := workload.ByName(o.Size, o.Seed, name)
 		if !ok {
 			panic("experiments: unknown workload " + name)
 		}
-		cfg := o.detailedConfig(mode, scheme)
-		cfg.AESLat = aesNS * 1000
-		cfg.Engine.CounterCacheBytes = ctrKB << 10
-		cfg.SpeculativeVerification = spec
-		if hardened {
-			sidechan.HardenConfig(&cfg.Engine, o.Seed)
-		}
-		e.res = sim.RunDetailed(w, cfg)
+		r.res = c.simulate(w, cfg)
 	})
-	return e.res
+	return r.res
+}
+
+// lifetime executes (or recalls) one lifetime simulation.
+func (o Options) lifetime(name string, cfg sim.LifetimeConfig) sim.LifetimeResult {
+	return lifetimeRuns.run(o, name, cfg)
+}
+
+// detailed executes (or recalls) one detailed simulation.
+func (o Options) detailed(name string, cfg sim.DetailedConfig) sim.DetailedResult {
+	return detailedRuns.run(o, name, cfg)
+}
+
+// morphable and rmcc are the lifetime runs most figures compare: the
+// Morphable baseline, and RMCC at its default 1 % budgets with 8-value
+// groups.
+func (o Options) morphable(name string) sim.LifetimeResult {
+	return o.lifetime(name, o.lifetimeConfig(engine.Baseline, counter.Morphable))
+}
+
+func (o Options) rmcc(name string) sim.LifetimeResult {
+	return o.lifetime(name, o.lifetimeConfig(engine.RMCC, counter.Morphable))
+}
+
+// trafficOverhead is rm's memory traffic beyond the Morphable baseline's on
+// the same workload, as a fraction of the baseline's (0 when the baseline
+// moved nothing, and never negative).
+func (o Options) trafficOverhead(name string, rm sim.LifetimeResult) float64 {
+	bt := float64(o.morphable(name).Engine.TotalTraffic())
+	if bt == 0 {
+		return 0
+	}
+	return max(float64(rm.Engine.TotalTraffic())/bt-1, 0)
+}
+
+// perWorkload adds one row per selected workload to t, computing the rows
+// across the worker pool.
+func (o Options) perWorkload(t *stats.Table, row func(name string) []float64) *stats.Table {
+	names := o.names()
+	rows := sweep(o, len(names), 1, func(i, _ int) []float64 { return row(names[i]) })
+	for i, name := range names {
+		t.Add(name, rows[i][0]...)
+	}
+	return t
+}
+
+// perPoint adds one row per selected workload to t, with one cell per sweep
+// point, computing every cell across the worker pool.
+func (o Options) perPoint(t *stats.Table, points int, cell func(name string, p int) float64) *stats.Table {
+	names := o.names()
+	rows := sweep(o, len(names), points, func(i, p int) float64 { return cell(names[i], p) })
+	for i, name := range names {
+		t.Add(name, rows[i]...)
+	}
+	return t
 }
 
 // Figure3 measures counter-cache misses per LLC miss under Morphable
 // Counters (the paper's §III characterization).
 func Figure3(o Options) *stats.Table {
-	t := &stats.Table{
+	return o.perWorkload(&stats.Table{
 		Title:  "Figure 3: counter cache misses per LLC miss (Morphable, 32KB counter cache)",
 		Unit:   "%",
 		Series: []string{"ctr miss rate"},
-	}
-	ws := o.workloads()
-	rows := make([][]float64, len(ws))
-	o.forEachIndex(len(ws), func(i int) {
-		res := sim.RunLifetime(ws[i], o.lifetimeConfig(engine.Baseline, counter.Morphable))
-		rows[i] = []float64{res.Engine.CtrMissRate()}
+	}, func(name string) []float64 {
+		return []float64{o.morphable(name).Engine.CtrMissRate()}
 	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i]...)
-	}
-	return t
 }
 
 // Figure4 measures TLB misses normalized to LLC misses under 4 KB and 2 MB
 // pages.
 func Figure4(o Options) *stats.Table {
-	t := &stats.Table{
+	return o.perWorkload(&stats.Table{
 		Title:  "Figure 4: TLB misses per LLC miss (1536-entry TLB)",
 		Unit:   "%",
 		Series: []string{"4KB pages", "2MB pages"},
-	}
-	ws := o.workloads()
-	rows := make([][]float64, len(ws))
-	o.forEachIndex(len(ws), func(i int) {
-		res := sim.RunLifetime(ws[i], o.lifetimeConfig(engine.Baseline, counter.Morphable))
-		misses := float64(res.LLCMisses())
-		if misses == 0 {
-			misses = 1
-		}
-		rows[i] = []float64{
-			float64(res.TLB4KMisses) / misses,
-			float64(res.TLB2MMisses) / misses,
-		}
+	}, func(name string) []float64 {
+		res := o.morphable(name)
+		misses := float64(max(res.LLCMisses(), 1))
+		return []float64{float64(res.TLB4KMisses) / misses, float64(res.TLB2MMisses) / misses}
 	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i]...)
-	}
-	return t
 }
 
 // Figure10 breaks the memoization hit rate on counter misses into the two
 // sources: live Memoized Counter Value Groups and the MRU evicted-value
 // cache (§IV-C4).
 func Figure10(o Options) *stats.Table {
-	t := &stats.Table{
+	return o.perWorkload(&stats.Table{
 		Title:  "Figure 10: memoization hit rate for counter misses, by source",
 		Unit:   "%",
 		Series: []string{"groups", "recently-used", "total"},
-	}
-	ws := o.workloads()
-	rows := make([][]float64, len(ws))
-	o.forEachIndex(len(ws), func(i int) {
-		res := sim.RunLifetime(ws[i], o.lifetimeConfig(engine.RMCC, counter.Morphable))
-		e := res.Engine
-		den := float64(e.L0MemoLookupsOnMiss)
-		if den == 0 {
-			den = 1
-		}
+	}, func(name string) []float64 {
+		e := o.rmcc(name).Engine
+		den := float64(max(e.L0MemoLookupsOnMiss, 1))
 		g := float64(e.L0MemoGroupHitsOnMiss) / den
 		m := float64(e.L0MemoMRUHitsOnMiss) / den
-		rows[i] = []float64{g, m, g + m}
+		return []float64{g, m, g + m}
 	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i]...)
-	}
-	return t
 }
 
 // Figure12 breaks down DRAM bandwidth utilization under Morphable.
 func Figure12(o Options) *stats.Table {
-	t := &stats.Table{
+	return o.perWorkload(&stats.Table{
 		Title:  "Figure 12: bandwidth utilization by traffic type (Morphable)",
 		Unit:   "%",
 		Series: []string{"data", "counters", "L0 overflow", "L1+ overflow", "total"},
-	}
-	ws := o.workloads()
-	rows := make([][]float64, len(ws))
-	o.forEachIndex(len(ws), func(i int) {
-		res := o.detailedRun(ws[i].Name(), engine.Baseline, counter.Morphable, 15, 128, false)
+	}, func(name string) []float64 {
+		res := o.detailed(name, o.detailedConfig(engine.Baseline, counter.Morphable))
 		u := res.DRAM.UtilizationByKind(res.WindowTime)
-		total := res.DRAM.Utilization(res.WindowTime)
-		rows[i] = []float64{
+		return []float64{
 			u["data"], u["counters"], u["level 0 overflow"],
-			u["level 1 and higher overflow"], total,
+			u["level 1 and higher overflow"], res.DRAM.Utilization(res.WindowTime),
 		}
 	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i]...)
-	}
-	return t
 }
 
 // Figure13 measures performance of SC-64, Morphable and RMCC normalized to
@@ -321,323 +319,186 @@ func Figure13(o Options) *stats.Table {
 		Series:  []string{"SC-64", "Morphable", "RMCC"},
 		GeoMean: true,
 	}
-	ws := o.workloads()
-	type modePoint struct {
-		mode   engine.Mode
-		scheme counter.Scheme
+	cfgs := []sim.DetailedConfig{
+		o.detailedConfig(engine.NonSecure, counter.Morphable),
+		o.detailedConfig(engine.Baseline, counter.SC64),
+		o.detailedConfig(engine.Baseline, counter.Morphable),
+		o.detailedConfig(engine.RMCC, counter.Morphable),
 	}
-	points := []modePoint{
-		{engine.NonSecure, counter.Morphable},
-		{engine.Baseline, counter.SC64},
-		{engine.Baseline, counter.Morphable},
-		{engine.RMCC, counter.Morphable},
-	}
-	ipc := make([][]float64, len(ws))
-	for i := range ipc {
-		ipc[i] = make([]float64, len(points))
-	}
-	o.forEachCell(len(ws), len(points), func(i, p int) {
-		res := o.detailedRun(ws[i].Name(), points[p].mode, points[p].scheme, 15, 128, false)
-		ipc[i][p] = res.IPC
+	return o.normalized(t, o.names(), cfgs)
+}
+
+// normalized adds one row per named workload to t: the IPC of cfgs[1:],
+// each divided by the IPC of cfgs[0] on the same workload.
+func (o Options) normalized(t *stats.Table, names []string, cfgs []sim.DetailedConfig) *stats.Table {
+	ipc := sweep(o, len(names), len(cfgs), func(i, p int) float64 {
+		return o.detailed(names[i], cfgs[p]).IPC
 	})
-	for i, w := range ws {
-		ns := ipc[i][0]
-		t.Add(w.Name(), ipc[i][1]/ns, ipc[i][2]/ns, ipc[i][3]/ns)
+	for i, name := range names {
+		row := make([]float64, len(cfgs)-1)
+		for p := range row {
+			row[p] = ipc[i][p+1] / ipc[i][0]
+		}
+		t.Add(name, row...)
 	}
 	return t
 }
 
 // Figure14 measures average LLC miss latency.
 func Figure14(o Options) *stats.Table {
-	t := &stats.Table{
+	cfgs := []sim.DetailedConfig{
+		o.detailedConfig(engine.Baseline, counter.SC64),
+		o.detailedConfig(engine.Baseline, counter.Morphable),
+		o.detailedConfig(engine.RMCC, counter.Morphable),
+		o.detailedConfig(engine.NonSecure, counter.Morphable),
+	}
+	return o.perPoint(&stats.Table{
 		Title:  "Figure 14: average LLC miss latency",
 		Unit:   "ns",
 		Series: []string{"SC-64", "Morphable", "RMCC", "Non-secure"},
-	}
-	ws := o.workloads()
-	type modePoint struct {
-		mode   engine.Mode
-		scheme counter.Scheme
-	}
-	points := []modePoint{
-		{engine.Baseline, counter.SC64},
-		{engine.Baseline, counter.Morphable},
-		{engine.RMCC, counter.Morphable},
-		{engine.NonSecure, counter.Morphable},
-	}
-	lat := make([][]float64, len(ws))
-	for i := range lat {
-		lat[i] = make([]float64, len(points))
-	}
-	o.forEachCell(len(ws), len(points), func(i, p int) {
-		res := o.detailedRun(ws[i].Name(), points[p].mode, points[p].scheme, 15, 128, false)
-		lat[i][p] = res.AvgMissLatencyNS
+	}, len(cfgs), func(name string, p int) float64 {
+		return o.detailed(name, cfgs[p]).AvgMissLatencyNS
 	})
-	for i, w := range ws {
-		t.Add(w.Name(), lat[i]...)
-	}
-	return t
 }
 
 // Figure15 measures the average number of blocks covered by each memoized
 // counter value at the end of each workload's lifetime.
 func Figure15(o Options) *stats.Table {
-	t := &stats.Table{
+	return o.perWorkload(&stats.Table{
 		Title:  "Figure 15: blocks covered per memoized counter value",
 		Series: []string{"blocks"},
-	}
-	ws := o.workloads()
-	rows := make([]float64, len(ws))
-	o.forEachIndex(len(ws), func(i int) {
-		res := sim.RunLifetime(ws[i], o.lifetimeConfig(engine.RMCC, counter.Morphable))
-		rows[i] = res.CoveragePerValue
+	}, func(name string) []float64 {
+		return []float64{o.rmcc(name).CoveragePerValue}
 	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i])
-	}
-	return t
 }
 
 // Figure16 measures RMCC's memory traffic overhead over Morphable, split
 // into the L0-memoization and L1-memoization contributions.
 func Figure16(o Options) *stats.Table {
-	t := &stats.Table{
+	return o.perWorkload(&stats.Table{
 		Title:  "Figure 16: traffic overhead of RMCC vs Morphable (1%+1% budgets)",
 		Unit:   "%",
 		Series: []string{"memoizing L0", "memoizing L1", "total"},
-	}
-	ws := o.workloads()
-	rows := make([][]float64, len(ws))
-	o.forEachIndex(len(ws), func(i int) {
-		name := ws[i].Name()
-		base := sim.RunLifetime(ws[i], o.lifetimeConfig(engine.Baseline, counter.Morphable))
-		w2, _ := workload.ByName(o.Size, o.Seed, name)
-		rm := sim.RunLifetime(w2, o.lifetimeConfig(engine.RMCC, counter.Morphable))
-		bt := float64(base.Engine.TotalTraffic())
-		if bt == 0 {
-			bt = 1
+	}, func(name string) []float64 {
+		rm := o.rmcc(name)
+		bt := float64(max(o.morphable(name).Engine.TotalTraffic(), 1))
+		return []float64{
+			float64(rm.Engine.OverheadL0Blocks) / bt,
+			float64(rm.Engine.OverheadL1Blocks) / bt,
+			o.trafficOverhead(name, rm),
 		}
-		l0 := float64(rm.Engine.OverheadL0Blocks) / bt
-		l1 := float64(rm.Engine.OverheadL1Blocks) / bt
-		total := float64(rm.Engine.TotalTraffic())/bt - 1
-		if total < 0 {
-			total = 0
-		}
-		rows[i] = []float64{l0, l1, total}
 	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i]...)
-	}
-	return t
+}
+
+// rmccSpeedup adds one row per selected workload to t: RMCC's speedup over
+// Morphable at each point of a sweep of one detailed-configuration field,
+// which set applies.
+func (o Options) rmccSpeedup(t *stats.Table, points int, set func(cfg *sim.DetailedConfig, p int)) *stats.Table {
+	return o.perPoint(t, points, func(name string, p int) float64 {
+		mo := o.detailedConfig(engine.Baseline, counter.Morphable)
+		rm := o.detailedConfig(engine.RMCC, counter.Morphable)
+		set(&mo, p)
+		set(&rm, p)
+		return o.detailed(name, rm).IPC / o.detailed(name, mo).IPC
+	})
 }
 
 // Figure17 measures RMCC's speedup over Morphable at 15 ns (AES-128) and
 // 22 ns (AES-256) latencies.
 func Figure17(o Options) *stats.Table {
-	t := &stats.Table{
+	lats := []event.Time{15 * event.Nanosecond, 22 * event.Nanosecond}
+	return o.rmccSpeedup(&stats.Table{
 		Title:   "Figure 17: RMCC speedup over Morphable vs AES latency",
 		Unit:    "x",
 		Series:  []string{"15ns AES", "22ns AES"},
 		GeoMean: true,
-	}
-	ws := o.workloads()
-	lats := []int64{15, 22}
-	rows := make([][]float64, len(ws))
-	for i := range rows {
-		rows[i] = make([]float64, len(lats))
-	}
-	o.forEachCell(len(ws), len(lats), func(i, p int) {
-		name := ws[i].Name()
-		mo := o.detailedRun(name, engine.Baseline, counter.Morphable, lats[p], 128, false)
-		rm := o.detailedRun(name, engine.RMCC, counter.Morphable, lats[p], 128, false)
-		rows[i][p] = rm.IPC / mo.IPC
-	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i]...)
-	}
-	return t
+	}, len(lats), func(cfg *sim.DetailedConfig, p int) { cfg.AESLat = lats[p] })
 }
 
 // Figure18 measures RMCC's speedup over Morphable under 128/256/512 KB
 // counter caches.
 func Figure18(o Options) *stats.Table {
-	t := &stats.Table{
+	sizes := []int{128 << 10, 256 << 10, 512 << 10}
+	return o.rmccSpeedup(&stats.Table{
 		Title:   "Figure 18: RMCC speedup over Morphable vs counter cache size",
 		Unit:    "x",
 		Series:  []string{"128KB", "256KB", "512KB"},
 		GeoMean: true,
-	}
-	ws := o.workloads()
-	sizes := []int{128, 256, 512}
-	rows := make([][]float64, len(ws))
-	for i := range rows {
-		rows[i] = make([]float64, len(sizes))
-	}
-	o.forEachCell(len(ws), len(sizes), func(i, p int) {
-		name := ws[i].Name()
-		mo := o.detailedRun(name, engine.Baseline, counter.Morphable, 15, sizes[p], false)
-		rm := o.detailedRun(name, engine.RMCC, counter.Morphable, 15, sizes[p], false)
-		rows[i][p] = rm.IPC / mo.IPC
-	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i]...)
-	}
-	return t
+	}, len(sizes), func(cfg *sim.DetailedConfig, p int) { cfg.Engine.CounterCacheBytes = sizes[p] })
 }
+
+// tableSweep adds one row per selected workload to t: metric of the RMCC
+// lifetime run at each point of a sweep of the memoization tables'
+// configuration, which set applies to both tables.
+func (o Options) tableSweep(t *stats.Table, points int, set func(c *core.Config, p int),
+	metric func(name string, rm sim.LifetimeResult) float64) *stats.Table {
+	return o.perPoint(t, points, func(name string, p int) float64 {
+		cfg := o.lifetimeConfig(engine.RMCC, counter.Morphable)
+		set(&cfg.Engine.L0Table, p)
+		set(&cfg.Engine.L1Table, p)
+		return metric(name, o.lifetime(name, cfg))
+	})
+}
+
+// budgets sets the 1 %, 2 % and 8 % bandwidth budgets of Figures 19-20.
+func budgets(c *core.Config, p int) { c.BudgetFrac = []float64{0.01, 0.02, 0.08}[p] }
+
+// groupSizes sets Memoized Counter Value Groups of 4, 8 and 16 values at a
+// constant 128 table entries (Figures 21-22).
+func groupSizes(c *core.Config, p int) {
+	c.GroupSize = []int{4, 8, 16}[p]
+	c.Groups = 128 / c.GroupSize
+}
+
+func memoHitRate(_ string, rm sim.LifetimeResult) float64 { return rm.Engine.MemoHitRateAll() }
 
 // Figure19 measures memoization hit rate (over all accessed counter
 // values) under 1 %, 2 % and 8 % bandwidth budgets.
 func Figure19(o Options) *stats.Table {
-	t := &stats.Table{
+	return o.tableSweep(&stats.Table{
 		Title:  "Figure 19: memoization hit rate vs bandwidth budget",
 		Unit:   "%",
 		Series: []string{"1% budget", "2% budget", "8% budget"},
-	}
-	ws := o.workloads()
-	fracs := []float64{0.01, 0.02, 0.08}
-	rows := make([][]float64, len(ws))
-	for i := range rows {
-		rows[i] = make([]float64, len(fracs))
-	}
-	o.forEachCell(len(ws), len(fracs), func(i, p int) {
-		wl, _ := workload.ByName(o.Size, o.Seed, ws[i].Name())
-		cfg := o.lifetimeConfig(engine.RMCC, counter.Morphable)
-		cfg.Engine.L0Table.BudgetFrac = fracs[p]
-		cfg.Engine.L1Table.BudgetFrac = fracs[p]
-		res := sim.RunLifetime(wl, cfg)
-		rows[i][p] = res.Engine.MemoHitRateAll()
-	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i]...)
-	}
-	return t
+	}, 3, budgets, memoHitRate)
 }
 
 // Figure20 measures traffic overhead vs Morphable under the same budgets.
 func Figure20(o Options) *stats.Table {
-	t := &stats.Table{
+	return o.tableSweep(&stats.Table{
 		Title:  "Figure 20: traffic overhead vs bandwidth budget",
 		Unit:   "%",
 		Series: []string{"1% budget", "2% budget", "8% budget"},
-	}
-	ws := o.workloads()
-	fracs := []float64{0.01, 0.02, 0.08}
-	// Cell p == 0 is the Morphable baseline; cells 1..3 are the budget runs.
-	traffic := make([][]uint64, len(ws))
-	for i := range traffic {
-		traffic[i] = make([]uint64, len(fracs)+1)
-	}
-	o.forEachCell(len(ws), len(fracs)+1, func(i, p int) {
-		if p == 0 {
-			res := sim.RunLifetime(ws[i], o.lifetimeConfig(engine.Baseline, counter.Morphable))
-			traffic[i][0] = res.Engine.TotalTraffic()
-			return
-		}
-		wl, _ := workload.ByName(o.Size, o.Seed, ws[i].Name())
-		cfg := o.lifetimeConfig(engine.RMCC, counter.Morphable)
-		cfg.Engine.L0Table.BudgetFrac = fracs[p-1]
-		cfg.Engine.L1Table.BudgetFrac = fracs[p-1]
-		res := sim.RunLifetime(wl, cfg)
-		traffic[i][p] = res.Engine.TotalTraffic()
-	})
-	for i, w := range ws {
-		bt := float64(traffic[i][0])
-		if bt == 0 {
-			bt = 1
-		}
-		row := make([]float64, 0, len(fracs))
-		for p := 1; p <= len(fracs); p++ {
-			over := float64(traffic[i][p])/bt - 1
-			if over < 0 {
-				over = 0
-			}
-			row = append(row, over)
-		}
-		t.Add(w.Name(), row...)
-	}
-	return t
-}
-
-// groupSweep runs RMCC lifetime sims across Memoized Counter Value Group
-// sizes 4/8/16 at a constant 128 table entries.
-func groupSweep(o Options, metric func(sim.LifetimeResult, sim.LifetimeResult) float64, title, unit string) *stats.Table {
-	t := &stats.Table{
-		Title:  title,
-		Unit:   unit,
-		Series: []string{"group size 4", "group size 8", "group size 16"},
-	}
-	ws := o.workloads()
-	sizes := []int{4, 8, 16}
-	// Cell p == 0 is the Morphable baseline; cells 1..3 sweep the group size.
-	results := make([][]sim.LifetimeResult, len(ws))
-	for i := range results {
-		results[i] = make([]sim.LifetimeResult, len(sizes)+1)
-	}
-	o.forEachCell(len(ws), len(sizes)+1, func(i, p int) {
-		if p == 0 {
-			results[i][0] = sim.RunLifetime(ws[i], o.lifetimeConfig(engine.Baseline, counter.Morphable))
-			return
-		}
-		gs := sizes[p-1]
-		wl, _ := workload.ByName(o.Size, o.Seed, ws[i].Name())
-		cfg := o.lifetimeConfig(engine.RMCC, counter.Morphable)
-		cfg.Engine.L0Table.GroupSize = gs
-		cfg.Engine.L0Table.Groups = 128 / gs
-		cfg.Engine.L1Table.GroupSize = gs
-		cfg.Engine.L1Table.Groups = 128 / gs
-		results[i][p] = sim.RunLifetime(wl, cfg)
-	})
-	for i, w := range ws {
-		row := make([]float64, 0, len(sizes))
-		for p := 1; p <= len(sizes); p++ {
-			row = append(row, metric(results[i][p], results[i][0]))
-		}
-		t.Add(w.Name(), row...)
-	}
-	return t
+	}, 3, budgets, o.trafficOverhead)
 }
 
 // Figure21 measures memoization hit rate vs group size.
 func Figure21(o Options) *stats.Table {
-	return groupSweep(o,
-		func(r, _ sim.LifetimeResult) float64 { return r.Engine.MemoHitRateAll() },
-		"Figure 21: memoization hit rate vs Memoized Counter Value Group size (128 entries)",
-		"%")
+	return o.tableSweep(&stats.Table{
+		Title:  "Figure 21: memoization hit rate vs Memoized Counter Value Group size (128 entries)",
+		Unit:   "%",
+		Series: []string{"group size 4", "group size 8", "group size 16"},
+	}, 3, groupSizes, memoHitRate)
 }
 
 // Figure22 measures traffic overhead vs group size.
 func Figure22(o Options) *stats.Table {
-	return groupSweep(o,
-		func(r, base sim.LifetimeResult) float64 {
-			bt := float64(base.Engine.TotalTraffic())
-			if bt == 0 {
-				return 0
-			}
-			over := float64(r.Engine.TotalTraffic())/bt - 1
-			if over < 0 {
-				over = 0
-			}
-			return over
-		},
-		"Figure 22: traffic overhead vs Memoized Counter Value Group size (128 entries)",
-		"%")
+	return o.tableSweep(&stats.Table{
+		Title:  "Figure 22: traffic overhead vs Memoized Counter Value Group size (128 entries)",
+		Unit:   "%",
+		Series: []string{"group size 4", "group size 8", "group size 16"},
+	}, 3, groupSizes, o.trafficOverhead)
 }
 
 // Headline reproduces the §VI text numbers: the fraction of counter misses
 // RMCC accelerates (92 % in the paper), the L1 memoization hit rate on L1
 // misses (87 %), and the max-counter growth vs Morphable (+24 %).
 func Headline(o Options) *stats.Table {
-	t := &stats.Table{
+	return o.perWorkload(&stats.Table{
 		Title:  "Headline (§VI): accelerated counter misses / L1 memo hits / max counter growth",
 		Unit:   "%",
 		Series: []string{"accelerated", "L1 memo hit", "max ctr growth"},
-	}
-	ws := o.workloads()
-	rows := make([][]float64, len(ws))
-	o.forEachIndex(len(ws), func(i int) {
-		base := sim.RunLifetime(ws[i], o.lifetimeConfig(engine.Baseline, counter.Morphable))
-		wl, _ := workload.ByName(o.Size, o.Seed, ws[i].Name())
-		rm := sim.RunLifetime(wl, o.lifetimeConfig(engine.RMCC, counter.Morphable))
+	}, func(name string) []float64 {
+		base, rm := o.morphable(name), o.rmcc(name)
 		l1Rate := 0.0
 		if rm.Engine.L1MemoLookupsOnMiss > 0 {
 			l1Rate = float64(rm.Engine.L1MemoHitsOnMiss) / float64(rm.Engine.L1MemoLookupsOnMiss)
@@ -646,10 +507,6 @@ func Headline(o Options) *stats.Table {
 		if base.MaxCounter > 0 {
 			growth = float64(rm.MaxCounter)/float64(base.MaxCounter) - 1
 		}
-		rows[i] = []float64{rm.Engine.AcceleratedRate(), l1Rate, growth}
+		return []float64{rm.Engine.AcceleratedRate(), l1Rate, growth}
 	})
-	for i, w := range ws {
-		t.Add(w.Name(), rows[i]...)
-	}
-	return t
 }

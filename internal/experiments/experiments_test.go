@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rmcc/internal/secmem/counter"
@@ -26,12 +28,12 @@ func testOptions() Options {
 
 func TestWorkloadFilter(t *testing.T) {
 	o := testOptions()
-	ws := o.workloads()
-	if len(ws) != 2 {
-		t.Fatalf("filtered workloads = %d, want 2", len(ws))
+	o.Workloads = []string{"mcf", "canneal", "mcf", "nope"}
+	if got := o.names(); !slices.Equal(got, []string{"canneal", "mcf"}) {
+		t.Fatalf("filtered workloads = %v, want [canneal mcf] in suite order", got)
 	}
 	o.Workloads = nil
-	if len(o.workloads()) != 11 {
+	if len(o.names()) != 11 {
 		t.Fatal("nil filter should yield all eleven")
 	}
 }
@@ -115,25 +117,66 @@ func TestAblationFullBeatsCrippled(t *testing.T) {
 	}
 }
 
-func TestDetailedRunCacheSharesResults(t *testing.T) {
+// TestRunCacheKeysWholeConfig: options that differ only in a field the
+// configuration resolves from get their own runs from both drivers, and a
+// repeated request builds nothing and returns the same result.
+func TestRunCacheKeysWholeConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("detailed runs are slow")
 	}
+	base := testOptions()
+	epoch := base
+	epoch.EpochAccesses *= 2
+	over := base
+	over.OverMaxThreshold *= 2
+	for _, tc := range []struct {
+		driver string
+		builds *atomic.Uint64
+		run    func(Options) float64
+	}{
+		{"lifetime", &lifetimeRuns.builds, func(o Options) float64 { return o.rmcc("canneal").Engine.MemoHitRateAll() }},
+		{"detailed", &detailedRuns.builds, func(o Options) float64 {
+			return o.detailed("canneal", o.detailedConfig(engine.RMCC, counter.Morphable)).IPC
+		}},
+	} {
+		t.Run(tc.driver, func(t *testing.T) {
+			resetRuns()
+			var first float64
+			for i, step := range []struct {
+				what string
+				o    Options
+				want uint64
+			}{
+				{"first request", base, 1},
+				{"same options", base, 0},
+				{"EpochAccesses", epoch, 1},
+				{"OverMaxThreshold", over, 1},
+			} {
+				before := tc.builds.Load()
+				res := tc.run(step.o)
+				if built := tc.builds.Load() - before; built != step.want {
+					t.Errorf("%s: built %d simulations, want %d", step.what, built, step.want)
+				}
+				if i == 0 {
+					first = res
+				} else if step.want == 0 && res != first {
+					t.Errorf("%s: cached result %v, first %v", step.what, res, first)
+				}
+			}
+		})
+	}
+}
+
+// TestFigure4SharesFigure3Runs: both figures read the Morphable lifetime
+// run, so Figure 4 after Figure 3 simulates nothing.
+func TestFigure4SharesFigure3Runs(t *testing.T) {
 	o := testOptions()
-	before := len(detailedCache)
-	a := o.detailedRun("canneal", engine.Baseline, counter.Morphable, 15, 128, false)
-	afterFirst := len(detailedCache)
-	b := o.detailedRun("canneal", engine.Baseline, counter.Morphable, 15, 128, false)
-	if a.IPC != b.IPC || a.WindowTime != b.WindowTime {
-		t.Fatal("cache returned a different result for the same key")
-	}
-	if len(detailedCache) != afterFirst {
-		t.Fatal("identical key re-simulated instead of hitting the cache")
-	}
-	o.detailedRun("canneal", engine.Baseline, counter.Morphable, 22, 128, false)
-	if len(detailedCache) != afterFirst+1 {
-		t.Fatalf("different AES latency did not get its own entry (%d -> %d)",
-			before, len(detailedCache))
+	resetRuns()
+	Figure3(o)
+	before := builds()
+	Figure4(o)
+	if built := builds() - before; built != 0 {
+		t.Fatalf("Figure 4 after Figure 3 built %d simulations, want 0", built)
 	}
 }
 

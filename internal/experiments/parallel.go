@@ -38,9 +38,10 @@ func (o Options) cancelled() bool {
 // up to workers() goroutines via an atomic work counter. Callers write each
 // result into an index-addressed slot and assemble tables afterwards in
 // index order, so the rendered output is byte-identical to a sequential run
-// regardless of Parallelism. Every cell is an independent simulation over
-// its own workload and engine instances; the only shared state is the
-// detailed-run cache, which dedups concurrent builds per key.
+// regardless of Parallelism. Every simulation builds its own workload and
+// engine instances; the only shared state is the run cache, which runs each
+// distinct simulation once and makes concurrent cells that need the same
+// run wait for it.
 //
 // When Options.Context is cancelled, workers stop draining the cell queue;
 // unstarted cells are skipped and their result slots keep zero values.
@@ -79,17 +80,16 @@ func (o Options) forEachIndex(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// cell identifies one (workload, sweep point) unit of work when a figure
-// sweeps a configuration axis per workload.
-type cell struct{ w, p int }
-
-// forEachCell fans rows×points cells across the worker pool.
-func (o Options) forEachCell(rows, points int, fn func(w, p int)) {
-	cells := make([]cell, 0, rows*points)
-	for w := 0; w < rows; w++ {
-		for p := 0; p < points; p++ {
-			cells = append(cells, cell{w, p})
-		}
+// sweep runs fn(r, p) for every row r in [0, rows) and point p in
+// [0, points) across the worker pool and returns the results as out[r][p].
+func sweep[T any](o Options, rows, points int, fn func(r, p int) T) [][]T {
+	out := make([][]T, rows)
+	for r := range out {
+		out[r] = make([]T, points)
 	}
-	o.forEachIndex(len(cells), func(i int) { fn(cells[i].w, cells[i].p) })
+	o.forEachIndex(rows*points, func(i int) {
+		r, p := i/points, i%points
+		out[r][p] = fn(r, p)
+	})
+	return out
 }

@@ -13,77 +13,108 @@ import (
 
 func tableString(t *stats.Table) string { return t.String() }
 
-// TestParallelismDeterministic renders representative figures sequentially
-// and with an 8-worker pool and requires byte-identical tables: the worker
-// pool must not change any result, only wall-clock time.
-func TestParallelismDeterministic(t *testing.T) {
-	figures := []struct {
-		name string
-		run  func(Options) *stats.Table
-	}{
-		{"figure10", Figure10},
-		{"ablation", Ablation},
-		{"figure20", Figure20},
-	}
-	for _, fig := range figures {
-		seq := testOptions()
-		seq.Parallelism = 1
-		par := testOptions()
-		par.Parallelism = 8
-		a := tableString(fig.run(seq))
-		b := tableString(fig.run(par))
-		if a != b {
-			t.Errorf("%s: parallel table differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s", fig.name, a, b)
-		}
-	}
+// resetRuns empties both run caches, so the next render simulates every
+// run afresh.
+func resetRuns() {
+	lifetimeRuns.reset()
+	detailedRuns.reset()
 }
 
-// TestParallelismDeterministicDetailed covers the detailed-simulation path
-// (shared result cache) with Figure 13.
-func TestParallelismDeterministicDetailed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("detailed runs are slow")
-	}
+func (c *runCache[C, R]) reset() {
+	c.mu.Lock()
+	c.runs = nil
+	c.mu.Unlock()
+}
+
+// builds is the number of simulations both run caches have executed.
+func builds() uint64 { return lifetimeRuns.builds.Load() + detailedRuns.builds.Load() }
+
+// renderFresh renders fig from empty run caches and returns the table and
+// the number of simulations the render built.
+func renderFresh(fig func(Options) *stats.Table, o Options) (string, uint64) {
+	resetRuns()
+	before := builds()
+	table := tableString(fig(o))
+	return table, builds() - before
+}
+
+// requireSameRender renders fig sequentially and with an 8-worker pool, each
+// from empty run caches, and requires byte-identical tables: the worker
+// pool must not change any result, only wall-clock time. Both renders must
+// simulate the same runs, so neither reads the other's results.
+func requireSameRender(t *testing.T, name string, fig func(Options) *stats.Table) {
+	t.Helper()
 	seq := testOptions()
 	seq.Parallelism = 1
 	par := testOptions()
 	par.Parallelism = 8
-	a := tableString(Figure13(seq))
-	b := tableString(Figure13(par))
+	a, seqBuilds := renderFresh(fig, seq)
+	b, parBuilds := renderFresh(fig, par)
+	if parBuilds == 0 || parBuilds != seqBuilds {
+		t.Errorf("%s: parallel render built %d simulations, sequential %d", name, parBuilds, seqBuilds)
+	}
 	if a != b {
-		t.Fatalf("figure13: parallel table differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s", a, b)
+		t.Errorf("%s: parallel table differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s", name, a, b)
 	}
 }
 
-// TestDetailedRunDedupUnderRace hammers one cache key from many goroutines
-// and requires exactly one simulation build: the per-entry sync.Once must
-// collapse concurrent duplicate requests. Run with -race in CI.
-func TestDetailedRunDedupUnderRace(t *testing.T) {
+// TestParallelismDeterministic covers the lifetime figures.
+func TestParallelismDeterministic(t *testing.T) {
+	requireSameRender(t, "figure10", Figure10)
+	requireSameRender(t, "ablation", Ablation)
+	requireSameRender(t, "figure20", Figure20)
+}
+
+// TestParallelismDeterministicDetailed covers the detailed driver with
+// Figure 13.
+func TestParallelismDeterministicDetailed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("detailed runs are slow")
+	}
+	requireSameRender(t, "figure13", Figure13)
+}
+
+// TestRunCacheBuildsOncePerKey hammers one key per driver from 16
+// goroutines and requires exactly one simulation build: the per-entry
+// sync.Once must collapse concurrent duplicate requests. Run with -race in
+// CI.
+func TestRunCacheBuildsOncePerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("detailed runs are slow")
 	}
 	o := testOptions()
-	// A key no other test uses, so this test observes its own build count.
-	const ctrKB = 64
-	before := detailedBuilds.Load()
-	var wg sync.WaitGroup
-	results := make([]float64, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			res := o.detailedRun("mcf", engine.RMCC, counter.Morphable, 15, ctrKB, false)
-			results[g] = res.IPC
-		}(g)
-	}
-	wg.Wait()
-	if built := detailedBuilds.Load() - before; built != 1 {
-		t.Fatalf("16 concurrent identical requests built %d simulations, want 1", built)
-	}
-	for g := 1; g < 16; g++ {
-		if results[g] != results[0] {
-			t.Fatalf("goroutine %d saw IPC %v, goroutine 0 saw %v", g, results[g], results[0])
-		}
+	for _, tc := range []struct {
+		driver string
+		builds *atomic.Uint64
+		run    func() float64
+	}{
+		{"lifetime", &lifetimeRuns.builds, func() float64 { return o.rmcc("mcf").Engine.MemoHitRateAll() }},
+		{"detailed", &detailedRuns.builds, func() float64 {
+			return o.detailed("mcf", o.detailedConfig(engine.RMCC, counter.Morphable)).IPC
+		}},
+	} {
+		t.Run(tc.driver, func(t *testing.T) {
+			resetRuns()
+			before := tc.builds.Load()
+			results := make([]float64, 16)
+			var wg sync.WaitGroup
+			for g := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[g] = tc.run()
+				}()
+			}
+			wg.Wait()
+			if built := tc.builds.Load() - before; built != 1 {
+				t.Fatalf("16 concurrent identical requests built %d simulations, want 1", built)
+			}
+			for g := range results {
+				if results[g] != results[0] {
+					t.Fatalf("goroutine %d saw %v, goroutine 0 saw %v", g, results[g], results[0])
+				}
+			}
+		})
 	}
 }
 

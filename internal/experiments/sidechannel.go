@@ -6,6 +6,7 @@ import (
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
 	"rmcc/internal/sidechan"
+	"rmcc/internal/sim"
 	"rmcc/internal/stats"
 	"rmcc/internal/workload"
 )
@@ -74,11 +75,7 @@ func FigureLeakage(o Options) *stats.Table {
 		{"ppSweep", []string{"memo-insert", "ctr-sets"}},
 		{"memjam4k", []string{"pg-offset", "memo-insert"}},
 	}
-	reports := make([][]sidechan.Report, len(advs))
-	for a := range reports {
-		reports[a] = make([]sidechan.Report, len(points))
-	}
-	o.forEachCell(len(advs), len(points), func(a, p int) {
+	reports := sweep(o, len(advs), len(points), func(a, p int) sidechan.Report {
 		adv := leakageAdversary(o, advs[a].name)
 		res, err := sidechan.RunLeakage(adv, sidechan.LeakageOptions{
 			Mode:     points[p].mode,
@@ -90,7 +87,7 @@ func FigureLeakage(o Options) *stats.Table {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: leakage run %s: %v", advs[a].name, err))
 		}
-		reports[a][p] = res.Report
+		return res.Report
 	})
 	for a, adv := range advs {
 		for _, ch := range adv.channels {
@@ -117,32 +114,24 @@ func FigureHardenedCost(o Options) *stats.Table {
 		Series:  []string{"RMCC", "RMCC hardened", "hardened/RMCC"},
 		GeoMean: true,
 	}
-	ws := o.workloads()
-	type point struct {
-		mode     engine.Mode
-		hardened bool
+	hardened := o.detailedConfig(engine.RMCC, counter.Morphable)
+	sidechan.HardenConfig(&hardened.Engine, o.Seed)
+	cfgs := []sim.DetailedConfig{
+		o.detailedConfig(engine.NonSecure, counter.Morphable),
+		o.detailedConfig(engine.RMCC, counter.Morphable),
+		hardened,
 	}
-	points := []point{
-		{engine.NonSecure, false},
-		{engine.RMCC, false},
-		{engine.RMCC, true},
-	}
-	ipc := make([][]float64, len(ws))
-	for i := range ipc {
-		ipc[i] = make([]float64, len(points))
-	}
-	o.forEachCell(len(ws), len(points), func(i, p int) {
-		res := o.detailedRunH(ws[i].Name(), points[p].mode, counter.Morphable,
-			15, 128, false, points[p].hardened)
-		ipc[i][p] = res.IPC
+	names := o.names()
+	ipc := sweep(o, len(names), len(cfgs), func(i, p int) float64 {
+		return o.detailed(names[i], cfgs[p]).IPC
 	})
-	for i, w := range ws {
+	for i, name := range names {
 		ns, rm, hd := ipc[i][0], ipc[i][1], ipc[i][2]
 		if ns == 0 || rm == 0 {
-			t.Add(w.Name(), 0, 0, 0)
+			t.Add(name, 0, 0, 0)
 			continue
 		}
-		t.Add(w.Name(), rm/ns, hd/ns, hd/rm)
+		t.Add(name, rm/ns, hd/ns, hd/rm)
 	}
 	return t
 }

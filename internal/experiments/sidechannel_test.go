@@ -111,14 +111,13 @@ func TestLeakageAdversaryResolution(t *testing.T) {
 func TestWorkloadFilterExcludesExtras(t *testing.T) {
 	o := testOptions()
 	o.Workloads = nil
-	for _, w := range o.workloads() {
-		if w.Name() == "ppSweep" || w.Name() == "memjam4k" {
-			t.Fatalf("adversary %q leaked into the default figure set", w.Name())
+	for _, name := range o.names() {
+		if name == "ppSweep" || name == "memjam4k" {
+			t.Fatalf("adversary %q leaked into the default figure set", name)
 		}
 	}
 	o.Workloads = []string{"ppSweep"}
-	ws := o.workloads()
-	if len(ws) != 1 || ws[0].Name() != "ppSweep" {
-		t.Fatalf("explicit extra selection = %v", ws)
+	if names := o.names(); len(names) != 1 || names[0] != "ppSweep" {
+		t.Fatalf("explicit extra selection = %v", names)
 	}
 }

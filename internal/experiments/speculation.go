@@ -3,6 +3,7 @@ package experiments
 import (
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
+	"rmcc/internal/sim"
 	"rmcc/internal/stats"
 )
 
@@ -23,27 +24,16 @@ func ExtensionSpeculation(o Options) *stats.Table {
 	if names == nil {
 		names = []string{"canneal", "omnetpp", "BFS"}
 	}
-	points := []struct {
-		mode engine.Mode
-		spec bool
-	}{
-		{engine.NonSecure, false},
-		{engine.Baseline, false},
-		{engine.Baseline, true},
-		{engine.RMCC, false},
-		{engine.RMCC, true},
+	cfg := func(mode engine.Mode, spec bool) sim.DetailedConfig {
+		c := o.detailedConfig(mode, counter.Morphable)
+		c.SpeculativeVerification = spec
+		return c
 	}
-	ipc := make([][]float64, len(names))
-	for i := range ipc {
-		ipc[i] = make([]float64, len(points))
-	}
-	o.forEachCell(len(names), len(points), func(i, p int) {
-		res := o.detailedRun(names[i], points[p].mode, counter.Morphable, 15, 128, points[p].spec)
-		ipc[i][p] = res.IPC
+	return o.normalized(t, names, []sim.DetailedConfig{
+		cfg(engine.NonSecure, false),
+		cfg(engine.Baseline, false),
+		cfg(engine.Baseline, true),
+		cfg(engine.RMCC, false),
+		cfg(engine.RMCC, true),
 	})
-	for i, name := range names {
-		ns := ipc[i][0]
-		t.Add(name, ipc[i][1]/ns, ipc[i][2]/ns, ipc[i][3]/ns, ipc[i][4]/ns)
-	}
-	return t
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"rmcc/internal/mem/cache"
 	"rmcc/internal/secmem/counter"
 	"rmcc/internal/secmem/engine"
 	"rmcc/internal/workload"
@@ -207,5 +208,33 @@ func TestPrefetcherTableBasics(t *testing.T) {
 func TestPrefetcherDisabled(t *testing.T) {
 	if newPrefetcher(0, 2) != nil {
 		t.Fatal("zero streams should disable")
+	}
+}
+
+// TestPrefetchFillWritesBackDirtyVictim: a prefetch fill into an LLC full
+// of dirty lines evicts one of them, and that victim reaches memory like a
+// demand access's: one engine write and the data block written at DRAM.
+func TestPrefetchFillWritesBackDirtyVictim(t *testing.T) {
+	cfg := DefaultDetailedConfig(engine.DefaultConfig(engine.Baseline, counter.Morphable, 0))
+	cfg.LLC = cache.Config{SizeBytes: 4 << 10, Ways: 2, LineBytes: 64}
+	cfg.PrefetchStreams, cfg.PrefetchDegree = 1, 1
+	s := newDetailedSim(1<<20, cfg)
+	for line := uint64(1024); line < 1024+64; line++ { // every way of every set
+		s.hier.llc.Access(line<<6, true)
+	}
+	// Misses on lines 100-102 arm the stream; the third prefetches line 103.
+	for line := uint64(100); line <= 102; line++ {
+		s.prefetch(line << 6)
+	}
+	if !s.hier.llc.Probe(103 << 6) {
+		t.Fatal("the armed stream did not fill line 103")
+	}
+	for s.eng.Step() {
+	}
+	if w := s.mc.Stats().Writes; w != 1 {
+		t.Errorf("engine writes = %d, want 1 (the fill's dirty victim)", w)
+	}
+	if w := s.ch.Stats().Writes; w != 1 {
+		t.Errorf("DRAM writes = %d, want 1 (the victim's data block)", w)
 	}
 }

@@ -244,7 +244,11 @@ func (s *detailedSim) prefetch(missedPaddr uint64) {
 		if s.hier.llc.Probe(paddr) {
 			continue
 		}
-		s.hier.llc.Access(paddr, false)
+		// The fill's dirty victim goes to memory first; like the rest of
+		// the prefetch, its overflow stall never holds up the core.
+		if r := s.hier.llc.Access(paddr, false); r.Evicted && r.Writeback {
+			s.writeBack(r.VictimAddr)
+		}
 		out := s.mc.Read(paddr)
 		s.enqueue(&dram.Request{Addr: paddr, Kind: dram.KindData})
 		for _, f := range out.Chain {
@@ -255,6 +259,20 @@ func (s *detailedSim) prefetch(missedPaddr uint64) {
 			s.startOverflowJob(out.OverflowTraffic)
 		}
 	}
+}
+
+// writeBack sends one dirty LLC victim to the MC: the engine write and its
+// epoch tick, the write's side traffic (the data block itself among it),
+// and any overflow it forces as an overflow job. It returns the time the MC
+// accepts requests again when that job had to wait for a slot, else 0.
+func (s *detailedSim) writeBack(victim uint64) (stallUntil event.Time) {
+	out := s.mc.Write(victim)
+	s.mc.OnEpochAccess()
+	s.issueTraffic(out.Extra)
+	if len(out.OverflowTraffic) > 0 {
+		stallUntil = s.startOverflowJob(out.OverflowTraffic)
+	}
+	return stallUntil
 }
 
 // enqueue pushes a DRAM request, advancing simulation under backpressure.
@@ -444,14 +462,8 @@ func (c *core) step() bool {
 	}
 	lvl, victims := s.hier.access(paddr, a.Write)
 	for _, v := range victims {
-		wout := s.mc.Write(v)
-		s.mc.OnEpochAccess()
-		s.issueTraffic(wout.Extra)
-		if len(wout.OverflowTraffic) > 0 {
-			t := s.startOverflowJob(wout.OverflowTraffic)
-			if t > c.tF {
-				c.tF = t
-			}
+		if t := s.writeBack(v); t > c.tF {
+			c.tF = t
 		}
 	}
 
@@ -525,15 +537,15 @@ func (c *core) drain() event.Time {
 	return c.tF
 }
 
-// RunDetailed executes a timing simulation of w on Table I's one core.
-func RunDetailed(w workload.Workload, cfg DetailedConfig) DetailedResult {
+// newDetailedSim builds the timing state for a workload footprint.
+func newDetailedSim(footprint uint64, cfg DetailedConfig) *detailedSim {
 	s := &detailedSim{
 		cfg:   cfg,
 		eng:   event.New(),
 		cycPS: event.Time(1000.0 / cfg.CPUGHz),
 	}
 	s.ch = dram.New(s.eng, cfg.DRAM)
-	physBytes := physFor(w.FootprintBytes(), cfg.PageBytes)
+	physBytes := physFor(footprint, cfg.PageBytes)
 	s.mapper = vm.New(physBytes, cfg.PageBytes, cfg.Seed^0xabcd)
 	engCfg := cfg.Engine
 	engCfg.MemBytes = physBytes
@@ -543,6 +555,12 @@ func RunDetailed(w workload.Workload, cfg DetailedConfig) DetailedResult {
 	if cfg.Tracer != nil {
 		s.mc.SetTracer(cfg.Tracer)
 	}
+	return s
+}
+
+// RunDetailed executes a timing simulation of w on Table I's one core.
+func RunDetailed(w workload.Workload, cfg DetailedConfig) DetailedResult {
+	s := newDetailedSim(w.FootprintBytes(), cfg)
 
 	c := &core{sim: s, st: NewAccessStream(func(sink workload.Sink) { w.Run(cfg.Seed, sink) })}
 	defer c.st.Close()

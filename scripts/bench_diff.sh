@@ -12,7 +12,7 @@
 #
 # Usage:
 #   scripts/bench_diff.sh                        # baseline = newest BENCH_*.json
-#   BASELINE=BENCH_2026-10-19.json scripts/bench_diff.sh
+#   BASELINE=BENCH_2026-10-20.json scripts/bench_diff.sh
 #   THRESHOLD=0.40 scripts/bench_diff.sh         # loosen the gate
 #   FRESH=/tmp/fresh.json scripts/bench_diff.sh  # keep the fresh report
 #
