@@ -184,9 +184,18 @@ func TestExtensionSpeculationComposes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("detailed runs are slow")
 	}
+	// The -workloads filter applies as in every per-workload table: rows
+	// in suite order, each named workload once.
 	o := testOptions()
-	o.Workloads = []string{"canneal"}
+	o.Workloads = []string{"mcf", "canneal", "mcf"}
 	tb := ExtensionSpeculation(o)
+	var rows []string
+	for _, r := range tb.Rows {
+		rows = append(rows, r.Name)
+	}
+	if !slices.Equal(rows, []string{"canneal", "mcf"}) {
+		t.Fatalf("rows %v, want [canneal mcf]", rows)
+	}
 	mo, _ := tb.Cell("canneal", "Morphable")
 	moSpec, _ := tb.Cell("canneal", "Morph+Spec")
 	rmSpec, _ := tb.Cell("canneal", "RMCC+Spec")

@@ -11,7 +11,7 @@ import (
 // verification (paper §VII): speculation hides only the verification
 // latency, while RMCC hides the counter-to-pad AES itself — and the two
 // compose. Series are normalized to the non-secure system, on the three
-// highest-counter-miss workloads.
+// highest-counter-miss workloads unless Options.Workloads names others.
 func ExtensionSpeculation(o Options) *stats.Table {
 	t := &stats.Table{
 		Title: "Extension (§VII): speculative verification vs RMCC " +
@@ -20,9 +20,9 @@ func ExtensionSpeculation(o Options) *stats.Table {
 		Series:  []string{"Morphable", "Morph+Spec", "RMCC", "RMCC+Spec"},
 		GeoMean: true,
 	}
-	names := o.Workloads
-	if names == nil {
-		names = []string{"canneal", "omnetpp", "BFS"}
+	names := []string{"canneal", "omnetpp", "BFS"}
+	if o.Workloads != nil {
+		names = o.names()
 	}
 	cfg := func(mode engine.Mode, spec bool) sim.DetailedConfig {
 		c := o.detailedConfig(mode, counter.Morphable)

@@ -28,6 +28,7 @@ package counter
 
 import (
 	"fmt"
+	"slices"
 
 	"rmcc/internal/rng"
 )
@@ -126,31 +127,81 @@ type Store struct {
 }
 
 // level holds one counter level in its encoded form, as the hardware
-// holds it: groups[j].base is group j's smallest value, and off[i] is
-// counter i's 8-bit offset above its group's base. Each group also keeps
-// its largest offset and how many of its counters sit at the base, so
-// reading a counter, checking a group's encodability, and updating a
-// counter take O(1); only an update that moves a group's last counter off
-// the base scans the group's offsets, to lift the base to the new minimum.
-// A group whose spread no 8-bit offset holds (only corruption and
-// DecodeState make one) is wide: its values live in the full-width slots
-// full[start:end], allocated on first use, until a relevel or re-key
-// encodes it again. SGX keeps every counter in full, one 56-bit slot per
-// counter as its hardware does, and has no groups.
+// holds it: groups[j].base is group j's smallest value, and each counter
+// keeps an 8-bit offset above its group's base. Each group also keeps its
+// largest offset and how many of its counters sit at the base, so reading
+// a counter, checking a group's encodability, and updating a counter take
+// O(1); only an update that moves a group's last counter off the base
+// scans the group's offsets, to lift the base to the new minimum.
+//
+// An offset is two nibbles. lo holds every counter's low four bits, two
+// counters per byte; a group whose largest offset exceeds nibMax holds a
+// slot of high nibbles from hiSlots, and gives it back once its largest
+// offset fits the low nibbles again. The memoization-aware update keeps
+// data groups within a few values of their base, so a data counter costs
+// half a byte; SC-64 and tree groups, which spread wider, cost at most a
+// byte. A group whose spread no 8-bit offset holds (only corruption and
+// DecodeState make one) is wide: its values live in a full-width slot from
+// wideSlots until a relevel or re-key encodes it again. SGX keeps every
+// counter in full, one 56-bit slot per counter as its hardware does, and
+// has no groups.
 type level struct {
-	n      int      // counters
-	shift  uint     // log2 of counters per group
-	groups []group  // per group (nil for SGX)
-	off    []uint8  // per counter offset above its group's base
-	full   []uint64 // per counter full-width value (SGX, wide groups)
+	n         int          // counters
+	shift     uint         // log2 of counters per group
+	groups    []group      // per group (nil for SGX)
+	lo        []uint8      // per counter low offset nibble, two per byte
+	hiSlots   slab[uint8]  // high offset nibbles of groups past nibMax
+	wideSlots slab[uint64] // full-width values of wide groups
+	full      []uint64     // SGX: per counter value
 }
 
 // group is one split-counter group's encoded summary.
 type group struct {
 	base   uint64 // smallest value in the group
+	slot   uint32 // its hiSlots (or, when wide, wideSlots) handle; 0 for none
 	maxOff uint8  // largest offset above base
 	atBase uint8  // counters at offset 0
-	wide   bool   // values held in level.full instead
+	wide   bool   // values held in a wide slot instead
+}
+
+// nibMax is the largest offset the low nibbles alone hold: an encoded
+// group holds a high-nibble slot exactly while its maxOff exceeds it.
+const nibMax = 0xf
+
+// slab hands out fixed-size slots of one backing array and reuses the
+// slots it gets back. A handle is one more than the slot's index, so a
+// group's zero handle means it holds none.
+type slab[T uint8 | uint64] struct {
+	size int // elements per slot
+	buf  []T
+	free []uint32 // released handles
+}
+
+// take returns the handle of a zeroed slot.
+func (s *slab[T]) take() uint32 {
+	if n := len(s.free); n > 0 {
+		h := s.free[n-1]
+		s.free = s.free[:n-1]
+		clear(s.at(h))
+		return h
+	}
+	s.buf = append(s.buf, make([]T, s.size)...)
+	return uint32(len(s.buf) / s.size)
+}
+
+// at returns slot h.
+func (s *slab[T]) at(h uint32) []T { return s.buf[int(h-1)*s.size : int(h)*s.size] }
+
+func (s *slab[T]) release(h uint32) { s.free = append(s.free, h) }
+
+// reset frees every slot.
+func (s *slab[T]) reset() { *s = slab[T]{size: s.size} }
+
+// trim drops the backing array's spare capacity, after a bulk build.
+func (s *slab[T]) trim() {
+	if cap(s.buf) > len(s.buf) {
+		s.buf = append([]T(nil), s.buf...)
+	}
 }
 
 // NewStore builds counter state for dataBytes of protected memory. The tree
@@ -187,7 +238,9 @@ func (s *Store) newLevel(n int) level {
 		lv.full = make([]uint64, n)
 	} else {
 		lv.groups = make([]group, lv.numGroups())
-		lv.off = make([]uint8, n)
+		lv.lo = make([]uint8, (n+1)/2)
+		lv.hiSlots.size = 1 << s.shift / 2
+		lv.wideSlots.size = 1 << s.shift
 	}
 	return lv
 }
@@ -261,16 +314,106 @@ func (lv *level) groupRange(j int) (start, end int) {
 	return start, min(start+1<<lv.shift, lv.n)
 }
 
-// wide reports whether group j's values live in the full-width slots.
+// wide reports whether group j's values are held in full: SGX, or a wide
+// group.
 func (lv *level) wide(j int) bool { return lv.groups == nil || lv.groups[j].wide }
+
+// nib returns nibble k of b, the low half of byte k/2 for even k.
+func nib(b []uint8, k int) uint64 { return uint64(b[k>>1]>>(uint(k&1)<<2)) & nibMax }
+
+// setNib sets nibble k of b to v's low four bits.
+func setNib(b []uint8, k int, v uint64) {
+	s := uint(k&1) << 2
+	b[k>>1] = b[k>>1]&^(nibMax<<s) | uint8(v&nibMax)<<s
+}
+
+// offsets is an encoded group's n offsets, fetched once for a loop over
+// the group: its low nibbles, and its high-nibble slot (nil while it holds
+// none, every offset then being at most nibMax).
+type offsets struct {
+	lo, hi []uint8
+	n      int
+}
+
+// at returns offset k.
+func (o offsets) at(k int) uint64 {
+	v := nib(o.lo, k)
+	if o.hi != nil {
+		v |= nib(o.hi, k) << 4
+	}
+	return v
+}
+
+// put sets offset k to v's low eight bits (four, without a slot).
+func (o offsets) put(k int, v uint64) {
+	setNib(o.lo, k, v)
+	if o.hi != nil {
+		setNib(o.hi, k, v>>4)
+	}
+}
+
+// offsets returns encoded group j's offsets.
+func (lv *level) offsets(j int) offsets {
+	start, end := lv.groupRange(j)
+	o := offsets{lo: lv.lo[start>>1 : (end+1)>>1], n: end - start}
+	if h := lv.groups[j].slot; h != 0 {
+		o.hi = lv.hiSlots.at(h)
+	}
+	return o
+}
+
+// inSlot returns where counter i sits in its group's slot h: the index of
+// its high nibble in hiSlots.buf, or of its value in wideSlots.buf.
+func (lv *level) inSlot(h uint32, i int) int { return int(h-1)<<lv.shift | i&(1<<lv.shift-1) }
+
+// off returns counter i's offset in its encoded group g.
+func (lv *level) off(g *group, i int) uint64 {
+	v := nib(lv.lo, i)
+	if g.slot != 0 {
+		v |= nib(lv.hiSlots.buf, lv.inSlot(g.slot, i)) << 4
+	}
+	return v
+}
+
+// drop gives back group g's slot, if it holds one.
+func (lv *level) drop(g *group) {
+	switch {
+	case g.wide:
+		lv.wideSlots.release(g.slot)
+	case g.slot != 0:
+		lv.hiSlots.release(g.slot)
+	}
+	g.slot, g.wide = 0, false
+}
 
 // get returns counter i's value.
 func (lv *level) get(i int) uint64 {
-	j := i >> lv.shift
-	if lv.wide(j) {
+	if lv.groups == nil {
 		return lv.full[i]
 	}
-	return lv.groups[j].base + uint64(lv.off[i])
+	g := &lv.groups[i>>lv.shift]
+	if g.wide {
+		return lv.wideSlots.buf[lv.inSlot(g.slot, i)]
+	}
+	return g.base + lv.off(g, i)
+}
+
+// values writes group j's values to buf and returns them.
+func (lv *level) values(j int, buf []uint64) []uint64 {
+	start, end := lv.groupRange(j)
+	vals := buf[:end-start]
+	switch {
+	case lv.groups == nil:
+		copy(vals, lv.full[start:end])
+	case lv.groups[j].wide:
+		copy(vals, lv.wideSlots.at(lv.groups[j].slot))
+	default:
+		o, base := lv.offsets(j), lv.groups[j].base
+		for k := range vals {
+			vals[k] = base + o.at(k)
+		}
+	}
+	return vals
 }
 
 // groupMax returns the largest value in group j.
@@ -287,19 +430,17 @@ func (lv *level) groupMax(j int) uint64 {
 // returns its minimum, its maximum and how many counters sit above the
 // minimum. Only wide groups and non-increasing queries need it.
 func (lv *level) scan(j, i int, v uint64) (lo, hi uint64, above int) {
-	at := func(b int) uint64 {
-		if b == i {
-			return v
-		}
-		return lv.get(b)
+	var buf [128]uint64
+	vals := lv.values(j, buf[:])
+	if i >= 0 {
+		vals[i&(1<<lv.shift-1)] = v
 	}
-	start, end := lv.groupRange(j)
 	lo = ^uint64(0)
-	for b := start; b < end; b++ {
-		lo, hi = min(lo, at(b)), max(hi, at(b))
+	for _, x := range vals {
+		lo, hi = min(lo, x), max(hi, x)
 	}
-	for b := start; b < end; b++ {
-		if at(b) > lo {
+	for _, x := range vals {
+		if x > lo {
 			above++
 		}
 	}
@@ -313,9 +454,9 @@ func (lv *level) scan(j, i int, v uint64) (lo, hi uint64, above int) {
 func (lv *level) raise(j, i int, d uint64) (lift, top uint64, atMin int) {
 	g := &lv.groups[j]
 	top = max(uint64(g.maxOff), d)
-	if lv.off[i] != 0 || g.atBase > 1 {
+	if cur := lv.off(g, i); cur != 0 || g.atBase > 1 {
 		atMin = int(g.atBase)
-		if lv.off[i] == 0 {
+		if cur == 0 {
 			atMin--
 		}
 		return 0, top, atMin
@@ -323,15 +464,15 @@ func (lv *level) raise(j, i int, d uint64) (lift, top uint64, atMin int) {
 	// Counter i was the last at the base: the new base is the smallest of
 	// d and the other counters' offsets.
 	lift, atMin = d, 1
-	start, end := lv.groupRange(j)
-	for b := start; b < end; b++ {
-		if b == i {
+	o, self := lv.offsets(j), i&(1<<lv.shift-1)
+	for k := 0; k < o.n; k++ {
+		if k == self {
 			continue
 		}
-		switch o := uint64(lv.off[b]); {
-		case o < lift:
-			lift, atMin = o, 1
-		case o == lift:
+		switch v := o.at(k); {
+		case v < lift:
+			lift, atMin = v, 1
+		case v == lift:
 			atMin++
 		}
 	}
@@ -339,25 +480,40 @@ func (lv *level) raise(j, i int, d uint64) (lift, top uint64, atMin int) {
 }
 
 // set moves counter i up to newVal, which the caller has checked encodes.
+// The group takes a high-nibble slot when its largest offset passes nibMax
+// and gives it back when a base lift brings it within nibMax again.
 func (lv *level) set(i int, newVal uint64) {
 	j := i >> lv.shift
-	if lv.wide(j) {
+	if lv.groups == nil {
 		lv.full[i] = newVal
 		return
 	}
 	g := &lv.groups[j]
+	if g.wide {
+		lv.wideSlots.buf[lv.inSlot(g.slot, i)] = newVal
+		return
+	}
 	d := newVal - g.base
 	lift, top, atMin := lv.raise(j, i, d)
+	if top-lift > nibMax && g.slot == 0 {
+		g.slot = lv.hiSlots.take()
+	}
 	if lift > 0 {
-		start, end := lv.groupRange(j)
-		for b := start; b < end; b++ {
-			lv.off[b] -= uint8(lift) // counter i's wraps; it is set below
+		o := lv.offsets(j)
+		for b := 0; b < o.n; b++ {
+			o.put(b, o.at(b)-lift) // counter i's wraps; it is set below
 		}
 		g.base += lift
 	}
-	lv.off[i] = uint8(d - lift)
+	setNib(lv.lo, i, d-lift)
+	if g.slot != 0 {
+		setNib(lv.hiSlots.buf, lv.inSlot(g.slot, i), (d-lift)>>4)
+	}
 	g.maxOff = uint8(top - lift)
 	g.atBase = uint8(atMin)
+	if g.maxOff <= nibMax && g.slot != 0 {
+		lv.drop(g)
+	}
 }
 
 // fill sets every counter of group j to v.
@@ -369,7 +525,8 @@ func (lv *level) fill(j int, v uint64) {
 		}
 		return
 	}
-	clear(lv.off[start:end])
+	lv.drop(&lv.groups[j])
+	clear(lv.lo[start>>1 : (end+1)>>1])
 	lv.groups[j] = group{base: v, atBase: uint8(end - start)}
 }
 
@@ -385,37 +542,48 @@ func (lv *level) pack(j int, vals []uint64) {
 	for _, v := range vals {
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	if hi-lo > 0xff {
-		if lv.full == nil {
-			lv.full = make([]uint64, lv.n)
-		}
-		copy(lv.full[start:], vals)
-		lv.groups[j].wide = true
+	g := &lv.groups[j]
+	lv.drop(g)
+	switch {
+	case hi-lo > 0xff:
+		g.slot, g.wide = lv.wideSlots.take(), true
+		copy(lv.wideSlots.at(g.slot), vals)
 		return
+	case hi-lo > nibMax:
+		g.slot = lv.hiSlots.take()
 	}
+	g.base, g.maxOff, g.atBase = lo, uint8(hi-lo), 0
+	o := lv.offsets(j)
 	for k, v := range vals {
-		lv.off[start+k] = uint8(v - lo)
-	}
-	lv.summarize(j, lo)
-}
-
-// summarize rebuilds encoded group j's summary from offsets written above
-// base, lifting the base to the group's smallest value.
-func (lv *level) summarize(j int, base uint64) {
-	start, end := lv.groupRange(j)
-	offs := lv.off[start:end]
-	lo, hi := offs[0], offs[0]
-	for _, o := range offs {
-		lo, hi = min(lo, o), max(hi, o)
-	}
-	g := group{base: base + uint64(lo), maxOff: hi - lo}
-	for k := range offs {
-		offs[k] -= lo
-		if offs[k] == 0 {
+		o.put(k, v-lo)
+		if v == lo {
 			g.atBase++
 		}
 	}
-	lv.groups[j] = g
+}
+
+// summarize rebuilds encoded group j's summary from offsets written above
+// base, lifting the base to the group's smallest value, and gives back the
+// group's slot if its largest offset then fits the low nibbles.
+func (lv *level) summarize(j int, base uint64) {
+	o := lv.offsets(j)
+	lo, hi := o.at(0), o.at(0)
+	for k := 1; k < o.n; k++ {
+		v := o.at(k)
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	g := &lv.groups[j]
+	g.base, g.maxOff, g.atBase = base+lo, uint8(hi-lo), 0
+	for k := 0; k < o.n; k++ {
+		v := o.at(k) - lo
+		o.put(k, v)
+		if v == 0 {
+			g.atBase++
+		}
+	}
+	if g.maxOff <= nibMax {
+		lv.drop(g)
+	}
 }
 
 // rebase moves group j onto base, keeping each counter's distance above
@@ -426,13 +594,14 @@ func (lv *level) rebase(j int, base uint64) uint64 {
 		g.base = base
 		return base + uint64(g.maxOff)
 	}
-	start, end := lv.groupRange(j)
-	lo, _, _ := lv.scan(j, -1, 0)
-	var hi uint64
-	for b := start; b < end; b++ {
-		lv.full[b] = base + (lv.full[b] - lo)
-		hi = max(hi, lv.full[b])
+	var buf [128]uint64
+	vals := lv.values(j, buf[:])
+	lo, hi := slices.Min(vals), uint64(0)
+	for k, v := range vals {
+		vals[k] = base + (v - lo)
+		hi = max(hi, vals[k])
 	}
+	lv.pack(j, vals)
 	return hi
 }
 
@@ -440,13 +609,21 @@ func (lv *level) rebase(j int, base uint64) uint64 {
 func (lv *level) corrupt(i int, v uint64) {
 	j := i >> lv.shift
 	var buf [128]uint64
-	start, end := lv.groupRange(j)
-	vals := buf[:end-start]
-	for k := range vals {
-		vals[k] = lv.get(start + k)
-	}
-	vals[i-start] = v
+	vals := lv.values(j, buf[:])
+	vals[i&(1<<lv.shift-1)] = v
 	lv.pack(j, vals)
+}
+
+// reset zeroes every counter of the level and frees every slot.
+func (lv *level) reset() {
+	clear(lv.full)
+	clear(lv.lo)
+	lv.hiSlots.reset()
+	lv.wideSlots.reset()
+	for j := range lv.groups {
+		start, end := lv.groupRange(j)
+		lv.groups[j] = group{atBase: uint8(end - start)}
+	}
 }
 
 // --- Counters, at every level (level 0: the data counters) ---
@@ -489,7 +666,7 @@ func (s *Store) CanEncode(l, i int, newVal uint64) bool {
 	}
 	lv := &s.lv[l]
 	j := i >> lv.shift
-	if g := &lv.groups[j]; !g.wide && newVal > g.base+uint64(lv.off[i]) {
+	if g := &lv.groups[j]; !g.wide && newVal > g.base+lv.off(g, i) {
 		start, end := lv.groupRange(j)
 		lift, top, atMin := lv.raise(j, i, newVal-g.base)
 		return s.fits(l, top-lift, end-start-atMin)
@@ -548,9 +725,7 @@ func (s *Store) Corrupt(l, i int, v uint64) { s.lv[l].corrupt(i, v) }
 // (key, counter) pad space restarts, so zero counters are safe again.
 func (s *Store) ResetCounters() {
 	for l := range s.lv {
-		for j := 0; j < s.lv[l].numGroups(); j++ {
-			s.lv[l].fill(j, 0)
-		}
+		s.lv[l].reset()
 	}
 	clear(s.observed)
 }
@@ -632,7 +807,9 @@ func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
 	spread := rng.Threshold(opts.SpreadFrac)
 	for l := range s.lv {
 		lv := &s.lv[l]
-		// Bases are drawn from LevelRange(l) and nudges from [0, nudgeN).
+		lv.reset()
+		// Bases are drawn from LevelRange(l) and nudges from [0, nudgeN);
+		// only nudged counters are written into the cleared groups.
 		baseLo, baseN := opts.LevelRange(l)
 		nudgeN, limit := spreadRange+1, maxNudges
 		if l > 0 {
@@ -652,20 +829,32 @@ func (s *Store) Randomize(r *rng.Source, opts RandomizeOptions) {
 					}
 				}
 				top = max(top, nudge)
-				if lv.groups == nil {
+				switch {
+				case lv.groups == nil:
 					lv.full[b] = base + nudge
-				} else {
-					lv.off[b] = uint8(nudge)
+				case nudge > nibMax:
+					// The group's slot is zeroed when taken, so only
+					// nudges past nibMax write a high nibble.
+					g := &lv.groups[j]
+					if g.slot == 0 {
+						g.slot = lv.hiSlots.take()
+					}
+					setNib(lv.hiSlots.buf, lv.inSlot(g.slot, b), nudge>>4)
+					fallthrough
+				case nudge != 0:
+					setNib(lv.lo, b, nudge)
 				}
 			}
 			s.observe(l, base+top)
 			if lv.groups == nil {
 				continue
 			}
-			lv.groups[j] = group{base: base, maxOff: uint8(top), atBase: uint8(end - start - nudges)}
+			g := &lv.groups[j]
+			g.base, g.maxOff, g.atBase = base, uint8(top), uint8(end-start-nudges)
 			if nudges == end-start {
 				lv.summarize(j, base) // every counter was nudged: lift the base
 			}
 		}
+		lv.hiSlots.trim()
 	}
 }

@@ -4,13 +4,16 @@ import "fmt"
 
 // This file implements the actual 64-byte wire formats of the counter
 // blocks, bit for bit. The Store in counter.go holds SC-64 and Morphable
-// groups in the same split form, a shared base plus per-block minors, but
-// with byte-aligned 8-bit minors and no format tag, so its hot path reads
-// and updates them without bit packing; its encodability checks mirror
-// these capacities exactly. The packing here substantiates those capacity
-// constants, models what a hardware decoder must parse — the paper charges
-// 3 ns for Morphable's variable-format decode — and gives tests a
-// round-trip target.
+// groups, and tree nodes, in the same split form, a shared base plus
+// per-block minors, but with no format tag and with 8-bit minors kept as
+// nibbles: a low nibble per block, two blocks per byte, and a group's high
+// nibbles in a slot of their own only while one of its minors exceeds 15.
+// Its hot path reads and updates a minor with a shift and a mask, parsing
+// no format, and its encodability checks mirror these capacities exactly.
+// Snapshots (EncodeState) carry counter values, not either layout. The
+// packing here substantiates those capacity constants, models what a
+// hardware decoder must parse — the paper charges 3 ns for Morphable's
+// variable-format decode — and gives tests a round-trip target.
 //
 // Formats:
 //

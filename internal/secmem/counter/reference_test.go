@@ -325,12 +325,23 @@ type differ struct {
 	stores []*Store
 	op     int
 	what   string
+	// moves counts, per op kind, how the op's group changed form in the
+	// first store (see groupForm), so a stream can show it crossed
+	// between the storage forms in both directions at every level.
+	moves map[move]int
+}
+
+// move is one op's effect on its group's storage form.
+type move struct {
+	level    int
+	op       string
+	from, to string
 }
 
 func newDiffer(t testing.TB, scheme Scheme, blocks int, src opSource) *differ {
 	bytes := uint64(blocks) * BlockBytes
 	return &differ{t: t, src: src, scheme: scheme, bytes: bytes,
-		ref: newRefStore(scheme, bytes), stores: []*Store{NewStore(scheme, bytes)}}
+		ref: newRefStore(scheme, bytes), stores: []*Store{NewStore(scheme, bytes)}, moves: map[move]int{}}
 }
 
 func (d *differ) fatalf(format string, args ...any) {
@@ -350,33 +361,78 @@ func (d *differ) step() {
 	i := d.block()
 	j := i / d.ref.coverage
 	cur := d.ref.vals[i]
+	from := groupForm(d.stores[0], 0, j)
+	var op string
 	switch k := d.src.Uint64n(64); {
-	case k < 30:
+	case k < 26:
+		op = "write"
 		d.write(i, cur+1)
-	case k < 32:
+	case k < 28:
 		// A sweep writes every block of the group once, so each of its
 		// blocks at the base moves up.
+		op = "sweep"
 		start := j * d.ref.coverage
 		for b := start; b < min(start+d.ref.coverage, len(d.ref.vals)); b++ {
 			d.write(b, d.ref.vals[b]+1)
 		}
-	case k < 40:
+	case k < 30:
+		// A lift moves every block below base+m up to it, as updates onto
+		// one memoized value do, so the group's base lifts by up to m.
+		op = "lift"
+		start := j * d.ref.coverage
+		end := min(start+d.ref.coverage, len(d.ref.vals))
+		to := slices.Min(d.ref.vals[start:end]) + 1 + d.src.Uint64n(40)
+		for b := start; b < end; b++ {
+			if d.ref.vals[b] < to {
+				d.write(b, to)
+			}
+		}
+	case k < 36:
+		op = "jump"
 		d.write(i, cur+1+d.src.Uint64n(140))
+	case k < 40:
+		// A read-triggered update raises the block onto the nearest
+		// memoized value above it: here the next multiple of a stride.
+		op = "read-update"
+		stride := 8 + d.src.Uint64n(56)
+		d.write(i, (cur/stride+1)*stride)
 	case k < 46:
 		// A memo-target relevel: onto a value above the group maximum.
+		op = "relevel"
 		d.relevel(i, d.ref.groupMax(j)+1+d.src.Uint64n(1000))
 	case k < 52:
+		op = "corrupt"
 		d.corrupt(i, cur)
 	case k < 56:
+		op = "roundTrip"
 		d.roundTrip()
 	case k < 58:
+		op = "rekey"
 		d.rekey("ResetCounters")
 	case k < 61:
+		op = "randomize"
 		d.randomize()
 	default:
+		op = "warmSnap"
 		d.warmSnap()
 	}
+	d.moves[move{0, op, from, groupForm(d.stores[0], 0, j)}]++
 	d.verdicts(i)
+}
+
+// groupForm names how store s holds level-l group j: "nibbles" (low
+// nibbles alone), "slot" (with a high-nibble slot), "wide" or, for SGX,
+// "full".
+func groupForm(s *Store, l, j int) string {
+	switch lv := &s.lv[l]; {
+	case lv.groups == nil:
+		return "full"
+	case lv.groups[j].wide:
+		return "wide"
+	case lv.groups[j].slot != 0:
+		return "slot"
+	}
+	return "nibbles"
 }
 
 // block picks the op's block: anywhere, or in the first or the (partial)
@@ -400,18 +456,26 @@ func (d *differ) block() int {
 func (d *differ) treeStep() {
 	l, c := d.child()
 	cur := d.ref.tree[l][c]
+	from := groupForm(d.stores[0], l, c/d.ref.coverage)
+	var op string
 	switch k := d.src.Uint64n(16); {
 	case k < 7:
+		op = "bump"
 		d.bumpTree(l, c, cur+1)
 	case k < 10:
+		op = "jump"
 		d.bumpTree(l, c, cur+1+d.src.Uint64n(140))
 	case k < 12:
+		op = "relevel"
 		d.relevelTree(l, c, d.ref.treeNodeMax(l, c)+1+d.src.Uint64n(1000))
 	case k < 14:
+		op = "corrupt"
 		d.corruptTree(l, c, cur)
 	default:
+		op = "warmSnap"
 		d.warmSnapTree(l)
 	}
+	d.moves[move{l, op, from, groupForm(d.stores[0], l, c/d.ref.coverage)}]++
 	d.treeVerdicts(l, c)
 }
 
@@ -680,18 +744,8 @@ func (d *differ) verdicts(i int) {
 func (d *differ) checkAll() {
 	want := d.refBytes()
 	for k, s := range d.stores {
-		for l, lv := range s.lv {
-			for j := range lv.groups {
-				start, end := lv.groupRange(j)
-				g, offs := lv.groups[j], lv.off[start:end]
-				if g.wide {
-					continue
-				}
-				zeros := bytes.Count(offs, []byte{0})
-				if zeros == 0 || slices.Max(offs) != g.maxOff || zeros != int(g.atBase) {
-					d.fatalf("store %d level %d group %d summary %+v, offsets %v", k, l, j, g, offs)
-				}
-			}
+		for l := range s.lv {
+			checkLevel(d, k, l, &s.lv[l])
 		}
 		for i, v := range d.ref.vals {
 			if got := s.Counter(0, i); got != v {
@@ -717,6 +771,62 @@ func (d *differ) checkAll() {
 	}
 }
 
+// checkLevel checks store k's level l: each encoded group's summary
+// against its offsets, read through the level's accessor, a high-nibble
+// slot held exactly while the group's largest offset exceeds nibMax, and
+// every slot of both slabs either held by one group or free.
+func checkLevel(d *differ, k, l int, lv *level) {
+	held := []map[uint32]int{{}, {}} // hiSlots, wideSlots handle -> group
+	for j := range lv.groups {
+		g := lv.groups[j]
+		if g.slot != 0 {
+			slab := 0
+			if g.wide {
+				slab = 1
+			}
+			if other, dup := held[slab][g.slot]; dup {
+				d.fatalf("store %d level %d groups %d and %d hold slot %d", k, l, other, j, g.slot)
+			}
+			held[slab][g.slot] = j
+		}
+		if g.wide {
+			if g.slot == 0 {
+				d.fatalf("store %d level %d wide group %d holds no slot", k, l, j)
+			}
+			continue
+		}
+		o := lv.offsets(j)
+		offs := make([]uint64, o.n)
+		for b := range offs {
+			offs[b] = o.at(b)
+		}
+		zeros := 0
+		for _, v := range offs {
+			if v == 0 {
+				zeros++
+			}
+		}
+		if zeros == 0 || slices.Max(offs) != uint64(g.maxOff) || zeros != int(g.atBase) ||
+			(g.slot != 0) != (g.maxOff > nibMax) {
+			d.fatalf("store %d level %d group %d summary %+v, offsets %v", k, l, j, g, offs)
+		}
+	}
+	for slab, s := range []struct {
+		size, buf int
+		free      []uint32
+	}{{lv.hiSlots.size, len(lv.hiSlots.buf), lv.hiSlots.free}, {lv.wideSlots.size, len(lv.wideSlots.buf), lv.wideSlots.free}} {
+		for _, h := range s.free {
+			if j, ok := held[slab][h]; ok {
+				d.fatalf("store %d level %d group %d holds freed slot %d", k, l, j, h)
+			}
+		}
+		if s.size != 0 && len(held[slab])+len(s.free) != s.buf/s.size {
+			d.fatalf("store %d level %d slab %d: %d held + %d free of %d slots",
+				k, l, slab, len(held[slab]), len(s.free), s.buf/s.size)
+		}
+	}
+}
+
 // span lists the indices in [start, end).
 func span(start, end int) []int {
 	var idx []int
@@ -736,6 +846,41 @@ func encodeStore(s *Store) []byte {
 	var e snapshot.Enc
 	s.EncodeState(&e)
 	return e.Data()
+}
+
+// checkCrossings fails unless the stream moved groups between the storage
+// forms in both directions at every level: a slot taken by a write that
+// jumps a counter past nibMax (a ZCC jump under Morphable, a plain write
+// under SC-64) and by a read-triggered update, and at tree levels by a
+// jump; a slot given back by a relevel, a base lift and a re-pack (a
+// corruption that narrows the group); wide groups made by Corrupt and
+// restored as wide by DecodeState; and WarmSnap run over groups holding a
+// slot, which it keeps.
+func (d *differ) checkCrossings(t *testing.T) {
+	need := []move{
+		{0, "relevel", "slot", "nibbles"},
+		{0, "lift", "slot", "nibbles"},
+		{0, "corrupt", "slot", "nibbles"},
+		{0, "corrupt", "nibbles", "wide"},
+		{0, "roundTrip", "wide", "wide"},
+		{0, "warmSnap", "slot", "slot"},
+		{0, "jump", "nibbles", "slot"},
+		{0, "read-update", "nibbles", "slot"},
+	}
+	for l := 1; l < len(d.ref.tree); l++ {
+		need = append(need, move{l, "jump", "nibbles", "slot"}, move{l, "relevel", "slot", "nibbles"},
+			move{l, "corrupt", "nibbles", "wide"}, move{l, "warmSnap", "slot", "slot"})
+	}
+	for _, m := range need {
+		if d.moves[m] == 0 {
+			t.Errorf("level %d: no %s moved a group from %s to %s", m.level, m.op, m.from, m.to)
+		}
+	}
+	if t.Failed() {
+		for m, n := range d.moves {
+			t.Logf("%+v x%d", m, n)
+		}
+	}
 }
 
 // TestDifferentialAgainstReference drives the encoded Store and the
@@ -763,21 +908,35 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					t.Fatalf("stream never releveled a level-%d group or node", l)
 				}
 			}
+			if g.scheme != SGX {
+				d.checkCrossings(t)
+			}
 		})
 	}
 }
 
-// TestDataCounterFootprint pins the encoded layout's size: a SizeSmall
-// lifetime's 1 671 168 Morphable data counters hold at most 1.25 bytes of
-// state per block, counted from slice capacities (plain uint64s held 8).
+// TestDataCounterFootprint pins the encoded layout's size, counted from
+// slice capacities, for a SizeSmall lifetime's 1 671 168 data counters
+// after Randomize: at most 0.65 bytes per block for Morphable, whose
+// groups then hold no high-nibble slot, and at most 1.25 for SC-64, whose
+// wider groups mostly hold one (plain uint64s held 8, one offset byte per
+// counter 1.25).
 func TestDataCounterFootprint(t *testing.T) {
-	s := NewStore(Morphable, 1_671_168*BlockBytes)
-	s.Randomize(rng.New(1), DefaultRandomize())
-	lv := &s.lv[0]
-	n := cap(lv.off)*int(unsafe.Sizeof(lv.off[0])) +
-		cap(lv.groups)*int(unsafe.Sizeof(lv.groups[0])) +
-		cap(lv.full)*int(unsafe.Sizeof(uint64(0)))
-	if per := float64(n) / float64(s.NumDataBlocks()); per > 1.25 {
-		t.Fatalf("%.3f bytes of data-counter state per block, want <= 1.25", per)
+	for _, c := range []struct {
+		scheme Scheme
+		limit  float64
+	}{{Morphable, 0.65}, {SC64, 1.25}} {
+		s := NewStore(c.scheme, 1_671_168*BlockBytes)
+		s.Randomize(rng.New(1), DefaultRandomize())
+		lv := &s.lv[0]
+		n := cap(lv.lo) + cap(lv.hiSlots.buf) + 4*cap(lv.hiSlots.free) +
+			cap(lv.groups)*int(unsafe.Sizeof(lv.groups[0])) +
+			8*(cap(lv.wideSlots.buf)+cap(lv.full)) + 4*cap(lv.wideSlots.free)
+		per := float64(n) / float64(s.NumDataBlocks())
+		t.Logf("%v: %.3f bytes per block, %d of %d groups hold a slot",
+			c.scheme, per, len(lv.hiSlots.buf)/lv.hiSlots.size, len(lv.groups))
+		if per > c.limit {
+			t.Fatalf("%v: %.3f bytes of data-counter state per block, want <= %.2f", c.scheme, per, c.limit)
+		}
 	}
 }

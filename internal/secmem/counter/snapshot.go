@@ -4,7 +4,8 @@ import "rmcc/internal/snapshot"
 
 // EncodeState serializes all counter ground truth: every level's counters
 // (as a length-prefixed uint64 per counter, whatever form the store holds
-// them in), then the per-level observed-max registers, level 0 first.
+// them in: low nibbles alone, with a high-nibble slot, wide, or SGX's full
+// width), then the per-level observed-max registers, level 0 first.
 // Geometry (block counts, level count) is derived from the scheme and
 // footprint at construction, so only the values travel; DecodeState
 // enforces the lengths against the store it restores into.
@@ -21,7 +22,7 @@ func (s *Store) EncodeState(e *snapshot.Enc) {
 // the identical scheme and footprint. It writes counters directly — the
 // monotonicity guard on Set compares against live state, which does not
 // apply when replacing the whole image with a previously valid one — and
-// re-encodes each group.
+// re-encodes each group, taking a slot only for a group that needs one.
 func (s *Store) DecodeState(d *snapshot.Dec) error {
 	if err := s.lv[0].decode(d); err != nil {
 		return err
@@ -43,8 +44,11 @@ func (s *Store) DecodeState(d *snapshot.Dec) error {
 
 func (lv *level) encode(e *snapshot.Enc) {
 	e.U64(uint64(lv.n))
-	for i := 0; i < lv.n; i++ {
-		e.U64(lv.get(i))
+	var buf [128]uint64
+	for j := 0; j < lv.numGroups(); j++ {
+		for _, v := range lv.values(j, buf[:]) {
+			e.U64(v)
+		}
 	}
 }
 
@@ -52,6 +56,7 @@ func (lv *level) decode(d *snapshot.Dec) error {
 	if n := d.U64(); d.Err() == nil && n != uint64(lv.n) {
 		return d.Failf("uint64 slice length %d, want %d", n, lv.n)
 	}
+	lv.reset()
 	var buf [128]uint64
 	for j := 0; j < lv.numGroups() && d.Err() == nil; j++ {
 		start, end := lv.groupRange(j)
@@ -61,5 +66,7 @@ func (lv *level) decode(d *snapshot.Dec) error {
 		}
 		lv.pack(j, vals)
 	}
+	lv.hiSlots.trim()
+	lv.wideSlots.trim()
 	return d.Err()
 }
